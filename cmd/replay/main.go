@@ -14,8 +14,9 @@
 // silent way to disagree with the recording.
 //
 // -json prints one machine-readable result object to stdout instead of the
-// human transcript (the harness and CI consume it; nothing scrapes text),
-// and -profile-out writes the search's per-branch cost attribution for the
+// human transcript (the harness and CI consume it; nothing scrapes text).
+// Its "solver" object counts Unsat (proved) apart from GaveUp (budget
+// spent, no proof; omitted when zero), and -profile-out writes the search's per-branch cost attribution for the
 // refinement loop (cmd/analyze -refine, cmd/tune).
 //
 // Usage:
@@ -174,9 +175,9 @@ func main() {
 			res.Runs, res.Elapsed.Round(time.Millisecond), why)
 		os.Exit(1)
 	}
-	fmt.Printf("reproduced in %d runs (%s, %d workers); %d aborted paths; solver: %d calls (%d sat)\n",
+	fmt.Printf("reproduced in %d runs (%s, %d workers); %d aborted paths; solver: %d calls (%d sat, %d unsat, %d gave up)\n",
 		res.Runs, res.Elapsed.Round(time.Millisecond), res.Workers, res.Aborts,
-		res.SolverStats.Calls, res.SolverStats.Sat)
+		res.SolverStats.Calls, res.SolverStats.Sat, res.SolverStats.Unsat, res.SolverStats.GaveUp)
 	fmt.Printf("symbolic branches on the bug path: %d locations logged (%d execs), %d not logged (%d execs)\n",
 		res.SymLoggedLocs, res.SymLoggedExecs, res.SymNotLoggedLocs, res.SymNotLoggedExecs)
 

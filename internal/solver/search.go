@@ -71,6 +71,11 @@ type searchState struct {
 
 	nodes int
 	work  int64
+	// truncated records that some candidate list left out values of its
+	// domain, so an exhausted search is no proof of unsat. Lists are clipped
+	// to MaxValuesPerVar, and the sweep around a seed that lies outside the
+	// (propagated) domain reaches only part of it.
+	truncated bool
 }
 
 // reset prepares the state for a new Solve call, retaining slice capacity.
@@ -88,6 +93,7 @@ func (st *searchState) reset() {
 	st.snapStack = st.snapStack[:0]
 	st.nodes = 0
 	st.work = 0
+	st.truncated = false
 }
 
 // addSlot interns a variable ID with its domain and seed value.
@@ -121,8 +127,12 @@ func (st *searchState) slot(id int) int32 {
 	}
 	// Constraint mentions a variable with no declared domain; assume full
 	// byte range extended for safety.
-	return st.addSlot(id, interval{lo: -(1 << 31), hi: 1 << 31}, 0, false)
+	return st.addSlot(id, undeclaredDom, 0, false)
 }
+
+// undeclaredDom is the domain of a variable a constraint mentions but the
+// problem does not declare.
+var undeclaredDom = interval{lo: -(1 << 31), hi: 1 << 31}
 
 // addAtom instantiates a cached normal form against the current slots,
 // reusing the atom structs (and their term slices) of previous calls.
@@ -176,6 +186,57 @@ func (st *searchState) touch(s int32) {
 
 // overWork reports whether the per-call evaluation budget is spent.
 func (st *searchState) overWork() bool { return st.work > st.solver.opts.MaxWork }
+
+// overBudget reports whether the search ran out of nodes or work.
+func (st *searchState) overBudget() bool {
+	return st.nodes > st.solver.opts.MaxNodes || st.overWork()
+}
+
+// exactLimit bounds the magnitude of one side of a linear atom for exact.
+const exactLimit = 1 << 61
+
+// exact reports whether bounds reasoning over this call's linear atoms is
+// integer arithmetic: for every linear atom, each side's |constant| plus the
+// sum of |coeff|*max(|lo|,|hi|) over its terms stays within exactLimit under
+// the declared domains, so neither the sides (evaluated with wraparound) nor
+// propagation's partial sums can overflow int64. Only then is a domain
+// emptied by propagation a proof of unsat. Propagation only narrows domains,
+// so the declared ones bound every later state; slots past len(decl) are
+// undeclared variables, interned after the declared ones.
+func (st *searchState) exact(decl []VarDomain) bool {
+	side := func(c int64, ts []dterm) bool {
+		sum := absU(c)
+		for _, t := range ts {
+			iv := undeclaredDom
+			if int(t.slot) < len(decl) {
+				iv = interval{lo: decl[t.slot].Lo, hi: decl[t.slot].Hi}
+			}
+			m, k := max(absU(iv.lo), absU(iv.hi)), absU(t.coeff)
+			if m != 0 && k > exactLimit/m {
+				return false
+			}
+			if sum += k * m; sum > exactLimit {
+				return false
+			}
+		}
+		return sum <= exactLimit
+	}
+	for i := range st.atoms {
+		a := &st.atoms[i]
+		if a.ne.linear && !(side(a.ne.lc, a.lform) && side(a.ne.rc, a.rform)) {
+			return false
+		}
+	}
+	return true
+}
+
+// absU returns |v| without overflow.
+func absU(v int64) uint64 {
+	if v < 0 {
+		return uint64(-v)
+	}
+	return uint64(v)
+}
 
 // value reads a slot under the current partial assignment, falling back to
 // the seed.
@@ -372,7 +433,7 @@ func ceilDiv(a, b int64) int64 {
 func (st *searchState) search(vars []int32, idx int) bool {
 	st.nodes++
 	st.solver.stats.Nodes++
-	if st.nodes > st.solver.opts.MaxNodes || st.overWork() {
+	if st.overBudget() {
 		return false
 	}
 	if idx == len(vars) {
@@ -403,7 +464,7 @@ func (st *searchState) search(vars []int32, idx int) bool {
 		st.restoreDomains(base)
 		*iv = saved
 		st.touch(s)
-		if st.nodes > st.solver.opts.MaxNodes || st.overWork() {
+		if st.overBudget() {
 			// Budget exhausted: the whole search is being abandoned, so the
 			// assignment bookkeeping need not be unwound.
 			return false
@@ -466,6 +527,9 @@ func (st *searchState) candidates(depth int, s int32, iv *interval) []int64 {
 			}
 			out = append(out, x)
 		}
+	}
+	if int64(len(out)) < iv.width() {
+		st.truncated = true
 	}
 	return out
 }

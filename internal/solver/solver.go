@@ -11,13 +11,26 @@
 //
 //  1. normalize every constraint into a linear atom when possible (normalized
 //     forms are cached per expression, since replay re-solves path prefixes);
-//  2. tighten per-variable interval domains by bounds propagation to a fixed
+//  2. return the seed when it already satisfies every constraint;
+//  3. unify the input variables that linear atoms assert equal (x - y == 0)
+//     and prove the conjunction unsat when some atom asserts !=, < or >
+//     between two sides that are identical modulo that unification — the
+//     shape of diff's "equal lines hash differently" negations, which no
+//     amount of search can refute within budget (unify.go);
+//  4. tighten per-variable interval domains by bounds propagation to a fixed
 //     point;
-//  3. run a deterministic backtracking search over the remaining variables,
+//  5. run a deterministic backtracking search over the remaining variables,
 //     seeding value choice from the previous concrete run so that solutions
 //     stay close to observed executions (this mirrors how concolic engines
 //     reuse the current input);
-//  4. verify the candidate assignment by evaluating the original constraints.
+//  6. verify the candidate assignment by evaluating the original constraints.
+//
+// A call that returns no assignment either proved the conjunction unsat (by
+// unification, by propagation, or by a search that enumerated every
+// candidate) or gave up (the node or work budget ran out, a domain was wider
+// than the per-variable value budget, bounds reasoning could have overflowed,
+// or the final verification rejected the search's candidate). Stats counts
+// the two apart: only Unsat is a proof.
 //
 // Internally the search works on dense slot-indexed state (variable IDs are
 // mapped to slots once per Solve call) so the per-node hot paths — bounds
@@ -77,12 +90,17 @@ const (
 )
 
 // Stats accumulates counters across Solve calls; the experiment harness
-// reports them alongside replay times.
+// reports them alongside replay times. Calls == Sat + Unsat + GaveUp.
+//
+// GaveUp and Work are omitted from JSON when zero, so search profiles filed
+// before they existed keep their bytes on a round trip.
 type Stats struct {
 	Calls     int   // number of Solve invocations
 	Sat       int   // how many returned a solution
-	Unsat     int   // how many proved or gave up as unsatisfiable
+	Unsat     int   // how many proved the conjunction unsatisfiable
+	GaveUp    int   `json:",omitempty"` // how many failed without a proof
 	Nodes     int64 // total search nodes visited
+	Work      int64 `json:",omitempty"` // total evaluation effort charged
 	Atoms     int64 // total atoms normalized
 	Fallbacks int64 // atoms that could not be linearized
 }
@@ -93,7 +111,9 @@ func (s *Stats) Add(o Stats) {
 	s.Calls += o.Calls
 	s.Sat += o.Sat
 	s.Unsat += o.Unsat
+	s.GaveUp += o.GaveUp
 	s.Nodes += o.Nodes
+	s.Work += o.Work
 	s.Atoms += o.Atoms
 	s.Fallbacks += o.Fallbacks
 }
@@ -108,6 +128,7 @@ type Solver struct {
 	hashTab []hashSlot   // per-node structural-hash memo
 	varBuf  []int        // scratch for collecting variable IDs in normalize
 	neBuf   []*normEntry // scratch for the per-call normal forms
+	uni     unifier      // equality-unification proof step, reused per call
 	st      searchState  // reused across Solve calls to keep allocation flat
 
 	// Slab storage for normal forms. The replay search normalizes one fresh
@@ -205,7 +226,7 @@ type Problem struct {
 // Solve searches for an assignment satisfying every constraint. Variables not
 // mentioned by any constraint keep their seed value. The returned assignment
 // is complete for all variables in p.Domains. ok is false when the problem is
-// unsatisfiable or the search budget was exhausted.
+// unsatisfiable or the search gave up; Stats tells the two apart.
 func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 	s.stats.Calls++
 
@@ -244,6 +265,12 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 		return seedAsn, true
 	}
 
+	if work, proved := s.uni.provesUnsat(p.Constraints, nes); proved {
+		s.stats.Unsat++
+		s.stats.Work += work
+		return nil, false
+	}
+
 	st := &s.st
 	st.reset()
 	for _, d := range p.Domains {
@@ -261,8 +288,7 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 	}
 
 	if !st.propagateAll() {
-		s.stats.Unsat++
-		return nil, false
+		return s.fail(st.exact(p.Domains))
 	}
 
 	// Order variables: most-constrained (smallest domain) first, ties by ID
@@ -284,8 +310,7 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 	})
 
 	if !st.search(vars, 0) {
-		s.stats.Unsat++
-		return nil, false
+		return s.fail(!st.overBudget() && !st.truncated && st.exact(p.Domains))
 	}
 
 	// Assemble the full assignment: searched vars from the solution, the
@@ -300,13 +325,25 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 	for i, c := range p.Constraints {
 		if !evalNorm(nes[i], c, out) {
 			// Paranoia: search produced a candidate the evaluator rejects.
-			// Treat as unsat rather than returning a wrong input.
-			s.stats.Unsat++
-			return nil, false
+			// Return no input rather than a wrong one — but this is no proof.
+			return s.fail(false)
 		}
 	}
 	s.stats.Sat++
+	s.stats.Work += st.work
 	return out, true
+}
+
+// fail ends a call that found no assignment, counting it as a proof of
+// unsatisfiability or as a give-up.
+func (s *Solver) fail(proved bool) (sym.MapAssignment, bool) {
+	s.stats.Work += s.st.work
+	if proved {
+		s.stats.Unsat++
+	} else {
+		s.stats.GaveUp++
+	}
+	return nil, false
 }
 
 // evalNorm decides one constraint under an assignment via its normal form.
@@ -437,16 +474,16 @@ type hashSlot struct {
 func (s *Solver) structHash(e sym.Expr) uint64 {
 	switch x := e.(type) {
 	case *sym.Const:
-		return (uint64(x.V) ^ 0xC0) * fibMix
+		return hashConst(x)
 	case *sym.Input:
-		return (uint64(x.ID) ^ 0x1A) * fibMix
+		return hashInput(x.ID)
 	case *sym.Un:
 		p := uint64(reflect.ValueOf(e).Pointer()) * fibMix
 		hs := &s.hashTab[p>>(64-hashTabBits)]
 		if hs.e == e {
 			return hs.h
 		}
-		h := (s.structHash(x.X) + uint64(x.Op) + 1) * fibMix
+		h := hashUn(x.Op, s.structHash(x.X))
 		hs.e, hs.h = e, h
 		return h
 	case *sym.Bin:
@@ -455,12 +492,19 @@ func (s *Solver) structHash(e sym.Expr) uint64 {
 		if hs.e == e {
 			return hs.h
 		}
-		h := (s.structHash(x.L)*3 + s.structHash(x.R) + uint64(x.Op)) * fibMix
+		h := hashBin(x.Op, s.structHash(x.L), s.structHash(x.R))
 		hs.e, hs.h = e, h
 		return h
 	}
 	return fibMix
 }
+
+// The structural hash's node mixers, shared with the unifier's
+// renaming-aware variant.
+func hashConst(c *sym.Const) uint64         { return (uint64(c.V) ^ 0xC0) * fibMix }
+func hashInput(id int) uint64               { return (uint64(id) ^ 0x1A) * fibMix }
+func hashUn(op sym.Op, x uint64) uint64     { return (x + uint64(op) + 1) * fibMix }
+func hashBin(op sym.Op, l, r uint64) uint64 { return (l*3 + r + uint64(op)) * fibMix }
 
 // structEq reports whether two expressions are structurally identical.
 // Shared subtrees short-circuit on pointer equality.

@@ -73,8 +73,75 @@ func TestSolveUnsat(t *testing.T) {
 	if ok {
 		t.Fatal("expected unsat")
 	}
-	if s.Stats().Unsat != 1 {
-		t.Errorf("unsat counter: %+v", s.Stats())
+	if st := s.Stats(); st.Unsat != 1 || st.GaveUp != 0 {
+		t.Errorf("propagation refutes x<5 && x>10: want a proof, got %+v", st)
+	}
+}
+
+// TestSolveGiveUpIsNotUnsat checks that every way of running out of budget
+// counts as a give-up, never as a proof.
+func TestSolveGiveUpIsNotUnsat(t *testing.T) {
+	// x*y % 7 == 3 with x, y in [0,255] is sat (x=1, y=3) but the seed
+	// misses, and a two-node budget stops the search first.
+	mod := sym.Eq(sym.NewBin(sym.OpMod, sym.Mul(in(0), in(1)), sym.NewConst(7)), sym.NewConst(3))
+	cases := []struct {
+		name string
+		opts Options
+		p    Problem
+	}{
+		{"nodes", Options{MaxNodes: 2}, Problem{
+			Constraints: []sym.Constraint{{E: mod, Truth: true}},
+			Domains:     byteDomains(2), Seed: sym.MapAssignment{}}},
+		{"work", Options{MaxWork: 10}, Problem{
+			Constraints: []sym.Constraint{{E: mod, Truth: true}},
+			Domains:     byteDomains(2), Seed: sym.MapAssignment{}}},
+		// Unsat on [0,255] (x*x % 4 is 0 or 1), but two values per variable
+		// leave the enumeration incomplete.
+		{"values", Options{MaxValuesPerVar: 2}, Problem{
+			Constraints: []sym.Constraint{{E: sym.Eq(sym.NewBin(sym.OpMod, sym.Mul(in(0), in(0)), sym.NewConst(4)), sym.NewConst(2)), Truth: true}},
+			Domains:     byteDomains(1), Seed: sym.MapAssignment{}}},
+	}
+	for _, tc := range cases {
+		s := New(tc.opts)
+		if _, ok := s.Solve(tc.p); ok {
+			t.Fatalf("%s: expected the budget to stop the search", tc.name)
+		}
+		if st := s.Stats(); st.GaveUp != 1 || st.Unsat != 0 {
+			t.Errorf("%s: budget exhaustion must count as GaveUp: %+v", tc.name, st)
+		}
+	}
+}
+
+// TestSolveExhaustedSearchProves checks that a search which tried every value
+// of every variable counts as a proof.
+func TestSolveExhaustedSearchProves(t *testing.T) {
+	s := New(Options{})
+	x := sym.NewInput(0, "", 0, 15)
+	cs := []sym.Constraint{{E: sym.Eq(sym.NewBin(sym.OpMod, sym.Mul(x, x), sym.NewConst(4)), sym.NewConst(2)), Truth: true}}
+	if _, ok := s.Solve(Problem{Constraints: cs, Domains: []VarDomain{{ID: 0, Lo: 0, Hi: 15}}, Seed: sym.MapAssignment{}}); ok {
+		t.Fatal("x*x % 4 is never 2")
+	}
+	if st := s.Stats(); st.Unsat != 1 || st.GaveUp != 0 || st.Nodes == 0 {
+		t.Errorf("want a searched proof: %+v", st)
+	}
+}
+
+// TestSolvePropagationOverflowIsNoProof checks that a domain emptied by
+// bounds reasoning that could overflow int64 is not claimed as a proof:
+// x*2^62 - 2^63 == 0 holds at x=2 under wraparound, which bounds reasoning
+// over the integers cannot see.
+func TestSolvePropagationOverflowIsNoProof(t *testing.T) {
+	s := New(Options{})
+	e := sym.Eq(sym.Add(sym.Mul(in(0), sym.NewConst(1<<62)), sym.NewConst(-1<<63)), sym.Zero)
+	asn, ok := s.Solve(Problem{Constraints: []sym.Constraint{{E: e, Truth: true}}, Domains: byteDomains(1), Seed: sym.MapAssignment{}})
+	if ok {
+		if !sym.AllHold([]sym.Constraint{{E: e, Truth: true}}, asn) {
+			t.Fatalf("wrong model %v", asn)
+		}
+		return
+	}
+	if st := s.Stats(); st.Unsat != 0 {
+		t.Errorf("an overflowing linear atom must not yield a proof: %+v", st)
 	}
 }
 
@@ -246,6 +313,14 @@ func TestStatsAccumulate(t *testing.T) {
 	s.ResetStats()
 	if got := s.Stats().Calls; got != 0 {
 		t.Fatalf("after reset calls=%d", got)
+	}
+
+	a := Stats{Calls: 3, Sat: 1, Unsat: 1, GaveUp: 1, Nodes: 5, Work: 70, Atoms: 4, Fallbacks: 2}
+	b := Stats{Calls: 2, Sat: 1, Unsat: 0, GaveUp: 1, Nodes: 1, Work: 30, Atoms: 2, Fallbacks: 1}
+	a.Add(b)
+	want := Stats{Calls: 5, Sat: 2, Unsat: 1, GaveUp: 2, Nodes: 6, Work: 100, Atoms: 6, Fallbacks: 3}
+	if a != want {
+		t.Fatalf("Add: got %+v, want %+v", a, want)
 	}
 }
 
