@@ -63,8 +63,6 @@ func main() {
 		"duplicate noisy reports in the corpus experiment")
 	flag.IntVar(&cfg.CorpusShards, "corpus-shards", cfg.CorpusShards,
 		"shards the corpus experiment replays over")
-	flag.StringVar(&cfg.CorpusShardCmd, "corpus-shard-cmd", cfg.CorpusShardCmd,
-		"shard worker binary (cmd/shardworker) for out-of-process corpus shards; empty = in-process")
 	flag.IntVar(&cfg.CorpusTargetRuns, "corpus-target-runs", cfg.CorpusTargetRuns,
 		"corpus-mean replay-run target (0 = adaptive-target-runs)")
 	flag.StringVar(&cfg.CorpusDir, "corpus-dir", cfg.CorpusDir,

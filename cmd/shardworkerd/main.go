@@ -1,12 +1,12 @@
 // Command shardworkerd serves the shard worker protocol over HTTP — the
-// remote half of the replay fleet. It is the same deliberately dumb worker
-// core as cmd/shardworker (no plan store, no weights, no refinement
-// decisions), wrapped in a daemon so a fleet.RemoteRunner can POST shards
-// to a pool of hosts:
+// one out-of-process shard transport, remote or on loopback. It wraps a
+// deliberately dumb worker core (fleet.WorkerCore: no plan store, no
+// weights, no refinement decisions) in a daemon so a fleet.RemoteRunner
+// can POST shards to a pool of hosts:
 //
 //	POST /shard   — one JSON ShardRequest in, one JSON ShardResponse out.
-//	                Reports may arrive as envelope paths (shared
-//	                filesystem) or inline version-2 envelopes (none). A
+//	                Reports arrive only as inline version-2 envelopes; the
+//	                daemon never opens a path a request names. A
 //	                propagated X-Pathlog-Trace header parents this
 //	                daemon's worker.shard span under the dispatcher's.
 //	GET  /healthz — liveness plus the inflight/served counters the

@@ -14,8 +14,9 @@
 //
 // With -corpus, tune refines against a whole directory of bug reports
 // instead of the latest crash: the reports are deduplicated and weighted
-// (frequency × recency), replayed over -shards shards (out-of-process with
-// -shard-cmd, or over a remote worker fleet with -workers host:port,...),
+// (frequency × recency), replayed over -shards shards (in-process, or over
+// a shard worker fleet with -workers host:port,...; a loopback
+// shardworkerd -listen 127.0.0.1:0 covers the local out-of-process case),
 // and one weighted refinement step is derived from the merged
 // attribution — corpus-wide blowup branches promoted, branches whose bits
 // never constrained any report's search demoted. Redeploy the printed plan
@@ -61,10 +62,8 @@ import (
 
 	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/corpus"
 	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
-	"pathlog/internal/replay"
 	"pathlog/internal/static"
 )
 
@@ -90,7 +89,7 @@ func main() {
 		replayWorkers = flag.Int("replay-workers", 1,
 			"concurrent replay workers per search (1 = the paper's serial depth-first)")
 		fleetWorkers = flag.String("workers", "",
-			"comma-separated shard worker daemons (host:port, cmd/shardworkerd) to fan corpus shards out over; conflicts with -shard-cmd")
+			"comma-separated shard worker daemons (host:port, cmd/shardworkerd) to fan corpus shards out over")
 		trajOut = flag.String("trajectory-out", "",
 			"write the per-generation trajectory JSON to this file")
 		planOut = flag.String("plan-out", "", "save the final generation's plan to this file")
@@ -102,8 +101,6 @@ func main() {
 			"refine against a directory of bug reports (record ×N) instead of the latest crash: one weighted corpus refinement step")
 		corpusShards = flag.Int("shards", 1,
 			"shards the corpus replay fans out over (with -corpus)")
-		shardCmd = flag.String("shard-cmd", "",
-			"shard worker binary (cmd/shardworker) for out-of-process corpus shards; empty = in-process")
 		intakeMode = flag.Bool("intake", false,
 			"treat -corpus as a pathlogd intake directory: members come from the newest-generation report bucket, dedupe counters feed member frequency")
 		traceOut = flag.String("trace-out", "",
@@ -159,9 +156,6 @@ func main() {
 
 	var hosts []string
 	if *fleetWorkers != "" {
-		if *shardCmd != "" {
-			fatal(fmt.Errorf("-workers and -shard-cmd are two transports for the same shards — pick one"))
-		}
 		for _, h := range strings.Split(*fleetWorkers, ",") {
 			if h = strings.TrimSpace(h); h != "" {
 				hosts = append(hosts, h)
@@ -173,8 +167,8 @@ func main() {
 	}
 
 	if *corpusDir != "" {
-		ok := tuneCorpus(ctx, sess, observer, s.Name, *corpusDir, *intakeMode, *reportTo, *corpusShards, *shardCmd, hosts,
-			*topK, *maxRuns, *budget, *replayWorkers, *planOut, *profOut)
+		ok := tuneCorpus(ctx, sess, observer, *corpusDir, *intakeMode, *reportTo, *corpusShards, hosts,
+			*topK, *planOut, *profOut)
 		root.End()
 		if !ok {
 			os.Exit(1)
@@ -267,8 +261,8 @@ func main() {
 // the printed plan and run tune -corpus again. It returns false when the
 // population is not yet within the replay budget (the scripted-loop
 // "redeploy and iterate" signal).
-func tuneCorpus(ctx context.Context, sess *pathlog.Session, observer *obs.Observer, scenario, dir string, intakeMode bool, reportTo string, shards int, shardCmd string, hosts []string,
-	topK, maxRuns int, budget time.Duration, workers int, planOut, profOut string) bool {
+func tuneCorpus(ctx context.Context, sess *pathlog.Session, observer *obs.Observer, dir string, intakeMode bool, reportTo string, shards int, hosts []string,
+	topK int, planOut, profOut string) bool {
 	var c *pathlog.Corpus
 	var err error
 	if intakeMode {
@@ -297,18 +291,6 @@ func tuneCorpus(ctx context.Context, sess *pathlog.Session, observer *obs.Observ
 			fatal(err)
 		}
 	}
-	var runner pathlog.CorpusRunner
-	if shardCmd != "" {
-		runner = &corpus.SubprocessRunner{
-			Command:  []string{shardCmd},
-			Scenario: scenario,
-			Opts: replay.Options{
-				MaxRuns:    maxRuns,
-				TimeBudget: budget,
-				Workers:    workers,
-			},
-		}
-	}
 	if len(hosts) > 0 {
 		// The session defaults to one shard per worker when -shards is
 		// not raised above 1; announce the effective fan-out.
@@ -320,7 +302,7 @@ func tuneCorpus(ctx context.Context, sess *pathlog.Session, observer *obs.Observ
 			eff, len(hosts), strings.Join(hosts, ", "))
 	}
 	ref, err := sess.RefineCorpus(ctx, c, pathlog.CorpusOptions{
-		Shards: shards, Runner: runner, Workers: hosts, TopK: topK,
+		Shards: shards, Workers: hosts, TopK: topK,
 	})
 	if err != nil {
 		fatal(err)

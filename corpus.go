@@ -46,8 +46,8 @@ type CorpusIngestOptions = corpus.Options
 // profile and the per-member results.
 type CorpusOutcome = corpus.Outcome
 
-// CorpusRunner replays one shard of a corpus (in-process or via a worker
-// subprocess; see internal/corpus).
+// CorpusRunner replays one shard of a corpus (in-process, or on shard
+// worker daemons through internal/fleet; see internal/corpus).
 type CorpusRunner = corpus.Runner
 
 // Corpus constructors, re-exported from internal/corpus.
@@ -65,8 +65,7 @@ type CorpusOptions struct {
 	// shards replay concurrently.
 	Shards int
 	// Runner replays each shard. Nil selects the in-process runner under
-	// the session's replay options (WithReplayBudget, WithReplayWorkers);
-	// a corpus.SubprocessRunner fans shards out over worker processes.
+	// the session's replay options (WithReplayBudget, WithReplayWorkers).
 	Runner CorpusRunner
 	// Workers fans shards out over remote shard worker daemons
 	// (cmd/shardworkerd), addressed as host:port or http URLs. Ignored

@@ -15,10 +15,10 @@
 // refining against.
 //
 // Replay fans the corpus out over N shards. Each shard replays its
-// reports — in-process through the replay engine, or out-of-process
-// through a worker subprocess speaking the JSON stdin/stdout protocol of
-// ShardRequest/ShardResponse (cmd/shardworker) — and returns one
-// plan-fingerprint-stamped SearchProfile per report. The central Merger is
+// reports — in-process through the replay engine (InProcessRunner), or on
+// shard worker daemons that take ShardRequest/ShardResponse over HTTP with
+// the envelopes inline (fleet.RemoteRunner and cmd/shardworkerd) — and
+// returns one plan-fingerprint-stamped SearchProfile per report. The central Merger is
 // the only new trust boundary: every incoming profile's program hash, plan
 // fingerprint and generation are verified before it is merged, and a
 // foreign or stale profile is refused with both identities named. Merging

@@ -2,9 +2,7 @@ package corpus
 
 import (
 	"context"
-	"os/exec"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +10,8 @@ import (
 	"pathlog/internal/instrument"
 )
 
-// hardeningCorpus builds a two-member corpus for the subprocess error
-// tests: the worker never actually replays it (every stub fails first),
-// but staging and the shard ID need real reports.
+// hardeningCorpus builds a two-member corpus whose reports are never
+// replayed: the shard ID tests need real member signatures.
 func hardeningCorpus(t *testing.T) []*Report {
 	t.Helper()
 	c, err := Build([]Member{
@@ -25,99 +22,6 @@ func hardeningCorpus(t *testing.T) []*Report {
 		t.Fatal(err)
 	}
 	return c.Reports
-}
-
-// TestSubprocessRunnerErrorIdentity pins the hardened error surface: a
-// worker that exits nonzero, writes truncated JSON, balloons its response,
-// refuses the shard, or answers for the wrong protocol or shard must fail
-// with the shard ID and the worker identity in the message — a fleet
-// transcript has to say which worker broke on which slice of the corpus.
-func TestSubprocessRunnerErrorIdentity(t *testing.T) {
-	if _, err := exec.LookPath("sh"); err != nil {
-		t.Skipf("sh unavailable: %v", err)
-	}
-	reports := hardeningCorpus(t)
-	shardID := ShardIDFor(reports)
-
-	cases := []struct {
-		name    string
-		script  string
-		maxResp int64
-		want    []string
-	}{
-		{
-			name:   "nonzero exit",
-			script: "echo boom >&2; exit 3",
-			want: []string{
-				"corpus: shard " + shardID, "worker sh failed", "exit status 3", "boom",
-			},
-		},
-		{
-			name:   "truncated stdout JSON",
-			script: `printf '{"version":1,"results":[{'`,
-			want: []string{
-				"corpus: shard " + shardID, "worker sh wrote a malformed response (25 bytes)",
-			},
-		},
-		{
-			name:    "oversized response",
-			script:  "head -c 200 /dev/zero | tr '\\0' 'x'",
-			maxResp: 64,
-			want: []string{
-				"corpus: shard " + shardID, "worker sh response is 200 bytes, cap is 64",
-				"refusing oversized response",
-			},
-		},
-		{
-			name:   "worker refuses shard",
-			script: `printf '{"version":1,"error":"unknown scenario \"nope\""}'`,
-			want: []string{
-				"corpus: shard " + shardID, `worker sh refused shard: unknown scenario "nope"`,
-			},
-		},
-		{
-			name:   "wrong protocol version",
-			script: `printf '{"version":9,"results":[{},{}]}'`,
-			want: []string{
-				"corpus: shard " + shardID, "worker sh speaks protocol 9, want 1",
-			},
-		},
-		{
-			name:   "wrong shard echoed",
-			script: `printf '{"version":1,"shard_id":"beef","results":[{},{}]}'`,
-			want: []string{
-				"corpus: shard " + shardID, "worker sh echoed shard beef",
-				"response belongs to a different shard",
-			},
-		},
-		{
-			name:   "wrong result count",
-			script: `printf '{"version":1,"results":[{}]}'`,
-			want: []string{
-				"corpus: shard " + shardID, "worker sh returned 1 results for 2 reports",
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			r := &SubprocessRunner{
-				Command:          []string{"sh", "-c", tc.script},
-				Scenario:         "userver-exp3",
-				MaxResponseBytes: tc.maxResp,
-			}
-			_, err := r.ReplayShard(ctx, reports)
-			if err == nil {
-				t.Fatal("broken worker produced no error")
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q\n  missing %q", err, want)
-				}
-			}
-		})
-	}
 }
 
 // TestShardIDForIsStable pins the shard identity: a function of the member

@@ -2,10 +2,7 @@ package corpus_test
 
 import (
 	"context"
-	"os/exec"
-	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -19,35 +16,9 @@ import (
 	"pathlog/internal/static"
 )
 
-// repoRoot locates the module root from this file's path, for go build.
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	_, file, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("no caller info")
-	}
-	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
-}
-
-// buildWorker compiles cmd/shardworker into a temp dir.
-func buildWorker(t *testing.T) string {
-	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go toolchain unavailable: %v", err)
-	}
-	bin := filepath.Join(t.TempDir(), "shardworker")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/shardworker")
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build shardworker: %v\n%s", err, out)
-	}
-	return bin
-}
-
 // parityCorpus builds a three-member uServer corpus: three distinct
 // crashing inputs (experiments 1, 2 and 4 — the quick replays) recorded
-// under one low-coverage dynamic plan of the userver-exp3 scenario, whose
-// name the subprocess worker resolves to the same program and spec.
+// under one low-coverage dynamic plan of the userver-exp3 scenario.
 func parityCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 	t.Helper()
 	ctx := context.Background()
@@ -89,7 +60,7 @@ func parityCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 }
 
 // normalize strips wall-clock fields so profiles can be compared across
-// shard counts and process boundaries.
+// shard counts.
 func normalize(p *instrument.SearchProfile) *instrument.SearchProfile {
 	out := *p
 	out.Branches = make(map[lang.BranchID]*instrument.BranchCost, len(p.Branches))
@@ -103,16 +74,16 @@ func normalize(p *instrument.SearchProfile) *instrument.SearchProfile {
 
 // TestShardParity is the sharded-replay correctness gate: the weighted
 // merged profile must be identical whether the corpus replays in 1 shard
-// or 4, in-process or in worker subprocesses over the JSON protocol. Run
-// under -race (CI does), the in-process variants also exercise the
-// concurrent shard goroutines against the shared merger.
+// or 4. Run under -race (CI does), the 4-shard arm also exercises the
+// concurrent shard goroutines against the shared merger. The remote arms
+// (the same corpus over shardworkerd daemons) live in the fleet package's
+// TestRemoteShardParity.
 func TestShardParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a worker binary and replays a corpus 4 times")
+		t.Skip("replays a corpus twice")
 	}
 	ctx := context.Background()
 	c, s3 := parityCorpus(t)
-	worker := buildWorker(t)
 	opts := replay.Options{MaxRuns: 1500, TimeBudget: 15 * time.Second, Workers: 1}
 
 	type config struct {
@@ -123,8 +94,6 @@ func TestShardParity(t *testing.T) {
 	configs := []config{
 		{"inproc-1", 1, &corpus.InProcessRunner{Prog: s3.Prog, Spec: s3.Spec, Opts: opts}},
 		{"inproc-4", 4, &corpus.InProcessRunner{Prog: s3.Prog, Spec: s3.Spec, Opts: opts}},
-		{"subproc-1", 1, &corpus.SubprocessRunner{Command: []string{worker}, Scenario: s3.Name, Opts: opts}},
-		{"subproc-4", 4, &corpus.SubprocessRunner{Command: []string{worker}, Scenario: s3.Name, Opts: opts}},
 	}
 	var ref *instrument.SearchProfile
 	var refOut *corpus.Outcome

@@ -1,16 +1,12 @@
 package corpus
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sync"
 
 	"pathlog/internal/instrument"
@@ -109,23 +105,20 @@ func ShardIDFor(reports []*Report) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// ShardRequest is the JSON object a shard worker reads from stdin (or an
-// HTTP worker daemon reads from a POST body): the named scenario (program +
-// input space), the reports to replay in order, and the replay bounds.
-// Reports travel either as envelope file paths (subprocess workers sharing
-// a filesystem) or as inline version-2 envelope bodies (remote workers) —
-// exactly one of Reports and Envelopes is set. Envelopes must embed their
-// plan; the parent resolves stamped-only references against its plan store
-// and ships resolved copies, so workers never need store access.
+// ShardRequest is the JSON object a shard worker daemon reads from a POST
+// body: the named scenario (program + input space), the reports to replay
+// in order, and the replay bounds. Reports travel inline as version-2
+// envelope bodies, never as paths on the worker's filesystem. Envelopes
+// must embed their plan; the parent resolves stamped-only references
+// against its plan store and ships resolved copies, so workers never need
+// store access.
 type ShardRequest struct {
 	Version  int    `json:"version"`
 	Scenario string `json:"scenario"`
 	// ShardID names the shard for duplicate-delivery dedupe and transcript
 	// correlation; workers echo it back verbatim.
-	ShardID string   `json:"shard_id,omitempty"`
-	Reports []string `json:"reports,omitempty"`
-	// Envelopes carries version-2 recording envelopes inline, one per
-	// report, for transports with no shared filesystem.
+	ShardID string `json:"shard_id,omitempty"`
+	// Envelopes carries the version-2 recording envelopes, one per report.
 	Envelopes []json.RawMessage `json:"envelopes,omitempty"`
 	MaxRuns   int               `json:"max_runs,omitempty"`
 	BudgetMS  int64             `json:"budget_ms,omitempty"`
@@ -133,150 +126,17 @@ type ShardRequest struct {
 	PickFIFO  bool              `json:"pick_fifo,omitempty"`
 }
 
-// ShardResponse is the JSON object a shard worker writes to stdout (or an
-// HTTP worker daemon returns): one run per requested report, in request
-// order, plus the program hash the worker replayed on (the merger
-// re-verifies every profile anyway; the hash makes a wrong-scenario mistake
-// diagnosable from the transcript) and the request's shard ID echoed back.
+// ShardResponse is the JSON object a shard worker daemon returns: one run
+// per requested report, in request order, plus the program hash the worker
+// replayed on (the merger re-verifies every profile anyway; the hash makes
+// a wrong-scenario mistake diagnosable from the transcript) and the
+// request's shard ID echoed back.
 type ShardResponse struct {
 	Version  int         `json:"version"`
 	ShardID  string      `json:"shard_id,omitempty"`
 	ProgHash string      `json:"prog_hash,omitempty"`
 	Results  []ReportRun `json:"results,omitempty"`
 	Error    string      `json:"error,omitempty"`
-}
-
-// SubprocessRunner replays a shard in a worker subprocess (cmd/shardworker
-// or anything speaking the same protocol). Each report is written to a
-// temporary version-2 envelope — plan embedded — so the worker needs no
-// plan store; the worker only needs the scenario name to rebuild the
-// program and input space.
-type SubprocessRunner struct {
-	// Command is the worker argv, e.g. {"./shardworker"} or
-	// {"go", "run", "./cmd/shardworker"}.
-	Command []string
-	// Scenario names the program and input space (apps.ScenarioByName).
-	Scenario string
-	// Opts bound each report's replay inside the worker (MaxRuns,
-	// TimeBudget, Workers, PickFIFO travel; the rest stay defaults).
-	Opts replay.Options
-	// MaxResponseBytes caps the worker's stdout; a response past the cap is
-	// refused instead of buffered without bound (0 = DefaultMaxResponseBytes).
-	MaxResponseBytes int64
-}
-
-// DefaultMaxResponseBytes bounds a shard worker's response when the runner
-// does not set its own cap.
-const DefaultMaxResponseBytes = 64 << 20
-
-// cappedBuffer stores a prefix of what is written to it (up to max+1
-// bytes, so overflow is detectable) while counting every byte. It never
-// errors, so a worker writing past the cap is not killed mid-pipe — the
-// oversize is diagnosed after exit with the true byte count.
-type cappedBuffer struct {
-	max   int64
-	total int64
-	buf   bytes.Buffer
-}
-
-func (b *cappedBuffer) Write(p []byte) (int, error) {
-	b.total += int64(len(p))
-	if room := b.max + 1 - int64(b.buf.Len()); room > 0 {
-		keep := p
-		if int64(len(keep)) > room {
-			keep = keep[:room]
-		}
-		b.buf.Write(keep)
-	}
-	return len(p), nil
-}
-
-// ReplayShard implements Runner. Every failure names the shard and the
-// worker command so a fleet transcript pinpoints which worker broke on
-// which slice of the corpus.
-func (r *SubprocessRunner) ReplayShard(ctx context.Context, reports []*Report) ([]ReportRun, error) {
-	if len(r.Command) == 0 {
-		return nil, fmt.Errorf("corpus: subprocess runner has no worker command")
-	}
-	worker := r.Command[0]
-	shardID := ShardIDFor(reports)
-	tmp, err := os.MkdirTemp("", "pathlog-shard-*")
-	if err != nil {
-		return nil, fmt.Errorf("corpus: shard scratch dir: %w", err)
-	}
-	defer os.RemoveAll(tmp)
-	req := ShardRequest{
-		Version:  ProtocolVersion,
-		Scenario: r.Scenario,
-		ShardID:  shardID,
-		MaxRuns:  r.Opts.MaxRuns,
-		BudgetMS: r.Opts.TimeBudget.Milliseconds(),
-		Workers:  r.Opts.Workers,
-		PickFIFO: r.Opts.PickFIFO,
-	}
-	for i, rep := range reports {
-		if rep.Rec == nil || rep.Rec.Plan == nil {
-			return nil, fmt.Errorf("corpus: report %s carries no plan — resolve the corpus against a plan store before replaying", rep.Signature)
-		}
-		path := filepath.Join(tmp, fmt.Sprintf("%03d.report", i))
-		if err := rep.Rec.Save(path); err != nil {
-			return nil, fmt.Errorf("corpus: stage report %s for shard worker: %w", rep.Signature, err)
-		}
-		req.Reports = append(req.Reports, path)
-	}
-	reqData, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: encode shard request: %w", err)
-	}
-	maxResp := r.MaxResponseBytes
-	if maxResp <= 0 {
-		maxResp = DefaultMaxResponseBytes
-	}
-	cmd := exec.CommandContext(ctx, r.Command[0], r.Command[1:]...)
-	cmd.Stdin = bytes.NewReader(reqData)
-	stdout := &cappedBuffer{max: maxResp}
-	var stderr bytes.Buffer
-	cmd.Stdout = stdout
-	cmd.Stderr = &stderr
-	runErr := cmd.Run()
-	if stdout.total > maxResp {
-		return nil, fmt.Errorf("corpus: shard %s: worker %s response is %d bytes, cap is %d — refusing oversized response",
-			shardID, worker, stdout.total, maxResp)
-	}
-	var resp ShardResponse
-	if err := json.Unmarshal(stdout.buf.Bytes(), &resp); err != nil {
-		if runErr != nil {
-			return nil, fmt.Errorf("corpus: shard %s: worker %s failed: %w (stderr: %s)", shardID, worker, runErr, tailString(stderr.Bytes()))
-		}
-		return nil, fmt.Errorf("corpus: shard %s: worker %s wrote a malformed response (%d bytes): %w",
-			shardID, worker, stdout.total, err)
-	}
-	if resp.Error != "" {
-		return nil, fmt.Errorf("corpus: shard %s: worker %s refused shard: %s", shardID, worker, resp.Error)
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("corpus: shard %s: worker %s failed: %w (stderr: %s)", shardID, worker, runErr, tailString(stderr.Bytes()))
-	}
-	if resp.Version != ProtocolVersion {
-		return nil, fmt.Errorf("corpus: shard %s: worker %s speaks protocol %d, want %d", shardID, worker, resp.Version, ProtocolVersion)
-	}
-	if resp.ShardID != "" && resp.ShardID != shardID {
-		return nil, fmt.Errorf("corpus: shard %s: worker %s echoed shard %s — response belongs to a different shard", shardID, worker, resp.ShardID)
-	}
-	if len(resp.Results) != len(reports) {
-		return nil, fmt.Errorf("corpus: shard %s: worker %s returned %d results for %d reports", shardID, worker, len(resp.Results), len(reports))
-	}
-	return resp.Results, nil
-}
-
-// tailString trims a stderr tail for error messages.
-func tailString(b []byte) string {
-	const max = 512
-	s := string(bytes.TrimSpace(b))
-	if len(s) > max {
-		s = "..." + s[len(s)-max:]
-	}
-	return s
 }
 
 // Merger is the central merge point of the sharded replay — the one new

@@ -53,7 +53,7 @@ func okReply(_ context.Context, body []byte) ([]byte, error) {
 	resp := corpus.ShardResponse{
 		Version: corpus.ProtocolVersion,
 		ShardID: req.ShardID,
-		Results: make([]corpus.ReportRun, len(req.Reports)+len(req.Envelopes)),
+		Results: make([]corpus.ReportRun, len(req.Envelopes)),
 	}
 	return json.Marshal(resp)
 }

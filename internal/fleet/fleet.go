@@ -1,14 +1,15 @@
 // Package fleet fans corpus replay shards out over HTTP to a pool of
-// shard worker daemons (cmd/shardworkerd). The RemoteRunner implements
-// corpus.Runner on top of the same JSON ShardRequest/ShardResponse
-// protocol the subprocess runner speaks, adding what a network demands:
-// per-worker health probing and EWMA latency accounting, work-stealing
-// duplicate dispatch of slow shards (first valid response wins, the loser
-// is cancelled), and retry with capped exponential backoff on worker death
-// or malformed responses. Distribution moves bytes, not trust: every
-// response still flows through the verifying corpus.Merger, which refuses
-// foreign and stale profiles by name and collapses the duplicate shard
-// deliveries stealing can produce into exactly one merge.
+// shard worker daemons (cmd/shardworkerd) — the one out-of-process shard
+// transport; a loopback daemon covers the local case. The RemoteRunner
+// implements corpus.Runner over the JSON ShardRequest/ShardResponse
+// protocol with the recording envelopes inline, adding what a network
+// demands: per-worker health probing and EWMA latency accounting,
+// work-stealing duplicate dispatch of slow shards (first valid response
+// wins, the loser is cancelled), and retry with capped exponential backoff
+// on worker death or malformed responses. Distribution moves bytes, not
+// trust: every response still flows through the verifying corpus.Merger,
+// which refuses foreign and stale profiles by name and collapses the
+// duplicate shard deliveries stealing can produce into exactly one merge.
 package fleet
 
 import (

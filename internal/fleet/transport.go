@@ -62,9 +62,13 @@ type HTTPTransport struct {
 	// deadlines come from the caller's context, not the client.
 	Client *http.Client
 	// MaxResponseBytes caps a worker's response body
-	// (0 = corpus.DefaultMaxResponseBytes).
+	// (0 = DefaultMaxResponseBytes).
 	MaxResponseBytes int64
 }
+
+// DefaultMaxResponseBytes bounds a worker's response body when the
+// transport does not set its own cap.
+const DefaultMaxResponseBytes = 64 << 20
 
 func (t *HTTPTransport) client() *http.Client {
 	if t.Client != nil {
@@ -77,7 +81,7 @@ func (t *HTTPTransport) maxBytes() int64 {
 	if t.MaxResponseBytes > 0 {
 		return t.MaxResponseBytes
 	}
-	return 64 << 20
+	return DefaultMaxResponseBytes
 }
 
 // PostShard implements Transport.

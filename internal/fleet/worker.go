@@ -16,9 +16,8 @@ import (
 )
 
 // WorkerCore executes shard requests against named scenarios — the engine
-// shared by cmd/shardworker (one request over stdin/stdout) and
-// cmd/shardworkerd (many requests over HTTP). It caches scenario builds by
-// name so a daemon does not rebuild the program and input space per shard;
+// behind cmd/shardworkerd's POST /shard. It caches scenario builds by name
+// so the daemon does not rebuild the program and input space per shard;
 // the replay engines themselves share nothing and may run concurrently.
 type WorkerCore struct {
 	// Obs, when set, supplies the registry the worker's shard counters and
@@ -74,8 +73,8 @@ func (w *WorkerCore) scenario(name string) (*core.Scenario, error) {
 // replay each report in order, return one run per report. Every failure
 // becomes a response-level Error (never a panic or a half-filled result
 // list), so the parent's transcript names what went wrong on which report.
-// Reports arrive either as envelope file paths or as inline version-2
-// envelope bodies — never both in one request.
+// Reports arrive only as inline version-2 envelope bodies: the worker never
+// opens a path a request names.
 func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpus.ShardResponse {
 	w.Register()
 	w.cShards.Inc()
@@ -98,12 +97,8 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 	if req.Version != corpus.ProtocolVersion {
 		return fail("request speaks protocol %d, this worker speaks %d", req.Version, corpus.ProtocolVersion)
 	}
-	if len(req.Reports) == 0 && len(req.Envelopes) == 0 {
+	if len(req.Envelopes) == 0 {
 		return fail("request names no reports")
-	}
-	if len(req.Reports) > 0 && len(req.Envelopes) > 0 {
-		return fail("request mixes %d report paths with %d inline envelopes — a request ships exactly one form",
-			len(req.Reports), len(req.Envelopes))
 	}
 	s, err := w.scenario(req.Scenario)
 	if err != nil {
@@ -120,26 +115,15 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 		ShardID:  req.ShardID,
 		ProgHash: instrument.ProgramHash(s.Prog),
 	}
-	total := len(req.Reports) + len(req.Envelopes)
-	for i := 0; i < total; i++ {
+	for i, env := range req.Envelopes {
 		// The envelope must embed its plan and fit this worker's program —
 		// a wrong-scenario request fails per report, by name.
-		var (
-			rec  *replay.Recording
-			name string
-		)
-		if len(req.Reports) > 0 {
-			name = req.Reports[i]
-			rec, err = replay.LoadRecordingFor(name, s.Prog)
-		} else {
-			name = fmt.Sprintf("inline envelope %d", i)
-			rec, err = replay.DecodeRecordingFor(req.Envelopes[i], s.Prog)
-		}
+		rec, err := replay.DecodeRecordingFor(env, s.Prog)
 		if err != nil {
-			return fail("report %s: %v", name, err)
+			return fail("report inline envelope %d: %v", i, err)
 		}
 		if rec.Plan == nil {
-			return fail("report %s: stamped-only envelope carries no plan — the parent resolves stamps before dispatch", name)
+			return fail("report inline envelope %d: stamped-only envelope carries no plan — the parent resolves stamps before dispatch", i)
 		}
 		eng := replay.New(s.Prog, s.Spec, world.NewRegistry(), rec, opts)
 		res := eng.Reproduce(ctx)
@@ -152,10 +136,10 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 			Profile:    res.Profile,
 		})
 		if err := ctx.Err(); err != nil {
-			return fail("cancelled after %d of %d reports: %v", len(resp.Results), total, err)
+			return fail("cancelled after %d of %d reports: %v", len(resp.Results), len(req.Envelopes), err)
 		}
 	}
 	span.SetAttr("outcome", "ok")
-	span.SetAttr("reports", fmt.Sprint(total))
+	span.SetAttr("reports", fmt.Sprint(len(req.Envelopes)))
 	return resp
 }

@@ -10,7 +10,6 @@ import (
 	"pathlog"
 	"pathlog/internal/apps"
 	"pathlog/internal/corpus"
-	"pathlog/internal/replay"
 	"pathlog/internal/static"
 )
 
@@ -37,9 +36,8 @@ import (
 //     reproducing.
 //
 // Reports travel as stamped-only v3 reference envelopes through a plan
-// store, exactly as a store-backed deployment ships them; with
-// CorpusShardCmd set the shards replay in worker subprocesses speaking the
-// JSON protocol (cmd/shardworker).
+// store, exactly as a store-backed deployment ships them; the shards
+// replay in-process.
 func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	root := c.CorpusDir
 	if root == "" {
@@ -159,20 +157,6 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 
 	// Corpus arm: sharded weighted replay, promote until the population
 	// meets the target, then demote with measured acceptance.
-	var runner pathlog.CorpusRunner
-	shardMode := "in-process"
-	if c.CorpusShardCmd != "" {
-		shardMode = "subprocess (" + c.CorpusShardCmd + ")"
-		runner = &corpus.SubprocessRunner{
-			Command:  []string{c.CorpusShardCmd},
-			Scenario: blowup.Name,
-			Opts: replay.Options{
-				MaxRuns:    c.ReplayMaxRuns,
-				TimeBudget: c.ReplayBudget,
-				Workers:    c.ReplayWorkers,
-			},
-		}
-	}
 	shards := c.CorpusShards
 	if shards < 1 {
 		shards = 1
@@ -181,7 +165,6 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 		TargetReplayRuns: target,
 		MaxGenerations:   c.AdaptiveMaxGenerations,
 		Shards:           shards,
-		Runner:           runner,
 		OnCorpusGeneration: func(pt pathlog.CorpusPoint) {
 			t.AddRow("corpus", fmt.Sprintf("%d", pt.Generation),
 				shorten(pt.Plan.Strategy, 34),
@@ -208,8 +191,8 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%s: %s", status, tr.Reason),
-		fmt.Sprintf("corpus: %d reports in %d members (noisy x%d deduped, weights %s), identity %s, shards: %d %s",
-			nNoisy+1, len(crp.Reports), nNoisy, weightList(crp), tr.CorpusIdentity, shards, shardMode))
+		fmt.Sprintf("corpus: %d reports in %d members (noisy x%d deduped, weights %s), identity %s, shards: %d in-process",
+			nNoisy+1, len(crp.Reports), nNoisy, weightList(crp), tr.CorpusIdentity, shards))
 	if lcTraj.Converged && lcFinal.Generation == 0 && lcMeanMiss && tr.Converged {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"direction 1 (promote): latest-crash converges at generation 0 (noisy replay %d runs <= %d) leaving the corpus mean at %.1f runs with %d/%d reproduced — the corpus loop reaches mean %.1f <= %d",

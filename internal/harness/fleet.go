@@ -19,7 +19,6 @@ import (
 	"pathlog/internal/apps"
 	"pathlog/internal/corpus"
 	"pathlog/internal/instrument"
-	"pathlog/internal/replay"
 	"pathlog/internal/static"
 )
 
@@ -296,20 +295,6 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 	if target <= 0 {
 		target = c.AdaptiveTargetRuns
 	}
-	var runner pathlog.CorpusRunner
-	shardMode := "in-process"
-	if c.CorpusShardCmd != "" {
-		shardMode = "subprocess (" + c.CorpusShardCmd + ")"
-		runner = &corpus.SubprocessRunner{
-			Command:  []string{c.CorpusShardCmd},
-			Scenario: blowup.Name,
-			Opts: replay.Options{
-				MaxRuns:    c.ReplayMaxRuns,
-				TimeBudget: c.ReplayBudget,
-				Workers:    c.ReplayWorkers,
-			},
-		}
-	}
 	shards := c.CorpusShards
 	if shards < 1 {
 		shards = 1
@@ -325,7 +310,6 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 		TargetReplayRuns: target,
 		MaxGenerations:   c.AdaptiveMaxGenerations,
 		Shards:           shards,
-		Runner:           runner,
 		DemotionRate:     c.FleetDemotionRate,
 		OnCorpusGeneration: func(pt pathlog.CorpusPoint) {
 			t.AddRow(fmt.Sprintf("%d", pt.Generation),
@@ -380,8 +364,8 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%s: %s", status, tr.Reason),
-		fmt.Sprintf("intake bucket: plan %s generation %d, %d stored standing for %d accepted; shards: %d %s",
-			info.Fingerprint, info.Generation, info.Stored, info.Accepted, shards, shardMode))
+		fmt.Sprintf("intake bucket: plan %s generation %d, %d stored standing for %d accepted; shards: %d in-process",
+			info.Fingerprint, info.Generation, info.Stored, info.Accepted, shards))
 
 	ratio := 0
 	if parity.Stored > 0 {

@@ -75,10 +75,6 @@ type Config struct {
 	CorpusNoisyReports int
 	// CorpusShards is the shard count of the corpus experiment's replays.
 	CorpusShards int
-	// CorpusShardCmd, when set, is a shard worker binary (cmd/shardworker)
-	// the corpus experiment replays its shards through, exercising the
-	// out-of-process JSON protocol; empty replays in-process.
-	CorpusShardCmd string
 	// CorpusTargetRuns is the corpus-mean replay-run target (0 falls back
 	// to AdaptiveTargetRuns).
 	CorpusTargetRuns int

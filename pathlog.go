@@ -62,7 +62,7 @@
 // A deployed system receives a stream of bug reports, not one: IngestCorpus
 // turns a directory of reports into a deduplicated, weighted Corpus
 // (frequency × recency), Session.ReplayCorpus replays it over N shards
-// (in-process or via cmd/shardworker subprocesses) with every shard profile
+// (in-process or on cmd/shardworkerd daemons) with every shard profile
 // verified at the merge point, and Session.CorpusBalance iterates the
 // corpus-driven loop — promoting the population-wide blowup branches until
 // the weighted corpus-mean replay meets the target, then demoting branches
