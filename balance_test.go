@@ -344,10 +344,10 @@ func TestOptionGuardsClampAtApplyTime(t *testing.T) {
 		t.Errorf("WithReplayBudget negatives not clamped: %+v", s.cfg.rep)
 	}
 	s = NewSession(prog, spec, WithReplayOptions(ReplayOptions{
-		MaxRuns: -1, MaxPending: -7, Workers: -2, TimeBudget: -time.Minute, MaxStepsPerRun: -9,
+		MaxRuns: -1, MaxPending: -7, TimeBudget: -time.Minute, MaxStepsPerRun: -9,
 	}))
 	r := s.cfg.rep
-	if r.MaxRuns != 0 || r.MaxPending != 0 || r.Workers != 0 || r.TimeBudget != 0 || r.MaxStepsPerRun != 0 {
+	if r.MaxRuns != 0 || r.MaxPending != 0 || r.TimeBudget != 0 || r.MaxStepsPerRun != 0 {
 		t.Errorf("WithReplayOptions negatives not clamped: %+v", r)
 	}
 }

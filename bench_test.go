@@ -268,14 +268,12 @@ func analysesFor(b *testing.B, an *core.Scenario, dynRuns int, libSym bool) inst
 	}
 }
 
-// --- parallel replay ---------------------------------------------------------
+// --- replay -----------------------------------------------------------------
 
-// BenchmarkReplayWorkers measures the Session replay under 1, 2 and 4
-// search workers on the uServer no-syslog search (model-mode replay is the
-// breadth-heavy case). On an N-core host, budget-exhausting sweeps complete
-// a fixed MaxRuns budget in ~1/N wall time; single-core hosts should run
-// workers=1 (the cmd/replay default is runtime.NumCPU()).
-func BenchmarkReplayWorkers(b *testing.B) {
+// BenchmarkReplay measures one Session replay of the uServer no-syslog
+// search (model-mode replay is the breadth-heavy case): the time to
+// reproduce, the runs it takes and the cost per run.
+func BenchmarkReplay(b *testing.B) {
 	an := apps.UServerAnalysisScenario()
 	in := analysesFor(b, an, 60, true)
 	s, err := apps.UServerScenario(4, 72)
@@ -287,51 +285,46 @@ func BenchmarkReplayWorkers(b *testing.B) {
 	if err != nil || rec == nil {
 		b.Fatalf("record: %v", err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			reg := obs.NewRegistry()
-			sess := SessionOf(s,
-				WithReplayBudget(4000, 30*time.Second),
-				WithReplayWorkers(workers),
-				WithObserver(&Observer{Reg: reg}))
-			var runs, totalRuns int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sess.Replay(context.Background(), rec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Reproduced {
-					b.Fatalf("workers=%d: not reproduced after %d runs", workers, res.Runs)
-				}
-				runs = res.Runs
-				totalRuns += res.Runs
-			}
-			b.ReportMetric(float64(runs), "replay-runs")
-			// ns/replay-run is the per-run cost the engine work actually
-			// moves; ns/op also counts the fixed per-search setup and varies
-			// with how many runs the search happens to need.
-			if totalRuns > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalRuns), "ns/replay-run")
-			}
-			// The replay engine's per-run distributions, from the observer
-			// registry: the committed baseline gains quantiles, not just
-			// best-run means.
-			for _, h := range reg.Snapshot().Histograms {
-				if h.Count == 0 {
-					continue
-				}
-				switch h.Name {
-				case "pathlog_replay_run_ns":
-					b.ReportMetric(h.Quantile(0.5), "p50-run-ns")
-					b.ReportMetric(h.Quantile(0.9), "p90-run-ns")
-					b.ReportMetric(h.Quantile(0.99), "p99-run-ns")
-				case "pathlog_replay_solver_calls_per_run":
-					b.ReportMetric(h.Quantile(0.5), "p50-solver-calls")
-				case "pathlog_replay_logged_bits_per_run":
-					b.ReportMetric(h.Quantile(0.5), "p50-logged-bits")
-				}
-			}
-		})
+	reg := obs.NewRegistry()
+	sess := SessionOf(s,
+		WithReplayBudget(4000, 30*time.Second),
+		WithObserver(&Observer{Reg: reg}))
+	var runs, totalRuns int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sess.Replay(context.Background(), rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Reproduced {
+			b.Fatalf("not reproduced after %d runs", res.Runs)
+		}
+		runs = res.Runs
+		totalRuns += res.Runs
+	}
+	b.ReportMetric(float64(runs), "replay-runs")
+	// ns/replay-run is the per-run cost the engine work actually moves;
+	// ns/op also counts the fixed per-search setup and varies with how many
+	// runs the search happens to need.
+	if totalRuns > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalRuns), "ns/replay-run")
+	}
+	// The replay engine's per-run distributions, from the observer
+	// registry: the committed baseline gains quantiles, not just best-run
+	// means.
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Count == 0 {
+			continue
+		}
+		switch h.Name {
+		case "pathlog_replay_run_ns":
+			b.ReportMetric(h.Quantile(0.5), "p50-run-ns")
+			b.ReportMetric(h.Quantile(0.9), "p90-run-ns")
+			b.ReportMetric(h.Quantile(0.99), "p99-run-ns")
+		case "pathlog_replay_solver_calls_per_run":
+			b.ReportMetric(h.Quantile(0.5), "p50-solver-calls")
+		case "pathlog_replay_logged_bits_per_run":
+			b.ReportMetric(h.Quantile(0.5), "p50-logged-bits")
+		}
 	}
 }

@@ -54,8 +54,6 @@ func main() {
 		refineRuns   = flag.Int("refine-runs", 2000, "replay run budget for -refine")
 		refineBudget = flag.Duration("refine-budget", 30*time.Second,
 			"replay wall-clock budget for -refine")
-		refineWorkers = flag.Int("refine-workers", 1,
-			"concurrent replay workers for -refine (1 = serial depth-first)")
 		storeDir = flag.String("store", "",
 			"plan store directory: fold measured history into -frontier, retain -refine results")
 	)
@@ -175,9 +173,7 @@ func main() {
 		}
 		fmt.Printf("\nrefining plan %s (generation %d, %d locations) from %s\n",
 			rec.Fingerprint, rec.Plan.Generation, rec.Plan.NumInstrumented(), *refine)
-		rsess := pathlog.SessionOf(s,
-			pathlog.WithReplayBudget(*refineRuns, *refineBudget),
-			pathlog.WithReplayWorkers(*refineWorkers))
+		rsess := pathlog.SessionOf(s, pathlog.WithReplayBudget(*refineRuns, *refineBudget))
 		res, err := rsess.Replay(ctx, rec)
 		if err != nil {
 			fatal(err)

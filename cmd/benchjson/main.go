@@ -17,15 +17,15 @@
 // gate then trusts. -min-iterations likewise rejects runs whose b.N fell
 // below the expected floor (a sign the harness was cut short).
 //
-// With -baseline it additionally gates on a committed document: for every
-// benchmark present in both files it compares the -gate metric (default
-// ns/replay-run) and exits nonzero when the fresh value regresses by more
-// than -max-regress percent, which is how CI's bench-smoke job fails a PR
-// that slows the replay engine down.
+// With -baseline it additionally gates on a committed document: every
+// baseline benchmark must be present in the fresh run, and for each it
+// compares the -gate metric (default ns/replay-run) and exits nonzero when
+// the fresh value regresses by more than -max-regress percent, which is how
+// CI's bench-smoke job fails a PR that slows the replay engine down.
 //
 // Usage:
 //
-//	go test -bench ReplayWorkers -benchtime 1x -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
+//	go test -bench '^BenchmarkReplay$' -benchtime 1x -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
 //	benchjson bench.txt
 //	benchjson -baseline BENCH_replay.json -max-regress 20 bench.txt
 package main
@@ -44,7 +44,7 @@ import (
 // Result is one parsed benchmark line.
 type Result struct {
 	// Name is the benchmark name with any -GOMAXPROCS suffix preserved
-	// (e.g. "BenchmarkReplayWorkers/workers=2-8").
+	// (e.g. "BenchmarkTable5/exp4-8").
 	Name string `json:"name"`
 	// Iterations is b.N — how many times the body ran.
 	Iterations int64 `json:"iterations"`
@@ -166,12 +166,15 @@ func collapse(doc *Doc, gate string, minRuns int, minIters int64) error {
 	return nil
 }
 
-// compare gates doc against the committed baseline document: every benchmark
-// present in both must not regress the gate metric by more than maxRegress
-// percent. Lower is better for the gated metric (it is a time-per-work
-// unit). A baseline entry missing the metric, or a benchmark only on one
-// side, is skipped — the gate tightens as baselines are regenerated, it
-// never blocks adding benchmarks.
+// compare gates doc against the committed baseline document: every
+// baseline benchmark must appear in the fresh run, and none may regress the
+// gate metric by more than maxRegress percent. Lower is better for the gated
+// metric (it is a time-per-work unit). Names match without the -GOMAXPROCS
+// suffix go test appends on multi-core hosts. A baseline benchmark missing
+// from the fresh run fails the gate, so renaming or deleting a benchmark
+// cannot silently drop it; a fresh benchmark the baseline lacks, or a
+// baseline entry without the metric, is skipped — adding benchmarks never
+// blocks.
 func compare(doc *Doc, path, metric string, maxRegress float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -181,14 +184,16 @@ func compare(doc *Doc, path, metric string, maxRegress float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
-	baseBy := make(map[string]Result, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseBy[b.Name] = b
+	freshBy := make(map[string]Result, len(doc.Benchmarks))
+	for _, r := range doc.Benchmarks {
+		freshBy[baseName(r.Name)] = r
 	}
+	var missing []string
 	compared, failed := 0, 0
-	for _, fresh := range doc.Benchmarks {
-		b, ok := baseBy[fresh.Name]
+	for _, b := range base.Benchmarks {
+		fresh, ok := freshBy[baseName(b.Name)]
 		if !ok {
+			missing = append(missing, b.Name)
 			continue
 		}
 		was, ok1 := b.Metrics[metric]
@@ -206,6 +211,10 @@ func compare(doc *Doc, path, metric string, maxRegress float64) error {
 		fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %.0f -> %.0f (%+.1f%%) %s\n",
 			fresh.Name, metric, was, now, pct, status)
 	}
+	if len(missing) > 0 {
+		return fmt.Errorf("baseline %s benchmark(s) missing from the fresh run: %s",
+			path, strings.Join(missing, ", "))
+	}
 	if compared == 0 {
 		return fmt.Errorf("baseline %s shares no %q metrics with the fresh run", path, metric)
 	}
@@ -214,6 +223,19 @@ func compare(doc *Doc, path, metric string, maxRegress float64) error {
 			failed, metric, maxRegress, path)
 	}
 	return nil
+}
+
+// baseName strips the -GOMAXPROCS suffix go test appends to a benchmark
+// name when GOMAXPROCS > 1 ("BenchmarkReplay-4" -> "BenchmarkReplay").
+func baseName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }
 
 // parse scans go test bench output: "key: value" context lines and

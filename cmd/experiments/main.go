@@ -47,8 +47,6 @@ func main() {
 		"replay run budget")
 	flag.DurationVar(&cfg.ReplayBudget, "replay-budget", cfg.ReplayBudget,
 		"replay wall-clock budget (the paper's 1-hour cutoff)")
-	flag.IntVar(&cfg.ReplayWorkers, "replay-workers", cfg.ReplayWorkers,
-		"concurrent replay workers per reproduction (1 = serial depth-first)")
 	flag.IntVar(&cfg.AdaptiveTargetRuns, "adaptive-target-runs", cfg.AdaptiveTargetRuns,
 		"replay-run target a generation of the adaptive experiment must meet")
 	flag.IntVar(&cfg.AdaptiveMaxGenerations, "adaptive-max-generations", cfg.AdaptiveMaxGenerations,

@@ -1,7 +1,6 @@
 // Command replay performs the developer-site half of the workflow: it loads
 // a bug report produced by cmd/record and reproduces the crash, printing the
-// reconstructed bug-triggering inputs. Ctrl-C cancels the search cleanly;
-// -workers fans the search out over concurrent workers.
+// reconstructed bug-triggering inputs. Ctrl-C cancels the search cleanly.
 //
 // The search plan comes from the recording envelope itself — the plan the
 // user site actually recorded under, validated against the program (branch
@@ -21,7 +20,7 @@
 //
 // Usage:
 //
-//	replay -scenario paste -in bug.report -workers 4
+//	replay -scenario paste -in bug.report
 //	replay -scenario paste -in bug.report -store ./planstore
 //	replay -scenario paste -in bug.report -force-plan other.plan.json
 //	replay -scenario paste -in bug.report -json -profile-out search.profile.json
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -52,8 +50,6 @@ func main() {
 		maxRuns  = flag.Int("max-runs", 4000, "replay run budget")
 		budget   = flag.Duration("budget", 60*time.Second,
 			"wall-clock budget (the paper's 1-hour cutoff, scaled)")
-		workers = flag.Int("workers", runtime.NumCPU(),
-			"concurrent replay workers (1 = the paper's serial depth-first search)")
 		noSyslog = flag.Bool("ignore-syslog", false,
 			"discard the syscall log and use the symbolic models of §3.3")
 		forcePlan = flag.String("force-plan", "",
@@ -97,10 +93,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	sessOpts := []pathlog.Option{
-		pathlog.WithReplayBudget(*maxRuns, *budget),
-		pathlog.WithReplayWorkers(*workers),
-	}
+	sessOpts := []pathlog.Option{pathlog.WithReplayBudget(*maxRuns, *budget)}
 	if *storeDir != "" {
 		sessOpts = append(sessOpts, pathlog.WithPlanStore(*storeDir))
 	}
@@ -175,8 +168,8 @@ func main() {
 			res.Runs, res.Elapsed.Round(time.Millisecond), why)
 		os.Exit(1)
 	}
-	fmt.Printf("reproduced in %d runs (%s, %d workers); %d aborted paths; solver: %d calls (%d sat, %d unsat, %d gave up)\n",
-		res.Runs, res.Elapsed.Round(time.Millisecond), res.Workers, res.Aborts,
+	fmt.Printf("reproduced in %d runs (%s); %d aborted paths; solver: %d calls (%d sat, %d unsat, %d gave up)\n",
+		res.Runs, res.Elapsed.Round(time.Millisecond), res.Aborts,
 		res.SolverStats.Calls, res.SolverStats.Sat, res.SolverStats.Unsat, res.SolverStats.GaveUp)
 	fmt.Printf("symbolic branches on the bug path: %d locations logged (%d execs), %d not logged (%d execs)\n",
 		res.SymLoggedLocs, res.SymLoggedExecs, res.SymNotLoggedLocs, res.SymNotLoggedExecs)
@@ -201,7 +194,6 @@ type replayJSON struct {
 	Cancelled       bool              `json:"cancelled"`
 	Runs            int               `json:"runs"`
 	Aborts          int               `json:"aborts"`
-	Workers         int               `json:"workers"`
 	WallMS          int64             `json:"wall_ms"`
 	PendingPeak     int               `json:"pending_peak"`
 	PlanStrategy    string            `json:"plan_strategy"`
@@ -233,7 +225,6 @@ type blowupBranch struct {
 	Branch      int   `json:"branch"`
 	Forks       int64 `json:"forks"`
 	AbortedRuns int64 `json:"aborted_runs"`
-	WastedRuns  int64 `json:"wasted_runs"`
 	SolverCalls int64 `json:"solver_calls"`
 }
 
@@ -252,7 +243,6 @@ func resultJSON(rec *replay.Recording, res *pathlog.ReplayResult, verified bool)
 		Cancelled:       res.Cancelled,
 		Runs:            res.Runs,
 		Aborts:          res.Aborts,
-		Workers:         res.Workers,
 		WallMS:          res.Elapsed.Milliseconds(),
 		PendingPeak:     res.PendingPeak,
 		PlanStrategy:    planLabel(rec.Plan),
@@ -278,7 +268,6 @@ func resultJSON(rec *replay.Recording, res *pathlog.ReplayResult, verified bool)
 				Branch:      int(id),
 				Forks:       bc.Forks,
 				AbortedRuns: bc.AbortedRuns,
-				WastedRuns:  bc.WastedRuns,
 				SolverCalls: bc.SolverCalls,
 			})
 		}

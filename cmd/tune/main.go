@@ -86,8 +86,6 @@ func main() {
 		maxRuns = flag.Int("replay-runs", 2000, "per-generation replay run budget")
 		budget  = flag.Duration("replay-budget", 30*time.Second,
 			"per-generation replay wall-clock budget")
-		replayWorkers = flag.Int("replay-workers", 1,
-			"concurrent replay workers per search (1 = the paper's serial depth-first)")
 		fleetWorkers = flag.String("workers", "",
 			"comma-separated shard worker daemons (host:port, cmd/shardworkerd) to fan corpus shards out over")
 		trajOut = flag.String("trajectory-out", "",
@@ -132,7 +130,6 @@ func main() {
 		pathlog.WithSyscallLog(),
 		pathlog.WithStrategy(strat),
 		pathlog.WithReplayBudget(*maxRuns, *budget),
-		pathlog.WithReplayWorkers(*replayWorkers),
 	}
 	if *storeDir != "" {
 		sessOpts = append(sessOpts, pathlog.WithPlanStore(*storeDir))

@@ -65,7 +65,7 @@ type CorpusOptions struct {
 	// shards replay concurrently.
 	Shards int
 	// Runner replays each shard. Nil selects the in-process runner under
-	// the session's replay options (WithReplayBudget, WithReplayWorkers).
+	// the session's replay options (WithReplayBudget, WithReplayOptions).
 	Runner CorpusRunner
 	// Workers fans shards out over remote shard worker daemons
 	// (cmd/shardworkerd), addressed as host:port or http URLs. Ignored
@@ -159,14 +159,10 @@ func (s *Session) replayCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 }
 
 // corpusReplayOptions assembles the replay bounds a corpus member is
-// searched under: the session's replay options with the worker count
-// applied and no per-run progress callback (corpus progress is reported
-// per member).
+// searched under: the session's replay options with no per-run progress
+// callback (corpus progress is reported per member).
 func (s *Session) corpusReplayOptions() replay.Options {
 	opts := s.cfg.rep
-	if s.cfg.workers > 0 {
-		opts.Workers = s.cfg.workers
-	}
 	opts.OnRun = nil
 	if opts.Obs == nil {
 		opts.Obs = s.cfg.obs.Registry()

@@ -3,8 +3,7 @@
 // diff is the paper's stress case: nearly every branch depends on the two
 // input files, so the dynamic method (with its low analysis coverage) leaves
 // many symbolic branches unlogged and replay blows up — while dynamic+static
-// replays quickly. This example shows that contrast directly, with the
-// replay search fanned out over four workers (WithReplayWorkers).
+// replays quickly. This example shows that contrast directly.
 //
 // Run with: go run ./examples/diffdebug
 package main
@@ -36,7 +35,6 @@ func main() {
 		pathlog.WithSyscallLog(),
 		pathlog.WithDynamicBudget(30, 0),
 		pathlog.WithReplayBudget(2500, 15*time.Second),
-		pathlog.WithReplayWorkers(4),
 	)
 	in, err := sess.Analyze(ctx)
 	if err != nil {
@@ -62,8 +60,8 @@ func main() {
 			log.Fatal(err)
 		}
 		if res.Reproduced {
-			fmt.Printf("%-15s reproduced in %4d runs (%s, %d workers); %d/%d symbolic locations logged/unlogged\n",
-				method, res.Runs, res.Elapsed.Round(time.Millisecond), res.Workers,
+			fmt.Printf("%-15s reproduced in %4d runs (%s); %d/%d symbolic locations logged/unlogged\n",
+				method, res.Runs, res.Elapsed.Round(time.Millisecond),
 				res.SymLoggedLocs, res.SymNotLoggedLocs)
 			fmt.Printf("%-15s  reconstructed a.txt: %q\n", "",
 				printable(res.InputBytes["file:a.txt"]))

@@ -4,8 +4,7 @@
 // receives a crash signal (the paper's SIGSEGV). The instrumented build logs
 // one bit per instrumented branch; the replay engine reconstructs HTTP
 // request bytes that drive the server down the recorded path to the crash —
-// without the bug report ever containing the user's requests. The replay
-// search runs on four workers.
+// without the bug report ever containing the user's requests.
 //
 // Run with: go run ./examples/webserver
 package main
@@ -38,7 +37,6 @@ func main() {
 		pathlog.WithDynamicBudget(40, 0),
 		pathlog.WithStaticOptions(pathlog.StaticOptions{LibAsSymbolic: true}),
 		pathlog.WithReplayBudget(3000, 30*time.Second),
-		pathlog.WithReplayWorkers(4),
 	)
 	in, err := sess.Analyze(ctx)
 	if err != nil {
@@ -81,8 +79,8 @@ func main() {
 		verdict := "FAILED (budget exhausted — the paper's inf)"
 		if res.Reproduced {
 			req := res.InputBytes["conn0"]
-			verdict = fmt.Sprintf("reproduced in %d runs (%.0fms, %d workers); reconstructed request %q",
-				res.Runs, res.Elapsed.Seconds()*1000, res.Workers, printable(req))
+			verdict = fmt.Sprintf("reproduced in %d runs (%.0fms); reconstructed request %q",
+				res.Runs, res.Elapsed.Seconds()*1000, printable(req))
 		}
 		fmt.Printf("\n%-30s instruments %3d locations (~%.0f est bits/run, ~%.0f est replay runs)\n"+
 			"  logged %4d bits (%d B + %d B syscalls)\n  -> %s\n",

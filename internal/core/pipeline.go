@@ -277,9 +277,10 @@ func (s *Scenario) MeasureOverhead(plan *instrument.Plan, rounds int) (time.Dura
 	return s.MeasureOverheadContext(context.Background(), plan, rounds)
 }
 
-// ReplayContext reproduces a recorded bug. The context's cancellation or
-// deadline stops the guided search within one run; opts.Workers > 1
-// parallelizes the pending-list exploration.
+// ReplayContext reproduces a recorded bug with one serial depth-first
+// search. The context's cancellation or deadline stops the guided search
+// within one run. Concurrent calls on one Scenario are safe: each builds its
+// own engine, registry and per-run worlds.
 func (s *Scenario) ReplayContext(ctx context.Context, rec *replay.Recording, opts replay.Options) *replay.Result {
 	if opts.Engine == nil {
 		opts.Engine = s.engine()

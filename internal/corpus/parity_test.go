@@ -84,7 +84,7 @@ func TestShardParity(t *testing.T) {
 	}
 	ctx := context.Background()
 	c, s3 := parityCorpus(t)
-	opts := replay.Options{MaxRuns: 1500, TimeBudget: 15 * time.Second, Workers: 1}
+	opts := replay.Options{MaxRuns: 1500, TimeBudget: 15 * time.Second}
 
 	type config struct {
 		name   string

@@ -54,8 +54,7 @@ type Runner interface {
 }
 
 // InProcessRunner replays a shard through the replay engine in this
-// process, one report at a time (shards themselves run concurrently; each
-// replay's own parallelism comes from Opts.Workers).
+// process, one report at a time (shards themselves run concurrently).
 type InProcessRunner struct {
 	Prog *lang.Program
 	Spec *world.Spec
@@ -122,7 +121,6 @@ type ShardRequest struct {
 	Envelopes []json.RawMessage `json:"envelopes,omitempty"`
 	MaxRuns   int               `json:"max_runs,omitempty"`
 	BudgetMS  int64             `json:"budget_ms,omitempty"`
-	Workers   int               `json:"workers,omitempty"`
 	PickFIFO  bool              `json:"pick_fifo,omitempty"`
 }
 

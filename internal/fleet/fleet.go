@@ -415,7 +415,6 @@ func (r *RemoteRunner) encodeRequest(shardID string, reports []*corpus.Report) (
 		ShardID:  shardID,
 		MaxRuns:  r.Opts.MaxRuns,
 		BudgetMS: r.Opts.TimeBudget.Milliseconds(),
-		Workers:  r.Opts.Workers,
 		PickFIFO: r.Opts.PickFIFO,
 	}
 	for _, rep := range reports {

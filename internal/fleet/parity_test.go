@@ -175,7 +175,7 @@ func normalize(p *instrument.SearchProfile) *instrument.SearchProfile {
 // replayBounds are the replay options every parity leg shares; the remote
 // runner ships them in the shard request, so workers search under the
 // exact same budget the in-process runner does.
-var replayBounds = replay.Options{MaxRuns: 1500, TimeBudget: 15 * time.Second, Workers: 1}
+var replayBounds = replay.Options{MaxRuns: 1500, TimeBudget: 15 * time.Second}
 
 // TestRemoteShardParity is the remote-replay correctness gate: the merged
 // weighted profile must be byte-identical whether the corpus replays

@@ -107,7 +107,6 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 	opts := replay.Options{
 		MaxRuns:    req.MaxRuns,
 		TimeBudget: time.Duration(req.BudgetMS) * time.Millisecond,
-		Workers:    req.Workers,
 		PickFIFO:   req.PickFIFO,
 	}
 	resp := corpus.ShardResponse{

@@ -20,8 +20,7 @@ import (
 //
 // When AdaptiveTrajectoryOut / AdaptiveProfileOut are set, the
 // per-generation trajectory and the final generation's search profile are
-// written as JSON artifacts (CI uploads them next to the ReplayWorkers
-// bench).
+// written as JSON artifacts (CI uploads them next to the replay bench).
 func (c Config) Adaptive(ctx context.Context) (*Table, error) {
 	s, err := apps.UServerScenario(3, 72)
 	if err != nil {
@@ -34,7 +33,6 @@ func (c Config) Adaptive(ctx context.Context) (*Table, error) {
 		pathlog.WithSyscallLog(),
 		pathlog.WithStrategy(pathlog.Dynamic()),
 		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
-		pathlog.WithReplayWorkers(c.ReplayWorkers),
 	)
 	tr, err := sess.AutoBalance(ctx, nil, pathlog.BalanceOptions{
 		TargetReplayRuns: c.AdaptiveTargetRuns,

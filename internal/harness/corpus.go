@@ -69,7 +69,6 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 		pathlog.WithSyscallLog(),
 		pathlog.WithStrategy(pathlog.Dynamic()),
 		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
-		pathlog.WithReplayWorkers(c.ReplayWorkers),
 		pathlog.WithPlanStore(storeDir),
 	)
 	plan, err := sess.Plan(ctx)

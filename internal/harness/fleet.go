@@ -80,7 +80,6 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 		pathlog.WithSyscallLog(),
 		pathlog.WithStrategy(pathlog.Dynamic()),
 		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
-		pathlog.WithReplayWorkers(c.ReplayWorkers),
 		pathlog.WithPlanStore(storeDir),
 	)
 	plan, err := sess.Plan(ctx)

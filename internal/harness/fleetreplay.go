@@ -73,7 +73,7 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bounds := replay.Options{MaxRuns: c.ReplayMaxRuns, TimeBudget: c.ReplayBudget, Workers: c.ReplayWorkers}
+	bounds := replay.Options{MaxRuns: c.ReplayMaxRuns, TimeBudget: c.ReplayBudget}
 
 	// Control and chaos sessions must be configured identically, so their
 	// trajectories can only diverge if distribution changes results.
@@ -83,8 +83,7 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 			pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
 			pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
 			pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-			pathlog.WithReplayBudget(bounds.MaxRuns, bounds.TimeBudget),
-			pathlog.WithReplayWorkers(bounds.Workers))
+			pathlog.WithReplayBudget(bounds.MaxRuns, bounds.TimeBudget))
 	}
 	target := c.CorpusTargetRuns
 	if target <= 0 {

@@ -21,7 +21,6 @@ func (c Config) Frontier(ctx context.Context) (*Table, error) {
 		pathlog.WithDynamicBudget(c.UServerAnalysisRunsHC, 0),
 		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		pathlog.WithSyscallLog(),
-		pathlog.WithReplayWorkers(c.ReplayWorkers),
 	)
 	points, err := sess.Frontier(ctx)
 	if err != nil {

@@ -53,9 +53,6 @@ type Config struct {
 	// exhausted budget renders as the paper's ∞.
 	ReplayMaxRuns int
 	ReplayBudget  time.Duration
-	// ReplayWorkers fans each reproduction's pending-list search out over N
-	// concurrent workers (1 = the paper's serial depth-first search).
-	ReplayWorkers int
 	// AdaptiveTargetRuns and AdaptiveMaxGenerations shape the adaptive
 	// refinement experiment: the replay-run budget a generation must meet
 	// and the refinement steps allowed to get there.
@@ -147,7 +144,6 @@ func DefaultConfig() Config {
 		DiffAnalysisRuns:       40,
 		ReplayMaxRuns:          4000,
 		ReplayBudget:           20 * time.Second,
-		ReplayWorkers:          1,
 		AdaptiveTargetRuns:     200,
 		AdaptiveMaxGenerations: 4,
 		CorpusNoisyReports:     5,
@@ -256,12 +252,11 @@ func measure(ctx context.Context, s *core.Scenario, plan *instrument.Plan, round
 	return pathlog.SessionOf(s).MeasureOverhead(ctx, plan, rounds)
 }
 
-// replay reproduces a recording under the Config's replay budget and worker
-// count through the Session API.
+// replay reproduces a recording under the Config's replay budget through the
+// Session API.
 func (c Config) replay(ctx context.Context, s *core.Scenario, rec *replay.Recording) (*replay.Result, error) {
 	sess := pathlog.SessionOf(s,
-		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
-		pathlog.WithReplayWorkers(c.ReplayWorkers))
+		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget))
 	return sess.Replay(ctx, rec)
 }
 

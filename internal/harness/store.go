@@ -46,7 +46,6 @@ func (c Config) Store(ctx context.Context) (*Table, error) {
 			pathlog.WithSyscallLog(),
 			pathlog.WithStrategy(pathlog.Dynamic()),
 			pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
-			pathlog.WithReplayWorkers(c.ReplayWorkers),
 			pathlog.WithPlanStore(dir),
 		), nil
 	}
@@ -85,7 +84,6 @@ func (c Config) Store(ctx context.Context) (*Table, error) {
 		pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
 		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		pathlog.WithSyscallLog(),
-		pathlog.WithReplayWorkers(c.ReplayWorkers),
 	)
 	before, err := noStore.Frontier(ctx)
 	if err != nil {

@@ -172,7 +172,6 @@ func (c Config) traceFleet(ctx context.Context) (*traceFleetResult, error) {
 		"-dynamic-runs", fmt.Sprint(c.UServerAnalysisRunsLC),
 		"-replay-runs", fmt.Sprint(c.ReplayMaxRuns),
 		"-replay-budget", c.ReplayBudget.String(),
-		"-replay-workers", fmt.Sprint(c.ReplayWorkers),
 	)
 	tuneOut, err := tuneCmd.CombinedOutput()
 	if err != nil {

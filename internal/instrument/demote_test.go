@@ -44,9 +44,8 @@ func TestMergeWeightedScalesRunCostNotEvidence(t *testing.T) {
 		ProgHash:        "bb22",
 		Runs:            10,
 		Aborts:          8,
-		Workers:         1,
 		Branches: map[lang.BranchID]*BranchCost{
-			1: {Forks: 10, AbortedRuns: 4, WastedRuns: 2, SolverCalls: 6,
+			1: {Forks: 10, AbortedRuns: 4, SolverCalls: 6,
 				SolverTime: 1000 * time.Nanosecond, LoggedExecs: 5, Disagreements: 2},
 		},
 	}
@@ -55,7 +54,7 @@ func TestMergeWeightedScalesRunCostNotEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := acc.Branches[1]
-	if bc.Forks != 5 || bc.AbortedRuns != 2 || bc.WastedRuns != 1 || bc.SolverCalls != 3 || bc.SolverTime != 500 {
+	if bc.Forks != 5 || bc.AbortedRuns != 2 || bc.SolverCalls != 3 || bc.SolverTime != 500 {
 		t.Errorf("run-cost counters not scaled by 0.5: %+v", bc)
 	}
 	if bc.LoggedExecs != 5 || bc.Disagreements != 2 {

@@ -41,11 +41,7 @@ type SearchProfile struct {
 	Runs       int  `json:"runs"`
 	Aborts     int  `json:"aborts"`
 	Reproduced bool `json:"reproduced"`
-	// Workers echoes the search's worker count. Per-branch aggregation is
-	// identical for any worker count on a search that runs to exhaustion;
-	// with an early winner, only WastedRuns depends on scheduling.
-	Workers int `json:"workers"`
-	// Solver aggregates the solver counters across all workers.
+	// Solver aggregates the search's solver counters.
 	Solver solver.Stats `json:"solver"`
 	// Branches holds the per-site attribution. Keys are branch IDs that
 	// queued at least one pending set: uninstrumented symbolic branches
@@ -63,10 +59,6 @@ type BranchCost struct {
 	// AbortedRuns counts completed runs, seeded from a pending set that
 	// originated at this branch, that ended without reproducing the bug.
 	AbortedRuns int64 `json:"aborted_runs"`
-	// WastedRuns is the subset of AbortedRuns that finished after the
-	// search was already decided — speculative work a serial search would
-	// not have started. Always 0 with one worker.
-	WastedRuns int64 `json:"wasted_runs"`
 	// SolverCalls and SolverTime charge the constraint solving spent on
 	// pending sets originating at this branch (including unsat sets that
 	// never became runs).
@@ -95,7 +87,6 @@ type BranchCost struct {
 func (c *BranchCost) add(o *BranchCost, w float64) {
 	c.Forks += scaleCount(o.Forks, w)
 	c.AbortedRuns += scaleCount(o.AbortedRuns, w)
-	c.WastedRuns += scaleCount(o.WastedRuns, w)
 	c.SolverCalls += scaleCount(o.SolverCalls, w)
 	c.SolverTime += time.Duration(scaleCount(int64(o.SolverTime), w))
 	c.LoggedExecs += o.LoggedExecs
@@ -117,11 +108,11 @@ func scaleCount(v int64, w float64) int64 {
 }
 
 // blowup is the branch's responsibility for search length, in runs. Runs
-// are the paper's unit of debugging time, so aborted and wasted runs lead;
+// are the paper's unit of debugging time, so aborted runs lead;
 // forks and solver calls break ties (cost the search paid even when the
 // resulting sets were unsat or unexplored).
 func (c *BranchCost) blowup() (runs, forks, solves int64) {
-	return c.AbortedRuns + c.WastedRuns, c.Forks, c.SolverCalls
+	return c.AbortedRuns, c.Forks, c.SolverCalls
 }
 
 // Branch returns the cost entry for id, or a zero entry if the search
@@ -168,9 +159,6 @@ func (p *SearchProfile) MergeWeighted(o *SearchProfile, weight float64) error {
 	if p.ProgHash == "" {
 		p.ProgHash = o.ProgHash
 	}
-	if o.Workers > p.Workers {
-		p.Workers = o.Workers
-	}
 	// Runs scale with the same rule as the per-branch counters, so per-run
 	// rates (ForkRate) stay weighted averages of the sources' rates.
 	p.Runs += int(scaleCount(int64(o.Runs), weight))
@@ -195,7 +183,7 @@ func (p *SearchProfile) MergeWeighted(o *SearchProfile, weight float64) error {
 // TopBlowup returns up to k branch IDs ranked by their blowup — the
 // branches most responsible for search length — restricted to branches NOT
 // in the instrumented set (promoting an already-logged branch buys
-// nothing). Ranking is deterministic: aborted+wasted runs, then forks,
+// nothing). Ranking is deterministic: aborted runs, then forks,
 // then solver calls, then lower branch ID. Branches that charged nothing
 // are never returned, so the result may be shorter than k.
 func (p *SearchProfile) TopBlowup(k int, instrumented map[lang.BranchID]bool) []lang.BranchID {

@@ -18,7 +18,6 @@ func fakeProfile(plan *Plan) *SearchProfile {
 		Runs:            20,
 		Aborts:          19,
 		Reproduced:      true,
-		Workers:         1,
 		Branches: map[lang.BranchID]*BranchCost{
 			1: {Forks: 30, AbortedRuns: 12, SolverCalls: 30, SolverTime: time.Millisecond},
 			4: {Forks: 10, SolverCalls: 10},

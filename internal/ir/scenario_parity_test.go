@@ -3,6 +3,7 @@ package ir_test
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"pathlog/internal/apps"
@@ -113,8 +114,8 @@ func scenarioList(t *testing.T) []string {
 	return names
 }
 
-// TestScenarioPipelineParity is the serial-search differential gate: with
-// one worker both engines are fully deterministic, so every pipeline
+// TestScenarioPipelineParity is the serial-search differential gate: the
+// search is deterministic under both engines, so every pipeline
 // artifact must be identical — including the replay result's path stats,
 // pending peak and per-branch SearchProfile attribution.
 func TestScenarioPipelineParity(t *testing.T) {
@@ -158,17 +159,18 @@ func diffPipeOut(t *testing.T, tree, bc *pipeOut) {
 	}
 }
 
-// TestScenarioReplayParityWorkers exercises the engines under the
-// concurrent pending-list search (CI runs this package with -race). Worker
-// scheduling makes run counts nondeterministic even within one engine, so
-// the cross-engine assertions here are the scheduling-independent ones:
-// whether the bug reproduces and that the reproducing input activates the
-// recorded crash.
+// TestScenarioReplayParityWorkers runs four serial searches concurrently on
+// one scenario and one recording, under each engine — the way ReproduceAll
+// batches and corpus shards share a program, a spec and an engine factory
+// (CI runs this package with -race). The search is deterministic, so every
+// concurrent search must find the same reproduction in the same number of
+// runs, under both engines.
 func TestScenarioReplayParityWorkers(t *testing.T) {
 	names := []string{"mkdir", "userver-exp4"}
 	if testing.Short() {
 		names = names[:1]
 	}
+	const searches = 4
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
@@ -185,14 +187,34 @@ func TestScenarioReplayParityWorkers(t *testing.T) {
 			if err != nil || rec == nil {
 				t.Fatalf("record: rec=%v err=%v", rec, err)
 			}
+			var first *replay.Result
 			for _, engine := range []vm.Factory{vm.TreeFactory, ir.Engine} {
 				scn.Engine = engine
-				res := scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1000, Workers: 4})
-				if !res.Reproduced {
-					t.Fatalf("not reproduced after %d runs", res.Runs)
+				results := make([]*replay.Result, searches)
+				var wg sync.WaitGroup
+				for i := range results {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						results[i] = scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1000})
+					}()
 				}
-				if !scn.VerifyInput(res.InputBytes, rec.Crash) {
-					t.Fatalf("reproducing input does not activate the recorded crash")
+				wg.Wait()
+				for _, res := range results {
+					if !res.Reproduced {
+						t.Fatalf("not reproduced after %d runs", res.Runs)
+					}
+					if !scn.VerifyInput(res.InputBytes, rec.Crash) {
+						t.Fatalf("reproducing input does not activate the recorded crash")
+					}
+					if first == nil {
+						first = res
+						continue
+					}
+					if res.Runs != first.Runs || !reflect.DeepEqual(res.InputBytes, first.InputBytes) {
+						t.Fatalf("concurrent searches diverged: %d runs, input %q; want %d runs, input %q",
+							res.Runs, res.InputBytes, first.Runs, first.InputBytes)
+					}
 				}
 			}
 		})

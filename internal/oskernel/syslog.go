@@ -69,7 +69,7 @@ func (l *SyscallLog) Rewind() { l.readPos, l.selectPos = 0, 0 }
 
 // Clone returns a view over the same recorded results with fresh, independent
 // replay cursors. The backing result slices are shared and must no longer be
-// appended to; parallel replay runs each consume their own clone.
+// appended to; each replay run consumes its own clone.
 func (l *SyscallLog) Clone() *SyscallLog {
 	return &SyscallLog{reads: l.reads, selects: l.selects}
 }

@@ -22,10 +22,10 @@
 // when a run crashes at the recorded bug site having matched the entire
 // bitvector.
 //
-// The search is context-aware and optionally parallel: Options.Workers > 1
-// fans the pending-list exploration out over a pool of workers that share
-// the pending stack and the variable registry but own their solvers and
-// per-run worlds. The reproduction with the lowest run sequence number wins.
+// The search is one serial loop and context-aware: the context and the run
+// budget are checked before every solve and every run. Parallelism lives
+// above it — concurrent searches of different recordings (or of one
+// recording) each own their engine, solver, registry and per-run worlds.
 //
 // Recordings are durable bug reports. Save writes the full envelope
 // (version 2): the plan the user site recorded under, the packed

@@ -17,7 +17,7 @@ func TestReproduceObservesHistograms(t *testing.T) {
 	f := buildFixture(t, instrument.MethodDynamic)
 	reg := obs.NewRegistry()
 	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{
-		MaxRuns: 500, Workers: 4, Obs: reg,
+		MaxRuns: 500, Obs: reg,
 	})
 	res := eng.Reproduce(context.Background())
 	if !res.Reproduced {

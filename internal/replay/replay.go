@@ -29,27 +29,21 @@ type Options struct {
 	// PickFIFO explores pending constraint sets oldest-first instead of the
 	// paper's depth-first choice (§3.2), for the pick-heuristic ablation.
 	PickFIFO bool
-	// Workers is the number of concurrent search workers sharing the pending
-	// list. 0 or 1 selects the serial search, which explores exactly the
-	// paper's depth-first order; N>1 fans the pending-list exploration out
-	// and selects the reproduction with the lowest run sequence number, so
-	// the reported result does not depend on goroutine scheduling.
-	Workers int
 	// OnRun, when set, is called after every completed replay run with the
-	// total number of completed runs, in completion order (the engine holds
-	// its coordination lock across the call, so counts never go backwards).
-	// It must be cheap and must not call back into the engine.
+	// total number of completed runs. It must be cheap and must not call
+	// back into the engine.
 	OnRun func(completed int)
 	// Engine builds the execution machine for each run; nil uses the
-	// tree-walking interpreter (vm.TreeFactory). Factories must be safe for
-	// concurrent calls when Workers > 1.
+	// tree-walking interpreter (vm.TreeFactory). Concurrent searches (a
+	// ReproduceAll batch, corpus shards) share one factory, so it must be
+	// safe for concurrent calls.
 	Engine vm.Factory
 	Solver solver.Options
 	// Obs, when set, receives per-run distribution observations
 	// (pathlog_replay_run_ns, pathlog_replay_solver_calls_per_run,
 	// pathlog_replay_logged_bits_per_run). Each observation is a handful of
-	// atomic adds outside the coordination lock, so instrumenting every run
-	// does not disturb the search hot path.
+	// atomic adds, so instrumenting every run does not disturb the search
+	// hot path.
 	Obs *obs.Registry
 }
 
@@ -129,11 +123,9 @@ type Result struct {
 	// Cancelled reports that the context was cancelled (not merely past its
 	// deadline) before a reproduction was found.
 	Cancelled bool
-	// Workers echoes how many concurrent search workers performed the search.
-	Workers int
-	Runs    int
-	Aborts  int
-	Elapsed time.Duration
+	Runs      int
+	Aborts    int
+	Elapsed   time.Duration
 	// Input is the reproducing assignment (a set of inputs that activates
 	// the bug — not necessarily the user's input).
 	Input sym.MapAssignment
@@ -148,9 +140,9 @@ type Result struct {
 	SolverStats       solver.Stats
 	PendingPeak       int
 	// Profile attributes the search's cost per branch site: forks, aborted
-	// and wasted runs, solver calls and time, aggregated race-free across
-	// the worker pool. It is always populated — a search that timed out is
-	// exactly the one whose attribution the refinement loop needs.
+	// runs, solver calls and time. It is always populated — a search that
+	// timed out is exactly the one whose attribution the refinement loop
+	// needs.
 	Profile *instrument.SearchProfile
 }
 
@@ -165,7 +157,7 @@ type Engine struct {
 	// BranchID, so the per-branch-execution sink avoids a map lookup.
 	instrTab []bool
 	// Per-run histograms, resolved once at construction when Options.Obs is
-	// set; nil otherwise, and the worker loop skips the observations.
+	// set; nil otherwise, and the search loop skips the observations.
 	runNS       *obs.Histogram
 	solverCalls *obs.Histogram
 	loggedBits  *obs.Histogram
@@ -179,9 +171,6 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recordi
 	}
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = DefaultMaxPending
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
 	}
 	if opts.Engine == nil {
 		opts.Engine = vm.TreeFactory
@@ -343,353 +332,180 @@ func (s *runSink) pushPending(origin lang.BranchID, appended sym.Constraint) boo
 	return true
 }
 
-// searchState is the coordination hub shared by the search workers: the
-// pending lists, the run budget, and the termination flags. All fields are
-// guarded by mu; workers block on cond when every pending list is empty
-// while sibling runs that may still queue alternatives are in flight.
-//
-// Each worker owns a deque of pending sets and explores it depth-first —
-// newest last, popped from the back — exactly as the serial engine does.
-// A worker whose deque is empty steals from the FRONT (oldest end) of the
-// fullest sibling deque. Stealing oldest-first matters: the newest sets on
-// a deque are the owner's forced-direction chain (§3.1 case 2b), the
-// productive continuation of the recorded path; a naive shared stack lets
-// speculative children bury that chain and multiplies the run count.
-type searchState struct {
-	eng  *Engine
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	// cache carries engine-private run-acceleration state across the runs of
-	// this search (the bytecode VM's linear trace). The seed run writes it:
-	// take hands out no other work while the seed is active, so the write
-	// completes before any sibling run starts.
-	cache *vm.SearchCache
-
-	deques    [][]pendingSet
-	pending   int  // total sets across all deques
-	seedTaken bool // the initial all-seed run has been claimed
-	active    int  // workers holding claimed work (solving or running)
-	started   int  // runs claimed against MaxRuns
-	completed int  // runs finished
-	aborts    int
-	peak      int
-
-	done      bool
-	timedOut  bool
-	cancelled bool
-
-	winner *runOutcome // reproduction with the lowest run sequence number
-
-	// profile accumulates the per-branch search attribution. Every write
-	// happens under mu (solver charges in take, run outcomes and fork
-	// merges in finish), so the aggregation is identical whether one worker
-	// or many performed the search — up to WastedRuns, which only exist
-	// when a parallel search keeps running past an early winner.
-	profile map[lang.BranchID]*instrument.BranchCost
-}
-
-// chargeLocked returns the profile entry for a branch site. Callers hold mu.
-func (st *searchState) chargeLocked(id lang.BranchID) *instrument.BranchCost {
-	bc, ok := st.profile[id]
-	if !ok {
-		bc = &instrument.BranchCost{}
-		st.profile[id] = bc
-	}
-	return bc
-}
-
-// runOutcome captures everything needed to assemble the result of one
-// reproducing run.
-type runOutcome struct {
-	seq  int
-	asn  sym.MapAssignment
-	sink *runSink
-	w    *world.World
-}
-
-// stopOn records why the context fired and wakes every blocked worker.
-func (st *searchState) stopOn(err error) {
-	if st.done {
-		return
-	}
-	if err == context.DeadlineExceeded {
-		st.timedOut = true
-	} else {
-		st.cancelled = true
-	}
-	st.done = true
-	st.cond.Broadcast()
-}
-
-// popLocked removes the next pending set for worker w: depth-first from its
-// own deque (or oldest-first under PickFIFO), else stolen from the oldest
-// end of the fullest sibling deque. Callers hold mu.
-func (st *searchState) popLocked(w int) (pendingSet, bool) {
-	if d := st.deques[w]; len(d) > 0 {
-		var top pendingSet
-		if st.eng.opts.PickFIFO {
-			top = d[0]
-			st.deques[w] = d[1:]
-		} else {
-			top = d[len(d)-1]
-			st.deques[w] = d[:len(d)-1]
-		}
-		st.pending--
-		return top, true
-	}
-	victim, best := -1, 0
-	for i, d := range st.deques {
-		if len(d) > best {
-			victim, best = i, len(d)
-		}
-	}
-	if victim < 0 {
-		return pendingSet{}, false
-	}
-	d := st.deques[victim]
-	top := d[0]
-	st.deques[victim] = d[1:]
-	st.pending--
-	return top, true
-}
-
 // noOrigin marks a run not seeded from any pending set (the initial
 // all-seed run); its outcome is charged to no branch.
 const noOrigin = lang.BranchID(-1)
 
-// runScratch is one worker's reusable run-to-run buffers. Everything here is
+// runScratch is the search's reusable run-to-run buffers. Everything here is
 // either copied out of (queued, mbuf) or fully overwritten (counts) before
-// the next run touches it, so reuse is invisible to the search; a worker
-// whose run wins exits immediately, which keeps the winner's counter views
-// intact for the final report.
+// the next run touches it, so reuse is invisible to the search; the search
+// stops on the reproducing run, which keeps its counter views intact for the
+// final report.
 type runScratch struct {
 	vbuf     []int            // variable-ID collection buffer
 	mbuf     []sym.Constraint // materialized conjunction handed to Solve
 	counts   []int64          // per-branch counter block, zeroed per run
-	queued   []pendingSet     // pending-set buffer, drained by finish
+	queued   []pendingSet     // pending-set buffer, drained after each run
 	condsCap int              // last run's path length, to size conds exactly
-	solves   int              // solver calls take made to produce the claimed run
 }
 
-// dequePool recycles deque backing arrays across searches: the pending list
-// routinely peaks at tens of thousands of sets, and regrowing it from nil
-// every Reproduce call was one of the top allocation sources.
-var dequePool = sync.Pool{New: func() any { return []pendingSet(nil) }}
+// stackPool recycles pending-stack backing arrays across searches: the
+// pending list routinely peaks at tens of thousands of sets, and regrowing
+// it from nil every Reproduce call was one of the top allocation sources.
+var stackPool = sync.Pool{New: func() any { return []pendingSet(nil) }}
 
-func dequeGet() []pendingSet { return dequePool.Get().([]pendingSet) }
-
-// dequePut clears the slice's full capacity (dropping constraint and
+// stackPut clears the slice's full capacity (dropping constraint and
 // assignment references) and returns it to the pool.
-func dequePut(d []pendingSet) {
+func stackPut(d []pendingSet) {
 	d = d[:cap(d)]
 	clear(d)
-	dequePool.Put(d[:0]) //nolint:staticcheck // slice value, header alloc is fine
+	stackPool.Put(d[:0]) //nolint:staticcheck // slice value, header alloc is fine
 }
 
-// take claims the next run for worker w: the initial seed run, or a pending
-// constraint set popped and solved with the worker's own solver. It returns
-// ok=false when the search is over (success, budget, cancellation, or
-// exhaustion). origin is the branch site the claimed run's pending set
-// originated at (noOrigin for the seed run), so finish can charge the run's
-// outcome to it.
-func (st *searchState) take(ctx context.Context, w int, slv *solver.Solver, sc *runScratch) (asn sym.MapAssignment, seq int, origin lang.BranchID, ok bool) {
-	e := st.eng
-	sc.solves = 0
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			st.stopOn(err)
-		}
-		if st.done {
-			return nil, 0, noOrigin, false
-		}
-		if st.started >= e.opts.MaxRuns {
-			st.timedOut = true
-			st.done = true
-			st.cond.Broadcast()
-			return nil, 0, noOrigin, false
-		}
-		if !st.seedTaken {
-			st.seedTaken = true
-			st.active++
-			seq = st.started
-			st.started++
-			return sym.MapAssignment{}, seq, noOrigin, true
-		}
-		if top, got := st.popLocked(w); got {
-			// Solve outside the lock: the solver is the expensive part, and
-			// each worker owns its own instance.
-			st.active++
-			st.mu.Unlock()
-			// Materialize into the worker's buffer: the solver copies what it
-			// keeps, so the conjunction need not survive the call.
-			conds := append(sc.mbuf[:0], top.runConds[:top.prefixLen]...)
-			conds = append(conds, top.appended)
-			sc.mbuf = conds
-			vars := sym.ConstraintVarIDs(conds, sc.vbuf)
-			sc.vbuf = vars
-			solveStart := time.Now()
-			solved, sat := slv.Solve(solver.Problem{
-				Constraints: conds,
-				Domains:     e.reg.Domains(vars),
-				Seed:        seedForIDs(top.parent, vars),
-			})
-			solveTime := time.Since(solveStart)
-			sc.solves++
-			st.mu.Lock()
-			st.active--
-			// The solving effort is charged to the branch whose alternative
-			// demanded it, sat or not — unsat sets are pure search cost.
-			bc := st.chargeLocked(top.origin)
-			bc.SolverCalls++
-			bc.SolverTime += solveTime
-			if !sat {
-				// This set is dead; siblings waiting on empty deques may
-				// now be the last ones standing.
-				st.cond.Broadcast()
-				continue
-			}
-			if st.done {
-				return nil, 0, noOrigin, false
-			}
-			if st.started >= e.opts.MaxRuns {
-				st.timedOut = true
-				st.done = true
-				st.cond.Broadcast()
-				return nil, 0, noOrigin, false
-			}
-			st.active++
-			seq = st.started
-			st.started++
-			return mergeAsn(top.parent, solved), seq, top.origin, true
-		}
-		if st.active == 0 {
-			// Nothing pending and nobody who could add work: exhausted.
-			st.done = true
-			st.cond.Broadcast()
-			return nil, 0, noOrigin, false
-		}
-		st.cond.Wait()
+// search is the state of one Reproduce call: the pending stack, the
+// solver, the run-to-run scratch buffers and the growing result.
+type search struct {
+	e       *Engine
+	slv     *solver.Solver
+	stack   []pendingSet
+	sc      runScratch
+	profile map[lang.BranchID]*instrument.BranchCost
+	res     *Result
+}
+
+// charge returns the profile entry for a branch site.
+func (s *search) charge(id lang.BranchID) *instrument.BranchCost {
+	bc, ok := s.profile[id]
+	if !ok {
+		bc = &instrument.BranchCost{}
+		s.profile[id] = bc
 	}
+	return bc
 }
 
-// finish accounts for one completed run of worker w: a reproduction closes
-// the search (lowest sequence number wins); an abort queues the run's
-// alternatives on the worker's own deque. The run's outcome and its case-1
-// forks are merged into the search profile under the coordination lock, so
-// attribution never races.
-func (st *searchState) finish(w, seq int, origin lang.BranchID, asn sym.MapAssignment, sink *runSink, vmRes vm.Result, world *world.World) {
-	e := st.eng
-	st.mu.Lock()
-	st.active--
-	st.completed++
-	completed := st.completed
-	wasDecided := st.done && st.winner != nil
+// stopped reports whether the search must end before its next solve or run:
+// the context fired (recorded as a timeout past a deadline, else as a
+// cancellation) or the run budget is spent.
+func (s *search) stopped(ctx context.Context) bool {
+	if err := ctx.Err(); err != nil {
+		if err == context.DeadlineExceeded {
+			s.res.TimedOut = true
+		} else {
+			s.res.Cancelled = true
+		}
+		return true
+	}
+	if s.res.Runs >= s.e.opts.MaxRuns {
+		s.res.TimedOut = true
+		return true
+	}
+	return false
+}
+
+// next pops pending sets (the newest, or the oldest under PickFIFO) and
+// solves them until one is satisfiable, returning the input of the run it
+// seeds, the set's origin and the solver calls spent. ok is false when the
+// search must end: nothing is pending, or the context or the budget fired.
+func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.BranchID, solves int, ok bool) {
+	e := s.e
+	for len(s.stack) > 0 {
+		var top pendingSet
+		if e.opts.PickFIFO {
+			top, s.stack = s.stack[0], s.stack[1:]
+		} else {
+			top, s.stack = s.stack[len(s.stack)-1], s.stack[:len(s.stack)-1]
+		}
+		// Materialize into the scratch buffer: the solver copies what it
+		// keeps, so the conjunction need not survive the call.
+		conds := append(s.sc.mbuf[:0], top.runConds[:top.prefixLen]...)
+		conds = append(conds, top.appended)
+		s.sc.mbuf = conds
+		vars := sym.ConstraintVarIDs(conds, s.sc.vbuf)
+		s.sc.vbuf = vars
+		solveStart := time.Now()
+		solved, sat := s.slv.Solve(solver.Problem{
+			Constraints: conds,
+			Domains:     e.reg.Domains(vars),
+			Seed:        seedForIDs(top.parent, vars),
+		})
+		solves++
+		// The solving effort is charged to the branch whose alternative
+		// demanded it, sat or not — unsat sets are pure search cost.
+		bc := s.charge(top.origin)
+		bc.SolverCalls++
+		bc.SolverTime += time.Since(solveStart)
+		if s.stopped(ctx) {
+			return nil, noOrigin, solves, false
+		}
+		if sat {
+			return mergeAsn(top.parent, solved), top.origin, solves, true
+		}
+	}
+	return nil, noOrigin, solves, false
+}
+
+// account charges one completed run to the profile — its case-1 forks and
+// consumed log bits, and an abort to the branch whose set seeded it — and
+// reports whether it reproduced the bug.
+func (s *search) account(origin lang.BranchID, sink *runSink, vmRes vm.Result) bool {
 	for id, n := range sink.forks {
 		if n != 0 {
-			st.chargeLocked(lang.BranchID(id)).Forks += n
+			s.charge(lang.BranchID(id)).Forks += n
 		}
 	}
 	for id, n := range sink.loggedExecs {
 		if n != 0 {
-			st.chargeLocked(lang.BranchID(id)).LoggedExecs += n
+			s.charge(lang.BranchID(id)).LoggedExecs += n
 		}
 	}
 	for id, n := range sink.disagrees {
 		if n != 0 {
-			st.chargeLocked(lang.BranchID(id)).Disagreements += n
+			s.charge(lang.BranchID(id)).Disagreements += n
 		}
 	}
-	if e.isReproduction(sink, vmRes) {
-		if st.winner == nil || seq < st.winner.seq {
-			st.winner = &runOutcome{seq: seq, asn: asn, sink: sink, w: world}
-		}
-		st.done = true
-	} else {
-		st.aborts++
-		if origin != noOrigin {
-			bc := st.chargeLocked(origin)
-			bc.AbortedRuns++
-			if wasDecided {
-				// The search already had its winner when this run came
-				// back: speculative work a serial search never starts.
-				bc.WastedRuns++
-			}
-		}
-		if !st.done {
-			// Queue this run's alternatives; deepest alternatives are pushed
-			// last and popped first (depth-first, §3.2). The sets share the
-			// run's final constraint slice.
-			for i := range sink.queued {
-				sink.queued[i].runConds = sink.conds
-			}
-			if room := e.opts.MaxPending - st.pending; room > 0 {
-				q := sink.queued
-				if len(q) > room {
-					// Keep the newest sets: the run's forced-direction
-					// continuation (case 2b) is pushed last and must survive
-					// the cap, or the recorded path is lost.
-					q = q[len(q)-room:]
-				}
-				st.deques[w] = append(st.deques[w], q...)
-				st.pending += len(q)
-			}
-			if st.pending > st.peak {
-				st.peak = st.pending
-			}
-		}
+	if s.e.isReproduction(sink, vmRes) {
+		return true
 	}
-	st.cond.Broadcast()
-	// Invoked under mu so completion counts arrive in order even with
-	// concurrent workers; the callback must be cheap and must not call back
-	// into this engine.
-	if e.opts.OnRun != nil {
-		e.opts.OnRun(completed)
+	s.res.Aborts++
+	if origin != noOrigin {
+		s.charge(origin).AbortedRuns++
 	}
-	st.mu.Unlock()
+	return false
 }
 
-// worker claims and executes runs until the search terminates.
-func (e *Engine) worker(ctx context.Context, st *searchState, w int, slv *solver.Solver) {
-	var sc runScratch
-	for {
-		asn, seq, origin, ok := st.take(ctx, w, slv, &sc)
-		if !ok {
-			return
-		}
-		var runStart time.Time
-		if e.runNS != nil {
-			runStart = time.Now()
-		}
-		sink, vmRes, wld := e.runOnce(asn, &sc, st.cache)
-		st.finish(w, seq, origin, asn, sink, vmRes, wld)
-		if e.runNS != nil {
-			// Observed outside the coordination lock: three histograms of
-			// atomic adds per ~half-millisecond run.
-			e.runNS.Observe(float64(time.Since(runStart).Nanoseconds()))
-			e.solverCalls.Observe(float64(sc.solves))
-			var bits int64
-			for _, n := range sink.loggedExecs {
-				bits += n
-			}
-			e.loggedBits.Observe(float64(bits))
-		}
-		// finish copied the queued sets into the deque; reclaim the buffer
-		// and remember the path length for the next run's conds sizing.
-		sc.queued = sink.queued[:0]
-		sc.condsCap = len(sink.conds)
+// push queues an aborted run's alternatives; deepest alternatives are
+// pushed last and popped first (depth-first, §3.2). The sets share the
+// run's final constraint slice.
+func (s *search) push(sink *runSink) {
+	for i := range sink.queued {
+		sink.queued[i].runConds = sink.conds
 	}
+	if room := s.e.opts.MaxPending - len(s.stack); room > 0 {
+		q := sink.queued
+		if len(q) > room {
+			// Keep the newest sets: the run's forced-direction continuation
+			// (case 2b) is pushed last and must survive the cap, or the
+			// recorded path is lost.
+			q = q[len(q)-room:]
+		}
+		s.stack = append(s.stack, q...)
+	}
+	if len(s.stack) > s.res.PendingPeak {
+		s.res.PendingPeak = len(s.stack)
+	}
+	// The stack copied the queued sets; reclaim the buffer and remember the
+	// path length for the next run's conds sizing.
+	s.sc.queued = sink.queued[:0]
+	s.sc.condsCap = len(sink.conds)
 }
 
 // Reproduce runs the guided search until the bug is reproduced or the budget
-// is exhausted. The context's cancellation or deadline stops the search
-// promptly — in-flight runs finish (each is bounded by MaxStepsPerRun) but no
-// new run starts. With Options.Workers > 1 the pending-list exploration is
-// fanned out over a worker pool; the reproduction with the lowest run
-// sequence number wins, so the selected result is independent of goroutine
-// scheduling among the runs in flight when the first reproduction lands.
+// is exhausted. The search is one loop: take the next satisfiable pending
+// set, run the program on its input, charge the run, and either stop on a
+// reproduction or push the run's alternatives. The context and the run
+// budget are checked before every solve and every run, so cancellation or a
+// deadline stops the search within one run (each run is bounded by
+// MaxStepsPerRun).
 func (e *Engine) Reproduce(ctx context.Context) *Result {
 	start := time.Now()
 	if e.opts.TimeBudget > 0 {
@@ -698,63 +514,61 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 		defer cancel()
 	}
 
-	st := &searchState{
-		eng:     e,
-		cache:   vm.NewSearchCache(),
-		deques:  make([][]pendingSet, e.opts.Workers),
+	res := &Result{}
+	s := &search{
+		e:       e,
+		slv:     solver.Get(e.opts.Solver),
+		stack:   stackPool.Get().([]pendingSet),
 		profile: make(map[lang.BranchID]*instrument.BranchCost),
+		res:     res,
 	}
-	for i := range st.deques {
-		st.deques[i] = dequeGet()
-	}
-	defer func() {
-		for _, d := range st.deques {
-			dequePut(d)
+	// cache carries engine-private run-acceleration state across the runs of
+	// this search (the bytecode VM's linear trace); the seed run writes it.
+	cache := vm.NewSearchCache()
+	var (
+		winner *runSink
+		winAsn sym.MapAssignment
+		winW   *world.World
+	)
+	// The first run is the all-seed run, charged to no branch.
+	asn, origin, solves := sym.MapAssignment{}, noOrigin, 0
+	for !s.stopped(ctx) {
+		if res.Runs > 0 {
+			var ok bool
+			if asn, origin, solves, ok = s.next(ctx); !ok {
+				break
+			}
 		}
-	}()
-	st.cond = sync.NewCond(&st.mu)
-
-	// The watcher wakes workers blocked on the pending list when the context
-	// fires; without it a cancelled search would sleep until the next run.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			st.mu.Lock()
-			st.stopOn(ctx.Err())
-			st.mu.Unlock()
-		case <-watchDone:
+		var runStart time.Time
+		if e.runNS != nil {
+			runStart = time.Now()
 		}
-	}()
+		res.Runs++
+		sink, vmRes, wld := e.runOnce(asn, &s.sc, cache)
+		reproduced := s.account(origin, sink, vmRes)
+		if e.opts.OnRun != nil {
+			e.opts.OnRun(res.Runs)
+		}
+		if e.runNS != nil {
+			e.runNS.Observe(float64(time.Since(runStart).Nanoseconds()))
+			e.solverCalls.Observe(float64(solves))
+			var bits int64
+			for _, n := range sink.loggedExecs {
+				bits += n
+			}
+			e.loggedBits.Observe(float64(bits))
+		}
+		if reproduced {
+			winner, winAsn, winW = sink, asn, wld
+			break
+		}
+		s.push(sink)
+	}
+	stackPut(s.stack)
 
-	workers := e.opts.Workers
-	solvers := make([]*solver.Solver, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		slv := solver.Get(e.opts.Solver)
-		solvers[i] = slv
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.worker(ctx, st, w, slv)
-		}(i)
-	}
-	wg.Wait()
-	close(watchDone)
-
-	res := &Result{
-		Workers:     workers,
-		Runs:        st.started,
-		Aborts:      st.aborts,
-		PendingPeak: st.peak,
-		TimedOut:    st.timedOut,
-		Cancelled:   st.cancelled,
-		Elapsed:     time.Since(start),
-	}
-	for _, slv := range solvers {
-		res.SolverStats.Add(slv.Stats())
-		solver.Put(slv)
-	}
+	res.Elapsed = time.Since(start)
+	res.SolverStats = s.slv.Stats()
+	solver.Put(s.slv)
 	fp := e.rec.Fingerprint
 	if fp == "" {
 		fp = e.rec.Plan.Fingerprint()
@@ -763,20 +577,17 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 		ProgHash:        e.rec.Plan.ProgHash,
 		PlanFingerprint: fp,
 		Generation:      e.rec.Plan.Generation,
-		Runs:            st.completed,
-		Aborts:          st.aborts,
-		Reproduced:      st.winner != nil,
-		Workers:         workers,
+		Runs:            res.Runs,
+		Aborts:          res.Aborts,
+		Reproduced:      winner != nil,
 		Solver:          res.SolverStats,
-		Branches:        st.profile,
+		Branches:        s.profile,
 	}
-	if st.winner != nil {
+	if winner != nil {
 		res.Reproduced = true
-		res.TimedOut = false
-		res.Cancelled = false
-		res.Input = st.winner.asn
-		res.InputBytes = materializeAll(st.winner.w)
-		fillPathStats(res, st.winner.sink)
+		res.Input = winAsn
+		res.InputBytes = materializeAll(winW)
+		fillPathStats(res, winner)
 	}
 	return res
 }
@@ -801,8 +612,9 @@ func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch, cache *vm.Search
 	w := world.NewWorld(e.spec, e.reg, asn)
 	cfg := w.KernelConfig()
 	if e.rec.SysLog != nil {
-		// Each run consumes its own clone of the recorded results, so
-		// concurrent runs never share replay cursors.
+		// Each run consumes its own clone of the recorded results, so runs
+		// (and concurrent searches of one recording) never share replay
+		// cursors.
 		cfg.Mode = oskernel.ModeReplayLogged
 		cfg.Log = e.rec.SysLog.Clone()
 	} else {

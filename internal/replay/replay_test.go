@@ -239,27 +239,6 @@ func TestPickHeuristicAblation(t *testing.T) {
 	}
 }
 
-func TestParallelWorkersReproduce(t *testing.T) {
-	// Every worker count must reproduce what the serial engine does, and
-	// the echoed worker count must match the request.
-	for _, workers := range []int{1, 2, 4} {
-		f := buildFixture(t, instrument.MethodDynamicStatic)
-		eng := New(f.prog, f.spec, world.NewRegistry(), f.rec,
-			Options{MaxRuns: 300, Workers: workers})
-		res := eng.Reproduce(context.Background())
-		if !res.Reproduced {
-			t.Fatalf("workers=%d: not reproduced: %+v", workers, res)
-		}
-		if res.Workers != workers {
-			t.Fatalf("workers=%d echoed as %d", workers, res.Workers)
-		}
-		got := res.InputBytes["arg0"]
-		if got[0] != 'P' || got[1] != 'Q' {
-			t.Fatalf("workers=%d: input %q", workers, got)
-		}
-	}
-}
-
 func TestReproduceContextCancelled(t *testing.T) {
 	f := buildFixture(t, instrument.MethodAll)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -289,7 +268,6 @@ func TestParallelOnRunMonotonic(t *testing.T) {
 	var seen []int
 	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{
 		MaxRuns: 300,
-		Workers: 4,
 		OnRun: func(completed int) {
 			mu.Lock()
 			seen = append(seen, completed)

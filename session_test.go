@@ -2,6 +2,7 @@ package pathlog
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // chainSrc needs a six-character password, one nested branch per byte, so a
 // full-log replay walks one forced constraint per run: a predictable
-// multi-run search for cancellation and parallelism tests.
+// multi-run search for cancellation and batch tests.
 const chainSrc = `
 int main() {
 	char a[8];
@@ -108,54 +109,40 @@ func TestSessionAnalysisCached(t *testing.T) {
 	}
 }
 
-// TestSessionReplayWorkersParity is the acceptance check for parallel
-// replay: WithReplayWorkers(4) must reproduce everything workers=1 does,
-// with verifying inputs.
+// TestSessionReplayWorkersParity checks that WithReplayWorkers sizes only
+// the batch pools: a single Replay under WithReplayWorkers(4) is the same
+// serial search as under WithReplayWorkers(1) — same runs, same input, same
+// profile.
 func TestSessionReplayWorkersParity(t *testing.T) {
 	ctx := context.Background()
-	serial := chainSession(t, WithReplayWorkers(1))
-	parallel := chainSession(t, WithReplayWorkers(4))
+	one := chainSession(t, WithReplayWorkers(1))
+	four := chainSession(t, WithReplayWorkers(4))
 	for _, m := range Methods {
-		plan, err := serial.PlanFor(ctx, m)
+		plan, err := one.PlanFor(ctx, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := serial.RecordWith(ctx, plan, nil)
+		rec, _, err := one.RecordWith(ctx, plan, nil)
 		if err != nil || rec == nil {
 			t.Fatalf("%v: record: %v", m, err)
 		}
-		one := mustReplay(t, ctx, serial, rec)
-		four := mustReplay(t, ctx, parallel, rec)
-		if !one.Reproduced {
-			t.Fatalf("%v: workers=1 did not reproduce", m)
+		a := mustReplay(t, ctx, one, rec)
+		b := mustReplay(t, ctx, four, rec)
+		if !a.Reproduced || !b.Reproduced {
+			t.Fatalf("%v: reproduced %v under 1, %v under 4", m, a.Reproduced, b.Reproduced)
 		}
-		if !four.Reproduced {
-			t.Fatalf("%v: workers=4 did not reproduce what workers=1 did", m)
+		if a.Runs != b.Runs || !reflect.DeepEqual(a.Input, b.Input) {
+			t.Fatalf("%v: pool size changed the search: %d runs %v vs %d runs %v",
+				m, a.Runs, a.Input, b.Runs, b.Input)
 		}
-		if four.Workers != 4 {
-			t.Fatalf("%v: workers echoed %d", m, four.Workers)
+		for _, p := range []*SearchProfile{a.Profile, b.Profile} {
+			for _, bc := range p.Branches {
+				bc.SolverTime = 0
+			}
 		}
-		if !parallel.Verify(four.InputBytes, rec.Crash) {
-			t.Fatalf("%v: workers=4 input does not verify", m)
+		if !reflect.DeepEqual(a.Profile, b.Profile) {
+			t.Fatalf("%v: pool size changed the profile:\n%+v\n%+v", m, a.Profile, b.Profile)
 		}
-	}
-}
-
-func TestWithReplayOptionsWorkersRespected(t *testing.T) {
-	// Workers set through WithReplayOptions must survive when
-	// WithReplayWorkers is never called.
-	ctx := context.Background()
-	sess := chainSession(t, WithReplayOptions(ReplayOptions{MaxRuns: 500, Workers: 2}))
-	rec, _, err := sess.Record(ctx, nil)
-	if err != nil || rec == nil {
-		t.Fatalf("record: %v", err)
-	}
-	res := mustReplay(t, ctx, sess, rec)
-	if !res.Reproduced {
-		t.Fatalf("not reproduced: %+v", res)
-	}
-	if res.Workers != 2 {
-		t.Fatalf("WithReplayOptions workers dropped: got %d, want 2", res.Workers)
 	}
 }
 
@@ -184,14 +171,13 @@ func TestSessionReplayCancelledBeforeStart(t *testing.T) {
 }
 
 // TestSessionReplayCancelMidSearch cancels after the second completed run
-// and checks the search overshoots by at most one run per worker.
+// and checks the search starts no further run.
 func TestSessionReplayCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
 	var replayRuns []int
 	sess := chainSession(t,
-		WithReplayWorkers(1),
 		WithProgress(func(ev ProgressEvent) {
 			if ev.Phase != "replay" {
 				return
@@ -216,9 +202,9 @@ func TestSessionReplayCancelMidSearch(t *testing.T) {
 	if !res.Cancelled {
 		t.Fatalf("expected Cancelled, got %+v", res)
 	}
-	// One run per worker may already be claimed when the cancel lands.
-	if res.Runs > 3 {
-		t.Fatalf("cancelled at run 2, but %d runs started (overshoot > 1)", res.Runs)
+	// The context is checked before every run.
+	if res.Runs != 2 {
+		t.Fatalf("cancelled at run 2, but %d runs started", res.Runs)
 	}
 	mu.Lock()
 	events := len(replayRuns)
