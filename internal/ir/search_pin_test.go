@@ -5,13 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"pathlog/internal/apps"
 	"pathlog/internal/concolic"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
+	"pathlog/internal/lang"
 	"pathlog/internal/replay"
 	"pathlog/internal/static"
 )
@@ -48,6 +51,58 @@ var pinnedSearches = map[string]searchPin{
 	"userver-exp4/nosyslog": {Runs: 98, Aborts: 97, PendingPeak: 11604, Calls: 97, Sat: 97, Unsat: 0, GaveUp: 0, InputDigest: "f8293b4ea571a825", ProfileDigest: "3028efe728d733d0"},
 	"diff-exp1/syslog":      {Runs: 12, Aborts: 11, PendingPeak: 1, Calls: 11, Sat: 11, Unsat: 0, GaveUp: 0, InputDigest: "3057d8f0f1ba97e8", ProfileDigest: "a61adbcbb44b3fe7"},
 	"diff-exp1/nosyslog":    {Runs: 12, Aborts: 11, PendingPeak: 331, Calls: 11, Sat: 11, Unsat: 0, GaveUp: 0, InputDigest: "3057d8f0f1ba97e8", ProfileDigest: "0da9b185d40a5a2d"},
+}
+
+// analysisPin is what one pre-deployment concolic analysis must reproduce
+// bit for bit: its run count, the digest of its branch labels, the solver's
+// outcome counters and the fingerprint of the dynamic+static plan built
+// from it.
+type analysisPin struct {
+	Runs                      int
+	LabelsDigest              string
+	Calls, Sat, Unsat, GaveUp int
+	PlanFingerprint           string
+}
+
+// pinnedAnalyses is the dynamic analysis of each pinned scenario's analysis
+// scenario under its set-up run budget (analysisRuns). The uServer
+// experiments share one analysis scenario, so their entries agree.
+var pinnedAnalyses = map[string]analysisPin{
+	"mkdir":        {Runs: 300, LabelsDigest: "404ee6e561d9f38b", Calls: 5529, Sat: 2645, Unsat: 2884, GaveUp: 0, PlanFingerprint: "eb4764c5461ae18f03f4192ca7d9afe5"},
+	"mknod":        {Runs: 13, LabelsDigest: "0c2ed52d0f6e7a05", Calls: 48, Sat: 31, Unsat: 17, GaveUp: 0, PlanFingerprint: "12893e85826d34fb37fe4e84d42e8b04"},
+	"mkfifo":       {Runs: 300, LabelsDigest: "4ad3d57be8884df9", Calls: 4423, Sat: 2286, Unsat: 2137, GaveUp: 0, PlanFingerprint: "6fee572f2fceb1a93cf5aefd623a580c"},
+	"paste":        {Runs: 300, LabelsDigest: "68ddd7df3fea92e2", Calls: 8769, Sat: 5685, Unsat: 3084, GaveUp: 0, PlanFingerprint: "e1e0fc090d8c480e216e62706e71804e"},
+	"userver-exp1": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
+	"userver-exp2": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
+	"userver-exp3": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
+	"userver-exp4": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
+	"diff-exp1":    {Runs: 40, LabelsDigest: "4724a4f116dfd370", Calls: 2326, Sat: 1639, Unsat: 687, GaveUp: 0, PlanFingerprint: "349e6ee2331b2909b6f7e1432a26bd1b"},
+}
+
+// analysisRuns is the concolic run budget the end-to-end benchmark's set-up
+// gives each program: 300 runs per coreutil, 60 for the uServer, 40 for diff.
+func analysisRuns(name string) int {
+	switch {
+	case strings.HasPrefix(name, "userver"):
+		return 60
+	case strings.HasPrefix(name, "diff"):
+		return 40
+	default:
+		return 300
+	}
+}
+
+func labelsDigest(labels map[lang.BranchID]concolic.Label) string {
+	ids := make([]int, 0, len(labels))
+	for id := range labels {
+		ids = append(ids, int(id))
+	}
+	sort.Ints(ids)
+	var b strings.Builder
+	for _, id := range ids {
+		fmt.Fprintf(&b, "%d:%s\n", id, labels[lang.BranchID(id)])
+	}
+	return digest([]byte(b.String()))
 }
 
 // pinnedProfile is the part of a search profile's JSON the pin covers:
@@ -115,7 +170,8 @@ func inputDigest(in map[string][]byte) string {
 
 // TestSerialSearchPinned pins the serial replay search against a committed
 // table (pinnedSearches): one search per scenario, with the recorded syscall
-// log and with it stripped (the model-mode search of §3.3).
+// log and with it stripped (the model-mode search of §3.3). It pins each
+// scenario's dynamic analysis at its set-up budget too (pinnedAnalyses).
 func TestSerialSearchPinned(t *testing.T) {
 	names := []string{"mkdir", "mknod", "mkfifo", "paste",
 		"userver-exp1", "userver-exp2", "userver-exp3", "userver-exp4", "diff-exp1"}
@@ -126,8 +182,22 @@ func TestSerialSearchPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		an := apps.AnalysisScenarioFor(name, scn)
-		dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
 		st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
+		t.Run(name+"/analysis", func(t *testing.T) {
+			dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(name)})
+			plan := instrument.BuildPlan(scn.Prog, instrument.MethodDynamicStatic,
+				instrument.Inputs{Dynamic: dyn, Static: st}, true)
+			got := analysisPin{
+				Runs: dyn.Runs, LabelsDigest: labelsDigest(dyn.Labels),
+				Calls: dyn.SolverStats.Calls, Sat: dyn.SolverStats.Sat,
+				Unsat: dyn.SolverStats.Unsat, GaveUp: dyn.SolverStats.GaveUp,
+				PlanFingerprint: plan.Fingerprint(),
+			}
+			if want := pinnedAnalyses[name]; got != want {
+				t.Errorf("dynamic analysis moved:\n got  %#v\n want %#v", got, want)
+			}
+		})
+		dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
 		plan := instrument.BuildPlan(scn.Prog, instrument.MethodDynamicStatic,
 			instrument.Inputs{Dynamic: dyn, Static: st}, true)
 		rec, _, err := scn.RecordContext(ctx, plan)
