@@ -126,12 +126,6 @@ type Explorer struct {
 	queue  []sym.MapAssignment
 	seen   map[string]bool // dedup of queued assignments
 	varBuf []int           // scratch for per-child constraint variable IDs
-
-	// cache carries engine-private run-acceleration state across the runs of
-	// one exploration (the bytecode VM's linear trace). Exploration is
-	// sequential and starts with the all-seed run, so the seed run writes it
-	// before any other run reads.
-	cache *vm.SearchCache
 }
 
 // New creates an explorer. The registry may be shared with a later replay
@@ -218,7 +212,6 @@ func (e *Explorer) Explore(ctx context.Context) *Report {
 		defer cancel()
 	}
 
-	e.cache = vm.NewSearchCache()
 	e.queue = []sym.MapAssignment{{}} // initial run: all-seed input
 	for len(e.queue) > 0 && e.report.Runs < e.opts.MaxRuns {
 		if ctx.Err() != nil {
@@ -255,7 +248,6 @@ func (e *Explorer) runOnce(asn sym.MapAssignment) []pathCond {
 		Sink:     tr,
 		World:    w,
 		MaxSteps: e.opts.MaxStepsPerRun,
-		Cache:    e.cache,
 	})
 	// Crashes and budget blowups during analysis are expected: exploration
 	// inputs routinely trip the planted bugs. Only real VM errors matter.

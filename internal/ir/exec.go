@@ -22,10 +22,6 @@ type machine struct {
 	arena   *vm.ObjectArena
 	rf      []vm.Value // register file; each live call owns a window
 
-	// rec is non-nil only while the search's seed run records the linear
-	// trace (see trace.go).
-	rec *traceRecorder
-
 	steps       int64
 	maxSteps    int64
 	branchExecs int64
@@ -93,19 +89,6 @@ func (m *machine) run() error {
 	if m.depth > m.maxDepth {
 		return vm.CrashError(vm.CrashStackOverflow, main.Decl.Pos, 0)
 	}
-	if c := m.opts.Cache; c != nil {
-		// Linear-trace replay fast path: the search's seed run records its
-		// instruction sequence, every later run replays the straight line
-		// with branch guards until first divergence (trace.go).
-		if t, _ := c.Load().(*linearTrace); t != nil {
-			return m.runTraced(t, frame, main.NumRegs)
-		}
-		m.rec = newTraceRecorder()
-		err := m.exec(main.RCode, frame, main.NumRegs)
-		c.Store(m.rec.finish())
-		m.rec = nil
-		return err
-	}
 	return m.exec(main.RCode, frame, main.NumRegs)
 }
 
@@ -150,39 +133,20 @@ func (m *machine) fetch(mode SrcMode, x int32, regs []vm.Value, frame *vm.Object
 	}
 }
 
-// execState is a resumable position in the general dispatch loop. exec
-// starts one at a function entry; the linear-trace fast path builds one
-// mid-run when the trace diverges or ends (trace.go).
-type execState struct {
-	code  []RInstr
-	pc    int
-	frame *vm.Object
-	base  int32
-	nregs int32
-	calls []callFrame
-}
-
 // exec runs register code to termination. Function code always terminates
 // through RRet/RRetZero (returning from the entry function ends the run as
 // exit(0), like the tree walker's Run); the global init code instead falls
 // off the end of its instruction array and returns nil.
 func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
-	return m.loop(&execState{code: code, frame: frame, nregs: int32(nregs)})
-}
-
-// loop is the general dispatch loop, resumable from any execState.
-func (m *machine) loop(st *execState) error {
 	var (
-		code  = st.code
-		pc    = st.pc
-		frame = st.frame
-		base  = st.base
-		calls = st.calls
+		pc    int
+		base  int32 // this call's register window start in m.rf
+		calls []callFrame
 	)
-	if int(base)+int(st.nregs) > len(m.rf) {
-		m.growRF(int(base) + int(st.nregs))
+	if nregs > len(m.rf) {
+		m.growRF(nregs)
 	}
-	regs := m.rf[base : base+st.nregs]
+	regs := m.rf[:nregs]
 	for {
 		if pc >= len(code) {
 			if len(calls) != 0 {
@@ -191,9 +155,6 @@ func (m *machine) loop(st *execState) error {
 			return nil // init code completes by falling off the end
 		}
 		in := &code[pc]
-		if m.rec != nil {
-			m.rec.note(pc, in)
-		}
 		pc++
 		if in.Steps != 0 {
 			// The same pre-order charges the tree walker applies, batched
@@ -532,9 +493,6 @@ func incValue(old vm.Value, delta int64) vm.Value {
 // branch reports one branch execution to the sink, as VM.branch does.
 func (m *machine) branch(site *lang.BranchSite, cond vm.Value, taken bool) error {
 	m.branchExecs++
-	if m.rec != nil {
-		m.rec.taken = taken
-	}
 	if m.opts.Sink == nil {
 		return nil
 	}

@@ -522,9 +522,6 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 		profile: make(map[lang.BranchID]*instrument.BranchCost),
 		res:     res,
 	}
-	// cache carries engine-private run-acceleration state across the runs of
-	// this search (the bytecode VM's linear trace); the seed run writes it.
-	cache := vm.NewSearchCache()
 	var (
 		winner *runSink
 		winAsn sym.MapAssignment
@@ -544,7 +541,7 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 			runStart = time.Now()
 		}
 		res.Runs++
-		sink, vmRes, wld := e.runOnce(asn, &s.sc, cache)
+		sink, vmRes, wld := e.runOnce(asn, &s.sc)
 		reproduced := s.account(origin, sink, vmRes)
 		if e.opts.OnRun != nil {
 			e.opts.OnRun(res.Runs)
@@ -608,7 +605,7 @@ func materializeAll(w *world.World) map[string][]byte {
 }
 
 // runOnce executes the program once under the recorded guidance.
-func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch, cache *vm.SearchCache) (*runSink, vm.Result, *world.World) {
+func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch) (*runSink, vm.Result, *world.World) {
 	w := world.NewWorld(e.spec, e.reg, asn)
 	cfg := w.KernelConfig()
 	if e.rec.SysLog != nil {
@@ -647,7 +644,6 @@ func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch, cache *vm.Search
 		Sink:     sink,
 		World:    w,
 		MaxSteps: e.opts.MaxStepsPerRun,
-		Cache:    cache,
 	})
 	vmRes, err := machine.Run()
 	if err != nil {

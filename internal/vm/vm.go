@@ -88,10 +88,6 @@ type Options struct {
 	MaxSteps int64
 	// MaxCallDepth bounds recursion; 0 means DefaultMaxCallDepth.
 	MaxCallDepth int
-	// Cache, when set, carries engine-private acceleration state across the
-	// runs of one search. Engines that cannot use it (the tree walker)
-	// ignore it; using it never changes observable run behavior.
-	Cache *SearchCache
 }
 
 // Default budgets.
