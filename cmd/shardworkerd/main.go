@@ -12,8 +12,7 @@
 //	GET  /healthz — liveness plus the inflight/served counters the
 //	                runner's probes and the chaos harness read.
 //	GET  /metrics — shard counters and the shard-execution histogram,
-//	                Prometheus text by default (JSON behind Accept:
-//	                application/json).
+//	                in Prometheus text.
 //
 // -trace appends finished spans as JSONL; -pprof mounts net/http/pprof.
 //
@@ -93,13 +92,13 @@ func (s *server) handleShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves GET /metrics: the worker core's registry in
-// Prometheus text, or as JSON behind Accept: application/json.
+// Prometheus text.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	obs.ServeMetrics(w, r, s.obs.Reg.Snapshot())
+	obs.ServeMetrics(w, s.obs.Reg.Snapshot())
 }
 
 // handleHealthz serves GET /healthz.

@@ -2,7 +2,6 @@ package intake
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,9 +13,8 @@ import (
 	"pathlog/internal/obs"
 )
 
-// TestMetricsExposition pins the content negotiation: GET /metrics is
-// Prometheus text by default (lintable, with the ingest histogram), and
-// the legacy JSON snapshot behind Accept: application/json.
+// TestMetricsExposition pins GET /metrics: Prometheus text, lintable, with
+// the ingest histogram.
 func TestMetricsExposition(t *testing.T) {
 	clock := newFakeClock()
 	s, _ := newTestServer(t, t.TempDir(), clock)
@@ -51,29 +49,40 @@ func TestMetricsExposition(t *testing.T) {
 	if hist.Samples["pathlog_intake_ingest_ns_count"] != 2 {
 		t.Fatalf("ingest histogram count wrong: %+v", hist.Samples)
 	}
+}
+
+// TestMetricsIgnoresAcceptJSON pins that Prometheus text is the only
+// exposition: a scrape asking for JSON gets the text format all the same.
+func TestMetricsIgnoresAcceptJSON(t *testing.T) {
+	s, _ := newTestServer(t, t.TempDir(), newFakeClock())
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post(t, ts.URL, encodeRef(t, testRec(testPlan(), 0b101, 10)))
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
 	req.Header.Set("Accept", "application/json")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Accept json content type = %q", ct)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("Accept json content type = %q, want text/plain; version=0.0.4", ct)
 	}
-	var m Metrics
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("JSON view unparsable: %v\n%s", err, body)
+	fams, err := obs.ParsePrometheus(strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("prom lint failed:\n%s\n%v", body, err)
 	}
-	if m.Accepted != 2 || m.Stored != 1 || m.Deduped != 1 {
-		t.Fatalf("JSON snapshot wrong: %+v", m)
+	if fams["pathlog_intake_accepted_total"].Samples["pathlog_intake_accepted_total"] != 1 {
+		t.Fatalf("accepted counter wrong:\n%s", body)
 	}
 }
 
 // TestMetricsScrapeWhileIngesting hammers /report from several writers
-// while scraping both exposition formats concurrently. Every scrape must
+// while scraping /metrics and reading the in-process Metrics snapshot
+// concurrently. Every scrape must
 // be internally consistent — accepted == stored + deduped can only hold
 // on every sample if the snapshot is taken in one locked pass — and the
 // run doubles as the -race gate for the scrape path.
@@ -135,12 +144,12 @@ func TestMetricsScrapeWhileIngesting(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // JSON scraper
+	go func() { // in-process reader
 		defer wg.Done()
 		for i := 0; i < scrapes; i++ {
 			m := s.Metrics()
 			if m.Accepted != m.Stored+m.Deduped {
-				errs <- errorfOnce("torn JSON snapshot: %+v", m)
+				errs <- errorfOnce("torn Metrics snapshot: %+v", m)
 				return
 			}
 		}

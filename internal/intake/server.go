@@ -2,7 +2,6 @@ package intake
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -343,30 +342,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// handleMetrics serves the Prometheus text format by default and the
-// legacy JSON snapshot behind Accept: application/json. Both render from
-// one snapshot taken under s.mu — every counter mutation happens under
-// that lock, so concurrent scrapes can never observe a torn set where,
-// say, accepted has advanced but stored+deduped has not.
+// handleMetrics serves the Prometheus text format, rendered from one
+// snapshot taken under s.mu — every counter mutation happens under that
+// lock, so concurrent scrapes can never observe a torn set where, say,
+// accepted has advanced but stored+deduped has not.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsJSON(r.Header.Get("Accept")) {
-		data, err := json.MarshalIndent(s.Metrics(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		return
-	}
-	snap := s.snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WritePrometheus(w, snap)
+	obs.ServeMetrics(w, s.snapshot())
 }
-
-// wantsJSON implements the exposition content negotiation: only an
-// explicit application/json (or +json) Accept selects the legacy JSON.
-func wantsJSON(accept string) bool { return obs.WantsJSON(accept) }
 
 // snapshot freezes gauge state and captures the registry in one pass
 // under s.mu (the lock every counter mutation holds).

@@ -1,32 +1,10 @@
 package obs
 
-import (
-	"encoding/json"
-	"net/http"
-	"strings"
-)
+import "net/http"
 
-// WantsJSON implements the /metrics content negotiation used across the
-// daemons: only an explicit application/json (or +json) Accept selects the
-// JSON view; everything else gets Prometheus text.
-func WantsJSON(accept string) bool {
-	return strings.Contains(accept, "application/json") || strings.Contains(accept, "+json")
-}
-
-// ServeMetrics writes a registry snapshot in the negotiated exposition
-// format: Prometheus text 0.0.4 by default, the snapshot as JSON behind an
-// explicit application/json Accept.
-func ServeMetrics(w http.ResponseWriter, r *http.Request, snap Snapshot) {
-	if WantsJSON(r.Header.Get("Accept")) {
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		return
-	}
+// ServeMetrics writes a registry snapshot as Prometheus text 0.0.4, the one
+// /metrics exposition of every daemon.
+func ServeMetrics(w http.ResponseWriter, snap Snapshot) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WritePrometheus(w, snap)
 }
