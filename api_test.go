@@ -1,6 +1,7 @@
 package pathlog
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -54,14 +55,15 @@ func TestCompileWithLibUnit(t *testing.T) {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	scn := apiScenario(t)
 	in := Inputs{
-		Dynamic: scn.AnalyzeDynamic(DynamicOptions{MaxRuns: 50}),
+		Dynamic: scn.AnalyzeDynamicContext(ctx, DynamicOptions{MaxRuns: 50}),
 		Static:  scn.AnalyzeStatic(StaticOptions{}),
 	}
 	for _, m := range Methods {
 		plan := scn.Plan(m, in, true)
-		rec, stats, err := scn.Record(plan)
+		rec, stats, err := scn.RecordContext(ctx, plan)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -71,7 +73,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if stats.TraceBits != int64(stats.InstrumentedExecs) {
 			t.Fatalf("%v: bits/execs mismatch", m)
 		}
-		res := scn.Replay(rec, ReplayOptions{MaxRuns: 500, TimeBudget: 10 * time.Second})
+		res := scn.ReplayContext(ctx, rec, ReplayOptions{MaxRuns: 500, TimeBudget: 10 * time.Second})
 		if !res.Reproduced {
 			t.Fatalf("%v: not reproduced", m)
 		}
@@ -82,43 +84,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestReproduceOneShot(t *testing.T) {
-	scn := apiScenario(t)
-	res, rec, err := Reproduce(scn, MethodDynamicStatic,
-		DynamicOptions{MaxRuns: 50},
-		ReplayOptions{MaxRuns: 500},
-		true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil || res == nil || !res.Reproduced {
-		t.Fatalf("one-shot failed: rec=%v res=%+v", rec != nil, res)
-	}
-	if !scn.VerifyInput(res.InputBytes, rec.Crash) {
-		t.Fatal("input does not verify")
-	}
-}
-
-func TestReproduceNoCrash(t *testing.T) {
-	scn := apiScenario(t)
-	scn.UserBytes = map[string][]byte{"arg0": []byte("no")}
-	res, rec, err := Reproduce(scn, MethodAll,
-		DynamicOptions{MaxRuns: 10}, ReplayOptions{MaxRuns: 10}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil || rec != nil {
-		t.Fatal("non-crashing run must yield no report")
-	}
-}
-
 func TestStripSyscallLogFacade(t *testing.T) {
+	ctx := context.Background()
 	scn := apiScenario(t)
 	in := Inputs{
-		Dynamic: scn.AnalyzeDynamic(DynamicOptions{MaxRuns: 30}),
+		Dynamic: scn.AnalyzeDynamicContext(ctx, DynamicOptions{MaxRuns: 30}),
 		Static:  scn.AnalyzeStatic(StaticOptions{}),
 	}
-	rec, _, err := scn.Record(scn.Plan(MethodAll, in, true))
+	rec, _, err := scn.RecordContext(ctx, scn.Plan(MethodAll, in, true))
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
@@ -126,7 +99,7 @@ func TestStripSyscallLogFacade(t *testing.T) {
 	if bare.SysLog != nil {
 		t.Fatal("syslog not stripped")
 	}
-	res := scn.Replay(bare, ReplayOptions{MaxRuns: 500})
+	res := scn.ReplayContext(ctx, bare, ReplayOptions{MaxRuns: 500})
 	if !res.Reproduced {
 		t.Fatal("model-mode replay failed")
 	}

@@ -41,7 +41,7 @@ func benchRecord(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 	var bits, steps int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats, err := s.Record(plan)
+		_, stats, err := s.RecordContext(context.Background(), plan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,8 @@ func benchRecord(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 // benchReplay records once, then replays once per iteration.
 func benchReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 	b.Helper()
-	rec, _, err := s.Record(plan)
+	ctx := context.Background()
+	rec, _, err := s.RecordContext(ctx, plan)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func benchReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 	var runs int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := s.Replay(rec, replay.Options{MaxRuns: 4000, TimeBudget: 30 * time.Second})
+		res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 4000, TimeBudget: 30 * time.Second})
 		if !res.Reproduced {
 			b.Fatalf("not reproduced after %d runs", res.Runs)
 		}
@@ -228,7 +229,7 @@ func BenchmarkDynamicAnalysis(b *testing.B) {
 			an := apps.UServerAnalysisScenario()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep := an.AnalyzeDynamic(concolic.Options{MaxRuns: runs})
+				rep := an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: runs})
 				if rep.Runs == 0 {
 					b.Fatal("no runs")
 				}
@@ -263,7 +264,7 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 func analysesFor(b *testing.B, an *core.Scenario, dynRuns int, libSym bool) instrument.Inputs {
 	b.Helper()
 	return instrument.Inputs{
-		Dynamic: an.AnalyzeDynamic(concolic.Options{MaxRuns: dynRuns}),
+		Dynamic: an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: dynRuns}),
 		Static:  an.AnalyzeStatic(static.Options{LibAsSymbolic: libSym}),
 	}
 }
@@ -281,7 +282,7 @@ func BenchmarkReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	plan := s.Plan(instrument.MethodDynamic, in, false)
-	rec, _, err := s.Record(plan)
+	rec, _, err := s.RecordContext(context.Background(), plan)
 	if err != nil || rec == nil {
 		b.Fatalf("record: %v", err)
 	}

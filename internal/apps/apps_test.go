@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -203,7 +204,7 @@ func TestUServerBranchMix(t *testing.T) {
 	// Figure 3's qualitative claim: roughly 10% of branch executions are
 	// symbolic, and the library executes the majority of all branches.
 	s := UServerLoadScenario(5, DefaultHTTPRequest)
-	rep := s.AnalyzeDynamic(concolic.Options{MaxRuns: 1})
+	rep := s.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 1})
 	if rep.BranchExecs == 0 {
 		t.Fatal("no branches executed")
 	}
@@ -284,7 +285,7 @@ func TestMicroFibSelectiveInstrumentation(t *testing.T) {
 	s := MicroFibScenario('a')
 	an := AnalysisSpec(s)
 	in := instrument.Inputs{
-		Dynamic: an.AnalyzeDynamic(concolic.Options{MaxRuns: 40}),
+		Dynamic: an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 40}),
 		Static:  an.AnalyzeStatic(static.Options{}),
 	}
 	for _, m := range []instrument.Method{
@@ -303,6 +304,7 @@ func TestMicroFibSelectiveInstrumentation(t *testing.T) {
 
 func TestCoreutilEndToEndReplay(t *testing.T) {
 	// Table 1: the four coreutils bugs reproduce quickly under every method.
+	ctx := context.Background()
 	for _, name := range CoreutilNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -314,19 +316,19 @@ func TestCoreutilEndToEndReplay(t *testing.T) {
 			// Coreutils are small: the explorer reaches high coverage fast
 			// (the paper's Table 1 precondition), so give it enough runs.
 			in := instrument.Inputs{
-				Dynamic: an.AnalyzeDynamic(concolic.Options{MaxRuns: 1000}),
+				Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 1000}),
 				Static:  an.AnalyzeStatic(static.Options{}),
 			}
 			for _, m := range instrument.Methods {
 				plan := s.Plan(m, in, true)
-				rec, _, err := s.Record(plan)
+				rec, _, err := s.RecordContext(ctx, plan)
 				if err != nil {
 					t.Fatalf("%v: %v", m, err)
 				}
 				if rec == nil {
 					t.Fatalf("%v: no crash recorded", m)
 				}
-				res := s.Replay(rec, replay.Options{
+				res := s.ReplayContext(ctx, rec, replay.Options{
 					MaxRuns:    4000,
 					TimeBudget: 60 * time.Second,
 				})

@@ -123,13 +123,6 @@ func (s *Scenario) AnalyzeDynamicContext(ctx context.Context, opts concolic.Opti
 	return ex.Explore(ctx)
 }
 
-// AnalyzeDynamic runs the concolic analysis over the neutral input space.
-//
-// Deprecated: use AnalyzeDynamicContext, or the pathlog.Session API.
-func (s *Scenario) AnalyzeDynamic(opts concolic.Options) *concolic.Report {
-	return s.AnalyzeDynamicContext(context.Background(), opts)
-}
-
 // AnalyzeStatic runs the static analysis.
 func (s *Scenario) AnalyzeStatic(opts static.Options) *static.Report {
 	return static.Analyze(s.Prog, opts)
@@ -230,14 +223,6 @@ func (s *Scenario) RecordContext(ctx context.Context, plan *instrument.Plan) (*r
 	return rec, stats, nil
 }
 
-// Record executes the user-site run under a plan and assembles the bug
-// report.
-//
-// Deprecated: use RecordContext, or the pathlog.Session API.
-func (s *Scenario) Record(plan *instrument.Plan) (*replay.Recording, *RecordStats, error) {
-	return s.RecordContext(context.Background(), plan)
-}
-
 // MeasureOverheadContext runs the user-site workload repeatedly under a plan
 // and returns the average wall time, without requiring a crash. One untimed
 // warm-up run precedes the measured rounds so allocator and cache effects do
@@ -269,14 +254,6 @@ func (s *Scenario) MeasureOverheadContext(ctx context.Context, plan *instrument.
 	return total / time.Duration(rounds), last, nil
 }
 
-// MeasureOverhead runs the user-site workload repeatedly under a plan and
-// returns the average wall time.
-//
-// Deprecated: use MeasureOverheadContext, or the pathlog.Session API.
-func (s *Scenario) MeasureOverhead(plan *instrument.Plan, rounds int) (time.Duration, *RecordStats, error) {
-	return s.MeasureOverheadContext(context.Background(), plan, rounds)
-}
-
 // ReplayContext reproduces a recorded bug with one serial depth-first
 // search. The context's cancellation or deadline stops the guided search
 // within one run. Concurrent calls on one Scenario are safe: each builds its
@@ -287,13 +264,6 @@ func (s *Scenario) ReplayContext(ctx context.Context, rec *replay.Recording, opt
 	}
 	eng := replay.New(s.Prog, s.Spec, world.NewRegistry(), rec, opts)
 	return eng.Reproduce(ctx)
-}
-
-// Replay reproduces a recorded bug.
-//
-// Deprecated: use ReplayContext, or the pathlog.Session API.
-func (s *Scenario) Replay(rec *replay.Recording, opts replay.Options) *replay.Result {
-	return s.ReplayContext(context.Background(), rec, opts)
 }
 
 // StripSyslog returns a recording with the syscall log removed, for the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func guardedScenario(t *testing.T) *Scenario {
 func analyses(t *testing.T, s *Scenario) instrument.Inputs {
 	t.Helper()
 	return instrument.Inputs{
-		Dynamic: s.AnalyzeDynamic(concolic.Options{MaxRuns: 60}),
+		Dynamic: s.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 60}),
 		Static:  s.AnalyzeStatic(static.Options{}),
 	}
 }
@@ -79,7 +80,7 @@ func TestRecordProducesReportOnCrash(t *testing.T) {
 	s := guardedScenario(t)
 	in := analyses(t, s)
 	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, stats, err := s.Record(plan)
+	rec, stats, err := s.RecordContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRecordNoCrashNoReport(t *testing.T) {
 	s.UserBytes = map[string][]byte{"arg0": []byte("-y")}
 	in := analyses(t, s)
 	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, stats, err := s.Record(plan)
+	rec, stats, err := s.RecordContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestPrivacyNoInputBytesInReport(t *testing.T) {
 	s.UserBytes = map[string][]byte{"arg0": []byte("-x"), "arg1": []byte("K")}
 	in := analyses(t, s)
 	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, _, err := s.Record(plan)
+	rec, _, err := s.RecordContext(context.Background(), plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
@@ -139,20 +140,21 @@ func TestPrivacyNoInputBytesInReport(t *testing.T) {
 }
 
 func TestReplayAllMethods(t *testing.T) {
+	ctx := context.Background()
 	s := guardedScenario(t)
 	in := analyses(t, s)
 	for _, method := range instrument.Methods {
 		method := method
 		t.Run(method.String(), func(t *testing.T) {
 			plan := s.Plan(method, in, true)
-			rec, _, err := s.Record(plan)
+			rec, _, err := s.RecordContext(ctx, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rec == nil {
 				t.Fatal("no recording")
 			}
-			res := s.Replay(rec, replay.Options{MaxRuns: 500, TimeBudget: 20 * time.Second})
+			res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 500, TimeBudget: 20 * time.Second})
 			if !res.Reproduced {
 				t.Fatalf("not reproduced: %+v", res)
 			}
@@ -183,15 +185,16 @@ func trimNul(b []byte) []byte {
 func TestReplayInvariantsPerMethod(t *testing.T) {
 	// Under all/static every symbolic branch is instrumented: the successful
 	// replay path must show zero unlogged symbolic executions (§3.2).
+	ctx := context.Background()
 	s := guardedScenario(t)
 	in := analyses(t, s)
 	for _, method := range []instrument.Method{instrument.MethodAll, instrument.MethodStatic} {
 		plan := s.Plan(method, in, true)
-		rec, _, err := s.Record(plan)
+		rec, _, err := s.RecordContext(ctx, plan)
 		if err != nil || rec == nil {
 			t.Fatal(err)
 		}
-		res := s.Replay(rec, replay.Options{MaxRuns: 500})
+		res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 500})
 		if !res.Reproduced {
 			t.Fatalf("%v: not reproduced", method)
 		}
@@ -205,17 +208,18 @@ func TestReplayInvariantsPerMethod(t *testing.T) {
 func TestReplayWithPoorDynamicCoverage(t *testing.T) {
 	// A dynamic plan built from a single exploration run misses symbolic
 	// branches; replay must still reproduce by searching (more runs).
+	ctx := context.Background()
 	s := guardedScenario(t)
 	in := instrument.Inputs{
-		Dynamic: s.AnalyzeDynamic(concolic.Options{MaxRuns: 1}),
+		Dynamic: s.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 1}),
 		Static:  s.AnalyzeStatic(static.Options{}),
 	}
 	plan := s.Plan(instrument.MethodDynamic, in, true)
-	rec, _, err := s.Record(plan)
+	rec, _, err := s.RecordContext(ctx, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
-	res := s.Replay(rec, replay.Options{MaxRuns: 2000, TimeBudget: 30 * time.Second})
+	res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 2000, TimeBudget: 30 * time.Second})
 	if !res.Reproduced {
 		t.Fatalf("not reproduced: %+v", res)
 	}
@@ -225,11 +229,11 @@ func TestReplayWithPoorDynamicCoverage(t *testing.T) {
 
 	// Compare search effort against the fully instrumented configuration.
 	full := s.Plan(instrument.MethodAll, in, true)
-	recFull, _, err := s.Record(full)
+	recFull, _, err := s.RecordContext(ctx, full)
 	if err != nil || recFull == nil {
 		t.Fatal(err)
 	}
-	resFull := s.Replay(recFull, replay.Options{MaxRuns: 2000})
+	resFull := s.ReplayContext(ctx, recFull, replay.Options{MaxRuns: 2000})
 	if !resFull.Reproduced {
 		t.Fatal("all-branches replay failed")
 	}
@@ -240,14 +244,15 @@ func TestReplayWithPoorDynamicCoverage(t *testing.T) {
 }
 
 func TestReplayTimeBudget(t *testing.T) {
+	ctx := context.Background()
 	s := guardedScenario(t)
 	in := analyses(t, s)
 	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, _, err := s.Record(plan)
+	rec, _, err := s.RecordContext(ctx, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
-	res := s.Replay(rec, replay.Options{MaxRuns: 1_000_000, TimeBudget: time.Nanosecond})
+	res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1_000_000, TimeBudget: time.Nanosecond})
 	if res.Reproduced {
 		// A nanosecond budget can still allow the very first run to start
 		// before the deadline check; only assert that a timeout is flagged
@@ -260,10 +265,11 @@ func TestReplayTimeBudget(t *testing.T) {
 }
 
 func TestStripSyslog(t *testing.T) {
+	ctx := context.Background()
 	s := guardedScenario(t)
 	in := analyses(t, s)
 	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, _, err := s.Record(plan)
+	rec, _, err := s.RecordContext(ctx, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
@@ -273,7 +279,7 @@ func TestStripSyslog(t *testing.T) {
 	}
 	// Replay must still work via the syscall model for this syscall-light
 	// program.
-	res := s.Replay(bare, replay.Options{MaxRuns: 1000, TimeBudget: 30 * time.Second})
+	res := s.ReplayContext(ctx, bare, replay.Options{MaxRuns: 1000, TimeBudget: 30 * time.Second})
 	if !res.Reproduced {
 		t.Fatalf("model-mode replay failed: %+v", res)
 	}
@@ -304,16 +310,17 @@ func TestUserSpecRejectsUnknownStream(t *testing.T) {
 func TestMeasureOverheadOrdering(t *testing.T) {
 	// Instrumented configurations must not be cheaper than none, and all
 	// must not be cheaper than dynamic (sanity, not a benchmark).
+	ctx := context.Background()
 	s := guardedScenario(t)
 	s.UserBytes = map[string][]byte{"arg0": []byte("zz")} // non-crashing run
 	in := analyses(t, s)
 
 	nonePlan := s.Plan(instrument.MethodNone, in, false)
 	allPlan := s.Plan(instrument.MethodAll, in, true)
-	if _, _, err := s.MeasureOverhead(nonePlan, 3); err != nil {
+	if _, _, err := s.MeasureOverheadContext(ctx, nonePlan, 3); err != nil {
 		t.Fatal(err)
 	}
-	_, allStats, err := s.MeasureOverhead(allPlan, 3)
+	_, allStats, err := s.MeasureOverheadContext(ctx, allPlan, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +347,7 @@ int main() {
 `
 
 func TestFileInputScenario(t *testing.T) {
+	ctx := context.Background()
 	s := &Scenario{
 		Name: "filecrash",
 		Prog: compile(t, fileCrash),
@@ -351,11 +359,11 @@ func TestFileInputScenario(t *testing.T) {
 	in := analyses(t, s)
 	for _, method := range []instrument.Method{instrument.MethodAll, instrument.MethodDynamicStatic} {
 		plan := s.Plan(method, in, true)
-		rec, _, err := s.Record(plan)
+		rec, _, err := s.RecordContext(ctx, plan)
 		if err != nil || rec == nil {
 			t.Fatalf("%v: record: %v", method, err)
 		}
-		res := s.Replay(rec, replay.Options{MaxRuns: 1000, TimeBudget: 20 * time.Second})
+		res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1000, TimeBudget: 20 * time.Second})
 		if !res.Reproduced {
 			t.Fatalf("%v: not reproduced: runs=%d", method, res.Runs)
 		}

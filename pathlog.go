@@ -71,9 +71,7 @@
 //
 // Cancellation and deadlines flow through the context: a cancelled analyze
 // or replay returns promptly with partial results, and the classic
-// MaxRuns/TimeBudget bounds remain available as options. The pre-Session
-// Scenario methods (AnalyzeDynamic, Record, Replay, ...) and the one-shot
-// Reproduce remain as thin deprecated wrappers.
+// MaxRuns/TimeBudget bounds remain available as options.
 //
 // Programs under test are written in MiniC, a small C-like language
 // interpreted by a VM with branch hooks (the substitution this reproduction
@@ -85,8 +83,6 @@
 package pathlog
 
 import (
-	"context"
-
 	"pathlog/internal/concolic"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
@@ -268,20 +264,3 @@ var (
 // StripSyscallLog removes the syscall-result log from a recording, for
 // replaying under the symbolic syscall models of §3.3.
 func StripSyscallLog(rec *Recording) *Recording { return core.StripSyslog(rec) }
-
-// Reproduce runs the full pipeline for one scenario and method: analyze,
-// plan, record the user run, and replay the resulting bug report.
-//
-// Deprecated: build a Session and call Session.Reproduce; it adds context
-// cancellation, batch replay and progress reporting.
-func Reproduce(scn *Scenario, method Method, dyn DynamicOptions, ropts ReplayOptions, logSyscalls bool) (*ReplayResult, *Recording, error) {
-	opts := []Option{
-		WithMethod(method),
-		WithDynamicOptions(dyn),
-		WithReplayOptions(ropts),
-	}
-	if logSyscalls {
-		opts = append(opts, WithSyscallLog())
-	}
-	return SessionOf(scn, opts...).Reproduce(context.Background(), nil)
-}
