@@ -82,10 +82,10 @@ func TestMetricsIgnoresAcceptJSON(t *testing.T) {
 
 // TestMetricsScrapeWhileIngesting hammers /report from several writers
 // while scraping /metrics and reading the in-process Metrics snapshot
-// concurrently. Every scrape must
-// be internally consistent — accepted == stored + deduped can only hold
-// on every sample if the snapshot is taken in one locked pass — and the
-// run doubles as the -race gate for the scrape path.
+// concurrently. Every scrape must be internally consistent — accepted ==
+// stored + deduped can only hold on every sample if the snapshot is taken
+// in one locked pass — and the run doubles as the -race gate for the
+// scrape path.
 func TestMetricsScrapeWhileIngesting(t *testing.T) {
 	clock := newFakeClock()
 	s, _ := newTestServer(t, t.TempDir(), clock)

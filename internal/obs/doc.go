@@ -6,9 +6,9 @@
 // journal and the harness artifacts consume instead of hand-rolled
 // encoders.
 //
-// The registry is exposition-agnostic: Snapshot returns a stable, sorted
-// view taken in one pass, and WritePrometheus / WriteJSON render that view
-// in either format. Nothing in the hot paths allocates or takes a lock —
-// counters and histogram buckets are atomic adds, so the replay engine can
-// observe every run without disturbing the bench gate.
+// Snapshot returns a stable, sorted view of the registry taken in one pass,
+// and WritePrometheus renders that view as Prometheus text, the one
+// /metrics exposition (ServeMetrics). Nothing in the hot paths allocates or
+// takes a lock — counters and histogram buckets are atomic adds, so the
+// replay engine can observe every run without disturbing the bench gate.
 package obs
