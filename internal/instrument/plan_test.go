@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"fmt"
 	"testing"
 
 	"pathlog/internal/concolic"
@@ -49,79 +50,62 @@ func statics(ids ...lang.BranchID) *static.Report {
 	return &static.Report{SymbolicBranches: m}
 }
 
-func TestMethodAll(t *testing.T) {
-	p := fakeProgram(t)
-	plan := BuildPlan(p, MethodAll, Inputs{}, true)
-	if plan.NumInstrumented() != 5 {
-		t.Fatalf("all: %d", plan.NumInstrumented())
-	}
-	if !plan.LogSyscalls {
-		t.Error("syscall logging flag lost")
-	}
-}
-
-func TestMethodNone(t *testing.T) {
-	p := fakeProgram(t)
-	plan := BuildPlan(p, MethodNone, Inputs{}, true)
-	if plan.NumInstrumented() != 0 {
-		t.Fatalf("none: %d", plan.NumInstrumented())
-	}
-	if plan.LogSyscalls {
-		t.Error("none must not log syscalls")
-	}
-}
-
-func TestMethodDynamic(t *testing.T) {
-	p := fakeProgram(t)
-	dyn := labels(map[lang.BranchID]concolic.Label{
+// methodCases is the literal branch set each §2.3 method must plan over
+// fakeProgram, given the inputs of the case. None and All need no analysis;
+// dynamic+static shows a concrete dynamic label (b2) overriding a symbolic
+// static one and an unvisited statically-symbolic branch (b1) joining in.
+var methodCases = map[Method]struct {
+	in   Inputs
+	want string // fmt.Sprint of the sorted instrumented IDs
+}{
+	MethodNone: {Inputs{}, "[]"},
+	MethodAll:  {Inputs{}, "[0 1 2 3 4]"},
+	MethodDynamic: {Inputs{Dynamic: labels(map[lang.BranchID]concolic.Label{
 		0: concolic.Symbolic,
 		1: concolic.Symbolic,
 		2: concolic.Concrete,
 		// 3, 4 unvisited
-	})
-	plan := BuildPlan(p, MethodDynamic, Inputs{Dynamic: dyn}, true)
-	want := map[lang.BranchID]bool{0: true, 1: true}
-	for _, b := range p.Branches {
-		if plan.Instrumented[b.ID] != want[b.ID] {
-			t.Errorf("b%d: %v", b.ID, plan.Instrumented[b.ID])
+	})}, "[0 1]"},
+	MethodStatic: {Inputs{Static: statics(0, 1, 4, 2)}, "[0 1 2 4]"},
+	MethodDynamicStatic: {Inputs{
+		Dynamic: labels(map[lang.BranchID]concolic.Label{
+			0: concolic.Symbolic,
+			2: concolic.Concrete,
+		}),
+		Static: statics(0, 1, 2),
+	}, "[0 1]"},
+}
+
+// checkMethod plans a method's case through StrategyForMethod under both
+// syscall flags: the literal branch set, the method tag, and syscall
+// logging exactly when asked for (never for the uninstrumented baseline).
+func checkMethod(t *testing.T, m Method) {
+	t.Helper()
+	c := methodCases[m]
+	p := fakeProgram(t)
+	for _, logSyscalls := range []bool{false, true} {
+		plan := planOf(t, StrategyForMethod(m), NewPlanContext(p, c.in, logSyscalls))
+		if got := fmt.Sprint(plan.IDs()); got != c.want {
+			t.Errorf("%v (syscalls=%v): instruments %s, want %s", m, logSyscalls, got, c.want)
+		}
+		if want := logSyscalls && m != MethodNone; plan.LogSyscalls != want {
+			t.Errorf("%v (syscalls=%v): LogSyscalls %v, want %v", m, logSyscalls, plan.LogSyscalls, want)
+		}
+		if plan.Method != m {
+			t.Errorf("%v: plan tagged %v", m, plan.Method)
 		}
 	}
 }
 
-func TestMethodStatic(t *testing.T) {
-	p := fakeProgram(t)
-	plan := BuildPlan(p, MethodStatic, Inputs{Static: statics(0, 1, 4, 2)}, true)
-	if plan.NumInstrumented() != 4 {
-		t.Fatalf("static: %d", plan.NumInstrumented())
-	}
-}
-
-func TestMethodDynamicStatic(t *testing.T) {
-	p := fakeProgram(t)
-	// Dynamic: b0 symbolic, b2 concrete (overriding static), b1/b3/b4
-	// unvisited. Static: b0, b1, b2 symbolic.
-	dyn := labels(map[lang.BranchID]concolic.Label{
-		0: concolic.Symbolic,
-		2: concolic.Concrete,
-	})
-	plan := BuildPlan(p, MethodDynamicStatic, Inputs{Dynamic: dyn, Static: statics(0, 1, 2)}, true)
-	want := map[lang.BranchID]bool{
-		0: true,  // dynamic symbolic
-		1: true,  // unvisited, static symbolic
-		2: false, // dynamic concrete overrides static symbolic (§2.3)
-		3: false, // unvisited, static concrete
-		4: false, // unvisited, static concrete
-	}
-	for _, b := range p.Branches {
-		if plan.Instrumented[b.ID] != want[b.ID] {
-			t.Errorf("b%d: got %v want %v", b.ID, plan.Instrumented[b.ID], want[b.ID])
-		}
-	}
-}
+func TestMethodNone(t *testing.T)          { checkMethod(t, MethodNone) }
+func TestMethodAll(t *testing.T)           { checkMethod(t, MethodAll) }
+func TestMethodDynamic(t *testing.T)       { checkMethod(t, MethodDynamic) }
+func TestMethodStatic(t *testing.T)        { checkMethod(t, MethodStatic) }
+func TestMethodDynamicStatic(t *testing.T) { checkMethod(t, MethodDynamicStatic) }
 
 func TestPlanIDsSorted(t *testing.T) {
 	p := fakeProgram(t)
-	plan := BuildPlan(p, MethodStatic, Inputs{Static: statics(4, 0, 2)}, false)
+	plan := planOf(t, Static(), NewPlanContext(p, Inputs{Static: statics(4, 0, 2)}, false))
 	ids := plan.IDs()
 	if len(ids) != 3 || ids[0] != 0 || ids[1] != 2 || ids[2] != 4 {
 		t.Fatalf("ids: %v", ids)
@@ -145,7 +129,7 @@ int lib1() { int i = 0; while (i < 2) { i++; } return i; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := BuildPlan(p, MethodAll, Inputs{}, false)
+	plan := planOf(t, All(), NewPlanContext(p, Inputs{}, false))
 	if plan.InstrumentedIn(p, lang.RegionApp) != 1 || plan.InstrumentedIn(p, lang.RegionLib) != 1 {
 		t.Fatalf("region counts: app=%d lib=%d",
 			plan.InstrumentedIn(p, lang.RegionApp), plan.InstrumentedIn(p, lang.RegionLib))

@@ -156,7 +156,7 @@ func TestRefineFixedPointOnSilentProfile(t *testing.T) {
 func TestCalibrateCostsUsesObservedRates(t *testing.T) {
 	prog := fakeProgram(t)
 	m := NewCostModel(prog, fakeInputs().Dynamic)
-	base := BuildPlan(prog, MethodDynamic, fakeInputs(), true)
+	base := planOf(t, Dynamic(), NewPlanContext(prog, fakeInputs(), true))
 	profile := fakeProfile(base)
 
 	cal := m.CalibrateCosts(profile)
@@ -224,7 +224,7 @@ func TestTopBlowupDeterministicOrder(t *testing.T) {
 
 func TestSearchProfileMergeAndRoundTrip(t *testing.T) {
 	prog := fakeProgram(t)
-	base := BuildPlan(prog, MethodDynamic, fakeInputs(), true)
+	base := planOf(t, Dynamic(), NewPlanContext(prog, fakeInputs(), true))
 	a := fakeProfile(base)
 	b := fakeProfile(base)
 	if err := a.Merge(b); err != nil {
@@ -233,7 +233,7 @@ func TestSearchProfileMergeAndRoundTrip(t *testing.T) {
 	if a.Runs != 40 || a.Branches[1].Forks != 60 {
 		t.Errorf("merge totals: runs=%d b1.forks=%d", a.Runs, a.Branches[1].Forks)
 	}
-	other := fakeProfile(BuildPlan(prog, MethodAll, fakeInputs(), true))
+	other := fakeProfile(planOf(t, All(), NewPlanContext(prog, fakeInputs(), true)))
 	if err := a.Merge(other); err == nil {
 		t.Error("merged profiles from different plans")
 	}

@@ -37,39 +37,6 @@ func planOf(t *testing.T, s Strategy, pc *PlanContext) *Plan {
 	return p
 }
 
-// TestMethodStrategyParity is the gate on the Planner redesign: every
-// legacy Method's plan must be byte-identical — same branch-ID set, same
-// flags, same fingerprint — to its strategy composition.
-func TestMethodStrategyParity(t *testing.T) {
-	prog := fakeProgram(t)
-	in := fakeInputs()
-	compositions := map[Method]Strategy{
-		MethodNone:          None(),
-		MethodDynamic:       Dynamic(),
-		MethodStatic:        Static(),
-		MethodDynamicStatic: Union(Dynamic(), StaticResidue()),
-		MethodAll:           All(),
-	}
-	for _, logSyscalls := range []bool{false, true} {
-		pc := NewPlanContext(prog, in, logSyscalls)
-		for m, comp := range compositions {
-			legacy := BuildPlan(prog, m, in, logSyscalls)
-			for _, strat := range []Strategy{comp, StrategyForMethod(m)} {
-				got := planOf(t, strat, pc)
-				if a, b := fmt.Sprint(legacy.IDs()), fmt.Sprint(got.IDs()); a != b {
-					t.Errorf("%v vs %s (syscalls=%v): IDs %s != %s", m, strat.Name(), logSyscalls, a, b)
-				}
-				if legacy.LogSyscalls != got.LogSyscalls {
-					t.Errorf("%v vs %s: LogSyscalls %v != %v", m, strat.Name(), legacy.LogSyscalls, got.LogSyscalls)
-				}
-				if a, b := legacy.Fingerprint(), got.Fingerprint(); a != b {
-					t.Errorf("%v vs %s (syscalls=%v): fingerprint %s != %s", m, strat.Name(), logSyscalls, a, b)
-				}
-			}
-		}
-	}
-}
-
 func TestStrategyForMethodCarriesMethodTag(t *testing.T) {
 	pc := NewPlanContext(fakeProgram(t), fakeInputs(), true)
 	for _, m := range append(Methods, MethodNone) {
@@ -225,17 +192,16 @@ func TestCostModelOrdering(t *testing.T) {
 func TestFingerprintSensitivity(t *testing.T) {
 	prog := fakeProgram(t)
 	in := fakeInputs()
-	base := BuildPlan(prog, MethodStatic, in, true)
-	same := BuildPlan(prog, MethodStatic, in, true)
+	sys, noSys := NewPlanContext(prog, in, true), NewPlanContext(prog, in, false)
+	base := planOf(t, Static(), sys)
+	same := planOf(t, Static(), sys)
 	if base.Fingerprint() != same.Fingerprint() {
 		t.Error("identical plans hash differently")
 	}
-	noSys := BuildPlan(prog, MethodStatic, in, false)
-	if base.Fingerprint() == noSys.Fingerprint() {
+	if base.Fingerprint() == planOf(t, Static(), noSys).Fingerprint() {
 		t.Error("syscall flag not covered by fingerprint")
 	}
-	smaller := BuildPlan(prog, MethodDynamic, in, true)
-	if base.Fingerprint() == smaller.Fingerprint() {
+	if base.Fingerprint() == planOf(t, Dynamic(), sys).Fingerprint() {
 		t.Error("branch set not covered by fingerprint")
 	}
 	// A different program changes the hash even under the same branch set.
@@ -247,7 +213,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 func TestValidateForProgram(t *testing.T) {
 	prog := fakeProgram(t)
-	good := BuildPlan(prog, MethodAll, fakeInputs(), false)
+	good := planOf(t, All(), NewPlanContext(prog, fakeInputs(), false))
 	if err := good.ValidateForProgram(prog); err != nil {
 		t.Fatal(err)
 	}

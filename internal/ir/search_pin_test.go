@@ -55,28 +55,38 @@ var pinnedSearches = map[string]searchPin{
 
 // analysisPin is what one pre-deployment concolic analysis must reproduce
 // bit for bit: its run count, the digest of its branch labels, the solver's
-// outcome counters and the fingerprint of the dynamic+static plan built
-// from it.
+// outcome counters and the fingerprint of the plan each §2.3 method builds
+// from it with syscall logging on (PlanFingerprint is dynamic+static's).
 type analysisPin struct {
-	Runs                      int
-	LabelsDigest              string
-	Calls, Sat, Unsat, GaveUp int
-	PlanFingerprint           string
+	Runs                       int
+	LabelsDigest               string
+	Calls, Sat, Unsat, GaveUp  int
+	PlanFingerprint            string
+	None, Dynamic, Static, All string
 }
 
 // pinnedAnalyses is the dynamic analysis of each pinned scenario's analysis
 // scenario under its set-up run budget (analysisRuns). The uServer
 // experiments share one analysis scenario, so their entries agree.
 var pinnedAnalyses = map[string]analysisPin{
-	"mkdir":        {Runs: 300, LabelsDigest: "404ee6e561d9f38b", Calls: 5529, Sat: 2645, Unsat: 2884, GaveUp: 0, PlanFingerprint: "eb4764c5461ae18f03f4192ca7d9afe5"},
-	"mknod":        {Runs: 13, LabelsDigest: "0c2ed52d0f6e7a05", Calls: 48, Sat: 31, Unsat: 17, GaveUp: 0, PlanFingerprint: "12893e85826d34fb37fe4e84d42e8b04"},
-	"mkfifo":       {Runs: 300, LabelsDigest: "4ad3d57be8884df9", Calls: 4423, Sat: 2286, Unsat: 2137, GaveUp: 0, PlanFingerprint: "6fee572f2fceb1a93cf5aefd623a580c"},
-	"paste":        {Runs: 300, LabelsDigest: "68ddd7df3fea92e2", Calls: 8769, Sat: 5685, Unsat: 3084, GaveUp: 0, PlanFingerprint: "e1e0fc090d8c480e216e62706e71804e"},
-	"userver-exp1": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
-	"userver-exp2": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
-	"userver-exp3": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
-	"userver-exp4": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d"},
-	"diff-exp1":    {Runs: 40, LabelsDigest: "4724a4f116dfd370", Calls: 2326, Sat: 1639, Unsat: 687, GaveUp: 0, PlanFingerprint: "349e6ee2331b2909b6f7e1432a26bd1b"},
+	"mkdir": {Runs: 300, LabelsDigest: "404ee6e561d9f38b", Calls: 5529, Sat: 2645, Unsat: 2884, GaveUp: 0, PlanFingerprint: "eb4764c5461ae18f03f4192ca7d9afe5",
+		None: "34b387182a67b9f7a6f2d51a32d3f603", Dynamic: "4a4f0e60b91ac787e7136211a208ef2f", Static: "c8bf1d614630ab5851000d839b365b00", All: "0dfb472a1eff8a78dfd1161118a697f7"},
+	"mknod": {Runs: 13, LabelsDigest: "0c2ed52d0f6e7a05", Calls: 48, Sat: 31, Unsat: 17, GaveUp: 0, PlanFingerprint: "12893e85826d34fb37fe4e84d42e8b04",
+		None: "dde279bad568c03e27bd5d1dfa27f22d", Dynamic: "bfa6c277c76d2deb97356f9587f199f1", Static: "15dcf8d0a7447632d8632f98e5905031", All: "15dcf8d0a7447632d8632f98e5905031"},
+	"mkfifo": {Runs: 300, LabelsDigest: "4ad3d57be8884df9", Calls: 4423, Sat: 2286, Unsat: 2137, GaveUp: 0, PlanFingerprint: "6fee572f2fceb1a93cf5aefd623a580c",
+		None: "4b70c69ebebc12c140ba268a90d35b82", Dynamic: "9005a1ee130a3701dc74e2314341268c", Static: "8a8001b5ad43a0615a44492cb2807547", All: "4fa3e53bf379698a49c158f22346e5dc"},
+	"paste": {Runs: 300, LabelsDigest: "68ddd7df3fea92e2", Calls: 8769, Sat: 5685, Unsat: 3084, GaveUp: 0, PlanFingerprint: "e1e0fc090d8c480e216e62706e71804e",
+		None: "5b1fc7a1d8de6a3f274e1ab67103af5a", Dynamic: "a56bc2b1314c72f04aafbbce44bc4716", Static: "4f4479c6796b808c62a0aac31667321c", All: "e13ebef97bdbb9a13dbf2453562b887f"},
+	"userver-exp1": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d",
+		None: "b9dfc0b89a4afc38ac505f89eec54c34", Dynamic: "48b3676d27f75ba40fc9ea917a2875a3", Static: "f63083668935143ca2839fc2dbfdcd73", All: "9e6df750ea9421be0ad9d2498a03c863"},
+	"userver-exp2": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d",
+		None: "b9dfc0b89a4afc38ac505f89eec54c34", Dynamic: "48b3676d27f75ba40fc9ea917a2875a3", Static: "f63083668935143ca2839fc2dbfdcd73", All: "9e6df750ea9421be0ad9d2498a03c863"},
+	"userver-exp3": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d",
+		None: "b9dfc0b89a4afc38ac505f89eec54c34", Dynamic: "48b3676d27f75ba40fc9ea917a2875a3", Static: "f63083668935143ca2839fc2dbfdcd73", All: "9e6df750ea9421be0ad9d2498a03c863"},
+	"userver-exp4": {Runs: 60, LabelsDigest: "73df18825681c9af", Calls: 2994, Sat: 1193, Unsat: 1787, GaveUp: 14, PlanFingerprint: "08b626428bd1ab103213106196df683d",
+		None: "b9dfc0b89a4afc38ac505f89eec54c34", Dynamic: "48b3676d27f75ba40fc9ea917a2875a3", Static: "f63083668935143ca2839fc2dbfdcd73", All: "9e6df750ea9421be0ad9d2498a03c863"},
+	"diff-exp1": {Runs: 40, LabelsDigest: "4724a4f116dfd370", Calls: 2326, Sat: 1639, Unsat: 687, GaveUp: 0, PlanFingerprint: "349e6ee2331b2909b6f7e1432a26bd1b",
+		None: "1d272d569a83bab5f9f8f7813c3f12aa", Dynamic: "b2df1a68128003e2ec5d6bfd40725abf", Static: "79652786116af0ed35c4be32b0b62654", All: "704b6ba04a006ac2e4e9a7d7823196a5"},
 }
 
 // analysisRuns is the concolic run budget the end-to-end benchmark's set-up
@@ -185,13 +195,19 @@ func TestSerialSearchPinned(t *testing.T) {
 		st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
 		t.Run(name+"/analysis", func(t *testing.T) {
 			dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(name)})
-			plan := instrument.BuildPlan(scn.Prog, instrument.MethodDynamicStatic,
-				instrument.Inputs{Dynamic: dyn, Static: st}, true)
+			fp := func(m instrument.Method) string {
+				return instrument.BuildPlan(scn.Prog, m,
+					instrument.Inputs{Dynamic: dyn, Static: st}, true).Fingerprint()
+			}
 			got := analysisPin{
 				Runs: dyn.Runs, LabelsDigest: labelsDigest(dyn.Labels),
 				Calls: dyn.SolverStats.Calls, Sat: dyn.SolverStats.Sat,
 				Unsat: dyn.SolverStats.Unsat, GaveUp: dyn.SolverStats.GaveUp,
-				PlanFingerprint: plan.Fingerprint(),
+				PlanFingerprint: fp(instrument.MethodDynamicStatic),
+				None:            fp(instrument.MethodNone),
+				Dynamic:         fp(instrument.MethodDynamic),
+				Static:          fp(instrument.MethodStatic),
+				All:             fp(instrument.MethodAll),
 			}
 			if want := pinnedAnalyses[name]; got != want {
 				t.Errorf("dynamic analysis moved:\n got  %#v\n want %#v", got, want)
