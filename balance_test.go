@@ -157,7 +157,7 @@ func TestAutoBalanceUServer(t *testing.T) {
 // branches) must not mark the still-current base plan stale.
 func TestRefineFixedPointDoesNotAdvanceLineage(t *testing.T) {
 	ctx := context.Background()
-	sess := chainSession(t, WithMethod(MethodAll))
+	sess := chainSession(t, WithStrategy(StrategyForMethod(MethodAll)))
 	rec, _, err := sess.Record(ctx, nil)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v (%v)", err, rec)
@@ -331,15 +331,7 @@ func TestOptionGuardsClampAtApplyTime(t *testing.T) {
 	}
 	spec := &Spec{Args: []Stream{ArgStream(0, "xxxxxx", 8)}}
 
-	s := NewSession(prog, spec, WithReplayWorkers(-3))
-	if s.cfg.workers != 1 {
-		t.Errorf("WithReplayWorkers(-3) left %d, want clamp to 1", s.cfg.workers)
-	}
-	s = NewSession(prog, spec, WithReplayWorkers(0))
-	if s.cfg.workers != 1 {
-		t.Errorf("WithReplayWorkers(0) left %d, want clamp to 1", s.cfg.workers)
-	}
-	s = NewSession(prog, spec, WithReplayBudget(-10, -time.Second))
+	s := NewSession(prog, spec, WithReplayBudget(-10, -time.Second))
 	if s.cfg.rep.MaxRuns != 0 || s.cfg.rep.TimeBudget != 0 {
 		t.Errorf("WithReplayBudget negatives not clamped: %+v", s.cfg.rep)
 	}

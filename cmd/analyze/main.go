@@ -118,7 +118,7 @@ func main() {
 	fmt.Println("\ninstrumentation decisions:")
 	plans := map[string]*pathlog.Plan{}
 	for _, m := range pathlog.Methods {
-		plan, err := sess.PlanFor(ctx, m)
+		plan, err := sess.PlanWith(ctx, pathlog.StrategyForMethod(m))
 		if err != nil {
 			fatal(err)
 		}
@@ -210,7 +210,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		plan, err := sess.PlanFor(ctx, m)
+		plan, err := sess.PlanWith(ctx, pathlog.StrategyForMethod(m))
 		if err != nil {
 			fatal(err)
 		}

@@ -71,7 +71,7 @@ func main() {
 
 	an := apps.AnalysisScenarioFor(*scenario, s)
 	opts := []pathlog.Option{
-		pathlog.WithMethod(m),
+		pathlog.WithStrategy(pathlog.StrategyForMethod(m)),
 		pathlog.WithAnalysisSpec(an.Spec),
 		pathlog.WithDynamicBudget(*dynRuns, 0),
 		pathlog.WithStaticOptions(pathlog.StaticOptions{

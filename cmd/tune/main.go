@@ -391,26 +391,19 @@ func branchIDs(ids []pathlog.BranchID) string {
 	return strings.Join(parts, ",")
 }
 
-// parseStrategy maps the CLI spelling to a starting strategy.
+// parseStrategy maps the CLI spelling to a starting strategy. A method
+// spelling plans through the composition the method names, so the plan
+// envelope carries the method tag; static-residue is the one spelling that
+// names no method.
 func parseStrategy(s string) (pathlog.Strategy, error) {
-	switch s {
-	case "none":
-		return pathlog.None(), nil
-	case "dynamic":
-		return pathlog.Dynamic(), nil
-	case "static":
-		return pathlog.Static(), nil
-	case "static-residue":
+	if s == "static-residue" {
 		return pathlog.StaticResidue(), nil
-	case "dynamic+static":
-		return pathlog.Union(pathlog.Dynamic(), pathlog.StaticResidue()), nil
-	case "all":
-		return pathlog.All(), nil
 	}
-	if m, err := instrument.ParseMethod(s); err == nil {
-		return pathlog.StrategyForMethod(m), nil
+	m, err := instrument.ParseMethod(s)
+	if err != nil {
+		return nil, fmt.Errorf("unknown strategy %q", s)
 	}
-	return nil, fmt.Errorf("unknown strategy %q", s)
+	return pathlog.StrategyForMethod(m), nil
 }
 
 func describeTarget(runs int, d time.Duration) string {

@@ -44,7 +44,7 @@ func main() {
 		in.Dynamic.CountLabel(2), in.Static.CountSymbolic(), len(scn.Prog.Branches))
 
 	for _, method := range pathlog.Methods {
-		plan, err := sess.PlanFor(ctx, method)
+		plan, err := sess.PlanWith(ctx, pathlog.StrategyForMethod(method))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func main() {
 	fmt.Println()
 
 	for _, method := range pathlog.Methods {
-		plan, err := sess.PlanFor(ctx, method)
+		plan, err := sess.PlanWith(ctx, pathlog.StrategyForMethod(method))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"pathlog/internal/instrument"
 	"pathlog/internal/store"
@@ -86,8 +85,8 @@ func DefaultSweep(numBranches int) []Strategy {
 // and returns the Pareto frontier of (estimated record overhead, estimated
 // replay runs), sorted by strictly increasing overhead — so estimated
 // replay runs strictly decrease along the result. Plans with identical
-// fingerprints collapse to one point. Plan construction fans out over the
-// session's worker pool (WithReplayWorkers).
+// fingerprints collapse to one point. Plan construction fans out over a
+// pool of GOMAXPROCS workers.
 //
 // With a plan store configured (WithPlanStore), the sweep also folds in
 // the store's persisted measured points for this program and workload:
@@ -113,29 +112,7 @@ func (s *Session) Frontier(ctx context.Context, strategies ...Strategy) ([]PlanP
 
 	plans := make([]*Plan, len(strategies))
 	errs := make([]error, len(strategies))
-	pool := s.cfg.workers
-	if pool < 1 {
-		pool = 1
-	}
-	if pool > len(strategies) {
-		pool = len(strategies)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				plans[i], errs[i] = strategies[i].Plan(ctx, pc)
-			}
-		}()
-	}
-	for i := range strategies {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	fanOut(len(strategies), func(i int) { plans[i], errs[i] = strategies[i].Plan(ctx, pc) })
 
 	points := make([]PlanPoint, 0, len(strategies))
 	seen := make(map[string]bool)

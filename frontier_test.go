@@ -140,7 +140,7 @@ func TestSessionFrontierDefaultSweep(t *testing.T) {
 }
 
 // TestSessionWithStrategyEndToEnd drives a composed strategy through
-// record and replay — the session workflow with no legacy Method anywhere.
+// record and replay — the session workflow with no Method anywhere.
 func TestSessionWithStrategyEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	sess := chainSession(t, WithStrategy(Union(Dynamic(), StaticResidue())))

@@ -128,9 +128,17 @@ func (s *Scenario) AnalyzeStatic(opts static.Options) *static.Report {
 	return static.Analyze(s.Prog, opts)
 }
 
-// Plan builds the instrumentation plan for a method.
+// Plan builds the instrumentation plan for a method through the composition
+// it names (instrument.StrategyForMethod). A method whose analysis is
+// missing from in is a programming error: Plan panics with the strategy's
+// error.
 func (s *Scenario) Plan(method instrument.Method, in instrument.Inputs, logSyscalls bool) *instrument.Plan {
-	return instrument.BuildPlan(s.Prog, method, in, logSyscalls)
+	p, err := instrument.StrategyForMethod(method).Plan(context.Background(),
+		instrument.NewPlanContext(s.Prog, in, logSyscalls))
+	if err != nil {
+		panic(fmt.Sprintf("core: plan %s for %s: %v", method, s.Name, err))
+	}
+	return p
 }
 
 // RecordStats quantifies one user-site run: the instrumentation overhead

@@ -125,8 +125,7 @@ func fleetCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 	an := apps.UServerAnalysisScenario()
 	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
 	st := s3.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := instrument.BuildPlan(s3.Prog, instrument.MethodDynamic,
-		instrument.Inputs{Dynamic: dyn, Static: st}, true)
+	plan := s3.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
 
 	base := time.Unix(1_700_000_000, 0)
 	var members []corpus.Member
@@ -238,7 +237,6 @@ func TestRemoteShardParity(t *testing.T) {
 	// ReplayCorpus (one shard per worker by default) as a fleetless session.
 	sessFleet := pathlog.SessionOf(s3,
 		pathlog.WithReplayBudget(replayBounds.MaxRuns, replayBounds.TimeBudget),
-		pathlog.WithReplayWorkers(1),
 		pathlog.WithFleet(urls[:3]...))
 	outFleet, err := sessFleet.ReplayCorpus(ctx, c, pathlog.CorpusOptions{})
 	if err != nil {
@@ -280,8 +278,7 @@ func balanceSession(t *testing.T, s3 *core.Scenario) *pathlog.Session {
 		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
 		pathlog.WithDynamicBudget(6, 0),
 		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-		pathlog.WithReplayBudget(replayBounds.MaxRuns, replayBounds.TimeBudget),
-		pathlog.WithReplayWorkers(1))
+		pathlog.WithReplayBudget(replayBounds.MaxRuns, replayBounds.TimeBudget))
 }
 
 // TestChaosWorkerDeathConverges is the chaos gate: SIGKILL one of three

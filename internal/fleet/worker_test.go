@@ -28,7 +28,7 @@ func TestExecuteNeverOpensRequestedPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := instrument.BuildPlan(s.Prog, instrument.MethodAll, instrument.Inputs{}, true)
+	plan := s.Plan(instrument.MethodAll, instrument.Inputs{}, true)
 	rec, _, err := s.RecordContext(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestExecuteIgnoresRetiredWorkersField(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := apps.AnalysisScenarioFor("userver-exp3", s)
-	plan := instrument.BuildPlan(s.Prog, instrument.MethodDynamicStatic, instrument.Inputs{
+	plan := s.Plan(instrument.MethodDynamicStatic, instrument.Inputs{
 		Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6}),
 		Static:  s.AnalyzeStatic(static.Options{LibAsSymbolic: true}),
 	}, true)

@@ -270,8 +270,7 @@ func (c Config) fleetReplayCorpus(ctx context.Context) (*corpus.Corpus, *core.Sc
 	an := apps.UServerAnalysisScenario()
 	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: c.UServerAnalysisRunsLC})
 	st := s3.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := instrument.BuildPlan(s3.Prog, instrument.MethodDynamic,
-		instrument.Inputs{Dynamic: dyn, Static: st}, true)
+	plan := s3.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
 
 	base := time.Unix(1_700_000_000, 0)
 	var members []corpus.Member

@@ -1,26 +1,26 @@
 // Package instrument decides which branch locations to log and implements
 // the branch logger that an instrumented build runs with.
 //
-// The four methods of §2.3 are reproduced literally:
+// The decision is a composable Strategy algebra: built-ins (Dynamic,
+// Static, StaticResidue, All, None) compose through combinators (Union,
+// Intersect, Budgeted, Sampled). The four methods of §2.3 are names for
+// fixed compositions, which StrategyForMethod returns:
 //
-//	dynamic         branches labeled symbolic by the concolic analysis
-//	static          branches labeled symbolic by the static analysis
-//	dynamic+static  dynamic's labels where visited, static's elsewhere
-//	all             every branch location
+//	dynamic         Dynamic(): branches the concolic analysis labeled symbolic
+//	static          Static(): branches the static analysis labeled symbolic
+//	dynamic+static  Union(Dynamic(), StaticResidue()): dynamic's labels
+//	                where visited, static's elsewhere
+//	all             All(): every branch location
 //
 // The developer retains the plan (the instrumented-branch set); the replay
 // engine needs it to interpret the bitvector (§3.1).
 //
-// Beyond the paper's fixed methods, the package exposes the decision as a
-// composable Strategy algebra: built-ins (Dynamic, Static, StaticResidue,
-// All, None) compose through combinators (Union, Intersect, Budgeted,
-// Sampled), and each legacy Method is a fixed composition reproduced
-// exactly by StrategyForMethod. A CostModel built from concolic per-branch
-// hit counts prices every plan in the paper's two currencies — expected
-// logged bits per user-site run and expected replay search runs — and
-// CalibrateCosts corrects those prices with rates observed by a real
-// developer-site search (SearchProfile), which Refine also consumes to
-// derive the next plan generation.
+// A CostModel built from concolic per-branch hit counts prices every plan
+// in the paper's two currencies — expected logged bits per user-site run
+// and expected replay search runs — and CalibrateCosts corrects those
+// prices with rates observed by a real developer-site search
+// (SearchProfile), which Refine also consumes to derive the next plan
+// generation.
 //
 // Plans are durable deployment artifacts. Fingerprint gives a plan a
 // content identity (program hash + branch set + syscall flag) that records

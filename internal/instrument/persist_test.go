@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 // combined method with syscall logging.
 func goldenPlan(t *testing.T) *Plan {
 	t.Helper()
-	return BuildPlan(fakeProgram(t), MethodDynamicStatic, fakeInputs(), true)
+	return planOf(t, StrategyForMethod(MethodDynamicStatic), NewPlanContext(fakeProgram(t), fakeInputs(), true))
 }
 
 // TestPlanGoldenFile pins the serialized plan format: program hash,

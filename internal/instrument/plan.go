@@ -27,7 +27,7 @@ var methodNames = [...]string{"none", "dynamic", "static", "dynamic+static", "al
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
-	if int(m) < len(methodNames) {
+	if m >= 0 && int(m) < len(methodNames) {
 		return methodNames[m]
 	}
 	return "method?"
@@ -59,9 +59,9 @@ func ParseMethod(s string) (Method, error) {
 // Fingerprint gives them a shippable identity covering the program, the
 // branch set and the syscall flag.
 type Plan struct {
-	// Method is the legacy §2.3 tag. Plans built by a strategy composition
-	// with no legacy equivalent leave it at MethodNone; Strategy is the
-	// authoritative provenance.
+	// Method is the §2.3 tag, set on plans built through StrategyForMethod.
+	// Plans built by a composition no method names leave it at MethodNone;
+	// Strategy is the authoritative provenance.
 	Method Method
 	// Strategy names the strategy that produced the plan (e.g.
 	// "union(dynamic,static-residue)"); empty on hand-built plans.
@@ -132,63 +132,6 @@ func (p *Plan) IDs() []lang.BranchID {
 type Inputs struct {
 	Dynamic *concolic.Report
 	Static  *static.Report
-}
-
-// BuildPlan derives the instrumented-branch set for a method (§2.3). It is
-// the literal reference implementation of the paper's four methods; the
-// strategy compositions of strategy.go reproduce it exactly (gated by
-// TestMethodStrategyParity). The returned plan carries the program hash
-// and a cost estimate like any strategy-built plan.
-func BuildPlan(prog *lang.Program, method Method, in Inputs, logSyscalls bool) *Plan {
-	p := &Plan{
-		Method:       method,
-		Strategy:     StrategyForMethod(method).Name(),
-		Instrumented: make(map[lang.BranchID]bool),
-		LogSyscalls:  logSyscalls,
-		ProgHash:     ProgramHash(prog),
-	}
-	switch method {
-	case MethodNone:
-		p.LogSyscalls = false
-
-	case MethodAll:
-		for _, b := range prog.Branches {
-			p.Instrumented[b.ID] = true
-		}
-
-	case MethodDynamic:
-		for id, l := range in.Dynamic.Labels {
-			if l == concolic.Symbolic {
-				p.Instrumented[id] = true
-			}
-		}
-
-	case MethodStatic:
-		for id, v := range in.Static.SymbolicBranches {
-			if v {
-				p.Instrumented[id] = true
-			}
-		}
-
-	case MethodDynamicStatic:
-		// Visited branches take the dynamic label (which may override a
-		// conservative static "symbolic"); unvisited branches take the
-		// static label.
-		for _, b := range prog.Branches {
-			switch in.Dynamic.Labels[b.ID] {
-			case concolic.Symbolic:
-				p.Instrumented[b.ID] = true
-			case concolic.Concrete:
-				// Dynamic evidence wins: not instrumented.
-			case concolic.Unvisited:
-				if in.Static.SymbolicBranches[b.ID] {
-					p.Instrumented[b.ID] = true
-				}
-			}
-		}
-	}
-	p.Cost = NewCostModel(prog, in.Dynamic).Estimate(p)
-	return p
 }
 
 // Logger is the vm.BranchSink an instrumented build runs with at the user

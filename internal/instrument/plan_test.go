@@ -140,6 +140,7 @@ func TestMethodString(t *testing.T) {
 	names := map[Method]string{
 		MethodNone: "none", MethodDynamic: "dynamic", MethodStatic: "static",
 		MethodDynamicStatic: "dynamic+static", MethodAll: "all branches",
+		Method(-1): "method?", Method(5): "method?",
 	}
 	for m, want := range names {
 		if m.String() != want {

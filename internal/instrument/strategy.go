@@ -15,8 +15,9 @@ import (
 // The Planner API makes the paper's instrumentation decision a first-class,
 // composable value instead of a closed enum. A Strategy turns analysis
 // results into a Plan; combinators build new strategies out of existing
-// ones. Every legacy Method is reproduced exactly as a composition (gated
-// by the parity test in strategy_test.go):
+// ones. It is the only planner: each §2.3 Method is a name for one
+// composition (StrategyForMethod), whose branch sets plan_test.go checks
+// literally and whose per-scenario fingerprints internal/ir pins:
 //
 //	MethodNone          == None()
 //	MethodDynamic       == Dynamic()
@@ -141,7 +142,7 @@ func (s *strategyFunc) Plan(ctx context.Context, pc *PlanContext) (*Plan, error)
 
 // noneStrategy is the uninstrumented baseline. It is its own type because
 // it overrides the session's syscall-logging flag: the baseline never logs
-// anything (matching the legacy MethodNone exactly).
+// anything (MethodNone).
 type noneStrategy struct{}
 
 // Name implements Strategy.
@@ -200,8 +201,8 @@ func Static() Strategy {
 // StaticResidue returns the strategy instrumenting the statically-symbolic
 // branches the dynamic analysis never visited — static's contribution to
 // the combined method, where dynamic evidence always wins on visited
-// branches (§2.3). Union(Dynamic(), StaticResidue()) reproduces
-// MethodDynamicStatic exactly.
+// branches (§2.3). Union(Dynamic(), StaticResidue()) is
+// MethodDynamicStatic.
 func StaticResidue() Strategy {
 	return &strategyFunc{name: "static-residue", build: func(ctx context.Context, pc *PlanContext) (map[lang.BranchID]bool, error) {
 		if pc.In.Dynamic == nil || pc.In.Static == nil {
@@ -395,8 +396,8 @@ func Sampled(inner Strategy, rate float64) Strategy {
 	}
 }
 
-// methodStrategy wraps a composition so plans built through the legacy
-// Method sugar carry the method tag alongside the strategy label.
+// methodStrategy wraps a composition so plans built through a Method name
+// carry the method tag alongside the composition's strategy label.
 type methodStrategy struct {
 	m     Method
 	inner Strategy
@@ -406,7 +407,7 @@ type methodStrategy struct {
 func (s *methodStrategy) Name() string { return "method:" + s.m.String() }
 
 // Plan implements Strategy: the inner composition's plan, tagged with the
-// legacy method.
+// method.
 func (s *methodStrategy) Plan(ctx context.Context, pc *PlanContext) (*Plan, error) {
 	p, err := s.inner.Plan(ctx, pc)
 	if err != nil {
@@ -416,9 +417,10 @@ func (s *methodStrategy) Plan(ctx context.Context, pc *PlanContext) (*Plan, erro
 	return p, nil
 }
 
-// StrategyForMethod returns the composition reproducing a legacy Method
-// (§2.3) exactly: same branch set, same flags, same fingerprint. Unknown
-// methods map to None().
+// StrategyForMethod returns the composition a Method names (§2.3): plans it
+// builds carry the method tag and the composition's strategy label, with
+// the composition's branch set, flags and fingerprint. Unknown methods map
+// to None().
 func StrategyForMethod(m Method) Strategy {
 	var inner Strategy
 	switch m {

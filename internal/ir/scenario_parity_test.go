@@ -65,8 +65,7 @@ func runPipeline(t *testing.T, name string, engine vm.Factory, replayRuns int) *
 
 	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
 	st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := instrument.BuildPlan(scn.Prog, instrument.MethodDynamic,
-		instrument.Inputs{Dynamic: dyn, Static: st}, true)
+	plan := scn.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
 
 	rec, stats, err := scn.RecordContext(ctx, plan)
 	if err != nil {
@@ -181,8 +180,7 @@ func TestScenarioReplayParityWorkers(t *testing.T) {
 			an := apps.AnalysisScenarioFor(name, scn)
 			dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
 			st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-			plan := instrument.BuildPlan(scn.Prog, instrument.MethodDynamicStatic,
-				instrument.Inputs{Dynamic: dyn, Static: st}, true)
+			plan := scn.Plan(instrument.MethodDynamicStatic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
 			rec, _, err := scn.RecordContext(ctx, plan)
 			if err != nil || rec == nil {
 				t.Fatalf("record: rec=%v err=%v", rec, err)

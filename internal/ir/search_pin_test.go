@@ -196,8 +196,7 @@ func TestSerialSearchPinned(t *testing.T) {
 		t.Run(name+"/analysis", func(t *testing.T) {
 			dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(name)})
 			fp := func(m instrument.Method) string {
-				return instrument.BuildPlan(scn.Prog, m,
-					instrument.Inputs{Dynamic: dyn, Static: st}, true).Fingerprint()
+				return scn.Plan(m, instrument.Inputs{Dynamic: dyn, Static: st}, true).Fingerprint()
 			}
 			got := analysisPin{
 				Runs: dyn.Runs, LabelsDigest: labelsDigest(dyn.Labels),
@@ -214,8 +213,7 @@ func TestSerialSearchPinned(t *testing.T) {
 			}
 		})
 		dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
-		plan := instrument.BuildPlan(scn.Prog, instrument.MethodDynamicStatic,
-			instrument.Inputs{Dynamic: dyn, Static: st}, true)
+		plan := scn.Plan(instrument.MethodDynamicStatic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
 		rec, _, err := scn.RecordContext(ctx, plan)
 		if err != nil || rec == nil {
 			t.Fatalf("%s: record: rec=%v err=%v", name, rec, err)

@@ -82,6 +82,17 @@ int main() {
 }
 `
 
+// planFor plans a method through the composition it names, with syscall
+// logging on.
+func planFor(t *testing.T, prog *lang.Program, m instrument.Method, in instrument.Inputs) *instrument.Plan {
+	t.Helper()
+	p, err := instrument.StrategyForMethod(m).Plan(context.Background(), instrument.NewPlanContext(prog, in, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func buildFixture(t *testing.T, method instrument.Method) *fixture {
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
@@ -90,7 +101,7 @@ func buildFixture(t *testing.T, method instrument.Method) *fixture {
 		Dynamic: analysis.Explore(context.Background()),
 		Static:  static.Analyze(prog, static.Options{}),
 	}
-	plan := instrument.BuildPlan(prog, method, in, true)
+	plan := planFor(t, prog, method, in)
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQ")})
 	return &fixture{prog: prog, spec: spec, rec: rec}
 }
@@ -178,7 +189,7 @@ func TestTraceTampering(t *testing.T) {
 		Dynamic: concolic.New(prog, spec, world.NewRegistry(), concolic.Options{MaxRuns: 40}).Explore(context.Background()),
 		Static:  static.Analyze(prog, static.Options{}),
 	}
-	plan := instrument.BuildPlan(prog, instrument.MethodAll, in, true)
+	plan := planFor(t, prog, instrument.MethodAll, in)
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQ")})
 
 	w := trace.NewWriter()

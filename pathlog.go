@@ -6,9 +6,8 @@
 // The workflow mirrors the paper end to end, driven through a Session built
 // with functional options. Instrumentation decisions are first-class
 // strategies: built-ins (Dynamic, Static, All, None) compose through
-// combinators (Union, Intersect, Budgeted, Sampled), and the legacy
-// methods of §2.3 are fixed compositions (WithMethod is sugar for
-// WithStrategy):
+// combinators (Union, Intersect, Budgeted, Sampled), and each method of
+// §2.3 names a fixed composition (StrategyForMethod):
 //
 //	prog, _ := pathlog.Compile(
 //		pathlog.Unit{Name: "app.mc", Source: src},
@@ -179,7 +178,7 @@ type (
 )
 
 // Strategy constructors and combinators, re-exported from
-// internal/instrument. Each legacy Method is a fixed composition:
+// internal/instrument. Each Method names a fixed composition:
 // MethodDynamicStatic == Union(Dynamic(), StaticResidue()).
 var (
 	// Dynamic instruments branches the concolic analysis labeled symbolic.
@@ -202,8 +201,8 @@ var (
 	Budgeted = instrument.Budgeted
 	// Sampled keeps a deterministic fraction of a strategy's branches.
 	Sampled = instrument.Sampled
-	// StrategyForMethod returns the composition reproducing a legacy
-	// Method exactly.
+	// StrategyForMethod returns the composition a Method names; its plans
+	// carry the method tag.
 	StrategyForMethod = instrument.StrategyForMethod
 	// Refine returns the strategy deriving the next plan generation from a
 	// base plan and the replay search profile measured under it (see

@@ -3,6 +3,7 @@ package pathlog
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -46,7 +47,6 @@ type sessionConfig struct {
 	dyn          DynamicOptions
 	static       StaticOptions
 	rep          ReplayOptions
-	workers      int
 	fleetWorkers []string
 	progress     ProgressFunc
 	storeDir     string
@@ -83,13 +83,6 @@ func WithAnalysisSpec(spec *Spec) Option {
 // Union(Dynamic(), StaticResidue()) — i.e. MethodDynamicStatic.
 func WithStrategy(s Strategy) Option {
 	return func(c *sessionConfig) { c.strategy = s }
-}
-
-// WithMethod selects the instrumentation method (§2.3). It is sugar for
-// WithStrategy(StrategyForMethod(m)): each legacy method is a fixed
-// strategy composition.
-func WithMethod(m Method) Option {
-	return func(c *sessionConfig) { c.strategy = instrument.StrategyForMethod(m) }
 }
 
 // WithSyscallLog enables syscall-result logging in the instrumented build
@@ -146,20 +139,6 @@ func WithReplayOptions(o ReplayOptions) Option {
 			o.MaxStepsPerRun = 0
 		}
 		c.rep = o
-	}
-}
-
-// WithReplayWorkers sizes the session's batch pool: ReproduceAll replays up
-// to n recordings at once and Frontier builds up to n plans at once. Each
-// replay is always one serial depth-first search (§3.2), so n never changes
-// what a single Replay explores. n below 1 is clamped to 1 at option-apply
-// time.
-func WithReplayWorkers(n int) Option {
-	return func(c *sessionConfig) {
-		if n < 1 {
-			n = 1
-		}
-		c.workers = n
 	}
 }
 
@@ -502,7 +481,7 @@ func (s *Session) resolveRecording(rec *Recording) (*Recording, error) {
 // starting it.
 func (s *Session) Analyze(ctx context.Context) (Inputs, error) {
 	// anMu serializes the computation; mu guards only the cache, so progress
-	// callbacks fire without holding the lock PlanFor and friends take.
+	// callbacks fire without holding the lock PlanWith and friends take.
 	s.anMu.Lock()
 	defer s.anMu.Unlock()
 	s.mu.Lock()
@@ -561,12 +540,6 @@ func (s *Session) PlanWith(ctx context.Context, strat Strategy) (*Plan, error) {
 	s.plans[key] = p
 	s.mu.Unlock()
 	return p, nil
-}
-
-// PlanFor builds (and caches) the instrumentation plan for an explicit
-// legacy method — sugar for PlanWith(StrategyForMethod(m)).
-func (s *Session) PlanFor(ctx context.Context, m Method) (*Plan, error) {
-	return s.PlanWith(ctx, instrument.StrategyForMethod(m))
 }
 
 // Plan builds the instrumentation plan for the session's configured
@@ -736,10 +709,10 @@ func (s *Session) replayWith(ctx context.Context, rec *Recording) *ReplayResult 
 	return s.scenario(nil).ReplayContext(ctx, rec, opts)
 }
 
-// ReproduceAll replays a batch of recordings, fanning them out over the
-// session's worker pool (WithReplayWorkers). Results align with the input
-// slice. Each recording is one serial search, so the pool parallelizes
-// across recordings.
+// ReproduceAll replays a batch of recordings, fanning them out over a pool
+// of GOMAXPROCS workers. Results align with the input slice. Each
+// recording is one serial search, so the pool parallelizes across
+// recordings.
 // Every recording is resolved against the plan store (stamped-only
 // recordings need WithPlanStore) and validated against the session's
 // program first; a mismatch fails the whole batch before any search is
@@ -760,30 +733,31 @@ func (s *Session) ReproduceAll(ctx context.Context, recs []*Recording) ([]*Repla
 			return nil, fmt.Errorf("recording %d: %w", i, err)
 		}
 	}
-	pool := s.cfg.workers
-	if pool < 1 {
-		pool = 1
-	}
-	if pool > len(recs) {
-		pool = len(recs)
-	}
+	fanOut(len(recs), func(i int) { out[i] = s.replayWith(ctx, recs[i]) })
+	return out, nil
+}
+
+// fanOut calls fn(i) for every i in [0, n) on a pool of GOMAXPROCS
+// workers, never more than n. The batch jobs it runs — ReproduceAll's
+// replays, Frontier's plans — are independent, so the pool size changes
+// only the wall time.
+func fanOut(n int, fn func(i int)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i] = s.replayWith(ctx, recs[i])
+				fn(i)
 			}
 		}()
 	}
-	for i := range recs {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return out, nil
 }
 
 // Reproduce runs the full pipeline once: analyze, plan, record the user run
@@ -812,6 +786,6 @@ func (s *Session) Verify(inputBytes map[string][]byte, crash CrashInfo) bool {
 
 // String renders the session's configuration for logs.
 func (s *Session) String() string {
-	return fmt.Sprintf("session(%s strategy=%s syscalls=%v workers=%d)",
-		s.cfg.name, s.cfg.strategy.Name(), s.cfg.logSyscalls, s.cfg.workers)
+	return fmt.Sprintf("session(%s strategy=%s syscalls=%v)",
+		s.cfg.name, s.cfg.strategy.Name(), s.cfg.logSyscalls)
 }

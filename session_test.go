@@ -66,7 +66,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	sess := chainSession(t)
 	for _, m := range Methods {
-		plan, err := sess.PlanFor(ctx, m)
+		plan, err := sess.PlanWith(ctx, StrategyForMethod(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -109,30 +109,36 @@ func TestSessionAnalysisCached(t *testing.T) {
 	}
 }
 
-// TestSessionReplayWorkersParity checks that WithReplayWorkers sizes only
-// the batch pools: a single Replay under WithReplayWorkers(4) is the same
-// serial search as under WithReplayWorkers(1) — same runs, same input, same
-// profile.
+// TestSessionReplayWorkersParity checks that ReproduceAll's worker pool
+// changes only the wall time: each recording gets the same runs, input and
+// profile from the batch as from a serial Replay.
 func TestSessionReplayWorkersParity(t *testing.T) {
 	ctx := context.Background()
-	one := chainSession(t, WithReplayWorkers(1))
-	four := chainSession(t, WithReplayWorkers(4))
+	sess := chainSession(t)
+	var recs []*Recording
 	for _, m := range Methods {
-		plan, err := one.PlanFor(ctx, m)
+		plan, err := sess.PlanWith(ctx, StrategyForMethod(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := one.RecordWith(ctx, plan, nil)
+		rec, _, err := sess.RecordWith(ctx, plan, nil)
 		if err != nil || rec == nil {
 			t.Fatalf("%v: record: %v", m, err)
 		}
-		a := mustReplay(t, ctx, one, rec)
-		b := mustReplay(t, ctx, four, rec)
+		recs = append(recs, rec)
+	}
+	batch, err := sess.ReproduceAll(ctx, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range Methods {
+		a := mustReplay(t, ctx, sess, recs[i])
+		b := batch[i]
 		if !a.Reproduced || !b.Reproduced {
-			t.Fatalf("%v: reproduced %v under 1, %v under 4", m, a.Reproduced, b.Reproduced)
+			t.Fatalf("%v: reproduced %v serially, %v in the batch", m, a.Reproduced, b.Reproduced)
 		}
 		if a.Runs != b.Runs || !reflect.DeepEqual(a.Input, b.Input) {
-			t.Fatalf("%v: pool size changed the search: %d runs %v vs %d runs %v",
+			t.Fatalf("%v: the batch changed the search: %d runs %v vs %d runs %v",
 				m, a.Runs, a.Input, b.Runs, b.Input)
 		}
 		for _, p := range []*SearchProfile{a.Profile, b.Profile} {
@@ -141,7 +147,7 @@ func TestSessionReplayWorkersParity(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(a.Profile, b.Profile) {
-			t.Fatalf("%v: pool size changed the profile:\n%+v\n%+v", m, a.Profile, b.Profile)
+			t.Fatalf("%v: the batch changed the profile:\n%+v\n%+v", m, a.Profile, b.Profile)
 		}
 	}
 }
@@ -216,10 +222,10 @@ func TestSessionReplayCancelMidSearch(t *testing.T) {
 
 func TestSessionReproduceAll(t *testing.T) {
 	ctx := context.Background()
-	sess := chainSession(t, WithReplayWorkers(4))
+	sess := chainSession(t)
 	var recs []*Recording
 	for _, m := range Methods {
-		plan, err := sess.PlanFor(ctx, m)
+		plan, err := sess.PlanWith(ctx, StrategyForMethod(m))
 		if err != nil {
 			t.Fatal(err)
 		}
