@@ -243,13 +243,13 @@ type BalanceOptions struct {
 	// shards (<= 1 keeps one).
 	Shards int
 	// Runner replays each corpus shard; nil selects the in-process runner
-	// under the session's replay options.
+	// under the session's replay budget.
 	Runner CorpusRunner
 	// Workers fans corpus shards out over remote shard worker daemons
-	// (cmd/shardworkerd), addressed as host:port or http URLs. Ignored when
-	// Runner is set; empty falls back to WithFleet's pool, then to the
-	// in-process runner. With workers set and Shards unset, the corpus is
-	// partitioned one shard per worker.
+	// (cmd/shardworkerd), addressed as host:port or http URLs, exactly as
+	// CorpusOptions.Workers does. Ignored when Runner is set; empty keeps
+	// the in-process runner. With workers set and Shards unset, the corpus
+	// is partitioned one shard per worker.
 	Workers []string
 	// OnCorpusGeneration observes each corpus generation's measured point.
 	// Same contract as ProgressFunc.

@@ -289,14 +289,8 @@ func tuneCorpus(ctx context.Context, sess *pathlog.Session, observer *obs.Observ
 		}
 	}
 	if len(hosts) > 0 {
-		// The session defaults to one shard per worker when -shards is
-		// not raised above 1; announce the effective fan-out.
-		eff := shards
-		if eff <= 1 {
-			eff = len(hosts)
-		}
-		fmt.Printf("fanning %d shard(s) out over %d remote worker(s): %s\n",
-			eff, len(hosts), strings.Join(hosts, ", "))
+		fmt.Printf("fanning shards out over %d remote worker(s): %s\n",
+			len(hosts), strings.Join(hosts, ", "))
 	}
 	ref, err := sess.RefineCorpus(ctx, c, pathlog.CorpusOptions{
 		Shards: shards, Workers: hosts, TopK: topK,

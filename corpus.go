@@ -65,13 +65,18 @@ type CorpusOptions struct {
 	// shards replay concurrently.
 	Shards int
 	// Runner replays each shard. Nil selects the in-process runner under
-	// the session's replay options (WithReplayBudget, WithReplayOptions).
+	// the session's replay budget (WithReplayBudget).
 	Runner CorpusRunner
 	// Workers fans shards out over remote shard worker daemons
-	// (cmd/shardworkerd), addressed as host:port or http URLs. Ignored
-	// when Runner is set; empty falls back to WithFleet's pool, then to
+	// (cmd/shardworkerd), addressed as host:port or http URLs — the one
+	// way to name a worker pool. Ignored when Runner is set; empty keeps
 	// the in-process runner. With workers set and Shards unset, the corpus
-	// is partitioned one shard per worker.
+	// is partitioned one shard per worker. The session's name must be a
+	// registered scenario name (apps.ScenarioByName): that name is how a
+	// stateless worker rebuilds the program and input space. Recording
+	// envelopes ship inline with each shard, so workers need neither a
+	// shared filesystem nor a plan store, and every remote response flows
+	// through the same verifying merge point as a local replay.
 	Workers []string
 	// TopK is the promotion width of a RefineCorpus step (<= 0 selects
 	// DefaultRefineTopK).
@@ -164,9 +169,7 @@ func (s *Session) replayCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 func (s *Session) corpusReplayOptions() replay.Options {
 	opts := s.cfg.rep
 	opts.OnRun = nil
-	if opts.Obs == nil {
-		opts.Obs = s.cfg.obs.Registry()
-	}
+	opts.Obs = s.cfg.obs.Registry()
 	return opts
 }
 
@@ -493,17 +496,16 @@ func (s *Session) CorpusBalance(ctx context.Context, c *Corpus, opts BalanceOpti
 }
 
 // corpusRunner resolves the runner a balance step replays with: an
-// explicit Runner wins, then a remote fleet (per-call Workers, falling
-// back to the session's WithFleet pool), then the in-process runner. The
-// fleet runner dispatches under the session's name — the scenario a
-// stateless worker rebuilds the program from — with the same replay
-// bounds the in-process runner would use.
+// explicit Runner wins, then a remote fleet (per-call Workers), then the
+// in-process runner. The fleet runner dispatches under the session's name
+// — the scenario a stateless worker rebuilds the program from — with the
+// same replay bounds the in-process runner would use.
 func (s *Session) corpusRunner(opts CorpusOptions) CorpusRunner {
 	if opts.Runner != nil {
 		return opts.Runner
 	}
-	if workers := s.corpusWorkers(opts); len(workers) > 0 {
-		r := fleet.NewRemoteRunner(workers, s.cfg.name, s.corpusReplayOptions())
+	if len(opts.Workers) > 0 {
+		r := fleet.NewRemoteRunner(opts.Workers, s.cfg.name, s.corpusReplayOptions())
 		// The runner shares the session's observer: its counters land in the
 		// same registry and its shard/dispatch spans parent under the balance
 		// generation that dispatched them.
@@ -513,26 +515,12 @@ func (s *Session) corpusRunner(opts CorpusOptions) CorpusRunner {
 	return &corpus.InProcessRunner{Prog: s.prog, Spec: s.spec, Opts: s.corpusReplayOptions()}
 }
 
-// corpusWorkers resolves the remote worker pool for one corpus step.
-func (s *Session) corpusWorkers(opts CorpusOptions) []string {
-	if opts.Runner != nil {
-		return nil
-	}
-	if len(opts.Workers) > 0 {
-		return opts.Workers
-	}
-	return s.cfg.fleetWorkers
-}
-
 // corpusShards resolves a step's shard count: an explicit Shards wins;
 // with a remote pool and no explicit count, one shard per worker (the
 // partition that keeps every worker busy).
 func (s *Session) corpusShards(opts CorpusOptions) int {
-	if opts.Shards > 1 {
-		return opts.Shards
-	}
-	if workers := s.corpusWorkers(opts); len(workers) > 0 {
-		return len(workers)
+	if opts.Shards <= 1 && opts.Runner == nil && len(opts.Workers) > 0 {
+		return len(opts.Workers)
 	}
 	return opts.Shards
 }

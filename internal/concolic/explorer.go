@@ -17,6 +17,7 @@ import (
 	"context"
 	"time"
 
+	"pathlog/internal/ir"
 	"pathlog/internal/lang"
 	"pathlog/internal/oskernel"
 	"pathlog/internal/solver"
@@ -61,7 +62,7 @@ type Options struct {
 	// of runs completed so far.
 	OnRun func(completed int)
 	// Engine builds the execution machine for each run; nil uses the
-	// tree-walking interpreter (vm.TreeFactory).
+	// bytecode VM (ir.Engine), as every layer does.
 	Engine vm.Factory
 	// Solver options.
 	Solver solver.Options
@@ -141,7 +142,7 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, opts Options
 		opts.MaxChildrenPerRun = DefaultMaxChildrenPerRun
 	}
 	if opts.Engine == nil {
-		opts.Engine = vm.TreeFactory
+		opts.Engine = ir.Engine
 	}
 	return &Explorer{
 		prog: prog,

@@ -2,8 +2,10 @@ package concolic
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"pathlog/internal/ir"
 	"pathlog/internal/lang"
 	"pathlog/internal/world"
 )
@@ -246,5 +248,17 @@ func TestLabelString(t *testing.T) {
 	if Unvisited.String() != "unvisited" || Concrete.String() != "concrete" ||
 		Symbolic.String() != "symbolic" {
 		t.Error("label names")
+	}
+}
+
+// TestNilEngineIsBytecodeVM pins the one engine rule: a nil Options.Engine
+// runs every exploration on the bytecode VM, never on the tree-walking
+// oracle.
+func TestNilEngineIsBytecodeVM(t *testing.T) {
+	prog := compile(t, listing1)
+	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
+	ex := New(prog, spec, world.NewRegistry(), Options{})
+	if got, want := reflect.ValueOf(ex.opts.Engine).Pointer(), reflect.ValueOf(ir.Engine).Pointer(); got != want {
+		t.Fatalf("nil Options.Engine resolved to %#x, want ir.Engine (%#x)", got, want)
 	}
 }

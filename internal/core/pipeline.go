@@ -42,13 +42,15 @@ type Scenario struct {
 	// actually trigger the bug at record time).
 	UserBytes map[string][]byte
 	// Engine builds the execution machine every pipeline stage runs the
-	// program with. Nil selects the bytecode VM (internal/ir), the fast
-	// default; vm.TreeFactory selects the tree-walking interpreter, kept as
-	// the differential-testing oracle (pathlog.WithEngine).
+	// program with. Nil selects the bytecode VM (ir.Engine), the default of
+	// every layer; only the engine parity tests set vm.TreeFactory, the
+	// tree-walking differential oracle.
 	Engine vm.Factory
 }
 
-// engine resolves the scenario's execution engine.
+// engine resolves the engine of the runs the scenario drives itself
+// (record, verify); analysis and replay pass Engine through, and their
+// layers apply the same nil rule.
 func (s *Scenario) engine() vm.Factory {
 	if s.Engine != nil {
 		return s.Engine
@@ -117,7 +119,7 @@ func overrideSeed(st *world.Stream, user map[string][]byte) error {
 // current run.
 func (s *Scenario) AnalyzeDynamicContext(ctx context.Context, opts concolic.Options) *concolic.Report {
 	if opts.Engine == nil {
-		opts.Engine = s.engine()
+		opts.Engine = s.Engine
 	}
 	ex := concolic.New(s.Prog, s.Spec, world.NewRegistry(), opts)
 	return ex.Explore(ctx)
@@ -268,7 +270,7 @@ func (s *Scenario) MeasureOverheadContext(ctx context.Context, plan *instrument.
 // own engine, registry and per-run worlds.
 func (s *Scenario) ReplayContext(ctx context.Context, rec *replay.Recording, opts replay.Options) *replay.Result {
 	if opts.Engine == nil {
-		opts.Engine = s.engine()
+		opts.Engine = s.Engine
 	}
 	eng := replay.New(s.Prog, s.Spec, world.NewRegistry(), rec, opts)
 	return eng.Reproduce(ctx)

@@ -54,14 +54,18 @@ type Runner interface {
 }
 
 // InProcessRunner replays a shard through the replay engine in this
-// process, one report at a time (shards themselves run concurrently).
+// process, one report at a time (shards themselves run concurrently). It is
+// the one place a corpus replay builds its engines: the session's
+// in-process corpus steps and every shard worker daemon run through it.
 type InProcessRunner struct {
 	Prog *lang.Program
 	Spec *world.Spec
 	Opts replay.Options
 }
 
-// ReplayShard implements Runner.
+// ReplayShard implements Runner. When the context fires, it returns the runs
+// completed so far (the interrupted report's included) with the context's
+// error.
 func (r *InProcessRunner) ReplayShard(ctx context.Context, reports []*Report) ([]ReportRun, error) {
 	out := make([]ReportRun, len(reports))
 	for i, rep := range reports {
@@ -79,7 +83,7 @@ func (r *InProcessRunner) ReplayShard(ctx context.Context, reports []*Report) ([
 			Profile:    res.Profile,
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return out[:i+1], err
 		}
 	}
 	return out, nil
@@ -121,7 +125,6 @@ type ShardRequest struct {
 	Envelopes []json.RawMessage `json:"envelopes,omitempty"`
 	MaxRuns   int               `json:"max_runs,omitempty"`
 	BudgetMS  int64             `json:"budget_ms,omitempty"`
-	PickFIFO  bool              `json:"pick_fifo,omitempty"`
 }
 
 // ShardResponse is the JSON object a shard worker daemon returns: one run

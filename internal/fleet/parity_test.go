@@ -179,8 +179,8 @@ var replayBounds = replay.Options{MaxRuns: 1500, TimeBudget: 15 * time.Second}
 // TestRemoteShardParity is the remote-replay correctness gate: the merged
 // weighted profile must be byte-identical whether the corpus replays
 // in-process or over HTTP against real shardworkerd daemons — 1 worker or
-// 4 — and whether the pool is wired per-call (RemoteRunner) or per-session
-// (WithFleet). Run under -race in CI.
+// 4 — and whether the pool is wired as a RemoteRunner or through a
+// session's CorpusOptions.Workers. Run under -race in CI.
 func TestRemoteShardParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a worker daemon and replays a corpus over HTTP")
@@ -233,20 +233,22 @@ func TestRemoteShardParity(t *testing.T) {
 		}
 	}
 
-	// Session plumbing: WithFleet must produce the same outcome through
-	// ReplayCorpus (one shard per worker by default) as a fleetless session.
-	sessFleet := pathlog.SessionOf(s3,
-		pathlog.WithReplayBudget(replayBounds.MaxRuns, replayBounds.TimeBudget),
-		pathlog.WithFleet(urls[:3]...))
-	outFleet, err := sessFleet.ReplayCorpus(ctx, c, pathlog.CorpusOptions{})
+	// Session plumbing: CorpusOptions.Workers must produce the same outcome
+	// through ReplayCorpus, partitioned one shard per worker by default.
+	sess := pathlog.SessionOf(s3,
+		pathlog.WithReplayBudget(replayBounds.MaxRuns, replayBounds.TimeBudget))
+	outFleet, err := sess.ReplayCorpus(ctx, c, pathlog.CorpusOptions{Workers: urls[:3]})
 	if err != nil {
 		t.Fatalf("session fleet replay: %v", err)
 	}
+	if outFleet.Shards != 3 {
+		t.Errorf("session fleet replay used %d shards, want one per worker (3)", outFleet.Shards)
+	}
 	if got := normalize(outFleet.Profile); !reflect.DeepEqual(got, ref) {
-		t.Errorf("WithFleet session replay diverges from in-process:\n got %+v\n ref %+v", got, ref)
+		t.Errorf("session fleet replay diverges from in-process:\n got %+v\n ref %+v", got, ref)
 	}
 	if outFleet.MeanRuns != refOut.MeanRuns || outFleet.MaxRuns != refOut.MaxRuns {
-		t.Errorf("WithFleet population stats diverge: mean %g max %d vs mean %g max %d",
+		t.Errorf("session fleet population stats diverge: mean %g max %d vs mean %g max %d",
 			outFleet.MeanRuns, outFleet.MaxRuns, refOut.MeanRuns, refOut.MaxRuns)
 	}
 }

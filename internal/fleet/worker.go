@@ -12,7 +12,6 @@ import (
 	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
 	"pathlog/internal/replay"
-	"pathlog/internal/world"
 )
 
 // WorkerCore executes shard requests against named scenarios — the engine
@@ -104,16 +103,11 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 	if err != nil {
 		return fail("%v", err)
 	}
-	opts := replay.Options{
+	runner := &corpus.InProcessRunner{Prog: s.Prog, Spec: s.Spec, Opts: replay.Options{
 		MaxRuns:    req.MaxRuns,
 		TimeBudget: time.Duration(req.BudgetMS) * time.Millisecond,
-		PickFIFO:   req.PickFIFO,
-	}
-	resp := corpus.ShardResponse{
-		Version:  corpus.ProtocolVersion,
-		ShardID:  req.ShardID,
-		ProgHash: instrument.ProgramHash(s.Prog),
-	}
+	}}
+	reports := make([]*corpus.Report, len(req.Envelopes))
 	for i, env := range req.Envelopes {
 		// The envelope must embed its plan and fit this worker's program —
 		// a wrong-scenario request fails per report, by name.
@@ -124,19 +118,17 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 		if rec.Plan == nil {
 			return fail("report inline envelope %d: stamped-only envelope carries no plan — the parent resolves stamps before dispatch", i)
 		}
-		eng := replay.New(s.Prog, s.Spec, world.NewRegistry(), rec, opts)
-		res := eng.Reproduce(ctx)
-		resp.Results = append(resp.Results, corpus.ReportRun{
-			Reproduced: res.Reproduced,
-			TimedOut:   res.TimedOut,
-			Cancelled:  res.Cancelled,
-			Runs:       res.Runs,
-			WallMS:     res.Elapsed.Milliseconds(),
-			Profile:    res.Profile,
-		})
-		if err := ctx.Err(); err != nil {
-			return fail("cancelled after %d of %d reports: %v", len(resp.Results), len(req.Envelopes), err)
-		}
+		reports[i] = &corpus.Report{Rec: rec}
+	}
+	runs, err := runner.ReplayShard(ctx, reports)
+	if err != nil {
+		return fail("cancelled after %d of %d reports: %v", len(runs), len(req.Envelopes), err)
+	}
+	resp := corpus.ShardResponse{
+		Version:  corpus.ProtocolVersion,
+		ShardID:  req.ShardID,
+		ProgHash: instrument.ProgramHash(s.Prog),
+		Results:  runs,
 	}
 	span.SetAttr("outcome", "ok")
 	span.SetAttr("reports", fmt.Sprint(len(req.Envelopes)))

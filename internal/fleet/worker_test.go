@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -70,12 +71,26 @@ func TestExecuteNeverOpensRequestedPaths(t *testing.T) {
 	if resp.Error != "" || len(resp.Results) != 1 {
 		t.Fatalf("inline envelope refused: error %q, %d results", resp.Error, len(resp.Results))
 	}
+
+	// A cancelled shard stops after the report in flight and says how far
+	// it got.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	resp = core.Execute(cancelled, corpus.ShardRequest{
+		Version:   corpus.ProtocolVersion,
+		Scenario:  "userver-exp3",
+		Envelopes: []json.RawMessage{data, data},
+	})
+	if want := "cancelled after 1 of 2 reports: context canceled"; resp.Error != want || len(resp.Results) != 0 {
+		t.Fatalf("cancelled shard: error %q with %d results, want %q and none", resp.Error, len(resp.Results), want)
+	}
 }
 
 // TestExecuteIgnoresRetiredWorkersField: a client built before the replay
-// search became one serial loop still sends a per-search worker count. The
-// request must replay, and its result must equal the same request without
-// the key — the count no longer changes the search.
+// search became one serial loop still sends a per-search worker count, and
+// one built before the search lost its FIFO pick order may still send
+// pick_fifo. The request must replay, and its result must equal the same
+// request without the keys — neither changes the search any more.
 func TestExecuteIgnoresRetiredWorkersField(t *testing.T) {
 	ctx := testCtx(t)
 	s, err := apps.ScenarioByName("userver-exp3")
@@ -107,7 +122,7 @@ func TestExecuteIgnoresRetiredWorkersField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := []byte(`{"workers":4,` + string(current[1:]))
+	old := []byte(`{"workers":4,"pick_fifo":true,` + string(current[1:]))
 
 	var w WorkerCore
 	execute := func(body []byte) corpus.ShardResponse {

@@ -50,9 +50,10 @@ func Compile(src *lang.Program) (*Program, error) {
 }
 
 // Engine is the vm.Factory of the bytecode engine: it compiles the program
-// (cached) and returns a dispatch-loop machine for one run. It is the default
-// engine of a session; the tree walker (vm.TreeFactory) remains available as
-// the differential-testing oracle.
+// (cached) and returns a dispatch-loop machine for one run. Every layer that
+// takes a vm.Factory (record, concolic analysis, replay) runs it when handed
+// nil; the tree walker (vm.TreeFactory) is only the parity tests'
+// differential oracle.
 func Engine(prog *lang.Program, opts vm.Options) vm.Machine {
 	p, err := Compile(prog)
 	if err != nil {

@@ -282,7 +282,10 @@ func DecodeRecording(data []byte) (*Recording, error) {
 		plan.Cost = *enc.Cost
 	}
 	rec.Plan = plan
-	if enc.Version >= 2 && enc.PlanFingerprint != "" {
+	// A stamp must match its plan whatever the version: version 1 never
+	// wrote one, so a version-1 envelope that carries one is checked too
+	// rather than decoded into a recording that Encode cannot round-trip.
+	if enc.PlanFingerprint != "" {
 		if got := plan.Fingerprint(); got != enc.PlanFingerprint {
 			return nil, fmt.Errorf("replay: decode recording: plan fingerprint mismatch: stamp %s, content hashes to %s",
 				enc.PlanFingerprint, got)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pathlog/internal/instrument"
+	"pathlog/internal/ir"
 	"pathlog/internal/lang"
 	"pathlog/internal/obs"
 	"pathlog/internal/oskernel"
@@ -26,15 +27,12 @@ type Options struct {
 	TimeBudget     time.Duration // 0 means no limit
 	MaxStepsPerRun int64         // 0 uses the VM default
 	MaxPending     int           // pending list cap; 0 means DefaultMaxPending
-	// PickFIFO explores pending constraint sets oldest-first instead of the
-	// paper's depth-first choice (§3.2), for the pick-heuristic ablation.
-	PickFIFO bool
 	// OnRun, when set, is called after every completed replay run with the
 	// total number of completed runs. It must be cheap and must not call
 	// back into the engine.
 	OnRun func(completed int)
 	// Engine builds the execution machine for each run; nil uses the
-	// tree-walking interpreter (vm.TreeFactory). Concurrent searches (a
+	// bytecode VM (ir.Engine), as every layer does. Concurrent searches (a
 	// ReproduceAll batch, corpus shards) share one factory, so it must be
 	// safe for concurrent calls.
 	Engine vm.Factory
@@ -173,7 +171,7 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recordi
 		opts.MaxPending = DefaultMaxPending
 	}
 	if opts.Engine == nil {
-		opts.Engine = vm.TreeFactory
+		opts.Engine = ir.Engine
 	}
 	instrTab := make([]bool, len(prog.Branches))
 	for id := range rec.Plan.Instrumented {
@@ -402,19 +400,15 @@ func (s *search) stopped(ctx context.Context) bool {
 	return false
 }
 
-// next pops pending sets (the newest, or the oldest under PickFIFO) and
-// solves them until one is satisfiable, returning the input of the run it
+// next pops pending sets newest-first (the paper's depth-first pick, §3.2)
+// and solves them until one is satisfiable, returning the input of the run it
 // seeds, the set's origin and the solver calls spent. ok is false when the
 // search must end: nothing is pending, or the context or the budget fired.
 func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.BranchID, solves int, ok bool) {
 	e := s.e
 	for len(s.stack) > 0 {
-		var top pendingSet
-		if e.opts.PickFIFO {
-			top, s.stack = s.stack[0], s.stack[1:]
-		} else {
-			top, s.stack = s.stack[len(s.stack)-1], s.stack[:len(s.stack)-1]
-		}
+		top := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		// Materialize into the scratch buffer: the solver copies what it
 		// keeps, so the conjunction need not survive the call.
 		conds := append(s.sc.mbuf[:0], top.runConds[:top.prefixLen]...)

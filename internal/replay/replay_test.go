@@ -2,12 +2,14 @@ package replay
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"pathlog/internal/concolic"
 	"pathlog/internal/instrument"
+	"pathlog/internal/ir"
 	"pathlog/internal/lang"
 	"pathlog/internal/oskernel"
 	"pathlog/internal/static"
@@ -237,16 +239,13 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestPickHeuristicAblation(t *testing.T) {
-	// Both heuristics must reproduce; the paper uses depth-first (§3.2).
-	for _, fifo := range []bool{false, true} {
-		f := buildFixture(t, instrument.MethodDynamic)
-		eng := New(f.prog, f.spec, world.NewRegistry(), f.rec,
-			Options{MaxRuns: 1000, PickFIFO: fifo})
-		res := eng.Reproduce(context.Background())
-		if !res.Reproduced {
-			t.Errorf("fifo=%v: not reproduced after %d runs", fifo, res.Runs)
-		}
+// TestNilEngineIsBytecodeVM pins the one engine rule: a nil Options.Engine
+// runs every replay on the bytecode VM, never on the tree-walking oracle.
+func TestNilEngineIsBytecodeVM(t *testing.T) {
+	f := buildFixture(t, instrument.MethodDynamic)
+	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{})
+	if got, want := reflect.ValueOf(eng.opts.Engine).Pointer(), reflect.ValueOf(ir.Engine).Pointer(); got != want {
+		t.Fatalf("nil Options.Engine resolved to %#x, want ir.Engine (%#x)", got, want)
 	}
 }
 

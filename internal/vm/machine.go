@@ -17,8 +17,9 @@ type Machine interface {
 }
 
 // Factory builds a fresh Machine for one run of prog under opts. The record,
-// concolic and replay layers each take a Factory so the execution engine is
-// swappable per session (pathlog.WithEngine).
+// concolic and replay layers each take a Factory; a nil Factory means the
+// bytecode VM (ir.Engine) in every layer, and the engine parity tests pass
+// TreeFactory to run the same pipeline on the oracle.
 type Factory func(prog *lang.Program, opts Options) Machine
 
 // TreeFactory is the Factory of the tree-walking interpreter — the original

@@ -47,10 +47,8 @@ type sessionConfig struct {
 	dyn          DynamicOptions
 	static       StaticOptions
 	rep          ReplayOptions
-	fleetWorkers []string
 	progress     ProgressFunc
 	storeDir     string
-	engine       vm.Factory
 	obs          *obs.Observer
 }
 
@@ -101,11 +99,6 @@ func WithDynamicBudget(maxRuns int, budget time.Duration) Option {
 	}
 }
 
-// WithDynamicOptions replaces the full concolic-analysis option set.
-func WithDynamicOptions(o DynamicOptions) Option {
-	return func(c *sessionConfig) { c.dyn = o }
-}
-
 // WithStaticOptions configures the static analysis (e.g. LibAsSymbolic for
 // the §5.3 library-as-symbolic mode).
 func WithStaticOptions(o StaticOptions) Option {
@@ -122,38 +115,6 @@ func WithReplayBudget(maxRuns int, budget time.Duration) Option {
 		c.rep.MaxRuns = clampNonNegative(maxRuns)
 		c.rep.TimeBudget = clampDurNonNegative(budget)
 	}
-}
-
-// WithReplayOptions replaces the full replay option set. OnRun set here is
-// overridden by WithProgress. Negative bounds (MaxRuns, TimeBudget,
-// MaxStepsPerRun, MaxPending) are clamped to zero — the documented
-// "default" value of each — at option-apply time, so a miscomputed budget
-// surfaces as the default behavior here rather than as an engine-internal
-// surprise later.
-func WithReplayOptions(o ReplayOptions) Option {
-	return func(c *sessionConfig) {
-		o.MaxRuns = clampNonNegative(o.MaxRuns)
-		o.MaxPending = clampNonNegative(o.MaxPending)
-		o.TimeBudget = clampDurNonNegative(o.TimeBudget)
-		if o.MaxStepsPerRun < 0 {
-			o.MaxStepsPerRun = 0
-		}
-		c.rep = o
-	}
-}
-
-// WithFleet fans corpus replay shards out over a pool of remote shard
-// worker daemons (cmd/shardworkerd), addressed as host:port or http URLs.
-// The session's name must be a registered scenario name
-// (apps.ScenarioByName) — that name is how a stateless worker rebuilds the
-// program and input space; recording envelopes ship inline with each
-// shard, so workers need neither a shared filesystem nor a plan store.
-// An explicit CorpusOptions.Runner or BalanceOptions.Runner still wins;
-// an empty worker list keeps the in-process runner. Every remote response
-// flows through the same verifying merge point as a local replay —
-// distribution moves bytes, not trust.
-func WithFleet(workers ...string) Option {
-	return func(c *sessionConfig) { c.fleetWorkers = workers }
 }
 
 // clampNonNegative is the option-apply guard rule: negative counts become
@@ -195,28 +156,6 @@ func WithObserver(o *Observer) Option {
 
 // Observer returns the session's attached observer, or nil.
 func (s *Session) Observer() *Observer { return s.cfg.obs }
-
-// WithEngine selects the execution engine every session phase runs the
-// program with:
-//
-//   - "bytecode" (the default) compiles the program once to the flat IR of
-//     internal/ir and executes it in a dispatch loop — the fast engine for
-//     run-heavy phases (concolic analysis, replay search);
-//   - "tree" selects the original tree-walking interpreter, kept as the
-//     differential-testing oracle.
-//
-// Both engines are bit-for-bit equivalent on everything observable: trace
-// bits, syscall logs, crash sites and step counts. Unknown names follow the
-// option-apply guard rule and select the default ("bytecode").
-func WithEngine(name string) Option {
-	return func(c *sessionConfig) {
-		if name == "tree" {
-			c.engine = vm.TreeFactory
-		} else {
-			c.engine = nil // core.Scenario defaults to the bytecode engine
-		}
-	}
-}
 
 // WithPlanStore backs the session with the on-disk plan store rooted at
 // dir (created on first use), closing the deployment loop around the
@@ -325,8 +264,7 @@ func (s *Session) Spec() *Spec { return s.spec }
 // scenario builds the core pipeline view of this session; user may be nil
 // for the neutral spec (analysis) or the configured default user bytes.
 func (s *Session) scenario(user map[string][]byte) *core.Scenario {
-	return &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: s.spec, UserBytes: user,
-		Engine: s.cfg.engine}
+	return &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: s.spec, UserBytes: user}
 }
 
 func (s *Session) emit(phase string, runs int) {
@@ -498,7 +436,7 @@ func (s *Session) Analyze(ctx context.Context) (Inputs, error) {
 	if s.cfg.analysisSpec != nil {
 		spec = s.cfg.analysisSpec
 	}
-	an := &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: spec, Engine: s.cfg.engine}
+	an := &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: spec}
 	dynOpts := s.cfg.dyn
 	if s.cfg.progress != nil {
 		dynOpts.OnRun = func(completed int) { s.emit("analyze", completed) }
@@ -664,8 +602,8 @@ func (s *Session) MeasureOverhead(ctx context.Context, plan *Plan, rounds int) (
 
 // Replay performs the developer-site half of the workflow: it reproduces the
 // recorded bug from the partial branch log. The context's cancellation or
-// deadline stops the search within one run; WithReplayBudget and
-// WithReplayOptions shape the search.
+// deadline stops the search within one run; WithReplayBudget shapes the
+// search.
 //
 // Replay refuses a recording that does not fit this session: a plan whose
 // branch IDs or program hash disagree with the session's program, or a
@@ -703,9 +641,7 @@ func (s *Session) replayWith(ctx context.Context, rec *Recording) *ReplayResult 
 	if s.cfg.progress != nil {
 		opts.OnRun = func(completed int) { s.emit("replay", completed) }
 	}
-	if opts.Obs == nil {
-		opts.Obs = s.cfg.obs.Registry()
-	}
+	opts.Obs = s.cfg.obs.Registry()
 	return s.scenario(nil).ReplayContext(ctx, rec, opts)
 }
 
