@@ -272,16 +272,43 @@ func analysesFor(b *testing.B, an *core.Scenario, dynRuns int, libSym bool) inst
 // --- replay -----------------------------------------------------------------
 
 // BenchmarkReplay measures one Session replay of the uServer no-syslog
-// search (model-mode replay is the breadth-heavy case): the time to
-// reproduce, the runs it takes and the cost per run.
+// search (model-mode replay is the breadth-heavy case) under the dynamic
+// plan: the time to reproduce, the runs it takes and the cost per run. A
+// divergent logged bit steers the run along the log, so this search takes
+// two runs, each following the whole log.
 func BenchmarkReplay(b *testing.B) {
-	an := apps.UServerAnalysisScenario()
-	in := analysesFor(b, an, 60, true)
+	in := analysesFor(b, apps.UServerAnalysisScenario(), 60, true)
 	s, err := apps.UServerScenario(4, 72)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := s.Plan(instrument.MethodDynamic, in, false)
+	benchSessionReplay(b, s, s.Plan(instrument.MethodDynamic, in, false))
+}
+
+// BenchmarkReplaySearch measures the same uServer no-syslog replay under a
+// plan that logs only 21 branches (budgeted(all,21)): the log leaves most
+// symbolic branches open, so the search still forks and solves through
+// some eighty runs. It keeps the search loop's per-run cost gated now that
+// fuller plans reproduce in two runs.
+func BenchmarkReplaySearch(b *testing.B) {
+	in := analysesFor(b, apps.UServerAnalysisScenario(), 60, true)
+	s, err := apps.UServerScenario(4, 72)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := instrument.Budgeted(instrument.All(), 21).Plan(context.Background(),
+		instrument.NewPlanContext(s.Prog, in, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSessionReplay(b, s, plan)
+}
+
+// benchSessionReplay records once under plan, then replays the recording
+// through a Session once per iteration, reporting the runs, the cost per
+// run and the replay engine's per-run distributions.
+func benchSessionReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
+	b.Helper()
 	rec, _, err := s.RecordContext(context.Background(), plan)
 	if err != nil || rec == nil {
 		b.Fatalf("record: %v", err)
@@ -305,8 +332,9 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(runs), "replay-runs")
 	// ns/replay-run is the per-run cost the engine work actually moves;
-	// ns/op also counts the fixed per-search setup and varies with how many
-	// runs the search happens to need.
+	// ns/op is the time to reproduce, which also counts the fixed
+	// per-search setup and moves with how many runs the search needs. The
+	// gate compares both, and the run count.
 	if totalRuns > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalRuns), "ns/replay-run")
 	}

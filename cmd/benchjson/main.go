@@ -9,7 +9,7 @@
 // and every reported metric keyed by unit.
 //
 // Repeated runs of the same benchmark (`go test -count N`) are collapsed to
-// the best run — the one with the lowest -gate metric — because on a noisy
+// the best run — the one with the lowest first -gate metric — because on a noisy
 // shared machine the minimum over repetitions estimates the true cost far
 // more stably than any single run. -min-runs makes the de-noising mandatory:
 // a benchmark that appears fewer times than required fails the conversion
@@ -19,15 +19,19 @@
 //
 // With -baseline it additionally gates on a committed document: every
 // baseline benchmark must be present in the fresh run, and for each it
-// compares the -gate metric (default ns/replay-run) and exits nonzero when
-// the fresh value regresses by more than -max-regress percent, which is how
+// compares every -gate metric (a comma-separated list, default
+// ns/replay-run) the baseline entry carries and exits nonzero when any
+// fresh value regresses by more than -max-regress percent, which is how
 // CI's bench-smoke job fails a PR that slows the replay engine down.
+// Gating a search's total time (ns/op) and run count beside its per-run
+// cost keeps a search that wastes runs from passing on a cheap per-run
+// figure, and a search that needs fewer, fuller runs from failing on one.
 //
 // Usage:
 //
-//	go test -bench '^BenchmarkReplay$' -benchtime 1x -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
+//	go test -bench '^BenchmarkReplay' -benchtime 1x -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
 //	benchjson bench.txt
-//	benchjson -baseline BENCH_replay.json -max-regress 20 bench.txt
+//	benchjson -baseline BENCH_replay.json -gate ns/op,replay-runs,ns/replay-run -max-regress 20 bench.txt
 package main
 
 import (
@@ -68,8 +72,8 @@ type Doc struct {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against")
-	gate := flag.String("gate", "ns/replay-run", "metric the -baseline gate compares")
-	maxRegress := flag.Float64("max-regress", 20, "max allowed -gate regression in percent")
+	gate := flag.String("gate", "ns/replay-run", "comma-separated metrics the -baseline gate compares; the first ranks repetitions")
+	maxRegress := flag.Float64("max-regress", 20, "max allowed regression of each -gate metric in percent")
 	minRuns := flag.Int("min-runs", 1, "required repetitions per benchmark (use with go test -count)")
 	minIters := flag.Int64("min-iterations", 1, "required b.N floor per benchmark run")
 	flag.Parse()
@@ -95,7 +99,8 @@ func main() {
 	if len(doc.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found"))
 	}
-	if err := collapse(&doc, *gate, *minRuns, *minIters); err != nil {
+	metrics := strings.Split(*gate, ",")
+	if err := collapse(&doc, metrics[0], *minRuns, *minIters); err != nil {
 		fatal(err)
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -109,7 +114,7 @@ func main() {
 		fatal(err)
 	}
 	if *baseline != "" {
-		if err := compare(&doc, *baseline, *gate, *maxRegress); err != nil {
+		if err := compare(&doc, *baseline, metrics, *maxRegress); err != nil {
 			fatal(err)
 		}
 	}
@@ -167,15 +172,15 @@ func collapse(doc *Doc, gate string, minRuns int, minIters int64) error {
 }
 
 // compare gates doc against the committed baseline document: every
-// baseline benchmark must appear in the fresh run, and none may regress the
-// gate metric by more than maxRegress percent. Lower is better for the gated
-// metric (it is a time-per-work unit). Names match without the -GOMAXPROCS
-// suffix go test appends on multi-core hosts. A baseline benchmark missing
-// from the fresh run fails the gate, so renaming or deleting a benchmark
-// cannot silently drop it; a fresh benchmark the baseline lacks, or a
-// baseline entry without the metric, is skipped — adding benchmarks never
-// blocks.
-func compare(doc *Doc, path, metric string, maxRegress float64) error {
+// baseline benchmark must appear in the fresh run, and none may regress any
+// of the gate metrics by more than maxRegress percent. Lower is better for
+// every gated metric (times and run counts). Names match without the
+// -GOMAXPROCS suffix go test appends on multi-core hosts. A baseline
+// benchmark missing from the fresh run fails the gate, so renaming or
+// deleting a benchmark cannot silently drop it; a fresh benchmark the
+// baseline lacks, or a metric one side does not carry, is skipped — adding
+// benchmarks never blocks.
+func compare(doc *Doc, path string, metrics []string, maxRegress float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -188,39 +193,41 @@ func compare(doc *Doc, path, metric string, maxRegress float64) error {
 	for _, r := range doc.Benchmarks {
 		freshBy[baseName(r.Name)] = r
 	}
-	var missing []string
-	compared, failed := 0, 0
+	var missing, regressed []string
+	compared := 0
 	for _, b := range base.Benchmarks {
 		fresh, ok := freshBy[baseName(b.Name)]
 		if !ok {
 			missing = append(missing, b.Name)
 			continue
 		}
-		was, ok1 := b.Metrics[metric]
-		now, ok2 := fresh.Metrics[metric]
-		if !ok1 || !ok2 || was <= 0 {
-			continue
+		for _, metric := range metrics {
+			was, ok1 := b.Metrics[metric]
+			now, ok2 := fresh.Metrics[metric]
+			if !ok1 || !ok2 || was <= 0 {
+				continue
+			}
+			compared++
+			pct := (now - was) / was * 100
+			status := "ok"
+			if pct > maxRegress {
+				status = "REGRESSION"
+				regressed = append(regressed, metric)
+			}
+			fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %.0f -> %.0f (%+.1f%%) %s\n",
+				fresh.Name, metric, was, now, pct, status)
 		}
-		compared++
-		pct := (now - was) / was * 100
-		status := "ok"
-		if pct > maxRegress {
-			status = "REGRESSION"
-			failed++
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %.0f -> %.0f (%+.1f%%) %s\n",
-			fresh.Name, metric, was, now, pct, status)
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("baseline %s benchmark(s) missing from the fresh run: %s",
 			path, strings.Join(missing, ", "))
 	}
 	if compared == 0 {
-		return fmt.Errorf("baseline %s shares no %q metrics with the fresh run", path, metric)
+		return fmt.Errorf("baseline %s shares no %q metrics with the fresh run", path, strings.Join(metrics, ","))
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed %s by more than %.0f%% over %s",
-			failed, metric, maxRegress, path)
+	if len(regressed) > 0 {
+		return fmt.Errorf("%d benchmark metric(s) regressed %s by more than %.0f%% over %s",
+			len(regressed), strings.Join(regressed, ","), maxRegress, path)
 	}
 	return nil
 }

@@ -30,11 +30,13 @@ func TestCompare(t *testing.T) {
 	base := Doc{Benchmarks: []Result{
 		bench("BenchmarkReplay", map[string]float64{"ns/replay-run": 1000, "ns/op": 5e6}),
 	}}
+	gateAll := []string{"ns/op", "replay-runs", "ns/replay-run"}
 	for _, tc := range []struct {
 		name    string
 		base    Doc
 		fresh   []Result
-		wantErr string // empty: the gate passes
+		gate    []string // nil: ns/replay-run alone
+		wantErr string   // empty: the gate passes
 	}{
 		{
 			name:  "pass",
@@ -72,9 +74,43 @@ func TestCompare(t *testing.T) {
 			fresh:   []Result{bench("BenchmarkReplay", map[string]float64{"replay-runs": 98})},
 			wantErr: `shares no "ns/replay-run" metrics`,
 		},
+		{
+			// A search that needs 25x fewer, fuller runs: the per-run
+			// cost rises, but the gate must not trip on that alone
+			// when the total time and the run count fall.
+			name: "metric list passes fewer fuller runs",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkReplay", map[string]float64{"ns/op": 50e6, "replay-runs": 98, "ns/replay-run": 1000}),
+			}},
+			fresh: []Result{bench("BenchmarkReplay", map[string]float64{"ns/op": 2e6, "replay-runs": 2, "ns/replay-run": 1000})},
+			gate:  gateAll,
+		},
+		{
+			// A search that wastes runs: each run is cheaper, but the
+			// search takes longer and needs more of them.
+			name: "metric list catches a wasteful search",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkReplay", map[string]float64{"ns/op": 2e6, "replay-runs": 2, "ns/replay-run": 1e6}),
+			}},
+			fresh:   []Result{bench("BenchmarkReplay", map[string]float64{"ns/op": 50e6, "replay-runs": 98, "ns/replay-run": 0.5e6})},
+			gate:    gateAll,
+			wantErr: "2 benchmark metric(s) regressed ns/op,replay-runs by more than 20%",
+		},
+		{
+			name: "metric list gates only what the baseline carries",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkReplay", map[string]float64{"ns/replay-run": 1000}),
+			}},
+			fresh: []Result{bench("BenchmarkReplay", map[string]float64{"ns/op": 90e6, "replay-runs": 500, "ns/replay-run": 1100})},
+			gate:  gateAll,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := compare(&Doc{Benchmarks: tc.fresh}, writeBaseline(t, tc.base), "ns/replay-run", 20)
+			gate := tc.gate
+			if gate == nil {
+				gate = []string{"ns/replay-run"}
+			}
+			err := compare(&Doc{Benchmarks: tc.fresh}, writeBaseline(t, tc.base), gate, 20)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("gate failed: %v", err)

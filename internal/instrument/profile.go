@@ -45,8 +45,9 @@ type SearchProfile struct {
 	Solver solver.Stats `json:"solver"`
 	// Branches holds the per-site attribution. Keys are branch IDs that
 	// queued at least one pending set: uninstrumented symbolic branches
-	// (case-1 forks, the refinable blowup) and instrumented branches whose
-	// forced-direction sets drove the productive §3.1 case-2b chain.
+	// (case-1 forks, the refinable blowup) and instrumented branches where a
+	// run first contradicted the log (§3.1 case 2b), which own the forced
+	// fallback and the followed run's whole-path set.
 	Branches map[lang.BranchID]*BranchCost `json:"branches"`
 }
 
@@ -54,7 +55,8 @@ type SearchProfile struct {
 type BranchCost struct {
 	// Forks counts case-1 pending alternatives queued at this branch: each
 	// is an uninstrumented symbolic execution whose other direction the
-	// search may have to try. Forced case-2b sets are not forks.
+	// search may have to try. Case-2b fallback and whole-path sets are not
+	// forks.
 	Forks int64 `json:"forks"`
 	// AbortedRuns counts completed runs, seeded from a pending set that
 	// originated at this branch, that ended without reproducing the bug.
@@ -70,8 +72,8 @@ type BranchCost struct {
 	// demotion rule requires it to be positive.
 	LoggedExecs int64 `json:"logged_execs,omitempty"`
 	// Disagreements counts log bits at this branch that contradicted the
-	// run's own direction: case-2b forced-direction sets and case-3b
-	// mismatch aborts. A disagreement is exactly the moment the branch's
+	// run's own direction: case-2b divergences the run then followed, and
+	// case-3b mismatches. A disagreement is exactly the moment the branch's
 	// bit constrained the search; a branch whose bits were consumed but
 	// never once disagreed (corpus-wide) is redundant at replay time and
 	// becomes a demotion candidate (Demotable).

@@ -364,8 +364,8 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 
 		case RShortCircuit:
 			l := m.fetch(in.AM, in.A, regs, frame)
-			lTrue := l.Truthy()
-			if err := m.branch(in.Site, l, lTrue); err != nil {
+			lTrue, err := m.branch(in.Site, l, l.Truthy())
+			if err != nil {
 				return err
 			}
 			if in.Kind == lang.ANDAND {
@@ -380,8 +380,8 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 
 		case RBranch:
 			cond := m.fetch(in.AM, in.A, regs, frame)
-			taken := cond.Truthy()
-			if err := m.branch(in.Site, cond, taken); err != nil {
+			taken, err := m.branch(in.Site, cond, cond.Truthy())
+			if err != nil {
 				return err
 			}
 			if taken {
@@ -395,8 +395,8 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 			if err != nil {
 				return err
 			}
-			taken := cond.Truthy()
-			if err := m.branch(in.Site, cond, taken); err != nil {
+			taken, err := m.branch(in.Site, cond, cond.Truthy())
+			if err != nil {
 				return err
 			}
 			if taken {
@@ -490,14 +490,18 @@ func incValue(old vm.Value, delta int64) vm.Value {
 	return vm.SymValue(old.I+delta, se)
 }
 
-// branch reports one branch execution to the sink, as VM.branch does.
-func (m *machine) branch(site *lang.BranchSite, cond vm.Value, taken bool) error {
+// branch reports one branch execution to the sink and returns the
+// direction to take, as VM.branch does.
+func (m *machine) branch(site *lang.BranchSite, cond vm.Value, taken bool) (bool, error) {
 	m.branchExecs++
 	if m.opts.Sink == nil {
-		return nil
+		return taken, nil
 	}
 	if err := m.opts.Sink.OnBranch(site, cond, taken); err != nil {
-		return vm.SinkError(err)
+		if err == vm.ErrFollowLog {
+			return !taken, nil
+		}
+		return taken, vm.SinkError(err)
 	}
-	return nil
+	return taken, nil
 }

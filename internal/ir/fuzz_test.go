@@ -22,7 +22,8 @@ import (
 //
 // FuzzEngineParity is the open-ended fuzz entry (seed corpus committed under
 // testdata/fuzz); TestGenParityFixedSeeds pins a deterministic slice of the
-// same space for every CI run.
+// same space for every CI run, and TestFollowLogParityFixedSeeds the same
+// slice under a sink that steers branches with vm.ErrFollowLog.
 
 // genRand is a splitmix64 generator. The fuzzer's interesting inputs are
 // remembered as raw seeds, so the stream behind a seed must never change;
@@ -347,15 +348,80 @@ func fuzzParity(t *testing.T, seed uint64, src string, prog *lang.Program, cfg o
 	return tRes.Steps
 }
 
+// followSink steers a run the way a replay that follows the log does: it
+// answers vm.ErrFollowLog on a deterministic subset of branch executions (a
+// hash of the seed, the site and that site's execution count), and on odd
+// seeds aborts the run at a seed-chosen branch execution. It records every
+// event with its answer, so the trace is the branch sequence actually run.
+type followSink struct {
+	seed    uint64
+	abortAt int
+	execs   map[lang.BranchID]uint64
+	events  []string
+}
+
+func newFollowSink(seed uint64) *followSink {
+	s := &followSink{seed: seed, execs: map[lang.BranchID]uint64{}}
+	if seed%2 == 1 {
+		s.abortAt = 1 + int(seed%53)
+	}
+	return s
+}
+
+func (s *followSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) error {
+	n := s.execs[site.ID]
+	s.execs[site.ID] = n + 1
+	h := (&genRand{s: s.seed ^ uint64(site.ID)<<40 ^ n}).next()
+	var err error
+	switch {
+	case s.abortAt > 0 && len(s.events)+1 >= s.abortAt:
+		err = vm.ErrAbortRun
+	case h%4 == 0:
+		err = vm.ErrFollowLog
+	}
+	s.events = append(s.events, fmt.Sprintf("b%d:%v:%d:%v:%v", site.ID, taken, cond.I, cond.Sym, err))
+	return err
+}
+
+// checkSeedFollowParity runs the seed's program under both engines with a
+// followSink each and requires identical results (steps, stdout, crash or
+// abort), branch sequences and syscall counts. It returns the bytecode
+// run's result and sink.
+func checkSeedFollowParity(t *testing.T, seed uint64) (vm.Result, *followSink) {
+	t.Helper()
+	src := generate(seed)
+	prog := mustGen(t, seed)
+	cfg := oskernel.Config{}
+	tSink, bSink := newFollowSink(seed), newFollowSink(seed)
+	tRes, tErr, tSys := runEngineWith(vm.TreeFactory, prog, cfg, fuzzBudget, tSink)
+	bRes, bErr, bSys := runEngineWith(ir.Engine, prog, cfg, fuzzBudget, bSink)
+	if fmt.Sprint(tErr) != fmt.Sprint(bErr) {
+		t.Fatalf("seed %d: follow error parity: tree=%v bytecode=%v\n%s", seed, tErr, bErr, src)
+	}
+	if !reflect.DeepEqual(tRes, bRes) {
+		t.Fatalf("seed %d: follow result parity:\ntree:     %+v\nbytecode: %+v\n%s", seed, tRes, bRes, src)
+	}
+	if !reflect.DeepEqual(tSink.events, bSink.events) {
+		t.Fatalf("seed %d: follow branch sequence parity (%d vs %d events):\ntree:     %v\nbytecode: %v\n%s",
+			seed, len(tSink.events), len(bSink.events), tSink.events, bSink.events, src)
+	}
+	if tSys != bSys {
+		t.Fatalf("seed %d: follow syscall count parity: tree=%d bytecode=%d\n%s", seed, tSys, bSys, src)
+	}
+	return bRes, bSink
+}
+
 // FuzzEngineParity is the open-ended differential fuzzer. The input is a
 // generator seed, not program text, so every mutation the fuzzer tries is a
-// valid program and coverage feedback steers the seed space.
+// valid program and coverage feedback steers the seed space. Each seed is
+// checked with a recording sink and with a followSink.
 func FuzzEngineParity(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 1337, 99991, 1 << 32, 0xDEADBEEF} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		checkSeedParity(t, seed)
+		checkSeedFollowParity(t, seed)
 	})
 }
 
@@ -366,4 +432,41 @@ func TestGenParityFixedSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 256; seed++ {
 		checkSeedParity(t, seed)
 	}
+}
+
+// TestFollowLogParityFixedSeeds is the deterministic slice of the fuzz
+// space under a followSink: both engines must take the other direction at
+// exactly the branch executions the sink answers vm.ErrFollowLog, and
+// stop at the same one when it answers vm.ErrAbortRun.
+func TestFollowLogParityFixedSeeds(t *testing.T) {
+	flips, aborts := 0, 0
+	for seed := uint64(0); seed < 256; seed++ {
+		res, sink := checkSeedFollowParity(t, seed)
+		for _, ev := range sink.events {
+			if strings.HasSuffix(ev, vm.ErrFollowLog.Error()) {
+				flips++
+			}
+		}
+		if res.Aborted {
+			aborts++
+		}
+	}
+	// The slice must actually exercise the seam, not pass vacuously.
+	if flips == 0 || aborts == 0 {
+		t.Fatalf("fixed seeds steered %d branches and aborted %d runs; want both nonzero", flips, aborts)
+	}
+}
+
+// mustGen parses and links the seed's generated program.
+func mustGen(t *testing.T, seed uint64) *lang.Program {
+	t.Helper()
+	u, err := lang.ParseUnit("fuzz.mc", lang.RegionApp, generate(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Link([]*lang.Unit{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }

@@ -42,10 +42,17 @@ func (s *traceSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) e
 // runEngine executes prog once under the given factory with a fresh kernel.
 func runEngine(t *testing.T, f vm.Factory, prog *lang.Program, cfg oskernel.Config, maxSteps int64) (vm.Result, error, []string, int64) {
 	t.Helper()
-	kern := oskernel.New(cfg)
 	sink := &traceSink{}
+	res, err, sys := runEngineWith(f, prog, cfg, maxSteps, sink)
+	return res, err, sink.events, sys
+}
+
+// runEngineWith executes prog once under the given factory and sink with a
+// fresh kernel, returning the syscall count beside the result.
+func runEngineWith(f vm.Factory, prog *lang.Program, cfg oskernel.Config, maxSteps int64, sink vm.BranchSink) (vm.Result, error, int64) {
+	kern := oskernel.New(cfg)
 	res, err := f(prog, vm.Options{Kernel: kern, Sink: sink, MaxSteps: maxSteps}).Run()
-	return res, err, sink.events, kern.NSyscalls
+	return res, err, kern.NSyscalls
 }
 
 // assertParity runs prog under both engines and requires identical outcomes.

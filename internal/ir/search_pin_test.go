@@ -33,24 +33,24 @@ type searchPin struct {
 // search order, the pending-list discipline or the profile attribution
 // moves an entry; a refactor of the search loop must leave every one as is.
 var pinnedSearches = map[string]searchPin{
-	"mkdir/syslog":          {Runs: 7, Aborts: 6, PendingPeak: 4, Calls: 6, Sat: 6, Unsat: 0, GaveUp: 0, InputDigest: "2fe16066048346f4", ProfileDigest: "27adb3ef241ec8bf"},
-	"mkdir/nosyslog":        {Runs: 7, Aborts: 6, PendingPeak: 4, Calls: 6, Sat: 6, Unsat: 0, GaveUp: 0, InputDigest: "2fe16066048346f4", ProfileDigest: "27adb3ef241ec8bf"},
-	"mknod/syslog":          {Runs: 3, Aborts: 2, PendingPeak: 1, Calls: 2, Sat: 2, Unsat: 0, GaveUp: 0, InputDigest: "f429f7981b03a500", ProfileDigest: "b73b097ef75dbd1d"},
-	"mknod/nosyslog":        {Runs: 3, Aborts: 2, PendingPeak: 1, Calls: 2, Sat: 2, Unsat: 0, GaveUp: 0, InputDigest: "f429f7981b03a500", ProfileDigest: "b73b097ef75dbd1d"},
-	"mkfifo/syslog":         {Runs: 3, Aborts: 2, PendingPeak: 1, Calls: 2, Sat: 2, Unsat: 0, GaveUp: 0, InputDigest: "f551f1f13de8f69f", ProfileDigest: "ee145010f8330823"},
-	"mkfifo/nosyslog":       {Runs: 3, Aborts: 2, PendingPeak: 1, Calls: 2, Sat: 2, Unsat: 0, GaveUp: 0, InputDigest: "f551f1f13de8f69f", ProfileDigest: "ee145010f8330823"},
-	"paste/syslog":          {Runs: 12, Aborts: 11, PendingPeak: 1, Calls: 11, Sat: 11, Unsat: 0, GaveUp: 0, InputDigest: "e36f2a1a933cc24f", ProfileDigest: "61e1bf7f75184514"},
-	"paste/nosyslog":        {Runs: 12, Aborts: 11, PendingPeak: 1, Calls: 11, Sat: 11, Unsat: 0, GaveUp: 0, InputDigest: "e36f2a1a933cc24f", ProfileDigest: "9c29180ebdff1db2"},
-	"userver-exp1/syslog":   {Runs: 30, Aborts: 29, PendingPeak: 1, Calls: 29, Sat: 29, Unsat: 0, GaveUp: 0, InputDigest: "169fbd363a4dc26d", ProfileDigest: "bbbe1e7fd0530bf0"},
-	"userver-exp1/nosyslog": {Runs: 30, Aborts: 29, PendingPeak: 2727, Calls: 29, Sat: 29, Unsat: 0, GaveUp: 0, InputDigest: "169fbd363a4dc26d", ProfileDigest: "629df6353510a942"},
-	"userver-exp2/syslog":   {Runs: 79, Aborts: 78, PendingPeak: 749, Calls: 78, Sat: 78, Unsat: 0, GaveUp: 0, InputDigest: "462b307df1fe2784", ProfileDigest: "cabfca26dc550b37"},
-	"userver-exp2/nosyslog": {Runs: 79, Aborts: 78, PendingPeak: 10871, Calls: 78, Sat: 78, Unsat: 0, GaveUp: 0, InputDigest: "462b307df1fe2784", ProfileDigest: "3a96d63b8bcc354e"},
-	"userver-exp3/syslog":   {Runs: 88, Aborts: 87, PendingPeak: 255, Calls: 87, Sat: 87, Unsat: 0, GaveUp: 0, InputDigest: "4b114b9614484632", ProfileDigest: "edec1ac3e27b4ea5"},
-	"userver-exp3/nosyslog": {Runs: 88, Aborts: 87, PendingPeak: 11681, Calls: 87, Sat: 87, Unsat: 0, GaveUp: 0, InputDigest: "4b114b9614484632", ProfileDigest: "fbe46c52b2c9beca"},
-	"userver-exp4/syslog":   {Runs: 98, Aborts: 97, PendingPeak: 1, Calls: 97, Sat: 97, Unsat: 0, GaveUp: 0, InputDigest: "f8293b4ea571a825", ProfileDigest: "212413bd5deb1922"},
-	"userver-exp4/nosyslog": {Runs: 98, Aborts: 97, PendingPeak: 11604, Calls: 97, Sat: 97, Unsat: 0, GaveUp: 0, InputDigest: "f8293b4ea571a825", ProfileDigest: "3028efe728d733d0"},
-	"diff-exp1/syslog":      {Runs: 12, Aborts: 11, PendingPeak: 1, Calls: 11, Sat: 11, Unsat: 0, GaveUp: 0, InputDigest: "3057d8f0f1ba97e8", ProfileDigest: "a61adbcbb44b3fe7"},
-	"diff-exp1/nosyslog":    {Runs: 12, Aborts: 11, PendingPeak: 331, Calls: 11, Sat: 11, Unsat: 0, GaveUp: 0, InputDigest: "3057d8f0f1ba97e8", ProfileDigest: "0da9b185d40a5a2d"},
+	"mkdir/syslog":          {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "2fe16066048346f4", ProfileDigest: "91b5e85504285cf6"},
+	"mkdir/nosyslog":        {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "2fe16066048346f4", ProfileDigest: "91b5e85504285cf6"},
+	"mknod/syslog":          {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "f429f7981b03a500", ProfileDigest: "f75de411169bc61e"},
+	"mknod/nosyslog":        {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "f429f7981b03a500", ProfileDigest: "f75de411169bc61e"},
+	"mkfifo/syslog":         {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "ed26867e12bb187a", ProfileDigest: "c126d0ccbaaafe91"},
+	"mkfifo/nosyslog":       {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "ed26867e12bb187a", ProfileDigest: "c126d0ccbaaafe91"},
+	"paste/syslog":          {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "72c4a703bdc1c274", ProfileDigest: "a3e61c978ac8e8d0"},
+	"paste/nosyslog":        {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "72c4a703bdc1c274", ProfileDigest: "c3451d94dcb5dd98"},
+	"userver-exp1/syslog":   {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "169fbd363a4dc26d", ProfileDigest: "1d1871be72bfcd4e"},
+	"userver-exp1/nosyslog": {Runs: 2, Aborts: 1, PendingPeak: 96, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "169fbd363a4dc26d", ProfileDigest: "666716e2c6ef7749"},
+	"userver-exp2/syslog":   {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "462b307df1fe2784", ProfileDigest: "1940c8bb204282c6"},
+	"userver-exp2/nosyslog": {Runs: 2, Aborts: 1, PendingPeak: 123, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "462b307df1fe2784", ProfileDigest: "949d54b459fc8840"},
+	"userver-exp3/syslog":   {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "4b114b9614484632", ProfileDigest: "479171644c49a2a5"},
+	"userver-exp3/nosyslog": {Runs: 2, Aborts: 1, PendingPeak: 105, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "4b114b9614484632", ProfileDigest: "55bbcfba48c407ce"},
+	"userver-exp4/syslog":   {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "f8293b4ea571a825", ProfileDigest: "fc7c20f69de73b3f"},
+	"userver-exp4/nosyslog": {Runs: 2, Aborts: 1, PendingPeak: 103, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "f8293b4ea571a825", ProfileDigest: "9576c9b22f9932af"},
+	"diff-exp1/syslog":      {Runs: 2, Aborts: 1, PendingPeak: 2, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "3057d8f0f1ba97e8", ProfileDigest: "b9a110f77ec9106e"},
+	"diff-exp1/nosyslog":    {Runs: 2, Aborts: 1, PendingPeak: 22, Calls: 1, Sat: 1, Unsat: 0, GaveUp: 0, InputDigest: "3057d8f0f1ba97e8", ProfileDigest: "281d7950f78ee655"},
 }
 
 // analysisPin is what one pre-deployment concolic analysis must reproduce
@@ -226,6 +226,9 @@ func TestSerialSearchPinned(t *testing.T) {
 					r = core.StripSyslog(rec)
 				}
 				res := scn.ReplayContext(ctx, r, replay.Options{MaxRuns: 2000})
+				if !res.Reproduced || !scn.VerifyInput(res.InputBytes, r.Crash) {
+					t.Errorf("reproduced %v, but the input does not verify", res.Reproduced)
+				}
 				got := searchPin{
 					Runs: res.Runs, Aborts: res.Aborts, PendingPeak: res.PendingPeak,
 					Calls: res.SolverStats.Calls, Sat: res.SolverStats.Sat,

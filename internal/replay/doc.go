@@ -11,16 +11,22 @@
 //  1. symbolic, not instrumented — record the constraint, queue the negated
 //     alternative on the pending list, continue;
 //  2. symbolic, instrumented — on agreement record the constraint and
-//     continue; on disagreement queue the constraint set that forces the
-//     recorded direction and abort the run;
+//     continue; on disagreement (2b) queue the constraint set that forces
+//     the recorded direction as a fallback, record the recorded direction
+//     and follow the log: the engine takes that direction
+//     (vm.ErrFollowLog);
 //  3. concrete, instrumented — on agreement continue; on disagreement abort
-//     (an earlier uninstrumented symbolic branch went the wrong way);
+//     (an earlier uninstrumented symbolic branch went the wrong way), or
+//     follow the log if the run already does;
 //  4. concrete, not instrumented — continue.
 //
-// When a run aborts, the engine pops a pending constraint set (depth-first,
-// §3.2), solves it for a new input, and starts over. Reproduction succeeds
-// when a run crashes at the recorded bug site having matched the entire
-// bitvector.
+// A run that follows the log queues no case-1 alternatives, never counts
+// as a reproduction, and ends by queuing its whole path condition above
+// the fallback, so the next run tries the recorded path in one solve.
+// When a run ends without reproducing, the engine pops a pending
+// constraint set (depth-first, §3.2), solves it for a new input, and
+// starts over. Reproduction succeeds when a run crashes at the recorded
+// bug site having matched the entire bitvector.
 //
 // The search is one serial loop and context-aware: the context and the run
 // budget are checked before every solve and every run. Parallelism lives

@@ -32,10 +32,11 @@ int main() {
 
 // chainFixture records sideBranchSrc under a plan instrumenting only the
 // two chain branches, then points the recorded crash at an unreachable
-// site. The resulting search is single-file — at any moment at most one
-// pending set exists (a forced case-2b set while walking the chain, then
-// one case-1 alternative per crash-site visit) — so it spends exactly its
-// MaxRuns budget and its attribution is known branch by branch.
+// site. The resulting search is single-file: the all-seed run diverges at
+// b0, follows the log through b1 and queues the forced fallback under its
+// whole path; from then on one case-1 alternative per crash-site visit
+// sits above the fallback, so the search spends exactly its MaxRuns budget
+// and its attribution is known branch by branch.
 func chainFixture(t *testing.T) *fixture {
 	t.Helper()
 	prog := compile(t, sideBranchSrc)
@@ -102,8 +103,10 @@ func TestSearchProfileParityAcrossWorkers(t *testing.T) {
 	}
 	sb := normalizedBranches(p)
 	// The attribution itself: the uninstrumented side branch (b2) must
-	// carry case-1 forks and the aborted ping-pong runs; the instrumented
-	// chain (b0, b1) only its forced-direction runs.
+	// carry case-1 forks and the aborted ping-pong runs. The first
+	// divergent branch (b0) owns the followed run's whole-path set and its
+	// fallback: one solve, one aborted run. b1, where the followed run
+	// disagreed with the log a second time, keeps only that disagreement.
 	if sb[2].Forks == 0 {
 		t.Error("uninstrumented symbolic branch b2 shows no forks")
 	}
@@ -113,12 +116,14 @@ func TestSearchProfileParityAcrossWorkers(t *testing.T) {
 	if sb[0].Forks != 0 || sb[1].Forks != 0 {
 		t.Errorf("instrumented branches show case-1 forks: b0=%d b1=%d", sb[0].Forks, sb[1].Forks)
 	}
-	if sb[0].AbortedRuns != 1 || sb[1].AbortedRuns != 1 {
-		t.Errorf("forced-chain attribution: b0=%d b1=%d aborted runs, want 1 each",
-			sb[0].AbortedRuns, sb[1].AbortedRuns)
+	if sb[0].AbortedRuns != 1 || sb[0].SolverCalls != 1 || sb[0].Disagreements != 1 {
+		t.Errorf("first divergence b0: %+v, want 1 aborted run, 1 solver call, 1 disagreement", sb[0])
+	}
+	if sb[1].AbortedRuns != 0 || sb[1].SolverCalls != 0 || sb[1].Disagreements != 1 {
+		t.Errorf("followed divergence b1: %+v, want only 1 disagreement", sb[1])
 	}
 	for id, bc := range sb {
-		if bc.SolverCalls == 0 && bc.Forks == 0 {
+		if bc.SolverCalls == 0 && bc.Forks == 0 && bc.Disagreements == 0 {
 			t.Errorf("b%d: profiled but never charged", id)
 		}
 	}

@@ -39,7 +39,10 @@ type Options struct {
 	Solver solver.Options
 	// Obs, when set, receives per-run distribution observations
 	// (pathlog_replay_run_ns, pathlog_replay_solver_calls_per_run,
-	// pathlog_replay_logged_bits_per_run). Each observation is a handful of
+	// pathlog_replay_logged_bits_per_run), counts the runs that followed the
+	// log past a divergence (pathlog_replay_follow_runs_total) and adds each
+	// search's unproven solver outcomes (pathlog_replay_solver_unsat_total,
+	// pathlog_replay_solver_gaveup_total). Each observation is a handful of
 	// atomic adds, so instrumenting every run does not disturb the search
 	// hot path.
 	Obs *obs.Registry
@@ -159,6 +162,9 @@ type Engine struct {
 	runNS       *obs.Histogram
 	solverCalls *obs.Histogram
 	loggedBits  *obs.Histogram
+	followRuns  *obs.Counter
+	unsat       *obs.Counter
+	gaveUp      *obs.Counter
 }
 
 // New creates a replay engine. The registry may be fresh: variable identity
@@ -191,6 +197,9 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recordi
 		e.runNS = opts.Obs.Histogram("pathlog_replay_run_ns", runNSBuckets)
 		e.solverCalls = opts.Obs.Histogram("pathlog_replay_solver_calls_per_run", solverCallsBuckets)
 		e.loggedBits = opts.Obs.Histogram("pathlog_replay_logged_bits_per_run", loggedBitsBuckets)
+		e.followRuns = opts.Obs.Counter("pathlog_replay_follow_runs_total")
+		e.unsat = opts.Obs.Counter("pathlog_replay_solver_unsat_total")
+		e.gaveUp = opts.Obs.Counter("pathlog_replay_solver_gaveup_total")
 	}
 	return e
 }
@@ -208,10 +217,11 @@ type pendingSet struct {
 	appended  sym.Constraint
 	parent    sym.MapAssignment
 	// origin is the branch site whose alternative this set explores: the
-	// uninstrumented symbolic branch that forked (case 1) or the
-	// instrumented branch whose recorded direction is forced (case 2b).
-	// Solver effort and the resulting run's outcome are charged to it in
-	// the search profile.
+	// uninstrumented symbolic branch that forked (case 1) or the first
+	// instrumented branch whose recorded direction the run contradicted
+	// (case 2b), which owns both the forced fallback and the followed
+	// run's whole path. Solver effort and the resulting run's outcome are
+	// charged to it in the search profile.
 	origin lang.BranchID
 }
 
@@ -227,7 +237,14 @@ type runSink struct {
 	conds  []sym.Constraint
 	queued []pendingSet
 
-	mismatch bool // a case-2b/3b abort happened
+	mismatch bool // the run contradicted or outran the log (2b, 3b, exhausted)
+
+	// following is set at the run's first case-2b divergence: from there
+	// on the run takes every logged direction (vm.ErrFollowLog) instead of
+	// aborting, and its whole path condition becomes one pending set.
+	// followOrigin is that first divergent branch.
+	following    bool
+	followOrigin lang.BranchID
 
 	// Per-location stats over this run (symbolic executions only), indexed
 	// by BranchID (IDs are dense resolution indices). Dense tables instead
@@ -240,7 +257,7 @@ type runSink struct {
 	forks []int64
 	// loggedExecs counts log bits consumed per instrumented branch this run
 	// (cases 2 and 3); disagrees counts the bits that contradicted the
-	// run's own direction (case-2b forced sets, case-3b mismatch aborts).
+	// run's own direction (case-2b divergences, case-3b mismatches).
 	// Together they are the demotion evidence: an instrumented branch with
 	// consumed bits and zero disagreements corpus-wide never constrained
 	// any search.
@@ -257,9 +274,12 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 	case symbolic && !instrumented:
 		// Case 1: unlogged symbolic branch — both directions are possible.
 		s.symExecNotLogged[site.ID]++
+		// A run that follows the log past a divergence queues no forks: its
+		// concrete state no longer matches its path, and the whole path is
+		// queued when it ends.
 		c := sym.Constraint{E: cond.Sym, Truth: taken}
 		if len(s.conds) < maxRunConds {
-			if s.pushPending(site.ID, c.Negated()) {
+			if !s.following && s.pushPending(site.ID, c.Negated()) {
 				s.forks[site.ID]++
 			}
 			s.conds = append(s.conds, c)
@@ -283,12 +303,20 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 			}
 			return nil
 		}
-		// 2b: force the recorded direction in a pending set and abort. The
-		// bit just constrained the search — charge the disagreement.
+		// 2b: the bit just constrained the search — charge the
+		// disagreement. The first one queues the forced set (prefix plus
+		// the recorded direction) as a fallback; from there on the run
+		// follows the log, collecting each recorded direction.
 		s.disagrees[site.ID]++
-		s.pushPending(site.ID, sym.Constraint{E: cond.Sym, Truth: logged})
-		s.mismatch = true
-		return vm.ErrAbortRun
+		c := sym.Constraint{E: cond.Sym, Truth: logged}
+		if !s.following {
+			s.pushPending(site.ID, c)
+			s.following, s.followOrigin, s.mismatch = true, site.ID, true
+		}
+		if len(s.conds) < maxRunConds {
+			s.conds = append(s.conds, c)
+		}
+		return vm.ErrFollowLog
 
 	case !symbolic && instrumented:
 		// Case 3: concrete and logged — agreement check only.
@@ -297,12 +325,17 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 			// 3b: a wrong earlier turn at an uninstrumented symbolic branch.
 			// A consumed-but-contradicted bit pruned this diverged run, so
 			// it counts as a disagreement (an exhausted log consumed no bit
-			// and charges nothing).
-			if ok {
-				s.loggedExecs[site.ID]++
-				s.disagrees[site.ID]++
-			}
+			// and charges nothing). A run already following the log keeps
+			// following it; the concrete condition adds no constraint.
 			s.mismatch = true
+			if !ok {
+				return vm.ErrAbortRun
+			}
+			s.loggedExecs[site.ID]++
+			s.disagrees[site.ID]++
+			if s.following {
+				return vm.ErrFollowLog
+			}
 			return vm.ErrAbortRun
 		}
 		s.loggedExecs[site.ID]++
@@ -468,18 +501,29 @@ func (s *search) account(origin lang.BranchID, sink *runSink, vmRes vm.Result) b
 }
 
 // push queues an aborted run's alternatives; deepest alternatives are
-// pushed last and popped first (depth-first, §3.2). The sets share the
-// run's final constraint slice.
+// pushed last and popped first (depth-first, §3.2). A run that followed
+// the log adds its whole path condition last, above the forced fallback,
+// so the next run tries the recorded path in one step and the fallback
+// pops only if that path is unsatisfiable. The sets share the run's final
+// constraint slice.
 func (s *search) push(sink *runSink) {
+	if n := len(sink.conds); sink.following && n > 0 {
+		sink.queued = append(sink.queued, pendingSet{
+			prefixLen: n - 1,
+			appended:  sink.conds[n-1],
+			parent:    sink.asn,
+			origin:    sink.followOrigin,
+		})
+	}
 	for i := range sink.queued {
 		sink.queued[i].runConds = sink.conds
 	}
 	if room := s.e.opts.MaxPending - len(s.stack); room > 0 {
 		q := sink.queued
 		if len(q) > room {
-			// Keep the newest sets: the run's forced-direction continuation
-			// (case 2b) is pushed last and must survive the cap, or the
-			// recorded path is lost.
+			// Keep the newest sets: the followed path and its forced
+			// fallback (case 2b) are pushed last and must survive the cap,
+			// or the recorded path is lost.
 			q = q[len(q)-room:]
 		}
 		s.stack = append(s.stack, q...)
@@ -548,6 +592,9 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 				bits += n
 			}
 			e.loggedBits.Observe(float64(bits))
+			if sink.following {
+				e.followRuns.Inc()
+			}
 		}
 		if reproduced {
 			winner, winAsn, winW = sink, asn, wld
@@ -560,6 +607,10 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 	res.Elapsed = time.Since(start)
 	res.SolverStats = s.slv.Stats()
 	solver.Put(s.slv)
+	if e.unsat != nil {
+		e.unsat.Add(int64(res.SolverStats.Unsat))
+		e.gaveUp.Add(int64(res.SolverStats.GaveUp))
+	}
 	fp := e.rec.Fingerprint
 	if fp == "" {
 		fp = e.rec.Plan.Fingerprint()

@@ -11,15 +11,26 @@ import (
 
 // BranchSink observes every executed branch. Implementations include the
 // branch logger (instrumented builds), the concolic labeler and the replay
-// engine. Returning ErrAbortRun stops the execution with Aborted status;
-// any other error stops it with a VM error.
+// engine. A nil return continues in the direction the condition evaluated
+// to (taken). ErrFollowLog continues in the other direction instead;
+// ErrAbortRun stops the execution with Aborted status; any other error
+// stops it with a VM error.
 type BranchSink interface {
 	OnBranch(site *lang.BranchSite, cond Value, taken bool) error
 }
 
 // ErrAbortRun is returned by a BranchSink to abandon the current run (replay
-// case 2b/3b in §3.1).
+// case 3b in §3.1, or a log exhausted before the run ends).
 var ErrAbortRun = errors.New("vm: run aborted by branch sink")
+
+// ErrFollowLog is returned by a BranchSink to make the run take the other
+// direction from the one the condition evaluated to: a replay whose
+// recorded bit disagrees with the run (case 2b) follows the log past the
+// divergence instead of aborting. The run's concrete state no longer
+// agrees with its path condition from there on, so the sink must not treat
+// such a run as a reproduction. Both engines honour it at every branch
+// site, short-circuit decisions included.
+var ErrFollowLog = errors.New("vm: run follows the log past a divergence")
 
 // World supplies symbolic marking for program input. When nil, the VM runs
 // fully concrete (the user-site configuration).
@@ -298,8 +309,8 @@ func (m *VM) execStmt(frame *Object, s lang.Stmt) (ret Value, ctl control, err e
 		if err != nil {
 			return Value{}, ctlNone, err
 		}
-		taken := cond.Truthy()
-		if err := m.branch(st.Branch, cond, taken); err != nil {
+		taken, err := m.branch(st.Branch, cond, cond.Truthy())
+		if err != nil {
 			return Value{}, ctlNone, err
 		}
 		if taken {
@@ -316,8 +327,8 @@ func (m *VM) execStmt(frame *Object, s lang.Stmt) (ret Value, ctl control, err e
 			if err != nil {
 				return Value{}, ctlNone, err
 			}
-			taken := cond.Truthy()
-			if err := m.branch(st.Branch, cond, taken); err != nil {
+			taken, err := m.branch(st.Branch, cond, cond.Truthy())
+			if err != nil {
 				return Value{}, ctlNone, err
 			}
 			if !taken {
@@ -347,8 +358,8 @@ func (m *VM) execStmt(frame *Object, s lang.Stmt) (ret Value, ctl control, err e
 				if err != nil {
 					return Value{}, ctlNone, err
 				}
-				taken := cond.Truthy()
-				if err := m.branch(st.Branch, cond, taken); err != nil {
+				taken, err := m.branch(st.Branch, cond, cond.Truthy())
+				if err != nil {
 					return Value{}, ctlNone, err
 				}
 				if !taken {
@@ -375,16 +386,21 @@ func (m *VM) execStmt(frame *Object, s lang.Stmt) (ret Value, ctl control, err e
 	return Value{}, ctlNone, fmt.Errorf("vm: unknown statement %T", s)
 }
 
-// branch reports one branch execution to the sink.
-func (m *VM) branch(site *lang.BranchSite, cond Value, taken bool) error {
+// branch reports one branch execution to the sink and returns the
+// direction to take: taken, or its opposite when the sink answers
+// ErrFollowLog.
+func (m *VM) branch(site *lang.BranchSite, cond Value, taken bool) (bool, error) {
 	m.branchExecs++
 	if m.opts.Sink == nil {
-		return nil
+		return taken, nil
 	}
 	if err := m.opts.Sink.OnBranch(site, cond, taken); err != nil {
-		return SinkError(err)
+		if err == ErrFollowLog {
+			return !taken, nil
+		}
+		return taken, SinkError(err)
 	}
-	return nil
+	return taken, nil
 }
 
 // eval evaluates an expression.
@@ -567,9 +583,9 @@ func (m *VM) evalLogic(frame *Object, x *lang.Logic) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	lTrue := l.Truthy()
 	// The short-circuit decision is itself a branch location.
-	if err := m.branch(x.Branch, l, lTrue); err != nil {
+	lTrue, err := m.branch(x.Branch, l, l.Truthy())
+	if err != nil {
 		return Value{}, err
 	}
 	if x.Op == lang.ANDAND {

@@ -177,13 +177,16 @@ func TestSessionReplayCancelledBeforeStart(t *testing.T) {
 }
 
 // TestSessionReplayCancelMidSearch cancels after the second completed run
-// and checks the search starts no further run.
+// and checks the search starts no further run. The chain is recorded under
+// a one-branch plan, so the search still walks several unlogged branches
+// (a fuller plan follows the log and reproduces in 2 runs).
 func TestSessionReplayCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
 	var replayRuns []int
 	sess := chainSession(t,
+		WithStrategy(Budgeted(All(), 1)),
 		WithProgress(func(ev ProgressEvent) {
 			if ev.Phase != "replay" {
 				return
@@ -202,7 +205,8 @@ func TestSessionReplayCancelMidSearch(t *testing.T) {
 	}
 	res := mustReplay(t, ctx, sess, rec)
 	if res.Reproduced {
-		// The chain needs ~7 runs; cancellation at 2 must cut it short.
+		// The chain needs 7 runs under this plan; cancellation at 2 must
+		// cut it short.
 		t.Fatalf("replay reproduced despite cancellation after 2 runs (%d runs)", res.Runs)
 	}
 	if !res.Cancelled {
