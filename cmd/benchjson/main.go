@@ -29,7 +29,7 @@
 //
 // Usage:
 //
-//	go test -bench '^BenchmarkReplay' -benchtime 1x -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
+//	go test -bench '^BenchmarkReplay' -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
 //	benchjson bench.txt
 //	benchjson -baseline BENCH_replay.json -gate ns/op,replay-runs,ns/replay-run -max-regress 20 bench.txt
 package main
