@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
+	"pathlog/internal/corpus"
 	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
 	"pathlog/internal/store"
@@ -15,11 +17,12 @@ import (
 // This file closes the paper's titular loop at the Session level. The
 // workflow the paper actually proposes is iterative: deploy a cheap partial
 // plan, and when developer-site replay takes too long, selectively add
-// instrumentation at the branches responsible and re-deploy. Refine is one
-// step of that loop; AutoBalance iterates record → replay → refine until
-// the replay budget is met or the overhead ceiling is reached, returning
-// the measured trajectory that Frontier can merge as ground truth next to
-// its estimates.
+// instrumentation at the branches responsible and re-deploy; once replay is
+// fast enough, drop the bits that do not pay for themselves. Refine is one
+// promotion step; the balance loop iterates promote-then-demote over a
+// corpus of reports — CorpusBalance over a population, AutoBalance over
+// the one report it records — and returns the measured trajectory that
+// Frontier can merge as ground truth next to its estimates.
 
 // SearchProfile attributes one replay search's cost per branch site; the
 // replay engine produces it (ReplayResult.Profile) and Refine consumes it.
@@ -48,13 +51,40 @@ func (s *Session) Refine(ctx context.Context, rec *Recording, res *ReplayResult)
 }
 
 // RefineWith is Refine with an explicit promotion width (k <= 0 selects
-// instrument.DefaultRefineTopK); AutoBalance threads its TopK through.
-// With a plan store configured, both ends of the step are retained: the
-// base plan the recording was taken under (resolved from the store when
-// the recording is stamped-only) and the refined generation about to be
-// deployed, so the store's lineage index stays complete.
+// instrument.DefaultRefineTopK). With a plan store configured, both ends
+// of the step are retained: the base plan the recording was taken under
+// (resolved from the store when the recording is stamped-only) and the
+// refined generation about to be deployed, so the store's lineage index
+// stays complete.
 func (s *Session) RefineWith(ctx context.Context, rec *Recording, res *ReplayResult, k int) (*Plan, error) {
-	plan, base, err := s.refineStep(ctx, rec, res, k)
+	// Open (and lineage-seed) the plan store before the staleness check:
+	// a chain an earlier session refined past must be refused even when
+	// this session has not touched the store yet.
+	if _, err := s.planStore(); err != nil {
+		return nil, err
+	}
+	// A stamped-only recording resolves its base plan from the store, the
+	// same way Replay does.
+	rec, err := s.resolveRecording(rec)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.validateRecording(rec); err != nil {
+		return nil, err
+	}
+	if res == nil || res.Profile == nil {
+		return nil, fmt.Errorf("pathlog: refine needs a replay result carrying a search profile")
+	}
+	base := rec.Plan
+	baseFP := base.Fingerprint()
+	if err := s.checkGenerationFresh(base, baseFP); err != nil {
+		return nil, err
+	}
+	strat, err := instrument.Refine(base, res.Profile, k)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := s.buildRefined(ctx, strat, res.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +97,7 @@ func (s *Session) RefineWith(ctx context.Context, rec *Recording, res *ReplayRes
 	// A fixed point (nothing promoted, identical branch set) is not a new
 	// generation: advancing the lineage would mark the still-current base
 	// plan stale and wedge every later refinement of it.
-	if baseFP := base.Fingerprint(); plan.Fingerprint() != baseFP {
+	if plan.Fingerprint() != baseFP {
 		s.recordLineage(baseFP, plan)
 		if err := s.persistPlan(plan); err != nil {
 			return nil, fmt.Errorf("pathlog: retain refined plan: %w", err)
@@ -76,53 +106,17 @@ func (s *Session) RefineWith(ctx context.Context, rec *Recording, res *ReplayRes
 	return plan, nil
 }
 
-// refineStep builds the refined plan without touching the lineage, so
-// callers with their own acceptance checks (AutoBalance's overhead
-// ceiling) can reject the plan before it becomes the chain's head. It
-// returns the refined plan and the base plan it was derived from (the
-// recording's embedded plan, or the retained plan a stamped-only
-// recording resolves to).
-func (s *Session) refineStep(ctx context.Context, rec *Recording, res *ReplayResult, k int) (*Plan, *Plan, error) {
-	// Open (and lineage-seed) the plan store before the staleness check:
-	// a chain an earlier session refined past must be refused even when
-	// this session has not touched the store yet.
-	if _, err := s.planStore(); err != nil {
-		return nil, nil, err
-	}
-	// A stamped-only recording resolves its base plan from the store, the
-	// same way Replay does.
-	rec, err := s.resolveRecording(rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.validateRecording(rec); err != nil {
-		return nil, nil, err
-	}
-	if res == nil || res.Profile == nil {
-		return nil, nil, fmt.Errorf("pathlog: refine needs a replay result carrying a search profile")
-	}
-	base := rec.Plan
-	baseFP := base.Fingerprint()
-	if err := s.checkGenerationFresh(base, baseFP); err != nil {
-		return nil, nil, err
-	}
-	strat, err := instrument.Refine(base, res.Profile, k)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildRefined folds the observed per-branch rates of a (possibly merged)
+// search profile into the shared cost model and prices the refinement
+// strategy's plan: the refined generation's estimate is built from
+// measurement, not from the structural priors the base plan's was.
+func (s *Session) buildRefined(ctx context.Context, strat Strategy, profile *SearchProfile) (*Plan, error) {
 	in, err := s.Analyze(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Fold the observed per-branch rates into the shared cost model before
-	// pricing the refined plan: the refined generation's estimate is built
-	// from measurement, not from the structural priors the base plan's was.
-	s.planContext(in).Calibrate(res.Profile)
-	plan, err := s.PlanWith(ctx, strat)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, base, nil
+	s.planContext(in).Calibrate(profile)
+	return s.PlanWith(ctx, strat)
 }
 
 // checkGenerationFresh refuses to refine a recording taken under a plan
@@ -199,25 +193,26 @@ func (s *Session) resumePlan(plan *Plan) *Plan {
 	return plan
 }
 
-// DefaultMaxGenerations caps an AutoBalance loop that never meets its
-// target: the paper's workflow converges in a handful of redeployments or
-// not at all.
+// DefaultMaxGenerations caps a balance loop that never meets its target:
+// the paper's workflow converges in a handful of redeployments or not at
+// all.
 const DefaultMaxGenerations = 4
 
-// BalanceOptions shape one AutoBalance loop.
+// BalanceOptions shape one balance loop (AutoBalance or CorpusBalance).
 type BalanceOptions struct {
 	// TargetReplayRuns, when > 0, is the replay budget the loop works
-	// toward: a generation whose search reproduces the bug within this many
-	// runs converges the loop.
+	// toward: a generation whose weighted corpus-mean search reproduces
+	// every report within this many runs meets the target.
 	TargetReplayRuns int
-	// TargetReplayTime, when > 0, is the wall-clock form of the target;
-	// both set means both must hold.
+	// TargetReplayTime, when > 0, is the wall-clock form of the target,
+	// compared at millisecond resolution; both set means both must hold.
 	TargetReplayTime time.Duration
-	// MaxGenerations caps refinement steps (<= 0 selects
-	// DefaultMaxGenerations). The trajectory holds at most
-	// MaxGenerations+1 points: generation 0 plus one per refinement.
+	// MaxGenerations caps the refinement steps — promotions and accepted
+	// demotions alike — counted from the generation the loop starts at
+	// (<= 0 selects DefaultMaxGenerations). The trajectory holds at most
+	// MaxGenerations+1 points: the starting generation plus one per step.
 	MaxGenerations int
-	// OverheadCeiling, when > 0, stops the loop before deploying a refined
+	// OverheadCeiling, when > 0, stops the loop before deploying a promoted
 	// plan whose estimated record overhead (bits/run, priced under the
 	// calibrated cost model) exceeds it — the user-site half of the
 	// balance.
@@ -225,22 +220,15 @@ type BalanceOptions struct {
 	// TopK is the number of blowup branches promoted per generation
 	// (<= 0 selects instrument.DefaultRefineTopK).
 	TopK int
-	// OnGeneration, when set, observes each generation's measured point as
-	// soon as its replay finishes. Same contract as ProgressFunc: cheap,
-	// no calls back into the Session.
-	OnGeneration func(BalancePoint)
-	// OnPhase, when set, observes each balance phase's wall time the
-	// moment the phase finishes — record, replay, refine, merge. Same
-	// contract as ProgressFunc. With WithObserver configured, the same
-	// timings also land in the registry's
-	// pathlog_balance_<phase>_ns histograms.
-	OnPhase func(PhaseTiming)
-
-	// The remaining fields apply only to CorpusBalance (AutoBalance
-	// ignores them).
-
-	// Shards partitions the corpus into this many concurrently-replayed
-	// shards (<= 1 keeps one).
+	// DemotionRate is the weighted demotion threshold: an instrumented
+	// branch becomes a demotion candidate when its disagreement rate
+	// (Disagreements over LoggedExecs) is at most this value
+	// (instrument.DemotableAt). Zero — the default — keeps the strict
+	// zero-disagreement rule. The measured-acceptance gate still applies
+	// either way: a demoted plan whose replay regresses is refused by name.
+	DemotionRate float64
+	// Shards partitions each generation's corpus into this many
+	// concurrently-replayed shards (<= 1 keeps one).
 	Shards int
 	// Runner replays each corpus shard; nil selects the in-process runner
 	// under the session's replay budget.
@@ -251,16 +239,28 @@ type BalanceOptions struct {
 	// the in-process runner. With workers set and Shards unset, the corpus
 	// is partitioned one shard per worker.
 	Workers []string
-	// OnCorpusGeneration observes each corpus generation's measured point.
-	// Same contract as ProgressFunc.
-	OnCorpusGeneration func(CorpusPoint)
-	// DemotionRate is the weighted demotion threshold: an instrumented
-	// branch becomes a demotion candidate when its disagreement rate
-	// (Disagreements over LoggedExecs) is at most this value
-	// (instrument.DemotableAt). Zero — the default — keeps the strict
-	// zero-disagreement rule. The measured-acceptance gate still applies
-	// either way: a demoted plan whose replay regresses is refused by name.
-	DemotionRate float64
+	// OnGeneration, when set, observes each accepted generation's measured
+	// point as soon as it is recorded. Same contract as ProgressFunc:
+	// cheap, no calls back into the Session.
+	OnGeneration func(BalancePoint)
+	// OnPhase, when set, observes each balance phase's wall time the
+	// moment the phase finishes — record, replay, refine, merge. Same
+	// contract as ProgressFunc. With WithObserver configured, the same
+	// timings also land in the registry's
+	// pathlog_balance_<phase>_ns histograms.
+	OnPhase func(PhaseTiming)
+}
+
+// validate refuses nonsensical targets before any work is done.
+func (opts BalanceOptions) validate() error {
+	if opts.TargetReplayRuns < 0 || opts.TargetReplayTime < 0 {
+		return fmt.Errorf("pathlog: balance: negative replay target (runs %d, time %v)",
+			opts.TargetReplayRuns, opts.TargetReplayTime)
+	}
+	if opts.OverheadCeiling < 0 {
+		return fmt.Errorf("pathlog: balance: negative overhead ceiling %g", opts.OverheadCeiling)
+	}
+	return nil
 }
 
 // PhaseTiming is one timed phase of a balance generation — the loop's
@@ -294,40 +294,60 @@ func (s *Session) observePhase(on func(PhaseTiming), gen int, phase string, star
 	}
 }
 
-// BalancePoint is one generation of an AutoBalance trajectory: the
-// deployed plan and what actually happened under it — measured logged
-// bits, measured replay runs and wall time, not estimates.
+// BalancePoint is one generation of a balance trajectory: the deployed
+// plan and what was measured under it over the generation's corpus —
+// weighted means over the members, not estimates. An AutoBalance corpus
+// holds one report of weight 1, so every mean is that report's own number.
 type BalancePoint struct {
 	// Generation is the plan's refinement generation (0 = the starting
 	// strategy's plan).
 	Generation int
 	// Plan is the generation's deployed plan.
 	Plan *Plan
-	// OverheadBits is the number of bits the user-site record run logged
-	// under the plan — the measured record overhead for this workload.
-	OverheadBits int64
-	// ReplayRuns and ReplayTime measure the developer-site search.
-	ReplayRuns int
-	ReplayTime time.Duration
-	// Reproduced reports whether the search found the bug within budget.
-	Reproduced bool
-	// Recording and Result carry the full artifacts (Result.Profile is the
-	// attribution the next generation was refined from).
-	Recording *Recording
-	Result    *ReplayResult
+	// MeanOverheadBits is the weighted mean of the bits each member's
+	// user-site run logged under the plan — the measured record overhead.
+	MeanOverheadBits float64
+	// MeanReplayRuns, MeanReplayMS and MaxReplayRuns measure the
+	// developer-site search over the population (weighted means; max over
+	// members).
+	MeanReplayRuns float64
+	MeanReplayMS   float64
+	MaxReplayRuns  int
+	// Reproduced counts members whose replay found the bug; Members is
+	// the corpus size.
+	Reproduced int
+	Members    int
+	// Promoted and Demoted list the branch changes that produced this
+	// generation (both empty for the starting generation).
+	Promoted []BranchID
+	Demoted  []BranchID
+	// Corpus holds the generation's recordings, every member recorded
+	// under Plan; Outcome is the corpus replay behind the numbers, whose
+	// merged Profile the next generation is derived from.
+	Corpus  *Corpus
+	Outcome *CorpusOutcome
 }
 
-// BalanceTrajectory is an AutoBalance outcome: the per-generation measured
-// points in order, whether the loop met its target, and why it stopped.
+// BalanceTrajectory is a balance loop's outcome: the per-generation
+// measured points in order, whether the loop met its target, and why it
+// stopped.
 type BalanceTrajectory struct {
+	// Workload is the key the loop's measured store points are filed
+	// under: the session's WorkloadHash for AutoBalance, the corpus
+	// identity for CorpusBalance.
+	Workload  string
 	Points    []BalancePoint
 	Converged bool
 	// Reason is a one-line human explanation of why the loop stopped.
 	Reason string
+	// DemotionRefused names a demotion the loop measured and refused —
+	// the branches involved and the measured regression — empty when no
+	// demotion was refused.
+	DemotionRefused string
 }
 
-// Final returns the last (best) generation's point, or nil for an empty
-// trajectory.
+// Final returns the last (deployed) generation's point, or nil for an
+// empty trajectory.
 func (tr *BalanceTrajectory) Final() *BalancePoint {
 	if len(tr.Points) == 0 {
 		return nil
@@ -338,137 +358,194 @@ func (tr *BalanceTrajectory) Final() *BalancePoint {
 // PlanPoints renders the trajectory as measured frontier points (Measured
 // set, overhead and replay runs from the record and replay runs rather
 // than the cost model), for MergeMeasured. Generations that did not
-// reproduce are omitted: their run count is a budget-censored lower bound
-// (the paper's ∞), not a measurement of debugging time.
+// reproduce every report are omitted: their run count is a budget-censored
+// lower bound (the paper's ∞), not a measurement of debugging time.
 func (tr *BalanceTrajectory) PlanPoints() []PlanPoint {
 	out := make([]PlanPoint, 0, len(tr.Points))
 	for _, pt := range tr.Points {
-		if !pt.Reproduced {
+		if pt.Reproduced != pt.Members {
 			continue
 		}
 		out = append(out, PlanPoint{
 			Strategy:   pt.Plan.Strategy,
 			Plan:       pt.Plan,
-			Overhead:   float64(pt.OverheadBits),
-			ReplayRuns: float64(pt.ReplayRuns),
+			Overhead:   pt.MeanOverheadBits,
+			ReplayRuns: pt.MeanReplayRuns,
 			Measured:   true,
 		})
 	}
 	return out
 }
 
-// AutoBalance iterates the paper's feedback loop from the session's
-// configured strategy: record the user run (nil selects WithUserBytes),
-// replay the resulting bug report, and — while the replay budget is not
-// met — refine the plan at the branches the search blames and go again.
+// AutoBalance runs the balance loop (see CorpusBalance) on one workload:
+// it records the user run (nil selects WithUserBytes) under the session's
+// configured strategy and iterates over the one-report corpus that
+// recording forms. The report weighs 1, so the loop's corpus means are
+// that report's own numbers, and the measured points are filed under the
+// session's WorkloadHash, where Frontier reads them back.
 //
-// The loop stops when a generation reproduces within the target
-// (Converged), when MaxGenerations refinements have been spent, when the
-// next refined plan would break the overhead ceiling, or when the profile
-// promotes nothing new (a fixed point). With no target set, convergence
-// means reproducing at all within the session's replay budget — the
-// paper's "replay took too long" workflow with the budget as the bar.
-//
-// The returned trajectory holds every generation's measured point even
-// when the loop fails its target or the context cancels mid-loop; the
-// error reports what stopped an unfinished loop. A session whose chain
-// already advanced (an earlier AutoBalance or Refine) resumes from the
-// chain's latest generation instead of redeploying generation 0.
+// A session whose chain already advanced (an earlier AutoBalance or
+// Refine) resumes from the chain's latest generation instead of
+// redeploying generation 0. The returned trajectory holds every
+// generation's measured point even when the loop fails its target or the
+// context cancels mid-loop; the error reports what stopped an unfinished
+// loop.
 func (s *Session) AutoBalance(ctx context.Context, user map[string][]byte, opts BalanceOptions) (*BalanceTrajectory, error) {
-	if opts.TargetReplayRuns < 0 || opts.TargetReplayTime < 0 {
-		return nil, fmt.Errorf("pathlog: AutoBalance: negative replay target (runs %d, time %v)",
-			opts.TargetReplayRuns, opts.TargetReplayTime)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
-	if opts.OverheadCeiling < 0 {
-		return nil, fmt.Errorf("pathlog: AutoBalance: negative overhead ceiling %g", opts.OverheadCeiling)
-	}
-	maxGen := opts.MaxGenerations
-	if maxGen <= 0 {
-		maxGen = DefaultMaxGenerations
-	}
-	tr := &BalanceTrajectory{}
+	tr := &BalanceTrajectory{Workload: s.WorkloadHash()}
 	plan, err := s.Plan(ctx)
 	if err != nil {
 		return tr, err
 	}
-	// A session that already refined this strategy's chain resumes from
-	// the latest generation rather than redeploying generation 0.
 	plan = s.resumePlan(plan)
-	for {
-		// Each generation's measurement (record + replay) runs under one
-		// span, so the trajectory's wall time decomposes in the trace.
+	start := time.Now()
+	rec, _, err := s.RecordWith(ctx, plan, user)
+	s.observePhase(opts.OnPhase, plan.Generation, "record", start)
+	if err != nil {
+		return tr, err
+	}
+	if rec == nil {
+		return tr, fmt.Errorf("pathlog: AutoBalance: user run did not crash under plan %s (generation %d) — nothing to replay",
+			plan.Strategy, plan.Generation)
+	}
+	c, err := BuildCorpus([]CorpusMember{{Rec: rec, UserBytes: user}}, CorpusIngestOptions{})
+	if err != nil {
+		return tr, err
+	}
+	return s.balance(ctx, c, tr.Workload, opts)
+}
+
+// CorpusBalance iterates the balance loop over a report population until
+// the whole population replays within the target:
+//
+//   - promote: while the weighted corpus-mean replay misses the target,
+//     refine the plan at the corpus-wide blowup branches, re-record every
+//     member's input under the refined plan (members must carry
+//     UserBytes; Corpus.AttachInput supplies them for ingested corpora),
+//     and measure again;
+//   - shrink: once the target is met, demote the branches the merged
+//     profile proves redundant — but a demotion is accepted only when the
+//     re-recorded, re-replayed corpus confirms it: every member still
+//     reproduces, the target still holds, and the measured corpus-mean
+//     overhead is strictly below the pre-demotion plan's. A demotion that
+//     regresses any of those is refused by name (DemotionRefused), the
+//     previous plan stays deployed, and its lineage never advances.
+//
+// The loop also stops at the MaxGenerations cap, when the next promoted
+// plan would break the overhead ceiling, or when the profile promotes
+// nothing new (a fixed point). With no target set, the target means
+// reproducing every report within the session's replay budget. Measured
+// points for every generation are appended to the plan store under the
+// corpus identity as the workload key, and each generation's merged
+// profile is retained for cold calibration.
+func (s *Session) CorpusBalance(ctx context.Context, c *Corpus, opts BalanceOptions) (*BalanceTrajectory, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if c == nil || len(c.Reports) == 0 {
+		return nil, fmt.Errorf("pathlog: CorpusBalance: empty corpus")
+	}
+	for _, rep := range c.Reports {
+		if rep.UserBytes == nil {
+			return nil, fmt.Errorf("pathlog: CorpusBalance: corpus report %s carries no user input to redeploy with — attach inputs (Corpus.AttachInput) or use RefineCorpus for a single evidence-based step",
+				rep.Signature)
+		}
+	}
+	return s.balance(ctx, c, c.Identity(), opts)
+}
+
+// balance is the one balance loop behind AutoBalance and CorpusBalance:
+// replay the corpus under the plan it was recorded with, promote until the
+// target is met, then demote while measurement confirms each shrink. Its
+// measured points are filed under workload.
+func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts BalanceOptions) (*BalanceTrajectory, error) {
+	maxGen := opts.MaxGenerations
+	if maxGen <= 0 {
+		maxGen = DefaultMaxGenerations
+	}
+	copts := CorpusOptions{Shards: opts.Shards, Runner: opts.Runner, Workers: opts.Workers, TopK: opts.TopK}
+	tr := &BalanceTrajectory{Workload: workload}
+
+	// measure redeploys a plan over the population and replays the fresh
+	// recordings under one balance.generation span.
+	measure := func(plan *Plan, cur *Corpus) (*Corpus, *CorpusOutcome, error) {
+		start := time.Now()
+		next, err := s.reRecordCorpus(ctx, cur, plan)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.observePhase(opts.OnPhase, plan.Generation, "record", start)
 		gctx, span := s.cfg.obs.Tracer().StartSpan(ctx, "balance.generation")
 		span.SetAttr("gen", fmt.Sprint(plan.Generation))
-		phaseStart := time.Now()
-		rec, stats, err := s.RecordWith(gctx, plan, user)
-		s.observePhase(opts.OnPhase, plan.Generation, "record", phaseStart)
-		if err != nil {
-			span.End()
-			return tr, err
-		}
-		if rec == nil {
-			span.End()
-			return tr, fmt.Errorf("pathlog: AutoBalance: user run did not crash under plan %s (generation %d) — nothing to replay",
-				plan.Strategy, plan.Generation)
-		}
-		phaseStart = time.Now()
-		res, err := s.Replay(gctx, rec)
-		s.observePhase(opts.OnPhase, plan.Generation, "replay", phaseStart)
+		start = time.Now()
+		out, err := corpus.Replay(gctx, next, s.corpusShards(copts), s.corpusRunner(copts))
 		span.End()
-		if err != nil {
-			return tr, err
-		}
-		pt := BalancePoint{
-			Generation:   plan.Generation,
-			Plan:         plan,
-			OverheadBits: stats.TraceBits,
-			ReplayRuns:   res.Runs,
-			ReplayTime:   res.Elapsed,
-			Reproduced:   res.Reproduced,
-			Recording:    rec,
-			Result:       res,
-		}
+		s.observePhase(opts.OnPhase, plan.Generation, "replay", start)
+		return next, out, err
+	}
+	// record appends an accepted generation's point to the trajectory and
+	// the plan store.
+	record := func(pt BalancePoint) error {
+		start := time.Now()
 		tr.Points = append(tr.Points, pt)
 		s.emit("balance", len(tr.Points))
-		phaseStart = time.Now()
-		if err := s.appendMeasured(pt); err != nil {
+		if err := s.appendMeasured(workload, pt); err != nil {
 			tr.Reason = "plan store write failed"
-			return tr, fmt.Errorf("pathlog: AutoBalance: persist measured point: %w", err)
+			return fmt.Errorf("pathlog: balance: persist measured point: %w", err)
 		}
-		// Retain the generation's search profile so cold sessions can
-		// CalibrateCosts from it before their first sweep.
-		if err := s.persistProfile(res.Profile); err != nil {
+		if err := s.persistProfile(pt.Outcome.Profile); err != nil {
 			tr.Reason = "plan store write failed"
-			return tr, fmt.Errorf("pathlog: AutoBalance: retain search profile: %w", err)
+			return fmt.Errorf("pathlog: balance: retain search profile: %w", err)
 		}
-		s.observePhase(opts.OnPhase, plan.Generation, "merge", phaseStart)
+		s.observePhase(opts.OnPhase, pt.Generation, "merge", start)
 		if opts.OnGeneration != nil {
 			opts.OnGeneration(pt)
 		}
-		if targetMet(res, opts) {
-			tr.Converged = true
-			tr.Reason = fmt.Sprintf("replay budget met at generation %d (%d runs in %s)",
-				plan.Generation, res.Runs, res.Elapsed.Round(time.Millisecond))
-			return tr, nil
+		return nil
+	}
+	// accept makes a measured plan the chain's head.
+	accept := func(base, next *Plan) error {
+		s.recordLineage(base.Fingerprint(), next)
+		if err := s.persistPlan(next); err != nil {
+			tr.Reason = "plan store write failed"
+			return fmt.Errorf("pathlog: balance: retain generation %d plan: %w", next.Generation, err)
 		}
+		return nil
+	}
+
+	start := time.Now()
+	out, cur, plan, err := s.replayCorpus(ctx, c, copts)
+	if err != nil {
+		return tr, err
+	}
+	s.observePhase(opts.OnPhase, plan.Generation, "replay", start)
+	baseGen := plan.Generation
+	if err := record(newBalancePoint(plan, cur, out, nil, nil)); err != nil {
+		return tr, err
+	}
+
+	// Promote until the population meets the target.
+	for !targetMet(out, opts) {
 		if err := ctx.Err(); err != nil {
 			tr.Reason = "context cancelled"
 			return tr, err
 		}
-		if plan.Generation >= maxGen {
+		if plan.Generation-baseGen >= maxGen {
 			tr.Reason = fmt.Sprintf("generation cap (%d) reached without meeting the replay target", maxGen)
 			return tr, nil
 		}
-		// The refined plan only becomes the chain's head once it passes
-		// every acceptance check: a plan the loop rejects here was never
-		// deployed, must not mark its base stale, and must not be what a
-		// later AutoBalance resumes from.
-		phaseStart = time.Now()
-		refined, base, err := s.refineStep(ctx, rec, res, opts.TopK)
+		start = time.Now()
+		strat, err := instrument.Refine(plan, out.Profile, opts.TopK)
 		if err != nil {
 			return tr, err
 		}
-		s.observePhase(opts.OnPhase, plan.Generation, "refine", phaseStart)
+		refined, err := s.buildRefined(ctx, strat, out.Profile)
+		if err != nil {
+			return tr, err
+		}
+		s.observePhase(opts.OnPhase, plan.Generation, "refine", start)
 		if refined.Fingerprint() == plan.Fingerprint() {
 			tr.Reason = fmt.Sprintf("fixed point at generation %d: the profile blames no promotable branch", plan.Generation)
 			return tr, nil
@@ -478,50 +555,132 @@ func (s *Session) AutoBalance(ctx context.Context, user map[string][]byte, opts 
 				refined.Generation, refined.EstimatedOverhead(), opts.OverheadCeiling)
 			return tr, nil
 		}
-		s.recordLineage(base.Fingerprint(), refined)
-		if err := s.persistPlan(refined); err != nil {
-			tr.Reason = "plan store write failed"
-			return tr, fmt.Errorf("pathlog: AutoBalance: retain refined plan: %w", err)
+		// A plan the checks above reject was never deployed: only now does
+		// the promoted plan become the chain's head.
+		if err := accept(plan, refined); err != nil {
+			return tr, err
 		}
-		plan = refined
+		next, nextOut, err := measure(refined, cur)
+		if err != nil {
+			return tr, err
+		}
+		plan, cur, out = refined, next, nextOut
+		if err := record(newBalancePoint(plan, cur, out, strat.(promotedDemoted).Promoted(), nil)); err != nil {
+			return tr, err
+		}
+	}
+	tr.Converged = true
+	tr.Reason = fmt.Sprintf("replay budget met at generation %d (weighted mean %.1f runs over %d report(s))",
+		plan.Generation, out.MeanRuns, out.Members)
+
+	// Shrink: demote proven-redundant branches while measurement confirms
+	// the demotion.
+	for plan.Generation-baseGen < maxGen {
+		if err := ctx.Err(); err != nil {
+			return tr, err
+		}
+		cands := out.Profile.DemotableAt(plan.Instrumented, opts.DemotionRate)
+		if len(cands) == 0 {
+			return tr, nil
+		}
+		start = time.Now()
+		strat, err := instrument.DemoteAt(plan, out.Profile, opts.DemotionRate)
+		if err != nil {
+			return tr, err
+		}
+		demoted, err := s.buildRefined(ctx, strat, out.Profile)
+		if err != nil {
+			return tr, err
+		}
+		s.observePhase(opts.OnPhase, plan.Generation, "refine", start)
+		if demoted.Fingerprint() == plan.Fingerprint() {
+			return tr, nil
+		}
+		trial, trialOut, err := measure(demoted, cur)
+		if err != nil {
+			return tr, err
+		}
+		bits, trialBits := weightedMeanBits(cur), weightedMeanBits(trial)
+		if !targetMet(trialOut, opts) || trialBits >= bits {
+			tr.DemotionRefused = fmt.Sprintf(
+				"demoting %s measured %d/%d reproduced, mean %.1f runs, mean %.1f bits (was %d/%d, %.1f runs, %.1f bits) — refused, plan %s stays deployed",
+				branchList(cands), trialOut.Reproduced, trialOut.Members, trialOut.MeanRuns, trialBits,
+				out.Reproduced, out.Members, out.MeanRuns, bits, plan.Fingerprint())
+			tr.Reason += "; demotion refused after measurement"
+			return tr, nil
+		}
+		// Measurement confirms the shrink: only now does the demoted plan
+		// become the chain's head.
+		if err := accept(plan, demoted); err != nil {
+			return tr, err
+		}
+		plan, cur, out = demoted, trial, trialOut
+		if err := record(newBalancePoint(plan, cur, out, nil, cands)); err != nil {
+			return tr, err
+		}
+		tr.Reason = fmt.Sprintf("replay budget met at generation %d (weighted mean %.1f runs over %d report(s)); demotion shrank the plan to %.1f mean bits",
+			plan.Generation, out.MeanRuns, out.Members, trialBits)
+	}
+	return tr, nil
+}
+
+// newBalancePoint assembles one trajectory point from a generation's
+// plan, corpus and corpus replay.
+func newBalancePoint(plan *Plan, cur *Corpus, out *CorpusOutcome, promoted, demoted []BranchID) BalancePoint {
+	return BalancePoint{
+		Generation:       plan.Generation,
+		Plan:             plan,
+		MeanOverheadBits: weightedMeanBits(cur),
+		MeanReplayRuns:   out.MeanRuns,
+		MeanReplayMS:     out.MeanWallMS,
+		MaxReplayRuns:    out.MaxRuns,
+		Reproduced:       out.Reproduced,
+		Members:          out.Members,
+		Promoted:         promoted,
+		Demoted:          demoted,
+		Corpus:           cur,
+		Outcome:          out,
 	}
 }
 
-// appendMeasured persists one AutoBalance generation's measured point to
-// the session's plan store (a no-op without WithPlanStore). Points are
-// keyed by (program hash, workload hash) — the WorkloadHash identity, so
-// renamed sessions keep appending to one history; non-reproduced
-// generations are stored too — as budget-censored history — but frontier
-// merging skips them. A plan with no program hash cannot reach here:
-// RecordWith already refused to deploy it through a store-backed session.
-func (s *Session) appendMeasured(pt BalancePoint) error {
+// targetMet checks a corpus replay against the loop's target: every
+// member must reproduce, and the weighted means must meet the run and
+// wall-clock targets when set. With no target set, reproducing the whole
+// population within the replay budget is the bar.
+func targetMet(out *CorpusOutcome, opts BalanceOptions) bool {
+	if !out.AllReproduced() {
+		return false
+	}
+	if opts.TargetReplayRuns > 0 && out.MeanRuns > float64(opts.TargetReplayRuns) {
+		return false
+	}
+	if opts.TargetReplayTime > 0 && out.MeanWallMS > float64(opts.TargetReplayTime.Milliseconds()) {
+		return false
+	}
+	return true
+}
+
+// appendMeasured persists one generation's measured point to the session's
+// plan store (a no-op without WithPlanStore), keyed by (program hash,
+// workload) — a content identity, not a name, so renamed sessions keep
+// appending to one history. Generations that did not reproduce every
+// report are stored too, as budget-censored history; frontier merging
+// skips them. A plan with no program hash cannot reach here: RecordWith
+// already refused to deploy it through a store-backed session.
+func (s *Session) appendMeasured(workload string, pt BalancePoint) error {
 	st, err := s.planStore()
 	if err != nil || st == nil {
 		return err
 	}
-	return st.AppendMeasured(pt.Plan.ProgHash, s.WorkloadHash(), store.MeasuredPoint{
+	return st.AppendMeasured(pt.Plan.ProgHash, workload, store.MeasuredPoint{
 		Fingerprint:  pt.Plan.Fingerprint(),
 		Strategy:     pt.Plan.Strategy,
 		Generation:   pt.Generation,
-		OverheadBits: pt.OverheadBits,
-		ReplayRuns:   pt.ReplayRuns,
-		ReplayMS:     pt.ReplayTime.Milliseconds(),
-		Reproduced:   pt.Reproduced,
+		OverheadBits: int64(math.Round(pt.MeanOverheadBits)),
+		ReplayRuns:   int(math.Round(pt.MeanReplayRuns)),
+		ReplayMS:     int64(math.Round(pt.MeanReplayMS)),
+		Reproduced:   pt.Reproduced == pt.Members,
 	})
-}
-
-// targetMet checks a generation's replay against the loop's target.
-func targetMet(res *ReplayResult, opts BalanceOptions) bool {
-	if !res.Reproduced {
-		return false
-	}
-	if opts.TargetReplayRuns > 0 && res.Runs > opts.TargetReplayRuns {
-		return false
-	}
-	if opts.TargetReplayTime > 0 && res.Elapsed > opts.TargetReplayTime {
-		return false
-	}
-	return true
 }
 
 // balancePointJSON is the persisted shape of one trajectory point: the
@@ -532,38 +691,55 @@ type balancePointJSON struct {
 	Fingerprint  string  `json:"fingerprint"`
 	Parent       string  `json:"parent,omitempty"`
 	Instrumented int     `json:"instrumented_locations"`
-	OverheadBits int64   `json:"overhead_bits"`
-	EstOverhead  float64 `json:"est_overhead_bits_per_run"`
-	EstReplay    float64 `json:"est_replay_runs"`
-	ReplayRuns   int     `json:"replay_runs"`
-	ReplayMS     int64   `json:"replay_ms"`
-	Reproduced   bool    `json:"reproduced"`
+	MeanBits     float64 `json:"mean_overhead_bits"`
+	MeanRuns     float64 `json:"mean_replay_runs"`
+	MaxRuns      int     `json:"max_replay_runs"`
+	MeanMS       float64 `json:"mean_replay_ms"`
+	Reproduced   int     `json:"reproduced"`
+	Members      int     `json:"members"`
+	Promoted     []int   `json:"promoted,omitempty"`
+	Demoted      []int   `json:"demoted,omitempty"`
 }
 
 type trajectoryJSON struct {
-	Converged bool               `json:"converged"`
-	Reason    string             `json:"reason"`
-	Points    []balancePointJSON `json:"points"`
+	Workload        string             `json:"workload"`
+	Converged       bool               `json:"converged"`
+	Reason          string             `json:"reason"`
+	DemotionRefused string             `json:"demotion_refused,omitempty"`
+	Points          []balancePointJSON `json:"points"`
 }
 
 // Save writes the trajectory's measured points to path as JSON — the
-// artifact the harness's adaptive experiment and cmd/tune publish.
+// artifact cmd/tune and the harness's adaptive and corpus experiments
+// publish.
 func (tr *BalanceTrajectory) Save(path string) error {
-	enc := trajectoryJSON{Converged: tr.Converged, Reason: tr.Reason}
+	enc := trajectoryJSON{
+		Workload:        tr.Workload,
+		Converged:       tr.Converged,
+		Reason:          tr.Reason,
+		DemotionRefused: tr.DemotionRefused,
+	}
 	for _, pt := range tr.Points {
-		enc.Points = append(enc.Points, balancePointJSON{
+		row := balancePointJSON{
 			Generation:   pt.Generation,
 			Strategy:     pt.Plan.Strategy,
 			Fingerprint:  pt.Plan.Fingerprint(),
 			Parent:       pt.Plan.Parent,
 			Instrumented: pt.Plan.NumInstrumented(),
-			OverheadBits: pt.OverheadBits,
-			EstOverhead:  pt.Plan.EstimatedOverhead(),
-			EstReplay:    pt.Plan.EstimatedReplayRuns(),
-			ReplayRuns:   pt.ReplayRuns,
-			ReplayMS:     pt.ReplayTime.Milliseconds(),
+			MeanBits:     pt.MeanOverheadBits,
+			MeanRuns:     pt.MeanReplayRuns,
+			MaxRuns:      pt.MaxReplayRuns,
+			MeanMS:       pt.MeanReplayMS,
 			Reproduced:   pt.Reproduced,
-		})
+			Members:      pt.Members,
+		}
+		for _, id := range pt.Promoted {
+			row.Promoted = append(row.Promoted, int(id))
+		}
+		for _, id := range pt.Demoted {
+			row.Demoted = append(row.Demoted, int(id))
+		}
+		enc.Points = append(enc.Points, row)
 	}
 	data, err := json.MarshalIndent(enc, "", "  ")
 	if err != nil {

@@ -17,20 +17,20 @@ import (
 // paths a low-coverage dynamic analysis misses hardest) under the plain
 // Dynamic() strategy with a deliberately thin concolic budget, so
 // generation 0 is a genuinely bad plan the loop must climb out of.
-func uServerBalanceSession(t *testing.T) *Session {
+func uServerBalanceSession(t *testing.T, opts ...Option) *Session {
 	t.Helper()
 	s, err := apps.UServerScenario(3, 72)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SessionOf(s,
+	return SessionOf(s, append([]Option{
 		WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
 		WithDynamicBudget(3, 0),
 		WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		WithSyscallLog(),
 		WithStrategy(Dynamic()),
 		WithReplayBudget(1500, 15*time.Second),
-	)
+	}, opts...)...)
 }
 
 // TestAutoBalanceUServer is the acceptance check for the adaptive loop:
@@ -64,17 +64,17 @@ func TestAutoBalanceUServer(t *testing.T) {
 	}
 
 	gen0, final := tr.Points[0], *tr.Final()
-	if gen0.Reproduced && gen0.ReplayRuns <= target {
-		t.Fatalf("generation 0 already met the target (%d runs) — the fixture no longer exercises refinement", gen0.ReplayRuns)
+	if gen0.Reproduced == gen0.Members && gen0.MeanReplayRuns <= target {
+		t.Fatalf("generation 0 already met the target (%.0f runs) — the fixture no longer exercises refinement", gen0.MeanReplayRuns)
 	}
-	if !final.Reproduced {
+	if final.Reproduced != final.Members {
 		t.Fatalf("converged trajectory did not reproduce: %+v", final)
 	}
-	if final.ReplayRuns > target {
-		t.Errorf("final generation used %d replay runs, target %d", final.ReplayRuns, target)
+	if final.MeanReplayRuns > target {
+		t.Errorf("final generation used %.0f replay runs, target %d", final.MeanReplayRuns, target)
 	}
-	if final.ReplayRuns >= gen0.ReplayRuns {
-		t.Errorf("replay runs did not drop: gen0 %d, final %d", gen0.ReplayRuns, final.ReplayRuns)
+	if final.MeanReplayRuns >= gen0.MeanReplayRuns {
+		t.Errorf("replay runs did not drop: gen0 %.0f, final %.0f", gen0.MeanReplayRuns, final.MeanReplayRuns)
 	}
 	if final.Plan.Generation == 0 || final.Plan.Parent == "" {
 		t.Errorf("final plan carries no lineage: generation %d parent %q",
@@ -91,9 +91,9 @@ func TestAutoBalanceUServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.OverheadBits >= allStats.TraceBits {
-		t.Errorf("refined plan logs %d bits/run, all-branches logs %d — no balance left",
-			final.OverheadBits, allStats.TraceBits)
+	if final.MeanOverheadBits >= float64(allStats.TraceBits) {
+		t.Errorf("refined plan logs %.0f bits/run, all-branches logs %d — no balance left",
+			final.MeanOverheadBits, allStats.TraceBits)
 	}
 
 	// Refined plans are durable artifacts: Save/LoadPlan round-trips the
@@ -117,7 +117,7 @@ func TestAutoBalanceUServer(t *testing.T) {
 	// A stale-generation recording — generation 0's, after the session has
 	// refined past it — is refused with a clear error, not silently
 	// re-refined into a fork of the lineage.
-	if _, err := sess.Refine(ctx, gen0.Recording, gen0.Result); err == nil ||
+	if _, err := sess.Refine(ctx, gen0.Corpus.Reports[0].Rec, &ReplayResult{Profile: gen0.Outcome.Profile}); err == nil ||
 		!strings.Contains(err.Error(), "stale-generation") {
 		t.Errorf("stale generation-0 recording accepted: %v", err)
 	}
@@ -148,6 +148,113 @@ func TestAutoBalanceUServer(t *testing.T) {
 	for _, pt := range tr.PlanPoints() {
 		if pt.Plan.Fingerprint() == gen0.Plan.Fingerprint() {
 			t.Errorf("non-reproduced generation 0 emitted as a measured frontier point")
+		}
+	}
+}
+
+// TestAutoBalanceDemotesWithMeasuredAcceptance pins the shrink half of
+// the single-report loop: once the uServer fixture meets its target,
+// AutoBalance demotes the logged branches whose bits never constrained the
+// search, keeps the demotion only because re-measurement confirms it, and
+// files exactly one measured store point per accepted generation.
+func TestAutoBalanceDemotesWithMeasuredAcceptance(t *testing.T) {
+	ctx := context.Background()
+	sess := uServerBalanceSession(t, WithPlanStore(t.TempDir()))
+
+	const target = 200
+	tr, err := sess.AutoBalance(ctx, nil, BalanceOptions{TargetReplayRuns: target, MaxGenerations: 4})
+	if err != nil {
+		t.Fatalf("AutoBalance: %v", err)
+	}
+	if !tr.Converged {
+		t.Fatalf("did not converge: %s", tr.Reason)
+	}
+	final := tr.Final()
+	if len(final.Demoted) == 0 {
+		t.Fatalf("final generation %d demoted nothing (%s; refused %q)", final.Generation, tr.Reason, tr.DemotionRefused)
+	}
+	// The last promote-only generation is the point before the first
+	// demotion; generation 0 misses the target, so it is a refined one.
+	var promoted *BalancePoint
+	for i := range tr.Points {
+		if len(tr.Points[i].Demoted) > 0 {
+			break
+		}
+		promoted = &tr.Points[i]
+	}
+	if promoted == nil || promoted.Generation == 0 {
+		t.Fatalf("no promote-only generation precedes the demotion: %+v", tr.Points)
+	}
+	if !(final.MeanOverheadBits < promoted.MeanOverheadBits) {
+		t.Errorf("demoted generation logs %.0f bits, promote-only generation %d logged %.0f",
+			final.MeanOverheadBits, promoted.Generation, promoted.MeanOverheadBits)
+	}
+	if final.Reproduced != final.Members || final.MeanReplayRuns > target {
+		t.Errorf("demoted generation misses the target: %d/%d reproduced, %.0f runs",
+			final.Reproduced, final.Members, final.MeanReplayRuns)
+	}
+	if final.Plan.Parent != tr.Points[len(tr.Points)-2].Plan.Fingerprint() {
+		t.Errorf("demoted generation's parent %s is not the previous generation's plan", final.Plan.Parent)
+	}
+
+	st, err := sess.PlanStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := st.Measured(final.Plan.ProgHash, sess.WorkloadHash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != len(tr.Points) {
+		t.Fatalf("store holds %d measured points for %d accepted generations", len(pts), len(tr.Points))
+	}
+	for i, mp := range pts {
+		pt := tr.Points[i]
+		if mp.Fingerprint != pt.Plan.Fingerprint() || mp.Generation != pt.Generation ||
+			float64(mp.OverheadBits) != pt.MeanOverheadBits {
+			t.Errorf("measured point %d = %+v, want generation %d plan %s with %.0f bits",
+				i, mp, pt.Generation, pt.Plan.Fingerprint(), pt.MeanOverheadBits)
+		}
+	}
+}
+
+// TestAutoBalanceMatchesOneReportCorpusBalance: AutoBalance is the balance
+// loop over a one-report corpus, so generation by generation it must
+// deploy the same plan and measure the same bits and runs as CorpusBalance
+// over a one-member corpus of the same generation-0 recording.
+func TestAutoBalanceMatchesOneReportCorpusBalance(t *testing.T) {
+	ctx := context.Background()
+	opts := BalanceOptions{TargetReplayRuns: 200, MaxGenerations: 4}
+	auto, err := uServerBalanceSession(t).AutoBalance(ctx, nil, opts)
+	if err != nil {
+		t.Fatalf("AutoBalance: %v", err)
+	}
+
+	sess := uServerBalanceSession(t)
+	rec, _, err := sess.Record(ctx, nil)
+	if err != nil || rec == nil {
+		t.Fatalf("record: %v (%v)", err, rec)
+	}
+	c, err := BuildCorpus([]CorpusMember{{Rec: rec, UserBytes: sess.cfg.userBytes}}, CorpusIngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corp, err := sess.CorpusBalance(ctx, c, opts)
+	if err != nil {
+		t.Fatalf("CorpusBalance: %v", err)
+	}
+
+	if len(auto.Points) != len(corp.Points) || auto.Converged != corp.Converged {
+		t.Fatalf("AutoBalance ran %d generations (converged %v: %s), CorpusBalance %d (converged %v: %s)",
+			len(auto.Points), auto.Converged, auto.Reason, len(corp.Points), corp.Converged, corp.Reason)
+	}
+	for i, a := range auto.Points {
+		b := corp.Points[i]
+		if a.Plan.Fingerprint() != b.Plan.Fingerprint() || a.MeanOverheadBits != b.MeanOverheadBits ||
+			a.MeanReplayRuns != b.MeanReplayRuns || a.Reproduced != b.Reproduced {
+			t.Errorf("generation %d: AutoBalance plan %s %.0f bits %.0f runs %d reproduced, CorpusBalance plan %s %.0f bits %.0f runs %d reproduced",
+				i, a.Plan.Fingerprint(), a.MeanOverheadBits, a.MeanReplayRuns, a.Reproduced,
+				b.Plan.Fingerprint(), b.MeanOverheadBits, b.MeanReplayRuns, b.Reproduced)
 		}
 	}
 }
@@ -278,7 +385,7 @@ func TestAutoBalanceOverheadCeilingDoesNotAdvanceChain(t *testing.T) {
 	gen0 := tr.Points[0]
 	// The base plan is still the chain's head: refining its recording must
 	// not be refused as stale...
-	if _, err := sess.Refine(ctx, gen0.Recording, gen0.Result); err != nil {
+	if _, err := sess.Refine(ctx, gen0.Corpus.Reports[0].Rec, &ReplayResult{Profile: gen0.Outcome.Profile}); err != nil {
 		t.Errorf("ceiling reject marked the base plan stale: %v", err)
 	}
 	// ...but the Refine above DID accept the plan (no ceiling in a manual

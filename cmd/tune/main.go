@@ -3,7 +3,9 @@
 // crashing run, replays it, and — while the replay budget is not met —
 // promotes the branches the search blames into the next plan generation
 // and goes again (the paper's deploy → too slow → instrument more →
-// redeploy workflow, automated).
+// redeploy workflow, automated). Once the budget is met it demotes the
+// logged branches whose bits never constrained the search, keeping each
+// demotion only when the re-recorded, re-replayed report confirms it.
 //
 // With -store, the loop runs against a plan store: every generation's plan
 // is retained under its fingerprint as it is deployed, each generation's
@@ -184,8 +186,8 @@ func main() {
 
 	fmt.Printf("tuning %s from strategy %s (target: %s)\n",
 		*scenario, strat.Name(), describeTarget(*targetRuns, *targetTime))
-	fmt.Printf("  %-4s %-44s %6s %10s %12s %10s %6s\n",
-		"gen", "strategy", "locs", "bits/run", "replay runs", "time", "repro")
+	fmt.Printf("  %-4s %-44s %6s %10s %12s %10s %6s %7s\n",
+		"gen", "strategy", "locs", "bits/run", "replay runs", "time", "repro", "+/-")
 	tr, err := sess.AutoBalance(ctx, nil, pathlog.BalanceOptions{
 		TargetReplayRuns: *targetRuns,
 		TargetReplayTime: *targetTime,
@@ -193,10 +195,12 @@ func main() {
 		OverheadCeiling:  *ceiling,
 		TopK:             *topK,
 		OnGeneration: func(pt pathlog.BalancePoint) {
-			fmt.Printf("  %-4d %-44s %6d %10d %12d %10s %6v\n",
+			fmt.Printf("  %-4d %-44s %6d %10.0f %12.0f %10s %6v %7s\n",
 				pt.Generation, truncate(pt.Plan.Strategy, 44), pt.Plan.NumInstrumented(),
-				pt.OverheadBits, pt.ReplayRuns, pt.ReplayTime.Round(time.Millisecond),
-				pt.Reproduced)
+				pt.MeanOverheadBits, pt.MeanReplayRuns,
+				time.Duration(pt.MeanReplayMS*float64(time.Millisecond)),
+				pt.Reproduced == pt.Members,
+				fmt.Sprintf("+%d/-%d", len(pt.Promoted), len(pt.Demoted)))
 		},
 	})
 	if err != nil {
@@ -238,8 +242,8 @@ func main() {
 		}
 		fmt.Printf("plan written to %s\n", *planOut)
 	}
-	if *profOut != "" && final.Result != nil && final.Result.Profile != nil {
-		if err := final.Result.Profile.Save(*profOut); err != nil {
+	if *profOut != "" && final.Outcome.Profile != nil {
+		if err := final.Outcome.Profile.Save(*profOut); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("search profile written to %s\n", *profOut)

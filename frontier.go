@@ -32,7 +32,7 @@ type PlanPoint struct {
 	ReplayRuns float64
 	// Measured marks a point whose coordinates were observed (a recorded
 	// run's logged bits, a replay search's run count) rather than priced by
-	// the cost model — an AutoBalance trajectory point merged in through
+	// the cost model — a balance trajectory point merged in through
 	// MergeMeasured, or a persisted measurement the plan store contributed
 	// to a Frontier sweep (WithPlanStore).
 	Measured bool
@@ -189,7 +189,7 @@ func (s *Session) storedMeasuredPoints(progHash string) ([]PlanPoint, error) {
 	return out, nil
 }
 
-// MergeMeasured folds an AutoBalance trajectory's measured points into an
+// MergeMeasured folds a balance trajectory's measured points into an
 // estimated frontier sweep and returns the recomputed Pareto frontier.
 // Where a measured point and an estimated point describe the same plan
 // (same fingerprint), the measurement wins: the cost model proposed the

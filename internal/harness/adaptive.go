@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pathlog"
 	"pathlog/internal/apps"
@@ -12,11 +13,12 @@ import (
 // Adaptive reproduces the paper's feedback-loop claim on the uServer:
 // starting from a low-coverage dynamic plan whose replay blows past the
 // budget, AutoBalance promotes the branches the search blames until the
-// bug replays within the target — replay runs drop monotonically across
-// generations while recorded bits/run grow sublinearly compared to
-// instrumenting all branches. Input scenario 3 (cookies and
-// percent-escapes) exercises the parser paths a thin concolic budget
-// misses hardest.
+// bug replays within the target, then demotes the logged branches whose
+// bits never constrained the search, keeping each demotion only when
+// re-measurement confirms it — replay runs drop monotonically across
+// generations while recorded bits/run stay far below instrumenting all
+// branches. Input scenario 3 (cookies and percent-escapes) exercises the
+// parser paths a thin concolic budget misses hardest.
 //
 // When AdaptiveTrajectoryOut / AdaptiveProfileOut are set, the
 // per-generation trajectory and the final generation's search profile are
@@ -57,19 +59,21 @@ func (c Config) Adaptive(ctx context.Context) (*Table, error) {
 		ID:    "Adaptive",
 		Title: "adaptive refinement on the uServer (exp 3): replay runs vs bits/run per generation",
 		Header: []string{"gen", "strategy", "instr. locations", "bits/run",
-			"replay runs", "replay time", "reproduced"},
+			"replay runs", "replay time", "reproduced", "promoted", "demoted"},
 	}
 	for _, pt := range tr.Points {
 		t.AddRow(fmt.Sprintf("%d", pt.Generation),
 			shorten(pt.Plan.Strategy, 40),
 			fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
-			fmt.Sprintf("%d", pt.OverheadBits),
-			fmt.Sprintf("%d", pt.ReplayRuns),
-			fmtDur(pt.ReplayTime),
-			fmt.Sprintf("%v", pt.Reproduced))
+			fmt.Sprintf("%.0f", pt.MeanOverheadBits),
+			fmt.Sprintf("%.0f", pt.MeanReplayRuns),
+			fmtDur(time.Duration(pt.MeanReplayMS*float64(time.Millisecond))),
+			fmt.Sprintf("%v", pt.Reproduced == pt.Members),
+			fmt.Sprintf("%d", len(pt.Promoted)),
+			fmt.Sprintf("%d", len(pt.Demoted)))
 	}
 	t.AddRow("-", "all (bar)", fmt.Sprintf("%d", allPlan.NumInstrumented()),
-		fmt.Sprintf("%d", allStats.TraceBits), "-", "-", "-")
+		fmt.Sprintf("%d", allStats.TraceBits), "-", "-", "-", "-", "-")
 
 	status := "converged"
 	if !tr.Converged {
@@ -78,8 +82,17 @@ func (c Config) Adaptive(ctx context.Context) (*Table, error) {
 	final := tr.Final()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%s: %s", status, tr.Reason),
-		fmt.Sprintf("paper's claim: replay runs drop across generations (here %d -> %d) while bits/run stay far under all-branches (%d vs %d)",
-			tr.Points[0].ReplayRuns, final.ReplayRuns, final.OverheadBits, allStats.TraceBits))
+		fmt.Sprintf("paper's claim: replay runs drop across generations (here %.0f -> %.0f) while bits/run stay far under all-branches (%.0f vs %d)",
+			tr.Points[0].MeanReplayRuns, final.MeanReplayRuns, final.MeanOverheadBits, allStats.TraceBits))
+	demoted, preDemotion := demotedTotal(tr), preDemotionBits(tr)
+	if demoted > 0 && final.MeanOverheadBits < preDemotion && final.Reproduced == final.Members {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"demotion: the single-report loop demoted %d branch(es) with measured acceptance — %.0f bits/run (was %.0f before demoting), still reproduced in %.0f runs",
+			demoted, final.MeanOverheadBits, preDemotion, final.MeanReplayRuns))
+	} else {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"demotion: NOT demonstrated (demoted %d, refused %q)", demoted, tr.DemotionRefused))
+	}
 
 	if c.AdaptiveTrajectoryOut != "" {
 		if err := tr.Save(c.AdaptiveTrajectoryOut); err != nil {
@@ -87,8 +100,8 @@ func (c Config) Adaptive(ctx context.Context) (*Table, error) {
 		}
 		t.Notes = append(t.Notes, "trajectory JSON written to "+c.AdaptiveTrajectoryOut)
 	}
-	if c.AdaptiveProfileOut != "" && final.Result != nil && final.Result.Profile != nil {
-		if err := final.Result.Profile.Save(c.AdaptiveProfileOut); err != nil {
+	if c.AdaptiveProfileOut != "" && final.Outcome.Profile != nil {
+		if err := final.Outcome.Profile.Save(c.AdaptiveProfileOut); err != nil {
 			return nil, err
 		}
 		t.Notes = append(t.Notes, "final-generation search profile written to "+c.AdaptiveProfileOut)

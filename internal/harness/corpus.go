@@ -20,11 +20,11 @@ import (
 // scenario 3 — cookies and percent-escapes, which a low-coverage dynamic
 // plan misses hardest and whose replay exhausts the budget).
 //
-//   - Latest-crash refinement — the pre-corpus loop — refines against the
-//     newest report only. That report is noisy: its replay meets the
-//     target immediately, the loop converges at generation 0, and the
-//     blowup report keeps missing the budget. The corpus-mean replay
-//     misses the target.
+//   - Latest-crash refinement — the balance loop over the newest report
+//     alone (AutoBalance) — refines against that report only. It is
+//     noisy: its replay meets the target immediately, the loop converges
+//     without promoting a branch, and the blowup report keeps missing the
+//     budget. The corpus-mean replay misses the target.
 //   - Corpus-weighted refinement (Session.CorpusBalance) replays the whole
 //     weighted population over CorpusShards shards, merges the attribution
 //     through the verifying merge point, and promotes the corpus-wide
@@ -62,15 +62,17 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := pathlog.SessionOf(blowup,
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-		pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-		pathlog.WithSyscallLog(),
-		pathlog.WithStrategy(pathlog.Dynamic()),
-		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
-		pathlog.WithPlanStore(storeDir),
-	)
+	session := func(opts ...pathlog.Option) *pathlog.Session {
+		return pathlog.SessionOf(blowup, append([]pathlog.Option{
+			pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+			pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
+			pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
+			pathlog.WithSyscallLog(),
+			pathlog.WithStrategy(pathlog.Dynamic()),
+			pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
+		}, opts...)...)
+	}
+	sess := session(pathlog.WithPlanStore(storeDir))
 	plan, err := sess.Plan(ctx)
 	if err != nil {
 		return nil, err
@@ -137,10 +139,13 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 			"max runs", "repro", "promoted", "demoted"},
 	}
 
-	// Latest-crash arm: the pre-corpus loop, driven by the newest report's
-	// input. The noisy replay meets the target immediately, so the loop
-	// converges at generation 0 and never touches the blowup branches.
-	lcTraj, err := sess.AutoBalance(ctx, noisy.UserBytes, pathlog.BalanceOptions{
+	// Latest-crash arm: the balance loop driven by the newest report's
+	// input alone. The noisy replay meets the target immediately, so the
+	// loop promotes nothing and never touches the blowup branches; it may
+	// still demote. It runs on its own storeless session so its lineage
+	// never advances the store-backed chain the corpus reports were
+	// recorded under.
+	lcTraj, err := session().AutoBalance(ctx, noisy.UserBytes, pathlog.BalanceOptions{
 		TargetReplayRuns: target,
 		MaxGenerations:   c.AdaptiveMaxGenerations,
 	})
@@ -151,8 +156,12 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	t.AddRow("latest-crash", fmt.Sprintf("%d", lcFinal.Generation),
 		shorten(lcFinal.Plan.Strategy, 34),
 		fmt.Sprintf("%d", lcFinal.Plan.NumInstrumented()),
-		"-", fmt.Sprintf("%d", lcFinal.ReplayRuns), "-",
-		fmt.Sprintf("%v", lcFinal.Reproduced), "-", "-")
+		fmt.Sprintf("%.1f", lcFinal.MeanOverheadBits),
+		fmt.Sprintf("%.1f", lcFinal.MeanReplayRuns),
+		fmt.Sprintf("%d", lcFinal.MaxReplayRuns),
+		fmt.Sprintf("%d/%d", lcFinal.Reproduced, lcFinal.Members),
+		fmt.Sprintf("%d", promotedTotal(lcTraj)),
+		fmt.Sprintf("%d", demotedTotal(lcTraj)))
 
 	// Corpus arm: sharded weighted replay, promote until the population
 	// meets the target, then demote with measured acceptance.
@@ -164,7 +173,7 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 		TargetReplayRuns: target,
 		MaxGenerations:   c.AdaptiveMaxGenerations,
 		Shards:           shards,
-		OnCorpusGeneration: func(pt pathlog.CorpusPoint) {
+		OnGeneration: func(pt pathlog.BalancePoint) {
 			t.AddRow("corpus", fmt.Sprintf("%d", pt.Generation),
 				shorten(pt.Plan.Strategy, 34),
 				fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
@@ -191,11 +200,11 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%s: %s", status, tr.Reason),
 		fmt.Sprintf("corpus: %d reports in %d members (noisy x%d deduped, weights %s), identity %s, shards: %d in-process",
-			nNoisy+1, len(crp.Reports), nNoisy, weightList(crp), tr.CorpusIdentity, shards))
-	if lcTraj.Converged && lcFinal.Generation == 0 && lcMeanMiss && tr.Converged {
+			nNoisy+1, len(crp.Reports), nNoisy, weightList(crp), tr.Workload, shards))
+	if lcTraj.Converged && promotedTotal(lcTraj) == 0 && lcMeanMiss && tr.Converged {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"direction 1 (promote): latest-crash converges at generation 0 (noisy replay %d runs <= %d) leaving the corpus mean at %.1f runs with %d/%d reproduced — the corpus loop reaches mean %.1f <= %d",
-			lcFinal.ReplayRuns, target, gen0.MeanReplayRuns, gen0.Reproduced, gen0.Members,
+			"direction 1 (promote): latest-crash converges without promoting a branch (noisy replay %.0f runs <= %d) leaving the corpus mean at %.1f runs with %d/%d reproduced — the corpus loop reaches mean %.1f <= %d",
+			lcTraj.Points[0].MeanReplayRuns, target, gen0.MeanReplayRuns, gen0.Reproduced, gen0.Members,
 			final.MeanReplayRuns, target))
 	} else {
 		t.Notes = append(t.Notes, "direction 1 (promote): NOT demonstrated on this run")
@@ -238,8 +247,17 @@ func weightList(c *pathlog.Corpus) string {
 	return out
 }
 
+// promotedTotal counts branches promoted across the trajectory.
+func promotedTotal(tr *pathlog.BalanceTrajectory) int {
+	n := 0
+	for _, pt := range tr.Points {
+		n += len(pt.Promoted)
+	}
+	return n
+}
+
 // demotedTotal counts branches demoted across the trajectory.
-func demotedTotal(tr *pathlog.CorpusTrajectory) int {
+func demotedTotal(tr *pathlog.BalanceTrajectory) int {
 	n := 0
 	for _, pt := range tr.Points {
 		n += len(pt.Demoted)
@@ -250,7 +268,7 @@ func demotedTotal(tr *pathlog.CorpusTrajectory) int {
 // preDemotionBits returns the measured mean bits of the last generation
 // before the first demotion (the shrink's baseline); the final point's
 // bits when nothing was demoted.
-func preDemotionBits(tr *pathlog.CorpusTrajectory) float64 {
+func preDemotionBits(tr *pathlog.BalanceTrajectory) float64 {
 	for i, pt := range tr.Points {
 		if len(pt.Demoted) > 0 && i > 0 {
 			return tr.Points[i-1].MeanOverheadBits

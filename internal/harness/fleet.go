@@ -310,7 +310,7 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 		MaxGenerations:   c.AdaptiveMaxGenerations,
 		Shards:           shards,
 		DemotionRate:     c.FleetDemotionRate,
-		OnCorpusGeneration: func(pt pathlog.CorpusPoint) {
+		OnGeneration: func(pt pathlog.BalancePoint) {
 			t.AddRow(fmt.Sprintf("%d", pt.Generation),
 				shorten(pt.Plan.Strategy, 34),
 				fmt.Sprintf("%d", pt.Plan.NumInstrumented()),

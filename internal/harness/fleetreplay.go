@@ -170,7 +170,7 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 	}
 	chaosOpts := balanceOpts()
 	chaosOpts.Runner = runner
-	chaosOpts.OnCorpusGeneration = func(pt pathlog.CorpusPoint) {
+	chaosOpts.OnGeneration = func(pt pathlog.BalancePoint) {
 		t.AddRow(fmt.Sprintf("%d", pt.Generation),
 			shorten(pt.Plan.Strategy, 34),
 			fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
@@ -304,7 +304,7 @@ func (c Config) fleetReplayCorpus(ctx context.Context) (*corpus.Corpus, *core.Sc
 // generation; it returns "" when they match and a one-line diagnosis of
 // the first divergence otherwise. Wall-clock fields are stripped from the
 // merged profiles before comparing.
-func trajectoryDiff(ctrl, chaos *pathlog.CorpusTrajectory) string {
+func trajectoryDiff(ctrl, chaos *pathlog.BalanceTrajectory) string {
 	if !ctrl.Converged || !chaos.Converged {
 		return fmt.Sprintf("control converged=%v, chaos converged=%v", ctrl.Converged, chaos.Converged)
 	}

@@ -150,7 +150,7 @@ func TestRefineAndDemote(t *testing.T) {
 	}
 
 	// Demote-only: same demotion, no promotion, and the name says so.
-	dStrat, err := Demote(base, profile)
+	dStrat, err := DemoteAt(base, profile, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,8 @@ func TestRefineAndDemote(t *testing.T) {
 		t.Error("Refine demoted b0 — promotion-only must keep the base set")
 	}
 
-	// A profile with no demotion evidence is a fixed point for Demote.
-	noEvidence, err := Demote(base, fakeProfile(base))
+	// A profile with no demotion evidence is a fixed point for DemoteAt.
+	noEvidence, err := DemoteAt(base, fakeProfile(base), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDemoteAtRate(t *testing.T) {
 	// dropped under a 5% threshold.
 	profile.Branches[0] = &BranchCost{LoggedExecs: 40, Disagreements: 1}
 
-	strict, err := Demote(base, profile)
+	strict, err := DemoteAt(base, profile, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,22 +40,15 @@ func Refine(base *Plan, profile *SearchProfile, k int) (Strategy, error) {
 	return refineWith(base, profile, k, true, false, 0)
 }
 
-// Demote returns the strategy deriving the next plan generation by
-// shrinking the base plan: every instrumented branch the profile proves
-// redundant (SearchProfile.Demotable — bits consumed, zero disagreements)
-// is dropped, winning back its record overhead. Nothing is promoted. A
+// DemoteAt returns the strategy deriving the next plan generation by
+// shrinking the base plan: every instrumented branch whose disagreement
+// rate is at most rate (SearchProfile.DemotableAt; rate 0 is the strict
+// SearchProfile.Demotable rule — bits consumed, zero disagreements) is
+// dropped, winning back its record overhead. Nothing is promoted. A
 // profile with no demotable branch yields a plan identical to the base.
-// The demotion is evidence-based, not verified: callers that can re-measure
-// (Session.CorpusBalance) must refuse a demoted plan whose measured replay
-// regresses.
-func Demote(base *Plan, profile *SearchProfile) (Strategy, error) {
-	return refineWith(base, profile, 0, false, true, 0)
-}
-
-// DemoteAt is Demote with a rate-thresholded candidate rule
-// (SearchProfile.DemotableAt): branches whose disagreement rate is at most
-// rate are dropped, not only the strictly silent ones. Rate 0 is exactly
-// Demote.
+// The demotion is evidence-based, not verified: callers that can
+// re-measure (the Session balance loop) must refuse a demoted plan whose
+// measured replay regresses.
 func DemoteAt(base *Plan, profile *SearchProfile, rate float64) (Strategy, error) {
 	return refineWith(base, profile, 0, false, true, rate)
 }
@@ -68,12 +61,6 @@ func DemoteAt(base *Plan, profile *SearchProfile, rate float64) (Strategy, error
 // branches; Demotable only instrumented ones).
 func RefineAndDemote(base *Plan, profile *SearchProfile, k int) (Strategy, error) {
 	return refineWith(base, profile, k, true, true, 0)
-}
-
-// RefineAndDemoteAt is RefineAndDemote with a rate-thresholded demotion
-// rule (see DemoteAt). Rate 0 is exactly RefineAndDemote.
-func RefineAndDemoteAt(base *Plan, profile *SearchProfile, k int, rate float64) (Strategy, error) {
-	return refineWith(base, profile, k, true, true, rate)
 }
 
 // refineWith builds the refinement strategy. With promote set, k <= 0

@@ -26,7 +26,7 @@
 // an earlier session already refined past is refused even though the
 // refinement happened in another process.
 //
-// Measured points are the AutoBalance trajectory's ground truth: what a
+// Measured points are the balance trajectory's ground truth: what a
 // deployed plan actually logged per run and how long the developer-site
 // search actually took. Frontier sweeps fold them back in (measurement
 // wins over estimate for the same fingerprint), which is how cost-model

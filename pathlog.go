@@ -42,9 +42,15 @@
 //	// Or close the paper's feedback loop: when replay takes too long,
 //	// AutoBalance promotes the branches the search blames
 //	// (ReplayResult.Profile) into the next plan generation and redeploys
-//	// until the replay budget is met — Session.Refine is the single step.
+//	// until the replay budget is met, then demotes bits the measurement
+//	// shows do not pay — Session.Refine is the single promotion step.
 //	tr, _ := s.AutoBalance(ctx, userInput, pathlog.BalanceOptions{
 //		TargetReplayRuns: 200, MaxGenerations: 4,
+//		OnGeneration: func(pt pathlog.BalancePoint) {
+//			fmt.Printf("gen %d: %.0f bits, %.0f replay runs, +%d/-%d\n",
+//				pt.Generation, pt.MeanOverheadBits, pt.MeanReplayRuns,
+//				len(pt.Promoted), len(pt.Demoted))
+//		},
 //	})
 //	plan := tr.Final().Plan // lineage-stamped: Generation, Parent
 //
@@ -62,11 +68,12 @@
 // (frequency × recency), Session.ReplayCorpus replays it over N shards
 // (in-process or on cmd/shardworkerd daemons) with every shard profile
 // verified at the merge point, and Session.CorpusBalance iterates the
-// corpus-driven loop — promoting the population-wide blowup branches until
-// the weighted corpus-mean replay meets the target, then demoting branches
-// whose bits never once constrained any member's search, with each demotion
-// accepted only when re-measurement confirms it (strictly fewer logged bits,
-// every report still reproducing).
+// balance loop over the population — promoting the population-wide blowup
+// branches until the weighted corpus-mean replay meets the target, then
+// demoting branches whose bits never once constrained any member's search,
+// with each demotion accepted only when re-measurement confirms it
+// (strictly fewer logged bits, every report still reproducing).
+// AutoBalance is the same loop over a one-report corpus.
 //
 // Cancellation and deadlines flow through the context: a cancelled analyze
 // or replay returns promptly with partial results, and the classic

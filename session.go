@@ -23,11 +23,12 @@ type CrashInfo = vm.CrashInfo
 type ProgressEvent struct {
 	// Scenario is the session name (WithName / SessionOf).
 	Scenario string
-	// Phase is "analyze", "record", "replay", "balance" or "corpus".
+	// Phase is "analyze", "record", "replay" or "balance".
 	Phase string
 	// Runs is the number of completed runs within the phase (analysis and
 	// replay are iterated searches; record is a single run, reported as 1;
-	// balance and corpus report completed generations).
+	// balance fires once per accepted generation of AutoBalance or
+	// CorpusBalance and reports the generations completed so far).
 	Runs int
 }
 

@@ -219,7 +219,7 @@ func TestColdFrontierFoldsStoredMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final := tr.Final(); final == nil || !final.Reproduced {
+	if final := tr.Final(); final == nil || final.Reproduced != final.Members {
 		t.Fatalf("warm AutoBalance did not reproduce: %+v", tr)
 	}
 	if tr.Final().Generation < 1 {
