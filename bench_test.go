@@ -11,6 +11,7 @@ package pathlog
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -282,7 +283,7 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSessionReplay(b, s, s.Plan(instrument.MethodDynamic, in, false))
+	benchSessionReplay(b, s, s.Plan(instrument.MethodDynamic, in, false), false)
 }
 
 // BenchmarkReplaySearch measures the same uServer no-syslog replay under a
@@ -301,13 +302,30 @@ func BenchmarkReplaySearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSessionReplay(b, s, plan)
+	benchSessionReplay(b, s, plan, false)
+}
+
+// BenchmarkReplayCold measures the fixed cost of reproducing one report: a
+// paste report under the dynamic+static plan, which reproduces in two runs
+// and one solve, replayed with a garbage collection before each op (outside
+// the timer), as reports arrive at a developer site between other work. A
+// two-run search is mostly fixed per-report cost — the program hash check,
+// the solver and its cache tables, the search's bookkeeping — so this is
+// the number that cost moves.
+func BenchmarkReplayCold(b *testing.B) {
+	s, err := apps.CoreutilScenario("paste", 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := analysesFor(b, apps.AnalysisSpec(s), 300, false)
+	benchSessionReplay(b, s, s.Plan(instrument.MethodDynamicStatic, in, true), true)
 }
 
 // benchSessionReplay records once under plan, then replays the recording
 // through a Session once per iteration, reporting the runs, the cost per
-// run and the replay engine's per-run distributions.
-func benchSessionReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
+// run and the replay engine's per-run distributions. With gc set, every
+// iteration starts after a garbage collection, run outside the timer.
+func benchSessionReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan, gc bool) {
 	b.Helper()
 	rec, _, err := s.RecordContext(context.Background(), plan)
 	if err != nil || rec == nil {
@@ -320,6 +338,11 @@ func benchSessionReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 	var runs, totalRuns int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if gc {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+		}
 		res, err := sess.Replay(context.Background(), rec)
 		if err != nil {
 			b.Fatal(err)

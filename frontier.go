@@ -132,7 +132,7 @@ func (s *Session) Frontier(ctx context.Context, strategies ...Strategy) ([]PlanP
 			ReplayRuns: p.EstimatedReplayRuns(),
 		})
 	}
-	measured, err := s.storedMeasuredPoints(pc.ProgHash())
+	measured, err := s.storedMeasuredPoints(pc.Prog.Hash())
 	if err != nil {
 		return nil, err
 	}

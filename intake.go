@@ -1,9 +1,6 @@
 package pathlog
 
-import (
-	"pathlog/internal/instrument"
-	"pathlog/internal/intake"
-)
+import "pathlog/internal/intake"
 
 // This file re-exports the fleet intake service (internal/intake) at the
 // facade: the always-on HTTP ingest that closes the paper's deployment loop
@@ -41,6 +38,7 @@ var (
 	IngestIntake = intake.Ingest
 )
 
-// ProgramHash computes a program's deployment identity — the hash plan
-// stores file lineage under and the intake service buckets reports by.
-func ProgramHash(prog *Program) string { return instrument.ProgramHash(prog) }
+// ProgramHash returns a program's deployment identity — the hash plan
+// stores file lineage under and the intake service buckets reports by
+// (Program.Hash, computed once per program).
+func ProgramHash(prog *Program) string { return prog.Hash() }

@@ -9,7 +9,6 @@ import (
 	"pathlog/internal/apps"
 	"pathlog/internal/core"
 	"pathlog/internal/corpus"
-	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
 	"pathlog/internal/replay"
 )
@@ -127,7 +126,7 @@ func (w *WorkerCore) Execute(ctx context.Context, req corpus.ShardRequest) corpu
 	resp := corpus.ShardResponse{
 		Version:  corpus.ProtocolVersion,
 		ShardID:  req.ShardID,
-		ProgHash: instrument.ProgramHash(s.Prog),
+		ProgHash: s.Prog.Hash(),
 		Results:  runs,
 	}
 	span.SetAttr("outcome", "ok")

@@ -17,29 +17,6 @@ import (
 // plan/recording/program mismatch instead of silently searching under the
 // wrong plan.
 
-// ProgramHash returns a stable identity for a linked program: a hash over
-// its unit names and regions, its function signatures, and every branch
-// site (ID, kind, position, enclosing function, region). Branch IDs are
-// assigned in source order during linking, so any edit that moves, adds or
-// removes a branch changes the hash — exactly the edits that would
-// invalidate a retained plan.
-func ProgramHash(prog *lang.Program) string {
-	h := sha256.New()
-	io.WriteString(h, "pathlog-program-v1\n")
-	for _, u := range prog.Units {
-		fmt.Fprintf(h, "unit %s region=%d\n", u.Name, u.Region)
-	}
-	for _, f := range prog.FuncList {
-		fmt.Fprintf(h, "func %s/%d region=%d\n", f.Name, len(f.Params), f.Region)
-	}
-	fmt.Fprintf(h, "branches %d\n", len(prog.Branches))
-	for _, b := range prog.Branches {
-		fmt.Fprintf(h, "b%d %d %s %s:%d:%d region=%d\n",
-			b.ID, b.Kind, b.Func, b.Pos.Unit, b.Pos.Line, b.Pos.Col, b.Region)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
 // Fingerprint returns the plan's durable identity: a hash of the program
 // hash, the sorted instrumented branch-ID set, and the syscall-logging
 // flag. Two plans with the same fingerprint are interchangeable at record
@@ -70,7 +47,7 @@ func (p *Plan) ValidateForProgram(prog *lang.Program) error {
 		}
 	}
 	if p.ProgHash != "" {
-		if got := ProgramHash(prog); got != p.ProgHash {
+		if got := prog.Hash(); got != p.ProgHash {
 			return fmt.Errorf("instrument: plan was built for program %s, not %s (program changed since the plan was made)",
 				p.ProgHash, got)
 		}

@@ -71,7 +71,7 @@ type Plan struct {
 	// LogSyscalls enables recording of select()/read() results (§2.3).
 	LogSyscalls bool
 	// ProgHash identifies the program the plan was built for (see
-	// ProgramHash); empty on hand-built plans, which skips program checks.
+	// lang.Program.Hash); empty on hand-built plans, which skips program checks.
 	ProgHash string
 	// Cost is the plan's modeled position in the overhead/debug-time plane.
 	Cost CostEstimate

@@ -36,18 +36,16 @@ import (
 // a name that uniquely describes its decision.
 
 // PlanContext carries everything a Strategy may consult: the program, the
-// analysis results, the session's syscall-logging flag, and lazily built
-// shared state (the cost model and program hash). It is safe for
-// concurrent use by strategies planned in parallel.
+// analysis results, the session's syscall-logging flag, and the lazily
+// built cost model. It is safe for concurrent use by strategies planned in
+// parallel.
 type PlanContext struct {
 	Prog        *lang.Program
 	In          Inputs
 	LogSyscalls bool
 
-	costMu   sync.Mutex
-	cost     *CostModel
-	hashOnce sync.Once
-	progHash string
+	costMu sync.Mutex
+	cost   *CostModel
 }
 
 // NewPlanContext binds a program and its analysis results for planning.
@@ -82,12 +80,6 @@ func (pc *PlanContext) Calibrate(profile *SearchProfile) {
 	pc.cost = pc.cost.CalibrateCosts(profile)
 }
 
-// ProgHash returns the program identity hash, computed on first use.
-func (pc *PlanContext) ProgHash() string {
-	pc.hashOnce.Do(func() { pc.progHash = ProgramHash(pc.Prog) })
-	return pc.progHash
-}
-
 // NewPlan assembles and prices a finished plan from an explicit
 // instrumented-branch set — the one constructor every strategy (built-in or
 // user-written) funnels through, so every plan carries its provenance
@@ -100,7 +92,7 @@ func (pc *PlanContext) NewPlan(name string, instrumented map[lang.BranchID]bool)
 		Strategy:     name,
 		Instrumented: instrumented,
 		LogSyscalls:  pc.LogSyscalls,
-		ProgHash:     pc.ProgHash(),
+		ProgHash:     pc.Prog.Hash(),
 	}
 	p.Cost = pc.CostModel().Estimate(p)
 	return p

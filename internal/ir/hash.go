@@ -13,8 +13,9 @@ import (
 // covers everything bytecode generation and observable behavior depend on:
 // the global table (slots, sizes, initializers), every function body down to
 // literals and positions (positions feed crash attribution), and the branch
-// sites with their IDs. Note instrument.ProgramHash is NOT sufficient here —
-// it hashes units, signatures and branch sites but not statement bodies.
+// sites with their IDs. Note the deployment hash (lang.Program.Hash) is NOT
+// sufficient here — it hashes units, signatures and branch sites but not
+// statement bodies.
 func hashProgram(p *lang.Program) string {
 	d := sha256.New()
 	h := &hasher{w: d}

@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Region tags a compilation unit as application or library code. The paper's
 // Figure 3 splits branch statistics along this axis, and §5.3 treats all
@@ -101,7 +104,8 @@ type Unit struct {
 	Globals []*VarDecl
 }
 
-// Program is a linked MiniC program, ready for execution and analysis.
+// Program is a linked MiniC program, ready for execution and analysis. A
+// linked Program is immutable and must not be copied (it memoises its Hash).
 type Program struct {
 	Units    []*Unit
 	Funcs    map[string]*FuncDecl
@@ -109,6 +113,9 @@ type Program struct {
 	Globals  []*VarDecl
 	Branches []*BranchSite
 	Main     *FuncDecl
+
+	hashOnce sync.Once
+	hash     string
 }
 
 // BranchesIn returns the branch sites belonging to the given region.

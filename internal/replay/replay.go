@@ -85,7 +85,7 @@ type Recording struct {
 	// the wrong plan. Empty on recordings from before stamping existed.
 	Fingerprint string
 	// ProgHash identifies the program the recording was taken on
-	// (instrument.ProgramHash). It lets a developer site refuse a
+	// (lang.Program.Hash). It lets a developer site refuse a
 	// wrong-program report before plan resolution; empty on envelopes from
 	// before it was stamped (the plan's own ProgHash still protects those).
 	ProgHash string
@@ -606,7 +606,7 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 
 	res.Elapsed = time.Since(start)
 	res.SolverStats = s.slv.Stats()
-	solver.Put(s.slv)
+	solver.Put(s.slv) // back on the free list: the next search starts warm
 	if e.unsat != nil {
 		e.unsat.Add(int64(res.SolverStats.Unsat))
 		e.gaveUp.Add(int64(res.SolverStats.GaveUp))

@@ -19,10 +19,30 @@ func benchLines(a, b string) Problem {
 	return p
 }
 
+// coreutilsPath is a path condition of the size a coreutils replay solves
+// (mkdir's and paste's are 24 to 36 constraints): eleven argument bytes
+// that are non-NUL octal digits, then a negated "the twelfth is non-NUL"
+// that the seed violates, so the call propagates and searches.
+func coreutilsPath() Problem {
+	p := Problem{Domains: byteDomains(12), Seed: sym.MapAssignment{}}
+	for i := 0; i < 11; i++ {
+		p.Seed[i] = '1'
+		p.Constraints = append(p.Constraints,
+			sym.Constraint{E: sym.Ne(in(i), sym.NewConst(0)), Truth: true},
+			sym.Constraint{E: sym.Lt(in(i), sym.NewConst('0')), Truth: false},
+			sym.Constraint{E: sym.Le(in(i), sym.NewConst('7')), Truth: true})
+	}
+	p.Seed[11] = '5'
+	p.Constraints = append(p.Constraints, sym.Constraint{E: sym.Ne(in(11), sym.NewConst(0)), Truth: false})
+	return p
+}
+
 // BenchmarkSolve measures one Solve call per outcome of the solve pipeline,
 // on diff-shaped problems with warm normalization caches (the steady state of
-// a search). It reports ns/call and work/call, the evaluation effort the
-// call charged.
+// a search), and a fresh Solver's first call on a coreutils-sized path
+// condition (cold, the fixed cost of a search that starts without a
+// recycled Solver). It reports ns/call and work/call, the evaluation effort
+// the call charged.
 func BenchmarkSolve(b *testing.B) {
 	type outcome int
 	const (
@@ -87,4 +107,17 @@ func BenchmarkSolve(b *testing.B) {
 			b.ReportMetric(float64(s.Stats().Work)/float64(b.N), "work/call")
 		})
 	}
+	b.Run("cold", func(b *testing.B) {
+		p := coreutilsPath()
+		var work int64
+		for i := 0; i < b.N; i++ {
+			s := New(Options{})
+			if _, ok := s.Solve(p); !ok || s.Stats().Nodes == 0 {
+				b.Fatalf("cold: unexpected outcome %+v", s.Stats())
+			}
+			work += s.Stats().Work
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/call")
+		b.ReportMetric(float64(work)/float64(b.N), "work/call")
+	})
 }

@@ -41,6 +41,8 @@ package solver
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,16 +71,16 @@ const (
 	DefaultMaxWork         = 3_000_000
 )
 
-// normTabBits sizes the per-Solver normalization cache: a direct-mapped
-// table of 2^normTabBits slots. Pending sets spawned by one replay run share
-// their prefix expressions, so consecutive Solve calls hit the same slots;
-// across runs expressions are rebuilt and the old entries simply get
-// evicted. A fixed table keeps the cache allocation-free in steady state —
-// a map here churns through fill-and-reset cycles that dominate the
+// normTabBits caps the per-Solver normalization cache: a direct-mapped
+// table of up to 2^normTabBits slots. Pending sets spawned by one replay run
+// share their prefix expressions, so consecutive Solve calls hit the same
+// slots; across runs expressions are rebuilt and the old entries simply get
+// evicted. A table of fixed slots keeps the cache allocation-free in steady
+// state (it grows only in size classes, see minTabBits) — a map here churns through fill-and-reset cycles that dominate the
 // solver's allocation profile.
 const normTabBits = 13
 
-// structTabBits sizes the second-level, structurally-keyed normalization
+// structTabBits caps the second-level, structurally-keyed normalization
 // cache, and hashTabBits the per-node hash memo that feeds it. Across runs of
 // one search every expression is rebuilt node-for-node, so the pointer-keyed
 // first level misses on all of them; the structural level recognizes the
@@ -87,6 +89,19 @@ const normTabBits = 13
 const (
 	structTabBits = 13
 	hashTabBits   = 14
+)
+
+// The cache tables are sized to the problem: a new Solver starts at
+// 2^minTabBits slots per level (the hash memo twice that), and a Solve call
+// bringing more than a table's share of constraints grows every level to the
+// smallest power of two with slotsPerConstraint slots per constraint, up to
+// the caps above. Most searches solve path conditions of a few dozen to a
+// few hundred constraints, so full-size tables (about 0.9 MB of
+// pointer-holding slots) would mostly be allocated and zeroed for nothing.
+// A grow drops the cached entries, as an eviction would.
+const (
+	minTabBits         = 8
+	slotsPerConstraint = 8
 )
 
 // Stats accumulates counters across Solve calls; the experiment harness
@@ -126,10 +141,14 @@ type Solver struct {
 	norm    []normSlot   // direct-mapped normalization cache, pointer-keyed
 	snorm   []normSlot   // second level, structure-keyed
 	hashTab []hashSlot   // per-node structural-hash memo
+	tabBits int          // the tables' size class (see sizeTables)
 	varBuf  []int        // scratch for collecting variable IDs in normalize
 	neBuf   []*normEntry // scratch for the per-call normal forms
 	uni     unifier      // equality-unification proof step, reused per call
 	st      searchState  // reused across Solve calls to keep allocation flat
+
+	// Index shifts: 64 minus log2 of each table's length.
+	normShift, snormShift, hashShift uint
 
 	// Slab storage for normal forms. The replay search normalizes one fresh
 	// expression per executed symbolic branch (each run rebuilds its path
@@ -140,60 +159,99 @@ type Solver struct {
 	intSlab   []int
 }
 
-// New returns a Solver with the given options.
+// withDefaults resolves zero option fields to their defaults.
+func (o Options) withDefaults() Options {
+	if o.MaxNodes <= 0 {
+		o.MaxNodes = DefaultMaxNodes
+	}
+	if o.MaxValuesPerVar <= 0 {
+		o.MaxValuesPerVar = DefaultMaxValuesPerVar
+	}
+	if o.MaxWork <= 0 {
+		o.MaxWork = DefaultMaxWork
+	}
+	return o
+}
+
+// New returns a Solver with the given options and minimum-size cache
+// tables.
 func New(opts Options) *Solver {
-	if opts.MaxNodes <= 0 {
-		opts.MaxNodes = DefaultMaxNodes
-	}
-	if opts.MaxValuesPerVar <= 0 {
-		opts.MaxValuesPerVar = DefaultMaxValuesPerVar
-	}
-	if opts.MaxWork <= 0 {
-		opts.MaxWork = DefaultMaxWork
-	}
-	s := &Solver{
-		opts:    opts,
-		norm:    make([]normSlot, 1<<normTabBits),
-		snorm:   make([]normSlot, 1<<structTabBits),
-		hashTab: make([]hashSlot, 1<<hashTabBits),
-	}
+	s := &Solver{opts: opts.withDefaults()}
+	s.sizeTables(minTabBits)
 	s.st.solver = s
 	s.st.slotOf = make(map[int]int32)
 	return s
 }
 
-// pool recycles Solvers between searches. A Solver's cache tables are its
-// dominant allocation, and the structurally-keyed level stays valid across
-// searches (normal forms depend only on expression structure), so a recycled
-// Solver starts its next search warm. Stale entries are at worst evicted.
-var pool sync.Pool
+// sizeTables (re)allocates the cache tables at 2^bits slots per level,
+// dropping their contents.
+func (s *Solver) sizeTables(bits int) {
+	nb, sb, hb := min(bits, normTabBits), min(bits, structTabBits), min(bits+1, hashTabBits)
+	s.tabBits = bits
+	s.norm = make([]normSlot, 1<<nb)
+	s.snorm = make([]normSlot, 1<<sb)
+	s.hashTab = make([]hashSlot, 1<<hb)
+	s.normShift, s.snormShift, s.hashShift = uint(64-nb), uint(64-sb), uint(64-hb)
+}
 
-// Get returns a Solver for the given options, recycling a pooled one when
-// its options match (after default resolution). Recycled Solvers have their
-// stats cleared; cache contents carry over by design.
+// fit grows the cache tables before a call of n constraints (see
+// minTabBits).
+func (s *Solver) fit(n int) {
+	bits := s.tabBits
+	for bits < normTabBits && 1<<bits < n*slotsPerConstraint {
+		bits++
+	}
+	if bits != s.tabBits {
+		s.sizeTables(bits)
+	}
+}
+
+// free holds idle Solvers between searches, at most GOMAXPROCS of them
+// (one per search that can run at once). Unlike a sync.Pool, which empties
+// across two garbage collections, the list survives collection, so a search
+// nearly always starts from a warm Solver with right-sized tables instead
+// of allocating and zeroing new ones. Of the cache levels only the
+// structure-keyed one carries over: normal forms depend only on expression
+// structure, so the next search's rebuilt expressions can hit it.
+var free struct {
+	sync.Mutex
+	list []*Solver // most recently returned last
+}
+
+// Get returns a Solver for the given options, taking the most recently
+// returned idle one whose options match (after default resolution).
+// Recycled Solvers have their stats cleared; the structure-keyed cache
+// carries over by design.
 func Get(opts Options) *Solver {
-	eff := opts
-	if eff.MaxNodes <= 0 {
-		eff.MaxNodes = DefaultMaxNodes
-	}
-	if eff.MaxValuesPerVar <= 0 {
-		eff.MaxValuesPerVar = DefaultMaxValuesPerVar
-	}
-	if eff.MaxWork <= 0 {
-		eff.MaxWork = DefaultMaxWork
-	}
-	if v := pool.Get(); v != nil {
-		s := v.(*Solver)
-		if s.opts == eff {
+	opts = opts.withDefaults()
+	free.Lock()
+	for i := len(free.list) - 1; i >= 0; i-- {
+		if s := free.list[i]; s.opts == opts {
+			free.list = slices.Delete(free.list, i, i+1)
+			free.Unlock()
 			s.ResetStats()
 			return s
 		}
 	}
+	free.Unlock()
 	return New(opts)
 }
 
-// Put returns a Solver to the pool. The caller must not use it afterwards.
-func Put(s *Solver) { pool.Put(s) }
+// Put returns a Solver to the free list. The caller must not use it
+// afterwards. Put clears the pointer-keyed levels (the first normalization
+// level and the hash memo): no later search can hit them, since every
+// search builds its expressions afresh, and they would only keep this
+// search's garbage reachable. A full list drops its oldest Solver.
+func Put(s *Solver) {
+	clear(s.norm)
+	clear(s.hashTab)
+	free.Lock()
+	defer free.Unlock()
+	if n := runtime.GOMAXPROCS(0); len(free.list) >= n {
+		free.list = slices.Delete(free.list, 0, len(free.list)-n+1)
+	}
+	free.list = append(free.list, s)
+}
 
 // Stats returns a copy of the accumulated counters.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -229,6 +287,7 @@ type Problem struct {
 // unsatisfiable or the search gave up; Stats tells the two apart.
 func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 	s.stats.Calls++
+	s.fit(len(p.Constraints))
 
 	// Fast path: the seed may already satisfy the conjunction (frequent when
 	// only one negated constraint was appended and it is loose). Constraints
@@ -430,7 +489,7 @@ type normEntry struct {
 // expression coexist; a colliding entry is simply evicted.
 func (s *Solver) normalized(c sym.Constraint) *normEntry {
 	h := uint64(reflect.ValueOf(c.E).Pointer()) * fibMix
-	idx := (h >> (64 - normTabBits)) &^ 1
+	idx := (h >> s.normShift) &^ 1
 	if c.Truth {
 		idx |= 1
 	}
@@ -438,7 +497,7 @@ func (s *Solver) normalized(c sym.Constraint) *normEntry {
 	if slot.e == c.E && slot.truth == c.Truth {
 		return slot.ne
 	}
-	sidx := (s.structHash(c.E) >> (64 - structTabBits)) &^ 1
+	sidx := (s.structHash(c.E) >> s.snormShift) &^ 1
 	if c.Truth {
 		sidx |= 1
 	}
@@ -479,7 +538,7 @@ func (s *Solver) structHash(e sym.Expr) uint64 {
 		return hashInput(x.ID)
 	case *sym.Un:
 		p := uint64(reflect.ValueOf(e).Pointer()) * fibMix
-		hs := &s.hashTab[p>>(64-hashTabBits)]
+		hs := &s.hashTab[p>>s.hashShift]
 		if hs.e == e {
 			return hs.h
 		}
@@ -488,7 +547,7 @@ func (s *Solver) structHash(e sym.Expr) uint64 {
 		return h
 	case *sym.Bin:
 		p := uint64(reflect.ValueOf(e).Pointer()) * fibMix
-		hs := &s.hashTab[p>>(64-hashTabBits)]
+		hs := &s.hashTab[p>>s.hashShift]
 		if hs.e == e {
 			return hs.h
 		}
@@ -529,10 +588,12 @@ func structEq(a, b sym.Expr) bool {
 	return false
 }
 
-// newEntry bump-allocates one normEntry from the slab.
+// newEntry bump-allocates one normEntry from the slab. Chunks start small
+// and double up to 512 entries, so a Solver that normalizes a few dozen
+// constraints does not allocate room for hundreds.
 func (s *Solver) newEntry() *normEntry {
 	if len(s.entrySlab) == cap(s.entrySlab) {
-		s.entrySlab = make([]normEntry, 0, 512)
+		s.entrySlab = make([]normEntry, 0, min(max(2*cap(s.entrySlab), 64), 512))
 	}
 	s.entrySlab = s.entrySlab[:len(s.entrySlab)+1]
 	return &s.entrySlab[len(s.entrySlab)-1]
@@ -541,10 +602,7 @@ func (s *Solver) newEntry() *normEntry {
 // ints bump-allocates an n-int slice from the slab.
 func (s *Solver) ints(n int) []int {
 	if cap(s.intSlab)-len(s.intSlab) < n {
-		size := 4096
-		if n > size {
-			size = n
-		}
+		size := max(min(max(2*cap(s.intSlab), 512), 4096), n)
 		s.intSlab = make([]int, 0, size)
 	}
 	l := len(s.intSlab)

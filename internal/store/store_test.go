@@ -12,7 +12,7 @@ import (
 )
 
 // fixedProgHash is a deterministic stand-in program identity for golden
-// files (a real instrument.ProgramHash value is also 32 hex chars).
+// files (a real lang.Program.Hash value is also 32 hex chars).
 const fixedProgHash = "00112233445566778899aabbccddeeff"
 
 // goldenPlan builds a fully deterministic plan: fixed branch set, fixed

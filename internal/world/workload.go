@@ -11,7 +11,7 @@ import (
 // WorkloadHash returns a stable identity for one user-byte workload: a
 // hash over the spec's declared streams (names, capacities, seeds), its
 // kernel parameters, and the user-site input bytes. It is the workload
-// analogue of instrument.ProgramHash — measured store points key on it, so
+// analogue of lang.Program.Hash — measured store points key on it, so
 // two differently-named sessions over the same input spec share one
 // measured history, and renaming a session stops fragmenting it. Any
 // change that alters what the user run executes — a stream added or

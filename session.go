@@ -317,14 +317,14 @@ func (s *Session) PublishedPlan() (*Plan, error) {
 	if st == nil {
 		return nil, fmt.Errorf("pathlog: PublishedPlan needs a plan store (WithPlanStore)")
 	}
-	return st.ChainHead(instrument.ProgramHash(s.prog))
+	return st.ChainHead(s.prog.Hash())
 }
 
 // seedLineage folds the store's lineage index for this program into the
 // session's chain bookkeeping, so stale-generation refusal and AutoBalance
 // resumption work across sessions, not just within one.
 func (s *Session) seedLineage(st *store.Store) error {
-	entries, err := st.Lineage(instrument.ProgramHash(s.prog))
+	entries, err := st.Lineage(s.prog.Hash())
 	if err != nil {
 		return err
 	}
@@ -526,7 +526,7 @@ func (s *Session) calibrateFromStore(pc *instrument.PlanContext) {
 	if err != nil || st == nil {
 		return
 	}
-	entries, err := st.Lineage(pc.ProgHash())
+	entries, err := st.Lineage(pc.Prog.Hash())
 	if err != nil {
 		return
 	}
