@@ -270,6 +270,44 @@ func analysesFor(b *testing.B, an *core.Scenario, dynRuns int, libSym bool) inst
 	}
 }
 
+// --- record -----------------------------------------------------------------
+
+// BenchmarkRecord measures one user-site run, uninstrumented and under the
+// dynamic+static plan with the syscall log on, for a coreutil (paste), a
+// uServer request (exp4) and diff (exp1): the record side of the balance.
+// The instrumented run's extra time and allocations over the none run are
+// what instrumentation costs a user, so the gate compares both.
+func BenchmarkRecord(b *testing.B) {
+	paste, err := apps.CoreutilScenario("paste", 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	userver, err := apps.UServerScenario(4, 72)
+	if err != nil {
+		b.Fatal(err)
+	}
+	diff, err := apps.DiffExperimentScenario(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sc := range []struct {
+		name string
+		s    *core.Scenario
+		in   instrument.Inputs
+	}{
+		{"paste", paste, analysesFor(b, apps.AnalysisSpec(paste), 300, false)},
+		{"userver-exp4", userver, analysesFor(b, apps.UServerAnalysisScenario(), 60, true)},
+		{"diff-exp1", diff, analysesFor(b, apps.AnalysisSpec(diff), 40, false)},
+	} {
+		for _, m := range []instrument.Method{instrument.MethodNone, instrument.MethodDynamicStatic} {
+			b.Run(sc.name+"/"+m.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				benchRecord(b, sc.s, sc.s.Plan(m, sc.in, true))
+			})
+		}
+	}
+}
+
 // --- replay -----------------------------------------------------------------
 
 // BenchmarkReplay measures one Session replay of the uServer no-syslog

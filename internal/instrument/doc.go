@@ -24,8 +24,11 @@
 //
 // Plans are durable deployment artifacts. Fingerprint gives a plan a
 // content identity (program hash + branch set + syscall flag) that records
-// and recordings are stamped with; Save and LoadPlan round-trip the full
-// envelope through JSON, verifying the fingerprint on load; lineage
+// and recordings are stamped with. A plan is not modified after its first
+// use: it compiles once into its fingerprint and the dense branch table
+// (Table) the Logger and the replay engine test per branch execution.
+// Save and LoadPlan round-trip the full envelope through JSON, verifying
+// the fingerprint on load; lineage
 // (Plan.Generation, Plan.Parent) travels with the envelope so refinement
 // chains stay auditable across sites. A damaged plan file fails LoadPlan
 // with an error wrapping ErrPlanCorrupt, which the plan store

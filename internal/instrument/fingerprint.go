@@ -21,7 +21,14 @@ import (
 // hash, the sorted instrumented branch-ID set, and the syscall-logging
 // flag. Two plans with the same fingerprint are interchangeable at record
 // and replay time regardless of which strategy produced them.
-func (p *Plan) Fingerprint() string {
+//
+// The fingerprint is computed once, on the plan's first use, and memoised
+// (see Plan): every recording is stamped with it, so an instrumented run
+// must not pay for a hash. Fingerprint is safe for concurrent use.
+func (p *Plan) Fingerprint() string { return p.compile().fingerprint }
+
+// computeFingerprint hashes the plan's identity afresh (see Fingerprint).
+func (p *Plan) computeFingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, "pathlog-plan-v1\n")
 	io.WriteString(h, p.ProgHash)

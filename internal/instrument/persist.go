@@ -81,9 +81,15 @@ func (p *Plan) Encode() ([]byte, error) {
 	return data, nil
 }
 
+// maxBranchID is the largest branch ID a plan or recording envelope may
+// name. A plan's dense branch table (Plan.Table) is sized by its largest
+// instrumented ID, so the decoders refuse larger IDs as corruption rather
+// than let a damaged envelope size an arbitrary allocation.
+const maxBranchID = 1<<20 - 1
+
 // DecodeBranchSet validates and converts a serialized branch-ID list, as
 // found in plan and recording envelopes: negative, duplicate or unsorted
-// IDs are corruption, not data.
+// IDs, and IDs above maxBranchID, are corruption, not data.
 func DecodeBranchSet(ids []int) (map[lang.BranchID]bool, error) {
 	if !sort.IntsAreSorted(ids) {
 		return nil, fmt.Errorf("branch IDs not sorted")
@@ -92,6 +98,9 @@ func DecodeBranchSet(ids []int) (map[lang.BranchID]bool, error) {
 	for i, id := range ids {
 		if id < 0 {
 			return nil, fmt.Errorf("negative branch ID %d", id)
+		}
+		if id > maxBranchID {
+			return nil, fmt.Errorf("branch ID %d above the largest a plan may name (%d)", id, maxBranchID)
 		}
 		if i > 0 && ids[i-1] == id {
 			return nil, fmt.Errorf("duplicate branch ID %d", id)

@@ -83,11 +83,16 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 // test above is the proof).
 func TestRefinedPlanRoundTripKeepsLineage(t *testing.T) {
 	base := goldenPlan(t)
-	p := *base
-	p.Instrumented = map[lang.BranchID]bool{0: true, 1: true, 4: true}
-	p.Strategy = "refine(method:dynamic+static,gen2,+b4)"
-	p.Generation = 2
-	p.Parent = base.Fingerprint()
+	p := &Plan{
+		Method:       base.Method,
+		Strategy:     "refine(method:dynamic+static,gen2,+b4)",
+		Instrumented: map[lang.BranchID]bool{0: true, 1: true, 4: true},
+		LogSyscalls:  base.LogSyscalls,
+		ProgHash:     base.ProgHash,
+		Cost:         base.Cost,
+		Generation:   2,
+		Parent:       base.Fingerprint(),
+	}
 
 	path := filepath.Join(t.TempDir(), "refined.json")
 	if err := p.Save(path); err != nil {
@@ -155,6 +160,7 @@ func TestLoadPlanErrors(t *testing.T) {
 		"negative.json":  `{"version":1,"instrumented_branches":[-1],"fingerprint":""}`,
 		"duplicate.json": `{"version":1,"instrumented_branches":[1,1],"fingerprint":""}`,
 		"unsorted.json":  `{"version":1,"instrumented_branches":[2,1],"fingerprint":""}`,
+		"huge.json":      `{"version":1,"instrumented_branches":[1048576],"fingerprint":""}`,
 	} {
 		path := filepath.Join(dir, name)
 		os.WriteFile(path, []byte(content), 0o644)

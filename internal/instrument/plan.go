@@ -3,6 +3,7 @@ package instrument
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pathlog/internal/concolic"
 	"pathlog/internal/lang"
@@ -58,6 +59,17 @@ func ParseMethod(s string) (Method, error) {
 // durable artifacts: Save/LoadPlan round-trip them through JSON, and
 // Fingerprint gives them a shippable identity covering the program, the
 // branch set and the syscall flag.
+//
+// A Plan is not modified after its first use. Its constructor (and the
+// strategy, refinement or decoder that called it) sets every field, then
+// hands the plan out; from the first Fingerprint, Table, Instruments or
+// NewLogger call on, the plan is compiled once into what its instrumented
+// build needs — the fingerprint and a dense branch table — and every
+// later call reads that compiled form, so a later edit to Instrumented,
+// LogSyscalls or ProgHash would not be seen (Method, Strategy, Cost and
+// lineage are outside the compiled form). Derive a changed plan by
+// building a new one. A Plan must not be copied after first use (go vet's
+// copylocks check reports struct copies).
 type Plan struct {
 	// Method is the §2.3 tag, set on plans built through StrategyForMethod.
 	// Plans built by a composition no method names leave it at MethodNone;
@@ -84,13 +96,58 @@ type Plan struct {
 	// Parent is the fingerprint of the plan this one was refined from;
 	// empty for generation 0.
 	Parent string
+
+	compileOnce sync.Once
+	compiled    compiledPlan
 }
+
+// compiledPlan is what a plan's instrumented build needs, derived once
+// from the plan's fields on first use.
+type compiledPlan struct {
+	fingerprint string
+	// table is the instrumented set as a dense table indexed by BranchID,
+	// sized to the largest instrumented ID plus one.
+	table []bool
+}
+
+// compile returns the plan's compiled form, building it on first use.
+// It is safe for concurrent use.
+func (p *Plan) compile() *compiledPlan {
+	p.compileOnce.Do(func() {
+		p.compiled = compiledPlan{fingerprint: p.computeFingerprint(), table: p.computeTable()}
+	})
+	return &p.compiled
+}
+
+// computeTable builds the dense table Table returns.
+func (p *Plan) computeTable() []bool {
+	size := 0
+	for id, v := range p.Instrumented {
+		if v && id >= 0 && int(id) >= size {
+			size = int(id) + 1
+		}
+	}
+	tab := make([]bool, size)
+	for id, v := range p.Instrumented {
+		if v && id >= 0 {
+			tab[id] = true
+		}
+	}
+	return tab
+}
+
+// Table returns the instrumented set as a dense table indexed by BranchID,
+// sized to the largest instrumented ID plus one: branch id is logged iff
+// id < len(tab) && tab[id]. It is the form the per-branch-execution sinks
+// (Logger, the replay engine) test, in place of a map lookup. The table is
+// built once per plan and shared; callers must not modify it.
+func (p *Plan) Table() []bool { return p.compile().table }
 
 // Instruments reports whether applying the plan changes the build at all:
 // an empty branch set with no syscall logging is the uninstrumented
 // baseline and produces no recording.
 func (p *Plan) Instruments() bool {
-	return p.LogSyscalls || p.NumInstrumented() > 0
+	return p.LogSyscalls || len(p.Table()) > 0
 }
 
 // NumInstrumented returns the number of instrumented branch locations.
@@ -137,20 +194,20 @@ type Inputs struct {
 // Logger is the vm.BranchSink an instrumented build runs with at the user
 // site: one bit per executed instrumented branch through the 4KB buffer.
 type Logger struct {
-	plan *Plan
-	w    *trace.Writer
+	tab []bool // the plan's Table
+	w   *trace.Writer
 	// InstrumentedExecs counts executions of instrumented branches.
 	InstrumentedExecs int64
 }
 
 // NewLogger returns a logger for the given plan.
 func NewLogger(plan *Plan) *Logger {
-	return &Logger{plan: plan, w: trace.NewWriter()}
+	return &Logger{tab: plan.Table(), w: trace.NewWriter()}
 }
 
 // OnBranch implements vm.BranchSink.
 func (l *Logger) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) error {
-	if l.plan.Instrumented[site.ID] {
+	if id := site.ID; int(id) < len(l.tab) && l.tab[id] {
 		l.InstrumentedExecs++
 		l.w.Append(taken)
 	}

@@ -128,10 +128,15 @@ func TestRefineChainNamesAndLineage(t *testing.T) {
 		t.Errorf("deep refinement name %q does not reference the parent fingerprint", gen2.Strategy)
 	}
 	// Lineage is provenance, not identity: a refined plan's fingerprint
-	// depends only on program, branch set and syscall flag.
-	clone := *gen2
-	clone.Generation = 0
-	clone.Parent = ""
+	// depends only on program, branch set and syscall flag. The lineage-
+	// free twin is a fresh plan, so its fingerprint is hashed afresh.
+	clone := &Plan{
+		Strategy:     gen2.Strategy,
+		Instrumented: gen2.Instrumented,
+		LogSyscalls:  gen2.LogSyscalls,
+		ProgHash:     gen2.ProgHash,
+		Cost:         gen2.Cost,
+	}
 	if clone.Fingerprint() != gen2.Fingerprint() {
 		t.Error("lineage leaked into the fingerprint")
 	}

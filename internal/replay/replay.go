@@ -154,8 +154,8 @@ type Engine struct {
 	reg  *world.Registry
 	rec  *Recording
 	opts Options
-	// instrTab is the plan's Instrumented set as a dense table indexed by
-	// BranchID, so the per-branch-execution sink avoids a map lookup.
+	// instrTab is the plan's dense branch table (instrument.Plan.Table),
+	// so the per-branch-execution sink avoids a map lookup.
 	instrTab []bool
 	// Per-run histograms, resolved once at construction when Options.Obs is
 	// set; nil otherwise, and the search loop skips the observations.
@@ -179,19 +179,13 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recordi
 	if opts.Engine == nil {
 		opts.Engine = ir.Engine
 	}
-	instrTab := make([]bool, len(prog.Branches))
-	for id := range rec.Plan.Instrumented {
-		if int(id) < len(instrTab) {
-			instrTab[id] = rec.Plan.Instrumented[id]
-		}
-	}
 	e := &Engine{
 		prog:     prog,
 		spec:     spec,
 		reg:      reg,
 		rec:      rec,
 		opts:     opts,
-		instrTab: instrTab,
+		instrTab: rec.Plan.Table(),
 	}
 	if opts.Obs != nil {
 		e.runNS = opts.Obs.Histogram("pathlog_replay_run_ns", runNSBuckets)
@@ -268,7 +262,8 @@ type runSink struct {
 // OnBranch implements vm.BranchSink.
 func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) error {
 	symbolic := cond.IsSymbolic()
-	instrumented := s.eng.instrTab[site.ID]
+	tab := s.eng.instrTab
+	instrumented := int(site.ID) < len(tab) && tab[site.ID]
 
 	switch {
 	case symbolic && !instrumented:

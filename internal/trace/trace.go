@@ -1,8 +1,9 @@
 // Package trace implements the branch log: one bit per executed instrumented
-// branch, buffered in a fixed 4096-byte buffer that is flushed to (simulated)
+// branch, buffered in a 4096-byte buffer that is flushed to (simulated)
 // stable storage when full — the exact format of §4 ("a bit per branch in a
 // large buffer... a buffer of 4KB in order to avoid writing to disk too
-// often. We do not use any form of online compression").
+// often. We do not use any form of online compression"). The buffer is
+// allocated on demand, so a run that logs a few bits pays for a few bytes.
 package trace
 
 import (
@@ -80,12 +81,23 @@ func (t *Trace) CompressionRatio() float64 {
 // cursor, occasionally copy out the buffer — because the paper's
 // instrumentation overhead measurements are measurements of exactly this
 // code path.
+//
+// The buffer is allocated on demand: it starts empty and doubles as bits
+// arrive, up to the flush size, so a run that logs 21 bits allocates a few
+// bytes rather than 4KB. Growth never moves a flush point: the buffer
+// flushes when it holds exactly the flush size in bits, as a buffer
+// allocated whole would.
 type Writer struct {
 	buf     []byte
+	size    int // flush size in bytes; buf grows up to it
 	bitPos  int // bit position within buf
 	flushed []byte
 	flushes int
 }
+
+// minGrow is the buffer's first allocation in bytes (the allocator's
+// smallest size class).
+const minGrow = 8
 
 // NewWriter returns an empty Writer with the paper's 4KB flush buffer.
 func NewWriter() *Writer { return NewWriterSize(BufferSize) }
@@ -96,18 +108,30 @@ func NewWriterSize(bufBytes int) *Writer {
 	if bufBytes < 1 {
 		bufBytes = 1
 	}
-	return &Writer{buf: make([]byte, bufBytes)}
+	return &Writer{size: bufBytes}
 }
 
 // Append records one branch direction.
 func (w *Writer) Append(taken bool) {
+	i := w.bitPos >> 3
+	if i == len(w.buf) {
+		w.grow()
+	}
 	if taken {
-		w.buf[w.bitPos>>3] |= 1 << uint(w.bitPos&7)
+		w.buf[i] |= 1 << uint(w.bitPos&7)
 	}
 	w.bitPos++
-	if w.bitPos == len(w.buf)*8 {
+	if w.bitPos == w.size*8 {
 		w.flush()
 	}
+}
+
+// grow doubles the buffer, up to the flush size.
+func (w *Writer) grow() {
+	n := min(max(2*len(w.buf), minGrow), w.size)
+	buf := make([]byte, n)
+	copy(buf, w.buf)
+	w.buf = buf
 }
 
 func (w *Writer) flush() {

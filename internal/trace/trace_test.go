@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -180,5 +182,74 @@ func TestWriterSizeAblation(t *testing.T) {
 	}
 	if NewWriterSize(0) == nil {
 		t.Error("zero size must clamp")
+	}
+}
+
+// refWriter is the writer with the flush buffer allocated whole up front,
+// the reference the on-demand buffer must match bit for bit and flush for
+// flush.
+type refWriter struct {
+	buf     []byte
+	bitPos  int
+	flushed []byte
+	flushes int
+}
+
+func (w *refWriter) append(taken bool) {
+	if taken {
+		w.buf[w.bitPos>>3] |= 1 << uint(w.bitPos&7)
+	}
+	w.bitPos++
+	if w.bitPos == len(w.buf)*8 {
+		w.flushed = append(w.flushed, w.buf...)
+		for i := range w.buf {
+			w.buf[i] = 0
+		}
+		w.bitPos = 0
+		w.flushes++
+	}
+}
+
+func (w *refWriter) finish() *Trace {
+	partial := (w.bitPos + 7) / 8
+	bits := append(append([]byte{}, w.flushed...), w.buf[:partial]...)
+	return &Trace{bits: bits, n: int64(len(w.flushed))*8 + int64(w.bitPos)}
+}
+
+// TestWriterMatchesFixedBuffer feeds random bit sequences around the 4KB
+// flush boundary to writers of the default size and two small ablation
+// sizes: the on-demand buffer must produce the same bytes, bit count and
+// flush count as a buffer allocated whole.
+func TestWriterMatchesFixedBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 32767, 32768, 32769, 3*32768 + 5} {
+		for _, size := range []int{BufferSize, 1, 7} {
+			w := NewWriterSize(size)
+			ref := &refWriter{buf: make([]byte, size)}
+			for range n {
+				bit := rng.Intn(2) == 1
+				w.Append(bit)
+				ref.append(bit)
+			}
+			if w.Flushes() != ref.flushes {
+				t.Errorf("n=%d size=%d: %d flushes, want %d", n, size, w.Flushes(), ref.flushes)
+			}
+			got, want := w.Finish(), ref.finish()
+			if got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("n=%d size=%d: trace %v differs from the fixed-buffer trace %v", n, size, got, want)
+			}
+		}
+	}
+}
+
+// TestWriterGrowsOnDemand pins the allocation the buffer exists to save: a
+// few logged bits allocate a few bytes, not the 4KB flush buffer.
+func TestWriterGrowsOnDemand(t *testing.T) {
+	w := NewWriter()
+	for i := range 21 {
+		w.Append(i%2 == 0)
+	}
+	if cap(w.buf) >= BufferSize {
+		t.Errorf("21 bits hold a %d-byte buffer", cap(w.buf))
 	}
 }
