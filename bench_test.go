@@ -223,14 +223,27 @@ func BenchmarkTable6(b *testing.B) {
 // --- analysis costs (the pre-deployment phase itself) --------------------------
 
 // BenchmarkDynamicAnalysis measures the concolic exploration cost per run
-// budget — the coverage knob's price.
+// budget — the coverage knob's price — on the uServer analysis and on diff
+// exp1 at the end-to-end benchmark's 40-run budget. BENCH_analysis.json
+// gates its time and allocations.
 func BenchmarkDynamicAnalysis(b *testing.B) {
-	for _, runs := range []int{5, 20} {
-		b.Run(fmt.Sprintf("userver-%druns", runs), func(b *testing.B) {
-			an := apps.UServerAnalysisScenario()
-			b.ResetTimer()
+	diff, err := apps.DiffExperimentScenario(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		an   *core.Scenario
+		runs int
+	}{
+		{"userver", apps.UServerAnalysisScenario(), 5},
+		{"userver", apps.UServerAnalysisScenario(), 20},
+		{"diff-exp1", apps.AnalysisSpec(diff), 40},
+	} {
+		b.Run(fmt.Sprintf("%s-%druns", c.name, c.runs), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep := an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: runs})
+				rep := c.an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: c.runs})
 				if rep.Runs == 0 {
 					b.Fatal("no runs")
 				}

@@ -15,6 +15,7 @@ package concolic
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"pathlog/internal/ir"
@@ -127,6 +128,15 @@ type Explorer struct {
 	queue  []sym.MapAssignment
 	seen   map[string]bool // dedup of queued assignments
 	varBuf []int           // scratch for per-child constraint variable IDs
+
+	// Per-run slicing scratch (sliceRelevant): the variable IDs of path
+	// constraint j are condVars[condEnd[j]:condEnd[j+1]], and mark[id] ==
+	// epoch marks variable id relevant to the slice being built.
+	condVars []int
+	condEnd  []int
+	mark     []uint32
+	epoch    uint32
+	sliced   []sym.Constraint
 }
 
 // New creates an explorer. The registry may be shared with a later replay
@@ -268,14 +278,16 @@ func (e *Explorer) runOnce(asn sym.MapAssignment) []pathCond {
 //     evenly over the path so deep branches still get explored;
 //   - unrelated constraint elimination: each child problem contains only the
 //     prefix constraints transitively sharing variables with the negated
-//     one. Dropping independent constraints cannot make the negation
-//     unsolvable; the child input may diverge earlier on the path, which
-//     exploration tolerates (it is not replay).
+//     one, found in one backward pass over variable IDs collected once per
+//     run (sliceRelevant). Dropping independent constraints cannot make the
+//     negation unsolvable; the child input may diverge earlier on the path,
+//     which exploration tolerates (it is not replay).
 func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) {
 	n := len(conds)
 	if n == 0 {
 		return
 	}
+	e.collectVars(conds)
 	stride := 1
 	if n > e.opts.MaxChildrenPerRun {
 		stride = n / e.opts.MaxChildrenPerRun
@@ -284,7 +296,7 @@ func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) 
 		if len(e.queue) >= e.opts.MaxQueue {
 			return
 		}
-		sliced := sliceRelevant(conds[:i], conds[i].c.Negated())
+		sliced := e.sliceRelevant(conds, i)
 		vars := sym.ConstraintVarIDs(sliced, e.varBuf)
 		e.varBuf = vars
 		problem := solver.Problem{
@@ -306,35 +318,48 @@ func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) 
 	}
 }
 
-// sliceRelevant returns the negated constraint plus every prefix constraint
-// transitively connected to it by shared variables (one backward pass).
-func sliceRelevant(prefix []pathCond, negated sym.Constraint) []sym.Constraint {
-	relevant := sym.Vars(negated.E)
-	keep := make([]bool, len(prefix))
-	for i := len(prefix) - 1; i >= 0; i-- {
-		vars := sym.Vars(prefix[i].c.E)
-		shared := false
-		for v := range vars {
-			if _, ok := relevant[v]; ok {
-				shared = true
-				break
-			}
+// collectVars lists the variable IDs of each path constraint in condVars
+// and condEnd, and grows the mark table to cover every ID.
+func (e *Explorer) collectVars(conds []pathCond) {
+	e.condVars, e.condEnd = e.condVars[:0], append(e.condEnd[:0], 0)
+	for _, pc := range conds {
+		e.condVars = sym.AppendVarIDs(pc.c.E, e.condVars)
+		e.condEnd = append(e.condEnd, len(e.condVars))
+	}
+	if len(e.condVars) > 0 {
+		if need := slices.Max(e.condVars) + 1; need > len(e.mark) {
+			e.mark = append(e.mark, make([]uint32, need-len(e.mark))...)
 		}
-		if !shared {
+	}
+}
+
+// sliceRelevant returns constraint i negated, preceded in prefix order by
+// the prefix constraints sharing a variable with it or with a constraint
+// kept after them (one backward pass from i-1 to 0). The slice is scratch,
+// valid until the next call.
+func (e *Explorer) sliceRelevant(conds []pathCond, i int) []sym.Constraint {
+	e.epoch++
+	if e.epoch == 0 { // wrapped: stale marks could alias the new epoch
+		clear(e.mark)
+		e.epoch = 1
+	}
+	for _, v := range e.condVars[e.condEnd[i]:e.condEnd[i+1]] {
+		e.mark[v] = e.epoch
+	}
+	e.sliced = e.sliced[:0]
+	for j := i - 1; j >= 0; j-- {
+		vars := e.condVars[e.condEnd[j]:e.condEnd[j+1]]
+		if !slices.ContainsFunc(vars, func(v int) bool { return e.mark[v] == e.epoch }) {
 			continue
 		}
-		keep[i] = true
-		for v := range vars {
-			relevant[v] = struct{}{}
+		e.sliced = append(e.sliced, conds[j].c)
+		for _, v := range vars {
+			e.mark[v] = e.epoch
 		}
 	}
-	out := make([]sym.Constraint, 0, 16)
-	for i, k := range keep {
-		if k {
-			out = append(out, prefix[i].c)
-		}
-	}
-	return append(out, negated)
+	slices.Reverse(e.sliced)
+	e.sliced = append(e.sliced, conds[i].c.Negated())
+	return e.sliced
 }
 
 // overlaySeed extracts the parent's values for the constraint variables as

@@ -2,11 +2,16 @@ package concolic
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pathlog/internal/ir"
 	"pathlog/internal/lang"
+	"pathlog/internal/sym"
 	"pathlog/internal/world"
 )
 
@@ -260,5 +265,156 @@ func TestNilEngineIsBytecodeVM(t *testing.T) {
 	ex := New(prog, spec, world.NewRegistry(), Options{})
 	if got, want := reflect.ValueOf(ex.opts.Engine).Pointer(), reflect.ValueOf(ir.Engine).Pointer(); got != want {
 		t.Fatalf("nil Options.Engine resolved to %#x, want ir.Engine (%#x)", got, want)
+	}
+}
+
+// refSliceRelevant is the map-based slicer sliceRelevant replaced, kept as
+// the differential reference: one backward pass over the prefix, each
+// constraint's variable set rebuilt from its expression.
+func refSliceRelevant(prefix []pathCond, negated sym.Constraint) []sym.Constraint {
+	varSet := func(e sym.Expr) map[int]struct{} {
+		set := make(map[int]struct{})
+		for _, id := range sym.AppendVarIDs(e, nil) {
+			set[id] = struct{}{}
+		}
+		return set
+	}
+	relevant := varSet(negated.E)
+	keep := make([]bool, len(prefix))
+	for i := len(prefix) - 1; i >= 0; i-- {
+		vars := varSet(prefix[i].c.E)
+		shared := false
+		for v := range vars {
+			if _, ok := relevant[v]; ok {
+				shared = true
+				break
+			}
+		}
+		if !shared {
+			continue
+		}
+		keep[i] = true
+		for v := range vars {
+			relevant[v] = struct{}{}
+		}
+	}
+	var out []sym.Constraint
+	for i, k := range keep {
+		if k {
+			out = append(out, prefix[i].c)
+		}
+	}
+	return append(out, negated)
+}
+
+// checkSlices slices conds at each point in at with e's scratch and
+// compares every slice with refSliceRelevant.
+func (e *Explorer) checkSlices(conds []pathCond, at []int) error {
+	e.collectVars(conds)
+	for _, i := range at {
+		got := e.sliceRelevant(conds, i)
+		want := refSliceRelevant(conds[:i], conds[i].c.Negated())
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("slice at %d of %d: got %d constraints %v, want %d %v",
+				i, len(conds), len(got), got, len(want), want)
+		}
+	}
+	return nil
+}
+
+// negationPoints returns the indices generateChildren negates on a path of
+// n constraints.
+func (e *Explorer) negationPoints(n int) []int {
+	stride := max(1, n/e.opts.MaxChildrenPerRun)
+	var at []int
+	for i := 0; i < n; i += stride {
+		at = append(at, i)
+	}
+	return at
+}
+
+// randomPath builds a path condition of n constraints over the variable IDs
+// in ids: sums, products and comparisons of one to four variables (often
+// repeating one), with every seventh constraint variable-free.
+func randomPath(r *rand.Rand, n int, ids []int) []pathCond {
+	conds := make([]pathCond, n)
+	for i := range conds {
+		var e sym.Expr
+		if i%7 == 3 {
+			e = sym.NewConst(int64(r.Intn(3)))
+		} else {
+			e = sym.NewInput(ids[r.Intn(len(ids))], "", 0, 255)
+			for k := r.Intn(4); k > 0; k-- {
+				v := sym.NewInput(ids[r.Intn(len(ids))], "", 0, 255)
+				op := []sym.Op{sym.OpAdd, sym.OpMul, sym.OpXor}[r.Intn(3)]
+				e = sym.NewBin(op, e, v)
+			}
+			e = sym.NewBin(sym.OpLt, e, sym.NewConst(int64(r.Intn(256))))
+		}
+		conds[i] = pathCond{c: sym.Constraint{E: e, Truth: r.Intn(2) == 0}}
+	}
+	return conds
+}
+
+// TestSliceRelevantMatchesReference holds the flat-list slicer to the
+// map-based one on random paths: dense, sparse and large variable IDs,
+// repeated variables, constant constraints, and prefixes of length 0, 1
+// and 4096.
+func TestSliceRelevantMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name string
+		ids  []int
+	}{
+		{"dense", []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"sparse", []int{3, 97, 1000, 4093, 65535}},
+		{"large", []int{1 << 20, 1<<20 + 1, 1<<22 - 1}},
+		{"single", []int{11}},
+	} {
+		for _, n := range []int{1, 2, 64, 4097} {
+			conds := randomPath(r, n, tc.ids)
+			at := []int{0, n / 2, n - 1}
+			for k := 0; k < 8; k++ {
+				at = append(at, r.Intn(n))
+			}
+			ex := &Explorer{}
+			if err := ex.checkSlices(conds, at); err != nil {
+				t.Fatalf("%s, %d constraints: %v", tc.name, n, err)
+			}
+		}
+	}
+}
+
+// TestSliceRelevantScratchIsPerRun slices a long run and then a shorter one
+// on one Explorer, and holds the second run's slices to a fresh Explorer's:
+// nothing of the first run's per-run lists or marks may leak into them,
+// including across a wrap of the mark epoch.
+func TestSliceRelevantScratchIsPerRun(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	long := randomPath(r, 4097, []int{0, 5, 9, 1 << 16})
+	short := randomPath(r, 300, []int{0, 1, 2, 5, 9})
+	// Variable-free, so only a leak of the long run's lists could keep it.
+	short[0].c.E = sym.NewConst(1)
+	shortAt := []int{0, 1, 150, 299}
+	for k := 0; k < 20; k++ {
+		shortAt = append(shortAt, r.Intn(len(short)))
+	}
+
+	reused := &Explorer{}
+	if err := reused.checkSlices(long, []int{4096, 2048, 1}); err != nil {
+		t.Fatal(err)
+	}
+	reused.epoch = math.MaxUint32 - 3 // the short run's slices wrap it
+	fresh := &Explorer{}
+	fresh.collectVars(short)
+	reused.collectVars(short)
+	for _, i := range shortAt {
+		want := slices.Clone(fresh.sliceRelevant(short, i))
+		if got := reused.sliceRelevant(short, i); !slices.Equal(got, want) {
+			t.Fatalf("slice at %d after a long run: got %v, want %v", i, got, want)
+		}
+	}
+	if err := reused.checkSlices(short, shortAt); err != nil {
+		t.Fatal(err)
 	}
 }

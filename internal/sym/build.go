@@ -241,18 +241,8 @@ func AllHold(cs []Constraint, asn Assignment) bool {
 	return true
 }
 
-// ConstraintVars returns the set of input variables mentioned by cs.
-func ConstraintVars(cs []Constraint) map[int]struct{} {
-	set := make(map[int]struct{})
-	for _, c := range cs {
-		c.E.appendVars(set)
-	}
-	return set
-}
-
 // ConstraintVarIDs returns the sorted, duplicate-free input-variable IDs
-// mentioned by cs, reusing buf's storage. It is the allocation-light
-// counterpart of ConstraintVars for hot paths.
+// mentioned by cs, reusing buf's storage.
 func ConstraintVarIDs(cs []Constraint, buf []int) []int {
 	buf = buf[:0]
 	for _, c := range cs {

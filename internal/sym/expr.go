@@ -85,8 +85,6 @@ type Expr interface {
 	// Eval computes the concrete value of the expression under the given
 	// assignment of input variables.
 	Eval(asn Assignment) int64
-	// appendVars accumulates the IDs of input variables into set.
-	appendVars(set map[int]struct{})
 	// appendVarIDs appends every input-variable occurrence to buf.
 	appendVarIDs(buf []int) []int
 	// write renders the expression into sb.
@@ -137,8 +135,6 @@ var (
 // Eval implements Expr.
 func (c *Const) Eval(Assignment) int64 { return c.V }
 
-func (c *Const) appendVars(map[int]struct{}) {}
-
 func (c *Const) appendVarIDs(buf []int) []int { return buf }
 
 func (c *Const) write(sb *strings.Builder) { fmt.Fprintf(sb, "%d", c.V) }
@@ -174,8 +170,6 @@ func (in *Input) Eval(asn Assignment) int64 {
 	return asn.Value(in.ID)
 }
 
-func (in *Input) appendVars(set map[int]struct{}) { set[in.ID] = struct{}{} }
-
 func (in *Input) appendVarIDs(buf []int) []int { return append(buf, in.ID) }
 
 func (in *Input) write(sb *strings.Builder) {
@@ -201,8 +195,6 @@ type Un struct {
 // Eval implements Expr.
 func (u *Un) Eval(asn Assignment) int64 { return evalUn(u.Op, u.X.Eval(asn)) }
 
-func (u *Un) appendVars(set map[int]struct{}) { u.X.appendVars(set) }
-
 func (u *Un) appendVarIDs(buf []int) []int { return u.X.appendVarIDs(buf) }
 
 func (u *Un) write(sb *strings.Builder) {
@@ -227,11 +219,6 @@ type Bin struct {
 // Eval implements Expr.
 func (b *Bin) Eval(asn Assignment) int64 {
 	return evalBin(b.Op, b.L.Eval(asn), b.R.Eval(asn))
-}
-
-func (b *Bin) appendVars(set map[int]struct{}) {
-	b.L.appendVars(set)
-	b.R.appendVars(set)
 }
 
 func (b *Bin) appendVarIDs(buf []int) []int {
@@ -335,17 +322,9 @@ func Format(e Expr) string {
 // constraint complexity and as a metric in experiment reports.
 func Size(e Expr) int { return e.size() }
 
-// Vars returns the set of input-variable IDs the expression depends on.
-func Vars(e Expr) map[int]struct{} {
-	set := make(map[int]struct{})
-	e.appendVars(set)
-	return set
-}
-
 // AppendVarIDs appends the ID of every input-variable occurrence in e to buf
 // and returns the extended slice. Duplicates are preserved; callers needing a
-// set should sort and compact. This is the allocation-free counterpart of
-// Vars for hot paths.
+// set should sort and compact.
 func AppendVarIDs(e Expr, buf []int) []int { return e.appendVarIDs(buf) }
 
 // IsConst reports whether e is a constant, returning its value when so.

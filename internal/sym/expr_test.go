@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,14 +116,13 @@ func TestVars(t *testing.T) {
 	x := NewInput(1, "x", 0, 255)
 	y := NewInput(9, "y", 0, 255)
 	e := NewBin(OpAdd, NewBin(OpMul, x, y), x)
-	vars := Vars(e)
-	if len(vars) != 2 {
-		t.Fatalf("vars: got %v", vars)
+	// Every occurrence, duplicates kept, appended after buf's contents.
+	got := AppendVarIDs(e, []int{42})
+	if want := []int{42, 1, 9, 1}; !slices.Equal(got, want) {
+		t.Fatalf("AppendVarIDs: got %v, want %v", got, want)
 	}
-	for _, id := range []int{1, 9} {
-		if _, ok := vars[id]; !ok {
-			t.Errorf("missing var %d", id)
-		}
+	if got := AppendVarIDs(NewConst(7), nil); len(got) != 0 {
+		t.Errorf("constant has variables: %v", got)
 	}
 }
 
@@ -259,11 +259,16 @@ func TestConstraintVars(t *testing.T) {
 	x := NewInput(3, "x", 0, 255)
 	y := NewInput(5, "y", 0, 255)
 	cs := []Constraint{
-		{E: Eq(x, NewConst(1)), Truth: true},
-		{E: Lt(y, NewConst(9)), Truth: false},
+		{E: Eq(y, NewConst(1)), Truth: true},
+		{E: Lt(NewBin(OpAdd, x, y), NewConst(9)), Truth: false},
 	}
-	vars := ConstraintVars(cs)
-	if len(vars) != 2 {
-		t.Fatalf("got %v", vars)
+	// Sorted and duplicate-free, reusing buf's storage.
+	buf := make([]int, 1, 8)
+	got := ConstraintVarIDs(cs, buf)
+	if want := []int{3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("ConstraintVarIDs did not reuse buf")
 	}
 }
