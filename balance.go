@@ -18,93 +18,21 @@ import (
 // workflow the paper actually proposes is iterative: deploy a cheap partial
 // plan, and when developer-site replay takes too long, selectively add
 // instrumentation at the branches responsible and re-deploy; once replay is
-// fast enough, drop the bits that do not pay for themselves. Refine is one
-// promotion step; the balance loop iterates promote-then-demote over a
-// corpus of reports — CorpusBalance over a population, AutoBalance over
-// the one report it records — and returns the measured trajectory that
-// Frontier can merge as ground truth next to its estimates.
+// fast enough, drop the bits that do not pay for themselves. One step of
+// that workflow is RefineCorpus (corpus.go), over a corpus of any size;
+// the balance loop here iterates promote-then-demote over a corpus of
+// reports — CorpusBalance over a population, AutoBalance over the one
+// report it records — and returns the measured trajectory whose points
+// the plan store keeps and Frontier folds back in as ground truth.
 
 // SearchProfile attributes one replay search's cost per branch site; the
-// replay engine produces it (ReplayResult.Profile) and Refine consumes it.
+// replay engine produces it (ReplayResult.Profile) and the refinement
+// step consumes it.
 type SearchProfile = instrument.SearchProfile
 
 // BranchCost is the search cost charged to one branch site in a
 // SearchProfile.
 type BranchCost = instrument.BranchCost
-
-// Refine performs one step of the adaptive loop: from a recording and the
-// replay result measured under it, derive the next plan generation — the
-// same branch set plus the top blowup branches the search profile blames
-// for the search's length — priced under a cost model recalibrated with
-// the observed per-branch rates. The returned plan carries lineage
-// (Generation, Parent) and caches like any strategy-built plan.
-//
-// Refine refuses mismatches loudly: a recording that does not fit the
-// session's program, a result with no profile, a profile measured under a
-// different plan than the recording's, and a stale-generation recording —
-// one taken under a plan this session or any earlier session over the
-// same plan store has already refined past — are all errors, not silent
-// rewinds of the loop. A stamped-only recording resolves its base plan
-// from the plan store first, exactly as Replay does.
-func (s *Session) Refine(ctx context.Context, rec *Recording, res *ReplayResult) (*Plan, error) {
-	return s.RefineWith(ctx, rec, res, 0)
-}
-
-// RefineWith is Refine with an explicit promotion width (k <= 0 selects
-// instrument.DefaultRefineTopK). With a plan store configured, both ends
-// of the step are retained: the base plan the recording was taken under
-// (resolved from the store when the recording is stamped-only) and the
-// refined generation about to be deployed, so the store's lineage index
-// stays complete.
-func (s *Session) RefineWith(ctx context.Context, rec *Recording, res *ReplayResult, k int) (*Plan, error) {
-	// Open (and lineage-seed) the plan store before the staleness check:
-	// a chain an earlier session refined past must be refused even when
-	// this session has not touched the store yet.
-	if _, err := s.planStore(); err != nil {
-		return nil, err
-	}
-	// A stamped-only recording resolves its base plan from the store, the
-	// same way Replay does.
-	rec, err := s.resolveRecording(rec)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.validateRecording(rec); err != nil {
-		return nil, err
-	}
-	if res == nil || res.Profile == nil {
-		return nil, fmt.Errorf("pathlog: refine needs a replay result carrying a search profile")
-	}
-	base := rec.Plan
-	baseFP := base.Fingerprint()
-	if err := s.checkGenerationFresh(base, baseFP); err != nil {
-		return nil, err
-	}
-	strat, err := instrument.Refine(base, res.Profile, k)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := s.buildRefined(ctx, strat, res.Profile)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.persistPlan(base); err != nil {
-		return nil, fmt.Errorf("pathlog: retain base plan: %w", err)
-	}
-	if err := s.persistProfile(res.Profile); err != nil {
-		return nil, fmt.Errorf("pathlog: retain search profile: %w", err)
-	}
-	// A fixed point (nothing promoted, identical branch set) is not a new
-	// generation: advancing the lineage would mark the still-current base
-	// plan stale and wedge every later refinement of it.
-	if plan.Fingerprint() != baseFP {
-		s.recordLineage(baseFP, plan)
-		if err := s.persistPlan(plan); err != nil {
-			return nil, fmt.Errorf("pathlog: retain refined plan: %w", err)
-		}
-	}
-	return plan, nil
-}
 
 // buildRefined folds the observed per-branch rates of a (possibly merged)
 // search profile into the shared cost model and prices the refinement
@@ -355,28 +283,6 @@ func (tr *BalanceTrajectory) Final() *BalancePoint {
 	return &tr.Points[len(tr.Points)-1]
 }
 
-// PlanPoints renders the trajectory as measured frontier points (Measured
-// set, overhead and replay runs from the record and replay runs rather
-// than the cost model), for MergeMeasured. Generations that did not
-// reproduce every report are omitted: their run count is a budget-censored
-// lower bound (the paper's ∞), not a measurement of debugging time.
-func (tr *BalanceTrajectory) PlanPoints() []PlanPoint {
-	out := make([]PlanPoint, 0, len(tr.Points))
-	for _, pt := range tr.Points {
-		if pt.Reproduced != pt.Members {
-			continue
-		}
-		out = append(out, PlanPoint{
-			Strategy:   pt.Plan.Strategy,
-			Plan:       pt.Plan,
-			Overhead:   pt.MeanOverheadBits,
-			ReplayRuns: pt.MeanReplayRuns,
-			Measured:   true,
-		})
-	}
-	return out
-}
-
 // AutoBalance runs the balance loop (see CorpusBalance) on one workload:
 // it records the user run (nil selects WithUserBytes) under the session's
 // configured strategy and iterates over the one-report corpus that
@@ -385,7 +291,7 @@ func (tr *BalanceTrajectory) PlanPoints() []PlanPoint {
 // session's WorkloadHash, where Frontier reads them back.
 //
 // A session whose chain already advanced (an earlier AutoBalance or
-// Refine) resumes from the chain's latest generation instead of
+// RefineCorpus) resumes from the chain's latest generation instead of
 // redeploying generation 0. The returned trajectory holds every
 // generation's measured point even when the loop fails its target or the
 // context cancels mid-loop; the error reports what stopped an unfinished
@@ -537,7 +443,8 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			return tr, nil
 		}
 		start = time.Now()
-		strat, err := instrument.Refine(plan, out.Profile, opts.TopK)
+		promote := out.Profile.TopBlowup(opts.TopK, plan.Instrumented)
+		strat, err := instrument.Refine(plan, out.Profile, promote, nil)
 		if err != nil {
 			return tr, err
 		}
@@ -565,7 +472,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			return tr, err
 		}
 		plan, cur, out = refined, next, nextOut
-		if err := record(newBalancePoint(plan, cur, out, strat.(promotedDemoted).Promoted(), nil)); err != nil {
+		if err := record(newBalancePoint(plan, cur, out, promote, nil)); err != nil {
 			return tr, err
 		}
 	}
@@ -584,7 +491,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			return tr, nil
 		}
 		start = time.Now()
-		strat, err := instrument.DemoteAt(plan, out.Profile, opts.DemotionRate)
+		strat, err := instrument.Refine(plan, out.Profile, nil, cands)
 		if err != nil {
 			return tr, err
 		}
@@ -593,9 +500,6 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			return tr, err
 		}
 		s.observePhase(opts.OnPhase, plan.Generation, "refine", start)
-		if demoted.Fingerprint() == plan.Fingerprint() {
-			return tr, nil
-		}
 		trial, trialOut, err := measure(demoted, cur)
 		if err != nil {
 			return tr, err

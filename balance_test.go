@@ -2,7 +2,6 @@ package pathlog
 
 import (
 	"context"
-	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,7 +116,7 @@ func TestAutoBalanceUServer(t *testing.T) {
 	// A stale-generation recording — generation 0's, after the session has
 	// refined past it — is refused with a clear error, not silently
 	// re-refined into a fork of the lineage.
-	if _, err := sess.Refine(ctx, gen0.Corpus.Reports[0].Rec, &ReplayResult{Profile: gen0.Outcome.Profile}); err == nil ||
+	if _, err := sess.RefineCorpus(ctx, gen0.Corpus, CorpusOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "stale-generation") {
 		t.Errorf("stale generation-0 recording accepted: %v", err)
 	}
@@ -141,14 +140,6 @@ func TestAutoBalanceUServer(t *testing.T) {
 	if !tr2.Converged || tr2.Points[0].Generation != final.Plan.Generation {
 		t.Errorf("second AutoBalance did not resume from generation %d: %+v (%s)",
 			final.Plan.Generation, tr2.Points[0].Generation, tr2.Reason)
-	}
-
-	// Generation 0 never reproduced, so its budget-censored run count is
-	// not a measurement: the trajectory's frontier points must omit it.
-	for _, pt := range tr.PlanPoints() {
-		if pt.Plan.Fingerprint() == gen0.Plan.Fingerprint() {
-			t.Errorf("non-reproduced generation 0 emitted as a measured frontier point")
-		}
 	}
 }
 
@@ -259,32 +250,61 @@ func TestAutoBalanceMatchesOneReportCorpusBalance(t *testing.T) {
 	}
 }
 
+// fixedPointSrc crashes on a branch no input byte decides: under an
+// empty plan the search reproduces in one run and blames nothing, and an
+// empty plan logs nothing the profile could prove redundant.
+const fixedPointSrc = `
+int main() {
+	char a[8];
+	getarg(0, a, 8);
+	int n = 3;
+	if (n > 2) { crash(3); }
+	return 0;
+}
+`
+
+// oneReport wraps a single recording as the one-member corpus the refine
+// step takes.
+func oneReport(t *testing.T, rec *Recording) *Corpus {
+	t.Helper()
+	c, err := BuildCorpus([]CorpusMember{{Rec: rec}}, CorpusIngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestRefineFixedPointDoesNotAdvanceLineage pins the fixed-point rule: a
-// refinement that promotes nothing (profile blames only instrumented
-// branches) must not mark the still-current base plan stale.
+// refinement that neither promotes nor demotes must not mark the
+// still-current base plan stale.
 func TestRefineFixedPointDoesNotAdvanceLineage(t *testing.T) {
 	ctx := context.Background()
-	sess := chainSession(t, WithStrategy(StrategyForMethod(MethodAll)))
+	prog, err := Compile(Unit{Name: "fixed.mc", Source: fixedPointSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(prog, &Spec{Args: []Stream{ArgStream(0, "xxxxxx", 8)}},
+		WithUserBytes(map[string][]byte{"arg0": []byte("REPLAY")}),
+		WithSyscallLog(), WithStrategy(Sampled(All(), 0)))
 	rec, _, err := sess.Record(ctx, nil)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v (%v)", err, rec)
 	}
-	res := mustReplay(t, ctx, sess, rec)
-	if !res.Reproduced {
-		t.Fatalf("not reproduced: %+v", res)
-	}
-	// Full instrumentation leaves nothing to promote: the refined plan is
-	// the base plan (fixed point)...
-	p1, err := sess.Refine(ctx, rec, res)
+	// Nothing is blamed and nothing is logged: the refined plan is the
+	// base plan (fixed point)...
+	ref, err := sess.RefineCorpus(ctx, oneReport(t, rec), CorpusOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Fingerprint() != rec.Plan.Fingerprint() {
-		t.Fatalf("all-branches plan refined into something else: %v", p1.IDs())
+	if !ref.Outcome.AllReproduced() {
+		t.Fatalf("fixture drifted: not reproduced: %+v", ref.Outcome)
 	}
-	// ...and the base plan stays refinable: a repeat Refine must not be
+	if len(ref.Promoted) != 0 || len(ref.Demoted) != 0 || ref.Plan.Fingerprint() != rec.Plan.Fingerprint() {
+		t.Fatalf("fixture drifted: promoted %v demoted %v, plan %v", ref.Promoted, ref.Demoted, ref.Plan.IDs())
+	}
+	// ...and the base plan stays refinable: a repeat step must not be
 	// refused as stale.
-	if _, err := sess.Refine(ctx, rec, res); err != nil {
+	if _, err := sess.RefineCorpus(ctx, oneReport(t, rec), CorpusOptions{}); err != nil {
 		t.Errorf("fixed point marked the base plan stale: %v", err)
 	}
 }
@@ -318,14 +338,15 @@ func TestRefineSingleStep(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no recording")
 	}
-	res := mustReplay(t, ctx, sess, rec)
-	if !res.Reproduced || res.Profile == nil {
-		t.Fatalf("replay failed: %+v", res)
-	}
-	refined, err := sess.Refine(ctx, rec, res)
+	ref, err := sess.RefineCorpus(ctx, oneReport(t, rec), CorpusOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := ref.Outcome.Runs[0]
+	if !base.Reproduced || base.Profile == nil {
+		t.Fatalf("replay failed: %+v", base)
+	}
+	refined := ref.Plan
 	if refined.NumInstrumented() <= plan.NumInstrumented() {
 		t.Errorf("refinement promoted nothing: %d -> %d branches",
 			plan.NumInstrumented(), refined.NumInstrumented())
@@ -354,8 +375,8 @@ func TestRefineSingleStep(t *testing.T) {
 	if !res2.Reproduced {
 		t.Fatalf("refined plan did not reproduce: %+v", res2)
 	}
-	if res2.Runs > res.Runs {
-		t.Errorf("refined replay took %d runs, base took %d", res2.Runs, res.Runs)
+	if res2.Runs > base.Runs {
+		t.Errorf("refined replay took %d runs, base took %d", res2.Runs, base.Runs)
 	}
 }
 
@@ -385,17 +406,17 @@ func TestAutoBalanceOverheadCeilingDoesNotAdvanceChain(t *testing.T) {
 	gen0 := tr.Points[0]
 	// The base plan is still the chain's head: refining its recording must
 	// not be refused as stale...
-	if _, err := sess.Refine(ctx, gen0.Corpus.Reports[0].Rec, &ReplayResult{Profile: gen0.Outcome.Profile}); err != nil {
+	if _, err := sess.RefineCorpus(ctx, gen0.Corpus, CorpusOptions{}); err != nil {
 		t.Errorf("ceiling reject marked the base plan stale: %v", err)
 	}
-	// ...but the Refine above DID accept the plan (no ceiling in a manual
+	// ...but the step above DID accept the plan (no ceiling in a manual
 	// step), so from here on the chain legitimately moves to generation 1.
 	tr2, err := sess.AutoBalance(ctx, nil, BalanceOptions{OverheadCeiling: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr2.Points[0].Generation != 1 {
-		t.Errorf("resume generation %d after explicit Refine, want 1", tr2.Points[0].Generation)
+		t.Errorf("resume generation %d after an explicit RefineCorpus, want 1", tr2.Points[0].Generation)
 	}
 }
 
@@ -441,57 +462,5 @@ func TestOptionGuardsClampAtApplyTime(t *testing.T) {
 	s := NewSession(prog, spec, WithReplayBudget(-10, -time.Second))
 	if s.cfg.rep.MaxRuns != 0 || s.cfg.rep.TimeBudget != 0 {
 		t.Errorf("WithReplayBudget negatives not clamped: %+v", s.cfg.rep)
-	}
-}
-
-func TestMergeMeasuredFrontier(t *testing.T) {
-	ctx := context.Background()
-	sess := chainSession(t)
-	est, err := sess.Frontier(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sess.AutoBalance(ctx, nil, BalanceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := MergeMeasured(est, tr)
-	if len(merged) == 0 {
-		t.Fatal("empty merged frontier")
-	}
-	// Strict Pareto holds per tier: replay runs strictly decrease along the
-	// estimated points and along the measured points separately (a measured
-	// ground-truth point may sit above the estimated curve — that gap is
-	// the drift the store renders).
-	foundMeasured := false
-	lastEst, lastMeas := PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}, PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}
-	for i, pt := range merged {
-		last := &lastEst
-		if pt.Measured {
-			foundMeasured = true
-			last = &lastMeas
-		}
-		if !(pt.Overhead > last.Overhead) || !(pt.ReplayRuns < last.ReplayRuns) {
-			t.Errorf("merged frontier not strictly Pareto within its tier at %d: %+v", i, merged)
-		}
-		*last = pt
-	}
-	// Measured points are ground truth: estimates can never displace them,
-	// so the trajectory's reproduced generation must survive the merge.
-	if !foundMeasured && len(tr.PlanPoints()) > 0 {
-		t.Errorf("measured trajectory points %v missing from merged frontier %+v", tr.PlanPoints(), merged)
-	}
-	// Where the same plan appears measured and estimated, the measured
-	// coordinates win.
-	byFP := map[string]PlanPoint{}
-	for _, pt := range tr.PlanPoints() {
-		byFP[pt.Plan.Fingerprint()] = pt
-	}
-	for _, pt := range merged {
-		if m, ok := byFP[pt.Plan.Fingerprint()]; ok {
-			if !pt.Measured || pt.Overhead != m.Overhead || pt.ReplayRuns != m.ReplayRuns {
-				t.Errorf("estimated point shadowed the measured one: %+v vs %+v", pt, m)
-			}
-		}
 	}
 }

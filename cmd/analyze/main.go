@@ -2,21 +2,16 @@
 // the classification of every branch location: the dynamic label, the static
 // label, and the instrumentation decision each method would take.
 //
-// -refine closes the loop from the developer site: given a saved bug
-// report, it replays the recording, attributes the search cost per branch,
-// and prints (and with -plan-out saves) the next plan generation — the
-// recording's plan plus the top blowup branches.
-//
 // With -store, the analysis runs against a plan store: the -frontier sweep
 // folds the store's measured history for this scenario back in (measured
-// points marked, estimated-vs-measured drift rendered), a -refine'd plan
-// is retained in the store as it is derived, and the store's health (plans
-// retained, measured points, damaged entries) is reported.
+// points marked, estimated-vs-measured drift rendered), and the store's
+// health (plans retained, measured points, damaged entries) is reported.
+// One refinement step from saved bug reports is cmd/tune -corpus.
 //
 // Usage:
 //
 //	analyze -scenario userver-exp1 -dynamic-runs 60
-//	analyze -scenario userver-exp3 -refine bug.report -plan-out gen1.plan.json
+//	analyze -scenario userver-exp1 -plan-out plan.json
 //	analyze -scenario userver-exp3 -frontier -store ./planstore
 package main
 
@@ -28,7 +23,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"pathlog"
 	"pathlog/internal/apps"
@@ -47,15 +41,8 @@ func main() {
 		planOut  = flag.String("plan-out", "", "save the -method plan to this file")
 		frontier = flag.Bool("frontier", false,
 			"sweep the default strategy set and print the overhead/debug-time Pareto frontier")
-		refine = flag.String("refine", "",
-			"replay this bug report and derive the next plan generation from the search's blame")
-		topK = flag.Int("topk", pathlog.DefaultRefineTopK,
-			"blowup branches promoted by -refine")
-		refineRuns   = flag.Int("refine-runs", 2000, "replay run budget for -refine")
-		refineBudget = flag.Duration("refine-budget", 30*time.Second,
-			"replay wall-clock budget for -refine")
 		storeDir = flag.String("store", "",
-			"plan store directory: fold measured history into -frontier, retain -refine results")
+			"plan store directory: fold measured history into -frontier")
 	)
 	flag.Parse()
 	if *scenario == "" {
@@ -153,59 +140,7 @@ func main() {
 		}
 	}
 
-	if *refine != "" {
-		var rec *pathlog.Recording
-		if *storeDir != "" {
-			// A store-backed report may be stamped-only: the session resolves
-			// the retained plan by fingerprint (with its store cross-checks),
-			// then the result validates like any embedded plan.
-			if rec, err = pathlog.LoadRecording(*refine); err != nil {
-				fatal(err)
-			}
-			if rec, err = sess.ResolveRecording(rec); err != nil {
-				fatal(err)
-			}
-			if err := rec.Validate(s.Prog); err != nil {
-				fatal(err)
-			}
-		} else if rec, err = pathlog.LoadRecordingFor(*refine, s.Prog); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nrefining plan %s (generation %d, %d locations) from %s\n",
-			rec.Fingerprint, rec.Plan.Generation, rec.Plan.NumInstrumented(), *refine)
-		rsess := pathlog.SessionOf(s, pathlog.WithReplayBudget(*refineRuns, *refineBudget))
-		res, err := rsess.Replay(ctx, rec)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("replay: reproduced=%v in %d runs (%s)\n",
-			res.Reproduced, res.Runs, res.Elapsed.Round(time.Millisecond))
-		k := *topK
-		if k <= 0 {
-			k = pathlog.DefaultRefineTopK
-		}
-		refined, err := sess.RefineWith(ctx, rec, res, k)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("generation %d plan %s: %d locations (%+d), ~%.0f bits/run, ~%.0f replay runs (calibrated)\n",
-			refined.Generation, refined.Fingerprint(), refined.NumInstrumented(),
-			refined.NumInstrumented()-rec.Plan.NumInstrumented(),
-			refined.EstimatedOverhead(), refined.EstimatedReplayRuns())
-		for _, id := range res.Profile.TopBlowup(k, rec.Plan.Instrumented) {
-			b := s.Prog.Branches[id]
-			bc := res.Profile.Branch(id)
-			fmt.Printf("  promoted b%-5d %-30s forks=%d aborted=%d solver=%d\n",
-				id, fmt.Sprintf("%s@%s:%d", b.Func, b.Pos.Unit, b.Pos.Line),
-				bc.Forks, bc.AbortedRuns, bc.SolverCalls)
-		}
-		if *planOut != "" {
-			if err := refined.Save(*planOut); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("refined plan written to %s\n", *planOut)
-		}
-	} else if *planOut != "" {
+	if *planOut != "" {
 		m, err := instrument.ParseMethod(*method)
 		if err != nil {
 			fatal(err)

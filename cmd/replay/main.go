@@ -15,8 +15,8 @@
 // -json prints one machine-readable result object to stdout instead of the
 // human transcript (the harness and CI consume it; nothing scrapes text).
 // Its "solver" object counts Unsat (proved) apart from GaveUp (budget
-// spent, no proof; omitted when zero), and -profile-out writes the search's per-branch cost attribution for the
-// refinement loop (cmd/analyze -refine, cmd/tune).
+// spent, no proof; omitted when zero), and -profile-out writes the
+// search's per-branch cost attribution for the refinement loop (cmd/tune).
 //
 // Usage:
 //

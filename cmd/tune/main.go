@@ -21,8 +21,9 @@
 // shardworkerd -listen 127.0.0.1:0 covers the local out-of-process case),
 // and one weighted refinement step is derived from the merged
 // attribution — corpus-wide blowup branches promoted, branches whose bits
-// never constrained any report's search demoted. Redeploy the printed plan
-// and run tune -corpus on the fresh reports to confirm the demotion by
+// never constrained any report's search demoted. A directory holding one
+// report is the single-report step. Redeploy the printed plan and run
+// tune -corpus on the fresh reports to confirm the demotion by
 // measurement.
 //
 // With -corpus -intake, the directory is a pathlogd intake directory
@@ -43,6 +44,7 @@
 //	tune -scenario userver-exp3 -strategy dynamic -target-runs 200
 //	tune -scenario userver-exp3 -trajectory-out traj.json -plan-out final.plan.json
 //	tune -scenario userver-exp3 -store ./planstore -target-runs 200
+//	tune -scenario userver-exp3 -corpus ./one-report -plan-out gen1.plan.json
 //	tune -scenario userver-exp3 -store ./planstore -corpus ./reports -shards 4 -plan-out next.plan.json
 //	tune -scenario userver-exp3 -store ./planstore -corpus ./intake -intake -shards 4
 //	tune -scenario userver-exp3 -store ./planstore -corpus ./reports -workers 10.0.0.1:7070,10.0.0.2:7070

@@ -7,7 +7,6 @@ import (
 	"pathlog/internal/corpus"
 	"pathlog/internal/fleet"
 	"pathlog/internal/instrument"
-	"pathlog/internal/lang"
 	"pathlog/internal/replay"
 )
 
@@ -94,13 +93,6 @@ type CorpusRefinement struct {
 	Demoted  []BranchID
 }
 
-// promotedDemoted is implemented by the refinement strategies
-// (instrument.Refine/DemoteAt/RefineAndDemote).
-type promotedDemoted interface {
-	Promoted() []lang.BranchID
-	Demoted() []lang.BranchID
-}
-
 // ReplayCorpus replays every corpus member under the plan the corpus was
 // recorded with, fanned out over opts.Shards shards, and returns the
 // weighted merged outcome. Every member is resolved against the plan
@@ -121,8 +113,9 @@ func (s *Session) replayCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 	if c == nil || len(c.Reports) == 0 {
 		return nil, nil, nil, fmt.Errorf("pathlog: empty corpus")
 	}
-	// Open (and lineage-seed) the plan store before the staleness check,
-	// as refineStep does.
+	// Open (and lineage-seed) the plan store before the staleness check:
+	// a chain an earlier session refined past must be refused even when
+	// this session has not touched the store yet.
 	if _, err := s.planStore(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -167,14 +160,24 @@ func (s *Session) corpusReplayOptions() replay.Options {
 	return opts
 }
 
-// RefineCorpus performs one corpus-driven refinement step: replay the
-// whole corpus (sharded), merge the weighted attribution, and derive the
-// next plan generation — the corpus-wide top blowup branches promoted into
-// the plan and the proven-redundant branches (bits consumed, zero
-// disagreements across every member) demoted out of it. The shared cost
-// model is recalibrated with the merged profile before pricing, the
-// refined generation carries lineage, and with a plan store configured
-// both plans and the merged profile are retained.
+// RefineCorpus performs one refinement step, the only one the session
+// offers: replay the whole corpus (sharded), merge the weighted
+// attribution, and derive the next plan generation — the corpus-wide top
+// blowup branches promoted into the plan and the proven-redundant branches
+// (bits consumed, zero disagreements across every member) demoted out of
+// it. One report is a one-member corpus:
+// BuildCorpus([]CorpusMember{{Rec: rec}}, CorpusIngestOptions{}). The
+// shared cost model is recalibrated with the merged profile before
+// pricing, the refined generation carries lineage, and with a plan store
+// configured both plans and the merged profile are retained.
+//
+// RefineCorpus refuses mismatches loudly, as ReplayCorpus does: a member
+// that does not fit the session's program, a mixed-plan corpus, and a
+// stale-generation corpus — one recorded under a plan this session or an
+// earlier session over the same plan store has already refined past — are
+// errors, not silent rewinds of the loop. A fixed point (nothing promoted
+// or demoted) returns the base branch set and does not advance the
+// lineage.
 //
 // The demotion here is evidence-based, not measured: a corpus replay can
 // prove a bit never constrained any member's search, but only a
@@ -185,7 +188,9 @@ func (s *Session) RefineCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 	if err != nil {
 		return nil, err
 	}
-	strat, err := instrument.RefineAndDemote(base, out.Profile, opts.TopK)
+	promote := out.Profile.TopBlowup(opts.TopK, base.Instrumented)
+	demote := out.Profile.Demotable(base.Instrumented)
+	strat, err := instrument.Refine(base, out.Profile, promote, demote)
 	if err != nil {
 		return nil, err
 	}
@@ -193,17 +198,16 @@ func (s *Session) RefineCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 	if err != nil {
 		return nil, err
 	}
-	ref := &CorpusRefinement{Plan: plan, Base: base, Outcome: out}
-	if pd, ok := strat.(promotedDemoted); ok {
-		ref.Promoted = pd.Promoted()
-		ref.Demoted = pd.Demoted()
-	}
+	ref := &CorpusRefinement{Plan: plan, Base: base, Outcome: out, Promoted: promote, Demoted: demote}
 	if err := s.persistPlan(base); err != nil {
 		return nil, fmt.Errorf("pathlog: retain base plan: %w", err)
 	}
 	if err := s.persistProfile(out.Profile); err != nil {
 		return nil, fmt.Errorf("pathlog: retain corpus profile: %w", err)
 	}
+	// A fixed point (identical branch set) is not a new generation:
+	// advancing the lineage would mark the still-current base plan stale
+	// and wedge every later refinement of it.
 	if plan.Fingerprint() != base.Fingerprint() {
 		s.recordLineage(base.Fingerprint(), plan)
 		if err := s.persistPlan(plan); err != nil {

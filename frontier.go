@@ -32,9 +32,8 @@ type PlanPoint struct {
 	ReplayRuns float64
 	// Measured marks a point whose coordinates were observed (a recorded
 	// run's logged bits, a replay search's run count) rather than priced by
-	// the cost model — a balance trajectory point merged in through
-	// MergeMeasured, or a persisted measurement the plan store contributed
-	// to a Frontier sweep (WithPlanStore).
+	// the cost model — a balance generation's measurement the plan store
+	// contributed to a Frontier sweep (WithPlanStore).
 	Measured bool
 }
 
@@ -189,21 +188,13 @@ func (s *Session) storedMeasuredPoints(progHash string) ([]PlanPoint, error) {
 	return out, nil
 }
 
-// MergeMeasured folds a balance trajectory's measured points into an
-// estimated frontier sweep and returns the recomputed Pareto frontier.
-// Where a measured point and an estimated point describe the same plan
-// (same fingerprint), the measurement wins: the cost model proposed the
-// plan, the deployment graded it. Measured points are never displaced by
-// estimates (see paretoFrontier), so the result is sorted by increasing
-// overhead with replay runs strictly decreasing along each tier —
-// Measured marks which points are ground truth.
-func MergeMeasured(estimated []PlanPoint, traj *BalanceTrajectory) []PlanPoint {
-	return mergeMeasured(traj.PlanPoints(), estimated)
-}
-
-// mergeMeasured is the shared merge: measured points win over estimated
-// points for the same fingerprint (first measured occurrence survives
-// duplicate measurements), and the union is re-Pareto'd.
+// mergeMeasured folds measured points into an estimated frontier sweep
+// and returns the recomputed Pareto frontier. Where a measured point and
+// an estimated point describe the same plan (same fingerprint), the
+// measurement wins: the cost model proposed the plan, the deployment
+// graded it. The first measured occurrence survives duplicate
+// measurements, and measured points are never displaced by estimates (see
+// paretoFrontier).
 func mergeMeasured(measured, estimated []PlanPoint) []PlanPoint {
 	merged := make([]PlanPoint, 0, len(estimated)+len(measured))
 	seen := make(map[string]bool, len(measured))

@@ -211,8 +211,12 @@ int main() {
 		t.Error("nil recording accepted")
 	}
 
-	// A bad recording fails the whole ReproduceAll batch before any search.
-	if _, err := other.ReproduceAll(ctx, []*Recording{rec}); err == nil {
-		t.Error("ReproduceAll accepted a mismatched recording")
+	// A bad member fails the whole corpus replay before any search.
+	c, err := BuildCorpus([]CorpusMember{{Rec: rec}}, CorpusIngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.ReplayCorpus(ctx, c, CorpusOptions{}); err == nil {
+		t.Error("ReplayCorpus accepted a mismatched recording")
 	}
 }

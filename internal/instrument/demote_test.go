@@ -120,22 +120,19 @@ func TestMergeWeightedRefusals(t *testing.T) {
 	}
 }
 
-func TestRefineAndDemote(t *testing.T) {
+func TestRefinePromotesAndDemotes(t *testing.T) {
 	pc := NewPlanContext(fakeProgram(t), fakeInputs(), true)
 	base, err := Dynamic().Plan(context.Background(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	profile := demoProfile(base)
+	promote, demote := profile.TopBlowup(1, base.Instrumented), profile.Demotable(base.Instrumented)
+	if !reflect.DeepEqual(promote, []lang.BranchID{1}) || !reflect.DeepEqual(demote, []lang.BranchID{0}) {
+		t.Fatalf("fixture drifted: promote %v demote %v", promote, demote)
+	}
 
-	strat, err := RefineAndDemote(base, profile, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := strat.Plan(context.Background(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := refinedPlan(t, pc, base, profile, promote, demote)
 	if !p.Instrumented[1] {
 		t.Error("top blowup branch b1 not promoted")
 	}
@@ -150,14 +147,7 @@ func TestRefineAndDemote(t *testing.T) {
 	}
 
 	// Demote-only: same demotion, no promotion, and the name says so.
-	dStrat, err := DemoteAt(base, profile, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := dStrat.Plan(context.Background(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := refinedPlan(t, pc, base, profile, nil, demote)
 	if d.Instrumented[0] || d.Instrumented[1] {
 		t.Errorf("demote-only plan instruments %v", d.IDs())
 	}
@@ -167,51 +157,56 @@ func TestRefineAndDemote(t *testing.T) {
 
 	// Promotion-only names are byte-compatible with the pre-demotion
 	// format: no "-" tag appears when nothing is demoted.
-	rStrat, err := Refine(base, profile, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := rStrat.Plan(context.Background(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := refinedPlan(t, pc, base, profile, promote, nil)
 	if strings.Contains(r.Strategy, ",-") {
 		t.Errorf("promotion-only name %q grew a demotion tag", r.Strategy)
 	}
 	if !r.Instrumented[0] {
-		t.Error("Refine demoted b0 — promotion-only must keep the base set")
+		t.Error("promotion-only refinement demoted b0 — it must keep the base set")
 	}
 
-	// A profile with no demotion evidence is a fixed point for DemoteAt.
-	noEvidence, err := DemoteAt(base, fakeProfile(base), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := noEvidence.Plan(context.Background(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A profile with no demotion evidence decides an empty demotion, and
+	// an empty decision is a fixed point.
+	noEvidence := fakeProfile(base)
+	np := refinedPlan(t, pc, base, noEvidence, nil, noEvidence.Demotable(base.Instrumented))
 	if np.Fingerprint() != base.Fingerprint() {
 		t.Errorf("no-evidence demotion moved the plan: %s vs %s", np.Fingerprint(), base.Fingerprint())
+	}
+
+	// The strategy keeps its own copy of the decision: a caller reusing its
+	// slices cannot change a plan the name already describes.
+	strat, err := Refine(base, profile, promote, demote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	promote[0], demote[0] = 4, 3
+	if q, err := strat.Plan(context.Background(), pc); err != nil || q.Fingerprint() != p.Fingerprint() {
+		t.Errorf("mutating the decided sets changed the refined plan: %v", err)
 	}
 }
 
 func TestRefineTopKContract(t *testing.T) {
 	// The documented contract everywhere TopK appears: k <= 0 selects
-	// DefaultRefineTopK — including negative values.
+	// DefaultRefineTopK — including negative values. TopBlowup is the
+	// promotion decision, so the rule lives there.
 	pc := NewPlanContext(fakeProgram(t), fakeInputs(), true)
 	base, err := Dynamic().Plan(context.Background(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	profile := fakeProfile(base)
-	def := refinedPlan(t, pc, base, profile, DefaultRefineTopK)
-	neg := refinedPlan(t, pc, base, profile, -1)
-	if neg.Fingerprint() != def.Fingerprint() {
-		t.Errorf("Refine(k=-1) != Refine(k=Default): %s vs %s", neg.Fingerprint(), def.Fingerprint())
+	def := profile.TopBlowup(DefaultRefineTopK, base.Instrumented)
+	for _, k := range []int{0, -1} {
+		if got := profile.TopBlowup(k, base.Instrumented); !reflect.DeepEqual(got, def) {
+			t.Errorf("TopBlowup(k=%d) = %v, TopBlowup(k=Default) = %v", k, got, def)
+		}
+	}
+	neg := promotedPlan(t, pc, base, profile, -1)
+	if neg.Fingerprint() != promotedPlan(t, pc, base, profile, DefaultRefineTopK).Fingerprint() {
+		t.Error("promotion at k=-1 differs from promotion at k=Default")
 	}
 	if neg.Fingerprint() == base.Fingerprint() {
-		t.Error("Refine(k=-1) promoted nothing")
+		t.Error("promotion at k=-1 promoted nothing")
 	}
 }
 
@@ -248,28 +243,14 @@ func TestDemoteAtRate(t *testing.T) {
 	// dropped under a 5% threshold.
 	profile.Branches[0] = &BranchCost{LoggedExecs: 40, Disagreements: 1}
 
-	strict, err := DemoteAt(base, profile, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := strict.Plan(context.Background(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := refinedPlan(t, pc, base, profile, nil, profile.DemotableAt(base.Instrumented, 0))
 	if sp.Fingerprint() != base.Fingerprint() {
 		t.Errorf("strict demotion moved the plan despite a disagreement")
 	}
 
-	loose, err := DemoteAt(base, profile, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := loose.Plan(context.Background(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lp := refinedPlan(t, pc, base, profile, nil, profile.DemotableAt(base.Instrumented, 0.05))
 	if lp.Instrumented[0] {
-		t.Errorf("DemoteAt(0.05) kept b0 (1 disagreement over 40 execs)")
+		t.Errorf("demotion at rate 0.05 kept b0 (1 disagreement over 40 execs)")
 	}
 	if lp.Generation != 1 || lp.Parent != base.Fingerprint() {
 		t.Errorf("lineage: generation %d parent %s", lp.Generation, lp.Parent)

@@ -177,7 +177,8 @@ func TestPlanMemoMatchesRecompute(t *testing.T) {
 			add(fmt.Sprintf("budgeted(all,%d)", k), p, err)
 		}
 		base := plans["dynamic+static"]
-		strat, err := instrument.RefineAndDemote(base, memoProfile(sc.prog, base), 1)
+		prof := memoProfile(sc.prog, base)
+		strat, err := instrument.Refine(base, prof, prof.TopBlowup(1, base.Instrumented), prof.Demotable(base.Instrumented))
 		if err != nil {
 			t.Fatalf("%s: refine: %v", sc.name, err)
 		}

@@ -185,11 +185,16 @@ func (p *SearchProfile) MergeWeighted(o *SearchProfile, weight float64) error {
 // TopBlowup returns up to k branch IDs ranked by their blowup — the
 // branches most responsible for search length — restricted to branches NOT
 // in the instrumented set (promoting an already-logged branch buys
-// nothing). Ranking is deterministic: aborted runs, then forks,
-// then solver calls, then lower branch ID. Branches that charged nothing
-// are never returned, so the result may be shorter than k.
+// nothing). It is the promotion decision of a refinement step, so k <= 0
+// selects DefaultRefineTopK, the documented contract of every TopK option.
+// Ranking is deterministic: aborted runs, then forks, then solver calls,
+// then lower branch ID. Branches that charged nothing are never returned,
+// so the result may be shorter than k.
 func (p *SearchProfile) TopBlowup(k int, instrumented map[lang.BranchID]bool) []lang.BranchID {
-	if k <= 0 || len(p.Branches) == 0 {
+	if k <= 0 {
+		k = DefaultRefineTopK
+	}
+	if len(p.Branches) == 0 {
 		return nil
 	}
 	type cand struct {

@@ -10,13 +10,14 @@ import (
 
 // Refine closes the paper's feedback loop at the strategy layer: when the
 // developer-site search under a cheap partial plan takes too long, the next
-// plan generation keeps everything the base plan logged and additionally
+// plan generation keeps everything the base plan logged, additionally
 // instruments the branches the search blamed for the blowup — one more bit
 // per execution of each promoted branch buys the search one fewer
-// speculative dimension. The promotion is decided eagerly (the top-k
-// blowup branches of the profile that the base plan does not already
-// instrument), so the strategy's name pins the exact decision and refined
-// plans cache and fingerprint like any other plan.
+// speculative dimension — and drops the branches whose logged bits never
+// constrained it. Both sets are decided by the caller before the strategy
+// exists (SearchProfile.TopBlowup and SearchProfile.DemotableAt), so the
+// strategy's name pins the exact decision and refined plans cache and
+// fingerprint like any other plan.
 //
 // The resulting plan carries lineage: Generation = base.Generation+1 and
 // Parent = base.Fingerprint(), so a trajectory of refinements remains
@@ -30,45 +31,16 @@ type refineStrategy struct {
 
 // Refine returns the strategy deriving the next plan generation from a
 // base plan and the search profile measured under it: the base branch set
-// plus the top-k blowup branches the profile attributes the search length
-// to. A profile that blames no promotable branch yields a plan identical
-// to the base (callers detect the fixed point by comparing fingerprints).
+// plus promote minus demote. Callers decide each set from the profile —
+// promote from TopBlowup (uninstrumented blowup branches, in blowup
+// order), demote from DemotableAt (instrumented branches whose bits the
+// profile proves redundant, in branch-ID order). Empty sets yield a plan
+// identical to the base (callers detect the fixed point by comparing
+// fingerprints).
 //
 // Refine refuses a profile measured under a different plan than base: the
 // attribution is only meaningful for the plan whose gaps produced it.
-func Refine(base *Plan, profile *SearchProfile, k int) (Strategy, error) {
-	return refineWith(base, profile, k, true, false, 0)
-}
-
-// DemoteAt returns the strategy deriving the next plan generation by
-// shrinking the base plan: every instrumented branch whose disagreement
-// rate is at most rate (SearchProfile.DemotableAt; rate 0 is the strict
-// SearchProfile.Demotable rule — bits consumed, zero disagreements) is
-// dropped, winning back its record overhead. Nothing is promoted. A
-// profile with no demotable branch yields a plan identical to the base.
-// The demotion is evidence-based, not verified: callers that can
-// re-measure (the Session balance loop) must refuse a demoted plan whose
-// measured replay regresses.
-func DemoteAt(base *Plan, profile *SearchProfile, rate float64) (Strategy, error) {
-	return refineWith(base, profile, 0, false, true, rate)
-}
-
-// RefineAndDemote combines both directions of the balance in one
-// generation: the top-k blowup branches are promoted into the plan and the
-// proven-redundant branches are dropped from it, so a corpus refinement
-// step both speeds up replay and shrinks user-site overhead. The two sets
-// are disjoint by construction (TopBlowup only proposes uninstrumented
-// branches; Demotable only instrumented ones).
-func RefineAndDemote(base *Plan, profile *SearchProfile, k int) (Strategy, error) {
-	return refineWith(base, profile, k, true, true, 0)
-}
-
-// refineWith builds the refinement strategy. With promote set, k <= 0
-// selects DefaultRefineTopK (the documented contract of every TopK
-// option); without it nothing is promoted (the demote-only form). The
-// demotion candidate rule is rate-thresholded (DemotableAt); rate 0 keeps
-// the strict zero-disagreement rule.
-func refineWith(base *Plan, profile *SearchProfile, k int, promote, demote bool, rate float64) (Strategy, error) {
+func Refine(base *Plan, profile *SearchProfile, promote, demote []lang.BranchID) (Strategy, error) {
 	if base == nil {
 		return nil, fmt.Errorf("instrument: refine needs a base plan")
 	}
@@ -81,22 +53,15 @@ func refineWith(base *Plan, profile *SearchProfile, k int, promote, demote bool,
 				profile.PlanFingerprint, got, base.Generation)
 		}
 	}
-	var promoted []lang.BranchID
-	if promote {
-		if k <= 0 {
-			k = DefaultRefineTopK
-		}
-		promoted = profile.TopBlowup(k, base.Instrumented)
-	}
-	var demoted []lang.BranchID
-	if demote {
-		demoted = profile.DemotableAt(base.Instrumented, rate)
-	}
+	// The strategy is cached by name, so it keeps its own copy of the
+	// decision the name renders.
+	promote = append([]lang.BranchID(nil), promote...)
+	demote = append([]lang.BranchID(nil), demote...)
 	return &refineStrategy{
 		base:     base,
-		promoted: promoted,
-		demoted:  demoted,
-		name:     refineName(base, promoted, demoted),
+		promoted: promote,
+		demoted:  demote,
+		name:     refineName(base, promote, demote),
 	}, nil
 }
 
@@ -158,18 +123,6 @@ func idsTag(sign string, ids []lang.BranchID) string {
 
 // Name implements Strategy.
 func (s *refineStrategy) Name() string { return s.name }
-
-// Promoted returns the branch IDs this refinement adds to the base plan,
-// in blowup order.
-func (s *refineStrategy) Promoted() []lang.BranchID {
-	return append([]lang.BranchID(nil), s.promoted...)
-}
-
-// Demoted returns the branch IDs this refinement drops from the base plan,
-// in branch-ID order.
-func (s *refineStrategy) Demoted() []lang.BranchID {
-	return append([]lang.BranchID(nil), s.demoted...)
-}
 
 // Plan implements Strategy: the base set plus the promoted branches minus
 // the demoted ones, with the generation lineage stamped on.

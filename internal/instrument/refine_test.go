@@ -2,10 +2,12 @@ package instrument
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"pathlog/internal/concolic"
 	"pathlog/internal/lang"
 )
 
@@ -26,9 +28,11 @@ func fakeProfile(plan *Plan) *SearchProfile {
 	}
 }
 
-func refinedPlan(t *testing.T, pc *PlanContext, base *Plan, profile *SearchProfile, k int) *Plan {
+// refinedPlan builds the refinement of base that promotes and demotes
+// the given sets.
+func refinedPlan(t *testing.T, pc *PlanContext, base *Plan, profile *SearchProfile, promote, demote []lang.BranchID) *Plan {
 	t.Helper()
-	strat, err := Refine(base, profile, k)
+	strat, err := Refine(base, profile, promote, demote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +41,13 @@ func refinedPlan(t *testing.T, pc *PlanContext, base *Plan, profile *SearchProfi
 		t.Fatal(err)
 	}
 	return p
+}
+
+// promotedPlan builds the promote-only step at width k, the step the
+// balance loop takes while its target misses.
+func promotedPlan(t *testing.T, pc *PlanContext, base *Plan, profile *SearchProfile, k int) *Plan {
+	t.Helper()
+	return refinedPlan(t, pc, base, profile, profile.TopBlowup(k, base.Instrumented), nil)
 }
 
 func TestRefinePromotesTopBlowup(t *testing.T) {
@@ -49,7 +60,7 @@ func TestRefinePromotesTopBlowup(t *testing.T) {
 		t.Fatalf("fixture drifted: dynamic plan %v", base.IDs())
 	}
 	profile := fakeProfile(base)
-	p := refinedPlan(t, pc, base, profile, 1)
+	p := promotedPlan(t, pc, base, profile, 1)
 
 	if !p.Instrumented[1] {
 		t.Error("top blowup branch b1 not promoted")
@@ -73,7 +84,7 @@ func TestRefinePromotesTopBlowup(t *testing.T) {
 	// k wider than the blamable set promotes everything promotable and no
 	// more: b3 has solver charges only, still promotable; instrumented
 	// branches never are.
-	wide := refinedPlan(t, pc, base, profile, 10)
+	wide := promotedPlan(t, pc, base, profile, 10)
 	for _, id := range []lang.BranchID{1, 3, 4} {
 		if !wide.Instrumented[id] {
 			t.Errorf("k=10: b%d not promoted", id)
@@ -95,14 +106,14 @@ func TestRefineRefusesForeignProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := fakeProfile(all) // measured under a different plan
-	if _, err := Refine(base, profile, 2); err == nil ||
+	if _, err := Refine(base, profile, profile.TopBlowup(2, base.Instrumented), nil); err == nil ||
 		!strings.Contains(err.Error(), "measured under") {
 		t.Errorf("foreign profile accepted: %v", err)
 	}
-	if _, err := Refine(nil, fakeProfile(base), 1); err == nil {
+	if _, err := Refine(nil, fakeProfile(base), []lang.BranchID{1}, nil); err == nil {
 		t.Error("nil base accepted")
 	}
-	if _, err := Refine(base, nil, 1); err == nil {
+	if _, err := Refine(base, nil, []lang.BranchID{1}, nil); err == nil {
 		t.Error("nil profile accepted")
 	}
 }
@@ -113,10 +124,10 @@ func TestRefineChainNamesAndLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen1 := refinedPlan(t, pc, base, fakeProfile(base), 1)
+	gen1 := promotedPlan(t, pc, base, fakeProfile(base), 1)
 	prof1 := fakeProfile(gen1)
 	delete(prof1.Branches, 1) // b1 is instrumented now; blame the rest
-	gen2 := refinedPlan(t, pc, gen1, prof1, 1)
+	gen2 := promotedPlan(t, pc, gen1, prof1, 1)
 
 	if gen2.Generation != 2 || gen2.Parent != gen1.Fingerprint() {
 		t.Errorf("gen2 lineage: generation %d parent %s", gen2.Generation, gen2.Parent)
@@ -140,6 +151,74 @@ func TestRefineChainNamesAndLineage(t *testing.T) {
 	if clone.Fingerprint() != gen2.Fingerprint() {
 		t.Error("lineage leaked into the fingerprint")
 	}
+
+	// Names and fingerprints are identities the plan store and every
+	// deployed report refer to, so their bytes are pinned: equal decisions
+	// must keep rendering the same name and hashing the same plan.
+	demo := demoProfile(base)
+	wpc := NewPlanContext(wideProgram(t), Inputs{Dynamic: &concolic.Report{Runs: 1}}, true)
+	all := planOf(t, All(), wpc)
+	var seven []lang.BranchID
+	wideProf := &SearchProfile{PlanFingerprint: all.Fingerprint(), Runs: 2, Branches: map[lang.BranchID]*BranchCost{}}
+	for id := lang.BranchID(0); id < 7; id++ {
+		wideProf.Branches[id] = &BranchCost{LoggedExecs: 3}
+		seven = append(seven, id)
+	}
+	for _, tc := range []struct {
+		name     string
+		plan     *Plan
+		strategy string
+		fp       string
+	}{
+		{"promote-only", promotedPlan(t, pc, base, fakeProfile(base), 1),
+			"refine(dynamic@e51408c6,gen1,+b1)", "eb01439153c3086aba2bbf8065d50375"},
+		{"demote-only", refinedPlan(t, pc, base, demo, nil, demo.DemotableAt(base.Instrumented, 0)),
+			"refine(dynamic@e51408c6,gen1,+none,-b0)", "1de2d53f01e4e5063b638e8adea139eb"},
+		{"promote-and-demote", refinedPlan(t, pc, base, demo, demo.TopBlowup(1, base.Instrumented), demo.Demotable(base.Instrumented)),
+			"refine(dynamic@e51408c6,gen1,+b1,-b0)", "7888cd3a88387a42c16c6b409e7e5736"},
+		{"hashed-set", refinedPlan(t, wpc, all, wideProf, nil, wideProf.Demotable(all.Instrumented)),
+			"refine(all@c0825738,gen1,+none,-7@59c04100)", "b9269c33f0ba2eb37502f27d0414b190"},
+	} {
+		if tc.plan.Strategy != tc.strategy || tc.plan.Fingerprint() != tc.fp {
+			t.Errorf("%s: strategy %q fingerprint %s, want %q %s",
+				tc.name, tc.plan.Strategy, tc.plan.Fingerprint(), tc.strategy, tc.fp)
+		}
+	}
+	if got := wideProf.Demotable(all.Instrumented); !reflect.DeepEqual(got, seven) {
+		t.Errorf("hashed-set fixture demotes %v, want %v", got, seven)
+	}
+}
+
+// wideProgram has 8 branch locations, one per input byte: enough for a
+// refinement that names more than 6 branches (the hashed idsTag form).
+func wideProgram(t *testing.T) *lang.Program {
+	t.Helper()
+	u, err := lang.ParseUnit("w", lang.RegionApp, `
+int main() {
+	char a[8];
+	getarg(0, a, 8);
+	if (a[0] == 'a') { }
+	if (a[1] == 'b') { }
+	if (a[2] == 'c') { }
+	if (a[3] == 'd') { }
+	if (a[4] == 'e') { }
+	if (a[5] == 'f') { }
+	if (a[6] == 'g') { }
+	if (a[7] == 'h') { }
+	return 0;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := lang.Link([]*lang.Unit{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Branches) != 8 {
+		t.Fatalf("want 8 branches, got %d", len(p.Branches))
+	}
+	return p
 }
 
 func TestRefineFixedPointOnSilentProfile(t *testing.T) {
@@ -149,7 +228,7 @@ func TestRefineFixedPointOnSilentProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := &SearchProfile{PlanFingerprint: base.Fingerprint(), Runs: 3, Branches: nil}
-	p := refinedPlan(t, pc, base, empty, 4)
+	p := promotedPlan(t, pc, base, empty, 4)
 	if p.Fingerprint() != base.Fingerprint() {
 		t.Errorf("silent profile changed the branch set: %v vs %v", p.IDs(), base.IDs())
 	}

@@ -159,9 +159,9 @@ func diffPipeOut(t *testing.T, tree, bc *pipeOut) {
 }
 
 // TestScenarioReplayParityWorkers runs four serial searches concurrently on
-// one scenario and one recording, under each engine — the way ReproduceAll
-// batches and corpus shards share a program, a spec and an engine factory
-// (CI runs this package with -race). The search is deterministic, so every
+// one scenario and one recording, under each engine — the way corpus
+// shards share a program, a spec and an engine factory (CI runs this
+// package with -race). The search is deterministic, so every
 // concurrent search must find the same reproduction in the same number of
 // runs, under both engines.
 func TestScenarioReplayParityWorkers(t *testing.T) {

@@ -32,9 +32,9 @@ type Options struct {
 	// back into the engine.
 	OnRun func(completed int)
 	// Engine builds the execution machine for each run; nil uses the
-	// bytecode VM (ir.Engine), as every layer does. Concurrent searches (a
-	// ReproduceAll batch, corpus shards) share one factory, so it must be
-	// safe for concurrent calls.
+	// bytecode VM (ir.Engine), as every layer does. Concurrent searches
+	// (corpus shards) share one factory, so it must be safe for concurrent
+	// calls.
 	Engine vm.Factory
 	Solver solver.Options
 	// Obs, when set, receives per-run distribution observations

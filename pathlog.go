@@ -43,7 +43,8 @@
 //	// AutoBalance promotes the branches the search blames
 //	// (ReplayResult.Profile) into the next plan generation and redeploys
 //	// until the replay budget is met, then demotes bits the measurement
-//	// shows do not pay — Session.Refine is the single promotion step.
+//	// shows do not pay — RefineCorpus is the single step, over a corpus
+//	// of one report or many.
 //	tr, _ := s.AutoBalance(ctx, userInput, pathlog.BalanceOptions{
 //		TargetReplayRuns: 200, MaxGenerations: 4,
 //		OnGeneration: func(pt pathlog.BalancePoint) {
@@ -212,8 +213,9 @@ var (
 	// carry the method tag.
 	StrategyForMethod = instrument.StrategyForMethod
 	// Refine returns the strategy deriving the next plan generation from a
-	// base plan and the replay search profile measured under it (see
-	// Session.Refine and Session.AutoBalance for the driven loop).
+	// base plan, the replay search profile measured under it and the
+	// decided promote and demote sets (see Session.RefineCorpus for one
+	// step and Session.AutoBalance for the driven loop).
 	Refine = instrument.Refine
 	// LoadSearchProfile reads a search profile saved with
 	// SearchProfile.Save (cmd/replay -profile-out writes them).

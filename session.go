@@ -33,9 +33,10 @@ type ProgressEvent struct {
 }
 
 // ProgressFunc observes session progress. It must be cheap, safe for
-// concurrent use (ReproduceAll replays report from their own goroutines),
-// and must not call back into the Session or the engine that invoked it —
-// events fire from inside the phase that is running.
+// concurrent use (a Session is, so replays on several goroutines report
+// from each of them), and must not call back into the Session or the
+// engine that invoked it — events fire from inside the phase that is
+// running.
 type ProgressFunc func(ProgressEvent)
 
 // sessionConfig collects everything the functional options configure.
@@ -162,9 +163,10 @@ func (s *Session) Observer() *Observer { return s.cfg.obs }
 // dir (created on first use), closing the deployment loop around the
 // session's artifacts:
 //
-//   - every plan the session deploys (RecordWith) or refines (Refine,
-//     AutoBalance) is retained in the store under its fingerprint;
-//   - Replay and ReproduceAll resolve a stamped-only recording's exact
+//   - every plan the session deploys (RecordWith) or refines
+//     (RefineCorpus, AutoBalance, CorpusBalance) is retained in the store
+//     under its fingerprint;
+//   - Replay and ReplayCorpus resolve a stamped-only recording's exact
 //     retained plan generation from the store by its fingerprint, so the
 //     caller never tracks plan files — a stamp matching no retained plan
 //     is refused by name;
@@ -377,8 +379,8 @@ func (s *Session) persistPlan(plan *Plan) error {
 // carry a plan pass through untouched; the caller's recording is never
 // mutated — the resolved copy is returned. A stamp matching no retained
 // plan, or a report whose program hash disagrees with the retained
-// plan's, is refused with the identities named. Replay, ReproduceAll and
-// Refine resolve internally; this is exported for tools that want the
+// plan's, is refused with the identities named. Replay, ReplayCorpus and
+// RefineCorpus resolve internally; this is exported for tools that want the
 // resolved plan before replaying (to print or inspect it) without
 // reimplementing the store checks.
 func (s *Session) ResolveRecording(rec *Recording) (*Recording, error) {
@@ -646,38 +648,9 @@ func (s *Session) replayWith(ctx context.Context, rec *Recording) *ReplayResult 
 	return s.scenario(nil).ReplayContext(ctx, rec, opts)
 }
 
-// ReproduceAll replays a batch of recordings, fanning them out over a pool
-// of GOMAXPROCS workers. Results align with the input slice. Each
-// recording is one serial search, so the pool parallelizes across
-// recordings.
-// Every recording is resolved against the plan store (stamped-only
-// recordings need WithPlanStore) and validated against the session's
-// program first; a mismatch fails the whole batch before any search is
-// spent.
-func (s *Session) ReproduceAll(ctx context.Context, recs []*Recording) ([]*ReplayResult, error) {
-	out := make([]*ReplayResult, len(recs))
-	if len(recs) == 0 {
-		return out, nil
-	}
-	recs = append([]*Recording(nil), recs...) // resolution must not mutate the caller's slice
-	for i, rec := range recs {
-		resolved, err := s.resolveRecording(rec)
-		if err != nil {
-			return nil, fmt.Errorf("recording %d: %w", i, err)
-		}
-		recs[i] = resolved
-		if err := s.validateRecording(resolved); err != nil {
-			return nil, fmt.Errorf("recording %d: %w", i, err)
-		}
-	}
-	fanOut(len(recs), func(i int) { out[i] = s.replayWith(ctx, recs[i]) })
-	return out, nil
-}
-
 // fanOut calls fn(i) for every i in [0, n) on a pool of GOMAXPROCS
-// workers, never more than n. The batch jobs it runs — ReproduceAll's
-// replays, Frontier's plans — are independent, so the pool size changes
-// only the wall time.
+// workers, never more than n. The batch jobs it runs — Frontier's plans —
+// are independent, so the pool size changes only the wall time.
 func fanOut(n int, fn func(i int)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pathlog/internal/apps"
 )
 
 // chainSrc needs a six-character password, one nested branch per byte, so a
@@ -109,45 +111,68 @@ func TestSessionAnalysisCached(t *testing.T) {
 	}
 }
 
-// TestSessionReplayWorkersParity checks that ReproduceAll's worker pool
-// changes only the wall time: each recording gets the same runs, input and
-// profile from the batch as from a serial Replay.
+// TestSessionReplayWorkersParity checks that a corpus replay's shard
+// count changes only the wall time: each member gets the same outcome and
+// profile from ReplayCorpus, on one shard or several, as from a serial
+// Replay — and every input the serial search finds verifies.
 func TestSessionReplayWorkersParity(t *testing.T) {
 	ctx := context.Background()
-	sess := chainSession(t)
-	var recs []*Recording
-	for _, m := range Methods {
-		plan, err := sess.PlanWith(ctx, StrategyForMethod(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, _, err := sess.RecordWith(ctx, plan, nil)
-		if err != nil || rec == nil {
-			t.Fatalf("%v: record: %v", m, err)
-		}
-		recs = append(recs, rec)
-	}
-	batch, err := sess.ReproduceAll(ctx, recs)
+	sess := uServerBalanceSession(t, WithDynamicBudget(6, 0))
+	plan, err := sess.Plan(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range Methods {
-		a := mustReplay(t, ctx, sess, recs[i])
-		b := batch[i]
-		if !a.Reproduced || !b.Reproduced {
-			t.Fatalf("%v: reproduced %v serially, %v in the batch", m, a.Reproduced, b.Reproduced)
+	var members []CorpusMember
+	for _, exp := range []int{1, 2, 4} {
+		se, err := apps.UServerScenario(exp, 72)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a.Runs != b.Runs || !reflect.DeepEqual(a.Input, b.Input) {
-			t.Fatalf("%v: the batch changed the search: %d runs %v vs %d runs %v",
-				m, a.Runs, a.Input, b.Runs, b.Input)
+		rec, _, err := sess.RecordWith(ctx, plan, se.UserBytes)
+		if err != nil || rec == nil {
+			t.Fatalf("exp%d: record: %v", exp, err)
 		}
-		for _, p := range []*SearchProfile{a.Profile, b.Profile} {
-			for _, bc := range p.Branches {
-				bc.SolverTime = 0
+		members = append(members, CorpusMember{Rec: rec})
+	}
+	c, err := BuildCorpus(members, CorpusIngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Reports) != len(members) {
+		t.Fatalf("corpus has %d members, want %d distinct", len(c.Reports), len(members))
+	}
+	normalize := func(p *SearchProfile) *SearchProfile {
+		for _, bc := range p.Branches {
+			bc.SolverTime = 0
+		}
+		return p
+	}
+	serial := make([]*ReplayResult, len(c.Reports))
+	for i, rep := range c.Reports {
+		serial[i] = mustReplay(t, ctx, sess, rep.Rec)
+		if !serial[i].Reproduced {
+			t.Fatalf("member %d not reproduced serially: %+v", i, serial[i])
+		}
+		if !sess.Verify(serial[i].InputBytes, rep.Rec.Crash) {
+			t.Fatalf("member %d: input does not verify", i)
+		}
+		normalize(serial[i].Profile)
+	}
+	for _, shards := range []int{1, len(c.Reports)} {
+		out, err := sess.ReplayCorpus(ctx, c, CorpusOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range out.Runs {
+			want := serial[i]
+			if !got.Reproduced || got.Runs != want.Runs {
+				t.Fatalf("%d shard(s), member %d: reproduced %v in %d runs, serially in %d",
+					shards, i, got.Reproduced, got.Runs, want.Runs)
 			}
-		}
-		if !reflect.DeepEqual(a.Profile, b.Profile) {
-			t.Fatalf("%v: the batch changed the profile:\n%+v\n%+v", m, a.Profile, b.Profile)
+			if p := normalize(got.Profile); !reflect.DeepEqual(p, want.Profile) {
+				t.Fatalf("%d shard(s), member %d: the corpus replay changed the profile:\n%+v\n%+v",
+					shards, i, p, want.Profile)
+			}
 		}
 	}
 }
@@ -224,10 +249,13 @@ func TestSessionReplayCancelMidSearch(t *testing.T) {
 	}
 }
 
+// TestSessionReproduceAll reproduces a batch of recordings, one per
+// instrumentation method, each through ReplayCorpus as a one-report
+// corpus, and checks every member reproduces and the input its search
+// finds verifies against the recorded crash.
 func TestSessionReproduceAll(t *testing.T) {
 	ctx := context.Background()
 	sess := chainSession(t)
-	var recs []*Recording
 	for _, m := range Methods {
 		plan, err := sess.PlanWith(ctx, StrategyForMethod(m))
 		if err != nil {
@@ -237,21 +265,20 @@ func TestSessionReproduceAll(t *testing.T) {
 		if err != nil || rec == nil {
 			t.Fatalf("%v: record: %v", m, err)
 		}
-		recs = append(recs, rec)
-	}
-	results, err := sess.ReproduceAll(ctx, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(recs) {
-		t.Fatalf("results: %d for %d recordings", len(results), len(recs))
-	}
-	for i, res := range results {
-		if res == nil || !res.Reproduced {
-			t.Fatalf("recording %d not reproduced: %+v", i, res)
+		out, err := sess.ReplayCorpus(ctx, oneReport(t, rec), CorpusOptions{})
+		if err != nil {
+			t.Fatalf("%v: corpus replay: %v", m, err)
 		}
-		if !sess.Verify(res.InputBytes, recs[i].Crash) {
-			t.Fatalf("recording %d: input does not verify", i)
+		if len(out.Runs) != 1 || !out.AllReproduced() {
+			t.Fatalf("%v: corpus replay did not reproduce: %+v", m, out)
+		}
+		res := mustReplay(t, ctx, sess, rec)
+		if !res.Reproduced || res.Runs != out.Runs[0].Runs {
+			t.Fatalf("%v: reproduced %v in %d runs serially, in %d through the corpus",
+				m, res.Reproduced, res.Runs, out.Runs[0].Runs)
+		}
+		if !sess.Verify(res.InputBytes, rec.Crash) {
+			t.Fatalf("%v: input does not verify", m)
 		}
 	}
 }

@@ -3,11 +3,14 @@ package pathlog
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"pathlog/internal/store"
 )
 
 // storeChainSession builds a chain-program session backed by a plan store,
@@ -77,11 +80,13 @@ func TestPlanStoreResolvesStampedRecording(t *testing.T) {
 	}
 
 	// The manual loop's single step resolves the stamped-only recording
-	// the same way: Refine derives generation 1 from the retained base.
-	refined, err := cold.Refine(ctx, loaded, res)
+	// the same way: RefineCorpus derives generation 1 from the retained
+	// base.
+	step, err := cold.RefineCorpus(ctx, oneReport(t, loaded), CorpusOptions{})
 	if err != nil {
 		t.Fatalf("refine of a stamped-only recording refused: %v", err)
 	}
+	refined := step.Plan
 	if refined.Generation != 1 || refined.Parent != plan.Fingerprint() {
 		t.Errorf("refined lineage wrong: generation %d parent %s (want 1, %s)",
 			refined.Generation, refined.Parent, plan.Fingerprint())
@@ -265,6 +270,85 @@ func TestColdFrontierFoldsStoredMeasurements(t *testing.T) {
 	if first := tr2.Points[0]; first.Generation < tr.Final().Generation {
 		t.Errorf("cold AutoBalance rewound to generation %d; store lineage says the chain reached %d",
 			first.Generation, tr.Final().Generation)
+	}
+}
+
+// TestMergeMeasuredFrontier folds two stored measurements into a cold
+// Frontier sweep: a remeasured plan's observed coordinates beat the
+// estimate for the same fingerprint, a generation that did not reproduce
+// is no measured point, and replay runs strictly decrease within each
+// tier (estimated and measured) separately.
+func TestMergeMeasuredFrontier(t *testing.T) {
+	ctx := context.Background()
+	sess := storeChainSession(t, t.TempDir())
+	st, err := sess.PlanStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sess.Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := sess.planContext(in)
+	censored, err := Sampled(All(), 0).Plan(ctx, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remeasured, err := All().Plan(ctx, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const measuredRuns = 2
+	for _, mp := range []struct {
+		plan *Plan
+		pt   store.MeasuredPoint
+	}{
+		{censored, store.MeasuredPoint{OverheadBits: 0, ReplayRuns: 500, Reproduced: false}},
+		{remeasured, store.MeasuredPoint{OverheadBits: 6, ReplayRuns: measuredRuns, Reproduced: true}},
+	} {
+		if err := st.PutPlan(mp.plan); err != nil {
+			t.Fatal(err)
+		}
+		mp.pt.Fingerprint, mp.pt.Strategy = mp.plan.Fingerprint(), mp.plan.Strategy
+		if err := st.AppendMeasured(mp.plan.ProgHash, sess.WorkloadHash(), mp.pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	merged, err := sess.Frontier(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) == 0 {
+		t.Fatal("empty merged frontier")
+	}
+	sawRemeasured := false
+	lastEst, lastMeas := PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}, PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}
+	for i, pt := range merged {
+		// A generation that did not reproduce has a budget-censored run
+		// count (the paper's ∞), not a measurement of debugging time.
+		if pt.Measured && pt.Plan.Fingerprint() == censored.Fingerprint() {
+			t.Errorf("non-reproduced generation emitted as a measured frontier point: %+v", pt)
+		}
+		// A measured point beats the estimate for the same fingerprint.
+		if pt.Plan.Fingerprint() == remeasured.Fingerprint() {
+			sawRemeasured = true
+			if !pt.Measured || pt.ReplayRuns != measuredRuns {
+				t.Errorf("the estimate shadowed the measured point for %s: %+v", pt.Strategy, pt)
+			}
+		}
+		last := &lastEst
+		if pt.Measured {
+			last = &lastMeas
+		}
+		if !(pt.Overhead > last.Overhead) || !(pt.ReplayRuns < last.ReplayRuns) {
+			t.Errorf("merged frontier not strictly Pareto within its tier at %d: %+v", i, merged)
+		}
+		*last = pt
+	}
+	// Measured points are ground truth: estimates never displace them.
+	if !sawRemeasured {
+		t.Errorf("remeasured all-branches plan missing from the frontier: %+v", merged)
 	}
 }
 
