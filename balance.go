@@ -34,19 +34,6 @@ type SearchProfile = instrument.SearchProfile
 // SearchProfile.
 type BranchCost = instrument.BranchCost
 
-// buildRefined folds the observed per-branch rates of a (possibly merged)
-// search profile into the shared cost model and prices the refinement
-// strategy's plan: the refined generation's estimate is built from
-// measurement, not from the structural priors the base plan's was.
-func (s *Session) buildRefined(ctx context.Context, strat Strategy, profile *SearchProfile) (*Plan, error) {
-	in, err := s.Analyze(ctx)
-	if err != nil {
-		return nil, err
-	}
-	s.planContext(in).Calibrate(profile)
-	return s.PlanWith(ctx, strat)
-}
-
 // checkGenerationFresh refuses to refine a recording taken under a plan
 // generation this session has already refined past.
 func (s *Session) checkGenerationFresh(base *Plan, baseFP string) error {
@@ -141,9 +128,9 @@ type BalanceOptions struct {
 	// MaxGenerations+1 points: the starting generation plus one per step.
 	MaxGenerations int
 	// OverheadCeiling, when > 0, stops the loop before deploying a promoted
-	// plan whose estimated record overhead (bits/run, priced under the
-	// calibrated cost model) exceeds it — the user-site half of the
-	// balance.
+	// plan whose estimated record overhead (bits/run, priced by the cost
+	// model the pre-deployment analysis built) exceeds it — the user-site
+	// half of the balance.
 	OverheadCeiling float64
 	// TopK is the number of blowup branches promoted per generation
 	// (<= 0 selects instrument.DefaultRefineTopK).
@@ -171,12 +158,6 @@ type BalanceOptions struct {
 	// point as soon as it is recorded. Same contract as ProgressFunc:
 	// cheap, no calls back into the Session.
 	OnGeneration func(BalancePoint)
-	// OnPhase, when set, observes each balance phase's wall time the
-	// moment the phase finishes — record, replay, refine, merge. Same
-	// contract as ProgressFunc. With WithObserver configured, the same
-	// timings also land in the registry's
-	// pathlog_balance_<phase>_ns histograms.
-	OnPhase func(PhaseTiming)
 }
 
 // validate refuses nonsensical targets before any work is done.
@@ -191,34 +172,19 @@ func (opts BalanceOptions) validate() error {
 	return nil
 }
 
-// PhaseTiming is one timed phase of a balance generation — the loop's
-// observability quantum. Phases: "record" (user-site deployment run over
-// the workload or corpus), "replay" (developer-site search), "refine"
-// (deriving and pricing the next generation's plan), "merge" (folding the
-// generation's measured point and search profile into the plan store and
-// trajectory).
-type PhaseTiming struct {
-	// Generation is the plan generation the phase ran under.
-	Generation int
-	// Phase names the phase: "record", "replay", "refine" or "merge".
-	Phase string
-	// Elapsed is the phase's wall time.
-	Elapsed time.Duration
-}
-
 // balancePhaseBuckets span 1µs to ~18 minutes of phase wall time.
 var balancePhaseBuckets = obs.ExpBuckets(1000, 4, 16)
 
 // observePhase lands one finished balance phase in the session observer's
-// registry (when attached) and the loop's OnPhase callback (when set).
-func (s *Session) observePhase(on func(PhaseTiming), gen int, phase string, start time.Time) {
-	d := time.Since(start)
+// registry (when attached) as pathlog_balance_<phase>_ns. Phases: "record"
+// (user-site deployment run over the workload or corpus), "replay"
+// (developer-site search), "refine" (deriving and pricing the next
+// generation's plan), "merge" (folding the generation's measured point and
+// search profile into the plan store and trajectory).
+func (s *Session) observePhase(phase string, start time.Time) {
 	if reg := s.cfg.obs.Registry(); reg != nil {
 		reg.Histogram("pathlog_balance_"+phase+"_ns", balancePhaseBuckets).
-			Observe(float64(d.Nanoseconds()))
-	}
-	if on != nil {
-		on(PhaseTiming{Generation: gen, Phase: phase, Elapsed: d})
+			Observe(float64(time.Since(start).Nanoseconds()))
 	}
 }
 
@@ -308,7 +274,7 @@ func (s *Session) AutoBalance(ctx context.Context, user map[string][]byte, opts 
 	plan = s.resumePlan(plan)
 	start := time.Now()
 	rec, _, err := s.RecordWith(ctx, plan, user)
-	s.observePhase(opts.OnPhase, plan.Generation, "record", start)
+	s.observePhase("record", start)
 	if err != nil {
 		return tr, err
 	}
@@ -345,7 +311,8 @@ func (s *Session) AutoBalance(ctx context.Context, user map[string][]byte, opts 
 // reproducing every report within the session's replay budget. Measured
 // points for every generation are appended to the plan store under the
 // corpus identity as the workload key, and each generation's merged
-// profile is retained for cold calibration.
+// profile is retained as the evidence behind its promote and demote
+// decisions.
 func (s *Session) CorpusBalance(ctx context.Context, c *Corpus, opts BalanceOptions) (*BalanceTrajectory, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -382,13 +349,13 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 		if err != nil {
 			return nil, nil, err
 		}
-		s.observePhase(opts.OnPhase, plan.Generation, "record", start)
+		s.observePhase("record", start)
 		gctx, span := s.cfg.obs.Tracer().StartSpan(ctx, "balance.generation")
 		span.SetAttr("gen", fmt.Sprint(plan.Generation))
 		start = time.Now()
 		out, err := corpus.Replay(gctx, next, s.corpusShards(copts), s.corpusRunner(copts))
 		span.End()
-		s.observePhase(opts.OnPhase, plan.Generation, "replay", start)
+		s.observePhase("replay", start)
 		return next, out, err
 	}
 	// record appends an accepted generation's point to the trajectory and
@@ -405,7 +372,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			tr.Reason = "plan store write failed"
 			return fmt.Errorf("pathlog: balance: retain search profile: %w", err)
 		}
-		s.observePhase(opts.OnPhase, pt.Generation, "merge", start)
+		s.observePhase("merge", start)
 		if opts.OnGeneration != nil {
 			opts.OnGeneration(pt)
 		}
@@ -426,7 +393,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 	if err != nil {
 		return tr, err
 	}
-	s.observePhase(opts.OnPhase, plan.Generation, "replay", start)
+	s.observePhase("replay", start)
 	baseGen := plan.Generation
 	if err := record(newBalancePoint(plan, cur, out, nil, nil)); err != nil {
 		return tr, err
@@ -448,11 +415,11 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 		if err != nil {
 			return tr, err
 		}
-		refined, err := s.buildRefined(ctx, strat, out.Profile)
+		refined, err := s.PlanWith(ctx, strat)
 		if err != nil {
 			return tr, err
 		}
-		s.observePhase(opts.OnPhase, plan.Generation, "refine", start)
+		s.observePhase("refine", start)
 		if refined.Fingerprint() == plan.Fingerprint() {
 			tr.Reason = fmt.Sprintf("fixed point at generation %d: the profile blames no promotable branch", plan.Generation)
 			return tr, nil
@@ -495,11 +462,11 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 		if err != nil {
 			return tr, err
 		}
-		demoted, err := s.buildRefined(ctx, strat, out.Profile)
+		demoted, err := s.PlanWith(ctx, strat)
 		if err != nil {
 			return tr, err
 		}
-		s.observePhase(opts.OnPhase, plan.Generation, "refine", start)
+		s.observePhase("refine", start)
 		trial, trialOut, err := measure(demoted, cur)
 		if err != nil {
 			return tr, err

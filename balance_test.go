@@ -311,7 +311,7 @@ func TestRefineFixedPointDoesNotAdvanceLineage(t *testing.T) {
 
 // TestRefineSingleStep drives one manual loop iteration on the chain
 // scenario: record, replay, refine — and checks the refined plan's
-// estimate is priced under the calibrated (observed) cost model.
+// estimate under the session's analysis-built cost model.
 func TestRefineSingleStep(t *testing.T) {
 	ctx := context.Background()
 	sess := chainSession(t, WithStrategy(None()))
@@ -354,10 +354,9 @@ func TestRefineSingleStep(t *testing.T) {
 	if refined.Generation != 1 || refined.Parent != plan.Fingerprint() {
 		t.Errorf("lineage: generation %d parent %s", refined.Generation, refined.Parent)
 	}
-	// Calibration replaced priors with the observed fork rates, so the
-	// refined plan's replay estimate must price the promoted branches as
-	// covered — strictly below the base plan's estimate under the same
-	// (calibrated) model.
+	// The promoted branches are logged now, so they no longer add to the
+	// replay estimate: the refined plan's estimate is strictly below the
+	// base plan's under the same model.
 	if refined.EstimatedReplayRuns() >= plan.EstimatedReplayRuns() {
 		t.Errorf("refined replay estimate %.1f not below base %.1f",
 			refined.EstimatedReplayRuns(), plan.EstimatedReplayRuns())

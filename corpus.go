@@ -167,8 +167,8 @@ func (s *Session) corpusReplayOptions() replay.Options {
 // (bits consumed, zero disagreements across every member) demoted out of
 // it. One report is a one-member corpus:
 // BuildCorpus([]CorpusMember{{Rec: rec}}, CorpusIngestOptions{}). The
-// shared cost model is recalibrated with the merged profile before
-// pricing, the refined generation carries lineage, and with a plan store
+// refined generation is priced by the session's analysis-built cost model
+// like every other plan, it carries lineage, and with a plan store
 // configured both plans and the merged profile are retained.
 //
 // RefineCorpus refuses mismatches loudly, as ReplayCorpus does: a member
@@ -194,7 +194,7 @@ func (s *Session) RefineCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.buildRefined(ctx, strat, out.Profile)
+	plan, err := s.PlanWith(ctx, strat)
 	if err != nil {
 		return nil, err
 	}

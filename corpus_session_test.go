@@ -321,71 +321,82 @@ func TestRefineCorpusPersistsAndDemotes(t *testing.T) {
 	}
 }
 
-// TestColdSweepCalibratesFromRetainedProfiles: satellite acceptance for
-// profile retention — a cold session's frontier estimates for unmeasured
-// plans move once the store holds a prior session's per-generation
-// profiles, because CalibrateCosts runs before the first sweep.
-func TestColdSweepCalibratesFromRetainedProfiles(t *testing.T) {
+// TestPlansDependOnlyOnTheAnalysis: a plan is decided and priced from the
+// pre-deployment analysis alone, so every DefaultSweep strategy and every
+// Budgeted(Dynamic(), k) yields the same fingerprint and cost estimate in
+// a fresh session, in a session that has already run a refinement step,
+// and in a store-backed session that swept the frontier over a store a
+// balance loop filled with measured points and search profiles. What the
+// developer site measures reaches the frontier only as stored measured
+// points, never by re-pricing the plans a session builds.
+func TestPlansDependOnlyOnTheAnalysis(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
+	for _, sc := range []struct {
+		name    string
+		mk      func(opts ...Option) *Session
+		balance BalanceOptions
+	}{
+		// The chain deploys a plan that logs no branch, so its searches fork
+		// at every chain branch.
+		{"chain", func(opts ...Option) *Session {
+			return chainSession(t, append([]Option{WithStrategy(Sampled(All(), 0))}, opts...)...)
+		}, BalanceOptions{MaxGenerations: 2, TargetReplayRuns: 2}},
+		{"userver-exp3", func(opts ...Option) *Session { return uServerBalanceSession(t, opts...) },
+			BalanceOptions{MaxGenerations: 4, TargetReplayRuns: 200}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			fresh := sc.mk()
+			strats := DefaultSweep(len(fresh.prog.Branches))
+			for k := 1; k <= 4; k++ {
+				strats = append(strats, Budgeted(Dynamic(), k))
+			}
 
-	// Warm: run the adaptive loop so the store retains profiles.
-	warm := storeChainSession(t, dir, WithReplayBudget(500, 10*time.Second))
-	if _, err := warm.AutoBalance(ctx, nil, BalanceOptions{MaxGenerations: 2, TargetReplayRuns: 2}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := warm.PlanStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := st.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Profiles == 0 {
-		t.Fatal("warm AutoBalance retained no search profiles")
-	}
+			// One refinement step in a session, from a report recorded under
+			// the session's own plan.
+			refined := sc.mk()
+			plan, err := refined.Plan(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, _, err := refined.RecordWith(ctx, plan, nil)
+			if err != nil || rec == nil {
+				t.Fatalf("record under %s: %v (recording %v)", plan.Strategy, err, rec != nil)
+			}
+			if _, err := refined.RefineCorpus(ctx, oneReport(t, rec), CorpusOptions{}); err != nil {
+				t.Fatal(err)
+			}
 
-	// The uncalibrated baseline: a storeless session pricing the same
-	// partial strategy (3 of 6 symbolic branches instrumented, so the
-	// replay estimate sums real uninstrumented rates).
-	bare := chainSession(t)
-	basePlan, err := bare.PlanWith(ctx, Budgeted(Dynamic(), 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+			// A store one balance loop filled, then a frontier sweep over it
+			// from a new session.
+			dir := t.TempDir()
+			if _, err := sc.mk(WithPlanStore(dir)).AutoBalance(ctx, nil, sc.balance); err != nil {
+				t.Fatal(err)
+			}
+			swept := sc.mk(WithPlanStore(dir))
+			if _, err := swept.Frontier(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	// Cold store-backed session: a sweep triggers the one-time
-	// calibration, after which un-cached plans price with observed rates.
-	cold := storeChainSession(t, dir)
-	if _, err := cold.Frontier(ctx, None()); err != nil {
-		t.Fatal(err)
-	}
-	coldPlan, err := cold.PlanWith(ctx, Budgeted(Dynamic(), 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if basePlan.EstimatedReplayRuns() == coldPlan.EstimatedReplayRuns() &&
-		basePlan.EstimatedOverhead() == coldPlan.EstimatedOverhead() &&
-		basePlan.Fingerprint() == coldPlan.Fingerprint() {
-		t.Errorf("cold sweep pricing unchanged by retained profiles: %.3f bits / %.3f runs",
-			coldPlan.EstimatedOverhead(), coldPlan.EstimatedReplayRuns())
-	}
-
-	// Deployment paths stay uncalibrated by design: a session that never
-	// sweeps builds the exact same generation-0 plan the warm session
-	// deployed, so refinement chains still resume across sessions.
-	noSweep := storeChainSession(t, dir)
-	p, err := noSweep.Plan(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmP, err := warm.Plan(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Fingerprint() != warmP.Fingerprint() {
-		t.Errorf("calibration leaked into deployment planning: %s vs %s", p.Fingerprint(), warmP.Fingerprint())
+			for _, strat := range strats {
+				want, err := fresh.PlanWith(ctx, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, arm := range []struct {
+					name string
+					sess *Session
+				}{{"after RefineCorpus", refined}, {"after a stored balance and a sweep", swept}} {
+					got, err := arm.sess.PlanWith(ctx, strat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Fingerprint() != want.Fingerprint() || got.Cost != want.Cost {
+						t.Errorf("%s %s: plan %v %+v, fresh session %v %+v",
+							strat.Name(), arm.name, got.IDs(), got.Cost, want.IDs(), want.Cost)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -104,10 +104,6 @@ func (s *Session) Frontier(ctx context.Context, strategies ...Strategy) ([]PlanP
 		strategies = DefaultSweep(len(s.prog.Branches))
 	}
 	pc := s.planContext(in)
-	// Cold calibration: fold the store's retained per-generation search
-	// profiles into the cost model before the first sweep, so estimates
-	// for unmeasured plans start from observed rates, not analysis priors.
-	s.calibrateForSweep(pc)
 
 	plans := make([]*Plan, len(strategies))
 	errs := make([]error, len(strategies))

@@ -138,62 +138,6 @@ func (m *CostModel) Estimate(p *Plan) CostEstimate {
 	return est
 }
 
-// CalibrateCosts returns a copy of the model with an observed replay
-// profile folded in, replacing structural priors with measured rates for
-// every branch the search actually charged:
-//
-//   - symRate becomes the observed per-run fork rate (§3.1 case-1
-//     alternatives queued per run) — the quantity the replay-runs estimate
-//     is literally built from, so after one search the estimate for the
-//     searched plan converges on what was measured rather than on the
-//     priorSym coverage gamble;
-//   - execRate is raised to at least the fork rate (a branch that forked f
-//     times per run executed at least f times per run), so promoting it is
-//     priced honestly;
-//   - the branch counts as visited, so it is no longer priced with priors.
-//
-// Branches the profile never charged keep their analysis-time rates: a
-// replay search only observes the paths it walked, and silence there is
-// not evidence of concreteness at other user sites. For the same reason
-// only fork-charged entries calibrate: a profile entry with zero forks is
-// an instrumented case-2b origin, whose fork rate the search never
-// observes (its directions came from the log, not from speculation), so
-// repricing it from forks would mark a proven-symbolic branch concrete.
-func (m *CostModel) CalibrateCosts(profile *SearchProfile) *CostModel {
-	if profile == nil || profile.Runs == 0 || len(profile.Branches) == 0 {
-		return m
-	}
-	cal := &CostModel{
-		ids:      m.ids,
-		execRate: make(map[lang.BranchID]float64, len(m.execRate)+len(profile.Branches)),
-		symRate:  make(map[lang.BranchID]float64, len(m.symRate)+len(profile.Branches)),
-		visited:  make(map[lang.BranchID]bool, len(m.visited)+len(profile.Branches)),
-		priorSym: m.priorSym,
-		modeled:  true, // observed behavior is a profile even if analysis had none
-	}
-	for id, r := range m.execRate {
-		cal.execRate[id] = r
-	}
-	for id, r := range m.symRate {
-		cal.symRate[id] = r
-	}
-	for id := range m.visited {
-		cal.visited[id] = true
-	}
-	for id, bc := range profile.Branches {
-		if bc.Forks == 0 {
-			continue
-		}
-		rate := profile.ForkRate(id)
-		cal.symRate[id] = rate
-		if rate > cal.execRate[id] {
-			cal.execRate[id] = rate
-		}
-		cal.visited[id] = true
-	}
-	return cal
-}
-
 // EstimatedOverhead returns the plan's expected logged bits per user-site
 // run under the cost model it was built with (0 for an unpriced plan).
 func (p *Plan) EstimatedOverhead() float64 { return p.Cost.OverheadBitsPerRun }

@@ -63,10 +63,10 @@ func TestMergeWeightedScalesRunCostNotEvidence(t *testing.T) {
 	if acc.Runs != 5 || acc.Aborts != 4 {
 		t.Errorf("runs/aborts not scaled: %d/%d", acc.Runs, acc.Aborts)
 	}
-	// ForkRate stays the weighted rate: 5 forks over 5 runs = the source's
-	// 10/10.
-	if got := acc.ForkRate(1); got != 1 {
-		t.Errorf("weighted fork rate %g, want 1", got)
+	// The per-run fork rate stays the weighted rate: 5 forks over 5 runs =
+	// the source's 10/10.
+	if bc.Forks != int64(acc.Runs) {
+		t.Errorf("weighted forks %d over %d runs, want the source's rate 1", bc.Forks, acc.Runs)
 	}
 	// A tiny weight shrinks a charge but never erases it (floor of 1).
 	var tiny SearchProfile

@@ -15,12 +15,12 @@
 // The developer retains the plan (the instrumented-branch set); the replay
 // engine needs it to interpret the bitvector (§3.1).
 //
-// A CostModel built from concolic per-branch hit counts prices every plan
-// in the paper's two currencies — expected logged bits per user-site run
-// and expected replay search runs — and CalibrateCosts corrects those
-// prices with rates observed by a real developer-site search
-// (SearchProfile), which Refine also consumes to derive the next plan
-// generation.
+// A CostModel built once, from concolic per-branch hit counts, prices every
+// plan in the paper's two currencies — expected logged bits per user-site
+// run and expected replay search runs. What a real developer-site search
+// observes (SearchProfile) never re-prices the model: it decides which
+// branches Refine promotes and demotes for the next plan generation, and
+// the measurement itself reaches the frontier as a stored measured point.
 //
 // Plans are durable deployment artifacts. Fingerprint gives a plan a
 // content identity (program hash + branch set + syscall flag) that records

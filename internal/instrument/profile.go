@@ -16,17 +16,15 @@ import (
 // A SearchProfile attributes the cost of one replay search to the branch
 // sites that caused it. It is the observational half of the paper's
 // feedback loop: the cost model prices plans *before* deployment from
-// analysis-time hit counts, and the profile re-prices them *after* a
-// developer-site search has shown where the fan-out actually happened.
-// Refine promotes the guiltiest branches into the next plan generation and
-// CalibrateCosts folds the observed rates back into the cost model, so the
-// estimates the Frontier reports converge toward measured behavior.
+// analysis-time hit counts, and the profile shows *after* a developer-site
+// search where the fan-out actually happened. TopBlowup and Demotable read
+// it to decide which branches the next plan generation promotes and
+// demotes; the cost model is never re-priced from it.
 //
 // The profile lives in this package, not in internal/replay, because it is
-// planner input: replay produces it (Result.Profile), Refine and
-// CalibrateCosts consume it, and putting it next to the cost model keeps
-// the dependency arrow pointing the way it already does (replay imports
-// instrument).
+// planner input: replay produces it (Result.Profile), Refine consumes it,
+// and putting it next to the plan keeps the dependency arrow pointing the
+// way it already does (replay imports instrument).
 type SearchProfile struct {
 	// ProgHash and PlanFingerprint identify what was searched: the program
 	// and the plan of the recording the search ran under. Refine refuses a
@@ -162,7 +160,7 @@ func (p *SearchProfile) MergeWeighted(o *SearchProfile, weight float64) error {
 		p.ProgHash = o.ProgHash
 	}
 	// Runs scale with the same rule as the per-branch counters, so per-run
-	// rates (ForkRate) stay weighted averages of the sources' rates.
+	// rates (forks over runs) stay weighted averages of the sources' rates.
 	p.Runs += int(scaleCount(int64(o.Runs), weight))
 	p.Aborts += int(scaleCount(int64(o.Aborts), weight))
 	p.Reproduced = p.Reproduced || o.Reproduced
@@ -269,17 +267,6 @@ func (p *SearchProfile) DemotableAt(instrumented map[lang.BranchID]bool, rate fl
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ForkRate is the observed per-run rate of case-1 forks at id — the
-// measured counterpart of the cost model's symRate for uninstrumented
-// branches.
-func (p *SearchProfile) ForkRate(id lang.BranchID) float64 {
-	bc, ok := p.Branches[id]
-	if !ok || p.Runs == 0 {
-		return 0
-	}
-	return float64(bc.Forks) / float64(p.Runs)
 }
 
 // hashIDs renders a short deterministic tag for a promoted branch set, used

@@ -237,50 +237,6 @@ func TestRefineFixedPointOnSilentProfile(t *testing.T) {
 	}
 }
 
-func TestCalibrateCostsUsesObservedRates(t *testing.T) {
-	prog := fakeProgram(t)
-	m := NewCostModel(prog, fakeInputs().Dynamic)
-	base := planOf(t, Dynamic(), NewPlanContext(prog, fakeInputs(), true))
-	profile := fakeProfile(base)
-
-	cal := m.CalibrateCosts(profile)
-	// b1 forked 30 times over 20 runs: observed symRate 1.5 replaces the
-	// prior, and the branch now counts as visited.
-	if got, want := cal.branchReplayCost(1), 1.5; got != want {
-		t.Errorf("calibrated replay cost of b1: %g, want %g", got, want)
-	}
-	// A branch the profile never charged keeps its analysis-time pricing.
-	if got, want := cal.branchReplayCost(2), m.branchReplayCost(2); got != want {
-		t.Errorf("uncharged branch repriced: %g, want %g", got, want)
-	}
-	// A zero-fork entry (an instrumented case-2b origin: solver charges,
-	// no speculation) must NOT calibrate — the search never observed its
-	// fork rate, and repricing it as symRate 0 would mark a
-	// proven-symbolic branch concrete.
-	if got, want := cal.branchReplayCost(3), m.branchReplayCost(3); got != want {
-		t.Errorf("zero-fork entry repriced: %g, want %g", got, want)
-	}
-	if cal.visited[3] {
-		t.Error("zero-fork entry marked visited by calibration")
-	}
-	// Observed forks floor the exec rate: instrumenting b1 now costs at
-	// least its observed per-run executions.
-	if got := cal.branchOverhead(1); got < 1.5 {
-		t.Errorf("calibrated overhead of b1: %g, want >= 1.5", got)
-	}
-	// The original model is untouched (calibration returns a copy).
-	if m.visited[1] {
-		t.Error("calibration mutated the base model")
-	}
-	// Degenerate profiles are identity.
-	if m.CalibrateCosts(nil) != m {
-		t.Error("nil profile did not return the base model")
-	}
-	if m.CalibrateCosts(&SearchProfile{}) != m {
-		t.Error("empty profile did not return the base model")
-	}
-}
-
 func TestTopBlowupDeterministicOrder(t *testing.T) {
 	p := &SearchProfile{
 		Runs: 10,

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
 
 	"pathlog/internal/concolic"
 	"pathlog/internal/lang"
@@ -36,48 +35,22 @@ import (
 // a name that uniquely describes its decision.
 
 // PlanContext carries everything a Strategy may consult: the program, the
-// analysis results, the session's syscall-logging flag, and the lazily
-// built cost model. It is safe for concurrent use by strategies planned in
-// parallel.
+// analysis results, the session's syscall-logging flag, and the cost model
+// built from the dynamic analysis. No field changes after NewPlanContext,
+// so the same PlanContext always prices and ranks alike, and strategies may
+// plan against it concurrently.
 type PlanContext struct {
 	Prog        *lang.Program
 	In          Inputs
 	LogSyscalls bool
 
-	costMu sync.Mutex
-	cost   *CostModel
+	cost *CostModel
 }
 
-// NewPlanContext binds a program and its analysis results for planning.
+// NewPlanContext binds a program and its analysis results for planning and
+// builds the cost model from the dynamic analysis profile.
 func NewPlanContext(prog *lang.Program, in Inputs, logSyscalls bool) *PlanContext {
-	return &PlanContext{Prog: prog, In: in, LogSyscalls: logSyscalls}
-}
-
-// CostModel returns the shared cost model, built on first use from the
-// dynamic analysis profile (and possibly recalibrated since — see
-// Calibrate).
-func (pc *PlanContext) CostModel() *CostModel {
-	pc.costMu.Lock()
-	defer pc.costMu.Unlock()
-	if pc.cost == nil {
-		pc.cost = NewCostModel(pc.Prog, pc.In.Dynamic)
-	}
-	return pc.cost
-}
-
-// Calibrate folds an observed replay profile into the shared cost model
-// (see CostModel.CalibrateCosts). Plans built after the call are priced
-// with measured rates; plans already built keep the estimate they were
-// born with — an estimate is a statement about what was known at planning
-// time. The read-calibrate-swap holds costMu throughout, so concurrent
-// calibrations compose instead of overwriting each other.
-func (pc *PlanContext) Calibrate(profile *SearchProfile) {
-	pc.costMu.Lock()
-	defer pc.costMu.Unlock()
-	if pc.cost == nil {
-		pc.cost = NewCostModel(pc.Prog, pc.In.Dynamic)
-	}
-	pc.cost = pc.cost.CalibrateCosts(profile)
+	return &PlanContext{Prog: prog, In: in, LogSyscalls: logSyscalls, cost: NewCostModel(prog, in.Dynamic)}
 }
 
 // NewPlan assembles and prices a finished plan from an explicit
@@ -94,7 +67,7 @@ func (pc *PlanContext) NewPlan(name string, instrumented map[lang.BranchID]bool)
 		LogSyscalls:  pc.LogSyscalls,
 		ProgHash:     pc.Prog.Hash(),
 	}
-	p.Cost = pc.CostModel().Estimate(p)
+	p.Cost = pc.cost.Estimate(p)
 	return p
 }
 
@@ -327,7 +300,7 @@ func Budgeted(inner Strategy, k int) Strategy {
 			if len(ids) <= k {
 				return p.Instrumented, nil
 			}
-			model := pc.CostModel()
+			model := pc.cost
 			type ranked struct {
 				id      lang.BranchID
 				value   float64

@@ -33,11 +33,12 @@
 // estimates are corrected by history — and how estimated-vs-measured
 // drift becomes renderable.
 //
-// Retained profiles close the cold-calibration gap: measured points only
-// correct estimates at measured fingerprints, but the per-branch
-// SearchProfile behind each generation lets a cold session CalibrateCosts
-// before its first sweep, shrinking drift on the whole frontier. The
-// newest profile per generation wins (atomic replace, not
+// Retained profiles are the per-generation evidence behind those points:
+// the SearchProfile a generation's replay measured (which branches forked,
+// which logged bits were consumed and whether they ever disagreed) is kept
+// under the generation's fingerprint, so the promote and demote decisions
+// can be read back from stored numbers. They never re-price the cost
+// model. The newest profile per generation wins (atomic replace, not
 // content-addressed), and a profile whose stamp disagrees with the
 // fingerprint it is filed under is refused as damaged.
 //

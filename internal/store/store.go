@@ -290,7 +290,7 @@ func (s *Store) profilePath(fingerprint string) string {
 // filed under the plan's fingerprint (profiles/<fingerprint>.json). Unlike
 // plans, profiles are not content-addressed: a later measurement of the
 // same generation atomically replaces the earlier one — the newest
-// observation is the one a cold session should calibrate from. A profile
+// observation is the generation's evidence. A profile
 // with no plan fingerprint or program hash has no generation to be filed
 // under and is refused.
 func (s *Store) PutProfile(p *instrument.SearchProfile) error {

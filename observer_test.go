@@ -36,16 +36,9 @@ func TestAutoBalanceObserver(t *testing.T) {
 		WithObserver(&Observer{Reg: reg, Trace: tracer}),
 	)
 
-	phases := map[string]int{}
 	tr, err := sess.AutoBalance(context.Background(), nil, BalanceOptions{
 		TargetReplayRuns: 200,
 		MaxGenerations:   4,
-		OnPhase: func(pt PhaseTiming) {
-			if pt.Elapsed < 0 {
-				t.Errorf("negative %s timing: %v", pt.Phase, pt.Elapsed)
-			}
-			phases[pt.Phase]++
-		},
 	})
 	if err != nil {
 		t.Fatalf("AutoBalance: %v", err)
@@ -55,16 +48,9 @@ func TestAutoBalanceObserver(t *testing.T) {
 	}
 	gens := len(tr.Points)
 
-	// Every phase fires through OnPhase: record/replay/merge once per
-	// generation, refine once per transition.
-	for phase, want := range map[string]int{"record": gens, "replay": gens, "merge": gens, "refine": gens - 1} {
-		if phases[phase] != want {
-			t.Errorf("phase %q fired %d times, want %d (phases: %v)", phase, phases[phase], want, phases)
-		}
-	}
-
-	// The same timings land in the registry's phase histograms, and the
-	// replay engine's per-run distributions land beside them.
+	// Every phase lands in the registry's phase histograms — record,
+	// replay and merge once per generation, refine once per transition —
+	// and the replay engine's per-run distributions land beside them.
 	snap := reg.Snapshot()
 	counts := map[string]int64{}
 	for _, h := range snap.Histograms {

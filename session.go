@@ -217,12 +217,6 @@ type Session struct {
 	storeOnce sync.Once
 	st        *store.Store
 	stErr     error
-	// calOnce guards the one-time cold calibration: the first plan built
-	// through this session folds every retained search profile for this
-	// program (store profiles/<fingerprint>.json, in lineage order) into
-	// the shared cost model, so a cold session prices unmeasured plans
-	// from observed rates instead of analysis-time priors.
-	calOnce sync.Once
 }
 
 // planKey caches plans by strategy identity; strategy names are required
@@ -490,8 +484,8 @@ func (s *Session) Plan(ctx context.Context) (*Plan, error) {
 }
 
 // planContext assembles the shared strategy-planning context for one
-// analysis result. The PlanContext is cached so concurrent Frontier sweeps
-// share one cost model and program hash.
+// analysis result. The PlanContext is cached so every plan the session
+// builds is priced by the one cost model built from the analysis.
 func (s *Session) planContext(in Inputs) *instrument.PlanContext {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -499,44 +493,6 @@ func (s *Session) planContext(in Inputs) *instrument.PlanContext {
 		s.pc = instrument.NewPlanContext(s.prog, in, s.cfg.logSyscalls)
 	}
 	return s.pc
-}
-
-// calibrateForSweep performs the one-time cold calibration before a
-// frontier sweep: every retained search profile for this program (store
-// profiles/<fingerprint>.json) folds into the shared cost model, in
-// lineage (generation) order so later generations' observations win.
-// calOnce blocks concurrent sweeps until it is done, so no sweep prices
-// half-calibrated.
-//
-// Calibration is deliberately scoped to sweeps: it changes what selection
-// strategies (Budgeted) pick, so applying it to every Plan call would move
-// deployed fingerprints between sessions and break refinement-chain
-// resumption. A sweep is where estimates are the product; deployment paths
-// keep pricing plans exactly as the warm session that built the chain did.
-func (s *Session) calibrateForSweep(pc *instrument.PlanContext) {
-	s.calOnce.Do(func() { s.calibrateFromStore(pc) })
-}
-
-// calibrateFromStore folds every retained search profile for this program
-// into the shared cost model. Calibration is best-effort: a session
-// without a store, a program with no retained history, and generations
-// whose profiles were never retained or are damaged all simply contribute
-// nothing — the estimates stand on their analysis-time priors, exactly as
-// before profile retention existed.
-func (s *Session) calibrateFromStore(pc *instrument.PlanContext) {
-	st, err := s.planStore()
-	if err != nil || st == nil {
-		return
-	}
-	entries, err := st.Lineage(pc.Prog.Hash())
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if p, err := st.GetProfile(e.Fingerprint); err == nil {
-			pc.Calibrate(p)
-		}
-	}
 }
 
 // persistProfile retains the search profile measured under a deployed plan
