@@ -271,18 +271,7 @@ func (s *Session) AutoBalance(ctx context.Context, user map[string][]byte, opts 
 	if err != nil {
 		return tr, err
 	}
-	plan = s.resumePlan(plan)
-	start := time.Now()
-	rec, _, err := s.RecordWith(ctx, plan, user)
-	s.observePhase("record", start)
-	if err != nil {
-		return tr, err
-	}
-	if rec == nil {
-		return tr, fmt.Errorf("pathlog: AutoBalance: user run did not crash under plan %s (generation %d) — nothing to replay",
-			plan.Strategy, plan.Generation)
-	}
-	c, err := BuildCorpus([]CorpusMember{{Rec: rec, UserBytes: user}}, CorpusIngestOptions{})
+	c, err := s.workloadCorpus(ctx, s.resumePlan(plan), user)
 	if err != nil {
 		return tr, err
 	}
@@ -341,23 +330,6 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 	copts := CorpusOptions{Shards: opts.Shards, Runner: opts.Runner, Workers: opts.Workers, TopK: opts.TopK}
 	tr := &BalanceTrajectory{Workload: workload}
 
-	// measure redeploys a plan over the population and replays the fresh
-	// recordings under one balance.generation span.
-	measure := func(plan *Plan, cur *Corpus) (*Corpus, *CorpusOutcome, error) {
-		start := time.Now()
-		next, err := s.reRecordCorpus(ctx, cur, plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.observePhase("record", start)
-		gctx, span := s.cfg.obs.Tracer().StartSpan(ctx, "balance.generation")
-		span.SetAttr("gen", fmt.Sprint(plan.Generation))
-		start = time.Now()
-		out, err := corpus.Replay(gctx, next, s.corpusShards(copts), s.corpusRunner(copts))
-		span.End()
-		s.observePhase("replay", start)
-		return next, out, err
-	}
 	// record appends an accepted generation's point to the trajectory and
 	// the plan store.
 	record := func(pt BalancePoint) error {
@@ -434,7 +406,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 		if err := accept(plan, refined); err != nil {
 			return tr, err
 		}
-		next, nextOut, err := measure(refined, cur)
+		next, nextOut, err := s.measure(ctx, refined, cur, copts)
 		if err != nil {
 			return tr, err
 		}
@@ -467,7 +439,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			return tr, err
 		}
 		s.observePhase("refine", start)
-		trial, trialOut, err := measure(demoted, cur)
+		trial, trialOut, err := s.measure(ctx, demoted, cur, copts)
 		if err != nil {
 			return tr, err
 		}
@@ -493,6 +465,46 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			plan.Generation, out.MeanRuns, out.Members, trialBits)
 	}
 	return tr, nil
+}
+
+// workloadCorpus records user (nil selects WithUserBytes) under plan — the
+// user-site deployment run — and returns the one-report corpus it forms.
+func (s *Session) workloadCorpus(ctx context.Context, plan *Plan, user map[string][]byte) (*Corpus, error) {
+	start := time.Now()
+	rec, _, err := s.RecordWith(ctx, plan, user)
+	s.observePhase("record", start)
+	if err != nil {
+		return nil, err
+	}
+	if rec == nil {
+		return nil, fmt.Errorf("pathlog: user run under plan %s (generation %d) produced no bug report (it did not crash, or the plan instruments nothing) — nothing to replay",
+			plan.Strategy, plan.Generation)
+	}
+	return BuildCorpus([]CorpusMember{{Rec: rec, UserBytes: user}}, CorpusIngestOptions{})
+}
+
+// measure is the one measurement of a plan: it redeploys the plan over the
+// population cur describes — every member's user input is recorded again
+// under it — and replays the fresh recordings as a corpus under one
+// balance.generation span. The balance loop measures each new generation
+// with it, Frontier each swept plan.
+func (s *Session) measure(ctx context.Context, plan *Plan, cur *Corpus, copts CorpusOptions) (*Corpus, *CorpusOutcome, error) {
+	if !plan.Instruments() {
+		return nil, nil, fmt.Errorf("pathlog: plan %s instruments nothing: an uninstrumented build reports no bug to replay", plan.Strategy)
+	}
+	start := time.Now()
+	next, err := s.reRecordCorpus(ctx, cur, plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.observePhase("record", start)
+	gctx, span := s.cfg.obs.Tracer().StartSpan(ctx, "balance.generation")
+	span.SetAttr("gen", fmt.Sprint(plan.Generation))
+	start = time.Now()
+	out, err := corpus.Replay(gctx, next, s.corpusShards(copts), s.corpusRunner(copts))
+	span.End()
+	s.observePhase("replay", start)
+	return next, out, err
 }
 
 // newBalancePoint assembles one trajectory point from a generation's
@@ -535,9 +547,9 @@ func targetMet(out *CorpusOutcome, opts BalanceOptions) bool {
 // plan store (a no-op without WithPlanStore), keyed by (program hash,
 // workload) — a content identity, not a name, so renamed sessions keep
 // appending to one history. Generations that did not reproduce every
-// report are stored too, as budget-censored history; frontier merging
-// skips them. A plan with no program hash cannot reach here: RecordWith
-// already refused to deploy it through a store-backed session.
+// report are stored too, as budget-censored history; Frontier skips them.
+// A plan with no program hash cannot reach here: RecordWith already
+// refused to deploy it through a store-backed session.
 func (s *Session) appendMeasured(workload string, pt BalancePoint) error {
 	st, err := s.planStore()
 	if err != nil || st == nil {

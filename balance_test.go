@@ -42,7 +42,9 @@ func TestAutoBalanceUServer(t *testing.T) {
 	ctx := context.Background()
 	sess := uServerBalanceSession(t)
 
-	const target = 200
+	// Generation 0 reproduces in 67 runs, each on a new path; the target
+	// sits below it so the loop must promote.
+	const target = 20
 	var seen []int
 	tr, err := sess.AutoBalance(ctx, nil, BalanceOptions{
 		TargetReplayRuns: target,
@@ -152,7 +154,9 @@ func TestAutoBalanceDemotesWithMeasuredAcceptance(t *testing.T) {
 	ctx := context.Background()
 	sess := uServerBalanceSession(t, WithPlanStore(t.TempDir()))
 
-	const target = 200
+	// Generation 0 reproduces in 67 runs, each on a new path; the target
+	// sits below it so the loop must promote.
+	const target = 20
 	tr, err := sess.AutoBalance(ctx, nil, BalanceOptions{TargetReplayRuns: target, MaxGenerations: 4})
 	if err != nil {
 		t.Fatalf("AutoBalance: %v", err)
@@ -285,7 +289,7 @@ func TestRefineFixedPointDoesNotAdvanceLineage(t *testing.T) {
 	}
 	sess := NewSession(prog, &Spec{Args: []Stream{ArgStream(0, "xxxxxx", 8)}},
 		WithUserBytes(map[string][]byte{"arg0": []byte("REPLAY")}),
-		WithSyscallLog(), WithStrategy(Sampled(All(), 0)))
+		WithSyscallLog(), WithStrategy(Budgeted(All(), 0)))
 	rec, _, err := sess.Record(ctx, nil)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v (%v)", err, rec)
@@ -310,8 +314,7 @@ func TestRefineFixedPointDoesNotAdvanceLineage(t *testing.T) {
 }
 
 // TestRefineSingleStep drives one manual loop iteration on the chain
-// scenario: record, replay, refine — and checks the refined plan's
-// estimate under the session's analysis-built cost model.
+// scenario: record, replay, refine — and measures the refined plan.
 func TestRefineSingleStep(t *testing.T) {
 	ctx := context.Background()
 	sess := chainSession(t, WithStrategy(None()))
@@ -327,7 +330,7 @@ func TestRefineSingleStep(t *testing.T) {
 	}
 	// Record under a syscall-only plan (None disables syscalls too, so use
 	// an explicit empty-branch plan built from the session's context).
-	plan, err = sess.PlanWith(ctx, Sampled(All(), 0))
+	plan, err = sess.PlanWith(ctx, Budgeted(All(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,14 +357,6 @@ func TestRefineSingleStep(t *testing.T) {
 	if refined.Generation != 1 || refined.Parent != plan.Fingerprint() {
 		t.Errorf("lineage: generation %d parent %s", refined.Generation, refined.Parent)
 	}
-	// The promoted branches are logged now, so they no longer add to the
-	// replay estimate: the refined plan's estimate is strictly below the
-	// base plan's under the same model.
-	if refined.EstimatedReplayRuns() >= plan.EstimatedReplayRuns() {
-		t.Errorf("refined replay estimate %.1f not below base %.1f",
-			refined.EstimatedReplayRuns(), plan.EstimatedReplayRuns())
-	}
-
 	// The refined plan replays a fresh recording no worse than the base
 	// did. (The chain is a degenerate case: its replay cost is the forced
 	// serial chain, irreducible by instrumentation — the uServer acceptance
@@ -387,7 +382,7 @@ func TestAutoBalanceOverheadCeilingDoesNotAdvanceChain(t *testing.T) {
 	// An empty starting plan (syscall log only): every chain branch is
 	// unlogged, so refinement wants to promote — but the ceiling forbids
 	// any logging at all.
-	sess := chainSession(t, WithStrategy(Sampled(All(), 0)))
+	sess := chainSession(t, WithStrategy(Budgeted(All(), 0)))
 	tr, err := sess.AutoBalance(ctx, nil, BalanceOptions{
 		TargetReplayRuns: 1, // unreachable: the chain needs several runs
 		OverheadCeiling:  0.5,

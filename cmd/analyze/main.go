@@ -2,9 +2,10 @@
 // the classification of every branch location: the dynamic label, the static
 // label, and the instrumentation decision each method would take.
 //
-// With -store, the analysis runs against a plan store: the -frontier sweep
-// folds the store's measured history for this scenario back in (measured
-// points marked, estimated-vs-measured drift rendered), and the store's
+// -frontier records and replays the scenario's workload under every plan
+// of the default sweep and prints the Pareto frontier of the measurements.
+// With -store, the sweep files its measurements in a plan store and folds
+// the store's measured history for this scenario back in, and the store's
 // health (plans retained, measured points, damaged entries) is reported.
 // One refinement step from saved bug reports is cmd/tune -corpus.
 //
@@ -40,9 +41,9 @@ func main() {
 		method   = flag.String("method", "dynamic+static", "method for -plan-out")
 		planOut  = flag.String("plan-out", "", "save the -method plan to this file")
 		frontier = flag.Bool("frontier", false,
-			"sweep the default strategy set and print the overhead/debug-time Pareto frontier")
+			"measure the default strategy set on the scenario's workload and print the overhead/debug-time Pareto frontier")
 		storeDir = flag.String("store", "",
-			"plan store directory: fold measured history into -frontier")
+			"plan store directory: file -frontier's measurements and fold in measured history")
 	)
 	flag.Parse()
 	if *scenario == "" {
@@ -110,10 +111,10 @@ func main() {
 			fatal(err)
 		}
 		plans[m.String()] = plan
-		fmt.Printf("  %-15s %4d locations (%5.1f%%)  ~%.0f bits/run, ~%.0f replay runs\n",
+		fmt.Printf("  %-15s %4d locations (%5.1f%%)  ~%.0f bits/run\n",
 			m, plan.NumInstrumented(),
 			100*float64(plan.NumInstrumented())/float64(total),
-			plan.EstimatedOverhead(), plan.EstimatedReplayRuns())
+			plan.EstimatedOverhead())
 	}
 
 	if *frontier {
@@ -121,22 +122,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		title := "cost model"
+		title := "measured on the scenario's workload"
 		if *storeDir != "" {
-			title = "cost model + measured history from " + *storeDir
+			title += ", with measured history from " + *storeDir
 		}
 		fmt.Printf("\noverhead/debug-time Pareto frontier (%s):\n", title)
-		fmt.Printf("  %-40s %6s %12s %12s %9s %11s  %s\n",
-			"strategy", "locs", "bits/run", "replay runs", "measured", "drift runs", "fingerprint")
+		fmt.Printf("  %-40s %6s %12s %12s  %s\n",
+			"strategy", "locs", "bits/run", "replay runs", "fingerprint")
 		for _, pt := range points {
-			measured, drift := "", "-"
-			if pt.Measured {
-				measured = "yes"
-				drift = fmt.Sprintf("%+.1f", pt.ReplayRunsDrift())
-			}
-			fmt.Printf("  %-40s %6d %12.1f %12.1f %9s %11s  %s\n",
+			fmt.Printf("  %-40s %6d %12.1f %12.1f  %s\n",
 				pt.Strategy, pt.Plan.NumInstrumented(), pt.Overhead, pt.ReplayRuns,
-				measured, drift, pt.Plan.Fingerprint())
+				pt.Plan.Fingerprint())
 		}
 	}
 

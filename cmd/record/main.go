@@ -107,8 +107,7 @@ func main() {
 	fmt.Printf("plan: %s instruments %d of %d branch locations (fingerprint %s)\n",
 		label, plan.NumInstrumented(), len(s.Prog.Branches), plan.Fingerprint())
 	if plan.Cost.Modeled {
-		fmt.Printf("cost model: ~%.0f logged bits/run, ~%.0f estimated replay runs\n",
-			plan.EstimatedOverhead(), plan.EstimatedReplayRuns())
+		fmt.Printf("cost model: ~%.0f logged bits/run\n", plan.EstimatedOverhead())
 	}
 	if *planOut != "" {
 		if err := plan.Save(*planOut); err != nil {

@@ -339,7 +339,7 @@ func TestPlansDependOnlyOnTheAnalysis(t *testing.T) {
 		// The chain deploys a plan that logs no branch, so its searches fork
 		// at every chain branch.
 		{"chain", func(opts ...Option) *Session {
-			return chainSession(t, append([]Option{WithStrategy(Sampled(All(), 0))}, opts...)...)
+			return chainSession(t, append([]Option{WithStrategy(Budgeted(All(), 0))}, opts...)...)
 		}, BalanceOptions{MaxGenerations: 2, TargetReplayRuns: 2}},
 		{"userver-exp3", func(opts ...Option) *Session { return uServerBalanceSession(t, opts...) },
 			BalanceOptions{MaxGenerations: 4, TargetReplayRuns: 200}},

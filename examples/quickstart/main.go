@@ -80,15 +80,16 @@ func main() {
 	fmt.Printf("static analysis:  %d symbolic branch locations\n",
 		in.Static.CountSymbolic())
 
-	// The paper's titular balance as an API: sweep strategies, print the
-	// Pareto frontier of (record overhead, estimated debug time).
+	// The paper's titular balance as an API: sweep strategies, record and
+	// replay the workload under each plan, and print the Pareto frontier
+	// of the measurements (bits logged, replay runs).
 	points, err := sess.Frontier(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\noverhead/debug-time frontier:")
 	for _, pt := range points {
-		fmt.Printf("  %-28s %2d locations  ~%4.0f bits/run  ~%4.1f replay runs\n",
+		fmt.Printf("  %-28s %2d locations  %4.0f bits/run  %4.0f replay runs\n",
 			pt.Strategy, pt.Plan.NumInstrumented(), pt.Overhead, pt.ReplayRuns)
 	}
 	fmt.Println()

@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
-
-	"pathlog/internal/instrument"
 )
 
 // subsetStrategy instruments an arbitrary branch subset — the adversarial
@@ -33,13 +32,15 @@ func dominates(aOver, aRuns, bOver, bRuns float64) bool {
 }
 
 // TestFrontierProperty sweeps random branch subsets and checks the
-// frontier contract: output sorted by strictly increasing overhead with
-// strictly decreasing replay estimates, no returned point dominated by any
-// swept plan, and every swept plan either on the frontier (by fingerprint)
-// or matched/dominated by a frontier point.
+// frontier contract over the measurements the sweep filed in its plan
+// store: output sorted by strictly increasing overhead with strictly
+// decreasing replay runs, every returned point a reproduced measurement
+// at its measured coordinates, no reproduced measurement dominating a
+// returned point, and every reproduced measurement either on the frontier
+// (by fingerprint) or matched/dominated by a frontier point.
 func TestFrontierProperty(t *testing.T) {
 	ctx := context.Background()
-	sess := chainSession(t)
+	sess := chainSession(t, WithPlanStore(t.TempDir()))
 	nBranches := len(sess.Program().Branches)
 
 	rng := rand.New(rand.NewSource(7))
@@ -61,7 +62,6 @@ func TestFrontierProperty(t *testing.T) {
 	if len(points) == 0 {
 		t.Fatal("empty frontier")
 	}
-
 	for i := 1; i < len(points); i++ {
 		if !(points[i].Overhead > points[i-1].Overhead) {
 			t.Errorf("overhead not strictly increasing at %d: %.3f then %.3f",
@@ -73,29 +73,40 @@ func TestFrontierProperty(t *testing.T) {
 		}
 	}
 
-	// Re-plan every swept strategy to compare against the frontier.
-	in, err := sess.Analyze(ctx)
+	st, err := sess.PlanStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := instrument.NewPlanContext(sess.Program(), in, true)
+	measured, err := st.Measured(points[0].Plan.ProgHash, sess.WorkloadHash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byFP := make(map[string]MeasuredPoint, len(measured))
+	for _, mp := range measured {
+		byFP[mp.Fingerprint] = mp
+	}
 	onFrontier := make(map[string]bool)
 	for _, pt := range points {
-		onFrontier[pt.Plan.Fingerprint()] = true
-	}
-	for _, s := range strategies {
-		p, err := s.Plan(ctx, pc)
-		if err != nil {
-			t.Fatal(err)
+		fp := pt.Plan.Fingerprint()
+		onFrontier[fp] = true
+		mp, ok := byFP[fp]
+		if !ok || !mp.Reproduced || float64(mp.OverheadBits) != pt.Overhead || float64(mp.ReplayRuns) != pt.ReplayRuns {
+			t.Errorf("frontier point %s (%.0f bits, %.0f runs) is not a reproduced measurement: %+v (filed %v)",
+				pt.Strategy, pt.Overhead, pt.ReplayRuns, mp, ok)
 		}
-		over, runs := p.EstimatedOverhead(), p.EstimatedReplayRuns()
+	}
+	for _, mp := range measured {
+		if !mp.Reproduced {
+			continue
+		}
+		over, runs := float64(mp.OverheadBits), float64(mp.ReplayRuns)
 		for _, pt := range points {
 			if dominates(over, runs, pt.Overhead, pt.ReplayRuns) {
-				t.Errorf("swept plan %s (%.3f,%.3f) dominates frontier point %s (%.3f,%.3f)",
-					s.Name(), over, runs, pt.Strategy, pt.Overhead, pt.ReplayRuns)
+				t.Errorf("measured plan %s (%.0f,%.0f) dominates frontier point %s (%.0f,%.0f)",
+					mp.Strategy, over, runs, pt.Strategy, pt.Overhead, pt.ReplayRuns)
 			}
 		}
-		if onFrontier[p.Fingerprint()] {
+		if onFrontier[mp.Fingerprint] {
 			continue
 		}
 		covered := false
@@ -106,15 +117,16 @@ func TestFrontierProperty(t *testing.T) {
 			}
 		}
 		if !covered {
-			t.Errorf("swept plan %s (%.3f,%.3f) neither on frontier nor covered", s.Name(), over, runs)
+			t.Errorf("measured plan %s (%.0f,%.0f) neither on frontier nor covered", mp.Strategy, over, runs)
 		}
 	}
 }
 
 // TestSessionFrontierDefaultSweep runs the no-argument sweep end to end on
-// the chain program: the frontier must hold the paper's structure — the
-// baseline at zero overhead, full instrumentation at estimated replay runs
-// of exactly one.
+// the chain program: every point it returns must be a measurement — the
+// bits a fresh recording under the plan logs and the runs a fresh replay
+// of it takes (the search is deterministic) — and the frontier must keep
+// the paper's shape: logging more of the chain never costs more runs.
 func TestSessionFrontierDefaultSweep(t *testing.T) {
 	ctx := context.Background()
 	sess := chainSession(t)
@@ -123,19 +135,26 @@ func TestSessionFrontierDefaultSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(points) < 2 {
-		t.Fatalf("frontier has %d points", len(points))
-	}
-	first, last := points[0], points[len(points)-1]
-	if first.Overhead != 0 || first.Plan.Instruments() {
-		t.Errorf("first point is not the baseline: %+v", first)
-	}
-	if last.ReplayRuns != 1 {
-		t.Errorf("last point estimates %.2f replay runs, want 1 (full instrumentation)", last.ReplayRuns)
+		t.Fatalf("frontier has %d points: %+v", len(points), points)
 	}
 	for _, pt := range points {
 		if err := pt.Plan.ValidateForProgram(sess.Program()); err != nil {
 			t.Errorf("%s: %v", pt.Strategy, err)
 		}
+		rec, stats, err := sess.RecordWith(ctx, pt.Plan, nil)
+		if err != nil || rec == nil {
+			t.Fatalf("%s: record: %v", pt.Strategy, err)
+		}
+		res := mustReplay(t, ctx, sess, rec)
+		if !res.Reproduced || float64(stats.TraceBits) != pt.Overhead || float64(res.Runs) != pt.ReplayRuns {
+			t.Errorf("%s: frontier says %.0f bits, %.0f runs; measured %d bits, %d runs (reproduced %v)",
+				pt.Strategy, pt.Overhead, pt.ReplayRuns, stats.TraceBits, res.Runs, res.Reproduced)
+		}
+	}
+	// The uninstrumented baseline reports nothing, so it is refused by
+	// name rather than measured.
+	if _, err := sess.Frontier(ctx, None()); err == nil || !strings.Contains(err.Error(), "instruments nothing") {
+		t.Errorf("Frontier measured the uninstrumented baseline: %v", err)
 	}
 }
 

@@ -144,9 +144,10 @@ func DefaultConfig() Config {
 		DiffAnalysisRuns:       40,
 		ReplayMaxRuns:          4000,
 		ReplayBudget:           20 * time.Second,
-		AdaptiveTargetRuns:     200,
+		AdaptiveTargetRuns:     20,
 		AdaptiveMaxGenerations: 4,
 		CorpusNoisyReports:     5,
+		CorpusTargetRuns:       5,
 		CorpusShards:           2,
 		FleetSites:             8,
 		FleetReportsPerSite:    8,

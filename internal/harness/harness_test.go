@@ -203,36 +203,55 @@ func TestTables6and7DiffContrast(t *testing.T) {
 	}
 }
 
-// TestFrontierUServer is the acceptance check for the Planner redesign:
-// the uServer sweep must return at least 4 distinct Pareto points whose
-// estimated replay runs decrease monotonically as estimated overhead
-// rises — the paper's titular balance, queryable.
+// TestFrontierUServer is the acceptance check for the measured frontier:
+// over uServer exps 1-5, every plan of the default sweep and the Budgeted
+// ladder is recorded and replayed once (one row per distinct plan), every
+// rung reproduces within the replay budget, and each scenario's
+// Pareto-optimal rows have strictly rising bits and strictly falling
+// replay runs.
 func TestFrontierUServer(t *testing.T) {
-	tbl, err := fastConfig().Frontier(context.Background())
+	c := fastConfig()
+	tbl, err := c.Frontier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) < 4 {
-		t.Fatalf("frontier has %d points, want >= 4:\n%v", len(tbl.Rows), tbl.Rows)
-	}
+	type cell struct{ bits, runs float64 }
 	fps := map[string]bool{}
-	prevOver, prevRuns := -1.0, 0.0
-	for i, row := range tbl.Rows {
-		if fps[row[5]] {
-			t.Errorf("duplicate fingerprint %s", row[5])
+	fronts := map[string][]cell{}
+	exps := map[string]int{}
+	for _, row := range tbl.Rows {
+		exp, fp := row[0], row[7]
+		if fps[exp+fp] {
+			t.Errorf("exp %s: plan %s measured twice", exp, fp)
 		}
-		fps[row[5]] = true
-		over := atofT(t, row[2])
-		runs := atofT(t, row[3])
-		if i > 0 {
-			if !(over > prevOver) {
-				t.Errorf("row %d: overhead %.1f not above %.1f", i, over, prevOver)
-			}
-			if !(runs < prevRuns) {
-				t.Errorf("row %d: replay runs %.1f not below %.1f", i, runs, prevRuns)
+		fps[exp+fp] = true
+		exps[exp]++
+		if row[5] != "true" {
+			t.Errorf("exp %s: %s did not reproduce within %d runs: %v", exp, row[1], c.ReplayMaxRuns, row)
+		}
+		if row[6] == "yes" {
+			fronts[exp] = append(fronts[exp], cell{atofT(t, row[3]), atofT(t, row[4])})
+		}
+	}
+	if len(exps) != 5 {
+		t.Fatalf("frontier table covers %d scenarios, want 5:\n%v", len(exps), tbl.Rows)
+	}
+	for exp, n := range exps {
+		if n < len(frontierLadder) {
+			t.Errorf("exp %s: %d measured plans, want at least the %d ladder rungs", exp, n, len(frontierLadder))
+		}
+		front := fronts[exp]
+		if len(front) == 0 {
+			t.Errorf("exp %s: empty frontier", exp)
+		}
+		for i := 1; i < len(front); i++ {
+			if !(front[i].bits > front[i-1].bits) || !(front[i].runs < front[i-1].runs) {
+				t.Errorf("exp %s: frontier not strictly Pareto at %d: %v", exp, i, front)
 			}
 		}
-		prevOver, prevRuns = over, runs
+	}
+	if !strings.Contains(strings.Join(tbl.Notes, "\n"), "every rung reproduced") {
+		t.Errorf("notes do not report every rung reproduced: %v", tbl.Notes)
 	}
 }
 
@@ -342,21 +361,18 @@ func TestStoreShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, withStore, measured int
+	var before, withStore, refined int
 	for _, row := range tbl.Rows {
 		switch row[0] {
 		case "cold (no store)":
 			before++
-			if row[5] == "yes" {
-				t.Errorf("storeless sweep claims a measured point: %v", row)
+			if row[2] != "0" {
+				t.Errorf("storeless sweep shows a refined generation: %v", row)
 			}
 		case "cold + store":
 			withStore++
-			if row[5] == "yes" {
-				measured++
-				if row[6] == "+0.0" && row[7] == "+0.0" {
-					t.Errorf("measured point renders zero drift on both axes: %v", row)
-				}
+			if row[2] != "0" {
+				refined++
 			}
 		default:
 			t.Errorf("unknown sweep label %q", row[0])
@@ -365,10 +381,11 @@ func TestStoreShape(t *testing.T) {
 	if before == 0 || withStore == 0 {
 		t.Fatalf("missing sweep phase: before=%d withStore=%d", before, withStore)
 	}
-	// The acceptance bar: the store-backed cold sweep carries measured
-	// ground truth the storeless one cannot.
-	if measured == 0 {
-		t.Fatalf("cold + store sweep has no measured points:\n%+v", tbl.Rows)
+	// The acceptance bar: the store-backed cold frontier carries refined
+	// generations — measured points no sweep proposes — the storeless one
+	// cannot.
+	if refined == 0 {
+		t.Fatalf("cold + store frontier has no refined generation:\n%+v", tbl.Rows)
 	}
 	// The store directory is left populated for inspection.
 	if entries, err := os.ReadDir(c.StoreDir + "/plans"); err != nil || len(entries) == 0 {

@@ -5,36 +5,30 @@ import (
 	"pathlog/internal/lang"
 )
 
-// The cost model prices the paper's tradeoff before anything is deployed.
-// It is fed by the per-branch hit counts the concolic analysis gathers
-// anyway (Report.ExecCount / SymExecCount) and produces two numbers per
-// plan:
+// The cost model prices the record side of the paper's tradeoff before
+// anything is deployed. It is fed by the per-branch hit counts the
+// concolic analysis gathers anyway (Report.ExecCount / SymExecCount) and
+// gives each plan one number: the expected logged bits per user-site run.
+// One bit per execution of an instrumented branch is exactly what drives
+// both the CPU overhead (the 17-instruction logging sequence of §5.1) and
+// the storage overhead, so bits/run is the natural overhead unit.
 //
-//   - estimated record overhead: the expected number of logged bits per
-//     user-site run. One bit per execution of an instrumented branch is
-//     exactly what drives both the CPU overhead (the 17-instruction logging
-//     sequence of §5.1) and the storage overhead, so bits/run is the
-//     natural overhead unit.
-//   - estimated replay runs: a first-order estimate of the guided search's
-//     length. Every uninstrumented symbolic branch execution queues one
-//     pending alternative (§3.1 case 1), so the expected number of such
-//     executions per run bounds the fan-out of the search.
+// Debug time is not modelled: the replay runs a plan costs are measured by
+// recording and replaying its workload (Session.Frontier). A linear
+// fan-out estimate cannot show where the search's knee lies, so the model
+// only ranks branches for Budgeted, by symbolic executions per logged bit.
 //
 // Branches the analysis never visited are priced with empirical priors:
 // an unvisited instrumented branch is charged one expected execution per
-// run (instrumentation is never free), and an unvisited uninstrumented
-// branch is charged the observed symbolic fraction of visited branches
-// (the best available guess at how likely it is to turn symbolic at the
-// user site — this is what makes the dynamic method's estimate honest
-// about its coverage gamble).
+// run (instrumentation is never free), and an unvisited branch is assumed
+// symbolic at the observed symbolic fraction of visited branches (the best
+// available guess at how likely it is to turn symbolic at the user site).
 
-// CostEstimate carries a plan's modeled position in the overhead/debug-time
-// plane. It persists with the plan so shipped plans keep their pricing.
+// CostEstimate carries a plan's modeled record overhead. It persists with
+// the plan so shipped plans keep their pricing.
 type CostEstimate struct {
 	// OverheadBitsPerRun is the expected logged bits per user-site run.
 	OverheadBitsPerRun float64 `json:"overhead_bits_per_run"`
-	// ReplayRuns is the expected number of replay search runs.
-	ReplayRuns float64 `json:"replay_runs"`
 	// Modeled is false when no concolic profile was available and the
 	// estimate fell back to structural priors only.
 	Modeled bool `json:"modeled"`
@@ -114,25 +108,23 @@ func (m *CostModel) branchOverhead(id lang.BranchID) float64 {
 	return minExecRate
 }
 
-// branchReplayCost is the expected pending-alternative fan-out per run if
-// id is NOT instrumented.
-func (m *CostModel) branchReplayCost(id lang.BranchID) float64 {
+// symExecRate is the expected symbolic executions per run of id: observed
+// for visited branches (0 for branches observed concrete), the symbolic
+// prior for unvisited ones.
+func (m *CostModel) symExecRate(id lang.BranchID) float64 {
 	if m.visited[id] {
-		return m.symRate[id] // 0 for branches observed concrete
+		return m.symRate[id]
 	}
 	return m.priorSym
 }
 
-// Estimate prices one plan: expected logged bits per run for the
-// instrumented set, and one base run plus the expected uninstrumented
-// symbolic fan-out for the replay search.
+// Estimate prices one plan: the expected logged bits per run of its
+// instrumented set.
 func (m *CostModel) Estimate(p *Plan) CostEstimate {
-	est := CostEstimate{ReplayRuns: 1, Modeled: m.modeled}
+	est := CostEstimate{Modeled: m.modeled}
 	for _, id := range m.ids {
 		if p.Instrumented[id] {
 			est.OverheadBitsPerRun += m.branchOverhead(id)
-		} else {
-			est.ReplayRuns += m.branchReplayCost(id)
 		}
 	}
 	return est
@@ -141,7 +133,3 @@ func (m *CostModel) Estimate(p *Plan) CostEstimate {
 // EstimatedOverhead returns the plan's expected logged bits per user-site
 // run under the cost model it was built with (0 for an unpriced plan).
 func (p *Plan) EstimatedOverhead() float64 { return p.Cost.OverheadBitsPerRun }
-
-// EstimatedReplayRuns returns the plan's expected replay search length
-// under the cost model it was built with (0 for an unpriced plan).
-func (p *Plan) EstimatedReplayRuns() float64 { return p.Cost.ReplayRuns }

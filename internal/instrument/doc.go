@@ -3,7 +3,7 @@
 //
 // The decision is a composable Strategy algebra: built-ins (Dynamic,
 // Static, StaticResidue, All, None) compose through combinators (Union,
-// Intersect, Budgeted, Sampled). The four methods of §2.3 are names for
+// Budgeted). The four methods of §2.3 are names for
 // fixed compositions, which StrategyForMethod returns:
 //
 //	dynamic         Dynamic(): branches the concolic analysis labeled symbolic
@@ -16,11 +16,11 @@
 // engine needs it to interpret the bitvector (§3.1).
 //
 // A CostModel built once, from concolic per-branch hit counts, prices every
-// plan in the paper's two currencies — expected logged bits per user-site
-// run and expected replay search runs. What a real developer-site search
-// observes (SearchProfile) never re-prices the model: it decides which
-// branches Refine promotes and demotes for the next plan generation, and
-// the measurement itself reaches the frontier as a stored measured point.
+// plan's record side — expected logged bits per user-site run — and ranks
+// branches for Budgeted by symbolic executions per logged bit. Debug time
+// is never modelled: a plan's replay runs are what a developer-site search
+// measures. What a search observes (SearchProfile) decides which branches
+// Refine promotes and demotes for the next plan generation.
 //
 // Plans are durable deployment artifacts. Fingerprint gives a plan a
 // content identity (program hash + branch set + syscall flag) that records

@@ -10,13 +10,17 @@ import (
 // runs on a plan fetched over the wire. It must never panic, and a plan it
 // accepts must survive Encode and a second decode with the same
 // fingerprint, lineage and strategy label. The seeds are the committed
-// plan goldens (this package's and the plan store's base and child plans)
-// and an envelope whose method ID names no method.
+// plan goldens (this package's and the plan store's base and child plans),
+// the same plans in the parent format (with the retired replay-runs
+// estimate) and an envelope whose method ID names no method.
 func FuzzDecodePlan(f *testing.F) {
 	for _, path := range []string{
 		filepath.Join("testdata", "plan_golden.json"),
 		filepath.Join("..", "store", "testdata", "plan_base_golden.json"),
 		filepath.Join("..", "store", "testdata", "plan_child_golden.json"),
+		filepath.Join("testdata", "plan_parent_golden.json"),
+		filepath.Join("..", "store", "testdata", "plan_base_parent_golden.json"),
+		filepath.Join("..", "store", "testdata", "plan_child_parent_golden.json"),
 	} {
 		data, err := os.ReadFile(path)
 		if err != nil {

@@ -3,6 +3,7 @@ package instrument
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,6 +46,36 @@ func TestPlanGoldenFile(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("plan serialization drifted from golden file:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestPlanParentFormatLoads reads the golden plan as the previous format
+// wrote it, with the modelled replay-runs estimate in its cost block, and
+// checks that it loads as the current golden plan: same fingerprint,
+// branch set and overhead estimate. The retired field is ignored, so plans
+// shipped before the format change keep resolving.
+func TestPlanParentFormatLoads(t *testing.T) {
+	path := filepath.Join("testdata", "plan_parent_golden.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"replay_runs"`) {
+		t.Fatalf("%s is not in the parent format (no replay_runs):\n%s", path, data)
+	}
+	old, err := LoadPlan(path)
+	if err != nil {
+		t.Fatalf("parent-format plan refused: %v", err)
+	}
+	want := goldenPlan(t)
+	if old.Fingerprint() != want.Fingerprint() {
+		t.Errorf("fingerprint %s, want %s", old.Fingerprint(), want.Fingerprint())
+	}
+	if fmt.Sprint(old.IDs()) != fmt.Sprint(want.IDs()) {
+		t.Errorf("branch set %v, want %v", old.IDs(), want.IDs())
+	}
+	if old.EstimatedOverhead() != want.EstimatedOverhead() || old.Cost != want.Cost {
+		t.Errorf("cost %+v, want %+v", old.Cost, want.Cost)
 	}
 }
 

@@ -3,7 +3,6 @@ package instrument
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -26,9 +25,7 @@ import (
 //
 // Compositions beyond the paper's four become available for free:
 //
-//	Budgeted(All(), 64)                    // best 64 branches by value density
-//	Sampled(Static(), 0.5)                 // half of static's set, deterministic
-//	Intersect(Dynamic(), Static())         // branches both analyses agree on
+//	Budgeted(All(), 64)   // the 64 branches with most symbolic executions per logged bit
 //
 // Strategy names are identifiers: the Session caches plans by name, and
 // frontier tables label points with them, so a custom Strategy must return
@@ -244,47 +241,14 @@ func Union(inner ...Strategy) Strategy {
 	}
 }
 
-// Intersect returns the strategy instrumenting only the branches every
-// inner strategy instruments.
-func Intersect(inner ...Strategy) Strategy {
-	return &strategyFunc{
-		name: composeName("intersect", strategyNames(inner)...),
-		build: func(ctx context.Context, pc *PlanContext) (map[lang.BranchID]bool, error) {
-			sets, err := innerSets(ctx, pc, inner)
-			if err != nil {
-				return nil, err
-			}
-			if len(sets) == 0 {
-				return nil, nil
-			}
-			out := make(map[lang.BranchID]bool)
-			for id, v := range sets[0] {
-				if !v {
-					continue
-				}
-				in := true
-				for _, set := range sets[1:] {
-					if !set[id] {
-						in = false
-						break
-					}
-				}
-				if in {
-					out[id] = true
-				}
-			}
-			return out, nil
-		},
-	}
-}
-
 // Budgeted returns the strategy that keeps at most k branches of the inner
-// strategy's set — the k with the highest value density under the cost
-// model, where value is the replay fan-out the branch's bit removes and
-// cost is the expected bits per run it adds. This sweeps smooth
-// intermediate points onto the overhead/debug-time curve between the
-// paper's fixed methods. Ties break toward higher replay value, then lower
-// branch ID, so the selection is deterministic.
+// strategy's set — the k with the most symbolic executions per logged bit
+// under the cost model: each symbolic execution a logged bit pins is one
+// alternative the replay search need not explore, and each bit is paid at
+// every user-site run. This sweeps intermediate points onto the
+// overhead/debug-time curve between the paper's fixed methods. Ties break
+// toward more symbolic executions per run, then lower branch ID, so the
+// selection is deterministic.
 func Budgeted(inner Strategy, k int) Strategy {
 	return &strategyFunc{
 		name: fmt.Sprintf("budgeted(%s,%d)", inner.Name(), k),
@@ -302,59 +266,27 @@ func Budgeted(inner Strategy, k int) Strategy {
 			}
 			model := pc.cost
 			type ranked struct {
-				id      lang.BranchID
-				value   float64
-				density float64
+				id     lang.BranchID
+				sym    float64 // symbolic executions per run
+				perBit float64 // symbolic executions per logged bit
 			}
 			rs := make([]ranked, len(ids))
 			for i, id := range ids {
-				v := model.branchReplayCost(id)
-				rs[i] = ranked{id: id, value: v, density: v / model.branchOverhead(id)}
+				sym := model.symExecRate(id)
+				rs[i] = ranked{id: id, sym: sym, perBit: sym / model.branchOverhead(id)}
 			}
 			sort.Slice(rs, func(i, j int) bool {
-				if rs[i].density != rs[j].density {
-					return rs[i].density > rs[j].density
+				if rs[i].perBit != rs[j].perBit {
+					return rs[i].perBit > rs[j].perBit
 				}
-				if rs[i].value != rs[j].value {
-					return rs[i].value > rs[j].value
+				if rs[i].sym != rs[j].sym {
+					return rs[i].sym > rs[j].sym
 				}
 				return rs[i].id < rs[j].id
 			})
 			out := make(map[lang.BranchID]bool, k)
 			for _, r := range rs[:k] {
 				out[r.id] = true
-			}
-			return out, nil
-		},
-	}
-}
-
-// Sampled returns the strategy that keeps a deterministic rate-fraction of
-// the inner strategy's set, selected by hashing branch IDs (no randomness:
-// the same program and rate always keep the same branches, so fingerprints
-// stay stable across sites).
-func Sampled(inner Strategy, rate float64) Strategy {
-	return &strategyFunc{
-		name: fmt.Sprintf("sampled(%s,%g)", inner.Name(), rate),
-		build: func(ctx context.Context, pc *PlanContext) (map[lang.BranchID]bool, error) {
-			p, err := inner.Plan(ctx, pc)
-			if err != nil {
-				return nil, err
-			}
-			if rate >= 1 {
-				return p.Instrumented, nil
-			}
-			out := make(map[lang.BranchID]bool)
-			if rate <= 0 {
-				return out, nil
-			}
-			threshold := uint32(rate * float64(1<<24))
-			for _, id := range p.IDs() {
-				h := fnv.New32a()
-				fmt.Fprintf(h, "b%d", id)
-				if h.Sum32()%(1<<24) < threshold {
-					out[id] = true
-				}
 			}
 			return out, nil
 		},

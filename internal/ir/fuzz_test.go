@@ -54,6 +54,10 @@ type genProg struct {
 	frozen  map[string]bool
 	funcs   []string // helper functions defined so far (callable)
 	depth   int
+	// safe makes every array index a constant in range and every divisor
+	// nonzero, so the program can crash only at an explicit crash() and
+	// no symbolic value ever selects a memory cell (see generateUnit).
+	safe bool
 }
 
 type genArr struct {
@@ -62,8 +66,19 @@ type genArr struct {
 }
 
 // generate renders a complete MiniC unit from the seed.
-func generate(seed uint64) string {
-	g := &genProg{r: &genRand{s: seed}, frozen: map[string]bool{}}
+func generate(seed uint64) string { return generateUnit(seed, 0) }
+
+// generateUnit renders the unit for seed. With inputLen > 0, main first
+// reads argv[0] into a char buffer of that size and seeds its locals from
+// the buffer's bytes, so branches over the locals turn symbolic. Such a
+// program is safe (constant array indexes, no unguarded divisor) and ends
+// in a crash() guarded by a generated condition: its only crash site is
+// behind a branch, where a replay search can steer to it, and its path
+// condition is a function of the input alone. The generator draws the
+// same stream up to that final branch either way, so the program shape
+// behind a seed does not depend on inputLen.
+func generateUnit(seed uint64, inputLen int) string {
+	g := &genProg{r: &genRand{s: seed}, frozen: map[string]bool{}, safe: inputLen > 0}
 
 	ng := 1 + g.r.n(3)
 	for i := 0; i < ng; i++ {
@@ -88,11 +103,18 @@ func generate(seed uint64) string {
 	}
 
 	g.b.WriteString("int main() {\n")
+	if inputLen > 0 {
+		fmt.Fprintf(&g.b, "\tchar in[%d];\n\tgetarg(0, in, %d);\n", inputLen, inputLen)
+	}
 	nl := 2 + g.r.n(3)
 	for i := 0; i < nl; i++ {
 		name := fmt.Sprintf("v%d", i)
 		g.locals = append(g.locals, name)
-		fmt.Fprintf(&g.b, "\tint %s = %d;\n", name, g.r.n(10))
+		init := fmt.Sprintf("%d", g.r.n(10))
+		if inputLen > 0 {
+			init = fmt.Sprintf("in[%d]", i%inputLen)
+		}
+		fmt.Fprintf(&g.b, "\tint %s = %s;\n", name, init)
 	}
 	if g.r.pct(40) {
 		a := genArr{name: "la", size: 2 + g.r.n(5)}
@@ -102,6 +124,9 @@ func generate(seed uint64) string {
 	ns := 3 + g.r.n(6)
 	for i := 0; i < ns; i++ {
 		g.stmt(1)
+	}
+	if inputLen > 0 {
+		fmt.Fprintf(&g.b, "\tif (%s) {\n\t\tcrash(1);\n\t}\n", g.cond())
 	}
 	fmt.Fprintf(&g.b, "\texit(%s);\n\treturn 0;\n}\n", g.expr(0))
 	return g.b.String()
@@ -149,12 +174,17 @@ func (g *genProg) lvalue() string {
 // indexExpr renders an array subscript. Indexes are almost always reduced
 // into range; the rare raw index exercises bounds-check crash parity.
 func (g *genProg) indexExpr(a genArr) string {
-	if g.r.pct(8) {
-		return fmt.Sprintf("%s[%s]", a.name, g.expr(2))
+	raw := g.r.pct(8)
+	idx := g.expr(2)
+	switch {
+	case g.safe:
+		return fmt.Sprintf("%s[%d]", a.name, len(idx)%a.size)
+	case raw:
+		return fmt.Sprintf("%s[%s]", a.name, idx)
 	}
 	// Double mod keeps the index in range even for negative operands
 	// (MiniC % truncates toward zero, like C).
-	return fmt.Sprintf("%s[((%s) %% %d + %d) %% %d]", a.name, g.expr(2), a.size, a.size, a.size)
+	return fmt.Sprintf("%s[((%s) %% %d + %d) %% %d]", a.name, idx, a.size, a.size, a.size)
 }
 
 var binOps = []string{"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||", "&", "|", "^", "<<", ">>"}
@@ -192,7 +222,7 @@ func (g *genProg) expr(depth int) string {
 		if op == "/" || op == "%" {
 			// Bias toward defined division; the unguarded rest probes
 			// divide-by-zero crash parity.
-			if g.r.pct(80) {
+			if g.r.pct(80) || g.safe {
 				rhs = fmt.Sprintf("((%s) | 1)", rhs)
 			}
 		}

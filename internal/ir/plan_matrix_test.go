@@ -9,6 +9,8 @@ import (
 	"pathlog/internal/concolic"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
+	"pathlog/internal/ir"
+	"pathlog/internal/obs"
 	"pathlog/internal/replay"
 	"pathlog/internal/static"
 )
@@ -98,6 +100,66 @@ func TestPlanMatrixNeverNeedsMoreRuns(t *testing.T) {
 				}
 				if res.Runs > bound {
 					t.Errorf("%d runs, more than the %d before follow-the-log", res.Runs, bound)
+				}
+			})
+		}
+	}
+}
+
+// ladderBudget is the run budget of every ladder search.
+const ladderBudget = 1000
+
+// TestLadderReproduces is the regression test of the ladder: uServer
+// experiments 1-5 under budgeted(all,k) for k of the 168 branch
+// locations, syscall log on. Before each path was expanded once, every
+// k=5 cell and exp3 at k=21..84 exhausted this budget re-running a handful
+// of paths. Every cell must reproduce with an input that verifies, and
+// every run that repeated an earlier path (recomputed by pathOracle) must
+// be one the engine counted in pathlog_replay_duplicate_paths_total and
+// did not expand.
+func TestLadderReproduces(t *testing.T) {
+	ctx := context.Background()
+	scns := make([]*core.Scenario, 5)
+	for i := range scns {
+		scn, err := apps.ScenarioByName(fmt.Sprintf("userver-exp%d", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scns[i] = scn
+	}
+	an := apps.AnalysisScenarioFor(scns[0].Name, scns[0])
+	in := instrument.Inputs{
+		Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(scns[0].Name)}),
+		Static:  scns[0].AnalyzeStatic(static.Options{LibAsSymbolic: true}),
+	}
+	for _, k := range []int{0, 5, 21, 42, 60, 84, 120, 168} {
+		strat := instrument.Budgeted(instrument.All(), k)
+		for _, scn := range scns {
+			t.Run(fmt.Sprintf("%s/%s", strat.Name(), scn.Name), func(t *testing.T) {
+				plan, err := strat.Plan(ctx, instrument.NewPlanContext(scn.Prog, in, true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, _, err := scn.RecordContext(ctx, plan)
+				if err != nil || rec == nil {
+					t.Fatalf("record: %v", err)
+				}
+				reg := obs.NewRegistry()
+				oracle := newPathOracle(ir.Engine)
+				res := scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: ladderBudget, Engine: oracle.factory, Obs: reg})
+				if !res.Reproduced || !scn.VerifyInput(res.InputBytes, rec.Crash) {
+					t.Fatalf("not reproduced within %d runs: %d runs, %d duplicate paths, solver %+v",
+						ladderBudget, res.Runs, res.DuplicatePaths, res.SolverStats)
+				}
+				var dups int64
+				for _, c := range reg.Snapshot().Counters {
+					if c.Name == "pathlog_replay_duplicate_paths_total" {
+						dups = c.Value
+					}
+				}
+				if int64(oracle.repeats) != dups || res.DuplicatePaths != oracle.repeats {
+					t.Errorf("%d runs repeated an earlier path; the engine counted %d (scrape %d)",
+						oracle.repeats, res.DuplicatePaths, dups)
 				}
 			})
 		}

@@ -16,12 +16,14 @@ import (
 // accepts must re-encode (Encode, or EncodeRef when it is stamped-only) and
 // decode again with the same fingerprint stamp, trace bits, crash site and
 // syscall log. The seeds are the committed version-1 and version-2
-// envelopes, a version-3 reference envelope derived from the latter, and a
+// envelopes, the version-2 golden in the parent format (with the retired
+// replay-runs estimate), a version-3 reference envelope derived from the
+// current version-2 golden, and a
 // version-1 envelope whose stamp does not match its plan (Encode would
 // write that stamp into a version-2 envelope the decoder then refuses).
 func FuzzDecodeRecording(f *testing.F) {
 	var v2 []byte
-	for _, name := range []string{"recording_v1.json", "recording_v2_golden.json"} {
+	for _, name := range []string{"recording_v1.json", "recording_v2_parent.json", "recording_v2_golden.json"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

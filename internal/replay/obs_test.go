@@ -110,9 +110,35 @@ func TestReproduceCountsFollowRunsAndSolverOutcomes(t *testing.T) {
 		"pathlog_replay_follow_runs_total":   1,
 		"pathlog_replay_solver_unsat_total":  1,
 		"pathlog_replay_solver_gaveup_total": 0,
+		// Two runs on two paths: nothing to deduplicate.
+		"pathlog_replay_duplicate_paths_total": 0,
 	} {
 		if got, ok := counters[name]; !ok || got != want {
 			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, want)
 		}
+	}
+}
+
+// TestReproduceCountsDuplicatePaths checks the counter that shows a
+// cycling search in a scrape: the chain fixture's search runs seven times
+// over four paths, and each of the three runs down an already-expanded
+// path is counted (and queues nothing).
+func TestReproduceCountsDuplicatePaths(t *testing.T) {
+	f := chainFixture(t)
+	reg := obs.NewRegistry()
+	res := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 24, Obs: reg}).Reproduce(context.Background())
+	if res.Reproduced || res.TimedOut || res.Runs != 7 {
+		t.Fatalf("want a search that empties its pending list in 7 runs, got %+v", res)
+	}
+	var got int64
+	var ok bool
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "pathlog_replay_duplicate_paths_total" {
+			got, ok = c.Value, true
+		}
+	}
+	if !ok || got != 3 || int64(res.DuplicatePaths) != got {
+		t.Errorf("pathlog_replay_duplicate_paths_total = %d (registered %v), result says %d, want 3",
+			got, ok, res.DuplicatePaths)
 	}
 }

@@ -154,6 +154,28 @@ func TestRecordingV2GoldenFile(t *testing.T) {
 	}
 }
 
+// TestRecordingV2ParentFormatLoads reads the version-2 golden as the
+// previous format wrote it, with the modelled replay-runs estimate in the
+// plan's cost block: it loads, validates, and carries the current golden's
+// plan fingerprint, cost and trace, so reports filed before the format
+// change still replay.
+func TestRecordingV2ParentFormatLoads(t *testing.T) {
+	f := buildFixture(t, instrument.MethodDynamicStatic)
+	old, err := LoadRecordingFor(filepath.Join("testdata", "recording_v2_parent.json"), f.prog)
+	if err != nil {
+		t.Fatalf("parent-format recording rejected: %v", err)
+	}
+	cur, err := LoadRecordingFor(filepath.Join("testdata", "recording_v2_golden.json"), f.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Fingerprint != cur.Fingerprint || old.Plan.Cost != cur.Plan.Cost ||
+		old.Trace.Len() != cur.Trace.Len() || old.Crash != cur.Crash {
+		t.Errorf("parent-format recording loaded as %s %+v (%d bits), want %s %+v (%d bits)",
+			old.Fingerprint, old.Plan.Cost, old.Trace.Len(), cur.Fingerprint, cur.Plan.Cost, cur.Trace.Len())
+	}
+}
+
 func TestRecordingFileHasNoInputBytes(t *testing.T) {
 	// The serialized report must not contain the user's distinctive input.
 	f := buildFixture(t, instrument.MethodAll)

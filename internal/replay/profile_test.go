@@ -35,8 +35,9 @@ int main() {
 // site. The resulting search is single-file: the all-seed run diverges at
 // b0, follows the log through b1 and queues the forced fallback under its
 // whole path; from then on one case-1 alternative per crash-site visit
-// sits above the fallback, so the search spends exactly its MaxRuns budget
-// and its attribution is known branch by branch.
+// sits above the fallback. Each path is expanded once, so the search runs
+// every path the log admits, empties its pending list well inside any
+// budget, and its attribution is known branch by branch.
 func chainFixture(t *testing.T) *fixture {
 	t.Helper()
 	prog := compile(t, sideBranchSrc)
@@ -53,9 +54,8 @@ func chainFixture(t *testing.T) *fixture {
 	return &fixture{prog: prog, spec: spec, rec: rec}
 }
 
-// runProfiled runs the chain fixture to its MaxRuns budget and returns the
-// profile with wall-clock fields zeroed (solver time is real time and can
-// never be parity-checked).
+// runProfiled runs the chain fixture under a MaxRuns budget and returns
+// the result.
 func runProfiled(t *testing.T, f *fixture, maxRuns int) *Result {
 	t.Helper()
 	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{
@@ -90,8 +90,16 @@ func TestSearchProfileParityAcrossWorkers(t *testing.T) {
 	f := chainFixture(t)
 	res := runProfiled(t, f, maxRuns)
 
-	if res.Runs != maxRuns {
-		t.Fatalf("runs: %d, want %d (single-file search must exhaust the budget)", res.Runs, maxRuns)
+	// Four paths in seven runs: the all-seed run following the log, b2's
+	// two directions under the recorded chain, and the fallback's run
+	// following the log from b1. Three runs land on a path already
+	// expanded (b2's alternative of the "PQZ" run, the fallback's followed
+	// path and its forced set) and queue nothing; a search that expanded
+	// them again ping-pongs between b2's directions until the budget runs
+	// out.
+	if res.Runs != 7 || res.TimedOut || res.DuplicatePaths != 3 {
+		t.Fatalf("runs %d (timed out %v, %d duplicate paths), want 7 runs, 3 of them duplicates, that empty the pending list",
+			res.Runs, res.TimedOut, res.DuplicatePaths)
 	}
 	p := res.Profile
 	if p.Runs != res.Runs || p.Aborts != res.Aborts || p.Reproduced != res.Reproduced {
@@ -103,10 +111,11 @@ func TestSearchProfileParityAcrossWorkers(t *testing.T) {
 	}
 	sb := normalizedBranches(p)
 	// The attribution itself: the uninstrumented side branch (b2) must
-	// carry case-1 forks and the aborted ping-pong runs. The first
-	// divergent branch (b0) owns the followed run's whole-path set and its
-	// fallback: one solve, one aborted run. b1, where the followed run
-	// disagreed with the log a second time, keeps only that disagreement.
+	// carry case-1 forks and the aborted runs it seeded. Each run's first
+	// divergent branch owns that run's whole-path set and its fallback:
+	// b0 (the all-seed run) and b1 (the fallback's run) each charge two
+	// solves and two aborted runs. b1's disagreements count both runs that
+	// contradicted its bit, b0's only the all-seed run.
 	if sb[2].Forks == 0 {
 		t.Error("uninstrumented symbolic branch b2 shows no forks")
 	}
@@ -116,11 +125,11 @@ func TestSearchProfileParityAcrossWorkers(t *testing.T) {
 	if sb[0].Forks != 0 || sb[1].Forks != 0 {
 		t.Errorf("instrumented branches show case-1 forks: b0=%d b1=%d", sb[0].Forks, sb[1].Forks)
 	}
-	if sb[0].AbortedRuns != 1 || sb[0].SolverCalls != 1 || sb[0].Disagreements != 1 {
-		t.Errorf("first divergence b0: %+v, want 1 aborted run, 1 solver call, 1 disagreement", sb[0])
+	if sb[0].AbortedRuns != 2 || sb[0].SolverCalls != 2 || sb[0].Disagreements != 1 {
+		t.Errorf("first divergence b0: %+v, want 2 aborted runs, 2 solver calls, 1 disagreement", sb[0])
 	}
-	if sb[1].AbortedRuns != 0 || sb[1].SolverCalls != 0 || sb[1].Disagreements != 1 {
-		t.Errorf("followed divergence b1: %+v, want only 1 disagreement", sb[1])
+	if sb[1].AbortedRuns != 2 || sb[1].SolverCalls != 2 || sb[1].Disagreements != 2 {
+		t.Errorf("fallback divergence b1: %+v, want 2 aborted runs, 2 solver calls, 2 disagreements", sb[1])
 	}
 	for id, bc := range sb {
 		if bc.SolverCalls == 0 && bc.Forks == 0 && bc.Disagreements == 0 {

@@ -140,6 +140,14 @@ type Result struct {
 	SymNotLoggedExecs int64
 	SolverStats       solver.Stats
 	PendingPeak       int
+	// DuplicatePaths counts the runs whose path an earlier run of the
+	// search had already expanded; such a run queues nothing. Dropped
+	// counts the alternatives a cap discarded (MaxPending, or a path
+	// condition past maxRunConds). A search that exhausts its pending list
+	// without a reproduction owes its failure to a Dropped set or a
+	// solver give-up (SolverStats.GaveUp): the recorded input is a witness.
+	DuplicatePaths int
+	Dropped        int
 	// Profile attributes the search's cost per branch site: forks, aborted
 	// runs, solver calls and time. It is always populated — a search that
 	// timed out is exactly the one whose attribution the refinement loop
@@ -165,6 +173,7 @@ type Engine struct {
 	followRuns  *obs.Counter
 	unsat       *obs.Counter
 	gaveUp      *obs.Counter
+	duplicates  *obs.Counter
 }
 
 // New creates a replay engine. The registry may be fresh: variable identity
@@ -194,6 +203,7 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recordi
 		e.followRuns = opts.Obs.Counter("pathlog_replay_follow_runs_total")
 		e.unsat = opts.Obs.Counter("pathlog_replay_solver_unsat_total")
 		e.gaveUp = opts.Obs.Counter("pathlog_replay_solver_gaveup_total")
+		e.duplicates = opts.Obs.Counter("pathlog_replay_duplicate_paths_total")
 	}
 	return e
 }
@@ -232,6 +242,15 @@ type runSink struct {
 	queued []pendingSet
 
 	mismatch bool // the run contradicted or outran the log (2b, 3b, exhausted)
+
+	// path identifies the run's path for the search's dedup: a hash over
+	// the sequence of symbolic branch directions (cases 1 and 2) within
+	// the collected path condition, with the run's first case-2b
+	// divergence folded in — exactly what decides the sets the run queues.
+	path uint64
+	// dropped counts the alternatives this run could not queue (the
+	// MaxPending cap, or a case-1 fork past maxRunConds).
+	dropped int
 
 	// following is set at the run's first case-2b divergence: from there
 	// on the run takes every logged direction (vm.ErrFollowLog) instead of
@@ -278,6 +297,9 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 				s.forks[site.ID]++
 			}
 			s.conds = append(s.conds, c)
+			s.step(site.ID, taken)
+		} else if !s.following {
+			s.dropped++
 		}
 		return nil
 
@@ -295,6 +317,7 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 		if logged == taken {
 			if len(s.conds) < maxRunConds {
 				s.conds = append(s.conds, sym.Constraint{E: cond.Sym, Truth: taken})
+				s.step(site.ID, taken)
 			}
 			return nil
 		}
@@ -307,9 +330,11 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 		if !s.following {
 			s.pushPending(site.ID, c)
 			s.following, s.followOrigin, s.mismatch = true, site.ID, true
+			s.path ^= followMark
 		}
 		if len(s.conds) < maxRunConds {
 			s.conds = append(s.conds, c)
+			s.step(site.ID, logged)
 		}
 		return vm.ErrFollowLog
 
@@ -342,11 +367,31 @@ func (s *runSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) err
 	}
 }
 
+// FNV-1a over one 64-bit word per symbolic branch execution: the site ID
+// shifted left by one, with the direction in the low bit. followMark
+// separates a path that follows the log from the same directions taken
+// freely: the two queue different sets.
+const (
+	pathOffset = 14695981039346656037
+	pathPrime  = 1099511628211
+	followMark = 0x9E3779B97F4A7C15
+)
+
+// step extends the run's path key by one symbolic branch direction.
+func (s *runSink) step(id lang.BranchID, dir bool) {
+	w := uint64(id) << 1
+	if dir {
+		w |= 1
+	}
+	s.path = (s.path ^ w) * pathPrime
+}
+
 // pushPending queues the current prefix plus one appended constraint,
 // reporting whether the set was actually queued (the per-run cap can drop
 // it).
 func (s *runSink) pushPending(origin lang.BranchID, appended sym.Constraint) bool {
 	if len(s.queued) >= s.eng.opts.MaxPending {
+		s.dropped++
 		return false
 	}
 	s.queued = append(s.queued, pendingSet{
@@ -397,6 +442,10 @@ type search struct {
 	sc      runScratch
 	profile map[lang.BranchID]*instrument.BranchCost
 	res     *Result
+	// expanded holds the path keys of the runs whose alternatives the
+	// search has queued: a later run down one of these paths would queue
+	// the same sets again, and the search would cycle.
+	expanded map[uint64]struct{}
 }
 
 // charge returns the profile entry for a branch site.
@@ -466,13 +515,16 @@ func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.B
 	return nil, noOrigin, solves, false
 }
 
-// account charges one completed run to the profile — its case-1 forks and
-// consumed log bits, and an abort to the branch whose set seeded it — and
-// reports whether it reproduced the bug.
+// account charges one completed run to the profile — its queued case-1
+// forks and consumed log bits, and an abort to the branch whose set seeded
+// it — and reports whether it reproduced the bug.
 func (s *search) account(origin lang.BranchID, sink *runSink, vmRes vm.Result) bool {
-	for id, n := range sink.forks {
-		if n != 0 {
-			s.charge(lang.BranchID(id)).Forks += n
+	// A run down an already-expanded path queues none of its forks (push).
+	if _, dup := s.expanded[sink.path]; !dup {
+		for id, n := range sink.forks {
+			if n != 0 {
+				s.charge(lang.BranchID(id)).Forks += n
+			}
 		}
 	}
 	for id, n := range sink.loggedExecs {
@@ -500,8 +552,24 @@ func (s *search) account(origin lang.BranchID, sink *runSink, vmRes vm.Result) b
 // the log adds its whole path condition last, above the forced fallback,
 // so the next run tries the recorded path in one step and the fallback
 // pops only if that path is unsatisfiable. The sets share the run's final
-// constraint slice.
+// constraint slice. A run down a path the search has already expanded
+// queues nothing: each path is expanded once.
 func (s *search) push(sink *runSink) {
+	// The stack copies what it keeps; reclaim the buffer and remember the
+	// path length for the next run's conds sizing.
+	defer func() {
+		s.sc.queued = sink.queued[:0]
+		s.sc.condsCap = len(sink.conds)
+	}()
+	if _, dup := s.expanded[sink.path]; dup {
+		s.res.DuplicatePaths++
+		if s.e.duplicates != nil {
+			s.e.duplicates.Inc()
+		}
+		return
+	}
+	s.expanded[sink.path] = struct{}{}
+	s.res.Dropped += sink.dropped
 	if n := len(sink.conds); sink.following && n > 0 {
 		sink.queued = append(sink.queued, pendingSet{
 			prefixLen: n - 1,
@@ -513,23 +581,18 @@ func (s *search) push(sink *runSink) {
 	for i := range sink.queued {
 		sink.queued[i].runConds = sink.conds
 	}
-	if room := s.e.opts.MaxPending - len(s.stack); room > 0 {
-		q := sink.queued
-		if len(q) > room {
-			// Keep the newest sets: the followed path and its forced
-			// fallback (case 2b) are pushed last and must survive the cap,
-			// or the recorded path is lost.
-			q = q[len(q)-room:]
-		}
-		s.stack = append(s.stack, q...)
+	q := sink.queued
+	if room := max(s.e.opts.MaxPending-len(s.stack), 0); len(q) > room {
+		// Keep the newest sets: the followed path and its forced fallback
+		// (case 2b) are pushed last and must survive the cap, or the
+		// recorded path is lost.
+		s.res.Dropped += len(q) - room
+		q = q[len(q)-room:]
 	}
+	s.stack = append(s.stack, q...)
 	if len(s.stack) > s.res.PendingPeak {
 		s.res.PendingPeak = len(s.stack)
 	}
-	// The stack copied the queued sets; reclaim the buffer and remember the
-	// path length for the next run's conds sizing.
-	s.sc.queued = sink.queued[:0]
-	s.sc.condsCap = len(sink.conds)
 }
 
 // Reproduce runs the guided search until the bug is reproduced or the budget
@@ -549,11 +612,12 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 
 	res := &Result{}
 	s := &search{
-		e:       e,
-		slv:     solver.Get(e.opts.Solver),
-		stack:   stackPool.Get().([]pendingSet),
-		profile: make(map[lang.BranchID]*instrument.BranchCost),
-		res:     res,
+		e:        e,
+		slv:      solver.Get(e.opts.Solver),
+		stack:    stackPool.Get().([]pendingSet),
+		profile:  make(map[lang.BranchID]*instrument.BranchCost),
+		res:      res,
+		expanded: make(map[uint64]struct{}),
 	}
 	var (
 		winner *runSink
@@ -672,6 +736,7 @@ func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch) (*runSink, vm.Re
 		reader:           trace.NewReader(e.rec.Trace),
 		asn:              asn,
 		conds:            make([]sym.Constraint, 0, sc.condsCap+16),
+		path:             pathOffset,
 		queued:           sc.queued[:0],
 		symExecLogged:    counts[0*n : 1*n],
 		symExecNotLogged: counts[1*n : 2*n],

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,6 @@ func goldenPlan() *instrument.Plan {
 		ProgHash:     fixedProgHash,
 		Cost: instrument.CostEstimate{
 			OverheadBitsPerRun: 12.5,
-			ReplayRuns:         3.25,
 			Modeled:            true,
 		},
 	}
@@ -45,7 +45,6 @@ func goldenChild() *instrument.Plan {
 		Parent:       p.Fingerprint(),
 		Cost: instrument.CostEstimate{
 			OverheadBitsPerRun: 14.5,
-			ReplayRuns:         1.5,
 			Modeled:            true,
 		},
 	}
@@ -114,6 +113,38 @@ func checkGolden(t *testing.T, gotPath, goldenName string) {
 	if string(got) != string(want) {
 		t.Errorf("%s drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s",
 			gotPath, goldenName, got, want)
+	}
+}
+
+// TestPlanParentFormatLoads reads the golden base and child plans as the
+// previous format wrote them, with the modelled replay-runs estimate in
+// their cost blocks, and checks that each loads as the current golden plan:
+// same fingerprint, branch set, overhead estimate and lineage. Stores
+// written before the format change keep resolving their plans.
+func TestPlanParentFormatLoads(t *testing.T) {
+	for name, want := range map[string]*instrument.Plan{
+		"plan_base_parent_golden.json":  goldenPlan(),
+		"plan_child_parent_golden.json": goldenChild(),
+	} {
+		path := filepath.Join("testdata", name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"replay_runs"`) {
+			t.Fatalf("%s is not in the parent format (no replay_runs)", name)
+		}
+		old, err := instrument.LoadPlan(path)
+		if err != nil {
+			t.Fatalf("%s: parent-format plan refused: %v", name, err)
+		}
+		if old.Fingerprint() != want.Fingerprint() || fmt.Sprint(old.IDs()) != fmt.Sprint(want.IDs()) {
+			t.Errorf("%s: plan %s %v, want %s %v", name, old.Fingerprint(), old.IDs(), want.Fingerprint(), want.IDs())
+		}
+		if old.Cost != want.Cost || old.Generation != want.Generation || old.Parent != want.Parent {
+			t.Errorf("%s: cost %+v gen %d parent %q, want %+v gen %d parent %q", name,
+				old.Cost, old.Generation, old.Parent, want.Cost, want.Generation, want.Parent)
+		}
 	}
 }
 

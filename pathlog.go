@@ -6,8 +6,8 @@
 // The workflow mirrors the paper end to end, driven through a Session built
 // with functional options. Instrumentation decisions are first-class
 // strategies: built-ins (Dynamic, Static, All, None) compose through
-// combinators (Union, Intersect, Budgeted, Sampled), and each method of
-// §2.3 names a fixed composition (StrategyForMethod):
+// combinators (Union, Budgeted), and each method of §2.3 names a fixed
+// composition (StrategyForMethod):
 //
 //	prog, _ := pathlog.Compile(
 //		pathlog.Unit{Name: "app.mc", Source: src},
@@ -20,14 +20,15 @@
 //	)
 //
 //	// Pre-deployment: label branches with dynamic and/or static analysis
-//	// (§2), then sweep strategies for the paper's titular balance — the
-//	// Pareto frontier of (record overhead, estimated debug time).
+//	// (§2), then sweep strategies for the paper's titular balance — each
+//	// plan records and replays the session's workload, and the Pareto
+//	// frontier of (measured bits per run, measured replay runs) remains.
 //	points, _ := s.Frontier(ctx)
 //	for _, pt := range points {
-//		fmt.Printf("%-28s %6.0f bits/run  ~%4.0f replay runs\n",
+//		fmt.Printf("%-28s %6.0f bits/run  %4.0f replay runs\n",
 //			pt.Strategy, pt.Overhead, pt.ReplayRuns)
 //	}
-//	plan := points[1].Plan         // pick a balance point ...
+//	plan := points[0].Plan         // pick a balance point ...
 //	_ = plan.Save("app.plan.json") // ... and ship it (Fingerprint-stamped)
 //
 //	// User site: the instrumented run logs one bit per instrumented
@@ -59,10 +60,10 @@
 // on-disk plan store: every deployed or refined plan is retained under its
 // fingerprint, recordings can ship as stamped-only reference envelopes
 // (Recording.SaveRef) that Replay resolves back to the exact retained plan
-// generation, AutoBalance persists each generation's measured (overhead,
-// debug-time) point, and later Frontier sweeps — even in a cold session —
-// fold that measured history back in as ground truth next to the cost
-// model's estimates (PlanPoint.Measured, OverheadDrift, ReplayRunsDrift).
+// generation, AutoBalance and Frontier persist each plan's measured
+// (overhead, debug-time) point, and later Frontier sweeps — even in a cold
+// session — fold that history back in: refined generations no sweep
+// proposes compete for the frontier next to the swept plans.
 //
 // A deployed system receives a stream of bug reports, not one: IngestCorpus
 // turns a directory of reports into a deduplicated, weighted Corpus
@@ -164,12 +165,12 @@ type (
 	// Inputs carries analysis results into plan construction.
 	Inputs = instrument.Inputs
 	// Strategy decides which branch locations to instrument; strategies
-	// compose through Union, Intersect, Budgeted and Sampled.
+	// compose through Union and Budgeted.
 	Strategy = instrument.Strategy
 	// PlanContext carries the program and analysis results a Strategy
 	// consults.
 	PlanContext = instrument.PlanContext
-	// CostEstimate is a plan's modeled (overhead, debug-time) position.
+	// CostEstimate is a plan's modeled record overhead.
 	CostEstimate = instrument.CostEstimate
 	// PlanStore is the on-disk plan, lineage and measured-point store
 	// backing WithPlanStore (see internal/store).
@@ -202,13 +203,9 @@ var (
 	None = instrument.None
 	// Union instruments what any inner strategy instruments.
 	Union = instrument.Union
-	// Intersect instruments only what every inner strategy instruments.
-	Intersect = instrument.Intersect
-	// Budgeted keeps the top-k branches of a strategy by cost-model value
-	// density.
+	// Budgeted keeps the top-k branches of a strategy by symbolic
+	// executions per logged bit.
 	Budgeted = instrument.Budgeted
-	// Sampled keeps a deterministic fraction of a strategy's branches.
-	Sampled = instrument.Sampled
 	// StrategyForMethod returns the composition a Method names; its plans
 	// carry the method tag.
 	StrategyForMethod = instrument.StrategyForMethod

@@ -78,7 +78,7 @@ func WithAnalysisSpec(spec *Spec) Option {
 
 // WithStrategy selects the instrumentation strategy the session plans
 // with: a built-in (Dynamic, Static, All, None), a combinator composition
-// (Union, Intersect, Budgeted, Sampled), or any custom Strategy. The
+// (Union, Budgeted), or any custom Strategy. The
 // default is the paper's headline configuration,
 // Union(Dynamic(), StaticResidue()) — i.e. MethodDynamicStatic.
 func WithStrategy(s Strategy) Option {
@@ -170,10 +170,10 @@ func (s *Session) Observer() *Observer { return s.cfg.obs }
 //     retained plan generation from the store by its fingerprint, so the
 //     caller never tracks plan files — a stamp matching no retained plan
 //     is refused by name;
-//   - AutoBalance appends each generation's measured (overhead, replay)
+//   - AutoBalance and Frontier append each measured (overhead, replay)
 //     point to the store, and Frontier folds the retained measurements for
-//     this program and workload back into its sweep as ground truth
-//     (PlanPoint.Measured), correcting cost-model estimates with history;
+//     this program and workload back into its sweep, so refined
+//     generations from earlier sessions compete for the frontier;
 //   - the session seeds its stale-generation bookkeeping from the store's
 //     lineage index, so refinement chains advanced by earlier sessions are
 //     not silently rewound.

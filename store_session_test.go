@@ -14,8 +14,7 @@ import (
 )
 
 // storeChainSession builds a chain-program session backed by a plan store,
-// with a Budgeted partial plan so replay takes real search work (measured
-// replay runs that visibly disagree with the estimate).
+// with a Budgeted partial plan so replay takes real search work.
 func storeChainSession(t *testing.T, dir string, opts ...Option) *Session {
 	t.Helper()
 	base := []Option{
@@ -117,8 +116,9 @@ func TestStoreRefusesUnidentifiedPlan(t *testing.T) {
 	}
 }
 
-// A damaged measured file degrades a Frontier sweep to estimates — it
-// does not fail it; a damaged lineage index refuses session operations.
+// A damaged measured file leaves a Frontier sweep with its own fresh
+// measurements — it does not fail it, and the damage stays for Scan to
+// report; a damaged lineage index refuses session operations.
 func TestDamagedStoreEntries(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -129,8 +129,8 @@ func TestDamagedStoreEntries(t *testing.T) {
 	progHash := mustProgHash(t, warm)
 
 	// Corrupt the measured history: the cold sweep still succeeds, with
-	// no measured points (the estimates stand). Measured files key on the
-	// workload hash, not the session name.
+	// only its own measurements (no stored generation folds in).
+	// Measured files key on the workload hash, not the session name.
 	measured := filepath.Join(dir, "measured", progHash, warm.WorkloadHash()+".json")
 	if err := os.WriteFile(measured, []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
@@ -140,10 +140,16 @@ func TestDamagedStoreEntries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frontier failed on a damaged measured file: %v", err)
 	}
+	if len(points) == 0 {
+		t.Fatal("damaged history emptied the sweep's own frontier")
+	}
 	for _, pt := range points {
-		if pt.Measured {
-			t.Errorf("measured point surfaced from a damaged file: %+v", pt)
+		if pt.Plan.Generation != 0 {
+			t.Errorf("stored generation surfaced from a damaged file: %+v", pt)
 		}
+	}
+	if data, err := os.ReadFile(measured); err != nil || string(data) != "{broken" {
+		t.Errorf("the sweep overwrote the damaged measured file: %q (%v)", data, err)
 	}
 
 	// Corrupt the lineage index: session store operations refuse loudly
@@ -211,8 +217,10 @@ func TestPlanStoreRefusesUnknownFingerprint(t *testing.T) {
 	}
 }
 
-// Acceptance: a second cold Frontier sweep over the same store marks >= 1
-// point as Measured with nonzero rendered drift.
+// Acceptance: a cold Frontier sweep over the same store folds the warm
+// session's refined generations in as measured points: swept against the
+// syscall-log-only plan alone, the chain's refined head — a plan no sweep
+// proposes — reaches the frontier at its stored coordinates.
 func TestColdFrontierFoldsStoredMeasurements(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -232,28 +240,24 @@ func TestColdFrontierFoldsStoredMeasurements(t *testing.T) {
 	}
 
 	cold := storeChainSession(t, dir)
-	points, err := cold.Frontier(ctx)
+	points, err := cold.Frontier(ctx, Budgeted(All(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nMeasured, nDrift := 0, 0
+	head := tr.Final()
+	folded := false
 	for _, pt := range points {
-		if !pt.Measured {
-			if pt.OverheadDrift() != 0 || pt.ReplayRunsDrift() != 0 {
-				t.Errorf("estimated point %s reports drift", pt.Strategy)
-			}
+		if pt.Plan.Fingerprint() != head.Plan.Fingerprint() {
 			continue
 		}
-		nMeasured++
-		if pt.OverheadDrift() != 0 || pt.ReplayRunsDrift() != 0 {
-			nDrift++
+		folded = true
+		if pt.Plan.Generation != head.Generation || pt.ReplayRuns != head.MeanReplayRuns || pt.Overhead != head.MeanOverheadBits {
+			t.Errorf("folded head %+v (gen %d), want gen %d at %.0f bits, %.0f runs",
+				pt, pt.Plan.Generation, head.Generation, head.MeanOverheadBits, head.MeanReplayRuns)
 		}
 	}
-	if nMeasured == 0 {
-		t.Fatalf("cold frontier has no measured points: %+v", points)
-	}
-	if nDrift == 0 {
-		t.Errorf("no measured point renders nonzero drift: %+v", points)
+	if !folded {
+		t.Fatalf("cold frontier did not fold in the stored generation-%d head: %+v", head.Generation, points)
 	}
 
 	// A third session that never analyzed anything can still resume the
@@ -273,11 +277,12 @@ func TestColdFrontierFoldsStoredMeasurements(t *testing.T) {
 	}
 }
 
-// TestMergeMeasuredFrontier folds two stored measurements into a cold
-// Frontier sweep: a remeasured plan's observed coordinates beat the
-// estimate for the same fingerprint, a generation that did not reproduce
-// is no measured point, and replay runs strictly decrease within each
-// tier (estimated and measured) separately.
+// TestMergeMeasuredFrontier folds three stored measurements into a cold
+// Frontier sweep: a stored plan the sweep never proposes competes for the
+// frontier at its stored coordinates, a stored plan that did not reproduce
+// never surfaces, and a stale measurement of a plan the sweep proposes is
+// superseded by the sweep's fresh one. The frontier stays strictly Pareto
+// across all of them: one kind of point, one rule.
 func TestMergeMeasuredFrontier(t *testing.T) {
 	ctx := context.Background()
 	sess := storeChainSession(t, t.TempDir())
@@ -290,21 +295,20 @@ func TestMergeMeasuredFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := sess.planContext(in)
-	censored, err := Sampled(All(), 0).Plan(ctx, pc)
+	folded := pc.NewPlan("subset-b0-b1", map[BranchID]bool{0: true, 1: true})
+	censored := pc.NewPlan("subset-b2", map[BranchID]bool{2: true})
+	stale, err := All().Plan(ctx, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remeasured, err := All().Plan(ctx, pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const measuredRuns = 2
+	const foldedBits, foldedRuns = 1, 2
 	for _, mp := range []struct {
 		plan *Plan
 		pt   store.MeasuredPoint
 	}{
+		{folded, store.MeasuredPoint{OverheadBits: foldedBits, ReplayRuns: foldedRuns, Reproduced: true}},
 		{censored, store.MeasuredPoint{OverheadBits: 0, ReplayRuns: 500, Reproduced: false}},
-		{remeasured, store.MeasuredPoint{OverheadBits: 6, ReplayRuns: measuredRuns, Reproduced: true}},
+		{stale, store.MeasuredPoint{OverheadBits: 0, ReplayRuns: 1, Reproduced: true}},
 	} {
 		if err := st.PutPlan(mp.plan); err != nil {
 			t.Fatal(err)
@@ -319,36 +323,31 @@ func TestMergeMeasuredFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) == 0 {
-		t.Fatal("empty merged frontier")
-	}
-	sawRemeasured := false
-	lastEst, lastMeas := PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}, PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}
+	sawFolded := false
+	last := PlanPoint{Overhead: -1, ReplayRuns: math.Inf(1)}
 	for i, pt := range merged {
-		// A generation that did not reproduce has a budget-censored run
-		// count (the paper's ∞), not a measurement of debugging time.
-		if pt.Measured && pt.Plan.Fingerprint() == censored.Fingerprint() {
-			t.Errorf("non-reproduced generation emitted as a measured frontier point: %+v", pt)
-		}
-		// A measured point beats the estimate for the same fingerprint.
-		if pt.Plan.Fingerprint() == remeasured.Fingerprint() {
-			sawRemeasured = true
-			if !pt.Measured || pt.ReplayRuns != measuredRuns {
-				t.Errorf("the estimate shadowed the measured point for %s: %+v", pt.Strategy, pt)
+		switch pt.Plan.Fingerprint() {
+		case folded.Fingerprint():
+			sawFolded = true
+			if pt.Overhead != foldedBits || pt.ReplayRuns != foldedRuns {
+				t.Errorf("folded point moved: %+v", pt)
+			}
+		case censored.Fingerprint():
+			// A plan that did not reproduce has a budget-censored run
+			// count (the paper's ∞), not a measurement of debugging time.
+			t.Errorf("non-reproduced plan emitted as a frontier point: %+v", pt)
+		case stale.Fingerprint():
+			if pt.Overhead == 0 {
+				t.Errorf("the stale measurement shadowed the sweep's fresh one: %+v", pt)
 			}
 		}
-		last := &lastEst
-		if pt.Measured {
-			last = &lastMeas
-		}
 		if !(pt.Overhead > last.Overhead) || !(pt.ReplayRuns < last.ReplayRuns) {
-			t.Errorf("merged frontier not strictly Pareto within its tier at %d: %+v", i, merged)
+			t.Errorf("merged frontier not strictly Pareto at %d: %+v", i, merged)
 		}
-		*last = pt
+		last = pt
 	}
-	// Measured points are ground truth: estimates never displace them.
-	if !sawRemeasured {
-		t.Errorf("remeasured all-branches plan missing from the frontier: %+v", merged)
+	if !sawFolded {
+		t.Errorf("stored plan the sweep never proposes missing from the frontier: %+v", merged)
 	}
 }
 
