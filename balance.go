@@ -114,7 +114,10 @@ func (s *Session) resumePlan(plan *Plan) *Plan {
 const DefaultMaxGenerations = 4
 
 // BalanceOptions shape one balance loop (AutoBalance or CorpusBalance).
+// The embedded CorpusOptions say where each generation's corpus replays
+// and how many blowup branches a generation promotes.
 type BalanceOptions struct {
+	CorpusOptions
 	// TargetReplayRuns, when > 0, is the replay budget the loop works
 	// toward: a generation whose weighted corpus-mean search reproduces
 	// every report within this many runs meets the target.
@@ -132,32 +135,6 @@ type BalanceOptions struct {
 	// model the pre-deployment analysis built) exceeds it — the user-site
 	// half of the balance.
 	OverheadCeiling float64
-	// TopK is the number of blowup branches promoted per generation
-	// (<= 0 selects instrument.DefaultRefineTopK).
-	TopK int
-	// DemotionRate is the weighted demotion threshold: an instrumented
-	// branch becomes a demotion candidate when its disagreement rate
-	// (Disagreements over LoggedExecs) is at most this value
-	// (instrument.DemotableAt). Zero — the default — keeps the strict
-	// zero-disagreement rule. The measured-acceptance gate still applies
-	// either way: a demoted plan whose replay regresses is refused by name.
-	DemotionRate float64
-	// Shards partitions each generation's corpus into this many
-	// concurrently-replayed shards (<= 1 keeps one).
-	Shards int
-	// Runner replays each corpus shard; nil selects the in-process runner
-	// under the session's replay budget.
-	Runner CorpusRunner
-	// Workers fans corpus shards out over remote shard worker daemons
-	// (cmd/shardworkerd), addressed as host:port or http URLs, exactly as
-	// CorpusOptions.Workers does. Ignored when Runner is set; empty keeps
-	// the in-process runner. With workers set and Shards unset, the corpus
-	// is partitioned one shard per worker.
-	Workers []string
-	// OnGeneration, when set, observes each accepted generation's measured
-	// point as soon as it is recorded. Same contract as ProgressFunc:
-	// cheap, no calls back into the Session.
-	OnGeneration func(BalancePoint)
 }
 
 // validate refuses nonsensical targets before any work is done.
@@ -327,7 +304,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 	if maxGen <= 0 {
 		maxGen = DefaultMaxGenerations
 	}
-	copts := CorpusOptions{Shards: opts.Shards, Runner: opts.Runner, Workers: opts.Workers, TopK: opts.TopK}
+	copts := opts.CorpusOptions
 	tr := &BalanceTrajectory{Workload: workload}
 
 	// record appends an accepted generation's point to the trajectory and
@@ -335,7 +312,6 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 	record := func(pt BalancePoint) error {
 		start := time.Now()
 		tr.Points = append(tr.Points, pt)
-		s.emit("balance", len(tr.Points))
 		if err := s.appendMeasured(workload, pt); err != nil {
 			tr.Reason = "plan store write failed"
 			return fmt.Errorf("pathlog: balance: persist measured point: %w", err)
@@ -345,9 +321,6 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 			return fmt.Errorf("pathlog: balance: retain search profile: %w", err)
 		}
 		s.observePhase("merge", start)
-		if opts.OnGeneration != nil {
-			opts.OnGeneration(pt)
-		}
 		return nil
 	}
 	// accept makes a measured plan the chain's head.
@@ -425,7 +398,7 @@ func (s *Session) balance(ctx context.Context, c *Corpus, workload string, opts 
 		if err := ctx.Err(); err != nil {
 			return tr, err
 		}
-		cands := out.Profile.DemotableAt(plan.Instrumented, opts.DemotionRate)
+		cands := out.Profile.Demotable(plan.Instrumented)
 		if len(cands) == 0 {
 			return tr, nil
 		}

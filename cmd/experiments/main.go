@@ -77,8 +77,6 @@ func main() {
 		"directory for the fleet experiment's store and intake journal (left populated; empty = temp dir)")
 	flag.StringVar(&cfg.FleetMetricsOut, "fleet-metrics-out", cfg.FleetMetricsOut,
 		"write the fleet daemon's final /metrics snapshot JSON here")
-	flag.Float64Var(&cfg.FleetDemotionRate, "fleet-demotion-rate", cfg.FleetDemotionRate,
-		"disagreement-rate demotion threshold for the fleet balance (0 = strict)")
 	flag.IntVar(&cfg.FleetReplayWorkers, "fleet-replay-workers", cfg.FleetReplayWorkers,
 		"shard worker daemons the fleetreplay experiment balances over (floor 3)")
 	flag.StringVar(&cfg.FleetReplayWorkerCmd, "fleet-replay-worker-cmd", cfg.FleetReplayWorkerCmd,

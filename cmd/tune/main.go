@@ -195,16 +195,20 @@ func main() {
 		TargetReplayTime: *targetTime,
 		MaxGenerations:   *maxGens,
 		OverheadCeiling:  *ceiling,
-		TopK:             *topK,
-		OnGeneration: func(pt pathlog.BalancePoint) {
+		CorpusOptions:    pathlog.CorpusOptions{TopK: *topK},
+	})
+	// A failed loop still returns the generations it measured: print them
+	// before reporting what stopped it.
+	if tr != nil {
+		for _, pt := range tr.Points {
 			fmt.Printf("  %-4d %-44s %6d %10.0f %12.0f %10s %6v %7s\n",
 				pt.Generation, truncate(pt.Plan.Strategy, 44), pt.Plan.NumInstrumented(),
 				pt.MeanOverheadBits, pt.MeanReplayRuns,
 				time.Duration(pt.MeanReplayMS*float64(time.Millisecond)),
 				pt.Reproduced == pt.Members,
 				fmt.Sprintf("+%d/-%d", len(pt.Promoted), len(pt.Demoted)))
-		},
-	})
+		}
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -71,7 +71,8 @@ type CorpusOptions struct {
 	// shared filesystem nor a plan store, and every remote response flows
 	// through the same verifying merge point as a local replay.
 	Workers []string
-	// TopK is the promotion width of a RefineCorpus step (<= 0 selects
+	// TopK is the number of blowup branches a refinement step promotes —
+	// RefineCorpus, or one balance generation (<= 0 selects
 	// DefaultRefineTopK).
 	TopK int
 }
@@ -149,17 +150,6 @@ func (s *Session) replayCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 	return out, resolved, base, nil
 }
 
-// corpusReplayOptions assembles the replay bounds a corpus member is
-// searched under: the session's replay options with no per-run progress
-// callback (shards replay concurrently; the balance loop reports progress
-// once per generation).
-func (s *Session) corpusReplayOptions() replay.Options {
-	opts := s.cfg.rep
-	opts.OnRun = nil
-	opts.Obs = s.cfg.obs.Registry()
-	return opts
-}
-
 // RefineCorpus performs one refinement step, the only one the session
 // offers: replay the whole corpus (sharded), merge the weighted
 // attribution, and derive the next plan generation — the corpus-wide top
@@ -227,14 +217,14 @@ func (s *Session) corpusRunner(opts CorpusOptions) CorpusRunner {
 		return opts.Runner
 	}
 	if len(opts.Workers) > 0 {
-		r := fleet.NewRemoteRunner(opts.Workers, s.cfg.name, s.corpusReplayOptions())
+		r := fleet.NewRemoteRunner(opts.Workers, s.cfg.name, s.replayOptions())
 		// The runner shares the session's observer: its counters land in the
 		// same registry and its shard/dispatch spans parent under the balance
 		// generation that dispatched them.
 		r.Obs = s.cfg.obs
 		return r
 	}
-	return &corpus.InProcessRunner{Prog: s.prog, Spec: s.spec, Opts: s.corpusReplayOptions()}
+	return &corpus.InProcessRunner{Prog: s.prog, Spec: s.spec, Opts: s.replayOptions()}
 }
 
 // corpusShards resolves a step's shard count: an explicit Shards wins;

@@ -50,30 +50,21 @@ type Options struct {
 	MaxRuns int
 	// TimeBudget bounds wall-clock exploration time; 0 means no limit.
 	TimeBudget time.Duration
-	// MaxStepsPerRun bounds each run; 0 uses the VM default.
-	MaxStepsPerRun int64
-	// MaxQueue bounds the pending-input queue; 0 means DefaultMaxQueue.
-	MaxQueue int
-	// MaxChildrenPerRun bounds how many negated constraints of one run are
-	// turned into child inputs; 0 means DefaultMaxChildrenPerRun. Deep
-	// paths (diff's LCS loops) would otherwise spawn thousands of solver
-	// calls per run.
-	MaxChildrenPerRun int
-	// OnRun, when set, is called after each exploration run with the number
-	// of runs completed so far.
-	OnRun func(completed int)
 	// Engine builds the execution machine for each run; nil uses the
 	// bytecode VM (ir.Engine), as every layer does.
 	Engine vm.Factory
-	// Solver options.
-	Solver solver.Options
 }
 
-// Default bounds.
+// DefaultMaxRuns is the run budget of an exploration that sets none.
+const DefaultMaxRuns = 400
+
+// Exploration caps. maxQueue bounds the pending-input queue.
+// maxChildrenPerRun bounds how many negated constraints of one run are
+// turned into child inputs: deep paths (diff's LCS loops) would otherwise
+// spawn thousands of solver calls per run.
 const (
-	DefaultMaxRuns           = 400
-	DefaultMaxQueue          = 4096
-	DefaultMaxChildrenPerRun = 48
+	maxQueue          = 4096
+	maxChildrenPerRun = 48
 )
 
 // Report is the outcome of one exploration.
@@ -145,12 +136,6 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, opts Options
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = DefaultMaxRuns
 	}
-	if opts.MaxQueue <= 0 {
-		opts.MaxQueue = DefaultMaxQueue
-	}
-	if opts.MaxChildrenPerRun <= 0 {
-		opts.MaxChildrenPerRun = DefaultMaxChildrenPerRun
-	}
 	if opts.Engine == nil {
 		opts.Engine = ir.Engine
 	}
@@ -158,7 +143,7 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, opts Options
 		prog: prog,
 		spec: spec,
 		reg:  reg,
-		slv:  solver.New(opts.Solver),
+		slv:  solver.New(solver.Options{}),
 		opts: opts,
 		seen: make(map[string]bool),
 	}
@@ -231,9 +216,6 @@ func (e *Explorer) Explore(ctx context.Context) *Report {
 		asn := e.queue[0]
 		e.queue = e.queue[1:]
 		conds := e.runOnce(asn)
-		if e.opts.OnRun != nil {
-			e.opts.OnRun(e.report.Runs)
-		}
 		if e.report.Runs >= e.opts.MaxRuns {
 			break // the budget is spent; child generation would be wasted
 		}
@@ -255,10 +237,9 @@ func (e *Explorer) runOnce(asn sym.MapAssignment) []pathCond {
 	kern := oskernel.New(cfg)
 	tr := &tracer{ex: e, maxConds: 4096}
 	machine := e.opts.Engine(e.prog, vm.Options{
-		Kernel:   kern,
-		Sink:     tr,
-		World:    w,
-		MaxSteps: e.opts.MaxStepsPerRun,
+		Kernel: kern,
+		Sink:   tr,
+		World:  w,
 	})
 	// Crashes and budget blowups during analysis are expected: exploration
 	// inputs routinely trip the planted bugs. Only real VM errors matter.
@@ -289,11 +270,11 @@ func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) 
 	}
 	e.collectVars(conds)
 	stride := 1
-	if n > e.opts.MaxChildrenPerRun {
-		stride = n / e.opts.MaxChildrenPerRun
+	if n > maxChildrenPerRun {
+		stride = n / maxChildrenPerRun
 	}
 	for i := 0; i < n; i += stride {
-		if len(e.queue) >= e.opts.MaxQueue {
+		if len(e.queue) >= maxQueue {
 			return
 		}
 		sliced := e.sliceRelevant(conds, i)

@@ -325,7 +325,7 @@ func (e *Explorer) checkSlices(conds []pathCond, at []int) error {
 // negationPoints returns the indices generateChildren negates on a path of
 // n constraints.
 func (e *Explorer) negationPoints(n int) []int {
-	stride := max(1, n/e.opts.MaxChildrenPerRun)
+	stride := max(1, n/maxChildrenPerRun)
 	var at []int
 	for i := 0; i < n; i += stride {
 		at = append(at, i)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"pathlog/internal/corpus"
 	"pathlog/internal/instrument"
 	"pathlog/internal/lang"
+	"pathlog/internal/obs"
 	"pathlog/internal/replay"
 	"pathlog/internal/trace"
 	"pathlog/internal/vm"
@@ -358,26 +360,28 @@ func TestWaitHealthyDeadline(t *testing.T) {
 	}
 }
 
-// TestEventJournal: the OnEvent hook sees the dispatch/failure/retry
-// lifecycle (the harness writes these as JSONL artifacts).
+// TestEventJournal: the Events JSONL journal carries the
+// dispatch/failure/retry lifecycle (the harness writes it as an artifact).
 func TestEventJournal(t *testing.T) {
 	tr := (&fakeTransport{}).worker("w1", &fakeWorker{queue: []behavior{errReply(&StatusError{Code: 500})}})
 	r := newRunner(tr, "w1", "w2")
-	var mu sync.Mutex
-	kinds := map[string]int{}
-	r.OnEvent = func(e Event) {
-		mu.Lock()
-		kinds[e.Kind]++
-		mu.Unlock()
-	}
+	var journal bytes.Buffer
+	r.Events = obs.NewEventSink(&journal)
 	if _, err := r.ReplayShard(testCtx(t), fakeShard()); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	kinds := map[string]int{}
+	dec := json.NewDecoder(&journal)
+	for dec.More() {
+		var e Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("journal line does not decode: %v", err)
+		}
+		kinds[e.Kind]++
+	}
 	for _, kind := range []string{"dispatch", "worker_down", "retry", "response"} {
 		if kinds[kind] == 0 {
-			t.Errorf("no %q event emitted (saw %v)", kind, kinds)
+			t.Errorf("no %q event journaled (saw %v)", kind, kinds)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 	"pathlog/internal/replay"
 )
 
-// Defaults for the RemoteRunner's failure-handling knobs.
+// The RemoteRunner's failure-handling defaults and constants.
 const (
 	// DefaultMaxAttempts is how many dispatch waves a shard gets before the
 	// runner gives up (each wave may include a stolen duplicate).
@@ -35,12 +35,12 @@ const (
 	// backoff between waves.
 	DefaultBackoffBase = 50 * time.Millisecond
 	DefaultBackoffCap  = 2 * time.Second
-	// DefaultStealFactor scales a worker's EWMA latency into the steal
-	// deadline: a shard outstanding for longer than factor×EWMA is
-	// duplicated onto a second worker.
-	DefaultStealFactor = 3.0
-	// DefaultProbeTimeout bounds one /healthz probe.
-	DefaultProbeTimeout = 2 * time.Second
+	// stealFactor scales a worker's EWMA latency into the steal deadline:
+	// a shard outstanding for longer than stealFactor×EWMA is duplicated
+	// onto a second worker.
+	stealFactor = 3.0
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = 2 * time.Second
 	// ewmaAlpha weighs the newest latency observation.
 	ewmaAlpha = 0.3
 )
@@ -168,24 +168,11 @@ type RemoteRunner struct {
 	BackoffCap  time.Duration
 	// StealAfter is the floor before a slow shard is duplicated onto a
 	// second worker; the effective deadline is
-	// max(StealAfter, StealFactor×EWMA). With StealAfter zero and no
+	// max(StealAfter, stealFactor×EWMA). With StealAfter zero and no
 	// latency history yet, stealing waits for history.
 	StealAfter time.Duration
-	// StealFactor scales EWMA latency into the steal deadline
-	// (0 = DefaultStealFactor).
-	StealFactor float64
-	// RequestTimeout bounds one dispatch (0 = bounded by the caller's
-	// context only).
-	RequestTimeout time.Duration
-	// ProbeTimeout bounds one /healthz probe (0 = DefaultProbeTimeout).
-	ProbeTimeout time.Duration
-	// OnEvent, when set, receives a Event per dispatch/failure/steal; it
-	// may be called from concurrent shard goroutines and must be
-	// goroutine-safe.
-	OnEvent func(Event)
-	// Events, when set, journals every event as one JSONL line — the same
-	// stream OnEvent observes in-process, so the harness artifact and any
-	// callback see identical records.
+	// Events, when set, journals every dispatch/failure/steal event as one
+	// JSONL line.
 	Events *obs.EventSink
 	// Obs, when set, supplies the registry the runner's counters live in
 	// (exposed by /metrics alongside the intake's) and the tracer its
@@ -249,16 +236,13 @@ func (r *RemoteRunner) maxAttempts() int {
 }
 
 // event stamps e with the active span's identity (when ctx carries one),
-// journals it to the Events sink, and hands it to OnEvent.
+// and journals it to the Events sink.
 func (r *RemoteRunner) event(ctx context.Context, e Event) {
 	if s := obs.SpanFromContext(ctx); s != nil {
 		sc := s.Context()
 		e.Trace, e.Span = sc.TraceID, sc.SpanID
 	}
 	r.Events.Emit(e)
-	if r.OnEvent != nil {
-		r.OnEvent(e)
-	}
 }
 
 // Metrics snapshots the runner's counters.
@@ -307,7 +291,7 @@ func (r *RemoteRunner) WaitHealthy(ctx context.Context) error {
 		var lastErr error
 		healthy := 0
 		for _, ws := range r.states {
-			pctx, cancel := context.WithTimeout(ctx, r.probeTimeout())
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			err := tr.Healthz(pctx, ws.url)
 			cancel()
 			if err != nil {
@@ -329,13 +313,6 @@ func (r *RemoteRunner) WaitHealthy(ctx context.Context) error {
 		case <-time.After(25 * time.Millisecond):
 		}
 	}
-}
-
-func (r *RemoteRunner) probeTimeout() time.Duration {
-	if r.ProbeTimeout > 0 {
-		return r.ProbeTimeout
-	}
-	return DefaultProbeTimeout
 }
 
 // pickWorker chooses the healthy worker with the least load (inflight
@@ -377,7 +354,7 @@ func (r *RemoteRunner) probeAll(ctx context.Context) {
 		if ws.isUp() {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, r.probeTimeout())
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		err := tr.Healthz(pctx, ws.url)
 		cancel()
 		if err != nil {
@@ -391,15 +368,11 @@ func (r *RemoteRunner) probeAll(ctx context.Context) {
 }
 
 // stealDelay computes the duplicate-dispatch deadline for a shard running
-// on the given worker: max(StealAfter, StealFactor×EWMA). Zero means no
+// on the given worker: max(StealAfter, stealFactor×EWMA). Zero means no
 // stealing this wave (no floor configured and no latency history yet).
 func (r *RemoteRunner) stealDelay(ws *workerState) time.Duration {
-	factor := r.StealFactor
-	if factor <= 0 {
-		factor = DefaultStealFactor
-	}
 	_, ewma := ws.load()
-	d := time.Duration(factor * ewma * float64(time.Millisecond))
+	d := time.Duration(stealFactor * ewma * float64(time.Millisecond))
 	if r.StealAfter > d {
 		d = r.StealAfter
 	}
@@ -569,15 +542,9 @@ func (r *RemoteRunner) dispatchOnce(ctx context.Context, ws *workerState, shardI
 	defer span.End()
 	r.dispatched.Inc()
 	r.event(ctx, Event{Kind: "dispatch", Worker: ws.url, Shard: shardID, Attempt: attempt})
-	dctx := ctx
-	if r.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, r.RequestTimeout)
-		defer cancel()
-	}
 	ws.begin()
 	start := time.Now()
-	data, err := r.transport().PostShard(dctx, ws.url, body)
+	data, err := r.transport().PostShard(ctx, ws.url, body)
 	elapsed := time.Since(start)
 	ws.end(elapsed, err == nil)
 	r.dispatchMS.Observe(float64(elapsed.Milliseconds()))

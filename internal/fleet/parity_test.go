@@ -301,7 +301,7 @@ func TestChaosWorkerDeathConverges(t *testing.T) {
 	bin := buildWorkerd(t)
 
 	// Control: the same loop, fully in-process.
-	ctrl, err := balanceSession(t, s3).CorpusBalance(ctx, c, pathlog.BalanceOptions{Shards: 3})
+	ctrl, err := balanceSession(t, s3).CorpusBalance(ctx, c, pathlog.BalanceOptions{CorpusOptions: pathlog.CorpusOptions{Shards: 3}})
 	if err != nil {
 		t.Fatalf("control balance: %v", err)
 	}
@@ -350,8 +350,7 @@ func TestChaosWorkerDeathConverges(t *testing.T) {
 	}()
 
 	chaos, err := balanceSession(t, s3).CorpusBalance(ctx, c, pathlog.BalanceOptions{
-		Shards: 3,
-		Runner: runner,
+		CorpusOptions: pathlog.CorpusOptions{Shards: 3, Runner: runner},
 	})
 	if err != nil {
 		t.Fatalf("chaos balance: %v", err)

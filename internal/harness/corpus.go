@@ -152,16 +152,8 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lcFinal := lcTraj.Final()
-	t.AddRow("latest-crash", fmt.Sprintf("%d", lcFinal.Generation),
-		shorten(lcFinal.Plan.Strategy, 34),
-		fmt.Sprintf("%d", lcFinal.Plan.NumInstrumented()),
-		fmt.Sprintf("%.1f", lcFinal.MeanOverheadBits),
-		fmt.Sprintf("%.1f", lcFinal.MeanReplayRuns),
-		fmt.Sprintf("%d", lcFinal.MaxReplayRuns),
-		fmt.Sprintf("%d/%d", lcFinal.Reproduced, lcFinal.Members),
-		fmt.Sprintf("%d", promotedTotal(lcTraj)),
-		fmt.Sprintf("%d", demotedTotal(lcTraj)))
+	t.AddRow(append([]string{"latest-crash"},
+		balanceCells(*lcTraj.Final(), promotedTotal(lcTraj), demotedTotal(lcTraj))...)...)
 
 	// Corpus arm: sharded weighted replay, promote until the population
 	// meets the target, then demote with measured acceptance.
@@ -172,22 +164,12 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 	tr, err := sess.CorpusBalance(ctx, crp, pathlog.BalanceOptions{
 		TargetReplayRuns: target,
 		MaxGenerations:   c.AdaptiveMaxGenerations,
-		Shards:           shards,
-		OnGeneration: func(pt pathlog.BalancePoint) {
-			t.AddRow("corpus", fmt.Sprintf("%d", pt.Generation),
-				shorten(pt.Plan.Strategy, 34),
-				fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
-				fmt.Sprintf("%.1f", pt.MeanOverheadBits),
-				fmt.Sprintf("%.1f", pt.MeanReplayRuns),
-				fmt.Sprintf("%d", pt.MaxReplayRuns),
-				fmt.Sprintf("%d/%d", pt.Reproduced, pt.Members),
-				fmt.Sprintf("%d", len(pt.Promoted)),
-				fmt.Sprintf("%d", len(pt.Demoted)))
-		},
+		CorpusOptions:    pathlog.CorpusOptions{Shards: shards},
 	})
 	if err != nil {
 		return nil, err
 	}
+	addBalanceRows(t, tr, "corpus")
 
 	// Both directions of the claim, as grep-able notes.
 	gen0 := tr.Points[0]
@@ -245,6 +227,30 @@ func weightList(c *pathlog.Corpus) string {
 		out += fmt.Sprintf("%.2f", rep.Weight)
 	}
 	return out
+}
+
+// balanceCells renders one balance point as the nine cells every balance
+// table shows: gen, strategy, locs, mean bits, mean runs, max runs, repro,
+// promoted, demoted.
+func balanceCells(pt pathlog.BalancePoint, promoted, demoted int) []string {
+	return []string{fmt.Sprintf("%d", pt.Generation),
+		shorten(pt.Plan.Strategy, 34),
+		fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
+		fmt.Sprintf("%.1f", pt.MeanOverheadBits),
+		fmt.Sprintf("%.1f", pt.MeanReplayRuns),
+		fmt.Sprintf("%d", pt.MaxReplayRuns),
+		fmt.Sprintf("%d/%d", pt.Reproduced, pt.Members),
+		fmt.Sprintf("%d", promoted),
+		fmt.Sprintf("%d", demoted)}
+}
+
+// addBalanceRows adds one row per generation of the trajectory, each row
+// led by the lead cells.
+func addBalanceRows(t *Table, tr *pathlog.BalanceTrajectory, lead ...string) {
+	for _, pt := range tr.Points {
+		t.AddRow(append(append([]string{}, lead...),
+			balanceCells(pt, len(pt.Promoted), len(pt.Demoted))...)...)
+	}
 }
 
 // promotedTotal counts branches promoted across the trajectory.

@@ -308,23 +308,12 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 	tr, err := sess.CorpusBalance(ctx, crp, pathlog.BalanceOptions{
 		TargetReplayRuns: target,
 		MaxGenerations:   c.AdaptiveMaxGenerations,
-		Shards:           shards,
-		DemotionRate:     c.FleetDemotionRate,
-		OnGeneration: func(pt pathlog.BalancePoint) {
-			t.AddRow(fmt.Sprintf("%d", pt.Generation),
-				shorten(pt.Plan.Strategy, 34),
-				fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
-				fmt.Sprintf("%.1f", pt.MeanOverheadBits),
-				fmt.Sprintf("%.1f", pt.MeanReplayRuns),
-				fmt.Sprintf("%d", pt.MaxReplayRuns),
-				fmt.Sprintf("%d/%d", pt.Reproduced, pt.Members),
-				fmt.Sprintf("%d", len(pt.Promoted)),
-				fmt.Sprintf("%d", len(pt.Demoted)))
-		},
+		CorpusOptions:    pathlog.CorpusOptions{Shards: shards},
 	})
 	if err != nil {
 		return nil, err
 	}
+	addBalanceRows(t, tr)
 
 	// Self-update: what the live daemon now serves for this program.
 	resp, err := client.Get(url2 + "/plan/" + progHash)

@@ -93,7 +93,7 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 		return pathlog.BalanceOptions{
 			TargetReplayRuns: target,
 			MaxGenerations:   c.AdaptiveMaxGenerations,
-			Shards:           workers,
+			CorpusOptions:    pathlog.CorpusOptions{Shards: workers},
 		}
 	}
 
@@ -170,21 +170,11 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 	}
 	chaosOpts := balanceOpts()
 	chaosOpts.Runner = runner
-	chaosOpts.OnGeneration = func(pt pathlog.BalancePoint) {
-		t.AddRow(fmt.Sprintf("%d", pt.Generation),
-			shorten(pt.Plan.Strategy, 34),
-			fmt.Sprintf("%d", pt.Plan.NumInstrumented()),
-			fmt.Sprintf("%.1f", pt.MeanOverheadBits),
-			fmt.Sprintf("%.1f", pt.MeanReplayRuns),
-			fmt.Sprintf("%d", pt.MaxReplayRuns),
-			fmt.Sprintf("%d/%d", pt.Reproduced, pt.Members),
-			fmt.Sprintf("%d", len(pt.Promoted)),
-			fmt.Sprintf("%d", len(pt.Demoted)))
-	}
 	chaos, err := session().CorpusBalance(ctx, crp, chaosOpts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: chaos balance: %w", err)
 	}
+	addBalanceRows(t, chaos)
 	stopKiller()
 	victim := <-killed
 

@@ -99,11 +99,6 @@ type Config struct {
 	// FleetMetricsOut, when set, writes the daemon's final /metrics
 	// snapshot as a JSON artifact (CI uploads it next to the journal).
 	FleetMetricsOut string
-	// FleetDemotionRate is the disagreement-rate threshold the fleet
-	// experiment's corpus balance demotes at (0 = the strict
-	// zero-disagreement rule; the measured-acceptance gate applies either
-	// way).
-	FleetDemotionRate float64
 	// FleetReplayWorkers is how many shard worker daemons the fleetreplay
 	// experiment runs its corpus balance over (floor 3 — the chaos kill
 	// needs survivors to steal onto).

@@ -210,49 +210,20 @@ func TestRefineTopKContract(t *testing.T) {
 	}
 }
 
-func TestDemotableAt(t *testing.T) {
-	instrumented := map[lang.BranchID]bool{0: true, 2: true, 5: true, 7: true}
-	p := &SearchProfile{Branches: map[lang.BranchID]*BranchCost{
-		0: {LoggedExecs: 10},                    // silent: demotable at any rate
-		2: {LoggedExecs: 100, Disagreements: 1}, // rate 0.01: below a 5% threshold
-		7: {LoggedExecs: 10, Disagreements: 2},  // rate 0.2: above it
-		5: {},                                   // never exercised: silence is not evidence
-	}}
-	// Rate 0 (and negative) reproduce the strict rule exactly.
-	for _, rate := range []float64{0, -1} {
-		if got, want := p.DemotableAt(instrumented, rate), p.Demotable(instrumented); !reflect.DeepEqual(got, want) {
-			t.Errorf("DemotableAt(%g) = %v, want strict %v", rate, got, want)
-		}
-	}
-	if got, want := p.DemotableAt(instrumented, 0.05), []lang.BranchID{0, 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("DemotableAt(0.05) = %v, want %v", got, want)
-	}
-	if got, want := p.DemotableAt(instrumented, 0.5), []lang.BranchID{0, 2, 7}; !reflect.DeepEqual(got, want) {
-		t.Errorf("DemotableAt(0.5) = %v, want %v", got, want)
-	}
-}
-
-func TestDemoteAtRate(t *testing.T) {
+// TestStrictDemotionKeepsDisagreeingBranch: one disagreement in 40
+// consumed bits is evidence the branch's bit constrained the search, so
+// demotion keeps it and the refined plan is the base plan.
+func TestStrictDemotionKeepsDisagreeingBranch(t *testing.T) {
 	pc := NewPlanContext(fakeProgram(t), fakeInputs(), true)
 	base, err := Dynamic().Plan(context.Background(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	profile := fakeProfile(base)
-	// b0 disagreed once in 40 consumed bits: kept by the strict rule,
-	// dropped under a 5% threshold.
 	profile.Branches[0] = &BranchCost{LoggedExecs: 40, Disagreements: 1}
 
-	sp := refinedPlan(t, pc, base, profile, nil, profile.DemotableAt(base.Instrumented, 0))
+	sp := refinedPlan(t, pc, base, profile, nil, profile.Demotable(base.Instrumented))
 	if sp.Fingerprint() != base.Fingerprint() {
 		t.Errorf("strict demotion moved the plan despite a disagreement")
-	}
-
-	lp := refinedPlan(t, pc, base, profile, nil, profile.DemotableAt(base.Instrumented, 0.05))
-	if lp.Instrumented[0] {
-		t.Errorf("demotion at rate 0.05 kept b0 (1 disagreement over 40 execs)")
-	}
-	if lp.Generation != 1 || lp.Parent != base.Fingerprint() {
-		t.Errorf("lineage: generation %d parent %s", lp.Generation, lp.Parent)
 	}
 }

@@ -242,26 +242,9 @@ func (p *SearchProfile) TopBlowup(k int, instrumented map[lang.BranchID]bool) []
 // evidence of redundancy. The result is sorted by branch ID, so the
 // demotion decision (and the refined plan's fingerprint) is deterministic.
 func (p *SearchProfile) Demotable(instrumented map[lang.BranchID]bool) []lang.BranchID {
-	return p.DemotableAt(instrumented, 0)
-}
-
-// DemotableAt is the rate-thresholded variant of Demotable: an instrumented,
-// exercised branch is a demotion candidate when its disagreement rate —
-// Disagreements over LoggedExecs, both evidence counters the weighted merge
-// leaves unscaled — is at most rate. Rate 0 (or negative) reproduces the
-// strict zero-disagreement rule exactly. A positive rate trades a bounded
-// chance of losing a constraint the search occasionally used for more
-// overhead won back; the measured-acceptance gate downstream (CorpusBalance
-// refusing demotions whose replay regresses) is what makes that trade safe
-// to attempt.
-func (p *SearchProfile) DemotableAt(instrumented map[lang.BranchID]bool, rate float64) []lang.BranchID {
-	if rate < 0 {
-		rate = 0
-	}
 	var out []lang.BranchID
 	for id, bc := range p.Branches {
-		if instrumented[id] && bc.LoggedExecs > 0 &&
-			float64(bc.Disagreements) <= rate*float64(bc.LoggedExecs) {
+		if instrumented[id] && bc.LoggedExecs > 0 && bc.Disagreements == 0 {
 			out = append(out, id)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // per execution of each promoted branch buys the search one fewer
 // speculative dimension — and drops the branches whose logged bits never
 // constrained it. Both sets are decided by the caller before the strategy
-// exists (SearchProfile.TopBlowup and SearchProfile.DemotableAt), so the
+// exists (SearchProfile.TopBlowup and SearchProfile.Demotable), so the
 // strategy's name pins the exact decision and refined plans cache and
 // fingerprint like any other plan.
 //
@@ -33,7 +33,7 @@ type refineStrategy struct {
 // base plan and the search profile measured under it: the base branch set
 // plus promote minus demote. Callers decide each set from the profile —
 // promote from TopBlowup (uninstrumented blowup branches, in blowup
-// order), demote from DemotableAt (instrumented branches whose bits the
+// order), demote from Demotable (instrumented branches whose bits the
 // profile proves redundant, in branch-ID order). Empty sets yield a plan
 // identical to the base (callers detect the fixed point by comparing
 // fingerprints).

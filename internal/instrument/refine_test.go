@@ -172,7 +172,7 @@ func TestRefineChainNamesAndLineage(t *testing.T) {
 	}{
 		{"promote-only", promotedPlan(t, pc, base, fakeProfile(base), 1),
 			"refine(dynamic@e51408c6,gen1,+b1)", "eb01439153c3086aba2bbf8065d50375"},
-		{"demote-only", refinedPlan(t, pc, base, demo, nil, demo.DemotableAt(base.Instrumented, 0)),
+		{"demote-only", refinedPlan(t, pc, base, demo, nil, demo.Demotable(base.Instrumented)),
 			"refine(dynamic@e51408c6,gen1,+none,-b0)", "1de2d53f01e4e5063b638e8adea139eb"},
 		{"promote-and-demote", refinedPlan(t, pc, base, demo, demo.TopBlowup(1, base.Instrumented), demo.Demotable(base.Instrumented)),
 			"refine(dynamic@e51408c6,gen1,+b1,-b0)", "7888cd3a88387a42c16c6b409e7e5736"},

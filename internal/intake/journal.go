@@ -42,12 +42,8 @@ type Record struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
-// readJournal parses a journal file, returning the records and the byte
-// length of the valid prefix. A final line that is incomplete (no
-// terminating newline, or unparseable) is treated as the crash remnant of
-// an interrupted append and excluded from the prefix; an unparseable or
-// out-of-order record anywhere earlier returns ErrJournalDamaged. A
-// missing file is an empty journal, not an error.
+// readJournal parses the journal file at path (parseJournal); a missing
+// file is an empty journal, not an error.
 func readJournal(path string) ([]Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -56,6 +52,16 @@ func readJournal(path string) ([]Record, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("intake: read journal: %w", err)
 	}
+	return parseJournal(data, path)
+}
+
+// parseJournal parses journal bytes, returning the records and the byte
+// length of the valid prefix. A final line that is incomplete (no
+// terminating newline, or unparseable) is treated as the crash remnant of
+// an interrupted append and excluded from the prefix; an unparseable or
+// out-of-order record anywhere earlier returns ErrJournalDamaged. Errors
+// name the journal as path.
+func parseJournal(data []byte, path string) ([]Record, int64, error) {
 	var records []Record
 	var valid int64
 	offset := 0

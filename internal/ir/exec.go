@@ -26,7 +26,6 @@ type machine struct {
 	maxSteps    int64
 	branchExecs int64
 	depth       int
-	maxDepth    int
 }
 
 // newMachine builds a machine for one run, applying the same option defaults
@@ -35,15 +34,11 @@ func newMachine(p *Program, opts vm.Options) *machine {
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = vm.DefaultMaxSteps
 	}
-	if opts.MaxCallDepth <= 0 {
-		opts.MaxCallDepth = vm.DefaultMaxCallDepth
-	}
 	return &machine{
 		prog:     p,
 		opts:     opts,
 		host:     vm.Host{Kernel: opts.Kernel, World: opts.World},
 		maxSteps: opts.MaxSteps,
-		maxDepth: opts.MaxCallDepth,
 	}
 }
 
@@ -86,7 +81,7 @@ func (m *machine) run() error {
 	main := m.prog.Main
 	frame := m.arena.NewObject(main.FrameName, int64(main.Decl.NumSlots))
 	m.depth++
-	if m.depth > m.maxDepth {
+	if m.depth > vm.MaxDepth {
 		return vm.CrashError(vm.CrashStackOverflow, main.Decl.Pos, 0)
 	}
 	return m.exec(main.RCode, frame, main.NumRegs)
@@ -413,7 +408,7 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 			callee := m.arena.NewObject(fn.FrameName, int64(fn.Decl.NumSlots))
 			copy(callee.Cells, regs[in.A:in.A+in.B])
 			m.depth++
-			if m.depth > m.maxDepth {
+			if m.depth > vm.MaxDepth {
 				return vm.CrashError(vm.CrashStackOverflow, fn.Decl.Pos, 0)
 			}
 			calls = append(calls, callFrame{

@@ -23,20 +23,13 @@ import (
 // 5 and 6). The context passed to Reproduce subsumes both bounds: its
 // cancellation or deadline stops the search within one run.
 type Options struct {
-	MaxRuns        int           // 0 means DefaultMaxRuns
-	TimeBudget     time.Duration // 0 means no limit
-	MaxStepsPerRun int64         // 0 uses the VM default
-	MaxPending     int           // pending list cap; 0 means DefaultMaxPending
-	// OnRun, when set, is called after every completed replay run with the
-	// total number of completed runs. It must be cheap and must not call
-	// back into the engine.
-	OnRun func(completed int)
+	MaxRuns    int           // 0 means DefaultMaxRuns
+	TimeBudget time.Duration // 0 means no limit
 	// Engine builds the execution machine for each run; nil uses the
 	// bytecode VM (ir.Engine), as every layer does. Concurrent searches
 	// (corpus shards) share one factory, so it must be safe for concurrent
 	// calls.
 	Engine vm.Factory
-	Solver solver.Options
 	// Obs, when set, receives per-run distribution observations
 	// (pathlog_replay_run_ns, pathlog_replay_solver_calls_per_run,
 	// pathlog_replay_logged_bits_per_run), counts the runs that followed the
@@ -61,11 +54,8 @@ var (
 // configuring replay histograms need not import internal/obs directly.
 func ExpBuckets(start, factor float64, n int) []float64 { return obs.ExpBuckets(start, factor, n) }
 
-// Default bounds.
-const (
-	DefaultMaxRuns    = 2000
-	DefaultMaxPending = 100000
-)
+// DefaultMaxRuns is the run budget of a search that sets none.
+const DefaultMaxRuns = 2000
 
 // Recording is everything the developer has when a bug report arrives: the
 // plan (kept at instrumentation time), the branch bitvector, the optional
@@ -142,7 +132,7 @@ type Result struct {
 	PendingPeak       int
 	// DuplicatePaths counts the runs whose path an earlier run of the
 	// search had already expanded; such a run queues nothing. Dropped
-	// counts the alternatives a cap discarded (MaxPending, or a path
+	// counts the alternatives a cap discarded (maxPending, or a path
 	// condition past maxRunConds). A search that exhausts its pending list
 	// without a reproduction owes its failure to a Dropped set or a
 	// solver give-up (SolverStats.GaveUp): the recorded input is a witness.
@@ -181,9 +171,6 @@ type Engine struct {
 func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recording, opts Options) *Engine {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = DefaultMaxRuns
-	}
-	if opts.MaxPending <= 0 {
-		opts.MaxPending = DefaultMaxPending
 	}
 	if opts.Engine == nil {
 		opts.Engine = ir.Engine
@@ -229,9 +216,14 @@ type pendingSet struct {
 	origin lang.BranchID
 }
 
-// maxRunConds caps the collected path condition per replay run; beyond the
-// cap, case-1 alternatives are no longer queued (extremely long paths only).
-const maxRunConds = 8192
+// Search caps. maxRunConds caps the collected path condition per replay
+// run; beyond the cap, case-1 alternatives are no longer queued (extremely
+// long paths only). maxPending caps the pending list; Result.Dropped counts
+// what either cap discards.
+const (
+	maxRunConds = 8192
+	maxPending  = 100000
+)
 
 // runSink is the per-run branch sink implementing the four cases.
 type runSink struct {
@@ -249,7 +241,7 @@ type runSink struct {
 	// divergence folded in — exactly what decides the sets the run queues.
 	path uint64
 	// dropped counts the alternatives this run could not queue (the
-	// MaxPending cap, or a case-1 fork past maxRunConds).
+	// maxPending cap, or a case-1 fork past maxRunConds).
 	dropped int
 
 	// following is set at the run's first case-2b divergence: from there
@@ -390,7 +382,7 @@ func (s *runSink) step(id lang.BranchID, dir bool) {
 // reporting whether the set was actually queued (the per-run cap can drop
 // it).
 func (s *runSink) pushPending(origin lang.BranchID, appended sym.Constraint) bool {
-	if len(s.queued) >= s.eng.opts.MaxPending {
+	if len(s.queued) >= maxPending {
 		s.dropped++
 		return false
 	}
@@ -582,7 +574,7 @@ func (s *search) push(sink *runSink) {
 		sink.queued[i].runConds = sink.conds
 	}
 	q := sink.queued
-	if room := max(s.e.opts.MaxPending-len(s.stack), 0); len(q) > room {
+	if room := max(maxPending-len(s.stack), 0); len(q) > room {
 		// Keep the newest sets: the followed path and its forced fallback
 		// (case 2b) are pushed last and must survive the cap, or the
 		// recorded path is lost.
@@ -600,8 +592,8 @@ func (s *search) push(sink *runSink) {
 // set, run the program on its input, charge the run, and either stop on a
 // reproduction or push the run's alternatives. The context and the run
 // budget are checked before every solve and every run, so cancellation or a
-// deadline stops the search within one run (each run is bounded by
-// MaxStepsPerRun).
+// deadline stops the search within one run (each run is bounded by the
+// VM's step limit).
 func (e *Engine) Reproduce(ctx context.Context) *Result {
 	start := time.Now()
 	if e.opts.TimeBudget > 0 {
@@ -613,7 +605,7 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 	res := &Result{}
 	s := &search{
 		e:        e,
-		slv:      solver.Get(e.opts.Solver),
+		slv:      solver.Get(solver.Options{}),
 		stack:    stackPool.Get().([]pendingSet),
 		profile:  make(map[lang.BranchID]*instrument.BranchCost),
 		res:      res,
@@ -640,9 +632,6 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 		res.Runs++
 		sink, vmRes, wld := e.runOnce(asn, &s.sc)
 		reproduced := s.account(origin, sink, vmRes)
-		if e.opts.OnRun != nil {
-			e.opts.OnRun(res.Runs)
-		}
 		if e.runNS != nil {
 			e.runNS.Observe(float64(time.Since(runStart).Nanoseconds()))
 			e.solverCalls.Observe(float64(solves))
@@ -745,10 +734,9 @@ func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch) (*runSink, vm.Re
 		disagrees:        counts[4*n : 5*n],
 	}
 	machine := e.opts.Engine(e.prog, vm.Options{
-		Kernel:   kern,
-		Sink:     sink,
-		World:    w,
-		MaxSteps: e.opts.MaxStepsPerRun,
+		Kernel: kern,
+		Sink:   sink,
+		World:  w,
 	})
 	vmRes, err := machine.Run()
 	if err != nil {

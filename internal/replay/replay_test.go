@@ -3,7 +3,6 @@ package replay
 import (
 	"context"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -269,33 +268,5 @@ func TestReproduceContextDeadlineReportsTimeout(t *testing.T) {
 	res := eng.Reproduce(ctx)
 	if res.Reproduced || !res.TimedOut || res.Cancelled {
 		t.Fatalf("expired-deadline replay: %+v", res)
-	}
-}
-
-func TestParallelOnRunMonotonic(t *testing.T) {
-	f := buildFixture(t, instrument.MethodDynamic)
-	var mu sync.Mutex
-	var seen []int
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{
-		MaxRuns: 300,
-		OnRun: func(completed int) {
-			mu.Lock()
-			seen = append(seen, completed)
-			mu.Unlock()
-		},
-	})
-	res := eng.Reproduce(context.Background())
-	if !res.Reproduced {
-		t.Fatalf("not reproduced: %+v", res)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) == 0 {
-		t.Fatal("no OnRun callbacks")
-	}
-	for i, n := range seen {
-		if n != i+1 {
-			t.Fatalf("OnRun sequence %v not monotonically complete", seen)
-		}
 	}
 }

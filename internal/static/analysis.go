@@ -26,17 +26,13 @@ type Options struct {
 	// analyzed (conservative summaries are used instead) and every library
 	// branch is labeled symbolic.
 	LibAsSymbolic bool
-	// MaxContexts bounds the number of (function, pattern) summaries;
-	// 0 means DefaultMaxContexts.
-	MaxContexts int
-	// MaxPasses bounds global fixpoint iterations; 0 means DefaultMaxPasses.
-	MaxPasses int
 }
 
-// Default bounds.
+// Analysis bounds. maxContexts bounds the number of (function, pattern)
+// summaries; maxPasses bounds global fixpoint iterations.
 const (
-	DefaultMaxContexts = 4096
-	DefaultMaxPasses   = 64
+	maxContexts = 4096
+	maxPasses   = 64
 )
 
 // Report is the analysis outcome.
@@ -109,12 +105,6 @@ type Analysis struct {
 
 // Analyze runs the static analysis to fixpoint and labels branches.
 func Analyze(prog *lang.Program, opts Options) *Report {
-	if opts.MaxContexts <= 0 {
-		opts.MaxContexts = DefaultMaxContexts
-	}
-	if opts.MaxPasses <= 0 {
-		opts.MaxPasses = DefaultMaxPasses
-	}
 	a := &Analysis{
 		prog:        prog,
 		opts:        opts,
@@ -126,7 +116,7 @@ func Analyze(prog *lang.Program, opts Options) *Report {
 	}
 	a.enqueue(summaryKey{fn: prog.Main, pattern: 0})
 
-	for pass := 0; pass < opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		a.passes++
 		a.changed = false
 		for i := 0; i < len(a.order); i++ { // order may grow during the pass
@@ -156,7 +146,7 @@ func (a *Analysis) enqueue(k summaryKey) *summary {
 	if s, ok := a.summaries[k]; ok {
 		return s
 	}
-	if len(a.summaries) >= a.opts.MaxContexts {
+	if len(a.summaries) >= maxContexts {
 		// Context budget exhausted: merge into pattern 0 conservatively.
 		if s, ok := a.summaries[summaryKey{fn: k.fn, pattern: 0}]; ok {
 			return s

@@ -392,7 +392,7 @@ int main() {
 	if !rep.SymbolicBranches[inner.ID] {
 		t.Error("recursive branch on input must be symbolic")
 	}
-	if rep.Passes >= DefaultMaxPasses {
+	if rep.Passes >= maxPasses {
 		t.Errorf("fixpoint did not converge: %d passes", rep.Passes)
 	}
 }

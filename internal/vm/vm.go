@@ -97,15 +97,14 @@ type Options struct {
 	World World
 	// MaxSteps bounds execution; 0 means DefaultMaxSteps.
 	MaxSteps int64
-	// MaxCallDepth bounds recursion; 0 means DefaultMaxCallDepth.
-	MaxCallDepth int
 }
 
-// Default budgets.
-const (
-	DefaultMaxSteps     = 50_000_000
-	DefaultMaxCallDepth = 4096
-)
+// DefaultMaxSteps is the step budget of a run that sets none.
+const DefaultMaxSteps = 50_000_000
+
+// MaxDepth bounds recursion in every engine: a call deeper than this
+// crashes the run as a stack overflow.
+const MaxDepth = 4096
 
 // VM executes one program against one kernel with a recursive tree walk over
 // the AST. Create a fresh VM per run. It is the reference engine: the
@@ -123,7 +122,6 @@ type VM struct {
 	maxSteps    int64
 	branchExecs int64
 	depth       int
-	maxDepth    int
 }
 
 // control is the statement-level control-flow signal.
@@ -165,16 +163,12 @@ func New(prog *lang.Program, opts Options) *VM {
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = DefaultMaxSteps
 	}
-	if opts.MaxCallDepth <= 0 {
-		opts.MaxCallDepth = DefaultMaxCallDepth
-	}
 	return &VM{
 		prog:     prog,
 		opts:     opts,
 		host:     Host{Kernel: opts.Kernel, World: opts.World},
 		strings:  make(map[*lang.StrLit]*Object),
 		maxSteps: opts.MaxSteps,
-		maxDepth: opts.MaxCallDepth,
 	}
 }
 
@@ -234,7 +228,7 @@ func (m *VM) crash(kind CrashKind, pos lang.Pos, code int64) error {
 // callFunc executes fn with an initialized frame and returns its value.
 func (m *VM) callFunc(fn *lang.FuncDecl, frame *Object) (Value, error) {
 	m.depth++
-	if m.depth > m.maxDepth {
+	if m.depth > MaxDepth {
 		m.depth--
 		return Value{}, m.crash(CrashStackOverflow, fn.Pos, 0)
 	}

@@ -48,12 +48,12 @@
 //	// of one report or many.
 //	tr, _ := s.AutoBalance(ctx, userInput, pathlog.BalanceOptions{
 //		TargetReplayRuns: 200, MaxGenerations: 4,
-//		OnGeneration: func(pt pathlog.BalancePoint) {
-//			fmt.Printf("gen %d: %.0f bits, %.0f replay runs, +%d/-%d\n",
-//				pt.Generation, pt.MeanOverheadBits, pt.MeanReplayRuns,
-//				len(pt.Promoted), len(pt.Demoted))
-//		},
 //	})
+//	for _, pt := range tr.Points {
+//		fmt.Printf("gen %d: %.0f bits, %.0f replay runs, +%d/-%d\n",
+//			pt.Generation, pt.MeanOverheadBits, pt.MeanReplayRuns,
+//			len(pt.Promoted), len(pt.Demoted))
+//	}
 //	plan := tr.Final().Plan // lineage-stamped: Generation, Parent
 //
 // For real deployments, WithPlanStore(dir) backs the session with an

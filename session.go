@@ -19,26 +19,6 @@ import (
 // bug report carries instead of input bytes.
 type CrashInfo = vm.CrashInfo
 
-// ProgressEvent is one progress notification from a Session phase.
-type ProgressEvent struct {
-	// Scenario is the session name (WithName / SessionOf).
-	Scenario string
-	// Phase is "analyze", "record", "replay" or "balance".
-	Phase string
-	// Runs is the number of completed runs within the phase (analysis and
-	// replay are iterated searches; record is a single run, reported as 1;
-	// balance fires once per accepted generation of AutoBalance or
-	// CorpusBalance and reports the generations completed so far).
-	Runs int
-}
-
-// ProgressFunc observes session progress. It must be cheap, safe for
-// concurrent use (a Session is, so replays on several goroutines report
-// from each of them), and must not call back into the Session or the
-// engine that invoked it — events fire from inside the phase that is
-// running.
-type ProgressFunc func(ProgressEvent)
-
 // sessionConfig collects everything the functional options configure.
 type sessionConfig struct {
 	name         string
@@ -49,7 +29,6 @@ type sessionConfig struct {
 	dyn          DynamicOptions
 	static       StaticOptions
 	rep          ReplayOptions
-	progress     ProgressFunc
 	storeDir     string
 	obs          *obs.Observer
 }
@@ -57,7 +36,8 @@ type sessionConfig struct {
 // Option configures a Session; see the With* constructors.
 type Option func(*sessionConfig)
 
-// WithName labels the session; the name appears in progress events.
+// WithName labels the session. Remote shard workers rebuild the program
+// from this name (CorpusOptions.Workers).
 func WithName(name string) Option {
 	return func(c *sessionConfig) { c.name = name }
 }
@@ -133,11 +113,6 @@ func clampDurNonNegative(d time.Duration) time.Duration {
 		return 0
 	}
 	return d
-}
-
-// WithProgress registers a progress observer for every phase.
-func WithProgress(fn ProgressFunc) Option {
-	return func(c *sessionConfig) { c.progress = fn }
 }
 
 // Observer re-exports the observability substrate a session carries: a
@@ -262,12 +237,6 @@ func (s *Session) Spec() *Spec { return s.spec }
 // for the neutral spec (analysis) or the configured default user bytes.
 func (s *Session) scenario(user map[string][]byte) *core.Scenario {
 	return &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: s.spec, UserBytes: user}
-}
-
-func (s *Session) emit(phase string, runs int) {
-	if s.cfg.progress != nil {
-		s.cfg.progress(ProgressEvent{Scenario: s.cfg.name, Phase: phase, Runs: runs})
-	}
 }
 
 // PlanStore returns the session's plan store, opening (and creating) the
@@ -415,8 +384,9 @@ func (s *Session) resolveRecording(rec *Recording) (*Recording, error) {
 // re-checked before the static pass, so a cancelled analysis returns without
 // starting it.
 func (s *Session) Analyze(ctx context.Context) (Inputs, error) {
-	// anMu serializes the computation; mu guards only the cache, so progress
-	// callbacks fire without holding the lock PlanWith and friends take.
+	// anMu serializes the computation; mu guards only the cache, so a
+	// running analysis does not hold the lock the lineage and plan caches
+	// take.
 	s.anMu.Lock()
 	defer s.anMu.Unlock()
 	s.mu.Lock()
@@ -434,11 +404,7 @@ func (s *Session) Analyze(ctx context.Context) (Inputs, error) {
 		spec = s.cfg.analysisSpec
 	}
 	an := &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: spec}
-	dynOpts := s.cfg.dyn
-	if s.cfg.progress != nil {
-		dynOpts.OnRun = func(completed int) { s.emit("analyze", completed) }
-	}
-	in := Inputs{Dynamic: an.AnalyzeDynamicContext(ctx, dynOpts)}
+	in := Inputs{Dynamic: an.AnalyzeDynamicContext(ctx, s.cfg.dyn)}
 	if err := ctx.Err(); err != nil {
 		// The dynamic exploration was cut short; skip the static pass and do
 		// not cache the partial result.
@@ -548,7 +514,6 @@ func (s *Session) RecordWith(ctx context.Context, plan *Plan, user map[string][]
 	if err != nil {
 		return nil, nil, err
 	}
-	s.emit("record", 1)
 	return rec, stats, nil
 }
 
@@ -582,7 +547,7 @@ func (s *Session) Replay(ctx context.Context, rec *Recording) (*ReplayResult, er
 	if err := s.validateRecording(rec); err != nil {
 		return nil, err
 	}
-	return s.replayWith(ctx, rec), nil
+	return s.scenario(nil).ReplayContext(ctx, rec, s.replayOptions()), nil
 }
 
 // validateRecording checks a recording against the session's program
@@ -594,14 +559,13 @@ func (s *Session) validateRecording(rec *Recording) error {
 	return rec.Validate(s.prog)
 }
 
-// replayWith runs one replay under the session's replay options.
-func (s *Session) replayWith(ctx context.Context, rec *Recording) *ReplayResult {
+// replayOptions assembles the bounds every replay of the session runs
+// under, single reports and corpus members alike: the WithReplayBudget
+// bounds, observed by the session's registry.
+func (s *Session) replayOptions() ReplayOptions {
 	opts := s.cfg.rep
-	if s.cfg.progress != nil {
-		opts.OnRun = func(completed int) { s.emit("replay", completed) }
-	}
 	opts.Obs = s.cfg.obs.Registry()
-	return s.scenario(nil).ReplayContext(ctx, rec, opts)
+	return opts
 }
 
 // fanOut calls fn(i) for every i in [0, n) on a pool of GOMAXPROCS

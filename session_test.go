@@ -4,11 +4,13 @@ import (
 	"context"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pathlog/internal/apps"
+	"pathlog/internal/ir"
+	"pathlog/internal/vm"
 )
 
 // chainSrc needs a six-character password, one nested branch per byte, so a
@@ -201,32 +203,36 @@ func TestSessionReplayCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// runFunc adapts a run function to vm.Machine.
+type runFunc func() (vm.Result, error)
+
+func (f runFunc) Run() (vm.Result, error) { return f() }
+
 // TestSessionReplayCancelMidSearch cancels after the second completed run
-// and checks the search starts no further run. The chain is recorded under
-// a one-branch plan, so the search still walks several unlogged branches
-// (a fuller plan follows the log and reproduces in 2 runs).
+// and checks the search starts no further run. The cancel fires from a
+// counting engine installed through the replay options' Engine seam. The
+// chain is recorded under a one-branch plan, so the search still walks
+// several unlogged branches (a fuller plan follows the log and reproduces
+// in 2 runs).
 func TestSessionReplayCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var mu sync.Mutex
-	var replayRuns []int
-	sess := chainSession(t,
-		WithStrategy(Budgeted(All(), 1)),
-		WithProgress(func(ev ProgressEvent) {
-			if ev.Phase != "replay" {
-				return
-			}
-			mu.Lock()
-			replayRuns = append(replayRuns, ev.Runs)
-			mu.Unlock()
-			if ev.Runs >= 2 {
-				cancel()
-			}
-		}),
-	)
+	sess := chainSession(t, WithStrategy(Budgeted(All(), 1)))
 	rec, _, err := sess.Record(context.Background(), nil)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v", err)
+	}
+	var started, completed atomic.Int32
+	sess.cfg.rep.Engine = func(prog *Program, opts vm.Options) vm.Machine {
+		started.Add(1)
+		m := ir.Engine(prog, opts)
+		return runFunc(func() (vm.Result, error) {
+			res, err := m.Run()
+			if completed.Add(1) >= 2 {
+				cancel()
+			}
+			return res, err
+		})
 	}
 	res := mustReplay(t, ctx, sess, rec)
 	if res.Reproduced {
@@ -238,14 +244,8 @@ func TestSessionReplayCancelMidSearch(t *testing.T) {
 		t.Fatalf("expected Cancelled, got %+v", res)
 	}
 	// The context is checked before every run.
-	if res.Runs != 2 {
-		t.Fatalf("cancelled at run 2, but %d runs started", res.Runs)
-	}
-	mu.Lock()
-	events := len(replayRuns)
-	mu.Unlock()
-	if events < 2 {
-		t.Fatalf("progress events: %d", events)
+	if res.Runs != 2 || started.Load() != 2 {
+		t.Fatalf("cancelled at run 2, but %d runs counted and %d started", res.Runs, started.Load())
 	}
 }
 
@@ -314,30 +314,5 @@ func TestSessionRejectsUnknownStream(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "arg1") {
 		t.Fatalf("error does not name the bad stream: %v", err)
-	}
-}
-
-func TestSessionProgressPhases(t *testing.T) {
-	ctx := context.Background()
-	var mu sync.Mutex
-	phases := map[string]int{}
-	sess := chainSession(t, WithProgress(func(ev ProgressEvent) {
-		if ev.Scenario != "chain" {
-			t.Errorf("scenario: %q", ev.Scenario)
-		}
-		mu.Lock()
-		phases[ev.Phase]++
-		mu.Unlock()
-	}))
-	res, rec, err := sess.Reproduce(ctx, nil)
-	if err != nil || rec == nil || !res.Reproduced {
-		t.Fatalf("reproduce: %v %v", err, res)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, phase := range []string{"analyze", "record", "replay"} {
-		if phases[phase] == 0 {
-			t.Errorf("no %s progress events (got %v)", phase, phases)
-		}
 	}
 }
