@@ -110,7 +110,7 @@ func main() {
 		rec = resolved
 		if !*jsonOut {
 			fmt.Printf("resolved plan %s (generation %d, strategy %s) from store %s\n",
-				rec.Fingerprint, rec.Plan.Generation, planLabel(rec.Plan), *storeDir)
+				rec.Fingerprint, rec.Plan.Generation, rec.Plan.Strategy, *storeDir)
 		}
 	}
 	if *forcePlan != "" {
@@ -130,7 +130,7 @@ func main() {
 	}
 	if !*jsonOut {
 		fmt.Printf("report: %s (plan %s), %d instrumented locations, %d trace bits, crash at %s\n",
-			planLabel(rec.Plan), rec.Fingerprint, rec.Plan.NumInstrumented(),
+			rec.Plan.Strategy, rec.Fingerprint, rec.Plan.NumInstrumented(),
 			rec.Trace.Len(), rec.Crash.Site())
 	}
 	if *noSyslog {
@@ -245,7 +245,7 @@ func resultJSON(rec *replay.Recording, res *pathlog.ReplayResult, verified bool)
 		Aborts:          res.Aborts,
 		WallMS:          res.Elapsed.Milliseconds(),
 		PendingPeak:     res.PendingPeak,
-		PlanStrategy:    planLabel(rec.Plan),
+		PlanStrategy:    rec.Plan.Strategy,
 		PlanFingerprint: rec.Fingerprint,
 		PlanGeneration:  rec.Plan.Generation,
 		Instrumented:    rec.Plan.NumInstrumented(),
@@ -283,15 +283,6 @@ func resultJSON(rec *replay.Recording, res *pathlog.ReplayResult, verified bool)
 		out.Profile = sum
 	}
 	return out
-}
-
-// planLabel prefers the strategy provenance, falling back to the method tag
-// of version-1 envelopes.
-func planLabel(p *pathlog.Plan) string {
-	if p.Strategy != "" {
-		return p.Strategy
-	}
-	return p.Method.String()
 }
 
 func printable(b []byte) string {

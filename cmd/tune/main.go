@@ -396,9 +396,9 @@ func branchIDs(ids []pathlog.BranchID) string {
 }
 
 // parseStrategy maps the CLI spelling to a starting strategy. A method
-// spelling plans through the composition the method names, so the plan
-// envelope carries the method tag; static-residue is the one spelling that
-// names no method.
+// spelling is the composition the method names, so the plan envelope
+// carries that composition's strategy label; static-residue is the one
+// spelling that names no method.
 func parseStrategy(s string) (pathlog.Strategy, error) {
 	if s == "static-residue" {
 		return pathlog.StaticResidue(), nil

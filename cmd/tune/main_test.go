@@ -11,10 +11,9 @@ import (
 	"pathlog/internal/static"
 )
 
-// TestParseStrategySpellings checks that every -strategy spelling plans the
-// same branch set as the bare composition it stands for, and that a method
-// spelling tags its plan with the method, so a published plan envelope
-// names the method it was built under.
+// TestParseStrategySpellings checks that every -strategy spelling is the
+// bare composition it stands for: the same name, so a published plan
+// envelope carries the composition's label, and the same branch set.
 func TestParseStrategySpellings(t *testing.T) {
 	ctx := context.Background()
 	s, err := apps.ScenarioByName("paste")
@@ -37,14 +36,13 @@ func TestParseStrategySpellings(t *testing.T) {
 	cases := []struct {
 		spelling string
 		bare     pathlog.Strategy
-		method   pathlog.Method
 	}{
-		{"none", pathlog.None(), pathlog.MethodNone},
-		{"dynamic", pathlog.Dynamic(), pathlog.MethodDynamic},
-		{"static", pathlog.Static(), pathlog.MethodStatic},
-		{"dynamic+static", pathlog.Union(pathlog.Dynamic(), pathlog.StaticResidue()), pathlog.MethodDynamicStatic},
-		{"all", pathlog.All(), pathlog.MethodAll},
-		{"static-residue", pathlog.StaticResidue(), pathlog.MethodNone},
+		{"none", pathlog.None()},
+		{"dynamic", pathlog.Dynamic()},
+		{"static", pathlog.Static()},
+		{"dynamic+static", pathlog.Union(pathlog.Dynamic(), pathlog.StaticResidue())},
+		{"all", pathlog.All()},
+		{"static-residue", pathlog.StaticResidue()},
 	}
 	for _, c := range cases {
 		strat, err := parseStrategy(c.spelling)
@@ -52,8 +50,8 @@ func TestParseStrategySpellings(t *testing.T) {
 			t.Fatalf("%s: %v", c.spelling, err)
 		}
 		got, want := plan(strat), plan(c.bare)
-		if got.Method != c.method {
-			t.Errorf("%s: plan tagged method %q, want %q", c.spelling, got.Method, c.method)
+		if got.Strategy != c.bare.Name() {
+			t.Errorf("%s: plan labelled %q, want %q", c.spelling, got.Strategy, c.bare.Name())
 		}
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Errorf("%s: fingerprint %s, want %s (the bare composition's)", c.spelling, got.Fingerprint(), want.Fingerprint())

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -128,6 +129,32 @@ func TestCoreutilBugsTrigger(t *testing.T) {
 		if res.Crash.Kind != wantKinds[name] {
 			t.Errorf("%s: crash kind %v, want %v", name, res.Crash.Kind, wantKinds[name])
 		}
+	}
+}
+
+// TestCoreutilScenarioMatchesCoreutils checks that the one coreutil
+// CoreutilScenario builds is the same program, spec and user input as its
+// entry in Coreutils, and that Coreutils lists CoreutilNames in order.
+func TestCoreutilScenarioMatchesCoreutils(t *testing.T) {
+	all := Coreutils(12)
+	if len(all) != len(CoreutilNames()) {
+		t.Fatalf("Coreutils lists %d programs, want %d", len(all), len(CoreutilNames()))
+	}
+	for i, name := range CoreutilNames() {
+		cu := all[i]
+		s, err := CoreutilScenario(name, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cu.Name != name || s.Name != name {
+			t.Errorf("entry %d is %q, scenario %q, want %q", i, cu.Name, s.Name, name)
+		}
+		if s.Prog.Hash() != cu.Prog.Hash() || !reflect.DeepEqual(s.Spec, cu.Spec) || !reflect.DeepEqual(s.UserBytes, cu.UserArg) {
+			t.Errorf("%s: scenario differs from its Coreutils entry", name)
+		}
+	}
+	if _, err := CoreutilScenario("cat", 12); err == nil {
+		t.Error("unknown coreutil accepted")
 	}
 }
 

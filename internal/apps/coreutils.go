@@ -312,10 +312,22 @@ type Coreutil struct {
 	UserArg map[string][]byte
 }
 
-// Coreutils returns the four §5.2 programs with their bug scenarios. The
-// neutral spec mirrors the paper's setup — several arguments of up to 100
-// bytes each (scaled by maxArgLen for tractable tests).
+// Coreutils returns the four §5.2 programs with their bug scenarios, in
+// CoreutilNames order. The neutral spec mirrors the paper's setup — several
+// arguments of up to 100 bytes each (scaled by maxArgLen for tractable
+// tests).
 func Coreutils(maxArgLen int) []Coreutil {
+	names := CoreutilNames()
+	out := make([]Coreutil, len(names))
+	for i, name := range names {
+		out[i], _ = coreutil(name, maxArgLen)
+	}
+	return out
+}
+
+// coreutil builds the named §5.2 program with its bug scenario, parsing and
+// linking only that program; false if no coreutil has the name.
+func coreutil(name string, maxArgLen int) (Coreutil, bool) {
 	if maxArgLen <= 0 {
 		maxArgLen = 16
 	}
@@ -330,8 +342,9 @@ func Coreutils(maxArgLen int) []Coreutil {
 		s.SymbolicFS = len(files) > 0
 		return s
 	}
-	return []Coreutil{
-		{
+	switch name {
+	case "mkdir":
+		return Coreutil{
 			Name: "mkdir",
 			Prog: mustProgram("mkdir.mc", MkdirSource),
 			Spec: spec(3),
@@ -340,8 +353,9 @@ func Coreutils(maxArgLen int) []Coreutil {
 				"arg1": []byte("07777"),
 				"arg2": []byte("d"),
 			},
-		},
-		{
+		}, true
+	case "mknod":
+		return Coreutil{
 			Name: "mknod",
 			Prog: mustProgram("mknod.mc", MknodSource),
 			Spec: spec(2),
@@ -349,8 +363,9 @@ func Coreutils(maxArgLen int) []Coreutil {
 				"arg0": []byte("foo"),
 				"arg1": []byte("b"),
 			},
-		},
-		{
+		}, true
+	case "mkfifo":
+		return Coreutil{
 			Name: "mkfifo",
 			Prog: mustProgram("mkfifo.mc", MkfifoSource),
 			Spec: spec(3),
@@ -359,8 +374,9 @@ func Coreutils(maxArgLen int) []Coreutil {
 				"arg1": []byte("9"),
 				"arg2": []byte("f"),
 			},
-		},
-		{
+		}, true
+	case "paste":
+		return Coreutil{
 			Name: "paste",
 			Prog: mustProgram("paste.mc", PasteSource),
 			Spec: spec(2, world.FileSpec("data.txt", "a\nb\nc\n", 12)),
@@ -368,6 +384,7 @@ func Coreutils(maxArgLen int) []Coreutil {
 				"arg0": []byte("-d\\"),
 				"arg1": []byte("data.txt"),
 			},
-		},
+		}, true
 	}
+	return Coreutil{}, false
 }

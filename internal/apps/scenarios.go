@@ -13,17 +13,16 @@ import (
 // (mkdir, mknod, mkfifo, paste). maxArgLen scales the argument streams; the
 // paper uses 100-byte arguments, tests usually pass something smaller.
 func CoreutilScenario(name string, maxArgLen int) (*core.Scenario, error) {
-	for _, cu := range Coreutils(maxArgLen) {
-		if cu.Name == name {
-			return &core.Scenario{
-				Name:      cu.Name,
-				Prog:      cu.Prog,
-				Spec:      cu.Spec,
-				UserBytes: cu.UserArg,
-			}, nil
-		}
+	cu, ok := coreutil(name, maxArgLen)
+	if !ok {
+		return nil, fmt.Errorf("apps: unknown coreutil %q", name)
 	}
-	return nil, fmt.Errorf("apps: unknown coreutil %q", name)
+	return &core.Scenario{
+		Name:      cu.Name,
+		Prog:      cu.Prog,
+		Spec:      cu.Spec,
+		UserBytes: cu.UserArg,
+	}, nil
 }
 
 // CoreutilNames lists the four §5.2 programs.

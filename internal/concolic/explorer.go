@@ -16,6 +16,7 @@ package concolic
 import (
 	"context"
 	"slices"
+	"strconv"
 	"time"
 
 	"pathlog/internal/ir"
@@ -283,13 +284,13 @@ func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) 
 		problem := solver.Problem{
 			Constraints: sliced,
 			Domains:     e.reg.Domains(vars),
-			Seed:        overlaySeed(parent, vars),
+			Seed:        parent.Restrict(vars),
 		}
 		child, ok := e.slv.Solve(problem)
 		if !ok {
 			continue
 		}
-		merged := mergeAssignment(parent, child)
+		merged := parent.Overlay(child)
 		key := assignmentKey(merged)
 		if e.seen[key] {
 			continue
@@ -343,30 +344,6 @@ func (e *Explorer) sliceRelevant(conds []pathCond, i int) []sym.Constraint {
 	return e.sliced
 }
 
-// overlaySeed extracts the parent's values for the constraint variables as
-// the solver seed.
-func overlaySeed(parent sym.MapAssignment, vars []int) sym.MapAssignment {
-	out := make(sym.MapAssignment, len(vars))
-	for _, id := range vars {
-		if v, ok := parent[id]; ok {
-			out[id] = v
-		}
-	}
-	return out
-}
-
-// mergeAssignment layers the solved values over the parent input.
-func mergeAssignment(parent, child sym.MapAssignment) sym.MapAssignment {
-	out := make(sym.MapAssignment, len(parent)+len(child))
-	for id, v := range parent {
-		out[id] = v
-	}
-	for id, v := range child {
-		out[id] = v
-	}
-	return out
-}
-
 // assignmentKey renders a canonical dedup key.
 func assignmentKey(asn sym.MapAssignment) string {
 	// Assignments are small (tens of bytes); a sorted textual key is fine.
@@ -374,39 +351,13 @@ func assignmentKey(asn sym.MapAssignment) string {
 	for id := range asn {
 		ids = append(ids, id)
 	}
-	sortInts(ids)
+	slices.Sort(ids)
 	buf := make([]byte, 0, len(ids)*6)
 	for _, id := range ids {
-		buf = appendInt(buf, int64(id))
+		buf = strconv.AppendInt(buf, int64(id), 10)
 		buf = append(buf, '=')
-		buf = appendInt(buf, asn[id])
+		buf = strconv.AppendInt(buf, asn[id], 10)
 		buf = append(buf, ';')
 	}
 	return string(buf)
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func appendInt(buf []byte, v int64) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(buf, tmp[i:]...)
 }

@@ -28,8 +28,6 @@ var ErrPlanCorrupt = errors.New("plan file corrupt")
 type planJSON struct {
 	Version      int          `json:"version"`
 	Strategy     string       `json:"strategy,omitempty"`
-	Method       string       `json:"method"`
-	MethodID     int          `json:"method_id"`
 	ProgHash     string       `json:"prog_hash,omitempty"`
 	Instrumented []int        `json:"instrumented_branches"`
 	LogSyscalls  bool         `json:"log_syscalls"`
@@ -61,8 +59,6 @@ func (p *Plan) Encode() ([]byte, error) {
 	enc := planJSON{
 		Version:     planVersion,
 		Strategy:    p.Strategy,
-		Method:      p.Method.String(),
-		MethodID:    int(p.Method),
 		ProgHash:    p.ProgHash,
 		LogSyscalls: p.LogSyscalls,
 		Cost:        p.Cost,
@@ -144,7 +140,6 @@ func decodePlan(data []byte, label string) (*Plan, error) {
 		return nil, fmt.Errorf("instrument: decode plan %s: %w: %w", path, ErrPlanCorrupt, err)
 	}
 	p := &Plan{
-		Method:       Method(enc.MethodID),
 		Strategy:     enc.Strategy,
 		Instrumented: set,
 		LogSyscalls:  enc.LogSyscalls,

@@ -50,10 +50,11 @@ func TestPlanGoldenFile(t *testing.T) {
 }
 
 // TestPlanParentFormatLoads reads the golden plan as the previous format
-// wrote it, with the modelled replay-runs estimate in its cost block, and
-// checks that it loads as the current golden plan: same fingerprint,
-// branch set and overhead estimate. The retired field is ignored, so plans
-// shipped before the format change keep resolving.
+// wrote it, with the modelled replay-runs estimate in its cost block and
+// the retired method tag, and checks that it loads as the current golden
+// plan: same fingerprint, branch set and overhead estimate. The retired
+// fields are ignored, so plans shipped before the format change keep
+// resolving.
 func TestPlanParentFormatLoads(t *testing.T) {
 	path := filepath.Join("testdata", "plan_parent_golden.json")
 	data, err := os.ReadFile(path)
@@ -92,7 +93,7 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Fingerprint() != p.Fingerprint() {
 		t.Errorf("fingerprint: %s vs %s", loaded.Fingerprint(), p.Fingerprint())
 	}
-	if loaded.Method != p.Method || loaded.Strategy != p.Strategy ||
+	if loaded.Strategy != p.Strategy ||
 		loaded.LogSyscalls != p.LogSyscalls || loaded.ProgHash != p.ProgHash {
 		t.Errorf("metadata drifted: %+v vs %+v", loaded, p)
 	}
@@ -115,8 +116,7 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 func TestRefinedPlanRoundTripKeepsLineage(t *testing.T) {
 	base := goldenPlan(t)
 	p := &Plan{
-		Method:       base.Method,
-		Strategy:     "refine(method:dynamic+static,gen2,+b4)",
+		Strategy:     "refine(@8c1f0e2a,gen2,+b4)",
 		Instrumented: map[lang.BranchID]bool{0: true, 1: true, 4: true},
 		LogSyscalls:  base.LogSyscalls,
 		ProgHash:     base.ProgHash,

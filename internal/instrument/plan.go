@@ -66,15 +66,11 @@ func ParseMethod(s string) (Method, error) {
 // NewLogger call on, the plan is compiled once into what its instrumented
 // build needs — the fingerprint and a dense branch table — and every
 // later call reads that compiled form, so a later edit to Instrumented,
-// LogSyscalls or ProgHash would not be seen (Method, Strategy, Cost and
-// lineage are outside the compiled form). Derive a changed plan by
+// LogSyscalls or ProgHash would not be seen (Strategy, Cost and lineage
+// are outside the compiled form). Derive a changed plan by
 // building a new one. A Plan must not be copied after first use (go vet's
 // copylocks check reports struct copies).
 type Plan struct {
-	// Method is the §2.3 tag, set on plans built through StrategyForMethod.
-	// Plans built by a composition no method names leave it at MethodNone;
-	// Strategy is the authoritative provenance.
-	Method Method
 	// Strategy names the strategy that produced the plan (e.g.
 	// "union(dynamic,static-residue)"); empty on hand-built plans.
 	Strategy string

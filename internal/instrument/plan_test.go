@@ -77,8 +77,8 @@ var methodCases = map[Method]struct {
 }
 
 // checkMethod plans a method's case through StrategyForMethod under both
-// syscall flags: the literal branch set, the method tag, and syscall
-// logging exactly when asked for (never for the uninstrumented baseline).
+// syscall flags: the literal branch set, and syscall logging exactly when
+// asked for (never for the uninstrumented baseline).
 func checkMethod(t *testing.T, m Method) {
 	t.Helper()
 	c := methodCases[m]
@@ -90,9 +90,6 @@ func checkMethod(t *testing.T, m Method) {
 		}
 		if want := logSyscalls && m != MethodNone; plan.LogSyscalls != want {
 			t.Errorf("%v (syscalls=%v): LogSyscalls %v, want %v", m, logSyscalls, plan.LogSyscalls, want)
-		}
-		if plan.Method != m {
-			t.Errorf("%v: plan tagged %v", m, plan.Method)
 		}
 	}
 }

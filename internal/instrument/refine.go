@@ -86,9 +86,6 @@ func refineName(base *Plan, promoted, demoted []lang.BranchID) string {
 		fp = fp[:8]
 	}
 	baseName := base.Strategy
-	if baseName == "" {
-		baseName = base.Method.String()
-	}
 	if base.Generation > 0 {
 		baseName = "@" + fp
 	} else {

@@ -293,44 +293,21 @@ func Budgeted(inner Strategy, k int) Strategy {
 	}
 }
 
-// methodStrategy wraps a composition so plans built through a Method name
-// carry the method tag alongside the composition's strategy label.
-type methodStrategy struct {
-	m     Method
-	inner Strategy
-}
-
-// Name implements Strategy.
-func (s *methodStrategy) Name() string { return "method:" + s.m.String() }
-
-// Plan implements Strategy: the inner composition's plan, tagged with the
-// method.
-func (s *methodStrategy) Plan(ctx context.Context, pc *PlanContext) (*Plan, error) {
-	p, err := s.inner.Plan(ctx, pc)
-	if err != nil {
-		return nil, err
-	}
-	p.Method = s.m
-	return p, nil
-}
-
-// StrategyForMethod returns the composition a Method names (§2.3): plans it
-// builds carry the method tag and the composition's strategy label, with
-// the composition's branch set, flags and fingerprint. Unknown methods map
-// to None().
+// StrategyForMethod returns the composition a Method names (§2.3) — the
+// composition itself, so a plan built through a method name is the plan
+// the composition builds, under the composition's strategy label. Unknown
+// methods map to None().
 func StrategyForMethod(m Method) Strategy {
-	var inner Strategy
 	switch m {
 	case MethodDynamic:
-		inner = Dynamic()
+		return Dynamic()
 	case MethodStatic:
-		inner = Static()
+		return Static()
 	case MethodDynamicStatic:
-		inner = Union(Dynamic(), StaticResidue())
+		return Union(Dynamic(), StaticResidue())
 	case MethodAll:
-		inner = All()
+		return All()
 	default:
-		inner = None()
+		return None()
 	}
-	return &methodStrategy{m: m, inner: inner}
 }

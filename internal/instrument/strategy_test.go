@@ -37,12 +37,24 @@ func planOf(t *testing.T, s Strategy, pc *PlanContext) *Plan {
 	return p
 }
 
-func TestStrategyForMethodCarriesMethodTag(t *testing.T) {
+// TestStrategyForMethodIsTheComposition checks that a method name plans
+// through the composition it names, under that composition's label: a plan
+// carries one label, whichever route built it.
+func TestStrategyForMethodIsTheComposition(t *testing.T) {
 	pc := NewPlanContext(fakeProgram(t), fakeInputs(), true)
-	for _, m := range append(Methods, MethodNone) {
-		p := planOf(t, StrategyForMethod(m), pc)
-		if p.Method != m {
-			t.Errorf("%v: plan tagged %v", m, p.Method)
+	for m, want := range map[Method]string{
+		MethodNone:          "none",
+		MethodDynamic:       "dynamic",
+		MethodStatic:        "static",
+		MethodDynamicStatic: "union(dynamic,static-residue)",
+		MethodAll:           "all",
+	} {
+		s := StrategyForMethod(m)
+		if s.Name() != want {
+			t.Errorf("%v: strategy %q, want %q", m, s.Name(), want)
+		}
+		if p := planOf(t, s, pc); p.Strategy != want {
+			t.Errorf("%v: plan labelled %q, want %q", m, p.Strategy, want)
 		}
 	}
 }

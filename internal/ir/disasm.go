@@ -20,7 +20,7 @@ import (
 // file in testdata.
 func (p *Program) Disasm() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "; program %s\n", p.Hash)
+	fmt.Fprintf(&b, "; program %s\n", p.Src.Hash())
 
 	fmt.Fprintf(&b, "\nstrings (%d):\n", len(p.Strings))
 	for i, s := range p.Strings {

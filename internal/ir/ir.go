@@ -171,8 +171,6 @@ type FuncCode struct {
 type Program struct {
 	// Src is the source program (globals table, branch sites, functions).
 	Src *lang.Program
-	// Hash is the structural program hash the compile cache is keyed by.
-	Hash string
 	// Funcs holds the compiled functions in lang.Program.FuncList order.
 	Funcs []*FuncCode
 	// Main is the entry function's code.

@@ -105,7 +105,8 @@ type Unit struct {
 }
 
 // Program is a linked MiniC program, ready for execution and analysis. A
-// linked Program is immutable and must not be copied (it memoises its Hash).
+// linked Program is immutable and must not be copied (it memoises its Hash
+// and its compiled form).
 type Program struct {
 	Units    []*Unit
 	Funcs    map[string]*FuncDecl
@@ -116,6 +117,10 @@ type Program struct {
 
 	hashOnce sync.Once
 	hash     string
+
+	compileOnce sync.Once
+	compiled    any
+	compileErr  error
 }
 
 // BranchesIn returns the branch sites belonging to the given region.

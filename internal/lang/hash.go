@@ -22,6 +22,17 @@ func (p *Program) Hash() string {
 	return p.hash
 }
 
+// Compiled returns the program's compiled form: build's result on the
+// first call, memoised with its error, and the same value on every later
+// call. A linked Program is immutable, so its compiled form is too; it is
+// reachable for exactly as long as the program is. Compiled is safe for
+// concurrent use: concurrent first callers wait for one build. The
+// bytecode engine (ir.Compile) is the only builder.
+func (p *Program) Compiled(build func(*Program) (any, error)) (any, error) {
+	p.compileOnce.Do(func() { p.compiled, p.compileErr = build(p) })
+	return p.compiled, p.compileErr
+}
+
 // computeHash hashes the program's identity afresh (see Hash).
 func (p *Program) computeHash() string {
 	h := sha256.New()

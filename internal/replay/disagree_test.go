@@ -41,7 +41,6 @@ func TestDisagreementAttribution(t *testing.T) {
 	prog := compile(t, sideBranchSrc)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "xxx", 4)}}
 	plan := &instrument.Plan{
-		Method:       instrument.MethodDynamic,
 		Instrumented: map[lang.BranchID]bool{0: true, 1: true},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQx")})
@@ -71,7 +70,6 @@ func TestDisagreementAttribution(t *testing.T) {
 	prog2 := compile(t, agreeBranchSrc)
 	spec2 := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "xx", 4)}}
 	plan2 := &instrument.Plan{
-		Method:       instrument.MethodDynamic,
 		Instrumented: map[lang.BranchID]bool{0: true},
 	}
 	rec2 := record(t, prog2, spec2, plan2, map[string][]byte{"arg0": []byte("xK")})

@@ -90,7 +90,6 @@ func TestReproduceCountsFollowRunsAndSolverOutcomes(t *testing.T) {
 	prog := compile(t, followUnsatSrc)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
 	plan := &instrument.Plan{
-		Method:       instrument.MethodDynamic,
 		Instrumented: map[lang.BranchID]bool{0: true},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("P")})

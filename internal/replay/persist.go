@@ -32,9 +32,7 @@ import (
 // is refused by name. LoadRecording reads all three versions.
 
 type recordingJSON struct {
-	Version  int    `json:"version"`
-	Method   string `json:"method,omitempty"`
-	MethodID int    `json:"method_id,omitempty"`
+	Version int `json:"version"`
 	// Instrumented is the recording plan's branch set; absent in version-3
 	// reference envelopes, which carry only the fingerprint stamp.
 	Instrumented []int  `json:"instrumented_branches,omitempty"`
@@ -95,8 +93,6 @@ func (r *Recording) Encode() ([]byte, error) {
 	cost := r.Plan.Cost
 	enc := recordingJSON{
 		Version:         recordingVersion,
-		Method:          r.Plan.Method.String(),
-		MethodID:        int(r.Plan.Method),
 		LogSyscalls:     r.Plan.LogSyscalls,
 		TraceBits:       r.Trace.Len(),
 		TraceData:       base64.StdEncoding.EncodeToString(r.Trace.Bytes()),
@@ -270,7 +266,6 @@ func DecodeRecording(data []byte) (*Recording, error) {
 		return nil, fmt.Errorf("replay: decode recording: %w", err)
 	}
 	plan := &instrument.Plan{
-		Method:       instrument.Method(enc.MethodID),
 		Strategy:     enc.Strategy,
 		Instrumented: set,
 		LogSyscalls:  enc.LogSyscalls,

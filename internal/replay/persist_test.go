@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,9 +27,6 @@ func TestRecordingSaveLoadRoundTrip(t *testing.T) {
 	loaded, err := LoadRecordingFor(path, f.prog)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if loaded.Plan.Method != f.rec.Plan.Method {
-		t.Errorf("method: %v vs %v", loaded.Plan.Method, f.rec.Plan.Method)
 	}
 	if loaded.Plan.Strategy != f.rec.Plan.Strategy {
 		t.Errorf("strategy: %q vs %q", loaded.Plan.Strategy, f.rec.Plan.Strategy)
@@ -67,47 +65,17 @@ func TestRecordingSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// saveV1 writes rec in the legacy version-1 envelope (no provenance stamp)
-// — the format v0/PR-1 builds produced.
-func saveV1(t *testing.T, rec *Recording, path string) {
-	t.Helper()
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var enc map[string]any
-	if err := json.Unmarshal(data, &enc); err != nil {
-		t.Fatal(err)
-	}
-	enc["version"] = 1
-	delete(enc, "strategy")
-	delete(enc, "prog_hash")
-	delete(enc, "cost")
-	delete(enc, "plan_fingerprint")
-	out, err := json.MarshalIndent(enc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRecordingV1FixtureStillLoads is the backward-compat gate: the
 // checked-in version-1 report (produced before envelopes carried a
-// provenance stamp) must load, validate leniently, and replay.
+// provenance stamp) must load, validate leniently, and replay under the
+// branch set of the plan it was recorded with. The fixture is a historical
+// artifact, written by a version-1 build; no test rewrites it.
 func TestRecordingV1FixtureStillLoads(t *testing.T) {
 	fixturePath := filepath.Join("testdata", "recording_v1.json")
 	f := buildFixture(t, instrument.MethodDynamicStatic)
-	if *updateGolden {
-		saveV1(t, f.rec, fixturePath)
-	}
 	rec, err := LoadRecordingFor(fixturePath, f.prog)
 	if err != nil {
-		t.Fatalf("v1 fixture rejected: %v (run with -update-golden to regenerate)", err)
+		t.Fatalf("v1 fixture rejected: %v", err)
 	}
 	if rec.Fingerprint != "" {
 		t.Errorf("v1 recording grew a fingerprint: %q", rec.Fingerprint)
@@ -115,8 +83,8 @@ func TestRecordingV1FixtureStillLoads(t *testing.T) {
 	if rec.Plan.ProgHash != "" || rec.Plan.Strategy != "" {
 		t.Errorf("v1 recording grew provenance: %+v", rec.Plan)
 	}
-	if rec.Plan.Method != instrument.MethodDynamicStatic {
-		t.Errorf("method: %v", rec.Plan.Method)
+	if got, want := fmt.Sprint(rec.Plan.IDs()), fmt.Sprint(f.rec.Plan.IDs()); got != want || !rec.Plan.LogSyscalls {
+		t.Errorf("v1 plan logs %s (syscalls %v), want %s (syscalls true)", got, rec.Plan.LogSyscalls, want)
 	}
 	eng := New(f.prog, f.spec, world.NewRegistry(), rec, Options{MaxRuns: 300})
 	if res := eng.Reproduce(context.Background()); !res.Reproduced {

@@ -46,7 +46,6 @@ func chainFixture(t *testing.T) *fixture {
 	}
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "xxx", 4)}}
 	plan := &instrument.Plan{
-		Method:       instrument.MethodDynamic,
 		Instrumented: map[lang.BranchID]bool{0: true, 1: true},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQx")})
@@ -146,7 +145,6 @@ func TestProfileOnReproducingSearch(t *testing.T) {
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
 	plan := &instrument.Plan{
-		Method:       instrument.MethodDynamic,
 		Instrumented: map[lang.BranchID]bool{},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQ")})

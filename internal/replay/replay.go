@@ -489,7 +489,7 @@ func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.B
 		solved, sat := s.slv.Solve(solver.Problem{
 			Constraints: conds,
 			Domains:     e.reg.Domains(vars),
-			Seed:        seedForIDs(top.parent, vars),
+			Seed:        top.parent.Restrict(vars),
 		})
 		solves++
 		// The solving effort is charged to the branch whose alternative
@@ -501,7 +501,7 @@ func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.B
 			return nil, noOrigin, solves, false
 		}
 		if sat {
-			return mergeAsn(top.parent, solved), top.origin, solves, true
+			return top.parent.Overlay(solved), top.origin, solves, true
 		}
 	}
 	return nil, noOrigin, solves, false
@@ -770,25 +770,4 @@ func fillPathStats(res *Result, sink *runSink) {
 			res.SymNotLoggedLocs++
 		}
 	}
-}
-
-func seedForIDs(parent sym.MapAssignment, vars []int) sym.MapAssignment {
-	out := make(sym.MapAssignment, len(vars))
-	for _, id := range vars {
-		if v, ok := parent[id]; ok {
-			out[id] = v
-		}
-	}
-	return out
-}
-
-func mergeAsn(parent, child sym.MapAssignment) sym.MapAssignment {
-	out := make(sym.MapAssignment, len(parent)+len(child))
-	for id, v := range parent {
-		out[id] = v
-	}
-	for id, v := range child {
-		out[id] = v
-	}
-	return out
 }

@@ -131,7 +131,6 @@ func TestReproduceWithEmptyPlan(t *testing.T) {
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
 	plan := &instrument.Plan{
-		Method:       instrument.MethodDynamic,
 		Instrumented: map[lang.BranchID]bool{},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQ")})
@@ -157,7 +156,7 @@ func TestRunsOrderedByInstrumentationDensity(t *testing.T) {
 
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
-	empty := &instrument.Plan{Method: instrument.MethodDynamic, Instrumented: map[lang.BranchID]bool{}}
+	empty := &instrument.Plan{Instrumented: map[lang.BranchID]bool{}}
 	rec := record(t, prog, spec, empty, map[string][]byte{"arg0": []byte("PQ")})
 	engEmpty := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 500})
 	resEmpty := engEmpty.Reproduce(context.Background())

@@ -140,11 +140,11 @@ func (s *Store) PutPlan(p *instrument.Plan) error {
 	return s.withIndexLock(func() error {
 		path := s.planPath(fp)
 		if _, err := os.Stat(path); err != nil {
-			tmp := path + ".tmp"
-			if err := p.Save(tmp); err != nil {
+			data, err := p.Encode()
+			if err != nil {
 				return fmt.Errorf("store: retain plan %s: %w", fp, err)
 			}
-			if err := os.Rename(tmp, path); err != nil {
+			if err := writeFileAtomic(path, data); err != nil {
 				return fmt.Errorf("store: retain plan %s: %w", fp, err)
 			}
 		}

@@ -22,7 +22,6 @@ const fixedProgHash = "00112233445566778899aabbccddeeff"
 func goldenPlan() *instrument.Plan {
 	return &instrument.Plan{
 		Strategy:     "union(dynamic,static-residue)",
-		Method:       instrument.MethodDynamicStatic,
 		Instrumented: map[lang.BranchID]bool{2: true, 3: true, 7: true},
 		LogSyscalls:  true,
 		ProgHash:     fixedProgHash,
@@ -118,7 +117,7 @@ func checkGolden(t *testing.T, gotPath, goldenName string) {
 
 // TestPlanParentFormatLoads reads the golden base and child plans as the
 // previous format wrote them, with the modelled replay-runs estimate in
-// their cost blocks, and checks that each loads as the current golden plan:
+// their cost blocks and the retired method tag, and checks that each loads as the current golden plan:
 // same fingerprint, branch set, overhead estimate and lineage. Stores
 // written before the format change keep resolving their plans.
 func TestPlanParentFormatLoads(t *testing.T) {

@@ -105,6 +105,32 @@ type MapAssignment map[int]int64
 // Value implements Assignment.
 func (m MapAssignment) Value(id int) int64 { return m[id] }
 
+// Restrict returns the values m binds for vars, leaving out the ones it
+// does not bind: a parent input restricted to a constraint's variables is
+// the seed a search hands the solver.
+func (m MapAssignment) Restrict(vars []int) MapAssignment {
+	out := make(MapAssignment, len(vars))
+	for _, id := range vars {
+		if v, ok := m[id]; ok {
+			out[id] = v
+		}
+	}
+	return out
+}
+
+// Overlay returns a new assignment holding m's values with over's layered
+// on top: a child input is its parent's with the solved values replaced.
+func (m MapAssignment) Overlay(over MapAssignment) MapAssignment {
+	out := make(MapAssignment, len(m)+len(over))
+	for id, v := range m {
+		out[id] = v
+	}
+	for id, v := range over {
+		out[id] = v
+	}
+	return out
+}
+
 // Const is a concrete 64-bit constant.
 type Const struct {
 	V int64

@@ -206,8 +206,8 @@ var (
 	// Budgeted keeps the top-k branches of a strategy by symbolic
 	// executions per logged bit.
 	Budgeted = instrument.Budgeted
-	// StrategyForMethod returns the composition a Method names; its plans
-	// carry the method tag.
+	// StrategyForMethod returns the composition a Method names: the same
+	// strategy, plan and label as building that composition directly.
 	StrategyForMethod = instrument.StrategyForMethod
 	// Refine returns the strategy deriving the next plan generation from a
 	// base plan, the replay search profile measured under it and the
@@ -220,7 +220,7 @@ var (
 	// LoadPlan reads a plan saved with Plan.Save, verifying its
 	// fingerprint.
 	LoadPlan = instrument.LoadPlan
-	// LoadRecording reads a saved bug report (envelope version 1 or 2).
+	// LoadRecording reads a saved bug report (envelope version 1, 2 or 3).
 	LoadRecording = replay.LoadRecording
 	// LoadRecordingFor reads a saved bug report and validates it against
 	// the program it will be replayed on.

@@ -1,6 +1,7 @@
 package pathlog
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -422,5 +423,42 @@ func TestAutoBalancePersistsGenerations(t *testing.T) {
 	}
 	if rep.MeasuredPoints != len(pts) {
 		t.Errorf("scan counts %d measured points, want %d", rep.MeasuredPoints, len(pts))
+	}
+}
+
+// TestMethodAndCompositionAreOnePlan checks that a method name and the
+// composition it names are one strategy: a session builds one plan for
+// both, and the plan file a store retains is byte-identical whichever route
+// deployed it first.
+func TestMethodAndCompositionAreOnePlan(t *testing.T) {
+	ctx := context.Background()
+	routes := [2]Strategy{StrategyForMethod(MethodDynamicStatic), Union(Dynamic(), StaticResidue())}
+	var files [2][]byte
+	for first := range routes {
+		dir := t.TempDir()
+		sess := chainSession(t, WithPlanStore(dir))
+		var plans [2]*Plan
+		for i := range plans {
+			p, err := sess.PlanWith(ctx, routes[(first+i)%2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sess.RecordWith(ctx, p, nil); err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = p
+		}
+		if plans[0] != plans[1] {
+			t.Fatalf("%s and %s built two plans (%q, %q)", routes[first].Name(), routes[1-first].Name(),
+				plans[0].Strategy, plans[1].Strategy)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "plans", plans[0].Fingerprint()+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[first] = data
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("the retained plan file depends on the route that deployed it first:\n%s\nvs\n%s", files[0], files[1])
 	}
 }
