@@ -274,8 +274,8 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 	}
 }
 
-// analysesFor runs both analyses once for a benchmark.
-func analysesFor(b *testing.B, an *core.Scenario, dynRuns int, libSym bool) instrument.Inputs {
+// analysesFor runs both analyses once for a benchmark or test.
+func analysesFor(b testing.TB, an *core.Scenario, dynRuns int, libSym bool) instrument.Inputs {
 	b.Helper()
 	return instrument.Inputs{
 		Dynamic: an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: dynRuns}),

@@ -24,7 +24,7 @@ func runConcrete(t *testing.T, s *core.Scenario) vm.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := world.NewWorld(spec, world.NewRegistry(), nil)
+	w := world.NewWorld(spec, world.NewRegistry(spec), nil)
 	w.Symbolic = false
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord
@@ -52,7 +52,7 @@ func runWithArgs(t *testing.T, name string, args []string, files map[string][]by
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := world.NewWorld(spec, world.NewRegistry(), nil)
+		w := world.NewWorld(spec, world.NewRegistry(spec), nil)
 		kcfg := w.KernelConfig()
 		cfg.Files = kcfg.Files
 	}
@@ -194,7 +194,7 @@ func TestUServerResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := world.NewWorld(userSpec, world.NewRegistry(), nil)
+	w := world.NewWorld(userSpec, world.NewRegistry(userSpec), nil)
 	w.Symbolic = false
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord

@@ -118,8 +118,9 @@ type Explorer struct {
 
 	report Report
 	queue  []sym.MapAssignment
-	seen   map[string]bool // dedup of queued assignments
-	varBuf []int           // scratch for per-child constraint variable IDs
+	seen   map[string]bool    // dedup of queued assignments
+	varBuf []int              // scratch for per-child constraint variable IDs
+	domBuf []solver.VarDomain // scratch for their domains
 
 	// Per-run slicing scratch (sliceRelevant): the variable IDs of path
 	// constraint j are condVars[condEnd[j]:condEnd[j+1]], and mark[id] ==
@@ -281,10 +282,11 @@ func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) 
 		sliced := e.sliceRelevant(conds, i)
 		vars := sym.ConstraintVarIDs(sliced, e.varBuf)
 		e.varBuf = vars
+		e.domBuf = e.reg.Domains(vars, e.domBuf)
 		problem := solver.Problem{
 			Constraints: sliced,
-			Domains:     e.reg.Domains(vars),
-			Seed:        parent.Restrict(vars),
+			Domains:     e.domBuf,
+			Seed:        parent,
 		}
 		child, ok := e.slv.Solve(problem)
 		if !ok {

@@ -68,7 +68,7 @@ func branchByPosLine(p *lang.Program, line int) *lang.BranchSite {
 func TestListing1Labels(t *testing.T) {
 	prog := compile(t, listing1)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
-	ex := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 50})
+	ex := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 50})
 	rep := ex.Explore(context.Background())
 
 	if rep.Runs < 3 {
@@ -98,7 +98,7 @@ func TestExplorationFindsBothOptions(t *testing.T) {
 	// counts reveal whether both paths were explored.
 	prog := compile(t, listing1)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
-	ex := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 50})
+	ex := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 50})
 	rep := ex.Explore(context.Background())
 
 	forB := branchByPosLine(prog, 6)
@@ -113,8 +113,8 @@ func TestCoverageBudget(t *testing.T) {
 	prog := compile(t, listing1)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
 
-	low := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 1}).Explore(context.Background())
-	high := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 50}).Explore(context.Background())
+	low := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 1}).Explore(context.Background())
+	high := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 50}).Explore(context.Background())
 
 	total := len(prog.Branches)
 	if low.Coverage(total) > high.Coverage(total) {
@@ -150,7 +150,7 @@ func TestRelabelConcreteToSymbolic(t *testing.T) {
 	`
 	prog := compile(t, src)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "z", 2)}}
-	rep := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 20}).Explore(context.Background())
+	rep := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 20}).Explore(context.Background())
 	b := branchByPosLine(prog, 3)
 	if rep.Labels[b.ID] != Symbolic {
 		t.Errorf("relabel: got %v", rep.Labels[b.ID])
@@ -173,7 +173,7 @@ func TestUnvisitedStaysUnvisited(t *testing.T) {
 	`
 	prog := compile(t, src)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
-	rep := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 30}).Explore(context.Background())
+	rep := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 30}).Explore(context.Background())
 	deadBranch := branchByPosLine(prog, 3)
 	if rep.Labels[deadBranch.ID] != Unvisited {
 		t.Errorf("dead branch: %v", rep.Labels[deadBranch.ID])
@@ -198,7 +198,7 @@ func TestExplorerFindsGuardedCrash(t *testing.T) {
 	`
 	prog := compile(t, src)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
-	rep := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 30}).Explore(context.Background())
+	rep := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 30}).Explore(context.Background())
 	inner := branchByPosLine(prog, 6)
 	if rep.ExecCount[inner.ID] == 0 {
 		t.Fatal("inner guard never reached; solver failed to flip outer guard")
@@ -211,7 +211,7 @@ func TestExplorerFindsGuardedCrash(t *testing.T) {
 func TestHistogramConsistency(t *testing.T) {
 	prog := compile(t, listing1)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "a", 2)}}
-	rep := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 10}).Explore(context.Background())
+	rep := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 10}).Explore(context.Background())
 
 	var execs, symExecs int64
 	for _, n := range rep.ExecCount {
@@ -239,7 +239,7 @@ func TestDeterministicExploration(t *testing.T) {
 	run := func() (int, int) {
 		prog := compile(t, listing1)
 		spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
-		rep := New(prog, spec, world.NewRegistry(), Options{MaxRuns: 25}).Explore(context.Background())
+		rep := New(prog, spec, world.NewRegistry(spec), Options{MaxRuns: 25}).Explore(context.Background())
 		return rep.Runs, rep.CountLabel(Symbolic)
 	}
 	r1, s1 := run()
@@ -262,7 +262,7 @@ func TestLabelString(t *testing.T) {
 func TestNilEngineIsBytecodeVM(t *testing.T) {
 	prog := compile(t, listing1)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
-	ex := New(prog, spec, world.NewRegistry(), Options{})
+	ex := New(prog, spec, world.NewRegistry(spec), Options{})
 	if got, want := reflect.ValueOf(ex.opts.Engine).Pointer(), reflect.ValueOf(ir.Engine).Pointer(); got != want {
 		t.Fatalf("nil Options.Engine resolved to %#x, want ir.Engine (%#x)", got, want)
 	}

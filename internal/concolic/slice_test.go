@@ -36,7 +36,7 @@ func TestSliceRelevantOnRealPaths(t *testing.T) {
 				checked += n
 			})
 			opts := concolic.Options{MaxRuns: tc.runs, Engine: engine}
-			rep := concolic.New(tc.s.Prog, tc.s.Spec, world.NewRegistry(), opts).Explore(context.Background())
+			rep := concolic.New(tc.s.Prog, tc.s.Spec, world.NewRegistry(tc.s.Spec), opts).Explore(context.Background())
 			if rep.Runs != tc.runs || checked == 0 {
 				t.Fatalf("%d runs, %d slices compared", rep.Runs, checked)
 			}

@@ -121,7 +121,7 @@ func (s *Scenario) AnalyzeDynamicContext(ctx context.Context, opts concolic.Opti
 	if opts.Engine == nil {
 		opts.Engine = s.Engine
 	}
-	ex := concolic.New(s.Prog, s.Spec, world.NewRegistry(), opts)
+	ex := concolic.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), opts)
 	return ex.Explore(ctx)
 }
 
@@ -171,7 +171,7 @@ func (s *Scenario) RecordContext(ctx context.Context, plan *instrument.Plan) (*r
 	if err != nil {
 		return nil, nil, err
 	}
-	w := world.NewWorld(userSpec, world.NewRegistry(), nil)
+	w := world.NewWorld(userSpec, world.NewRegistry(userSpec), nil)
 	w.Symbolic = false
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord
@@ -272,7 +272,7 @@ func (s *Scenario) ReplayContext(ctx context.Context, rec *replay.Recording, opt
 	if opts.Engine == nil {
 		opts.Engine = s.Engine
 	}
-	eng := replay.New(s.Prog, s.Spec, world.NewRegistry(), rec, opts)
+	eng := replay.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), rec, opts)
 	return eng.Reproduce(ctx)
 }
 
@@ -293,7 +293,7 @@ func (s *Scenario) VerifyInput(inputBytes map[string][]byte, want vm.CrashInfo) 
 	if err != nil {
 		return false
 	}
-	w := world.NewWorld(spec, world.NewRegistry(), nil)
+	w := world.NewWorld(spec, world.NewRegistry(spec), nil)
 	w.Symbolic = false
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord

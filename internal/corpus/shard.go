@@ -72,7 +72,7 @@ func (r *InProcessRunner) ReplayShard(ctx context.Context, reports []*Report) ([
 		if rep.Rec == nil || rep.Rec.Plan == nil {
 			return nil, fmt.Errorf("corpus: report %s carries no plan — resolve the corpus against a plan store before replaying", rep.Signature)
 		}
-		eng := replay.New(r.Prog, r.Spec, world.NewRegistry(), rep.Rec, r.Opts)
+		eng := replay.New(r.Prog, r.Spec, world.NewRegistry(r.Spec), rep.Rec, r.Opts)
 		res := eng.Reproduce(ctx)
 		out[i] = ReportRun{
 			Reproduced: res.Reproduced,

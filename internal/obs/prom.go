@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,8 +142,10 @@ func ParsePrometheus(r io.Reader) (map[string]PromFamily, error) {
 }
 
 // lintHistogram enforces the histogram-shape invariants a scraper relies
-// on: at least one bucket, a +Inf edge, non-decreasing cumulative counts
-// in bound order, and _count equal to the +Inf bucket.
+// on: at least one bucket, a +Inf edge, distinct numeric bounds,
+// non-decreasing cumulative counts in bound order, and _count equal to the
+// +Inf bucket. Two spellings of one bound (le="0" and le="+0.") are
+// refused: their order, and so the verdict, would depend on map order.
 func lintHistogram(name string, f PromFamily) error {
 	type edge struct {
 		bound float64
@@ -162,7 +165,7 @@ func lintHistogram(name string, f PromFamily) error {
 			continue
 		}
 		b, err := strconv.ParseFloat(le, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(b) {
 			return fmt.Errorf("histogram %s: bad le bound %q", name, le)
 		}
 		edges = append(edges, edge{b, val})
@@ -175,7 +178,10 @@ func lintHistogram(name string, f PromFamily) error {
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].bound < edges[j].bound })
 	prev := 0.0
-	for _, e := range edges {
+	for i, e := range edges {
+		if i > 0 && e.bound == edges[i-1].bound {
+			return fmt.Errorf("histogram %s: two buckets bounded at le=%g", name, e.bound)
+		}
 		if e.count < prev {
 			return fmt.Errorf("histogram %s: cumulative bucket count decreases at le=%g", name, e.bound)
 		}

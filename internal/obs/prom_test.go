@@ -68,6 +68,12 @@ func TestParsePrometheusRejects(t *testing.T) {
 		"missing _sum": "# TYPE h histogram\n" +
 			"h_bucket{le=\"10\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
 		"sample outside its block": "# TYPE a counter\n# TYPE b counter\na 1\n",
+		// Found by FuzzParsePrometheus: with both spellings of one bound
+		// the verdict used to follow map iteration order.
+		"one bound spelled twice": "# TYPE h histogram\n" +
+			"h_bucket{le=\"0\"} 0\nh_bucket{le=\"+0.\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 0\nh_count 2\n",
+		"NaN bound": "# TYPE h histogram\n" +
+			"h_bucket{le=\"NaN\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 0\nh_count 1\n",
 	}
 	for name, text := range cases {
 		if _, err := ParsePrometheus(strings.NewReader(text)); err == nil {

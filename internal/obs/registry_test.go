@@ -179,6 +179,27 @@ func TestQuantile(t *testing.T) {
 	if q := (HistogramSnapshot{Bounds: []float64{1}, Counts: []int64{0, 0}}).Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %g, want 0", q)
 	}
+	// Observations {0, 1}: without a bucket bounded at 0 both share (0, 1]
+	// and the median interpolates to 0.5, a value never observed; with one,
+	// the median is the observed 0 and the maximum the observed 1.
+	for _, c := range []struct {
+		bounds  []float64
+		p50, p1 float64
+	}{
+		{[]float64{1, 2, 4}, 0.5, 1},
+		{[]float64{0, 1, 2, 4}, 0, 1},
+	} {
+		h := NewHistogram(c.bounds)
+		h.Observe(0)
+		h.Observe(1)
+		s := h.Snapshot("q")
+		if q := s.Quantile(0.5); q != c.p50 {
+			t.Errorf("bounds %v: p50 of {0, 1} = %g, want %g", c.bounds, q, c.p50)
+		}
+		if q := s.Quantile(1); q != c.p1 {
+			t.Errorf("bounds %v: p100 of {0, 1} = %g, want %g", c.bounds, q, c.p1)
+		}
+	}
 }
 
 func TestExpBuckets(t *testing.T) {

@@ -44,7 +44,7 @@ func TestDisagreementAttribution(t *testing.T) {
 		Instrumented: map[lang.BranchID]bool{0: true, 1: true},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQx")})
-	res := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 50}).Reproduce(ctx)
+	res := New(prog, spec, world.NewRegistry(spec), rec, Options{MaxRuns: 50}).Reproduce(ctx)
 	if !res.Reproduced {
 		t.Fatalf("chain did not reproduce: %+v", res)
 	}
@@ -73,7 +73,7 @@ func TestDisagreementAttribution(t *testing.T) {
 		Instrumented: map[lang.BranchID]bool{0: true},
 	}
 	rec2 := record(t, prog2, spec2, plan2, map[string][]byte{"arg0": []byte("xK")})
-	res2 := New(prog2, spec2, world.NewRegistry(), rec2, Options{MaxRuns: 50}).Reproduce(ctx)
+	res2 := New(prog2, spec2, world.NewRegistry(spec2), rec2, Options{MaxRuns: 50}).Reproduce(ctx)
 	if !res2.Reproduced {
 		t.Fatalf("agree fixture did not reproduce: %+v", res2)
 	}

@@ -17,7 +17,7 @@ import (
 func TestReproduceObservesHistograms(t *testing.T) {
 	f := buildFixture(t, instrument.MethodDynamic)
 	reg := obs.NewRegistry()
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{
 		MaxRuns: 500, Obs: reg,
 	})
 	res := eng.Reproduce(context.Background())
@@ -45,13 +45,18 @@ func TestReproduceObservesHistograms(t *testing.T) {
 	if byName["pathlog_replay_run_ns"].Sum <= 0 {
 		t.Error("run-ns histogram observed no time")
 	}
+	// The all-seed run solves nothing: it lands in the bucket bounded at 0.
+	if h := byName["pathlog_replay_solver_calls_per_run"]; h.Bounds[0] != 0 || h.Counts[0] == 0 {
+		t.Errorf("solver calls: bounds %v counts %v, want the first run in a bucket bounded at 0",
+			h.Bounds, h.Counts)
+	}
 }
 
 // TestReproduceWithoutObsRegistersNothing pins the opt-in contract: no
 // registry, no instruments, no overhead path.
 func TestReproduceWithoutObsRegistersNothing(t *testing.T) {
 	f := buildFixture(t, instrument.MethodDynamic)
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 200})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 200})
 	if eng.runNS != nil || eng.solverCalls != nil || eng.loggedBits != nil ||
 		eng.followRuns != nil || eng.unsat != nil || eng.gaveUp != nil {
 		t.Fatal("instruments resolved without a registry")
@@ -94,7 +99,7 @@ func TestReproduceCountsFollowRunsAndSolverOutcomes(t *testing.T) {
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("P")})
 	reg := obs.NewRegistry()
-	res := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 50, Obs: reg}).Reproduce(context.Background())
+	res := New(prog, spec, world.NewRegistry(spec), rec, Options{MaxRuns: 50, Obs: reg}).Reproduce(context.Background())
 	if !res.Reproduced || res.Runs != 2 {
 		t.Fatalf("want a reproduction in 2 runs, got %+v", res)
 	}
@@ -125,7 +130,7 @@ func TestReproduceCountsFollowRunsAndSolverOutcomes(t *testing.T) {
 func TestReproduceCountsDuplicatePaths(t *testing.T) {
 	f := chainFixture(t)
 	reg := obs.NewRegistry()
-	res := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 24, Obs: reg}).Reproduce(context.Background())
+	res := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 24, Obs: reg}).Reproduce(context.Background())
 	if res.Reproduced || res.TimedOut || res.Runs != 7 {
 		t.Fatalf("want a search that empties its pending list in 7 runs, got %+v", res)
 	}

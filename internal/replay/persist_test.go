@@ -58,7 +58,7 @@ func TestRecordingSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// The loaded recording must replay identically.
-	eng := New(f.prog, f.spec, world.NewRegistry(), loaded, Options{MaxRuns: 300})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), loaded, Options{MaxRuns: 300})
 	res := eng.Reproduce(context.Background())
 	if !res.Reproduced {
 		t.Fatalf("loaded recording did not reproduce: %+v", res)
@@ -86,7 +86,7 @@ func TestRecordingV1FixtureStillLoads(t *testing.T) {
 	if got, want := fmt.Sprint(rec.Plan.IDs()), fmt.Sprint(f.rec.Plan.IDs()); got != want || !rec.Plan.LogSyscalls {
 		t.Errorf("v1 plan logs %s (syscalls %v), want %s (syscalls true)", got, rec.Plan.LogSyscalls, want)
 	}
-	eng := New(f.prog, f.spec, world.NewRegistry(), rec, Options{MaxRuns: 300})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), rec, Options{MaxRuns: 300})
 	if res := eng.Reproduce(context.Background()); !res.Reproduced {
 		t.Fatalf("v1 recording did not reproduce: %+v", res)
 	}
@@ -348,7 +348,7 @@ func TestRecordingRefEnvelope(t *testing.T) {
 	if err := loaded.Validate(f.prog); err != nil {
 		t.Fatalf("resolved reference recording rejected: %v", err)
 	}
-	eng := New(f.prog, f.spec, world.NewRegistry(), loaded, Options{MaxRuns: 300})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), loaded, Options{MaxRuns: 300})
 	if res := eng.Reproduce(context.Background()); !res.Reproduced {
 		t.Fatalf("resolved reference recording did not reproduce: %+v", res)
 	}

@@ -57,7 +57,7 @@ func chainFixture(t *testing.T) *fixture {
 // the result.
 func runProfiled(t *testing.T, f *fixture, maxRuns int) *Result {
 	t.Helper()
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{
 		MaxRuns: maxRuns,
 	})
 	res := eng.Reproduce(context.Background())
@@ -148,7 +148,7 @@ func TestProfileOnReproducingSearch(t *testing.T) {
 		Instrumented: map[lang.BranchID]bool{},
 	}
 	rec := record(t, prog, spec, plan, map[string][]byte{"arg0": []byte("PQ")})
-	eng := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 500})
+	eng := New(prog, spec, world.NewRegistry(spec), rec, Options{MaxRuns: 500})
 	res := eng.Reproduce(context.Background())
 	if !res.Reproduced {
 		t.Fatalf("not reproduced: %+v", res)

@@ -3,6 +3,8 @@ package replay
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,12 +44,15 @@ type Options struct {
 }
 
 // Replay histogram layouts: run latency from 1µs up (×4 per bucket),
-// solver calls and logged bits from 1 up (×2 per bucket). First
+// solver calls and logged bits from 1 up (×2 per bucket) behind a bucket
+// bounded at 0. Runs that solve nothing or consume no bit are common (the
+// all-seed run solves nothing), and their own bucket keeps a quantile that
+// lands on them at 0 instead of interpolating across [0, 1]. First
 // registration wins, so every engine in the process shares one layout.
 var (
 	runNSBuckets       = ExpBuckets(1000, 4, 16)
-	solverCallsBuckets = ExpBuckets(1, 2, 12)
-	loggedBitsBuckets  = ExpBuckets(1, 2, 16)
+	solverCallsBuckets = append([]float64{0}, ExpBuckets(1, 2, 12)...)
+	loggedBitsBuckets  = append([]float64{0}, ExpBuckets(1, 2, 16)...)
 )
 
 // ExpBuckets re-exports the registry's exponential bucket helper so callers
@@ -228,7 +233,7 @@ const (
 // runSink is the per-run branch sink implementing the four cases.
 type runSink struct {
 	eng    *Engine
-	reader *trace.Reader
+	reader trace.Reader
 	asn    sym.MapAssignment
 	conds  []sym.Constraint
 	queued []pendingSet
@@ -399,60 +404,118 @@ func (s *runSink) pushPending(origin lang.BranchID, appended sym.Constraint) boo
 // all-seed run); its outcome is charged to no branch.
 const noOrigin = lang.BranchID(-1)
 
-// runScratch is the search's reusable run-to-run buffers. Everything here is
-// either copied out of (queued, mbuf) or fully overwritten (counts) before
-// the next run touches it, so reuse is invisible to the search; the search
-// stops on the reproducing run, which keeps its counter views intact for the
-// final report.
+// runScratch is a search's reusable buffers. Everything here is either
+// copied out of (queued, mbuf) or fully overwritten (counts) before the next
+// run touches it, so reuse is invisible to the search; the search stops on
+// the reproducing run, which keeps its counter views intact for the final
+// report. Searches take their scratch from the free list and return it when
+// they end, so a reproduction of a few runs starts with every buffer grown.
 type runScratch struct {
-	vbuf     []int            // variable-ID collection buffer
-	mbuf     []sym.Constraint // materialized conjunction handed to Solve
-	counts   []int64          // per-branch counter block, zeroed per run
-	queued   []pendingSet     // pending-set buffer, drained after each run
-	condsCap int              // last run's path length, to size conds exactly
+	vbuf   []int              // variable-ID collection buffer
+	dbuf   []solver.VarDomain // their domains, handed to Solve
+	mbuf   []sym.Constraint   // materialized conjunction handed to Solve
+	counts []int64            // per-branch counter block, zeroed per run
+	queued []pendingSet       // pending-set buffer, drained after each run
+	sink   runSink            // the current run's sink
+	// charged lists the branch sites the search has charged, in first
+	// charge order.
+	charged []lang.BranchID
+	// stack backs the pending list, which routinely peaks at tens of
+	// thousands of sets.
+	stack    []pendingSet
+	condsCap int // last run's path length, to size conds exactly
 }
 
-// stackPool recycles pending-stack backing arrays across searches: the
-// pending list routinely peaks at tens of thousands of sets, and regrowing
-// it from nil every Reproduce call was one of the top allocation sources.
-var stackPool = sync.Pool{New: func() any { return []pendingSet(nil) }}
+// scratchFree holds idle scratch between searches, at most GOMAXPROCS of
+// them, most recently returned last. Like the solver's free list, and unlike
+// a sync.Pool, it survives garbage collection: a developer site collects
+// between reports, and a pool would hand every other report fresh buffers.
+var scratchFree struct {
+	sync.Mutex
+	list []*runScratch
+}
 
-// stackPut clears the slice's full capacity (dropping constraint and
-// assignment references) and returns it to the pool.
-func stackPut(d []pendingSet) {
-	d = d[:cap(d)]
-	clear(d)
-	stackPool.Put(d[:0]) //nolint:staticcheck // slice value, header alloc is fine
+// getScratch takes the most recently returned scratch, or a new one.
+func getScratch() *runScratch {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if n := len(scratchFree.list); n > 0 {
+		sc := scratchFree.list[n-1]
+		scratchFree.list = scratchFree.list[:n-1]
+		return sc
+	}
+	return new(runScratch)
+}
+
+// putScratch drops every constraint and assignment the buffers still
+// reference and returns sc to the free list; a full list drops its oldest.
+func putScratch(sc *runScratch) {
+	clear(sc.mbuf[:cap(sc.mbuf)])
+	clear(sc.queued[:cap(sc.queued)])
+	clear(sc.stack[:cap(sc.stack)])
+	sc.mbuf, sc.queued, sc.stack = sc.mbuf[:0], sc.queued[:0], sc.stack[:0]
+	sc.charged = sc.charged[:0]
+	sc.sink = runSink{}
+	sc.condsCap = 0
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if n := runtime.GOMAXPROCS(0); len(scratchFree.list) >= n {
+		scratchFree.list = slices.Delete(scratchFree.list, 0, len(scratchFree.list)-n+1)
+	}
+	scratchFree.list = append(scratchFree.list, sc)
+}
+
+// counterBlock returns sc's counter block resized to n zeroed entries.
+func (sc *runScratch) counterBlock(n int) []int64 {
+	if cap(sc.counts) < n {
+		sc.counts = make([]int64, n)
+	}
+	sc.counts = sc.counts[:n]
+	clear(sc.counts)
+	return sc.counts
 }
 
 // search is the state of one Reproduce call: the pending stack, the
-// solver, the run-to-run scratch buffers and the growing result.
+// solver, the scratch buffers and the growing result.
 type search struct {
-	e       *Engine
-	slv     *solver.Solver
-	stack   []pendingSet
-	sc      runScratch
-	profile map[lang.BranchID]*instrument.BranchCost
-	res     *Result
+	e     *Engine
+	slv   *solver.Solver
+	stack []pendingSet
+	sc    *runScratch
+	// costs is the search profile, one entry per branch site; the entries
+	// a search charged (sc.charged) become SearchProfile.Branches.
+	costs []instrument.BranchCost
+	res   *Result
+	// deadline is the TimeBudget's end, zero when there is none.
+	deadline time.Time
 	// expanded holds the path keys of the runs whose alternatives the
 	// search has queued: a later run down one of these paths would queue
 	// the same sets again, and the search would cycle.
 	expanded map[uint64]struct{}
 }
 
-// charge returns the profile entry for a branch site.
+// charge returns the profile entry for a branch site. Every caller adds a
+// positive amount to the entry, so an entry still zero is charged first.
 func (s *search) charge(id lang.BranchID) *instrument.BranchCost {
-	bc, ok := s.profile[id]
-	if !ok {
-		bc = &instrument.BranchCost{}
-		s.profile[id] = bc
+	bc := &s.costs[id]
+	if *bc == (instrument.BranchCost{}) {
+		s.sc.charged = append(s.sc.charged, id)
 	}
 	return bc
 }
 
+// profile returns the charged entries of the search profile by branch.
+func (s *search) profile() map[lang.BranchID]*instrument.BranchCost {
+	out := make(map[lang.BranchID]*instrument.BranchCost, len(s.sc.charged))
+	for _, id := range s.sc.charged {
+		out[id] = &s.costs[id]
+	}
+	return out
+}
+
 // stopped reports whether the search must end before its next solve or run:
-// the context fired (recorded as a timeout past a deadline, else as a
-// cancellation) or the run budget is spent.
+// the context fired or the time budget ran out (recorded as a timeout past a
+// deadline, else as a cancellation), or the run budget is spent.
 func (s *search) stopped(ctx context.Context) bool {
 	if err := ctx.Err(); err != nil {
 		if err == context.DeadlineExceeded {
@@ -462,7 +525,7 @@ func (s *search) stopped(ctx context.Context) bool {
 		}
 		return true
 	}
-	if s.res.Runs >= s.e.opts.MaxRuns {
+	if s.res.Runs >= s.e.opts.MaxRuns || !s.deadline.IsZero() && !time.Now().Before(s.deadline) {
 		s.res.TimedOut = true
 		return true
 	}
@@ -485,11 +548,12 @@ func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.B
 		s.sc.mbuf = conds
 		vars := sym.ConstraintVarIDs(conds, s.sc.vbuf)
 		s.sc.vbuf = vars
+		s.sc.dbuf = e.reg.Domains(vars, s.sc.dbuf)
 		solveStart := time.Now()
 		solved, sat := s.slv.Solve(solver.Problem{
 			Constraints: conds,
-			Domains:     e.reg.Domains(vars),
-			Seed:        top.parent.Restrict(vars),
+			Domains:     s.sc.dbuf,
+			Seed:        top.parent,
 		})
 		solves++
 		// The solving effort is charged to the branch whose alternative
@@ -501,7 +565,12 @@ func (s *search) next(ctx context.Context) (asn sym.MapAssignment, origin lang.B
 			return nil, noOrigin, solves, false
 		}
 		if sat {
-			return top.parent.Overlay(solved), top.origin, solves, true
+			// The solver hands over a fresh map; a parent that binds
+			// nothing (the all-seed run's) needs no copy under it.
+			if len(top.parent) > 0 {
+				solved = top.parent.Overlay(solved)
+			}
+			return solved, top.origin, solves, true
 		}
 	}
 	return nil, noOrigin, solves, false
@@ -596,28 +665,30 @@ func (s *search) push(sink *runSink) {
 // VM's step limit).
 func (e *Engine) Reproduce(ctx context.Context) *Result {
 	start := time.Now()
-	if e.opts.TimeBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, start.Add(e.opts.TimeBudget))
-		defer cancel()
-	}
-
 	res := &Result{}
+	sc := getScratch()
 	s := &search{
 		e:        e,
 		slv:      solver.Get(solver.Options{}),
-		stack:    stackPool.Get().([]pendingSet),
-		profile:  make(map[lang.BranchID]*instrument.BranchCost),
+		stack:    sc.stack,
+		sc:       sc,
+		costs:    make([]instrument.BranchCost, len(e.prog.Branches)),
 		res:      res,
 		expanded: make(map[uint64]struct{}),
+	}
+	if e.opts.TimeBudget > 0 {
+		s.deadline = start.Add(e.opts.TimeBudget)
 	}
 	var (
 		winner *runSink
 		winAsn sym.MapAssignment
-		winW   *world.World
 	)
+	// One world serves every run of the search, rebound to each run's
+	// input: nothing of a run reads its materialized bytes once it ends,
+	// and the search stops on the reproducing run, whose bytes it reads.
 	// The first run is the all-seed run, charged to no branch.
 	asn, origin, solves := sym.MapAssignment{}, noOrigin, 0
+	wld := world.NewWorld(e.spec, e.reg, asn)
 	for !s.stopped(ctx) {
 		if res.Runs > 0 {
 			var ok bool
@@ -630,7 +701,8 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 			runStart = time.Now()
 		}
 		res.Runs++
-		sink, vmRes, wld := e.runOnce(asn, &s.sc)
+		wld.Rebind(asn)
+		sink, vmRes := e.runOnce(wld, sc)
 		reproduced := s.account(origin, sink, vmRes)
 		if e.runNS != nil {
 			e.runNS.Observe(float64(time.Since(runStart).Nanoseconds()))
@@ -645,12 +717,11 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 			}
 		}
 		if reproduced {
-			winner, winAsn, winW = sink, asn, wld
+			winner, winAsn = sink, asn
 			break
 		}
 		s.push(sink)
 	}
-	stackPut(s.stack)
 
 	res.Elapsed = time.Since(start)
 	res.SolverStats = s.slv.Stats()
@@ -671,20 +742,23 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 		Aborts:          res.Aborts,
 		Reproduced:      winner != nil,
 		Solver:          res.SolverStats,
-		Branches:        s.profile,
+		Branches:        s.profile(),
 	}
 	if winner != nil {
 		res.Reproduced = true
 		res.Input = winAsn
-		res.InputBytes = materializeAll(winW)
+		res.InputBytes = materializeAll(wld)
 		fillPathStats(res, winner)
 	}
+	// The winner's counter views are read: the scratch can go back.
+	sc.stack = s.stack
+	putScratch(sc)
 	return res
 }
 
 // materializeAll renders every declared input stream to concrete bytes.
 func materializeAll(w *world.World) map[string][]byte {
-	out := make(map[string][]byte)
+	out := make(map[string][]byte, len(w.Spec.Args)+len(w.Spec.Files)+len(w.Spec.Conns))
 	for _, a := range w.Spec.Args {
 		out[a.Name] = w.MaterializeStream(a)
 	}
@@ -698,8 +772,7 @@ func materializeAll(w *world.World) map[string][]byte {
 }
 
 // runOnce executes the program once under the recorded guidance.
-func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch) (*runSink, vm.Result, *world.World) {
-	w := world.NewWorld(e.spec, e.reg, asn)
+func (e *Engine) runOnce(w *world.World, sc *runScratch) (*runSink, vm.Result) {
 	cfg := w.KernelConfig()
 	if e.rec.SysLog != nil {
 		// Each run consumes its own clone of the recorded results, so runs
@@ -714,16 +787,15 @@ func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch) (*runSink, vm.Re
 	}
 	kern := oskernel.New(cfg)
 	n := len(e.prog.Branches)
-	if len(sc.counts) == 5*n {
-		clear(sc.counts)
-	} else {
-		sc.counts = make([]int64, 5*n)
-	}
-	counts := sc.counts
-	sink := &runSink{
+	counts := sc.counterBlock(5 * n)
+	// The scratch's one sink is safe to reuse: the search has consumed a
+	// run's sink (account, push) before the next run starts, and it stops
+	// on the reproducing run, whose sink it reads last.
+	sink := &sc.sink
+	*sink = runSink{
 		eng:              e,
-		reader:           trace.NewReader(e.rec.Trace),
-		asn:              asn,
+		reader:           *trace.NewReader(e.rec.Trace),
+		asn:              w.Asn,
 		conds:            make([]sym.Constraint, 0, sc.condsCap+16),
 		path:             pathOffset,
 		queued:           sc.queued[:0],
@@ -742,7 +814,7 @@ func (e *Engine) runOnce(asn sym.MapAssignment, sc *runScratch) (*runSink, vm.Re
 	if err != nil {
 		panic(err) // VM-internal error: a bug in this repository
 	}
-	return sink, vmRes, w
+	return sink, vmRes
 }
 
 // isReproduction checks the success criterion: the run crashed at the

@@ -48,7 +48,7 @@ func record(t *testing.T, prog *lang.Program, spec *world.Spec, plan *instrument
 			userSpec.Args[i].Seed = b
 		}
 	}
-	w := world.NewWorld(&userSpec, world.NewRegistry(), nil)
+	w := world.NewWorld(&userSpec, world.NewRegistry(&userSpec), nil)
 	w.Symbolic = false
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord
@@ -97,7 +97,7 @@ func planFor(t *testing.T, prog *lang.Program, m instrument.Method, in instrumen
 func buildFixture(t *testing.T, method instrument.Method) *fixture {
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
-	analysis := concolic.New(prog, spec, world.NewRegistry(), concolic.Options{MaxRuns: 40})
+	analysis := concolic.New(prog, spec, world.NewRegistry(spec), concolic.Options{MaxRuns: 40})
 	in := instrument.Inputs{
 		Dynamic: analysis.Explore(context.Background()),
 		Static:  static.Analyze(prog, static.Options{}),
@@ -109,7 +109,7 @@ func buildFixture(t *testing.T, method instrument.Method) *fixture {
 
 func TestReproduceWithFullLog(t *testing.T) {
 	f := buildFixture(t, instrument.MethodAll)
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 200})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 200})
 	res := eng.Reproduce(context.Background())
 	if !res.Reproduced {
 		t.Fatalf("not reproduced: %+v", res)
@@ -137,7 +137,7 @@ func TestReproduceWithEmptyPlan(t *testing.T) {
 	if rec.Trace.Len() != 0 {
 		t.Fatalf("trace should be empty, got %d bits", rec.Trace.Len())
 	}
-	eng := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 500})
+	eng := New(prog, spec, world.NewRegistry(spec), rec, Options{MaxRuns: 500})
 	res := eng.Reproduce(context.Background())
 	if !res.Reproduced {
 		t.Fatalf("not reproduced: %+v", res)
@@ -151,14 +151,14 @@ func TestRunsOrderedByInstrumentationDensity(t *testing.T) {
 	// Fewer instrumented branches must not make replay cheaper: the
 	// all-branches fixture needs at most as many runs as the empty plan.
 	full := buildFixture(t, instrument.MethodAll)
-	engFull := New(full.prog, full.spec, world.NewRegistry(), full.rec, Options{MaxRuns: 500})
+	engFull := New(full.prog, full.spec, world.NewRegistry(full.spec), full.rec, Options{MaxRuns: 500})
 	resFull := engFull.Reproduce(context.Background())
 
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
 	empty := &instrument.Plan{Instrumented: map[lang.BranchID]bool{}}
 	rec := record(t, prog, spec, empty, map[string][]byte{"arg0": []byte("PQ")})
-	engEmpty := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 500})
+	engEmpty := New(prog, spec, world.NewRegistry(spec), rec, Options{MaxRuns: 500})
 	resEmpty := engEmpty.Reproduce(context.Background())
 
 	if !resFull.Reproduced || !resEmpty.Reproduced {
@@ -173,7 +173,7 @@ func TestWrongCrashSiteRejected(t *testing.T) {
 	// Tamper with the recorded crash site: replay must not claim success.
 	f := buildFixture(t, instrument.MethodAll)
 	f.rec.Crash.Pos.Line += 100
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 50})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 50})
 	res := eng.Reproduce(context.Background())
 	if res.Reproduced {
 		t.Fatal("reproduction claimed for a different crash site")
@@ -186,7 +186,7 @@ func TestTraceTampering(t *testing.T) {
 	prog := compile(t, twoByteGuard)
 	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "ab", 4)}}
 	in := instrument.Inputs{
-		Dynamic: concolic.New(prog, spec, world.NewRegistry(), concolic.Options{MaxRuns: 40}).Explore(context.Background()),
+		Dynamic: concolic.New(prog, spec, world.NewRegistry(spec), concolic.Options{MaxRuns: 40}).Explore(context.Background()),
 		Static:  static.Analyze(prog, static.Options{}),
 	}
 	plan := planFor(t, prog, instrument.MethodAll, in)
@@ -197,7 +197,7 @@ func TestTraceTampering(t *testing.T) {
 		w.Append(false)
 	}
 	rec.Trace = w.Finish()
-	eng := New(prog, spec, world.NewRegistry(), rec, Options{MaxRuns: 100, TimeBudget: 5 * time.Second})
+	eng := New(prog, spec, world.NewRegistry(spec), rec, Options{MaxRuns: 100, TimeBudget: 5 * time.Second})
 	res := eng.Reproduce(context.Background())
 	if res.Reproduced {
 		t.Fatal("reproduced an impossible trace")
@@ -206,7 +206,7 @@ func TestTraceTampering(t *testing.T) {
 
 func TestStatsConsistency(t *testing.T) {
 	f := buildFixture(t, instrument.MethodAll)
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 200})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 200})
 	res := eng.Reproduce(context.Background())
 	if !res.Reproduced {
 		t.Fatal("not reproduced")
@@ -225,7 +225,7 @@ func TestStatsConsistency(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() int {
 		f := buildFixture(t, instrument.MethodDynamicStatic)
-		eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 300})
+		eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 300})
 		res := eng.Reproduce(context.Background())
 		if !res.Reproduced {
 			t.Fatal("not reproduced")
@@ -241,7 +241,7 @@ func TestDeterministicReplay(t *testing.T) {
 // runs every replay on the bytecode VM, never on the tree-walking oracle.
 func TestNilEngineIsBytecodeVM(t *testing.T) {
 	f := buildFixture(t, instrument.MethodDynamic)
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{})
 	if got, want := reflect.ValueOf(eng.opts.Engine).Pointer(), reflect.ValueOf(ir.Engine).Pointer(); got != want {
 		t.Fatalf("nil Options.Engine resolved to %#x, want ir.Engine (%#x)", got, want)
 	}
@@ -251,7 +251,7 @@ func TestReproduceContextCancelled(t *testing.T) {
 	f := buildFixture(t, instrument.MethodAll)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 200})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 200})
 	res := eng.Reproduce(ctx)
 	if res.Reproduced || !res.Cancelled || res.Runs != 0 {
 		t.Fatalf("pre-cancelled replay: %+v", res)
@@ -263,7 +263,7 @@ func TestReproduceContextDeadlineReportsTimeout(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(),
 		time.Now().Add(-time.Second))
 	defer cancel()
-	eng := New(f.prog, f.spec, world.NewRegistry(), f.rec, Options{MaxRuns: 200})
+	eng := New(f.prog, f.spec, world.NewRegistry(f.spec), f.rec, Options{MaxRuns: 200})
 	res := eng.Reproduce(ctx)
 	if res.Reproduced || !res.TimedOut || res.Cancelled {
 		t.Fatalf("expired-deadline replay: %+v", res)

@@ -39,6 +39,7 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -359,13 +360,11 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 		}
 	}
 	st.order = vars
-	sort.Slice(vars, func(i, j int) bool {
-		wi := st.doms[vars[i]].width()
-		wj := st.doms[vars[j]].width()
-		if wi != wj {
-			return wi < wj
+	slices.SortFunc(vars, func(a, b int32) int {
+		if c := cmp.Compare(st.doms[a].width(), st.doms[b].width()); c != 0 {
+			return c
 		}
-		return st.idOf[vars[i]] < st.idOf[vars[j]]
+		return cmp.Compare(st.idOf[a], st.idOf[b])
 	})
 
 	if !st.search(vars, 0) {
@@ -374,10 +373,7 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 
 	// Assemble the full assignment: searched vars from the solution, the
 	// rest from the seed.
-	out := make(sym.MapAssignment, len(p.Domains))
-	for id, v := range seedAsn {
-		out[id] = v
-	}
+	out := seedAsn
 	for _, slot := range vars {
 		out[st.idOf[slot]] = st.asnVal[slot]
 	}

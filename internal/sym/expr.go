@@ -12,6 +12,7 @@ package sym
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -105,19 +106,6 @@ type MapAssignment map[int]int64
 // Value implements Assignment.
 func (m MapAssignment) Value(id int) int64 { return m[id] }
 
-// Restrict returns the values m binds for vars, leaving out the ones it
-// does not bind: a parent input restricted to a constraint's variables is
-// the seed a search hands the solver.
-func (m MapAssignment) Restrict(vars []int) MapAssignment {
-	out := make(MapAssignment, len(vars))
-	for _, id := range vars {
-		if v, ok := m[id]; ok {
-			out[id] = v
-		}
-	}
-	return out
-}
-
 // Overlay returns a new assignment holding m's values with over's layered
 // on top: a child input is its parent's with the solved values replaced.
 func (m MapAssignment) Overlay(over MapAssignment) MapAssignment {
@@ -178,6 +166,11 @@ type Input struct {
 	Name string
 	Lo   int64
 	Hi   int64
+	// A byte variable (ByteInput) is byte off of the stream Name. It prints
+	// as Name:off, a string built only when the expression is rendered, so
+	// a run that marks thousands of input bytes formats none of them.
+	off    int64
+	isByte bool
 }
 
 // NewInput returns a fresh input variable expression with the given domain.
@@ -186,6 +179,16 @@ func NewInput(id int, name string, lo, hi int64) *Input {
 		lo, hi = hi, lo
 	}
 	return &Input{ID: id, Name: name, Lo: lo, Hi: hi}
+}
+
+// ByteInput returns, by value, the input variable of byte off of a named
+// stream, printed as stream:off. Returning a value lets a caller place many
+// variables in one backing array.
+func ByteInput(id int, stream string, off, lo, hi int64) Input {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return Input{ID: id, Name: stream, Lo: lo, Hi: hi, off: off, isByte: true}
 }
 
 // Eval implements Expr.
@@ -199,11 +202,16 @@ func (in *Input) Eval(asn Assignment) int64 {
 func (in *Input) appendVarIDs(buf []int) []int { return append(buf, in.ID) }
 
 func (in *Input) write(sb *strings.Builder) {
-	if in.Name != "" {
+	switch {
+	case in.isByte:
 		sb.WriteString(in.Name)
-		return
+		var buf [21]byte
+		sb.Write(strconv.AppendInt(append(buf[:0], ':'), in.off, 10))
+	case in.Name != "":
+		sb.WriteString(in.Name)
+	default:
+		fmt.Fprintf(sb, "in%d", in.ID)
 	}
-	fmt.Fprintf(sb, "in%d", in.ID)
 }
 
 func (in *Input) size() int { return 1 }

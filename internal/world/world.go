@@ -12,8 +12,6 @@
 package world
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -94,20 +92,32 @@ func ConnSpec(i int, seed string, maxLen int, arrival int64) ConnInput {
 // a coordinate and never change afterwards, so constraints produced by
 // different runs agree on variable identity. A Registry is safe for
 // concurrent use.
+//
+// A reproduction starts from a fresh registry and its first run marks every
+// input byte it reads, so byte variables are laid out up front: on the first
+// byte variable, every stream the spec declares gets a table of Len+1 slots
+// (the last one is the argv NUL terminator MarkByte registers) in one block,
+// and variables are carved from one slab of the same size. Only an offset
+// past its stream's slots, or a stream the spec does not declare, grows a
+// table of its own.
 type Registry struct {
 	mu     sync.Mutex
-	byKey  map[string]*sym.Input
+	spec   *Spec
 	inputs []*sym.Input
-	// byStream indexes byte variables by (stream, offset) so the per-byte
-	// hot paths (symbolic marking, materialization) skip the key formatting
-	// and map hashing of byKey. It shadows byKey: every byte variable is in
-	// both.
+	// byKey holds the syscall variables, by their sys:kind:seq key.
+	byKey map[string]*sym.Input
+	// byStream indexes byte variables by (stream, offset).
 	byStream map[string][]*sym.Input
+	laidOut  bool
+	// slab backs the byte variables; its capacity is the laid-out block's.
+	slab []sym.Input
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry returns an empty registry over spec's input space. A nil spec
+// lays nothing out: every byte table grows on demand.
+func NewRegistry(spec *Spec) *Registry {
 	return &Registry{
+		spec:     spec,
 		byKey:    make(map[string]*sym.Input),
 		byStream: make(map[string][]*sym.Input),
 	}
@@ -123,22 +133,50 @@ func (r *Registry) ByteVar(stream string, off int64) *sym.Input {
 func (r *Registry) BoundedByteVar(stream string, off, lo, hi int64) *sym.Input {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if tbl := r.byStream[stream]; off >= 0 && off < int64(len(tbl)) {
+	if !r.laidOut {
+		r.layOut()
+	}
+	tbl := r.byStream[stream]
+	if off >= 0 && off < int64(len(tbl)) {
 		if in := tbl[off]; in != nil {
 			return in
 		}
+	} else {
+		tbl = append(tbl, make([]*sym.Input, off+1-int64(len(tbl)))...)
+		r.byStream[stream] = tbl
 	}
-	key := stream + ":" + strconv.FormatInt(off, 10)
-	in := sym.NewInput(len(r.inputs), key, lo, hi)
-	r.byKey[key] = in
+	var in *sym.Input
+	if n := len(r.slab); n < cap(r.slab) {
+		r.slab = r.slab[:n+1]
+		in = &r.slab[n]
+	} else {
+		in = new(sym.Input)
+	}
+	*in = sym.ByteInput(len(r.inputs), stream, off, lo, hi)
 	r.inputs = append(r.inputs, in)
-	tbl := r.byStream[stream]
-	for int64(len(tbl)) <= off {
-		tbl = append(tbl, nil)
-	}
 	tbl[off] = in
-	r.byStream[stream] = tbl
 	return in
+}
+
+// layOut gives every declared stream its Len+1 table slots in one block
+// and sizes the variable slab and ID table to match.
+func (r *Registry) layOut() {
+	r.laidOut = true
+	if r.spec == nil {
+		return
+	}
+	total := 0
+	r.spec.eachStream(func(st Stream) { total += st.Len + 1 })
+	block := make([]*sym.Input, total)
+	r.spec.eachStream(func(st Stream) {
+		if _, dup := r.byStream[st.Name]; !dup {
+			n := st.Len + 1
+			r.byStream[st.Name] = block[:n:n]
+			block = block[n:]
+		}
+	})
+	r.slab = make([]sym.Input, 0, total)
+	r.inputs = append(make([]*sym.Input, 0, len(r.inputs)+total), r.inputs...)
 }
 
 // SyscallVar returns the input variable modeling a nondeterministic syscall
@@ -169,7 +207,29 @@ func (r *Registry) LookupByte(stream string, off int64) (*sym.Input, bool) {
 	return nil, false
 }
 
-// Lookup returns the variable registered under a key, if any.
+// materialize writes every byte of stream s under asn into out, holding
+// the lock once for the whole stream: a bound variable's value, else the
+// seed byte, else NUL.
+func (r *Registry) materialize(s Stream, asn sym.MapAssignment, out []byte) {
+	r.mu.Lock()
+	tbl := r.byStream[s.Name]
+	for i := range out {
+		var b byte
+		if i < len(s.Seed) {
+			b = s.Seed[i]
+		}
+		if i < len(tbl) && tbl[i] != nil {
+			if v, bound := asn[tbl[i].ID]; bound {
+				b = byte(v)
+			}
+		}
+		out[i] = b
+	}
+	r.mu.Unlock()
+}
+
+// Lookup returns the syscall variable registered under a sys:kind:seq key,
+// if any.
 func (r *Registry) Lookup(key string) (*sym.Input, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -194,25 +254,14 @@ func (r *Registry) Len() int {
 	return len(r.inputs)
 }
 
-// SortedKeys lists the registered coordinate keys in lexical order.
-func (r *Registry) SortedKeys() []string {
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.byKey))
-	for k := range r.byKey {
-		keys = append(keys, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
 // Domains returns the solver domains of the given variable IDs, in input
-// order, locking the registry once. Both search engines build one solver
-// problem per explored alternative, so this runs on their hot paths; callers
-// pass sorted, duplicate-free IDs (sym.ConstraintVarIDs) so the result meets
-// solver.Problem's Domains contract directly.
-func (r *Registry) Domains(ids []int) []solver.VarDomain {
-	out := make([]solver.VarDomain, 0, len(ids))
+// order, appended to buf[:0] under one registry lock. Both search engines
+// build one solver problem per explored alternative, so this runs on their
+// hot paths; callers pass sorted, duplicate-free IDs (sym.ConstraintVarIDs)
+// so the result meets solver.Problem's Domains contract directly, and reuse
+// buf across problems (the solver keeps no reference to it).
+func (r *Registry) Domains(ids []int, buf []solver.VarDomain) []solver.VarDomain {
+	out := buf[:0]
 	r.mu.Lock()
 	for _, id := range ids {
 		if id >= 0 && id < len(r.inputs) {
@@ -238,8 +287,10 @@ type World struct {
 	// without syscall logs, §3.3).
 	ModelSyscalls bool
 
-	// seedCache memoizes per-stream materialized bytes.
+	// seedCache memoizes per-stream materialized bytes; a symbolic world's
+	// are carved from block.
 	seedCache map[string][]byte
+	block     []byte
 	// selectTable holds derived count expressions (sums of readiness bits)
 	// for modeled select() calls, keyed by select sequence number.
 	selectTable *selectCountTable
@@ -253,6 +304,20 @@ func NewWorld(spec *Spec, reg *Registry, asn sym.MapAssignment) *World {
 	}
 	return &World{Spec: spec, Reg: reg, Asn: asn, Symbolic: true,
 		seedCache: make(map[string][]byte)}
+}
+
+// Rebind readies the world for another run under asn: the assignment
+// changes, what the last run materialized and modeled is forgotten, and the
+// buffers stay. The bytes the last run materialized are overwritten, so a
+// caller rebinds only once nothing of that run still reads them.
+func (w *World) Rebind(asn sym.MapAssignment) {
+	if asn == nil {
+		asn = sym.MapAssignment{}
+	}
+	w.Asn = asn
+	clear(w.seedCache)
+	w.block = w.block[:0]
+	w.selectTable = nil
 }
 
 // byteValue computes the concrete value of one stream byte under the current
@@ -272,17 +337,44 @@ func (w *World) byteValue(s Stream, off int64) byte {
 
 // MaterializeStream renders a stream's concrete bytes for this run. The
 // materialized length is the full stream length; NUL bytes act as string
-// terminators inside the programs.
+// terminators inside the programs. A symbolic world carves the bytes of
+// every stream from one spec-sized block and reads each stream's variables
+// under one registry lock. A concrete world (the user-site run and its
+// verification) allocates and reads byte by byte as it always has: that run
+// is the yardstick reproduction and recording costs are measured against,
+// so its cost stays put when the symbolic side gets cheaper.
 func (w *World) MaterializeStream(s Stream) []byte {
 	if b, ok := w.seedCache[s.Name]; ok {
 		return b
 	}
-	out := make([]byte, s.Len)
-	for i := range out {
-		out[i] = w.byteValue(s, int64(i))
+	var out []byte
+	if w.Symbolic {
+		out = w.carve(s.Len)
+		w.Reg.materialize(s, w.Asn, out)
+	} else {
+		out = make([]byte, s.Len)
+		for i := range out {
+			out[i] = w.byteValue(s, int64(i))
+		}
 	}
 	w.seedCache[s.Name] = out
 	return out
+}
+
+// carve returns n bytes from the world's byte block, laying the block out
+// for every declared stream on first use. After a Rebind they hold the last
+// run's bytes: the caller overwrites all of them.
+func (w *World) carve(n int) []byte {
+	if w.block == nil {
+		total := 0
+		w.Spec.eachStream(func(st Stream) { total += st.Len })
+		w.block = make([]byte, 0, total)
+	}
+	if len(w.block)+n > cap(w.block) {
+		return make([]byte, n)
+	}
+	w.block = w.block[:len(w.block)+n]
+	return w.block[len(w.block)-n : len(w.block) : len(w.block)]
 }
 
 // KernelConfig materializes the oskernel configuration for one run.
@@ -356,6 +448,20 @@ func (w *World) streamDeclared(stream string) (Stream, bool) {
 		}
 	}
 	return Stream{}, false
+}
+
+// eachStream calls fn for every declared stream: arguments, files, then
+// connections.
+func (sp *Spec) eachStream(fn func(Stream)) {
+	for _, a := range sp.Args {
+		fn(a)
+	}
+	for _, f := range sp.Files {
+		fn(f.Stream)
+	}
+	for _, c := range sp.Conns {
+		fn(c.Stream)
+	}
 }
 
 // SyscallExpr implements vm.World: in model mode the result of read/select
@@ -438,21 +544,4 @@ func (w *World) selectCountExprs() *selectCountTable {
 		w.selectTable = &selectCountTable{m: make(map[int]sym.Expr)}
 	}
 	return w.selectTable
-}
-
-// Seeds returns a deterministic listing of registered variables and their
-// current concrete values, for debugging and reports.
-func (w *World) Seeds() []string {
-	keys := w.Reg.SortedKeys()
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		in, _ := w.Reg.Lookup(k)
-		v, bound := w.Asn[in.ID]
-		if !bound {
-			out[i] = fmt.Sprintf("%s=seed", k)
-		} else {
-			out[i] = fmt.Sprintf("%s=%d", k, v)
-		}
-	}
-	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRegistryStableIDs(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	a := r.ByteVar("arg0", 0)
 	b := r.ByteVar("arg0", 1)
 	c := r.ByteVar("conn0", 0)
@@ -29,7 +29,7 @@ func TestRegistryStableIDs(t *testing.T) {
 }
 
 func TestRegistrySyscallVars(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	v := r.SyscallVar("read", 3, -1, 64)
 	if v.Lo != -1 || v.Hi != 64 {
 		t.Fatalf("domain: [%d,%d]", v.Lo, v.Hi)
@@ -45,16 +45,21 @@ func TestRegistrySyscallVars(t *testing.T) {
 }
 
 func TestRegistryDomains(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	a := r.ByteVar("arg0", 0)
 	s := r.SyscallVar("read", 0, -1, 10)
-	d := r.Domains([]int{a.ID, s.ID})
+	d := r.Domains([]int{a.ID, s.ID}, nil)
 	if len(d) != 2 || d[0].ID != a.ID || d[0].Lo != 0 || d[0].Hi != 255 {
 		t.Fatalf("byte domain: %+v", d)
 	}
 	if d[1].ID != s.ID || d[1].Lo != -1 || d[1].Hi != 10 {
 		t.Fatalf("syscall domain: %+v", d)
 	}
+}
+
+// newWorld binds sp to a fresh registry over it.
+func newWorld(sp *Spec, asn sym.MapAssignment) *World {
+	return NewWorld(sp, NewRegistry(sp), asn)
 }
 
 func spec() *Spec {
@@ -66,7 +71,7 @@ func spec() *Spec {
 }
 
 func TestMaterializeSeeds(t *testing.T) {
-	w := NewWorld(spec(), NewRegistry(), nil)
+	w := newWorld(spec(), nil)
 	arg := w.MaterializeStream(w.Spec.Args[0])
 	if string(arg) != "hi\x00\x00\x00\x00" {
 		t.Fatalf("arg: %q", arg)
@@ -78,7 +83,7 @@ func TestMaterializeSeeds(t *testing.T) {
 }
 
 func TestMaterializeWithAssignment(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistry(spec())
 	v0 := reg.ByteVar("arg0", 0)
 	v3 := reg.ByteVar("arg0", 3) // beyond the seed
 	asn := sym.MapAssignment{v0.ID: 'H', v3.ID: '!'}
@@ -94,7 +99,7 @@ func TestKernelConfigShape(t *testing.T) {
 	sp.ListenPort = 8080
 	sp.CrashSignalAfterConns = true
 	sp.SymbolicFS = true
-	w := NewWorld(sp, NewRegistry(), nil)
+	w := newWorld(sp, nil)
 	cfg := w.KernelConfig()
 	if len(cfg.Args) != 1 || len(cfg.Files) != 1 || len(cfg.Conns) != 1 {
 		t.Fatalf("cfg: %+v", cfg)
@@ -112,7 +117,7 @@ func TestKernelConfigShape(t *testing.T) {
 }
 
 func TestMarkByteOnlyDeclaredStreams(t *testing.T) {
-	w := NewWorld(spec(), NewRegistry(), nil)
+	w := newWorld(spec(), nil)
 	if w.MarkByte("arg0", 0) == nil {
 		t.Error("declared stream must be symbolic")
 	}
@@ -132,8 +137,8 @@ func TestMarkByteOnlyDeclaredStreams(t *testing.T) {
 }
 
 func TestReadCountModel(t *testing.T) {
-	reg := NewRegistry()
-	w := NewWorld(spec(), reg, nil)
+	w := newWorld(spec(), nil)
+	reg := w.Reg
 	w.ModelSyscalls = true
 	// Unbound: seed is the maximum (the paper's read model).
 	if got := w.ReadCount("conn0", 0, 5); got != 5 {
@@ -165,8 +170,8 @@ func TestReadCountModel(t *testing.T) {
 }
 
 func TestSelectReadyModel(t *testing.T) {
-	reg := NewRegistry()
-	w := NewWorld(spec(), reg, nil)
+	w := newWorld(spec(), nil)
+	reg := w.Reg
 	w.ModelSyscalls = true
 	cands := []int{4, 5, 6}
 	ready := w.SelectReady(0, cands)
@@ -198,17 +203,27 @@ func TestSelectReadyModel(t *testing.T) {
 	}
 }
 
-func TestSeedsListing(t *testing.T) {
-	reg := NewRegistry()
-	v := reg.ByteVar("arg0", 0)
-	w := NewWorld(spec(), reg, sym.MapAssignment{v.ID: 65})
-	reg.ByteVar("arg0", 1)
-	seeds := w.Seeds()
-	if len(seeds) != 2 {
-		t.Fatalf("seeds: %v", seeds)
+// TestByteVarNames checks that variables print as their coordinates: a
+// byte variable as stream:off, whether laid out in the spec's block or
+// grown past it, and a syscall variable as its key.
+func TestByteVarNames(t *testing.T) {
+	reg := NewRegistry(spec())
+	for _, c := range []struct {
+		in   *sym.Input
+		want string
+	}{
+		{reg.ByteVar("arg0", 0), "arg0:0"},
+		{reg.BoundedByteVar("arg0", 6, 0, 0), "arg0:6"},
+		{reg.ByteVar("conn0", 40), "conn0:40"},
+		{reg.ByteVar("file:other", 12), "file:other:12"},
+		{reg.SyscallVar("read", 3, -1, 8), "sys:read:3"},
+	} {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("variable %d prints as %q, want %q", c.in.ID, got, c.want)
+		}
 	}
-	if seeds[0] != "arg0:0=65" || seeds[1] != "arg0:1=seed" {
-		t.Fatalf("seeds: %v", seeds)
+	if _, ok := reg.Lookup("arg0:0"); ok {
+		t.Error("Lookup must hold only syscall keys")
 	}
 }
 
