@@ -7,16 +7,21 @@ import (
 	"pathlog/internal/vm"
 )
 
-// compile lowers a linked program to bytecode. The compiler simulates the
-// tree walker's step accounting at compile time: every statement and
-// expression node charges one step on entry (pre-order), so the compiler
-// accumulates a pending charge per node it enters and attaches the
+// compile translates a linked program to register code. The compiler
+// simulates the tree walker's step accounting at compile time: every
+// statement and expression node charges one step on entry (pre-order), so the
+// compiler accumulates a pending charge per node it enters and attaches the
 // accumulated run to the first instruction emitted inside that subtree. The
 // pending count must be flushed — attached to an emitted instruction on the
 // same control-flow edge — before any label is bound, or a charge that the
 // tree walker applies once per entry would be re-applied every loop
 // iteration (or skipped on a join edge). Loop back-edges and unconditional
 // jumps absorb their edge's pending charges themselves.
+//
+// Registers are allocated by operand depth: an expression's value computed
+// at depth d lives in register d. Statements compile at depth 0, and the one
+// mid-expression join, the short-circuit merge, lands at the same depth on
+// both edges, so the depth at every pc is a compile-time constant.
 func compile(prog *lang.Program) (*Program, error) {
 	c := &compiler{
 		prog: prog,
@@ -29,11 +34,9 @@ func compile(prog *lang.Program) (*Program, error) {
 		c.fns[fn] = fc
 		c.out.Funcs = append(c.out.Funcs, fc)
 	}
-	init, err := c.compileInit()
-	if err != nil {
+	if err := c.compileInit(); err != nil {
 		return nil, err
 	}
-	c.out.Init = init
 	for _, fn := range prog.FuncList {
 		fc := c.fns[fn]
 		if err := c.compileFunc(fc); err != nil {
@@ -43,10 +46,6 @@ func compile(prog *lang.Program) (*Program, error) {
 	c.out.Main = c.fns[prog.Main]
 	if c.out.Main == nil {
 		return nil, fmt.Errorf("ir: program has no main")
-	}
-	c.out.RInit, c.out.InitRegs = lower(c.out.Init)
-	for _, fc := range c.out.Funcs {
-		fc.RCode, fc.NumRegs = lower(fc.Code)
 	}
 	return c.out, nil
 }
@@ -73,18 +72,19 @@ func (c *compiler) strIndex(s *lang.StrLit) int {
 // in declaration order, stored to its global. Matches the tree walker's
 // initGlobals charge-for-charge (initializers charge only their expression
 // nodes; there is no statement wrapper).
-func (c *compiler) compileInit() ([]Instr, error) {
-	fc := &funcCompiler{c: c}
+func (c *compiler) compileInit() error {
+	f := &funcCompiler{c: c}
 	for i, g := range c.prog.Globals {
 		if g.Init == nil {
 			continue
 		}
-		if err := fc.compileExpr(g.Init); err != nil {
-			return nil, fmt.Errorf("ir: compiling init of global %s: %w", g.Name, err)
+		if err := f.compileExpr(g.Init); err != nil {
+			return fmt.Errorf("ir: compiling init of global %s: %w", g.Name, err)
 		}
-		fc.emit(Instr{Op: OpSetGlobal, A: int32(i)})
+		f.emit(RInstr{Op: RStoreGlobal, Dst: -1, A: int32(i), B: f.d - 1}, -1)
 	}
-	return fc.code, nil
+	c.out.RInit, c.out.InitRegs = fuse(f.code), int(f.nregs)
+	return nil
 }
 
 func (c *compiler) compileFunc(fc *FuncCode) error {
@@ -93,48 +93,81 @@ func (c *compiler) compileFunc(fc *FuncCode) error {
 		return err
 	}
 	// Fall-through function end: the tree walker returns integer 0 when the
-	// body completes without a return statement. The trailing OpRetZero also
+	// body completes without a return statement. The trailing RRetZero also
 	// absorbs pending charges of empty trailing statements.
-	f.emit(Instr{Op: OpRetZero})
-	fc.Code = f.code
+	f.emit(RInstr{Op: RRetZero, Dst: -1}, 0)
+	fc.RCode, fc.NumRegs = fuse(f.code), int(f.nregs)
 	return nil
 }
 
 // funcCompiler compiles one function body (or the init code).
 type funcCompiler struct {
 	c       *compiler
-	code    []Instr
+	code    []RInstr
 	pending int32
-	loops   []loopCtx
+	// d is the operand depth: the next value computed lands in register d.
+	d int32
+	// nregs is the largest depth reached, the body's register count.
+	nregs int32
+	loops []loopCtx
 }
 
 type loopCtx struct {
-	contTarget int // continue target; -1 when it is a forward label
+	contTarget int32 // continue target; -1 when it is a forward label
 	contSites  []int
 	breakSites []int
 }
 
-// emit appends an instruction, attaching the pending step charges.
-func (f *funcCompiler) emit(in Instr) int {
-	in.Steps = f.pending
+// emit appends an instruction, attaching the pending step charges, and moves
+// the operand depth by delta (the values it pushes minus those it pops).
+func (f *funcCompiler) emit(r RInstr, delta int32) int {
+	r.Steps = f.pending
 	f.pending = 0
-	f.code = append(f.code, in)
+	f.code = append(f.code, r)
+	f.d += delta
+	if f.d > f.nregs {
+		f.nregs = f.d
+	}
 	return len(f.code) - 1
 }
 
-// flush materializes pending charges as an OpNop so a label can be bound at
+// flush materializes pending charges as an RNop so a label can be bound at
 // the current position without leaking the fall-through edge's charges into
 // other edges.
 func (f *funcCompiler) flush() {
 	if f.pending > 0 {
-		f.emit(Instr{Op: OpNop})
+		f.emit(RInstr{Op: RNop, Dst: -1}, 0)
 	}
 }
 
-func (f *funcCompiler) here() int { return len(f.code) }
+// pop discards the value on top of the operand depth (expression
+// statements). Discarding a register value is free; if the dying value's
+// producer is the last instruction, its dead destination write is elided:
+// increments and compound stores keep their memory effect, and a pure load
+// disappears — as a bare RNop when it carries charges, entirely when it does
+// not (a zero-charge load is mid-expression, so its pc is no jump target).
+func (f *funcCompiler) pop() {
+	f.d--
+	if len(f.code) == 0 {
+		return
+	}
+	last := &f.code[len(f.code)-1]
+	if last.Dst != f.d {
+		return
+	}
+	switch last.Op {
+	case RIncLocal, RIncCell, RStoreLocalOp, RStoreGlobalOp, RStoreCellOp:
+		last.Dst = -1
+	case RConst, RStr, RLoadLocal, RLoadGlobal, RGlobalPtr, RAddrLocal:
+		if last.Steps > 0 {
+			*last = RInstr{Op: RNop, Steps: last.Steps, Dst: -1}
+		} else {
+			f.code = f.code[:len(f.code)-1]
+		}
+	}
+}
 
-func (f *funcCompiler) patchA(idx, target int) { f.code[idx].A = int32(target) }
-func (f *funcCompiler) patchB(idx, target int) { f.code[idx].B = int32(target) }
+func (f *funcCompiler) here() int32 { return int32(len(f.code)) }
 
 func (f *funcCompiler) compileStmt(s lang.Stmt) error {
 	// One pre-order charge per statement execution, as in VM.execStmt.
@@ -151,24 +184,24 @@ func (f *funcCompiler) compileStmt(s lang.Stmt) error {
 	case *lang.DeclStmt:
 		d := st.Decl
 		if d.IsArray {
-			f.emit(Instr{Op: OpAllocArr, A: int32(d.Slot), Val: d.Size, Name: d.Name})
+			f.emit(RInstr{Op: RAllocArr, Dst: -1, A: int32(d.Slot), Val: d.Size, Name: d.Name}, 0)
 			return nil
 		}
 		if d.Init != nil {
 			if err := f.compileExpr(d.Init); err != nil {
 				return err
 			}
-			f.emit(Instr{Op: OpSetLocal, A: int32(d.Slot)})
+			f.emit(RInstr{Op: RStoreLocal, Dst: -1, A: int32(d.Slot), B: f.d - 1}, -1)
 			return nil
 		}
-		f.emit(Instr{Op: OpZeroLocal, A: int32(d.Slot)})
+		f.emit(RInstr{Op: RZeroLocal, Dst: -1, A: int32(d.Slot)}, 0)
 		return nil
 
 	case *lang.ExprStmt:
 		if err := f.compileExpr(st.E); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpPop})
+		f.pop()
 		return nil
 
 	case *lang.Return:
@@ -176,10 +209,10 @@ func (f *funcCompiler) compileStmt(s lang.Stmt) error {
 			if err := f.compileExpr(st.E); err != nil {
 				return err
 			}
-			f.emit(Instr{Op: OpRet})
+			f.emit(RInstr{Op: RRet, Dst: -1, A: f.d - 1}, -1)
 			return nil
 		}
-		f.emit(Instr{Op: OpRetZero})
+		f.emit(RInstr{Op: RRetZero, Dst: -1}, 0)
 		return nil
 
 	case *lang.Break:
@@ -187,7 +220,7 @@ func (f *funcCompiler) compileStmt(s lang.Stmt) error {
 			return fmt.Errorf("break outside loop at %s", st.Pos)
 		}
 		l := &f.loops[len(f.loops)-1]
-		l.breakSites = append(l.breakSites, f.emit(Instr{Op: OpJump}))
+		l.breakSites = append(l.breakSites, f.emit(RInstr{Op: RJump, Dst: -1}, 0))
 		return nil
 
 	case *lang.Continue:
@@ -196,55 +229,49 @@ func (f *funcCompiler) compileStmt(s lang.Stmt) error {
 		}
 		l := &f.loops[len(f.loops)-1]
 		if l.contTarget >= 0 {
-			f.emit(Instr{Op: OpJump, A: int32(l.contTarget)})
+			f.emit(RInstr{Op: RJump, Dst: -1, A: l.contTarget}, 0)
 		} else {
-			l.contSites = append(l.contSites, f.emit(Instr{Op: OpJump}))
+			l.contSites = append(l.contSites, f.emit(RInstr{Op: RJump, Dst: -1}, 0))
 		}
 		return nil
 
 	case *lang.If:
-		if err := f.compileExpr(st.Cond); err != nil {
+		br, err := f.compileBranch(st.Cond, st.Branch)
+		if err != nil {
 			return err
 		}
-		br := f.emit(Instr{Op: OpBranch, Site: st.Branch})
-		f.patchA(br, f.here())
 		if err := f.compileStmt(st.Then); err != nil {
 			return err
 		}
 		if st.Else != nil {
-			j := f.emit(Instr{Op: OpJump}) // absorbs trailing then-charges
-			f.patchB(br, f.here())
+			j := f.emit(RInstr{Op: RJump, Dst: -1}, 0) // absorbs trailing then-charges
+			f.code[br].C = f.here()
 			if err := f.compileStmt(st.Else); err != nil {
 				return err
 			}
 			f.flush() // trailing else-charges stay on the else edge
-			f.patchA(j, f.here())
+			f.code[j].A = f.here()
 		} else {
 			f.flush() // trailing then-charges stay on the then edge
-			f.patchB(br, f.here())
+			f.code[br].C = f.here()
 		}
 		return nil
 
 	case *lang.While:
 		f.flush() // the loop's own entry charge must not join the back-edge
 		head := f.here()
-		if err := f.compileExpr(st.Cond); err != nil {
+		br, err := f.compileBranch(st.Cond, st.Branch)
+		if err != nil {
 			return err
 		}
-		br := f.emit(Instr{Op: OpBranch, Site: st.Branch})
-		f.patchA(br, f.here())
 		f.loops = append(f.loops, loopCtx{contTarget: head})
 		if err := f.compileStmt(st.Body); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpJump, A: int32(head)}) // absorbs trailing body charges
+		f.emit(RInstr{Op: RJump, Dst: -1, A: head}, 0) // absorbs trailing body charges
 		exit := f.here()
-		f.patchB(br, exit)
-		l := f.loops[len(f.loops)-1]
-		f.loops = f.loops[:len(f.loops)-1]
-		for _, site := range l.breakSites {
-			f.patchA(site, exit)
-		}
+		f.code[br].C = exit
+		f.patchJumps(f.popLoop().breakSites, exit)
 		return nil
 
 	case *lang.For:
@@ -257,39 +284,58 @@ func (f *funcCompiler) compileStmt(s lang.Stmt) error {
 		head := f.here()
 		br := -1
 		if st.Cond != nil {
-			if err := f.compileExpr(st.Cond); err != nil {
+			var err error
+			if br, err = f.compileBranch(st.Cond, st.Branch); err != nil {
 				return err
 			}
-			br = f.emit(Instr{Op: OpBranch, Site: st.Branch})
-			f.patchA(br, f.here())
 		}
 		f.loops = append(f.loops, loopCtx{contTarget: -1})
 		if err := f.compileStmt(st.Body); err != nil {
 			return err
 		}
 		f.flush() // trailing body charges happen on fall-through, not continue
-		post := f.here()
-		l := f.loops[len(f.loops)-1]
-		f.loops = f.loops[:len(f.loops)-1]
-		for _, site := range l.contSites {
-			f.patchA(site, post)
-		}
+		l := f.popLoop()
+		f.patchJumps(l.contSites, f.here())
 		if st.Post != nil {
 			if err := f.compileStmt(st.Post); err != nil {
 				return err
 			}
 		}
-		f.emit(Instr{Op: OpJump, A: int32(head)})
+		f.emit(RInstr{Op: RJump, Dst: -1, A: head}, 0)
 		exit := f.here()
 		if br >= 0 {
-			f.patchB(br, exit)
+			f.code[br].C = exit
 		}
-		for _, site := range l.breakSites {
-			f.patchA(site, exit)
-		}
+		f.patchJumps(l.breakSites, exit)
 		return nil
 	}
 	return fmt.Errorf("unknown statement %T", s)
+}
+
+// compileBranch emits the condition of a branch site and its RBranch, whose
+// then-target is the code that follows. It returns the branch's index so the
+// caller can patch the else-target (C).
+func (f *funcCompiler) compileBranch(cond lang.Expr, site *lang.BranchSite) (int, error) {
+	if err := f.compileExpr(cond); err != nil {
+		return 0, err
+	}
+	br := f.emit(RInstr{Op: RBranch, Dst: -1, A: f.d - 1, Site: site}, -1)
+	f.code[br].B = f.here()
+	return br, nil
+}
+
+// popLoop ends the innermost loop's scope for break and continue.
+func (f *funcCompiler) popLoop() loopCtx {
+	l := f.loops[len(f.loops)-1]
+	f.loops = f.loops[:len(f.loops)-1]
+	return l
+}
+
+// patchJumps points the jumps at sites to target.
+func (f *funcCompiler) patchJumps(sites []int, target int32) {
+	for _, site := range sites {
+		f.code[site].A = target
+	}
 }
 
 func (f *funcCompiler) compileExpr(e lang.Expr) error {
@@ -297,22 +343,22 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 	f.pending++
 	switch x := e.(type) {
 	case *lang.IntLit:
-		f.emit(Instr{Op: OpConst, Val: x.V})
+		f.emit(RInstr{Op: RConst, Dst: f.d, Val: x.V}, 1)
 		return nil
 
 	case *lang.StrLit:
-		f.emit(Instr{Op: OpStr, A: int32(f.c.strIndex(x))})
+		f.emit(RInstr{Op: RStr, Dst: f.d, A: int32(f.c.strIndex(x))}, 1)
 		return nil
 
 	case *lang.Ident:
 		d := x.Decl
 		switch {
 		case d.Global && d.IsArray:
-			f.emit(Instr{Op: OpGlobalPtr, A: int32(d.Slot)})
+			f.emit(RInstr{Op: RGlobalPtr, Dst: f.d, A: int32(d.Slot)}, 1)
 		case d.Global:
-			f.emit(Instr{Op: OpLoadGlobal, A: int32(d.Slot)})
+			f.emit(RInstr{Op: RLoadGlobal, Dst: f.d, A: int32(d.Slot)}, 1)
 		default:
-			f.emit(Instr{Op: OpLoadLocal, A: int32(d.Slot)})
+			f.emit(RInstr{Op: RLoadLocal, Dst: f.d, A: int32(d.Slot)}, 1)
 		}
 		return nil
 
@@ -320,7 +366,7 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 		if err := f.compileExpr(x.X); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpUnary, Kind: x.Op, Pos: x.Pos})
+		f.emit(RInstr{Op: RUnary, Dst: f.d - 1, A: f.d - 1, Kind: x.Op, Pos: x.Pos}, 0)
 		return nil
 
 	case *lang.Binary:
@@ -330,19 +376,21 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 		if err := f.compileExpr(x.R); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpBinary, Kind: x.Op, Pos: x.Pos})
+		f.emit(RInstr{Op: RBinary, Dst: f.d - 2, A: f.d - 2, B: f.d - 1, Kind: x.Op, Pos: x.Pos}, -1)
 		return nil
 
 	case *lang.Logic:
 		if err := f.compileExpr(x.L); err != nil {
 			return err
 		}
-		sc := f.emit(Instr{Op: OpShortCircuit, Kind: x.Op, Site: x.Branch})
+		// The left operand is consumed; the short-circuit result lands in
+		// its register, where the right operand's coerced value also ends.
+		sc := f.emit(RInstr{Op: RShortCircuit, Dst: f.d - 1, A: f.d - 1, Kind: x.Op, Site: x.Branch}, -1)
 		if err := f.compileExpr(x.R); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpBool})
-		f.patchA(sc, f.here())
+		f.emit(RInstr{Op: RBool, Dst: f.d - 1, A: f.d - 1}, 0)
+		f.code[sc].C = f.here()
 		return nil
 
 	case *lang.Assign:
@@ -354,13 +402,13 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 			delta = -1
 		}
 		if id, ok := x.X.(*lang.Ident); ok && !id.Decl.Global && !id.Decl.IsArray {
-			f.emit(Instr{Op: OpIncLocal, A: int32(id.Decl.Slot), Val: delta})
+			f.emit(RInstr{Op: RIncLocal, Dst: f.d, A: int32(id.Decl.Slot), Val: delta}, 1)
 			return nil
 		}
 		if err := f.compileLValue(x.X); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpIncCell, Val: delta})
+		f.emit(RInstr{Op: RIncCell, Dst: f.d - 1, A: f.d - 1, Val: delta}, 0)
 		return nil
 
 	case *lang.Call:
@@ -369,11 +417,12 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 				return err
 			}
 		}
+		n := int32(len(x.Args))
 		if x.Func != nil {
-			f.emit(Instr{Op: OpCall, Fn: f.c.fns[x.Func], B: int32(len(x.Args))})
+			f.emit(RInstr{Op: RCall, Dst: f.d - n, A: f.d - n, B: n, Fn: f.c.fns[x.Func]}, 1-n)
 			return nil
 		}
-		f.emit(Instr{Op: OpCallB, Name: x.Name, B: int32(len(x.Args)), Pos: x.Pos})
+		f.emit(RInstr{Op: RCallB, Dst: f.d - n, A: f.d - n, B: n, Name: x.Name, Pos: x.Pos}, 1-n)
 		return nil
 
 	case *lang.Index:
@@ -383,7 +432,7 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 		if err := f.compileExpr(x.Idx); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpLoadIndex, Pos: x.Pos})
+		f.emit(RInstr{Op: RLoadIndex, Dst: f.d - 2, A: f.d - 2, B: f.d - 1, Pos: x.Pos}, -1)
 		return nil
 
 	case *lang.AddrOf:
@@ -395,26 +444,26 @@ func (f *funcCompiler) compileExpr(e lang.Expr) error {
 		if err := f.compileExpr(x.X); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpLoadDeref, Pos: x.Pos})
+		f.emit(RInstr{Op: RLoadDeref, Dst: f.d - 1, A: f.d - 1, Pos: x.Pos}, 0)
 		return nil
 	}
 	return fmt.Errorf("unknown expression %T", e)
 }
 
-// compileLValue emits code pushing the cell address an assignable expression
-// designates. The lvalue node itself is not step-charged (VM.lvalue has no
-// step call); only subexpressions evaluated on the way are.
+// compileLValue emits code computing the cell address an assignable
+// expression designates. The lvalue node itself is not step-charged
+// (VM.lvalue has no step call); only subexpressions evaluated on the way are.
 func (f *funcCompiler) compileLValue(e lang.Expr) error {
 	switch x := e.(type) {
 	case *lang.Ident:
 		d := x.Decl
 		switch {
 		case d.IsArray && !d.Global:
-			f.emit(Instr{Op: OpAddrLocalArr, A: int32(d.Slot), Pos: x.Pos})
+			f.emit(RInstr{Op: RAddrLocalArr, Dst: f.d, A: int32(d.Slot), Pos: x.Pos}, 1)
 		case d.Global:
-			f.emit(Instr{Op: OpGlobalPtr, A: int32(d.Slot)})
+			f.emit(RInstr{Op: RGlobalPtr, Dst: f.d, A: int32(d.Slot)}, 1)
 		default:
-			f.emit(Instr{Op: OpAddrLocal, A: int32(d.Slot)})
+			f.emit(RInstr{Op: RAddrLocal, Dst: f.d, A: int32(d.Slot)}, 1)
 		}
 		return nil
 	case *lang.Index:
@@ -424,18 +473,21 @@ func (f *funcCompiler) compileLValue(e lang.Expr) error {
 		if err := f.compileExpr(x.Idx); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpAddrIndex, Pos: x.Pos})
+		f.emit(RInstr{Op: RAddrIndex, Dst: f.d - 2, A: f.d - 2, B: f.d - 1, Pos: x.Pos}, -1)
 		return nil
 	case *lang.Deref:
 		if err := f.compileExpr(x.X); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpAddrDeref, Pos: x.Pos})
+		f.emit(RInstr{Op: RAddrDeref, Dst: f.d - 1, A: f.d - 1, Pos: x.Pos}, 0)
 		return nil
 	}
 	return fmt.Errorf("not an lvalue: %T", e)
 }
 
+// compileAssign emits an assignment. The assigned value stays in its
+// register as the expression's value; a store through a computed address
+// consumes the address register above it.
 func (f *funcCompiler) compileAssign(x *lang.Assign) error {
 	// Evaluation order matches VM.evalAssign: RHS first, then the lvalue.
 	if err := f.compileExpr(x.RHS); err != nil {
@@ -443,17 +495,17 @@ func (f *funcCompiler) compileAssign(x *lang.Assign) error {
 	}
 	if x.Op == lang.ASSIGN {
 		if id, ok := x.LHS.(*lang.Ident); ok && !id.Decl.IsArray {
+			op := RStoreLocal
 			if id.Decl.Global {
-				f.emit(Instr{Op: OpStoreGlobal, A: int32(id.Decl.Slot)})
-			} else {
-				f.emit(Instr{Op: OpStoreLocal, A: int32(id.Decl.Slot)})
+				op = RStoreGlobal
 			}
+			f.emit(RInstr{Op: op, Dst: -1, A: int32(id.Decl.Slot), B: f.d - 1}, 0)
 			return nil
 		}
 		if err := f.compileLValue(x.LHS); err != nil {
 			return err
 		}
-		f.emit(Instr{Op: OpStoreCell})
+		f.emit(RInstr{Op: RStoreCell, Dst: -1, A: f.d - 1, B: f.d - 2}, -1)
 		return nil
 	}
 	op, err := vm.CompoundOp(x.Op)
@@ -461,16 +513,16 @@ func (f *funcCompiler) compileAssign(x *lang.Assign) error {
 		return err
 	}
 	if id, ok := x.LHS.(*lang.Ident); ok && !id.Decl.IsArray {
+		rop := RStoreLocalOp
 		if id.Decl.Global {
-			f.emit(Instr{Op: OpStoreGlobalOp, A: int32(id.Decl.Slot), Kind: op, Pos: x.Pos})
-		} else {
-			f.emit(Instr{Op: OpStoreLocalOp, A: int32(id.Decl.Slot), Kind: op, Pos: x.Pos})
+			rop = RStoreGlobalOp
 		}
+		f.emit(RInstr{Op: rop, Dst: f.d - 1, A: int32(id.Decl.Slot), B: f.d - 1, Kind: op, Pos: x.Pos}, 0)
 		return nil
 	}
 	if err := f.compileLValue(x.LHS); err != nil {
 		return err
 	}
-	f.emit(Instr{Op: OpStoreCellOp, Kind: op, Pos: x.Pos})
+	f.emit(RInstr{Op: RStoreCellOp, Dst: f.d - 2, A: f.d - 1, B: f.d - 2, Kind: op, Pos: x.Pos}, -1)
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 // Disasm renders the compiled program as a register-IR listing: the constant
 // pools, then each code body split into labeled basic blocks of numbered
 // instructions — the exact instruction array the bytecode VM executes, after
-// register lowering and superinstruction fusion. Branch and short-circuit
+// superinstruction fusion. Branch and short-circuit
 // instructions carry their branch-site annotation (site ID, kind, source
 // position) and every nonzero step charge is shown in a +N column; a fused
 // instruction's charge is the sum over its constituents, which are listed in

@@ -4,12 +4,12 @@ import (
 	"pathlog/internal/lang"
 )
 
-// This file defines the register-form IR the VM executes. The stack bytecode
-// produced by the compiler (ir.go, compile.go) remains the front-end IR that
-// carries the tree walker's step-charge schedule; lower.go converts it to
-// register form by assigning each operand-stack depth a virtual register, and
-// fuse.go collapses hot instruction pairs/triples into superinstructions
-// whose Steps charge is the sum of their parts.
+// This file defines the register IR, the one instruction form of this
+// package. The compiler (compile.go) emits it directly, carrying the tree
+// walker's step-charge schedule and giving the value computed at operand
+// depth d virtual register d; fuse.go then collapses hot instruction
+// pairs/triples into superinstructions whose Steps charge is the sum of their
+// parts, and the VM (exec.go) executes the result.
 
 // ROp is a register-form opcode.
 type ROp uint8

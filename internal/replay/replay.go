@@ -50,14 +50,10 @@ type Options struct {
 // lands on them at 0 instead of interpolating across [0, 1]. First
 // registration wins, so every engine in the process shares one layout.
 var (
-	runNSBuckets       = ExpBuckets(1000, 4, 16)
-	solverCallsBuckets = append([]float64{0}, ExpBuckets(1, 2, 12)...)
-	loggedBitsBuckets  = append([]float64{0}, ExpBuckets(1, 2, 16)...)
+	runNSBuckets       = obs.ExpBuckets(1000, 4, 16)
+	solverCallsBuckets = append([]float64{0}, obs.ExpBuckets(1, 2, 12)...)
+	loggedBitsBuckets  = append([]float64{0}, obs.ExpBuckets(1, 2, 16)...)
 )
-
-// ExpBuckets re-exports the registry's exponential bucket helper so callers
-// configuring replay histograms need not import internal/obs directly.
-func ExpBuckets(start, factor float64, n int) []float64 { return obs.ExpBuckets(start, factor, n) }
 
 // DefaultMaxRuns is the run budget of a search that sets none.
 const DefaultMaxRuns = 2000

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"pathlog/internal/solver"
@@ -159,4 +160,133 @@ func exprOver(vars []*sym.Input) sym.Expr {
 		}
 	}
 	return e
+}
+
+// regCoord is one variable coordinate of TestRegistryConcurrentUse: a byte
+// of a stream, or (stream == "") a syscall result.
+type regCoord struct {
+	stream string
+	off    int64
+	kind   string
+	seq    int
+}
+
+// get registers the coordinate's variable. Each coordinate has one domain,
+// whichever goroutine reaches it first: even offsets take the byte default,
+// odd ones and syscall results a domain of their own.
+func (c regCoord) get(reg *Registry) *sym.Input {
+	switch {
+	case c.stream == "":
+		return reg.SyscallVar(c.kind, c.seq, int64(c.seq), 10+int64(c.seq))
+	case c.off%2 == 0:
+		return reg.ByteVar(c.stream, c.off)
+	default:
+		return reg.BoundedByteVar(c.stream, c.off, c.off%5, 200+c.off)
+	}
+}
+
+// TestRegistryConcurrentUse holds a Registry to its "safe for concurrent
+// use" claim: goroutines interleave byte variables (inside the laid-out
+// block, past it, and in an undeclared stream), syscall variables and
+// symbolic materialization on one registry. Every coordinate must get one
+// variable, IDs must be dense over 0..n-1, and each variable's domain must
+// be the one a serial registry gives it.
+func TestRegistryConcurrentUse(t *testing.T) {
+	sp := spec()
+	var coords []regCoord
+	sp.eachStream(func(st Stream) {
+		for off := 0; off <= st.Len+2; off++ {
+			coords = append(coords, regCoord{stream: st.Name, off: int64(off)})
+		}
+	})
+	for off := int64(0); off < 5; off++ {
+		coords = append(coords, regCoord{stream: "file:undeclared", off: off})
+	}
+	for seq := 0; seq < 4; seq++ {
+		coords = append(coords, regCoord{kind: "read", seq: seq}, regCoord{kind: "select:0:cand", seq: seq})
+	}
+
+	serial := NewRegistry(sp)
+	want := make([]*sym.Input, len(coords))
+	for i, c := range coords {
+		want[i] = c.get(serial)
+	}
+
+	const workers = 4
+	reg := NewRegistry(sp)
+	got := make([][]*sym.Input, workers)
+	errs := make([]string, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g + 1)))
+			vars := make([]*sym.Input, len(coords))
+			w := NewWorld(sp, reg, nil)
+			for n, i := range r.Perm(len(coords)) {
+				vars[i] = coords[i].get(reg)
+				if n%7 != 0 {
+					continue
+				}
+				// Materialize every stream under an assignment of the
+				// variables this goroutine holds: each held byte shows its
+				// bound value, every other byte its seed.
+				asn := sym.MapAssignment{}
+				bound := map[string]byte{}
+				for j, v := range vars {
+					if v != nil && coords[j].stream != "" {
+						b := byte('a' + (j+g)%26)
+						asn[v.ID] = int64(b)
+						bound[fmt.Sprintf("%s:%d", coords[j].stream, coords[j].off)] = b
+					}
+				}
+				w.Rebind(asn)
+				sp.eachStream(func(st Stream) {
+					out := w.MaterializeStream(st)
+					for off := range out {
+						b, ok := bound[fmt.Sprintf("%s:%d", st.Name, off)]
+						if !ok && off < len(st.Seed) {
+							b = st.Seed[off]
+						}
+						if out[off] != b && errs[g] == "" {
+							errs[g] = fmt.Sprintf("goroutine %d: %s byte %d materialized %q, want %q", g, st.Name, off, out[off], b)
+						}
+					}
+				})
+			}
+			got[g] = vars
+		}(g)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
+	}
+
+	if reg.Len() != len(coords) {
+		t.Fatalf("Len %d, want one variable per coordinate (%d)", reg.Len(), len(coords))
+	}
+	seen := make([]bool, len(coords))
+	for i, c := range coords {
+		v := got[0][i]
+		for g := 1; g < workers; g++ {
+			if got[g][i] != v {
+				t.Fatalf("%+v: goroutines 0 and %d got different variables (%s id=%d, %s id=%d)",
+					c, g, v, v.ID, got[g][i], got[g][i].ID)
+			}
+		}
+		if v.ID < 0 || v.ID >= len(coords) || seen[v.ID] {
+			t.Fatalf("%+v: ID %d is out of 0..%d or taken twice", c, v.ID, len(coords)-1)
+		}
+		seen[v.ID] = true
+		if reg.Get(v.ID) != v {
+			t.Fatalf("%+v: Get(%d) is another variable", c, v.ID)
+		}
+		if v.String() != want[i].String() || v.Lo != want[i].Lo || v.Hi != want[i].Hi {
+			t.Fatalf("%+v: got %s [%d,%d], serial registry %s [%d,%d]",
+				c, v, v.Lo, v.Hi, want[i], want[i].Lo, want[i].Hi)
+		}
+	}
 }
