@@ -21,8 +21,11 @@ func fastConfig() Config {
 	c.UServerAnalysisRunsLC = 3
 	c.UServerAnalysisRunsHC = 12
 	c.DiffAnalysisRuns = 10
+	// ReplayMaxRuns alone bounds every search: the wall-clock budget sits
+	// far above the slowest run-bounded search (under -race too), so no
+	// table depends on how fast the machine runs.
 	c.ReplayMaxRuns = 1500
-	c.ReplayBudget = 10 * time.Second
+	c.ReplayBudget = time.Hour
 	return c
 }
 
@@ -53,10 +56,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestMicroLoopShape(t *testing.T) {
-	tbl, err := fastConfig().MicroLoop(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "micro-loop")
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows: %d", len(tbl.Rows))
 	}
@@ -67,10 +67,7 @@ func TestMicroLoopShape(t *testing.T) {
 }
 
 func TestMicroFibShape(t *testing.T) {
-	tbl, err := fastConfig().MicroFib(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "micro-fib")
 	// Rows: none + 4 methods; the three selective methods instrument exactly
 	// the two option branches of Listing 1.
 	if len(tbl.Rows) != 5 {
@@ -84,10 +81,7 @@ func TestMicroFibShape(t *testing.T) {
 }
 
 func TestFigure1Assumptions(t *testing.T) {
-	tbl, err := fastConfig().Figure1(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "figure1")
 	if len(tbl.Rows) == 0 {
 		t.Fatal("no branch rows")
 	}
@@ -106,10 +100,7 @@ func TestFigure1Assumptions(t *testing.T) {
 }
 
 func TestTable1AllReproduced(t *testing.T) {
-	tbl, err := fastConfig().Table1(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "table1")
 	if len(tbl.Rows) != 16 { // 4 programs x 4 methods
 		t.Fatalf("rows: %d", len(tbl.Rows))
 	}
@@ -121,11 +112,7 @@ func TestTable1AllReproduced(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	c := fastConfig()
-	tbl, err := c.Table2(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "table2")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows: %d", len(tbl.Rows))
 	}
@@ -161,11 +148,7 @@ func atoiT(t *testing.T, s string) int {
 }
 
 func TestFigure4StorageOrdering(t *testing.T) {
-	c := fastConfig()
-	tbl, err := c.Figure4(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "figure4")
 	// Row order: none, dyn lc, dyn hc, ds lc, ds hc, static, all.
 	if len(tbl.Rows) != 7 {
 		t.Fatalf("rows: %d", len(tbl.Rows))
@@ -184,11 +167,8 @@ func TestFigure4StorageOrdering(t *testing.T) {
 }
 
 func TestTables6and7DiffContrast(t *testing.T) {
-	c := fastConfig()
-	t6, t7, err := c.Tables6and7(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbls := tablesOf(t, "tables6and7")
+	t6, t7 := tbls[0], tbls[1]
 	if len(t6.Rows) != 8 || len(t7.Rows) != 8 {
 		t.Fatalf("rows: %d/%d", len(t6.Rows), len(t7.Rows))
 	}
@@ -211,10 +191,7 @@ func TestTables6and7DiffContrast(t *testing.T) {
 // replay runs.
 func TestFrontierUServer(t *testing.T) {
 	c := fastConfig()
-	tbl, err := c.Frontier(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "frontier")
 	type cell struct{ bits, runs float64 }
 	fps := map[string]bool{}
 	fronts := map[string][]cell{}
@@ -309,10 +286,7 @@ func TestAdaptiveShape(t *testing.T) {
 }
 
 func TestCompressRatio(t *testing.T) {
-	tbl, err := fastConfig().Compress(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "compress")
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows: %d", len(tbl.Rows))
 	}
@@ -336,10 +310,7 @@ func TestRunNamedExperiment(t *testing.T) {
 }
 
 func TestSummaryReduction(t *testing.T) {
-	tbl, err := fastConfig().Summary(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableOf(t, "summary")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows: %d", len(tbl.Rows))
 	}
