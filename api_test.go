@@ -56,14 +56,14 @@ func TestCompileWithLibUnit(t *testing.T) {
 
 func TestFacadeEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	scn := apiScenario(t)
-	in := Inputs{
-		Dynamic: scn.AnalyzeDynamicContext(ctx, DynamicOptions{MaxRuns: 50}),
-		Static:  scn.AnalyzeStatic(StaticOptions{}),
-	}
+	sess := SessionOf(apiScenario(t), WithDynamicBudget(50, 0), WithSyscallLog(),
+		WithReplayBudget(500, 10*time.Second))
 	for _, m := range Methods {
-		plan := scn.Plan(m, in, true)
-		rec, stats, err := scn.RecordContext(ctx, plan)
+		plan, err := sess.PlanWith(ctx, StrategyForMethod(m))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		rec, stats, err := sess.RecordWith(ctx, plan, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -73,7 +73,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if stats.TraceBits != int64(stats.InstrumentedExecs) {
 			t.Fatalf("%v: bits/execs mismatch", m)
 		}
-		res := scn.ReplayContext(ctx, rec, ReplayOptions{MaxRuns: 500, TimeBudget: 10 * time.Second})
+		res, err := sess.Replay(ctx, rec)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
 		if !res.Reproduced {
 			t.Fatalf("%v: not reproduced", m)
 		}
@@ -86,12 +89,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestStripSyscallLogFacade(t *testing.T) {
 	ctx := context.Background()
-	scn := apiScenario(t)
-	in := Inputs{
-		Dynamic: scn.AnalyzeDynamicContext(ctx, DynamicOptions{MaxRuns: 30}),
-		Static:  scn.AnalyzeStatic(StaticOptions{}),
+	sess := SessionOf(apiScenario(t), WithDynamicBudget(30, 0), WithSyscallLog(),
+		WithReplayBudget(500, 0))
+	plan, err := sess.PlanWith(ctx, All())
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec, _, err := scn.RecordContext(ctx, scn.Plan(MethodAll, in, true))
+	rec, _, err := sess.RecordWith(ctx, plan, nil)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
@@ -99,9 +103,9 @@ func TestStripSyscallLogFacade(t *testing.T) {
 	if bare.SysLog != nil {
 		t.Fatal("syslog not stripped")
 	}
-	res := scn.ReplayContext(ctx, bare, ReplayOptions{MaxRuns: 500})
-	if !res.Reproduced {
-		t.Fatal("model-mode replay failed")
+	res, err := sess.Replay(ctx, bare)
+	if err != nil || !res.Reproduced {
+		t.Fatalf("model-mode replay failed: %v", err)
 	}
 }
 

@@ -78,7 +78,7 @@ func (s *Session) resumePlan(plan *Plan) *Plan {
 	// Opening the store seeds the lineage maps consulted below; an open
 	// error is deliberately not fatal here — the caller's next store
 	// operation (retaining the deployed plan) reports it loudly.
-	s.planStore()
+	s.PlanStore()
 	s.mu.Lock()
 	root, ok := s.roots[plan.Fingerprint()]
 	if !ok {
@@ -96,7 +96,7 @@ func (s *Session) resumePlan(plan *Plan) *Plan {
 		// The chain head was built by an earlier session; fetch it from the
 		// store. On a fetch failure the given plan stands, and the staleness
 		// check will still refuse refining past generations loudly.
-		if st, err := s.planStore(); err == nil && st != nil {
+		if st, err := s.PlanStore(); err == nil && st != nil {
 			if p, err := st.GetPlan(latestFP); err == nil {
 				s.mu.Lock()
 				s.latestPlan[root] = p
@@ -524,7 +524,7 @@ func targetMet(out *CorpusOutcome, opts BalanceOptions) bool {
 // A plan with no program hash cannot reach here: RecordWith already
 // refused to deploy it through a store-backed session.
 func (s *Session) appendMeasured(workload string, pt BalancePoint) error {
-	st, err := s.planStore()
+	st, err := s.PlanStore()
 	if err != nil || st == nil {
 		return err
 	}

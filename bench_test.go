@@ -17,11 +17,10 @@ import (
 
 	"pathlog/internal/apps"
 	"pathlog/internal/concolic"
-	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
-	"pathlog/internal/replay"
 	"pathlog/internal/static"
+	"pathlog/internal/world"
 )
 
 // benchMethods are the instrumented configurations plus the baseline.
@@ -37,12 +36,13 @@ var benchMethods = []struct {
 }
 
 // benchRecord runs the user-site workload once per iteration under a plan.
-func benchRecord(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
+func benchRecord(b *testing.B, s *Scenario, plan *instrument.Plan) {
 	b.Helper()
+	sess := SessionOf(s)
 	var bits, steps int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats, err := s.RecordContext(context.Background(), plan)
+		_, stats, err := sess.RecordWith(context.Background(), plan, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,10 +55,11 @@ func benchRecord(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 }
 
 // benchReplay records once, then replays once per iteration.
-func benchReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
+func benchReplay(b *testing.B, s *Scenario, plan *instrument.Plan) {
 	b.Helper()
 	ctx := context.Background()
-	rec, _, err := s.RecordContext(ctx, plan)
+	sess := SessionOf(s, WithReplayBudget(4000, 30*time.Second))
+	rec, _, err := sess.RecordWith(ctx, plan, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +69,10 @@ func benchReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan) {
 	var runs int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 4000, TimeBudget: 30 * time.Second})
+		res, err := sess.Replay(ctx, rec)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !res.Reproduced {
 			b.Fatalf("not reproduced after %d runs", res.Runs)
 		}
@@ -89,7 +93,7 @@ func BenchmarkMicroLoop(b *testing.B) {
 		m    instrument.Method
 	}{{"none", instrument.MethodNone}, {"all", instrument.MethodAll}} {
 		b.Run(mc.name, func(b *testing.B) {
-			plan := s.Plan(mc.m, instrument.Inputs{}, false)
+			plan := benchPlan(b, s.Prog, mc.m, instrument.Inputs{}, false)
 			benchRecord(b, s, plan)
 		})
 	}
@@ -99,10 +103,10 @@ func BenchmarkMicroLoop(b *testing.B) {
 // methods log 2 bits and cost nothing; all branches ~110%).
 func BenchmarkMicroFib(b *testing.B) {
 	s := apps.MicroFibScenario('b')
-	in := analysesFor(b, apps.AnalysisSpec(s), 60, false)
+	in := analysesFor(b, s, 60, false)
 	for _, mc := range benchMethods {
 		b.Run(mc.name, func(b *testing.B) {
-			benchRecord(b, s, s.Plan(mc.m, in, false))
+			benchRecord(b, s, benchPlan(b, s.Prog, mc.m, in, false))
 		})
 	}
 }
@@ -118,10 +122,10 @@ func BenchmarkFigure2(b *testing.B) {
 	s.UserBytes = map[string][]byte{
 		"arg0": []byte("-p"), "arg1": []byte("a/b"), "arg2": []byte("-v"),
 	}
-	in := analysesFor(b, apps.AnalysisSpec(s), 600, false)
+	in := analysesFor(b, s, 600, false)
 	for _, mc := range benchMethods {
 		b.Run(mc.name, func(b *testing.B) {
-			benchRecord(b, s, s.Plan(mc.m, in, true))
+			benchRecord(b, s, benchPlan(b, s.Prog, mc.m, in, true))
 		})
 	}
 }
@@ -135,8 +139,8 @@ func BenchmarkTable1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := analysesFor(b, apps.AnalysisSpec(s), 1000, false)
-			benchReplay(b, s, s.Plan(instrument.MethodDynamicStatic, in, true))
+			in := analysesFor(b, s, 1000, false)
+			benchReplay(b, s, benchPlan(b, s.Prog, instrument.MethodDynamicStatic, in, true))
 		})
 	}
 }
@@ -151,7 +155,7 @@ func BenchmarkFigure4CPU(b *testing.B) {
 	in := analysesFor(b, an, 60, true)
 	for _, mc := range benchMethods {
 		b.Run(mc.name, func(b *testing.B) {
-			benchRecord(b, s, s.Plan(mc.m, in, true))
+			benchRecord(b, s, benchPlan(b, s.Prog, mc.m, in, true))
 		})
 	}
 }
@@ -167,7 +171,7 @@ func BenchmarkTable3(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchReplay(b, s, s.Plan(instrument.MethodDynamicStatic, in, true))
+			benchReplay(b, s, benchPlan(b, s.Prog, instrument.MethodDynamicStatic, in, true))
 		})
 	}
 }
@@ -183,7 +187,7 @@ func BenchmarkTable5(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchReplay(b, s, s.Plan(instrument.MethodDynamicStatic, in, false))
+			benchReplay(b, s, benchPlan(b, s.Prog, instrument.MethodDynamicStatic, in, false))
 		})
 	}
 }
@@ -196,10 +200,10 @@ func BenchmarkFigure5(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := analysesFor(b, apps.AnalysisSpec(s), 40, false)
+	in := analysesFor(b, s, 40, false)
 	for _, mc := range benchMethods {
 		b.Run(mc.name, func(b *testing.B) {
-			benchRecord(b, s, s.Plan(mc.m, in, true))
+			benchRecord(b, s, benchPlan(b, s.Prog, mc.m, in, true))
 		})
 	}
 }
@@ -214,8 +218,8 @@ func BenchmarkTable6(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := analysesFor(b, apps.AnalysisSpec(s), 40, false)
-			benchReplay(b, s, s.Plan(instrument.MethodDynamicStatic, in, true))
+			in := analysesFor(b, s, 40, false)
+			benchReplay(b, s, benchPlan(b, s.Prog, instrument.MethodDynamicStatic, in, true))
 		})
 	}
 }
@@ -233,17 +237,18 @@ func BenchmarkDynamicAnalysis(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name string
-		an   *core.Scenario
+		an   *Scenario
 		runs int
 	}{
 		{"userver", apps.UServerAnalysisScenario(), 5},
 		{"userver", apps.UServerAnalysisScenario(), 20},
-		{"diff-exp1", apps.AnalysisSpec(diff), 40},
+		{"diff-exp1", diff, 40},
 	} {
 		b.Run(fmt.Sprintf("%s-%druns", c.name, c.runs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep := c.an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: c.runs})
+				ex := concolic.New(c.an.Prog, c.an.Spec, world.NewRegistry(c.an.Spec), concolic.Options{MaxRuns: c.runs})
+				rep := ex.Explore(context.Background())
 				if rep.Runs == 0 {
 					b.Fatal("no runs")
 				}
@@ -254,7 +259,7 @@ func BenchmarkDynamicAnalysis(b *testing.B) {
 
 // BenchmarkStaticAnalysis measures the dataflow/points-to analysis.
 func BenchmarkStaticAnalysis(b *testing.B) {
-	progs := map[string]*core.Scenario{}
+	progs := map[string]*Scenario{}
 	if s, err := apps.CoreutilScenario("mkdir", 12); err == nil {
 		progs["mkdir"] = s
 	}
@@ -265,7 +270,7 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 	for name, s := range progs {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep := s.AnalyzeStatic(static.Options{})
+				rep := static.Analyze(s.Prog, static.Options{})
 				if rep.CountSymbolic() == 0 {
 					b.Fatal("no symbolic branches found")
 				}
@@ -275,12 +280,24 @@ func BenchmarkStaticAnalysis(b *testing.B) {
 }
 
 // analysesFor runs both analyses once for a benchmark or test.
-func analysesFor(b testing.TB, an *core.Scenario, dynRuns int, libSym bool) instrument.Inputs {
+func analysesFor(b testing.TB, an *Scenario, dynRuns int, libSym bool) instrument.Inputs {
 	b.Helper()
-	return instrument.Inputs{
-		Dynamic: an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: dynRuns}),
-		Static:  an.AnalyzeStatic(static.Options{LibAsSymbolic: libSym}),
+	in, err := SessionOf(an, WithDynamicBudget(dynRuns, 0),
+		WithStaticOptions(static.Options{LibAsSymbolic: libSym})).Analyze(context.Background())
+	if err != nil {
+		b.Fatal(err)
 	}
+	return in
+}
+
+// benchPlan builds a method's plan for prog from an analysis.
+func benchPlan(b testing.TB, prog *Program, m instrument.Method, in instrument.Inputs, logSyscalls bool) *instrument.Plan {
+	b.Helper()
+	p, err := instrument.StrategyForMethod(m).Plan(context.Background(), instrument.NewPlanContext(prog, in, logSyscalls))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
 }
 
 // --- record -----------------------------------------------------------------
@@ -305,17 +322,17 @@ func BenchmarkRecord(b *testing.B) {
 	}
 	for _, sc := range []struct {
 		name string
-		s    *core.Scenario
+		s    *Scenario
 		in   instrument.Inputs
 	}{
-		{"paste", paste, analysesFor(b, apps.AnalysisSpec(paste), 300, false)},
+		{"paste", paste, analysesFor(b, paste, 300, false)},
 		{"userver-exp4", userver, analysesFor(b, apps.UServerAnalysisScenario(), 60, true)},
-		{"diff-exp1", diff, analysesFor(b, apps.AnalysisSpec(diff), 40, false)},
+		{"diff-exp1", diff, analysesFor(b, diff, 40, false)},
 	} {
 		for _, m := range []instrument.Method{instrument.MethodNone, instrument.MethodDynamicStatic} {
 			b.Run(sc.name+"/"+m.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				benchRecord(b, sc.s, sc.s.Plan(m, sc.in, true))
+				benchRecord(b, sc.s, benchPlan(b, sc.s.Prog, m, sc.in, true))
 			})
 		}
 	}
@@ -334,7 +351,7 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSessionReplay(b, s, s.Plan(instrument.MethodDynamic, in, false), false)
+	benchSessionReplay(b, s, benchPlan(b, s.Prog, instrument.MethodDynamic, in, false), false)
 }
 
 // BenchmarkReplaySearch measures the same uServer no-syslog replay under a
@@ -368,24 +385,24 @@ func BenchmarkReplayCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := analysesFor(b, apps.AnalysisSpec(s), 300, false)
-	benchSessionReplay(b, s, s.Plan(instrument.MethodDynamicStatic, in, true), true)
+	in := analysesFor(b, s, 300, false)
+	benchSessionReplay(b, s, benchPlan(b, s.Prog, instrument.MethodDynamicStatic, in, true), true)
 }
 
 // benchSessionReplay records once under plan, then replays the recording
 // through a Session once per iteration, reporting the runs, the cost per
 // run and the replay engine's per-run distributions. With gc set, every
 // iteration starts after a garbage collection, run outside the timer.
-func benchSessionReplay(b *testing.B, s *core.Scenario, plan *instrument.Plan, gc bool) {
+func benchSessionReplay(b *testing.B, s *Scenario, plan *instrument.Plan, gc bool) {
 	b.Helper()
-	rec, _, err := s.RecordContext(context.Background(), plan)
-	if err != nil || rec == nil {
-		b.Fatalf("record: %v", err)
-	}
 	reg := obs.NewRegistry()
 	sess := SessionOf(s,
 		WithReplayBudget(4000, 30*time.Second),
 		WithObserver(&Observer{Reg: reg}))
+	rec, _, err := sess.RecordWith(context.Background(), plan, nil)
+	if err != nil || rec == nil {
+		b.Fatalf("record: %v", err)
+	}
 	var runs, totalRuns int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,9 +6,7 @@ import (
 
 	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/concolic"
 	"pathlog/internal/instrument"
-	"pathlog/internal/static"
 )
 
 // TestParseStrategySpellings checks that every -strategy spelling is the
@@ -20,9 +18,9 @@ func TestParseStrategySpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := instrument.Inputs{
-		Dynamic: apps.AnalysisScenarioFor("paste", s).AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6}),
-		Static:  s.AnalyzeStatic(static.Options{}),
+	in, err := pathlog.SessionOf(s, pathlog.WithDynamicBudget(6, 0)).Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	pc := instrument.NewPlanContext(s.Prog, in, true)
 	plan := func(st pathlog.Strategy) *pathlog.Plan {

@@ -117,10 +117,10 @@ func (s *Session) replayCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 	// Open (and lineage-seed) the plan store before the staleness check:
 	// a chain an earlier session refined past must be refused even when
 	// this session has not touched the store yet.
-	if _, err := s.planStore(); err != nil {
+	if _, err := s.PlanStore(); err != nil {
 		return nil, nil, nil, err
 	}
-	resolved, err := c.Resolve(s.resolveRecording)
+	resolved, err := c.Resolve(s.ResolveRecording)
 	if err != nil {
 		return nil, nil, nil, err
 	}

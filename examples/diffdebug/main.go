@@ -31,7 +31,6 @@ func main() {
 	// Low-coverage dynamic analysis — §5.4 reports only 20% coverage for
 	// diff within the budget — plus the full static analysis.
 	sess := pathlog.SessionOf(scn,
-		pathlog.WithAnalysisSpec(apps.AnalysisSpec(scn).Spec),
 		pathlog.WithSyscallLog(),
 		pathlog.WithDynamicBudget(30, 0),
 		pathlog.WithReplayBudget(2500, 15*time.Second),

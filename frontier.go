@@ -151,7 +151,7 @@ func (s *Session) Frontier(ctx context.Context, strategies ...Strategy) ([]PlanP
 // such entries, a sweep does not fail on them (its own measurements
 // stand). Without WithPlanStore it returns nothing.
 func (s *Session) storedMeasuredPoints(progHash string) ([]PlanPoint, error) {
-	st, err := s.planStore()
+	st, err := s.PlanStore()
 	if err != nil || st == nil {
 		return nil, err
 	}

@@ -18,9 +18,9 @@ import (
 )
 
 // runConcrete executes a scenario's user run without instrumentation.
-func runConcrete(t *testing.T, s *core.Scenario) vm.Result {
+func runConcrete(t *testing.T, s *Scenario) vm.Result {
 	t.Helper()
-	spec, err := s.UserSpec()
+	spec, err := s.Spec.UserSpec(s.UserBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +33,27 @@ func runConcrete(t *testing.T, s *core.Scenario) vm.Result {
 		t.Fatalf("vm: %v", err)
 	}
 	return res
+}
+
+// explore runs the concolic analysis over a scenario's neutral spec.
+func explore(s *Scenario, runs int) *concolic.Report {
+	ex := concolic.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), concolic.Options{MaxRuns: runs})
+	return ex.Explore(context.Background())
+}
+
+// analyses runs both pre-deployment analyses over a scenario's neutral spec.
+func analyses(s *Scenario, dynRuns int) instrument.Inputs {
+	return instrument.Inputs{Dynamic: explore(s, dynRuns), Static: static.Analyze(s.Prog, static.Options{})}
+}
+
+// planFor builds a method's plan from the analyses.
+func planFor(t *testing.T, s *Scenario, m instrument.Method, in instrument.Inputs, logSyscalls bool) *instrument.Plan {
+	t.Helper()
+	p, err := instrument.StrategyForMethod(m).Plan(context.Background(), instrument.NewPlanContext(s.Prog, in, logSyscalls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // runWithArgs executes a coreutil with specific arguments and files.
@@ -48,7 +69,7 @@ func runWithArgs(t *testing.T, name string, args []string, files map[string][]by
 	}
 	if files == nil {
 		// Reuse the scenario's declared files (paste needs its input file).
-		spec, err := s.UserSpec()
+		spec, err := s.Spec.UserSpec(s.UserBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +210,8 @@ func TestUServerResponses(t *testing.T) {
 		"BOGUS / HTTP/1.1\r\n\r\n",
 	}
 	spec, user := UServerScenarioSpec(reqs, 80, false)
-	s := &core.Scenario{Name: "t", Prog: UServerProgram(), Spec: spec, UserBytes: user}
-	userSpec, err := s.UserSpec()
+	s := &Scenario{Name: "t", Prog: UServerProgram(), Spec: spec, UserBytes: user}
+	userSpec, err := s.Spec.UserSpec(s.UserBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +252,7 @@ func TestUServerBranchMix(t *testing.T) {
 	// Figure 3's qualitative claim: roughly 10% of branch executions are
 	// symbolic, and the library executes the majority of all branches.
 	s := UServerLoadScenario(5, DefaultHTTPRequest)
-	rep := s.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 1})
+	rep := explore(s, 1)
 	if rep.BranchExecs == 0 {
 		t.Fatal("no branches executed")
 	}
@@ -260,7 +281,7 @@ func TestDiffOutputs(t *testing.T) {
 
 func TestDiffIdenticalFiles(t *testing.T) {
 	spec, user := DiffScenario("same\nlines\n", "same\nlines\n", 24)
-	s := &core.Scenario{Name: "t", Prog: DiffProgram(), Spec: spec, UserBytes: user}
+	s := &Scenario{Name: "t", Prog: DiffProgram(), Spec: spec, UserBytes: user}
 	res := runConcrete(t, s)
 	if !strings.Contains(string(res.Stdout), "files are identical") {
 		t.Fatalf("stdout: %q", res.Stdout)
@@ -269,7 +290,7 @@ func TestDiffIdenticalFiles(t *testing.T) {
 
 func TestDiffEditScript(t *testing.T) {
 	spec, user := DiffScenario("a\nb\nc\n", "a\nX\nc\n", 16)
-	s := &core.Scenario{Name: "t", Prog: DiffProgram(), Spec: spec, UserBytes: user}
+	s := &Scenario{Name: "t", Prog: DiffProgram(), Spec: spec, UserBytes: user}
 	res := runConcrete(t, s)
 	out := string(res.Stdout)
 	if !strings.Contains(out, "< b") || !strings.Contains(out, "> X") {
@@ -310,20 +331,16 @@ func TestMicroFibSelectiveInstrumentation(t *testing.T) {
 	// §5.1: every configuration except all-branches instruments only the two
 	// option branches of Listing 1.
 	s := MicroFibScenario('a')
-	an := AnalysisSpec(s)
-	in := instrument.Inputs{
-		Dynamic: an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 40}),
-		Static:  an.AnalyzeStatic(static.Options{}),
-	}
+	in := analyses(s, 40)
 	for _, m := range []instrument.Method{
 		instrument.MethodDynamic, instrument.MethodStatic, instrument.MethodDynamicStatic,
 	} {
-		plan := s.Plan(m, in, false)
+		plan := planFor(t, s, m, in, false)
 		if got := plan.NumInstrumented(); got != 2 {
 			t.Errorf("%v: instruments %d branches, want 2 (ids %v)", m, got, plan.IDs())
 		}
 	}
-	all := s.Plan(instrument.MethodAll, in, false)
+	all := planFor(t, s, instrument.MethodAll, in, false)
 	if got := all.NumInstrumented(); got != len(s.Prog.Branches) {
 		t.Errorf("all: %d", got)
 	}
@@ -339,31 +356,27 @@ func TestCoreutilEndToEndReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			an := AnalysisSpec(s)
 			// Coreutils are small: the explorer reaches high coverage fast
 			// (the paper's Table 1 precondition), so give it enough runs.
-			in := instrument.Inputs{
-				Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 1000}),
-				Static:  an.AnalyzeStatic(static.Options{}),
-			}
+			in := analyses(s, 1000)
 			for _, m := range instrument.Methods {
-				plan := s.Plan(m, in, true)
-				rec, _, err := s.RecordContext(ctx, plan)
+				plan := planFor(t, s, m, in, true)
+				rec, _, err := core.Record(ctx, nil, s.Prog, s.Spec, s.UserBytes, plan)
 				if err != nil {
 					t.Fatalf("%v: %v", m, err)
 				}
 				if rec == nil {
 					t.Fatalf("%v: no crash recorded", m)
 				}
-				res := s.ReplayContext(ctx, rec, replay.Options{
+				res := replay.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), rec, replay.Options{
 					MaxRuns:    4000,
 					TimeBudget: 60 * time.Second,
-				})
+				}).Reproduce(ctx)
 				if !res.Reproduced {
 					t.Fatalf("%v: not reproduced after %d runs (timeout=%v)",
 						m, res.Runs, res.TimedOut)
 				}
-				if !s.VerifyInput(res.InputBytes, rec.Crash) {
+				if !core.Verify(nil, s.Prog, s.Spec, res.InputBytes, rec.Crash) {
 					t.Fatalf("%v: input does not verify", m)
 				}
 			}

@@ -2,22 +2,38 @@ package apps
 
 import (
 	"fmt"
+	"strings"
 
-	"pathlog/internal/core"
+	"pathlog/internal/lang"
+	"pathlog/internal/world"
 )
 
-// Scenario constructors bridging the raw sources to core.Scenario values the
-// harness and the examples consume.
+// Scenario binds a program to an input space and one user execution. It is
+// plain data: pathlog.SessionOf turns it into a Session, the one route
+// through analysis, planning, recording and replay.
+type Scenario struct {
+	Name string
+	Prog *lang.Program
+	// Spec is the neutral input space: stream shapes with placeholder
+	// seeds. Analysis and replay see only this — never the user's bytes.
+	Spec *world.Spec
+	// UserBytes holds the user-site input per stream name (the bytes that
+	// actually trigger the bug at record time).
+	UserBytes map[string][]byte
+}
+
+// Scenario constructors bridging the raw sources to the Scenario values the
+// harness, the tools and the examples consume.
 
 // CoreutilScenario returns the §5.2 crash scenario for one coreutil by name
 // (mkdir, mknod, mkfifo, paste). maxArgLen scales the argument streams; the
 // paper uses 100-byte arguments, tests usually pass something smaller.
-func CoreutilScenario(name string, maxArgLen int) (*core.Scenario, error) {
+func CoreutilScenario(name string, maxArgLen int) (*Scenario, error) {
 	cu, ok := coreutil(name, maxArgLen)
 	if !ok {
 		return nil, fmt.Errorf("apps: unknown coreutil %q", name)
 	}
-	return &core.Scenario{
+	return &Scenario{
 		Name:      cu.Name,
 		Prog:      cu.Prog,
 		Spec:      cu.Spec,
@@ -31,12 +47,12 @@ func CoreutilNames() []string { return []string{"mkdir", "mknod", "mkfifo", "pas
 // UServerScenario returns uServer experiment exp (1-based, §5.3) with the
 // scripted HTTP requests as symbolic connection streams and the crash signal
 // armed. payloadCap bounds each request stream.
-func UServerScenario(exp int, payloadCap int) (*core.Scenario, error) {
+func UServerScenario(exp int, payloadCap int) (*Scenario, error) {
 	if exp < 1 || exp > len(UServerExperiments) {
 		return nil, fmt.Errorf("apps: uServer experiment %d out of range", exp)
 	}
 	spec, user := UServerScenarioSpec(UServerExperiments[exp-1], payloadCap, true)
-	return &core.Scenario{
+	return &Scenario{
 		Name:      fmt.Sprintf("userver-exp%d", exp),
 		Prog:      UServerProgram(),
 		Spec:      spec,
@@ -47,13 +63,13 @@ func UServerScenario(exp int, payloadCap int) (*core.Scenario, error) {
 // UServerLoadScenario returns a non-crashing uServer workload with nReqs
 // identical requests, used for overhead measurements (Figure 4) and branch
 // statistics (Figure 3).
-func UServerLoadScenario(nReqs int, req string) *core.Scenario {
+func UServerLoadScenario(nReqs int, req string) *Scenario {
 	reqs := make([]string, nReqs)
 	for i := range reqs {
 		reqs[i] = req
 	}
 	spec, user := UServerScenarioSpec(reqs, len(req)+16, false)
-	return &core.Scenario{
+	return &Scenario{
 		Name:      fmt.Sprintf("userver-load%d", nReqs),
 		Prog:      UServerProgram(),
 		Spec:      spec,
@@ -68,24 +84,24 @@ const DefaultHTTPRequest = "GET /index.html HTTP/1.1\r\nHost: localhost\r\n\r\n"
 // connection streams seeded with the developer test requests, so the first
 // concolic runs already walk the parser's happy paths (the paper's
 // test-suite-driven exploration).
-func UServerAnalysisScenario() *core.Scenario {
+func UServerAnalysisScenario() *Scenario {
 	spec, user := UServerScenarioSpec(AnalysisRequests, 72, false)
 	for i := range spec.Conns {
 		if b, ok := user[fmt.Sprintf("conn%d", i)]; ok {
 			spec.Conns[i].Stream.Seed = b
 		}
 	}
-	return &core.Scenario{Name: "userver-analysis", Prog: UServerProgram(), Spec: spec}
+	return &Scenario{Name: "userver-analysis", Prog: UServerProgram(), Spec: spec}
 }
 
 // DiffExperimentScenario returns diff experiment exp (1-based, §5.4).
-func DiffExperimentScenario(exp int) (*core.Scenario, error) {
+func DiffExperimentScenario(exp int) (*Scenario, error) {
 	if exp < 1 || exp > len(DiffExperiments) {
 		return nil, fmt.Errorf("apps: diff experiment %d out of range", exp)
 	}
 	pair := DiffExperiments[exp-1]
 	spec, user := DiffScenario(pair[0], pair[1], 32)
-	return &core.Scenario{
+	return &Scenario{
 		Name:      fmt.Sprintf("diff-exp%d", exp),
 		Prog:      DiffProgram(),
 		Spec:      spec,
@@ -94,9 +110,9 @@ func DiffExperimentScenario(exp int) (*core.Scenario, error) {
 }
 
 // MicroLoopScenario returns the counting-loop microbenchmark scenario.
-func MicroLoopScenario(iterations int64) *core.Scenario {
+func MicroLoopScenario(iterations int64) *Scenario {
 	spec, user := MicroLoopSpec(iterations)
-	return &core.Scenario{
+	return &Scenario{
 		Name:      "micro-loop",
 		Prog:      MicroLoopProgram(),
 		Spec:      spec,
@@ -106,25 +122,13 @@ func MicroLoopScenario(iterations int64) *core.Scenario {
 
 // MicroFibScenario returns the Listing-1 scenario with the given option
 // byte ('a' or 'b' select a Fibonacci computation).
-func MicroFibScenario(option byte) *core.Scenario {
+func MicroFibScenario(option byte) *Scenario {
 	spec, user := MicroFibSpec(option)
-	return &core.Scenario{
+	return &Scenario{
 		Name:      "micro-fib",
 		Prog:      MicroFibProgram(),
 		Spec:      spec,
 		UserBytes: user,
-	}
-}
-
-// AnalysisSpec widens a scenario's input space for pre-deployment analysis:
-// the developer explores with generic inputs (the paper's "up to 10
-// arguments, each 100 bytes"), not with the user's future input. The
-// returned scenario shares the program but uses neutral streams only.
-func AnalysisSpec(s *core.Scenario) *core.Scenario {
-	return &core.Scenario{
-		Name: s.Name + "-analysis",
-		Prog: s.Prog,
-		Spec: s.Spec,
 	}
 }
 
@@ -141,7 +145,7 @@ func ScenarioNames() []string {
 }
 
 // ScenarioByName resolves a named scenario for the command-line tools.
-func ScenarioByName(name string) (*core.Scenario, error) {
+func ScenarioByName(name string) (*Scenario, error) {
 	for _, cu := range CoreutilNames() {
 		if name == cu {
 			return CoreutilScenario(name, 16)
@@ -167,9 +171,9 @@ func ScenarioByName(name string) (*core.Scenario, error) {
 // AnalysisScenarioFor returns the pre-deployment analysis scenario matched
 // to a named scenario: uServer experiments share the test-suite-seeded
 // exploration; everything else explores its own neutral input space.
-func AnalysisScenarioFor(name string, s *core.Scenario) *core.Scenario {
-	if len(name) >= 7 && name[:7] == "userver" {
+func AnalysisScenarioFor(name string, s *Scenario) *Scenario {
+	if strings.HasPrefix(name, "userver") {
 		return UServerAnalysisScenario()
 	}
-	return AnalysisSpec(s)
+	return s
 }

@@ -6,7 +6,6 @@ import (
 
 	"pathlog/internal/apps"
 	"pathlog/internal/concolic"
-	"pathlog/internal/core"
 	"pathlog/internal/ir"
 	"pathlog/internal/world"
 )
@@ -21,11 +20,11 @@ func TestSliceRelevantOnRealPaths(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		s    *core.Scenario
+		s    *apps.Scenario
 		runs int
 	}{
 		{"userver", apps.UServerAnalysisScenario(), 60},
-		{"diff-exp1", apps.AnalysisSpec(diff), 40},
+		{"diff-exp1", diff, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checked := 0

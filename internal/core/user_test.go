@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"pathlog"
 	"pathlog/internal/concolic"
+	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/lang"
 	"pathlog/internal/replay"
@@ -53,8 +55,8 @@ int main() {
 }
 `
 
-func guardedScenario(t *testing.T) *Scenario {
-	return &Scenario{
+func guardedScenario(t *testing.T) *pathlog.Scenario {
+	return &pathlog.Scenario{
 		Name: "guarded",
 		Prog: compile(t, guardedCrash),
 		Spec: &world.Spec{Args: []world.Stream{
@@ -68,19 +70,50 @@ func guardedScenario(t *testing.T) *Scenario {
 	}
 }
 
-func analyses(t *testing.T, s *Scenario) instrument.Inputs {
+func analyses(t *testing.T, s *pathlog.Scenario) instrument.Inputs {
 	t.Helper()
+	return analysesAt(s, 60)
+}
+
+// analysesAt runs the dynamic analysis at a run budget and the static one
+// over the scenario's neutral spec.
+func analysesAt(s *pathlog.Scenario, dynRuns int) instrument.Inputs {
+	ex := concolic.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), concolic.Options{MaxRuns: dynRuns})
 	return instrument.Inputs{
-		Dynamic: s.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 60}),
-		Static:  s.AnalyzeStatic(static.Options{}),
+		Dynamic: ex.Explore(context.Background()),
+		Static:  static.Analyze(s.Prog, static.Options{}),
 	}
+}
+
+// planFor builds a method's plan with syscall logging as given.
+func planFor(t *testing.T, s *pathlog.Scenario, m instrument.Method, in instrument.Inputs, logSyscalls bool) *instrument.Plan {
+	t.Helper()
+	p, err := instrument.StrategyForMethod(m).Plan(context.Background(), instrument.NewPlanContext(s.Prog, in, logSyscalls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// record is the user-site run of the scenario's user bytes.
+func record(ctx context.Context, s *pathlog.Scenario, p *instrument.Plan) (*replay.Recording, *core.RecordStats, error) {
+	return core.Record(ctx, nil, s.Prog, s.Spec, s.UserBytes, p)
+}
+
+// reproduce replays a recording over the scenario's neutral spec.
+func reproduce(ctx context.Context, s *pathlog.Scenario, rec *replay.Recording, opts replay.Options) *replay.Result {
+	return replay.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), rec, opts).Reproduce(ctx)
+}
+
+func verify(s *pathlog.Scenario, input map[string][]byte, rec *replay.Recording) bool {
+	return core.Verify(nil, s.Prog, s.Spec, input, rec.Crash)
 }
 
 func TestRecordProducesReportOnCrash(t *testing.T) {
 	s := guardedScenario(t)
 	in := analyses(t, s)
-	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, stats, err := s.RecordContext(context.Background(), plan)
+	plan := planFor(t, s, instrument.MethodAll, in, true)
+	rec, stats, err := record(context.Background(), s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +138,8 @@ func TestRecordNoCrashNoReport(t *testing.T) {
 	s := guardedScenario(t)
 	s.UserBytes = map[string][]byte{"arg0": []byte("-y")}
 	in := analyses(t, s)
-	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, stats, err := s.RecordContext(context.Background(), plan)
+	plan := planFor(t, s, instrument.MethodAll, in, true)
+	rec, stats, err := record(context.Background(), s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +157,8 @@ func TestPrivacyNoInputBytesInReport(t *testing.T) {
 	s := guardedScenario(t)
 	s.UserBytes = map[string][]byte{"arg0": []byte("-x"), "arg1": []byte("K")}
 	in := analyses(t, s)
-	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, _, err := s.RecordContext(context.Background(), plan)
+	plan := planFor(t, s, instrument.MethodAll, in, true)
+	rec, _, err := record(context.Background(), s, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
@@ -146,19 +179,19 @@ func TestReplayAllMethods(t *testing.T) {
 	for _, method := range instrument.Methods {
 		method := method
 		t.Run(method.String(), func(t *testing.T) {
-			plan := s.Plan(method, in, true)
-			rec, _, err := s.RecordContext(ctx, plan)
+			plan := planFor(t, s, method, in, true)
+			rec, _, err := record(ctx, s, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rec == nil {
 				t.Fatal("no recording")
 			}
-			res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 500, TimeBudget: 20 * time.Second})
+			res := reproduce(ctx, s, rec, replay.Options{MaxRuns: 500, TimeBudget: 20 * time.Second})
 			if !res.Reproduced {
 				t.Fatalf("not reproduced: %+v", res)
 			}
-			if !s.VerifyInput(res.InputBytes, rec.Crash) {
+			if !verify(s, res.InputBytes, rec) {
 				t.Fatalf("replay input does not activate the bug: %v", res.InputBytes)
 			}
 			// The reproducing input need not equal the user's input, but for
@@ -189,12 +222,12 @@ func TestReplayInvariantsPerMethod(t *testing.T) {
 	s := guardedScenario(t)
 	in := analyses(t, s)
 	for _, method := range []instrument.Method{instrument.MethodAll, instrument.MethodStatic} {
-		plan := s.Plan(method, in, true)
-		rec, _, err := s.RecordContext(ctx, plan)
+		plan := planFor(t, s, method, in, true)
+		rec, _, err := record(ctx, s, plan)
 		if err != nil || rec == nil {
 			t.Fatal(err)
 		}
-		res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 500})
+		res := reproduce(ctx, s, rec, replay.Options{MaxRuns: 500})
 		if !res.Reproduced {
 			t.Fatalf("%v: not reproduced", method)
 		}
@@ -210,30 +243,27 @@ func TestReplayWithPoorDynamicCoverage(t *testing.T) {
 	// branches; replay must still reproduce by searching (more runs).
 	ctx := context.Background()
 	s := guardedScenario(t)
-	in := instrument.Inputs{
-		Dynamic: s.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 1}),
-		Static:  s.AnalyzeStatic(static.Options{}),
-	}
-	plan := s.Plan(instrument.MethodDynamic, in, true)
-	rec, _, err := s.RecordContext(ctx, plan)
+	in := analysesAt(s, 1)
+	plan := planFor(t, s, instrument.MethodDynamic, in, true)
+	rec, _, err := record(ctx, s, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
-	res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 2000, TimeBudget: 30 * time.Second})
+	res := reproduce(ctx, s, rec, replay.Options{MaxRuns: 2000, TimeBudget: 30 * time.Second})
 	if !res.Reproduced {
 		t.Fatalf("not reproduced: %+v", res)
 	}
-	if !s.VerifyInput(res.InputBytes, rec.Crash) {
+	if !verify(s, res.InputBytes, rec) {
 		t.Fatal("input does not verify")
 	}
 
 	// Compare search effort against the fully instrumented configuration.
-	full := s.Plan(instrument.MethodAll, in, true)
-	recFull, _, err := s.RecordContext(ctx, full)
+	full := planFor(t, s, instrument.MethodAll, in, true)
+	recFull, _, err := record(ctx, s, full)
 	if err != nil || recFull == nil {
 		t.Fatal(err)
 	}
-	resFull := s.ReplayContext(ctx, recFull, replay.Options{MaxRuns: 2000})
+	resFull := reproduce(ctx, s, recFull, replay.Options{MaxRuns: 2000})
 	if !resFull.Reproduced {
 		t.Fatal("all-branches replay failed")
 	}
@@ -247,12 +277,12 @@ func TestReplayTimeBudget(t *testing.T) {
 	ctx := context.Background()
 	s := guardedScenario(t)
 	in := analyses(t, s)
-	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, _, err := s.RecordContext(ctx, plan)
+	plan := planFor(t, s, instrument.MethodAll, in, true)
+	rec, _, err := record(ctx, s, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
-	res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1_000_000, TimeBudget: time.Nanosecond})
+	res := reproduce(ctx, s, rec, replay.Options{MaxRuns: 1_000_000, TimeBudget: time.Nanosecond})
 	if res.Reproduced {
 		// A nanosecond budget can still allow the very first run to start
 		// before the deadline check; only assert that a timeout is flagged
@@ -268,18 +298,18 @@ func TestStripSyslog(t *testing.T) {
 	ctx := context.Background()
 	s := guardedScenario(t)
 	in := analyses(t, s)
-	plan := s.Plan(instrument.MethodAll, in, true)
-	rec, _, err := s.RecordContext(ctx, plan)
+	plan := planFor(t, s, instrument.MethodAll, in, true)
+	rec, _, err := record(ctx, s, plan)
 	if err != nil || rec == nil {
 		t.Fatal(err)
 	}
-	bare := StripSyslog(rec)
+	bare := pathlog.StripSyscallLog(rec)
 	if bare.SysLog != nil || bare.Trace != rec.Trace || bare.Crash != rec.Crash {
 		t.Fatal("strip changed the wrong fields")
 	}
 	// Replay must still work via the syscall model for this syscall-light
 	// program.
-	res := s.ReplayContext(ctx, bare, replay.Options{MaxRuns: 1000, TimeBudget: 30 * time.Second})
+	res := reproduce(ctx, s, bare, replay.Options{MaxRuns: 1000, TimeBudget: 30 * time.Second})
 	if !res.Reproduced {
 		t.Fatalf("model-mode replay failed: %+v", res)
 	}
@@ -288,7 +318,7 @@ func TestStripSyslog(t *testing.T) {
 func TestUserSpecValidation(t *testing.T) {
 	s := guardedScenario(t)
 	s.UserBytes = map[string][]byte{"arg0": []byte("waytoolongforthestream")}
-	if _, err := s.UserSpec(); err == nil {
+	if _, err := s.Spec.UserSpec(s.UserBytes); err == nil {
 		t.Fatal("oversized user input must be rejected")
 	}
 }
@@ -298,7 +328,7 @@ func TestUserSpecRejectsUnknownStream(t *testing.T) {
 	// A typo'd stream name must fail loudly, not silently record the
 	// neutral seed in place of the user's input.
 	s.UserBytes = map[string][]byte{"arg9": []byte("PQ")}
-	_, err := s.UserSpec()
+	_, err := s.Spec.UserSpec(s.UserBytes)
 	if err == nil {
 		t.Fatal("unknown stream key must be rejected")
 	}
@@ -315,12 +345,12 @@ func TestMeasureOverheadOrdering(t *testing.T) {
 	s.UserBytes = map[string][]byte{"arg0": []byte("zz")} // non-crashing run
 	in := analyses(t, s)
 
-	nonePlan := s.Plan(instrument.MethodNone, in, false)
-	allPlan := s.Plan(instrument.MethodAll, in, true)
-	if _, _, err := s.MeasureOverheadContext(ctx, nonePlan, 3); err != nil {
+	nonePlan := planFor(t, s, instrument.MethodNone, in, false)
+	allPlan := planFor(t, s, instrument.MethodAll, in, true)
+	if _, _, err := core.MeasureOverhead(ctx, nil, s.Prog, s.Spec, s.UserBytes, nonePlan, 3); err != nil {
 		t.Fatal(err)
 	}
-	_, allStats, err := s.MeasureOverheadContext(ctx, allPlan, 3)
+	_, allStats, err := core.MeasureOverhead(ctx, nil, s.Prog, s.Spec, s.UserBytes, allPlan, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +378,7 @@ int main() {
 
 func TestFileInputScenario(t *testing.T) {
 	ctx := context.Background()
-	s := &Scenario{
+	s := &pathlog.Scenario{
 		Name: "filecrash",
 		Prog: compile(t, fileCrash),
 		Spec: &world.Spec{Files: []world.FileInput{world.FileSpec("in.txt", "xx", 8)}},
@@ -358,12 +388,12 @@ func TestFileInputScenario(t *testing.T) {
 	}
 	in := analyses(t, s)
 	for _, method := range []instrument.Method{instrument.MethodAll, instrument.MethodDynamicStatic} {
-		plan := s.Plan(method, in, true)
-		rec, _, err := s.RecordContext(ctx, plan)
+		plan := planFor(t, s, method, in, true)
+		rec, _, err := record(ctx, s, plan)
 		if err != nil || rec == nil {
 			t.Fatalf("%v: record: %v", method, err)
 		}
-		res := s.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1000, TimeBudget: 20 * time.Second})
+		res := reproduce(ctx, s, rec, replay.Options{MaxRuns: 1000, TimeBudget: 20 * time.Second})
 		if !res.Reproduced {
 			t.Fatalf("%v: not reproduced: runs=%d", method, res.Runs)
 		}

@@ -14,12 +14,13 @@ import (
 	"pathlog/internal/lang"
 	"pathlog/internal/replay"
 	"pathlog/internal/static"
+	"pathlog/internal/world"
 )
 
 // parityCorpus builds a three-member uServer corpus: three distinct
 // crashing inputs (experiments 1, 2 and 4 — the quick replays) recorded
 // under one low-coverage dynamic plan of the userver-exp3 scenario.
-func parityCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
+func parityCorpus(t *testing.T) (*corpus.Corpus, *apps.Scenario) {
 	t.Helper()
 	ctx := context.Background()
 	s3, err := apps.UServerScenario(3, 72)
@@ -27,9 +28,12 @@ func parityCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 		t.Fatal(err)
 	}
 	an := apps.UServerAnalysisScenario()
-	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
-	st := s3.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := s3.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
+	dyn := concolic.New(an.Prog, an.Spec, world.NewRegistry(an.Spec), concolic.Options{MaxRuns: 6}).Explore(ctx)
+	st := static.Analyze(s3.Prog, static.Options{LibAsSymbolic: true})
+	plan, err := instrument.Dynamic().Plan(ctx, instrument.NewPlanContext(s3.Prog, instrument.Inputs{Dynamic: dyn, Static: st}, true))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	base := time.Unix(1_700_000_000, 0)
 	var members []corpus.Member
@@ -38,8 +42,7 @@ func parityCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scn := &core.Scenario{Name: s3.Name, Prog: s3.Prog, Spec: s3.Spec, UserBytes: se.UserBytes}
-		rec, _, err := scn.RecordContext(ctx, plan)
+		rec, _, err := core.Record(ctx, nil, s3.Prog, s3.Spec, se.UserBytes, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"pathlog/internal/apps"
+	"pathlog/internal/core"
 	"pathlog/internal/corpus"
-	"pathlog/internal/instrument"
 )
 
 // FuzzShardResponse feeds arbitrary bytes to the RemoteRunner as one
@@ -68,7 +68,7 @@ func FuzzShardRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec, _, err := s.RecordContext(ctx, s.Plan(instrument.MethodAll, instrument.Inputs{}, true))
+	rec, _, err := core.Record(ctx, nil, s.Prog, s.Spec, s.UserBytes, allBranches(f, s))
 	if err != nil || rec == nil {
 		f.Fatalf("record: rec=%v err=%v", rec, err)
 	}

@@ -17,8 +17,6 @@ import (
 
 	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/concolic"
-	"pathlog/internal/core"
 	"pathlog/internal/corpus"
 	"pathlog/internal/fleet"
 	"pathlog/internal/instrument"
@@ -115,17 +113,22 @@ func waitFleet(t *testing.T, ctx context.Context, urls []string) {
 // parity test (experiments 1, 2 and 4 recorded under one low-coverage
 // dynamic plan of userver-exp3), with each member carrying its user input
 // so CorpusBalance can re-record it.
-func fleetCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
+func fleetCorpus(t *testing.T) (*corpus.Corpus, *apps.Scenario) {
 	t.Helper()
 	ctx := context.Background()
 	s3, err := apps.UServerScenario(3, 72)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := apps.UServerAnalysisScenario()
-	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
-	st := s3.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := s3.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
+	sess := pathlog.SessionOf(s3,
+		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		pathlog.WithDynamicBudget(6, 0),
+		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
+		pathlog.WithSyscallLog())
+	plan, err := sess.PlanWith(ctx, pathlog.Dynamic())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	base := time.Unix(1_700_000_000, 0)
 	var members []corpus.Member
@@ -134,8 +137,7 @@ func fleetCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scn := &core.Scenario{Name: s3.Name, Prog: s3.Prog, Spec: s3.Spec, UserBytes: se.UserBytes}
-		rec, _, err := scn.RecordContext(ctx, plan)
+		rec, _, err := sess.RecordWith(ctx, plan, se.UserBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +275,7 @@ func healthzInflight(cl *http.Client, url string) (int, error) {
 // cheap, deterministic analysis budget — control and chaos sessions must
 // be configured identically so their trajectories can only diverge if
 // distribution changes results.
-func balanceSession(t *testing.T, s3 *core.Scenario) *pathlog.Session {
+func balanceSession(t *testing.T, s3 *apps.Scenario) *pathlog.Session {
 	t.Helper()
 	return pathlog.SessionOf(s3,
 		pathlog.WithSyscallLog(),

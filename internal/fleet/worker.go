@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pathlog/internal/apps"
-	"pathlog/internal/core"
 	"pathlog/internal/corpus"
 	"pathlog/internal/obs"
 	"pathlog/internal/replay"
@@ -25,7 +24,7 @@ type WorkerCore struct {
 	Obs *obs.Observer
 
 	mu        sync.Mutex
-	scenarios map[string]*core.Scenario
+	scenarios map[string]*apps.Scenario
 
 	initOnce sync.Once
 	cShards  *obs.Counter
@@ -50,7 +49,7 @@ func (w *WorkerCore) Register() {
 }
 
 // scenario resolves and caches one named scenario.
-func (w *WorkerCore) scenario(name string) (*core.Scenario, error) {
+func (w *WorkerCore) scenario(name string) (*apps.Scenario, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if s, ok := w.scenarios[name]; ok {
@@ -61,7 +60,7 @@ func (w *WorkerCore) scenario(name string) (*core.Scenario, error) {
 		return nil, err
 	}
 	if w.scenarios == nil {
-		w.scenarios = make(map[string]*core.Scenario)
+		w.scenarios = make(map[string]*apps.Scenario)
 	}
 	w.scenarios[name] = s
 	return s, nil

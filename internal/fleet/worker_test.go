@@ -15,7 +15,19 @@ import (
 	"pathlog/internal/corpus"
 	"pathlog/internal/instrument"
 	"pathlog/internal/static"
+	"pathlog/internal/world"
 )
+
+// allBranches is the plan logging every branch location of the scenario,
+// with the syscall log on.
+func allBranches(tb testing.TB, s *apps.Scenario) *instrument.Plan {
+	tb.Helper()
+	p, err := instrument.All().Plan(context.Background(), instrument.NewPlanContext(s.Prog, instrument.Inputs{}, true))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
 
 // TestExecuteNeverOpensRequestedPaths: a request naming a report by file
 // path — the form a worker on a shared filesystem once honoured — must be
@@ -29,8 +41,7 @@ func TestExecuteNeverOpensRequestedPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := s.Plan(instrument.MethodAll, instrument.Inputs{}, true)
-	rec, _, err := s.RecordContext(ctx, plan)
+	rec, _, err := core.Record(ctx, nil, s.Prog, s.Spec, s.UserBytes, allBranches(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +109,23 @@ func TestExecuteIgnoresRetiredWorkersField(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := apps.AnalysisScenarioFor("userver-exp3", s)
-	plan := s.Plan(instrument.MethodDynamicStatic, instrument.Inputs{
-		Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6}),
-		Static:  s.AnalyzeStatic(static.Options{LibAsSymbolic: true}),
-	}, true)
-	rec, _, err := s.RecordContext(ctx, plan)
+	in := instrument.Inputs{
+		Dynamic: concolic.New(an.Prog, an.Spec, world.NewRegistry(an.Spec), concolic.Options{MaxRuns: 6}).Explore(ctx),
+		Static:  static.Analyze(s.Prog, static.Options{LibAsSymbolic: true}),
+	}
+	plan, err := instrument.StrategyForMethod(instrument.MethodDynamicStatic).Plan(ctx, instrument.NewPlanContext(s.Prog, in, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := core.Record(ctx, nil, s.Prog, s.Spec, s.UserBytes, plan)
 	if err != nil || rec == nil {
 		t.Fatalf("record: rec=%v err=%v", rec, err)
 	}
 	// Without the syscall log the search is model-mode and branching, the
 	// case where a worker count used to change the run count.
-	env, err := core.StripSyslog(rec).Encode()
+	bare := *rec
+	bare.SysLog = nil
+	env, err := bare.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

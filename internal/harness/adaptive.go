@@ -7,7 +7,6 @@ import (
 
 	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/static"
 )
 
 // Adaptive reproduces the paper's feedback-loop claim on the uServer:
@@ -28,11 +27,7 @@ func (c Config) Adaptive(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := pathlog.SessionOf(s,
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-		pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-		pathlog.WithSyscallLog(),
+	sess := uServerSession(s, c.UServerAnalysisRunsLC,
 		pathlog.WithStrategy(pathlog.Dynamic()),
 		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
 	)

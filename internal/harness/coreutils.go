@@ -3,19 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"pathlog/internal/apps"
-	"pathlog/internal/concolic"
-	"pathlog/internal/core"
-	"pathlog/internal/instrument"
 	"pathlog/internal/lang"
-	"pathlog/internal/world"
 )
 
 // healthyMkdir returns a non-crashing mkdir workload for branch-behavior and
 // overhead measurements (Figures 1 and 2 profile normal runs).
-func (c Config) healthyMkdir() (*core.Scenario, error) {
+func (c Config) healthyMkdir() (*apps.Scenario, error) {
 	s, err := apps.CoreutilScenario("mkdir", c.CoreutilArgLen)
 	if err != nil {
 		return nil, err
@@ -38,17 +33,10 @@ func (c Config) Figure1(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A single concolic run over the user input is the paper's "sample run
-	// with concrete inputs, recording per-branch symbolic/concrete" — a
-	// sampling probe, so no static pass is wanted here.
-	sample := &core.Scenario{Name: s.Name, Prog: s.Prog, Spec: mustUserSpec(s)}
-	rep := sample.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 1})
-
-	var rows []branchRow
-	for id, n := range rep.ExecCount {
-		rows = append(rows, branchRow{id: int(id), execs: n, symExecs: rep.SymExecCount[id]})
+	rows, err := branchHistogram(ctx, s)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 
 	t := &Table{
 		ID:     "Figure 1",
@@ -80,21 +68,6 @@ func (c Config) Figure1(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// branchRow is one Figure 1/3 histogram entry.
-type branchRow struct {
-	id       int
-	execs    int64
-	symExecs int64
-}
-
-func mustUserSpec(s *core.Scenario) *world.Spec {
-	spec, err := s.UserSpec()
-	if err != nil {
-		panic(err)
-	}
-	return spec
-}
-
 // Figure2 reproduces mkdir's normalized CPU time under the four
 // instrumentation methods (plus none). The paper: dynamic, dynamic+static
 // and static are near-identical; all-branches pays ~31%.
@@ -103,33 +76,10 @@ func (c Config) Figure2(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := analyze(ctx, apps.AnalysisSpec(s), c.CoreutilAnalysisRuns, false)
+	t, err := overheadTable(ctx, "Figure 2", "mkdir CPU time, normalized to the uninstrumented version",
+		c.coreutilAnalysis(s), c.session(s), true, c.SmallWorkloadRounds)
 	if err != nil {
 		return nil, err
-	}
-
-	t := &Table{
-		ID:    "Figure 2",
-		Title: "mkdir CPU time, normalized to the uninstrumented version",
-		Header: []string{"config", "instr. locations", "cpu time", "rel cpu",
-			"proj. native overhead", "logged bits"},
-	}
-	none := s.Plan(instrument.MethodNone, in, true)
-	baseline, _, err := measure(ctx, s, none, c.SmallWorkloadRounds)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("none", "0", fmtDur(baseline), "100%", "+0%", "0")
-	for _, m := range instrument.Methods {
-		plan := s.Plan(m, in, true)
-		avg, stats, err := measure(ctx, s, plan, c.SmallWorkloadRounds)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m.String(), fmt.Sprintf("%d", plan.NumInstrumented()),
-			fmtDur(avg), relCPU(avg, baseline),
-			projectedOverhead(stats.TraceBits, stats.Steps),
-			fmt.Sprintf("%d", stats.TraceBits))
 	}
 	t.Notes = append(t.Notes,
 		"paper: dynamic ≈ dynamic+static ≈ static; all branches slowest (~131%)")
@@ -149,29 +99,8 @@ func (c Config) Table1(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		in, err := analyze(ctx, apps.AnalysisSpec(s), c.CoreutilAnalysisRuns, false)
-		if err != nil {
+		if err := c.methodRows(ctx, c.coreutilAnalysis(s), s, name, t, nil); err != nil {
 			return nil, err
-		}
-		for _, m := range instrument.Methods {
-			plan := s.Plan(m, in, true)
-			rec, _, err := record(ctx, s, plan)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", name, m, err)
-			}
-			if rec == nil {
-				return nil, fmt.Errorf("%s/%v: user run did not crash", name, m)
-			}
-			res, err := c.replay(ctx, s, rec)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", name, m, err)
-			}
-			cell := fmtDur(res.Elapsed)
-			if !res.Reproduced {
-				cell = Infinity
-			}
-			t.AddRow(name, m.String(), cell,
-				fmt.Sprintf("%d", res.Runs), fmt.Sprintf("%v", res.Reproduced))
 		}
 	}
 	t.Notes = append(t.Notes,

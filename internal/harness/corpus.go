@@ -10,7 +10,6 @@ import (
 	"pathlog"
 	"pathlog/internal/apps"
 	"pathlog/internal/corpus"
-	"pathlog/internal/static"
 )
 
 // Corpus demonstrates both directions of the corpus-driven balance on the
@@ -63,11 +62,7 @@ func (c Config) Corpus(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 	session := func(opts ...pathlog.Option) *pathlog.Session {
-		return pathlog.SessionOf(blowup, append([]pathlog.Option{
-			pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-			pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-			pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-			pathlog.WithSyscallLog(),
+		return uServerSession(blowup, c.UServerAnalysisRunsLC, append([]pathlog.Option{
 			pathlog.WithStrategy(pathlog.Dynamic()),
 			pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
 		}, opts...)...)

@@ -5,23 +5,11 @@ import (
 	"fmt"
 
 	"pathlog/internal/apps"
-	"pathlog/internal/instrument"
 )
-
-// diffAnalyses runs the §5.4 analyses: diff is input-heavy, so the concolic
-// budget achieves only partial coverage (the paper reports 20% after one
-// hour) while the full static analysis runs normally.
-func (c Config) diffAnalyses(ctx context.Context) (instrument.Inputs, error) {
-	s, err := apps.DiffExperimentScenario(1)
-	if err != nil {
-		panic(err) // static scenario table; cannot fail
-	}
-	return analyze(ctx, apps.AnalysisSpec(s), c.DiffAnalysisRuns, false)
-}
 
 // Figure5 reproduces diff's normalized CPU time under the four methods.
 func (c Config) Figure5(ctx context.Context) (*Table, error) {
-	in, err := c.diffAnalyses(ctx)
+	an, err := c.diffAnalysis()
 	if err != nil {
 		return nil, err
 	}
@@ -29,28 +17,10 @@ func (c Config) Figure5(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID:    "Figure 5",
-		Title: "diff CPU time, normalized to the uninstrumented version",
-		Header: []string{"config", "instr. locations", "cpu time", "rel cpu",
-			"proj. native overhead", "logged bits"},
-	}
-	none := s.Plan(instrument.MethodNone, in, true)
-	baseline, _, err := measure(ctx, s, none, c.OverheadRounds)
+	t, err := overheadTable(ctx, "Figure 5", "diff CPU time, normalized to the uninstrumented version",
+		an, c.session(s), true, c.OverheadRounds)
 	if err != nil {
 		return nil, err
-	}
-	t.AddRow("none", "0", fmtDur(baseline), "100%", "+0%", "0")
-	for _, m := range instrument.Methods {
-		plan := s.Plan(m, in, true)
-		avg, stats, err := measure(ctx, s, plan, c.OverheadRounds)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m.String(), fmt.Sprintf("%d", plan.NumInstrumented()),
-			fmtDur(avg), relCPU(avg, baseline),
-			projectedOverhead(stats.TraceBits, stats.Steps),
-			fmt.Sprintf("%d", stats.TraceBits))
 	}
 	t.Notes = append(t.Notes,
 		"paper: dynamic and dynamic+static best (~135%); dynamic found 440 of 8840 branches symbolic,",
@@ -64,7 +34,7 @@ func (c Config) Figure5(ctx context.Context) (*Table, error) {
 // three configurations replay in 1s / 12s with zero unlogged symbolic
 // branches.
 func (c Config) Tables6and7(ctx context.Context) (*Table, *Table, error) {
-	in, err := c.diffAnalyses(ctx)
+	an, err := c.diffAnalysis()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -83,27 +53,8 @@ func (c Config) Tables6and7(ctx context.Context) (*Table, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, m := range instrument.Methods {
-			plan := s.Plan(m, in, true)
-			rec, _, err := record(ctx, s, plan)
-			if err != nil {
-				return nil, nil, fmt.Errorf("diff exp%d/%v: %w", exp, m, err)
-			}
-			if rec == nil {
-				return nil, nil, fmt.Errorf("diff exp%d/%v: no crash", exp, m)
-			}
-			res, err := c.replay(ctx, s, rec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("diff exp%d/%v: %w", exp, m, err)
-			}
-			t6.AddRow(fmt.Sprintf("%d", exp), m.String(), replayCell(res),
-				fmt.Sprintf("%d", res.Runs), fmt.Sprintf("%v", res.Reproduced))
-			logged, notLogged := "-", "-"
-			if res.Reproduced {
-				logged = fmt.Sprintf("%d / %d", res.SymLoggedLocs, res.SymLoggedExecs)
-				notLogged = fmt.Sprintf("%d / %d", res.SymNotLoggedLocs, res.SymNotLoggedExecs)
-			}
-			t7.AddRow(fmt.Sprintf("%d", exp), m.String(), logged, notLogged)
+		if err := c.methodRows(ctx, an, s, fmt.Sprintf("%d", exp), t6, t7); err != nil {
+			return nil, nil, err
 		}
 	}
 	t6.Notes = append(t6.Notes,

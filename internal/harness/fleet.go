@@ -19,7 +19,6 @@ import (
 	"pathlog/internal/apps"
 	"pathlog/internal/corpus"
 	"pathlog/internal/instrument"
-	"pathlog/internal/static"
 )
 
 // Fleet drives the intake service end to end over a real HTTP listener,
@@ -73,11 +72,7 @@ func (c Config) Fleet(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := pathlog.SessionOf(blowup,
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-		pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-		pathlog.WithSyscallLog(),
+	sess := uServerSession(blowup, c.UServerAnalysisRunsLC,
 		pathlog.WithStrategy(pathlog.Dynamic()),
 		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
 		pathlog.WithPlanStore(storeDir),

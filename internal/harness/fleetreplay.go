@@ -18,15 +18,12 @@ import (
 
 	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/concolic"
-	"pathlog/internal/core"
 	"pathlog/internal/corpus"
 	"pathlog/internal/fleet"
 	"pathlog/internal/instrument"
 	"pathlog/internal/lang"
 	"pathlog/internal/obs"
 	"pathlog/internal/replay"
-	"pathlog/internal/static"
 )
 
 // Chaos timing for the fleet-replay experiment. Every daemon holds each
@@ -69,7 +66,7 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 		workers = 3
 	}
 
-	crp, s3, err := c.fleetReplayCorpus(ctx)
+	s3, err := apps.UServerScenario(3, 72)
 	if err != nil {
 		return nil, err
 	}
@@ -78,12 +75,16 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 	// Control and chaos sessions must be configured identically, so their
 	// trajectories can only diverge if distribution changes results.
 	session := func() *pathlog.Session {
-		return pathlog.SessionOf(s3,
-			pathlog.WithSyscallLog(),
-			pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-			pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-			pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
+		return uServerSession(s3, c.UServerAnalysisRunsLC,
 			pathlog.WithReplayBudget(bounds.MaxRuns, bounds.TimeBudget))
+	}
+	members, err := corpusMembers(ctx, session())
+	if err != nil {
+		return nil, err
+	}
+	crp, err := corpus.Build(members, corpus.Options{})
+	if err != nil {
+		return nil, err
 	}
 	target := c.CorpusTargetRuns
 	if target <= 0 {
@@ -248,34 +249,32 @@ func (c Config) FleetReplay(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// fleetReplayCorpus builds the three-member uServer corpus the chaos gate
-// replays: experiments 1, 2 and 4 recorded under one low-coverage dynamic
-// plan of userver-exp3, each member carrying its user input so the balance
-// loop can re-record it under refined plans.
-func (c Config) fleetReplayCorpus(ctx context.Context) (*corpus.Corpus, *core.Scenario, error) {
-	s3, err := apps.UServerScenario(3, 72)
-	if err != nil {
-		return nil, nil, err
-	}
-	an := apps.UServerAnalysisScenario()
-	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: c.UServerAnalysisRunsLC})
-	st := s3.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := s3.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
+// corpusExps are the uServer experiments of the three-member corpus the
+// fleet replay and trace experiments replay: three distinct crashes.
+var corpusExps = []int{1, 2, 4}
 
+// corpusMembers records the corpusExps through a userver-exp3 session under
+// its low-coverage dynamic plan, each member carrying its user input (so a
+// balance loop can re-record it under refined plans) and an mtime an hour
+// after the previous one, which keeps the recency weights deterministic.
+func corpusMembers(ctx context.Context, sess *pathlog.Session) ([]corpus.Member, error) {
+	plan, err := sess.PlanWith(ctx, pathlog.Dynamic())
+	if err != nil {
+		return nil, err
+	}
 	base := time.Unix(1_700_000_000, 0)
 	var members []corpus.Member
-	for i, exp := range []int{1, 2, 4} {
+	for i, exp := range corpusExps {
 		se, err := apps.UServerScenario(exp, 72)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		scn := &core.Scenario{Name: s3.Name, Prog: s3.Prog, Spec: s3.Spec, UserBytes: se.UserBytes}
-		rec, _, err := scn.RecordContext(ctx, plan)
+		rec, _, err := sess.RecordWith(ctx, plan, se.UserBytes)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if rec == nil {
-			return nil, nil, fmt.Errorf("harness: uServer experiment %d did not crash", exp)
+			return nil, fmt.Errorf("harness: uServer experiment %d did not crash", exp)
 		}
 		members = append(members, corpus.Member{
 			Rec:       rec,
@@ -283,11 +282,7 @@ func (c Config) fleetReplayCorpus(ctx context.Context) (*corpus.Corpus, *core.Sc
 			UserBytes: se.UserBytes,
 		})
 	}
-	crp, err := corpus.Build(members, corpus.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return crp, s3, nil
+	return members, nil
 }
 
 // trajectoryDiff compares two balance trajectories generation by

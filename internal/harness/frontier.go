@@ -8,7 +8,6 @@ import (
 	"pathlog"
 	"pathlog/internal/apps"
 	"pathlog/internal/obs"
-	"pathlog/internal/static"
 )
 
 // frontierLadder is the Budgeted ladder the frontier experiment measures
@@ -44,11 +43,7 @@ func (c Config) Frontier(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess := pathlog.SessionOf(s,
-			pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-			pathlog.WithDynamicBudget(c.UServerAnalysisRunsHC, 0),
-			pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-			pathlog.WithSyscallLog(),
+		sess := uServerSession(s, c.UServerAnalysisRunsHC,
 			pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
 			pathlog.WithPlanStore(dir),
 			pathlog.WithObserver(&pathlog.Observer{Reg: reg}),

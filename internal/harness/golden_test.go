@@ -11,47 +11,34 @@ import (
 )
 
 // goldenExperiments are the experiments TestGoldenTables pins, in
-// presentation order. Each renders to testdata/<name>.golden; a pair
-// (Tables 3/4, 5/8, 6/7) renders both tables into one file. fleet is left
-// out: its accepted-report count moves between runs of the same code
-// (a retransmission that crosses the restart window counts twice).
-var goldenExperiments = []struct {
-	name string
-	run  func(Config, context.Context) ([]*Table, error)
-}{
-	{"micro-loop", one(Config.MicroLoop)},
-	{"micro-fib", one(Config.MicroFib)},
-	{"figure1", one(Config.Figure1)},
-	{"figure2", one(Config.Figure2)},
-	{"table1", one(Config.Table1)},
-	{"figure3", one(Config.Figure3)},
-	{"table2", one(Config.Table2)},
-	{"figure4", one(Config.Figure4)},
-	{"tables3and4", two(Config.Tables3and4)},
-	{"tables5and8", two(Config.Tables5and8)},
-	{"figure5", one(Config.Figure5)},
-	{"tables6and7", two(Config.Tables6and7)},
-	{"compress", one(Config.Compress)},
-	{"frontier", one(Config.Frontier)},
-	{"adaptive", one(Config.Adaptive)},
-	{"corpus", one(Config.Corpus)},
-	{"store", one(Config.Store)},
-	{"summary", one(Config.Summary)},
+// presentation order, by golden file name: each renders to
+// testdata/<name>.golden, a pair of tables into one file. fleet is left
+// out: its accepted-report count moves between runs of the same code (a
+// retransmission that crosses the restart window counts twice).
+var goldenExperiments = []struct{ name, exp string }{
+	{"micro-loop", "micro-loop"},
+	{"micro-fib", "micro-fib"},
+	{"figure1", "figure1"},
+	{"figure2", "figure2"},
+	{"table1", "table1"},
+	{"figure3", "figure3"},
+	{"table2", "table2"},
+	{"figure4", "figure4"},
+	{"tables3and4", "table3"},
+	{"tables5and8", "table5"},
+	{"figure5", "figure5"},
+	{"tables6and7", "table6"},
+	{"compress", "compress"},
+	{"frontier", "frontier"},
+	{"adaptive", "adaptive"},
+	{"corpus", "corpus"},
+	{"store", "store"},
+	{"summary", "summary"},
 }
 
-func one(f func(Config, context.Context) (*Table, error)) func(Config, context.Context) ([]*Table, error) {
-	return func(c Config, ctx context.Context) ([]*Table, error) {
-		t, err := f(c, ctx)
-		return []*Table{t}, err
-	}
-}
-
-func two(f func(Config, context.Context) (*Table, *Table, error)) func(Config, context.Context) ([]*Table, error) {
-	return func(c Config, ctx context.Context) ([]*Table, error) {
-		a, b, err := f(c, ctx)
-		return []*Table{a, b}, err
-	}
-}
+// goldenConfig is fastConfig with one analysis memo for every experiment,
+// as RunAll shares it.
+var goldenConfig = fastConfig().withAnalyses()
 
 // experimentTables computes each golden experiment at most once per test
 // binary, so the golden test and the shape tests read the same tables.
@@ -71,7 +58,7 @@ func tablesOf(t *testing.T, name string) []*Table {
 		if e.name != name {
 			continue
 		}
-		tbls, err := e.run(fastConfig(), context.Background())
+		tbls, err := experiments[e.exp](goldenConfig, context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

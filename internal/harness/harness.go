@@ -14,13 +14,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"pathlog"
-	"pathlog/internal/core"
+	"pathlog/internal/apps"
 	"pathlog/internal/instrument"
-	"pathlog/internal/replay"
 	"pathlog/internal/static"
 )
 
@@ -123,6 +125,10 @@ type Config struct {
 	// TraceFleetMetricsOut, when set, writes both daemons' Prometheus-text
 	// /metrics scrapes here, each preceded by a "# scrape <url>" line.
 	TraceFleetMetricsOut string
+
+	// an memoises analysis Sessions by key for one Run or RunAll
+	// (withAnalyses).
+	an *sync.Map
 }
 
 // DefaultConfig returns the laptop-scale configuration used by tests.
@@ -227,38 +233,212 @@ func fmtDur(d time.Duration) string {
 // fmtPct renders a ratio as a percentage.
 func fmtPct(x float64) string { return fmt.Sprintf("%.0f%%", x*100) }
 
-// analyze runs both analyses over a scenario's neutral spec through the
-// Session API; the context bounds the concolic exploration.
-func analyze(ctx context.Context, s *core.Scenario, dynRuns int, libAsSymbolic bool) (instrument.Inputs, error) {
-	sess := pathlog.SessionOf(s,
-		pathlog.WithDynamicBudget(dynRuns, 0),
-		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: libAsSymbolic}))
-	return sess.Analyze(ctx)
+// withAnalyses returns the Config with a fresh analysis memo, unless it
+// already carries one: within one Run or RunAll each scenario family is
+// analysed once, however many tables plan from it (the uServer LC and HC
+// analyses serve Table 2, Figure 4, Tables 3/4/5/8, Compress and Summary).
+func (c Config) withAnalyses() Config {
+	if c.an == nil {
+		c.an = new(sync.Map)
+	}
+	return c
 }
 
-// record performs one user-site run under an explicit plan through the
-// Session API.
-func record(ctx context.Context, s *core.Scenario, plan *instrument.Plan) (*replay.Recording, *core.RecordStats, error) {
-	return pathlog.SessionOf(s).RecordWith(ctx, plan, nil)
+// analysis returns the analysis Session memoised under key, which names
+// the scenario family and its concolic budget. A Session caches its
+// analysis and plans, so sharing it shares both. Without a memo (an
+// experiment method called directly) every call gets a new Session.
+// Analysis Sessions log syscalls: PlanWith gives the plans with the log,
+// planFor derives those without it.
+func (c Config) analysis(key string, s *apps.Scenario, opts ...pathlog.Option) *pathlog.Session {
+	sess := pathlog.SessionOf(s, append(opts, pathlog.WithSyscallLog())...)
+	if c.an == nil {
+		return sess
+	}
+	memo, _ := c.an.LoadOrStore(key, sess)
+	return memo.(*pathlog.Session)
 }
 
-// measure averages the user-site wall time under a plan through the Session
-// API.
-func measure(ctx context.Context, s *core.Scenario, plan *instrument.Plan, rounds int) (time.Duration, *core.RecordStats, error) {
-	return pathlog.SessionOf(s).MeasureOverhead(ctx, plan, rounds)
+// coreutilAnalysis is the §5.2 analysis of one coreutil over its neutral
+// input space.
+func (c Config) coreutilAnalysis(s *apps.Scenario) *pathlog.Session {
+	return c.analysis(fmt.Sprintf("%s/%d", s.Name, c.CoreutilAnalysisRuns), s,
+		pathlog.WithDynamicBudget(c.CoreutilAnalysisRuns, 0))
 }
 
-// replay reproduces a recording under the Config's replay budget through the
-// Session API.
-func (c Config) replay(ctx context.Context, s *core.Scenario, rec *replay.Recording) (*replay.Result, error) {
-	sess := pathlog.SessionOf(s,
-		pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget))
-	return sess.Replay(ctx, rec)
+// uServerAnalysis is the §5.3 analysis at one concolic budget (LC or HC).
+// Pre-deployment exploration is seeded with developer test requests — the
+// paper's engine (Oasis) is "concolic execution driven by test suites",
+// and §6 notes that manual test cases boost coverage. The streams stay
+// fully symbolic; the seeds only pick the first paths. Static analysis
+// cannot process the merged library sources, so it runs on the application
+// only and treats every library branch as symbolic.
+func (c Config) uServerAnalysis(runs int) *pathlog.Session {
+	return c.analysis(fmt.Sprintf("userver/%d", runs), apps.UServerAnalysisScenario(),
+		pathlog.WithDynamicBudget(runs, 0),
+		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}))
 }
 
-// staticLibOpts is the §5.3 static configuration: library treated as
-// symbolic because the merged sources exceed the points-to analysis.
-func staticLibOpts() static.Options { return static.Options{LibAsSymbolic: true} }
+// uServerSession is the Session the uServer experiments beyond the paper's
+// tables (frontier, adaptive, store, corpus, fleet) run a scenario through:
+// planned from the §5.3 analysis at a concolic budget (LC or HC), with
+// syscall logging on; opts apply on top.
+func uServerSession(s *apps.Scenario, runs int, opts ...pathlog.Option) *pathlog.Session {
+	return pathlog.SessionOf(s, append([]pathlog.Option{
+		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		pathlog.WithDynamicBudget(runs, 0),
+		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
+		pathlog.WithSyscallLog(),
+	}, opts...)...)
+}
+
+// diffAnalysis is the §5.4 analysis: diff is input-heavy, so the concolic
+// budget achieves only partial coverage (the paper reports 20% after one
+// hour) while the full static analysis runs normally.
+func (c Config) diffAnalysis() (*pathlog.Session, error) {
+	s, err := apps.DiffExperimentScenario(1)
+	if err != nil {
+		return nil, err
+	}
+	return c.analysis(fmt.Sprintf("diff/%d", c.DiffAnalysisRuns), s,
+		pathlog.WithDynamicBudget(c.DiffAnalysisRuns, 0)), nil
+}
+
+// planFor builds method m's plan from an analysis Session's analysis, with
+// or without the syscall log. The Session's own plans log syscalls; a plan
+// without the log applies the same strategy to the Session's analysis, as
+// Session.Frontier applies its sweep.
+func planFor(ctx context.Context, an *pathlog.Session, m instrument.Method, logSyscalls bool) (*instrument.Plan, error) {
+	strat := pathlog.StrategyForMethod(m)
+	if logSyscalls {
+		return an.PlanWith(ctx, strat)
+	}
+	in, err := an.Analyze(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return strat.Plan(ctx, instrument.NewPlanContext(an.Program(), in, false))
+}
+
+// session builds the Session one table records, measures and replays a
+// scenario through, under the Config's replay budget; its plans come from
+// an analysis Session.
+func (c Config) session(s *apps.Scenario) *pathlog.Session {
+	return pathlog.SessionOf(s, pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget))
+}
+
+// replayRow is the replay tables' one driver (Tables 1, 3/4, 5/8, 6/7): it
+// records the scenario's crash under plan and replays the report, then adds
+// the row label plus (replay time, runs, reproduced) to times and, when
+// stats is non-nil, the label plus the logged and not-logged symbolic
+// branch locations/executions of the reproducing path to stats.
+func replayRow(ctx context.Context, sess *pathlog.Session, plan *instrument.Plan, label []string, times, stats *Table) error {
+	name := strings.Join(label, "/")
+	rec, _, err := sess.RecordWith(ctx, plan, nil)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	if rec == nil {
+		return fmt.Errorf("%s: user run did not crash", name)
+	}
+	res, err := sess.Replay(ctx, rec)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	cell := fmtDur(res.Elapsed)
+	if !res.Reproduced {
+		cell = Infinity
+	}
+	times.AddRow(append(slices.Clip(label), cell,
+		fmt.Sprintf("%d", res.Runs), fmt.Sprintf("%v", res.Reproduced))...)
+	if stats != nil {
+		logged, notLogged := "-", "-"
+		if res.Reproduced {
+			logged = fmt.Sprintf("%d / %d", res.SymLoggedLocs, res.SymLoggedExecs)
+			notLogged = fmt.Sprintf("%d / %d", res.SymNotLoggedLocs, res.SymNotLoggedExecs)
+		}
+		stats.AddRow(append(slices.Clip(label), logged, notLogged)...)
+	}
+	return nil
+}
+
+// methodRows replays scenario s under each method's plan from the analysis
+// Session, syscall log on, one replayRow per method labelled (first,
+// method).
+func (c Config) methodRows(ctx context.Context, an *pathlog.Session, s *apps.Scenario, first string, times, stats *Table) error {
+	sess := c.session(s)
+	for _, m := range instrument.Methods {
+		plan, err := planFor(ctx, an, m, true)
+		if err != nil {
+			return err
+		}
+		if err := replayRow(ctx, sess, plan, []string{first, m.String()}, times, stats); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// overheadTable is the CPU-time figures' one driver (Figures 2 and 5, Micro
+// 2): it measures the scenario under the uninstrumented baseline, then
+// under each method's plan from the analysis Session, one row each.
+func overheadTable(ctx context.Context, id, title string, an, sess *pathlog.Session, logSyscalls bool, rounds int) (*Table, error) {
+	t := &Table{
+		ID:    id,
+		Title: title,
+		Header: []string{"config", "instr. locations", "cpu time", "rel cpu",
+			"proj. native overhead", "logged bits"},
+	}
+	var baseline time.Duration
+	for _, m := range append([]instrument.Method{instrument.MethodNone}, instrument.Methods...) {
+		plan, err := planFor(ctx, an, m, logSyscalls)
+		if err != nil {
+			return nil, err
+		}
+		avg, stats, err := sess.MeasureOverhead(ctx, plan, rounds)
+		if err != nil {
+			return nil, err
+		}
+		if m == instrument.MethodNone {
+			baseline = avg
+		}
+		t.AddRow(m.String(), fmt.Sprintf("%d", plan.NumInstrumented()),
+			fmtDur(avg), relCPU(avg, baseline),
+			projectedOverhead(stats.TraceBits, stats.Steps),
+			fmt.Sprintf("%d", stats.TraceBits))
+	}
+	return t, nil
+}
+
+// branchRow is one Figure 1/3 histogram entry.
+type branchRow struct {
+	id       int
+	execs    int64
+	symExecs int64
+}
+
+// branchHistogram is the histogram figures' one probe (Figures 1 and 3):
+// the paper's "sample run with concrete inputs, recording per-branch
+// symbolic/concrete", i.e. one concolic run over the scenario's user
+// input, as per-location execution counts in branch order.
+func branchHistogram(ctx context.Context, s *apps.Scenario) ([]branchRow, error) {
+	spec, err := s.Spec.UserSpec(s.UserBytes)
+	if err != nil {
+		return nil, err
+	}
+	in, err := pathlog.SessionOf(s, pathlog.WithAnalysisSpec(spec),
+		pathlog.WithDynamicBudget(1, 0)).Analyze(ctx)
+	if err != nil {
+		return nil, err
+	}
+	rep := in.Dynamic
+	rows := make([]branchRow, 0, len(rep.ExecCount))
+	for id, n := range rep.ExecCount {
+		rows = append(rows, branchRow{id: int(id), execs: n, symExecs: rep.SymExecCount[id]})
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
+	return rows, nil
+}
 
 // overheadPct computes (instrumented - baseline) / baseline.
 func overheadPct(instrumented, baseline time.Duration) float64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"pathlog"
 	"pathlog/internal/apps"
 	"pathlog/internal/instrument"
 )
@@ -15,14 +16,23 @@ import (
 // harness reports the same quantities for this VM.
 func (c Config) MicroLoop(ctx context.Context) (*Table, error) {
 	s := apps.MicroLoopScenario(c.MicroLoopIters)
-	none := s.Plan(instrument.MethodNone, instrument.Inputs{}, false)
-	all := s.Plan(instrument.MethodAll, instrument.Inputs{}, false)
-
-	baseline, baseStats, err := measure(ctx, s, none, c.OverheadRounds)
+	sess := c.session(s)
+	// Neither plan consults an analysis, so none runs.
+	pc := instrument.NewPlanContext(s.Prog, instrument.Inputs{}, false)
+	none, err := pathlog.None().Plan(ctx, pc)
 	if err != nil {
 		return nil, err
 	}
-	logged, allStats, err := measure(ctx, s, all, c.OverheadRounds)
+	all, err := pathlog.All().Plan(ctx, pc)
+	if err != nil {
+		return nil, err
+	}
+
+	baseline, baseStats, err := sess.MeasureOverhead(ctx, none, c.OverheadRounds)
+	if err != nil {
+		return nil, err
+	}
+	logged, allStats, err := sess.MeasureOverhead(ctx, all, c.OverheadRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -56,34 +66,11 @@ func (c Config) MicroLoop(ctx context.Context) (*Table, error) {
 // iteration (the paper's 110%).
 func (c Config) MicroFib(ctx context.Context) (*Table, error) {
 	s := apps.MicroFibScenario('b') // fibonacci(40): the longer loop
-	in, err := analyze(ctx, apps.AnalysisSpec(s), 60, false)
+	an := c.analysis("micro-fib/60", s, pathlog.WithDynamicBudget(60, 0))
+	t, err := overheadTable(ctx, "Micro 2", "Listing 1 (fibonacci) under all configurations",
+		an, c.session(s), false, c.SmallWorkloadRounds)
 	if err != nil {
 		return nil, err
-	}
-
-	t := &Table{
-		ID:    "Micro 2",
-		Title: "Listing 1 (fibonacci) under all configurations",
-		Header: []string{"config", "instr. locations", "cpu time", "rel cpu",
-			"proj. native overhead", "logged bits"},
-	}
-	none := s.Plan(instrument.MethodNone, in, false)
-	baseline, _, err := measure(ctx, s, none, c.SmallWorkloadRounds)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("none", "0", fmtDur(baseline), "100%", "+0%", "0")
-	for _, m := range instrument.Methods {
-		plan := s.Plan(m, in, false)
-		avg, stats, err := measure(ctx, s, plan, c.SmallWorkloadRounds)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m.String(),
-			fmt.Sprintf("%d", plan.NumInstrumented()),
-			fmtDur(avg), relCPU(avg, baseline),
-			projectedOverhead(stats.TraceBits, stats.Steps),
-			fmt.Sprintf("%d", stats.TraceBits))
 	}
 	t.Notes = append(t.Notes,
 		"paper: selective methods log exactly the 2 option branches; all branches suffers ~110%",

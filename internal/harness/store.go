@@ -7,7 +7,6 @@ import (
 
 	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/static"
 )
 
 // Store proves the deployment-lifecycle claim the plan store exists for: a
@@ -36,11 +35,7 @@ func (c Config) Store(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pathlog.SessionOf(s, append([]pathlog.Option{
-			pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-			pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-			pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-			pathlog.WithSyscallLog(),
+		return uServerSession(s, c.UServerAnalysisRunsLC, append([]pathlog.Option{
 			pathlog.WithStrategy(pathlog.Dynamic()),
 			pathlog.WithReplayBudget(c.ReplayMaxRuns, c.ReplayBudget),
 		}, opts...)...), nil

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 )
 
@@ -23,14 +23,21 @@ func (c Config) Summary(ctx context.Context) (*Table, error) {
 			"reduction", "static locs", "dyn+static locs"},
 	}
 
-	emit := func(name string, scn *core.Scenario, in instrument.Inputs) error {
-		stPlan := scn.Plan(instrument.MethodStatic, in, true)
-		dsPlan := scn.Plan(instrument.MethodDynamicStatic, in, true)
-		_, stStats, err := measure(ctx, scn, stPlan, 1)
+	emit := func(name string, s *apps.Scenario, an *pathlog.Session) error {
+		stPlan, err := planFor(ctx, an, instrument.MethodStatic, true)
 		if err != nil {
 			return err
 		}
-		_, dsStats, err := measure(ctx, scn, dsPlan, 1)
+		dsPlan, err := planFor(ctx, an, instrument.MethodDynamicStatic, true)
+		if err != nil {
+			return err
+		}
+		sess := c.session(s)
+		_, stStats, err := sess.MeasureOverhead(ctx, stPlan, 1)
+		if err != nil {
+			return err
+		}
+		_, dsStats, err := sess.MeasureOverhead(ctx, dsPlan, 1)
 		if err != nil {
 			return err
 		}
@@ -52,30 +59,22 @@ func (c Config) Summary(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkIn, err := analyze(ctx, apps.AnalysisSpec(mk), c.CoreutilAnalysisRuns, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := emit("mkdir", mk, mkIn); err != nil {
+	if err := emit("mkdir", mk, c.coreutilAnalysis(mk)); err != nil {
 		return nil, err
 	}
 	us := apps.UServerLoadScenario(c.UServerLoadRequests, apps.DefaultHTTPRequest)
-	uan, err := c.uServerAnalyses(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := emit("userver", us, uan.hc); err != nil {
+	if err := emit("userver", us, c.uServerAnalysis(c.UServerAnalysisRunsHC)); err != nil {
 		return nil, err
 	}
 	df, err := apps.DiffExperimentScenario(1)
 	if err != nil {
 		return nil, err
 	}
-	dfIn, err := c.diffAnalyses(ctx)
+	dfAn, err := c.diffAnalysis()
 	if err != nil {
 		return nil, err
 	}
-	if err := emit("diff", df, dfIn); err != nil {
+	if err := emit("diff", df, dfAn); err != nil {
 		return nil, err
 	}
 	t.Notes = append(t.Notes,
@@ -91,77 +90,71 @@ var Experiments = []string{
 	"figure5", "table6", "table7", "compress", "frontier", "adaptive", "store", "corpus", "fleet", "fleetreplay", "tracefleet", "summary",
 }
 
+// experiments maps each experiment name to the tables it renders; a pair
+// of tables (3/4, 5/8, 6/7) answers to both of its names.
+var experiments = map[string]func(Config, context.Context) ([]*Table, error){
+	"micro-loop":  one(Config.MicroLoop),
+	"micro-fib":   one(Config.MicroFib),
+	"figure1":     one(Config.Figure1),
+	"figure2":     one(Config.Figure2),
+	"table1":      one(Config.Table1),
+	"figure3":     one(Config.Figure3),
+	"table2":      one(Config.Table2),
+	"figure4":     one(Config.Figure4),
+	"table3":      two(Config.Tables3and4),
+	"table4":      two(Config.Tables3and4),
+	"table5":      two(Config.Tables5and8),
+	"table8":      two(Config.Tables5and8),
+	"figure5":     one(Config.Figure5),
+	"table6":      two(Config.Tables6and7),
+	"table7":      two(Config.Tables6and7),
+	"compress":    one(Config.Compress),
+	"frontier":    one(Config.Frontier),
+	"adaptive":    one(Config.Adaptive),
+	"store":       one(Config.Store),
+	"corpus":      one(Config.Corpus),
+	"fleet":       one(Config.Fleet),
+	"fleetreplay": one(Config.FleetReplay),
+	"tracefleet":  one(Config.TraceFleet),
+	"summary":     one(Config.Summary),
+}
+
+func one(f func(Config, context.Context) (*Table, error)) func(Config, context.Context) ([]*Table, error) {
+	return func(c Config, ctx context.Context) ([]*Table, error) {
+		t, err := f(c, ctx)
+		return []*Table{t}, err
+	}
+}
+
+func two(f func(Config, context.Context) (*Table, *Table, error)) func(Config, context.Context) ([]*Table, error) {
+	return func(c Config, ctx context.Context) ([]*Table, error) {
+		a, b, err := f(c, ctx)
+		return []*Table{a, b}, err
+	}
+}
+
 // Run executes one named experiment and renders it to w. The context
 // cancels analysis and replay work in flight.
 func (c Config) Run(ctx context.Context, name string, w io.Writer) error {
-	render := func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
+	run, ok := experiments[name]
+	if !ok {
+		return fmt.Errorf("harness: unknown experiment %q (known: %v)", name, Experiments)
+	}
+	tables, err := run(c.withAnalyses(), ctx)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
 		t.Render(w)
-		return nil
 	}
-	render2 := func(a, b *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		a.Render(w)
-		b.Render(w)
-		return nil
-	}
-	switch name {
-	case "micro-loop":
-		return render(c.MicroLoop(ctx))
-	case "micro-fib":
-		return render(c.MicroFib(ctx))
-	case "figure1":
-		return render(c.Figure1(ctx))
-	case "figure2":
-		return render(c.Figure2(ctx))
-	case "table1":
-		return render(c.Table1(ctx))
-	case "figure3":
-		return render(c.Figure3(ctx))
-	case "table2":
-		return render(c.Table2(ctx))
-	case "figure4":
-		return render(c.Figure4(ctx))
-	case "table3", "table4":
-		a, b, err := c.Tables3and4(ctx)
-		return render2(a, b, err)
-	case "table5", "table8":
-		a, b, err := c.Tables5and8(ctx)
-		return render2(a, b, err)
-	case "figure5":
-		return render(c.Figure5(ctx))
-	case "table6", "table7":
-		a, b, err := c.Tables6and7(ctx)
-		return render2(a, b, err)
-	case "compress":
-		return render(c.Compress(ctx))
-	case "frontier":
-		return render(c.Frontier(ctx))
-	case "adaptive":
-		return render(c.Adaptive(ctx))
-	case "store":
-		return render(c.Store(ctx))
-	case "corpus":
-		return render(c.Corpus(ctx))
-	case "fleet":
-		return render(c.Fleet(ctx))
-	case "fleetreplay":
-		return render(c.FleetReplay(ctx))
-	case "tracefleet":
-		return render(c.TraceFleet(ctx))
-	case "summary":
-		return render(c.Summary(ctx))
-	}
-	return fmt.Errorf("harness: unknown experiment %q (known: %v)", name, Experiments)
+	return nil
 }
 
 // RunAll executes every experiment in presentation order, skipping the
-// second name of rendered pairs.
+// second name of rendered pairs. Each scenario family is analysed once for
+// all the tables that plan from it.
 func (c Config) RunAll(ctx context.Context, w io.Writer) error {
+	c = c.withAnalyses()
 	skip := map[string]bool{"table4": true, "table8": true, "table7": true}
 	for _, name := range Experiments {
 		if skip[name] {

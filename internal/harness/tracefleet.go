@@ -18,7 +18,6 @@ import (
 	"pathlog"
 	"pathlog/internal/apps"
 	"pathlog/internal/obs"
-	"pathlog/internal/static"
 )
 
 // TraceFleet drives the unified observability layer end to end across
@@ -85,41 +84,24 @@ func (c Config) traceFleet(ctx context.Context) (*traceFleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := pathlog.SessionOf(s3,
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
-		pathlog.WithDynamicBudget(c.UServerAnalysisRunsLC, 0),
-		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
-		pathlog.WithSyscallLog(),
+	sess := uServerSession(s3, c.UServerAnalysisRunsLC,
 		pathlog.WithStrategy(pathlog.Dynamic()),
 		pathlog.WithPlanStore(storeDir),
 	)
-	plan, err := sess.Plan(ctx)
+	members, err := corpusMembers(ctx, sess)
 	if err != nil {
 		return nil, err
 	}
-	for i, exp := range []int{1, 2, 4} {
-		se, err := apps.UServerScenario(exp, 72)
+	for i, m := range members {
+		data, err := m.Rec.EncodeRef()
 		if err != nil {
 			return nil, err
 		}
-		rec, _, err := sess.RecordWith(ctx, plan, se.UserBytes)
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil {
-			return nil, fmt.Errorf("harness: uServer experiment %d did not crash", exp)
-		}
-		data, err := rec.EncodeRef()
-		if err != nil {
-			return nil, err
-		}
-		path := filepath.Join(reportsDir, fmt.Sprintf("report-%d.json", exp))
+		path := filepath.Join(reportsDir, fmt.Sprintf("report-%d.json", corpusExps[i]))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return nil, err
 		}
-		// Staggered mtimes keep the recency weights deterministic.
-		mt := time.Unix(1_700_000_000, 0).Add(time.Duration(i) * time.Hour)
-		if err := os.Chtimes(path, mt, mt); err != nil {
+		if err := os.Chtimes(path, m.ModTime, m.ModTime); err != nil {
 			return nil, err
 		}
 	}

@@ -3,44 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 
+	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/concolic"
-	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/lang"
-	"pathlog/internal/replay"
 )
-
-// uServer analysis results are shared across Table 2, Figure 4 and Tables
-// 3/4/5/8; uAnalyses computes them once per Config use.
-type uAnalyses struct {
-	lc instrument.Inputs
-	hc instrument.Inputs
-}
-
-func (c Config) uServerAnalyses(ctx context.Context) (uAnalyses, error) {
-	// Pre-deployment exploration is seeded with developer test requests —
-	// the paper's engine (Oasis) is "concolic execution driven by test
-	// suites", and §6 notes that manual test cases boost coverage. The
-	// streams stay fully symbolic; the seeds only pick the first paths.
-	an := apps.UServerAnalysisScenario()
-	// §5.3: static analysis cannot process the merged library sources, so it
-	// runs on the application only and treats every library branch as
-	// symbolic. The static report is shared between the two coverage levels
-	// (only the concolic budget differs), so run it once.
-	lcDyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: c.UServerAnalysisRunsLC})
-	hcDyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: c.UServerAnalysisRunsHC})
-	if err := ctx.Err(); err != nil {
-		return uAnalyses{}, err
-	}
-	stat := an.AnalyzeStatic(staticLibOpts())
-	return uAnalyses{
-		lc: instrument.Inputs{Dynamic: lcDyn, Static: stat},
-		hc: instrument.Inputs{Dynamic: hcDyn, Static: stat},
-	}, nil
-}
 
 // Figure3 reproduces the uServer branch histogram: per-location execution
 // counts split between application and library code. The paper observes ~18M
@@ -48,16 +16,10 @@ func (c Config) uServerAnalyses(ctx context.Context) (uAnalyses, error) {
 // 28% of symbolic executions there.
 func (c Config) Figure3(ctx context.Context) (*Table, error) {
 	s := apps.UServerLoadScenario(c.UServerLoadRequests, apps.DefaultHTTPRequest)
-	sample := &core.Scenario{Name: s.Name, Prog: s.Prog, Spec: mustUserSpec(s)}
-	// One concolic run over the user input — a sampling probe, so the static
-	// half of the full analysis pipeline is not wanted here.
-	rep := sample.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 1})
-
-	var rows []branchRow
-	for id, n := range rep.ExecCount {
-		rows = append(rows, branchRow{id: int(id), execs: n, symExecs: rep.SymExecCount[id]})
+	rows, err := branchHistogram(ctx, s)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 
 	t := &Table{
 		ID:     "Figure 3",
@@ -85,27 +47,16 @@ func (c Config) Figure3(ctx context.Context) (*Table, error) {
 		fmt.Sprintf("total branch executions: %d; symbolic: %d (%.0f%%; paper ~10%%)",
 			total, sym, 100*float64(sym)/float64(total)),
 		fmt.Sprintf("library share of executions: %.0f%% (paper 81%%); of symbolic executions: %.0f%% (paper 28%%)",
-			100*float64(libExecs)/float64(total), 100*float64(libSym)/float64(max64(sym, 1))),
+			100*float64(libExecs)/float64(total), 100*float64(libSym)/float64(max(sym, 1))),
 		fmt.Sprintf("symbolic branch locations: %d (paper: 53)", symLocs))
 	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table2 reproduces the uServer instrumented-branch-location counts for the
 // four methods under low and high analysis coverage.
 func (c Config) Table2(ctx context.Context) (*Table, error) {
-	an, err := c.uServerAnalyses(ctx)
-	if err != nil {
-		return nil, err
-	}
-	prog := apps.UServerProgram()
-	s := apps.UServerLoadScenario(2, apps.DefaultHTTPRequest)
+	lc, hc := c.uServerAnalysis(c.UServerAnalysisRunsLC), c.uServerAnalysis(c.UServerAnalysisRunsHC)
+	prog := hc.Program()
 
 	t := &Table{
 		ID:     "Table 2",
@@ -113,8 +64,14 @@ func (c Config) Table2(ctx context.Context) (*Table, error) {
 		Header: []string{"config", "LC", "HC", "LC app/lib", "HC app/lib"},
 	}
 	for _, m := range instrument.Methods {
-		lcPlan := s.Plan(m, an.lc, true)
-		hcPlan := s.Plan(m, an.hc, true)
+		lcPlan, err := planFor(ctx, lc, m, true)
+		if err != nil {
+			return nil, err
+		}
+		hcPlan, err := planFor(ctx, hc, m, true)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(m.String(),
 			fmt.Sprintf("%d", lcPlan.NumInstrumented()),
 			fmt.Sprintf("%d", hcPlan.NumInstrumented()),
@@ -135,11 +92,8 @@ func (c Config) Table2(ctx context.Context) (*Table, error) {
 // configuration: dynamic and dynamic+static at both coverages, static, all
 // branches, against the uninstrumented baseline.
 func (c Config) Figure4(ctx context.Context) (*Table, error) {
-	an, err := c.uServerAnalyses(ctx)
-	if err != nil {
-		return nil, err
-	}
-	s := apps.UServerLoadScenario(c.UServerLoadRequests, apps.DefaultHTTPRequest)
+	lc, hc := c.uServerAnalysis(c.UServerAnalysisRunsLC), c.uServerAnalysis(c.UServerAnalysisRunsHC)
+	sess := c.session(apps.UServerLoadScenario(c.UServerLoadRequests, apps.DefaultHTTPRequest))
 
 	t := &Table{
 		ID:    "Figure 4",
@@ -147,8 +101,11 @@ func (c Config) Figure4(ctx context.Context) (*Table, error) {
 		Header: []string{"config", "instr. locations", "cpu time", "rel cpu",
 			"proj. native overhead", "storage bytes", "bytes/request", "syslog bytes"},
 	}
-	none := s.Plan(instrument.MethodNone, instrument.Inputs{}, false)
-	baseline, _, err := measure(ctx, s, none, c.OverheadRounds)
+	none, err := planFor(ctx, hc, instrument.MethodNone, false)
+	if err != nil {
+		return nil, err
+	}
+	baseline, _, err := sess.MeasureOverhead(ctx, none, c.OverheadRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -157,19 +114,22 @@ func (c Config) Figure4(ctx context.Context) (*Table, error) {
 	type cfg struct {
 		label string
 		m     instrument.Method
-		in    instrument.Inputs
+		an    *pathlog.Session
 	}
 	cfgs := []cfg{
-		{"dynamic (lc)", instrument.MethodDynamic, an.lc},
-		{"dynamic (hc)", instrument.MethodDynamic, an.hc},
-		{"dynamic+static (lc)", instrument.MethodDynamicStatic, an.lc},
-		{"dynamic+static (hc)", instrument.MethodDynamicStatic, an.hc},
-		{"static", instrument.MethodStatic, an.hc},
-		{"all branches", instrument.MethodAll, an.hc},
+		{"dynamic (lc)", instrument.MethodDynamic, lc},
+		{"dynamic (hc)", instrument.MethodDynamic, hc},
+		{"dynamic+static (lc)", instrument.MethodDynamicStatic, lc},
+		{"dynamic+static (hc)", instrument.MethodDynamicStatic, hc},
+		{"static", instrument.MethodStatic, hc},
+		{"all branches", instrument.MethodAll, hc},
 	}
 	for _, cf := range cfgs {
-		plan := s.Plan(cf.m, cf.in, true)
-		avg, stats, err := measure(ctx, s, plan, c.OverheadRounds)
+		plan, err := planFor(ctx, cf.an, cf.m, true)
+		if err != nil {
+			return nil, err
+		}
+		avg, stats, err := sess.MeasureOverhead(ctx, plan, c.OverheadRounds)
 		if err != nil {
 			return nil, err
 		}
@@ -187,22 +147,12 @@ func (c Config) Figure4(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// replayCell renders a replay result as the paper's tables do.
-func replayCell(res *replay.Result) string {
-	if !res.Reproduced {
-		return Infinity
-	}
-	return fmtDur(res.Elapsed)
-}
-
-// uServerReplayConfigs enumerates the LC/HC × method grid of Table 3.
-type uReplayRow struct {
+// uReplayRows is the LC/HC × method grid of Tables 3/4 and 5/8.
+var uReplayRows = []struct {
 	label string
 	m     instrument.Method
 	lc    bool
-}
-
-var uReplayRows = []uReplayRow{
+}{
 	{"dynamic", instrument.MethodDynamic, true},
 	{"dynamic", instrument.MethodDynamic, false},
 	{"dynamic+static", instrument.MethodDynamicStatic, true},
@@ -211,151 +161,88 @@ var uReplayRows = []uReplayRow{
 	{"all branches", instrument.MethodAll, false},
 }
 
+// uServerReplay reproduces the given uServer experiments under every row
+// of the grid, with or without syscall-result logging: replay times go to
+// times (Table 3 or 5), symbolic branch statistics to stats (Table 4 or 8).
+func (c Config) uServerReplay(ctx context.Context, exps []int, logSyscalls bool, times, stats *Table) (*Table, *Table, error) {
+	times.Header = []string{"exp", "config", "coverage", "replay time", "runs", "reproduced"}
+	stats.Header = []string{"exp", "config", "coverage", "logged locs/execs", "NOT logged locs/execs"}
+	lc, hc := c.uServerAnalysis(c.UServerAnalysisRunsLC), c.uServerAnalysis(c.UServerAnalysisRunsHC)
+	for _, exp := range exps {
+		s, err := apps.UServerScenario(exp, 72)
+		if err != nil {
+			return nil, nil, err
+		}
+		sess := c.session(s)
+		for _, row := range uReplayRows {
+			an, cov := hc, "HC"
+			if row.lc {
+				an, cov = lc, "LC"
+			}
+			if row.m == instrument.MethodStatic || row.m == instrument.MethodAll {
+				cov = "-"
+			}
+			plan, err := planFor(ctx, an, row.m, logSyscalls)
+			if err != nil {
+				return nil, nil, err
+			}
+			label := []string{fmt.Sprintf("%d", exp), row.label, cov}
+			if err := replayRow(ctx, sess, plan, label, times, stats); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return times, stats, nil
+}
+
 // Tables3and4 reproduces the uServer replay-time matrix (Table 3) and the
 // logged/not-logged symbolic-branch statistics (Table 4) in one pass over
 // the five input scenarios.
 func (c Config) Tables3and4(ctx context.Context) (*Table, *Table, error) {
-	an, err := c.uServerAnalyses(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	t3 := &Table{
-		ID:     "Table 3",
-		Title:  "uServer bug reproduction times, five input scenarios",
-		Header: []string{"exp", "config", "coverage", "replay time", "runs", "reproduced"},
-	}
-	t4 := &Table{
+	return c.uServerReplay(ctx, []int{1, 2, 3, 4, 5}, true, &Table{
+		ID:    "Table 3",
+		Title: "uServer bug reproduction times, five input scenarios",
+		Notes: []string{
+			"paper: all branches and static fastest; dynamic+static slightly slower; dynamic worst,",
+			"with several LC entries not finishing within one hour (inf)"},
+	}, &Table{
 		ID:    "Table 4",
 		Title: "symbolic branch locations/executions logged and not logged",
-		Header: []string{"exp", "config", "coverage", "logged locs/execs",
-			"NOT logged locs/execs"},
-	}
-	for exp := 1; exp <= len(apps.UServerExperiments); exp++ {
-		s, err := apps.UServerScenario(exp, 72)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, rowCfg := range uReplayRows {
-			in := an.hc
-			cov := "HC"
-			if rowCfg.lc {
-				in = an.lc
-				cov = "LC"
-			}
-			if rowCfg.m == instrument.MethodStatic || rowCfg.m == instrument.MethodAll {
-				cov = "-"
-			}
-			plan := s.Plan(rowCfg.m, in, true)
-			rec, _, err := record(ctx, s, plan)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp%d/%s: %w", exp, rowCfg.label, err)
-			}
-			if rec == nil {
-				return nil, nil, fmt.Errorf("exp%d/%s: no crash", exp, rowCfg.label)
-			}
-			res, err := c.replay(ctx, s, rec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp%d/%s: %w", exp, rowCfg.label, err)
-			}
-			t3.AddRow(fmt.Sprintf("%d", exp), rowCfg.label, cov, replayCell(res),
-				fmt.Sprintf("%d", res.Runs), fmt.Sprintf("%v", res.Reproduced))
-			logged := "-"
-			notLogged := "-"
-			if res.Reproduced {
-				logged = fmt.Sprintf("%d / %d", res.SymLoggedLocs, res.SymLoggedExecs)
-				notLogged = fmt.Sprintf("%d / %d", res.SymNotLoggedLocs, res.SymNotLoggedExecs)
-			}
-			t4.AddRow(fmt.Sprintf("%d", exp), rowCfg.label, cov, logged, notLogged)
-		}
-	}
-	t3.Notes = append(t3.Notes,
-		"paper: all branches and static fastest; dynamic+static slightly slower; dynamic worst,",
-		"with several LC entries not finishing within one hour (inf)")
-	t4.Notes = append(t4.Notes,
-		"paper: replay time correlates with NOT-logged symbolic branch locations;",
-		"static and all branches always show 0 not logged")
-	return t3, t4, nil
+		Notes: []string{
+			"paper: replay time correlates with NOT-logged symbolic branch locations;",
+			"static and all branches always show 0 not logged"},
+	})
 }
 
 // Tables5and8 reproduces the no-syscall-logging experiments: replay times
-// (Table 5) and branch statistics (Table 8) for experiments 1 and 4.
+// (Table 5) and branch statistics (Table 8) for experiments 1 and 4. The
+// recordings carry no syscall results, so replay falls back to the §3.3
+// models.
 func (c Config) Tables5and8(ctx context.Context) (*Table, *Table, error) {
-	an, err := c.uServerAnalyses(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	t5 := &Table{
-		ID:     "Table 5",
-		Title:  "uServer reproduction times without syscall-result logging (exps 1, 4)",
-		Header: []string{"exp", "config", "coverage", "replay time", "runs", "reproduced"},
-	}
-	t8 := &Table{
+	return c.uServerReplay(ctx, []int{1, 4}, false, &Table{
+		ID:    "Table 5",
+		Title: "uServer reproduction times without syscall-result logging (exps 1, 4)",
+		Notes: []string{
+			"paper: all configurations take significantly longer than with syscall logging (Table 3);",
+			"the engine must search for the results of the modeled system calls"},
+	}, &Table{
 		ID:    "Table 8",
 		Title: "symbolic branch stats without syscall-result logging (exps 1, 4)",
-		Header: []string{"exp", "config", "coverage", "logged locs/execs",
-			"NOT logged locs/execs"},
-	}
-	for _, exp := range []int{1, 4} {
-		s, err := apps.UServerScenario(exp, 72)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, rowCfg := range uReplayRows {
-			in := an.hc
-			cov := "HC"
-			if rowCfg.lc {
-				in = an.lc
-				cov = "LC"
-			}
-			if rowCfg.m == instrument.MethodStatic || rowCfg.m == instrument.MethodAll {
-				cov = "-"
-			}
-			// Plans without syscall logging: the recording carries no
-			// syscall results, so replay falls back to the §3.3 models.
-			plan := s.Plan(rowCfg.m, in, false)
-			rec, _, err := record(ctx, s, plan)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp%d/%s: %w", exp, rowCfg.label, err)
-			}
-			if rec == nil {
-				return nil, nil, fmt.Errorf("exp%d/%s: no crash", exp, rowCfg.label)
-			}
-			res, err := c.replay(ctx, s, rec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp%d/%s: %w", exp, rowCfg.label, err)
-			}
-			t5.AddRow(fmt.Sprintf("%d", exp), rowCfg.label, cov, replayCell(res),
-				fmt.Sprintf("%d", res.Runs), fmt.Sprintf("%v", res.Reproduced))
-			logged := "-"
-			notLogged := "-"
-			if res.Reproduced {
-				logged = fmt.Sprintf("%d / %d", res.SymLoggedLocs, res.SymLoggedExecs)
-				notLogged = fmt.Sprintf("%d / %d", res.SymNotLoggedLocs, res.SymNotLoggedExecs)
-			}
-			t8.AddRow(fmt.Sprintf("%d", exp), rowCfg.label, cov, logged, notLogged)
-		}
-	}
-	t5.Notes = append(t5.Notes,
-		"paper: all configurations take significantly longer than with syscall logging (Table 3);",
-		"the engine must search for the results of the modeled system calls")
-	t8.Notes = append(t8.Notes,
-		"paper: modeled syscall results add symbolic executions that no branch log covers")
-	return t5, t8, nil
+		Notes: []string{
+			"paper: modeled syscall results add symbolic executions that no branch log covers"},
+	})
 }
 
 // Compress reports the branch-log gzip compression ratio (§5.3 text:
 // 10-20x). The load workload is re-armed with the crash signal so Record
 // yields a recording whose trace can be compressed.
 func (c Config) Compress(ctx context.Context) (*Table, error) {
-	an, err := c.uServerAnalyses(ctx)
-	if err != nil {
-		return nil, err
-	}
-	load := apps.UServerLoadScenario(c.UServerLoadRequests, apps.DefaultHTTPRequest)
-	crashSpec := *load.Spec
+	hc := c.uServerAnalysis(c.UServerAnalysisRunsHC)
+	s := apps.UServerLoadScenario(c.UServerLoadRequests, apps.DefaultHTTPRequest)
+	crashSpec := *s.Spec
 	crashSpec.CrashSignalAfterConns = true
-	s := &core.Scenario{Name: "compress", Prog: load.Prog, Spec: &crashSpec,
-		UserBytes: load.UserBytes}
+	s.Name, s.Spec = "compress", &crashSpec
+	sess := c.session(s)
 
 	t := &Table{
 		ID:     "Compression",
@@ -363,8 +250,11 @@ func (c Config) Compress(ctx context.Context) (*Table, error) {
 		Header: []string{"config", "raw bytes", "ratio"},
 	}
 	for _, m := range []instrument.Method{instrument.MethodStatic, instrument.MethodAll} {
-		plan := s.Plan(m, an.hc, false)
-		rec, _, err := record(ctx, s, plan)
+		plan, err := planFor(ctx, hc, m, false)
+		if err != nil {
+			return nil, err
+		}
+		rec, _, err := sess.RecordWith(ctx, plan, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -9,10 +9,12 @@ import (
 
 	"pathlog/internal/apps"
 	"pathlog/internal/concolic"
+	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/lang"
 	"pathlog/internal/replay"
 	"pathlog/internal/static"
+	"pathlog/internal/world"
 )
 
 // checkMemo holds one plan's compiled form to its fields: the memoised
@@ -105,8 +107,9 @@ func memoScenarios(t *testing.T) []memoScenario {
 		in, ok := analyses[an.Prog]
 		if !ok {
 			in = instrument.Inputs{
-				Dynamic: an.AnalyzeDynamicContext(context.Background(), concolic.Options{MaxRuns: 8}),
-				Static:  an.AnalyzeStatic(static.Options{}),
+				Dynamic: concolic.New(an.Prog, an.Spec, world.NewRegistry(an.Spec),
+					concolic.Options{MaxRuns: 8}).Explore(context.Background()),
+				Static: static.Analyze(an.Prog, static.Options{}),
 			}
 			analyses[an.Prog] = in
 		}
@@ -115,7 +118,7 @@ func memoScenarios(t *testing.T) []memoScenario {
 			prog: s.Prog,
 			pc:   instrument.NewPlanContext(s.Prog, in, true),
 			rec: func(p *instrument.Plan) *replay.Recording {
-				rec, _, err := s.RecordContext(context.Background(), p)
+				rec, _, err := core.Record(context.Background(), nil, s.Prog, s.Spec, s.UserBytes, p)
 				if err != nil {
 					t.Fatalf("%s: record: %v", name, err)
 				}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"pathlog"
 	"pathlog/internal/apps"
-	"pathlog/internal/concolic"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/ir"
@@ -66,7 +66,7 @@ func planMatrix() []planMatrixRow {
 // runs); the syscall log is stripped for the model-mode search of §3.3.
 func TestPlanMatrixNeverNeedsMoreRuns(t *testing.T) {
 	ctx := context.Background()
-	scns := make([]*core.Scenario, 5)
+	scns := make([]*apps.Scenario, 5)
 	for i := range scns {
 		scn, err := apps.ScenarioByName(fmt.Sprintf("userver-exp%d", i+1))
 		if err != nil {
@@ -76,10 +76,9 @@ func TestPlanMatrixNeverNeedsMoreRuns(t *testing.T) {
 	}
 	// Every experiment runs the one uServer program, so one analysis
 	// serves them all (pinnedAnalyses shows the identical fingerprints).
-	an := apps.AnalysisScenarioFor(scns[0].Name, scns[0])
 	in := instrument.Inputs{
-		Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(scns[0].Name)}),
-		Static:  scns[0].AnalyzeStatic(static.Options{LibAsSymbolic: true}),
+		Dynamic: explore(ctx, apps.AnalysisScenarioFor(scns[0].Name, scns[0]), analysisRuns(scns[0].Name), nil),
+		Static:  static.Analyze(scns[0].Prog, static.Options{LibAsSymbolic: true}),
 	}
 	for _, row := range planMatrix() {
 		mode := "syslog"
@@ -96,15 +95,15 @@ func TestPlanMatrixNeverNeedsMoreRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec, _, err := scn.RecordContext(ctx, plan)
+				rec, _, err := core.Record(ctx, nil, scn.Prog, scn.Spec, scn.UserBytes, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !row.syslog {
-					rec = core.StripSyslog(rec)
+					rec = pathlog.StripSyscallLog(rec)
 				}
-				res := scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: planMatrixBudget})
-				if !res.Reproduced || !scn.VerifyInput(res.InputBytes, rec.Crash) {
+				res := reproduce(ctx, scn, rec, replay.Options{MaxRuns: planMatrixBudget})
+				if !res.Reproduced || !verify(scn, res, rec, nil) {
 					t.Fatalf("lost a reproduction: reproduced %v after %d runs", res.Reproduced, res.Runs)
 				}
 				if res.Runs > bound {
@@ -128,7 +127,7 @@ const ladderBudget = 1000
 // did not expand.
 func TestLadderReproduces(t *testing.T) {
 	ctx := context.Background()
-	scns := make([]*core.Scenario, 5)
+	scns := make([]*apps.Scenario, 5)
 	for i := range scns {
 		scn, err := apps.ScenarioByName(fmt.Sprintf("userver-exp%d", i+1))
 		if err != nil {
@@ -136,10 +135,9 @@ func TestLadderReproduces(t *testing.T) {
 		}
 		scns[i] = scn
 	}
-	an := apps.AnalysisScenarioFor(scns[0].Name, scns[0])
 	in := instrument.Inputs{
-		Dynamic: an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(scns[0].Name)}),
-		Static:  scns[0].AnalyzeStatic(static.Options{LibAsSymbolic: true}),
+		Dynamic: explore(ctx, apps.AnalysisScenarioFor(scns[0].Name, scns[0]), analysisRuns(scns[0].Name), nil),
+		Static:  static.Analyze(scns[0].Prog, static.Options{LibAsSymbolic: true}),
 	}
 	for _, k := range []int{0, 5, 21, 42, 60, 84, 120, 168} {
 		strat := instrument.Budgeted(instrument.All(), k)
@@ -149,14 +147,14 @@ func TestLadderReproduces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec, _, err := scn.RecordContext(ctx, plan)
+				rec, _, err := core.Record(ctx, nil, scn.Prog, scn.Spec, scn.UserBytes, plan)
 				if err != nil || rec == nil {
 					t.Fatalf("record: %v", err)
 				}
 				reg := obs.NewRegistry()
 				oracle := newPathOracle(ir.Engine)
-				res := scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: ladderBudget, Engine: oracle.factory, Obs: reg})
-				if !res.Reproduced || !scn.VerifyInput(res.InputBytes, rec.Crash) {
+				res := reproduce(ctx, scn, rec, replay.Options{MaxRuns: ladderBudget, Engine: oracle.factory, Obs: reg})
+				if !res.Reproduced || !verify(scn, res, rec, nil) {
 					t.Fatalf("not reproduced within %d runs: %d runs, %d duplicate paths, solver %+v",
 						ladderBudget, res.Runs, res.DuplicatePaths, res.SolverStats)
 				}

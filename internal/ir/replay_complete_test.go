@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pathlog/internal/apps"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/ir"
@@ -133,8 +134,8 @@ func TestReplayCompleteness(t *testing.T) {
 			}
 		}
 		plan := &instrument.Plan{Strategy: "random", Instrumented: set, LogSyscalls: true, ProgHash: prog.Hash()}
-		scn := &core.Scenario{Name: "gen", Prog: prog, Spec: spec, UserBytes: map[string][]byte{"arg0": user}, Engine: boundedEngine}
-		rec, _, err := scn.RecordContext(ctx, plan)
+		scn := &apps.Scenario{Name: "gen", Prog: prog, Spec: spec, UserBytes: map[string][]byte{"arg0": user}}
+		rec, _, err := core.Record(ctx, boundedEngine, prog, spec, scn.UserBytes, plan)
 		if err != nil {
 			t.Fatalf("seed %d: record: %v", seed, err)
 		}
@@ -143,7 +144,7 @@ func TestReplayCompleteness(t *testing.T) {
 		}
 		crashed++
 		oracle := newPathOracle(boundedEngine)
-		res := scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: completenessBudget, Engine: oracle.factory})
+		res := reproduce(ctx, scn, rec, replay.Options{MaxRuns: completenessBudget, Engine: oracle.factory})
 		if oracle.repeats != res.DuplicatePaths {
 			t.Errorf("seed %d: %d runs repeated an earlier path, the engine counted %d duplicates (a path was expanded twice)",
 				seed, oracle.repeats, res.DuplicatePaths)
@@ -152,7 +153,7 @@ func TestReplayCompleteness(t *testing.T) {
 		switch {
 		case res.Reproduced:
 			reproduced++
-			if !scn.VerifyInput(res.InputBytes, rec.Crash) {
+			if !verify(scn, res, rec, boundedEngine) {
 				t.Errorf("seed %d: reproduced input %q does not verify", seed, res.InputBytes["arg0"])
 			}
 		case res.SolverStats.GaveUp > 0 || res.Dropped > 0:

@@ -15,7 +15,38 @@ import (
 	"pathlog/internal/replay"
 	"pathlog/internal/static"
 	"pathlog/internal/vm"
+	"pathlog/internal/world"
 )
+
+// The pipeline steps the engine tests drive on an explicit engine (nil
+// selects the bytecode VM): the tree walker is the differential oracle.
+
+// explore runs a scenario's concolic analysis over its neutral spec.
+func explore(ctx context.Context, s *apps.Scenario, runs int, engine vm.Factory) *concolic.Report {
+	opts := concolic.Options{MaxRuns: runs, Engine: engine}
+	return concolic.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), opts).Explore(ctx)
+}
+
+// planOf builds a strategy's plan for a scenario from its analysis, with
+// the syscall log on.
+func planOf(t testing.TB, s *apps.Scenario, strat instrument.Strategy, in instrument.Inputs) *instrument.Plan {
+	t.Helper()
+	p, err := strat.Plan(context.Background(), instrument.NewPlanContext(s.Prog, in, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// reproduce replays a recording over the scenario's neutral spec.
+func reproduce(ctx context.Context, s *apps.Scenario, rec *replay.Recording, opts replay.Options) *replay.Result {
+	return replay.New(s.Prog, s.Spec, world.NewRegistry(s.Spec), rec, opts).Reproduce(ctx)
+}
+
+// verify runs a reproducing input concretely and compares crash sites.
+func verify(s *apps.Scenario, res *replay.Result, rec *replay.Recording, engine vm.Factory) bool {
+	return core.Verify(engine, s.Prog, s.Spec, res.InputBytes, rec.Crash)
+}
 
 // The scenario-level differential harness: every named app scenario —
 // coreutils, all five uServer experiments, the diff experiments, the
@@ -59,15 +90,11 @@ func runPipeline(t *testing.T, name string, engine vm.Factory, replayRuns int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	scn.Engine = engine
-	an := apps.AnalysisScenarioFor(name, scn)
-	an.Engine = engine
+	dyn := explore(ctx, apps.AnalysisScenarioFor(name, scn), 6, engine)
+	st := static.Analyze(scn.Prog, static.Options{LibAsSymbolic: true})
+	plan := planOf(t, scn, instrument.Dynamic(), instrument.Inputs{Dynamic: dyn, Static: st})
 
-	dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
-	st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-	plan := scn.Plan(instrument.MethodDynamic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
-
-	rec, stats, err := scn.RecordContext(ctx, plan)
+	rec, stats, err := core.Record(ctx, engine, scn.Prog, scn.Spec, scn.UserBytes, plan)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -93,7 +120,7 @@ func runPipeline(t *testing.T, name string, engine vm.Factory, replayRuns int) *
 	out.Crash = rec.Crash
 	out.Fingerprint = rec.Fingerprint
 
-	res := scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: replayRuns})
+	res := reproduce(ctx, scn, rec, replay.Options{MaxRuns: replayRuns, Engine: engine})
 	res.Elapsed = 0
 	if res.Profile != nil {
 		for _, bc := range res.Profile.Branches {
@@ -177,24 +204,23 @@ func TestScenarioReplayParityWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			an := apps.AnalysisScenarioFor(name, scn)
-			dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
-			st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
-			plan := scn.Plan(instrument.MethodDynamicStatic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
-			rec, _, err := scn.RecordContext(ctx, plan)
+			dyn := explore(ctx, apps.AnalysisScenarioFor(name, scn), 6, nil)
+			st := static.Analyze(scn.Prog, static.Options{LibAsSymbolic: true})
+			plan := planOf(t, scn, instrument.StrategyForMethod(instrument.MethodDynamicStatic),
+				instrument.Inputs{Dynamic: dyn, Static: st})
+			rec, _, err := core.Record(ctx, nil, scn.Prog, scn.Spec, scn.UserBytes, plan)
 			if err != nil || rec == nil {
 				t.Fatalf("record: rec=%v err=%v", rec, err)
 			}
 			var first *replay.Result
 			for _, engine := range []vm.Factory{vm.TreeFactory, ir.Engine} {
-				scn.Engine = engine
 				results := make([]*replay.Result, searches)
 				var wg sync.WaitGroup
 				for i := range results {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						results[i] = scn.ReplayContext(ctx, rec, replay.Options{MaxRuns: 1000})
+						results[i] = reproduce(ctx, scn, rec, replay.Options{MaxRuns: 1000, Engine: engine})
 					}()
 				}
 				wg.Wait()
@@ -202,7 +228,7 @@ func TestScenarioReplayParityWorkers(t *testing.T) {
 					if !res.Reproduced {
 						t.Fatalf("not reproduced after %d runs", res.Runs)
 					}
-					if !scn.VerifyInput(res.InputBytes, rec.Crash) {
+					if !verify(scn, res, rec, engine) {
 						t.Fatalf("reproducing input does not activate the recorded crash")
 					}
 					if first == nil {

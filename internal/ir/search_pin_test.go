@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pathlog"
 	"pathlog/internal/apps"
 	"pathlog/internal/concolic"
 	"pathlog/internal/core"
@@ -192,11 +193,11 @@ func TestSerialSearchPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		an := apps.AnalysisScenarioFor(name, scn)
-		st := scn.AnalyzeStatic(static.Options{LibAsSymbolic: true})
+		st := static.Analyze(scn.Prog, static.Options{LibAsSymbolic: true})
 		t.Run(name+"/analysis", func(t *testing.T) {
-			dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: analysisRuns(name)})
+			dyn := explore(ctx, an, analysisRuns(name), nil)
 			fp := func(m instrument.Method) string {
-				return scn.Plan(m, instrument.Inputs{Dynamic: dyn, Static: st}, true).Fingerprint()
+				return planOf(t, scn, instrument.StrategyForMethod(m), instrument.Inputs{Dynamic: dyn, Static: st}).Fingerprint()
 			}
 			got := analysisPin{
 				Runs: dyn.Runs, LabelsDigest: labelsDigest(dyn.Labels),
@@ -212,9 +213,10 @@ func TestSerialSearchPinned(t *testing.T) {
 				t.Errorf("dynamic analysis moved:\n got  %#v\n want %#v", got, want)
 			}
 		})
-		dyn := an.AnalyzeDynamicContext(ctx, concolic.Options{MaxRuns: 6})
-		plan := scn.Plan(instrument.MethodDynamicStatic, instrument.Inputs{Dynamic: dyn, Static: st}, true)
-		rec, _, err := scn.RecordContext(ctx, plan)
+		dyn := explore(ctx, an, 6, nil)
+		plan := planOf(t, scn, instrument.StrategyForMethod(instrument.MethodDynamicStatic),
+			instrument.Inputs{Dynamic: dyn, Static: st})
+		rec, _, err := core.Record(ctx, nil, scn.Prog, scn.Spec, scn.UserBytes, plan)
 		if err != nil || rec == nil {
 			t.Fatalf("%s: record: rec=%v err=%v", name, rec, err)
 		}
@@ -223,10 +225,10 @@ func TestSerialSearchPinned(t *testing.T) {
 			t.Run(key, func(t *testing.T) {
 				r := rec
 				if mode == "nosyslog" {
-					r = core.StripSyslog(rec)
+					r = pathlog.StripSyscallLog(rec)
 				}
-				res := scn.ReplayContext(ctx, r, replay.Options{MaxRuns: 2000})
-				if !res.Reproduced || !scn.VerifyInput(res.InputBytes, r.Crash) {
+				res := reproduce(ctx, scn, r, replay.Options{MaxRuns: 2000})
+				if !res.Reproduced || !verify(scn, res, r, nil) {
 					t.Errorf("reproduced %v, but the input does not verify", res.Reproduced)
 				}
 				got := searchPin{

@@ -12,6 +12,7 @@
 package world
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -85,6 +86,52 @@ func ConnSpec(i int, seed string, maxLen int, arrival int64) ConnInput {
 		Stream:      Stream{Name: oskernel.ConnStream(i), Seed: []byte(seed), Len: maxLen},
 		ArrivalTick: arrival,
 	}
+}
+
+// UserSpec returns the user-site input space: a copy of the spec with each
+// stream the user map names seeded with the user's bytes. Every key must
+// name a declared stream and fit its length: a typo'd stream name would
+// otherwise record the neutral seed in place of the user's input.
+func (sp *Spec) UserSpec(user map[string][]byte) (*Spec, error) {
+	cp := *sp
+	cp.Args = append([]Stream(nil), sp.Args...)
+	cp.Files = append([]FileInput(nil), sp.Files...)
+	cp.Conns = append([]ConnInput(nil), sp.Conns...)
+	seeded := make(map[string]bool, len(user))
+	seed := func(st *Stream) error {
+		b, ok := user[st.Name]
+		if !ok {
+			return nil
+		}
+		if len(b) > st.Len {
+			return fmt.Errorf("world: user input for %s is %d bytes, stream caps at %d",
+				st.Name, len(b), st.Len)
+		}
+		st.Seed = b
+		seeded[st.Name] = true
+		return nil
+	}
+	for i := range cp.Args {
+		if err := seed(&cp.Args[i]); err != nil {
+			return nil, err
+		}
+	}
+	for i := range cp.Files {
+		if err := seed(&cp.Files[i].Stream); err != nil {
+			return nil, err
+		}
+	}
+	for i := range cp.Conns {
+		if err := seed(&cp.Conns[i].Stream); err != nil {
+			return nil, err
+		}
+	}
+	for name := range user {
+		if !seeded[name] {
+			return nil, fmt.Errorf("world: user input names stream %q, but the spec declares no such stream", name)
+		}
+	}
+	return &cp, nil
 }
 
 // Registry assigns stable symbolic input variables. It persists across the

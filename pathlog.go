@@ -91,6 +91,7 @@
 package pathlog
 
 import (
+	"pathlog/internal/apps"
 	"pathlog/internal/concolic"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
@@ -135,8 +136,10 @@ type (
 	Program = lang.Program
 	// BranchID identifies a branch location in a program.
 	BranchID = lang.BranchID
-	// Scenario binds a program to an input space and a user execution.
-	Scenario = core.Scenario
+	// Scenario binds a program to an input space and a user execution:
+	// plain data (name, program, spec, user bytes) that SessionOf turns
+	// into a Session. The bundled scenarios come from internal/apps.
+	Scenario = apps.Scenario
 	// RecordStats quantifies one user-site run (instrumentation overhead).
 	RecordStats = core.RecordStats
 	// Spec declares a scenario's symbolic input streams and workload.
@@ -266,6 +269,12 @@ var (
 	ConnStream = world.ConnSpec
 )
 
-// StripSyscallLog removes the syscall-result log from a recording, for
-// replaying under the symbolic syscall models of §3.3.
-func StripSyscallLog(rec *Recording) *Recording { return core.StripSyslog(rec) }
+// StripSyscallLog returns a copy of a recording without its syscall-result
+// log, for replaying under the symbolic syscall models of §3.3 (the
+// "without logging system calls" experiments, Tables 5 and 8). The trace
+// and crash site are shared with rec.
+func StripSyscallLog(rec *Recording) *Recording {
+	cp := *rec
+	cp.SysLog = nil
+	return &cp
+}

@@ -22,14 +22,14 @@ func TestReplayAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := analysesFor(t, apps.AnalysisSpec(s), 300, false)
-	rec, _, err := s.RecordContext(context.Background(), s.Plan(instrument.MethodDynamicStatic, in, true))
-	if err != nil || rec == nil {
-		t.Fatalf("record: %v", err)
-	}
+	in := analysesFor(t, s, 300, false)
 	sess := SessionOf(s,
 		WithReplayBudget(4000, 30*time.Second),
 		WithObserver(&Observer{Reg: obs.NewRegistry()}))
+	rec, _, err := sess.RecordWith(context.Background(), benchPlan(t, s.Prog, instrument.MethodDynamicStatic, in, true), nil)
+	if err != nil || rec == nil {
+		t.Fatalf("record: %v", err)
+	}
 	replay := func() {
 		res, err := sess.Replay(context.Background(), rec)
 		if err != nil || !res.Reproduced || res.Runs != 2 {

@@ -7,9 +7,12 @@ import (
 	"sync"
 	"time"
 
+	"pathlog/internal/concolic"
 	"pathlog/internal/core"
 	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
+	"pathlog/internal/replay"
+	"pathlog/internal/static"
 	"pathlog/internal/store"
 	"pathlog/internal/vm"
 	"pathlog/internal/world"
@@ -48,10 +51,10 @@ func WithUserBytes(user map[string][]byte) Option {
 	return func(c *sessionConfig) { c.userBytes = user }
 }
 
-// WithAnalysisSpec runs the pre-deployment analyses over a widened input
-// space instead of the session's own spec (the paper seeds exploration with
-// developer test suites; see internal/apps.AnalysisSpec). Branch labels
-// transfer because both specs describe the same program.
+// WithAnalysisSpec runs the pre-deployment analyses over another input
+// space than the session's own spec (the paper seeds exploration with
+// developer test suites; see internal/apps.UServerAnalysisScenario). Branch
+// labels transfer because both specs describe the same program.
 func WithAnalysisSpec(spec *Spec) Option {
 	return func(c *sessionConfig) { c.analysisSpec = spec }
 }
@@ -233,20 +236,12 @@ func (s *Session) Program() *Program { return s.prog }
 // Spec returns the session's input space.
 func (s *Session) Spec() *Spec { return s.spec }
 
-// scenario builds the core pipeline view of this session; user may be nil
-// for the neutral spec (analysis) or the configured default user bytes.
-func (s *Session) scenario(user map[string][]byte) *core.Scenario {
-	return &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: s.spec, UserBytes: user}
-}
-
 // PlanStore returns the session's plan store, opening (and creating) the
 // WithPlanStore directory on first use. A session built without
 // WithPlanStore returns (nil, nil). The first successful open also seeds
 // the session's refinement-lineage bookkeeping from the store's lineage
 // index for this program.
-func (s *Session) PlanStore() (*store.Store, error) { return s.planStore() }
-
-func (s *Session) planStore() (*store.Store, error) {
+func (s *Session) PlanStore() (*store.Store, error) {
 	if s.cfg.storeDir == "" {
 		return nil, nil
 	}
@@ -275,7 +270,7 @@ func (s *Session) planStore() (*store.Store, error) {
 // or a store with no retained plan for this program, is an error — there
 // is no published generation to speak of.
 func (s *Session) PublishedPlan() (*Plan, error) {
-	st, err := s.planStore()
+	st, err := s.PlanStore()
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +324,7 @@ func (s *Session) persistPlan(plan *Plan) error {
 	if plan == nil {
 		return nil
 	}
-	st, err := s.planStore()
+	st, err := s.PlanStore()
 	if err != nil || st == nil {
 		return err
 	}
@@ -347,14 +342,10 @@ func (s *Session) persistPlan(plan *Plan) error {
 // resolved plan before replaying (to print or inspect it) without
 // reimplementing the store checks.
 func (s *Session) ResolveRecording(rec *Recording) (*Recording, error) {
-	return s.resolveRecording(rec)
-}
-
-func (s *Session) resolveRecording(rec *Recording) (*Recording, error) {
 	if rec == nil || rec.Plan != nil {
 		return rec, nil
 	}
-	st, err := s.planStore()
+	st, err := s.PlanStore()
 	if err != nil {
 		return nil, err
 	}
@@ -403,14 +394,14 @@ func (s *Session) Analyze(ctx context.Context) (Inputs, error) {
 	if s.cfg.analysisSpec != nil {
 		spec = s.cfg.analysisSpec
 	}
-	an := &core.Scenario{Name: s.cfg.name, Prog: s.prog, Spec: spec}
-	in := Inputs{Dynamic: an.AnalyzeDynamicContext(ctx, s.cfg.dyn)}
+	ex := concolic.New(s.prog, spec, world.NewRegistry(spec), s.cfg.dyn)
+	in := Inputs{Dynamic: ex.Explore(ctx)}
 	if err := ctx.Err(); err != nil {
 		// The dynamic exploration was cut short; skip the static pass and do
 		// not cache the partial result.
 		return in, err
 	}
-	in.Static = an.AnalyzeStatic(s.cfg.static)
+	in.Static = static.Analyze(s.prog, s.cfg.static)
 	s.mu.Lock()
 	s.inputs = &in
 	s.mu.Unlock()
@@ -469,7 +460,7 @@ func (s *Session) persistProfile(p *instrument.SearchProfile) error {
 	if p == nil || p.PlanFingerprint == "" || p.ProgHash == "" {
 		return nil
 	}
-	st, err := s.planStore()
+	st, err := s.PlanStore()
 	if err != nil || st == nil {
 		return err
 	}
@@ -510,18 +501,14 @@ func (s *Session) RecordWith(ctx context.Context, plan *Plan, user map[string][]
 	if err := s.persistPlan(plan); err != nil {
 		return nil, nil, fmt.Errorf("pathlog: retain deployed plan: %w", err)
 	}
-	rec, stats, err := s.scenario(user).RecordContext(ctx, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, stats, nil
+	return core.Record(ctx, nil, s.prog, s.spec, user, plan)
 }
 
 // MeasureOverhead runs the user-site workload repeatedly under a plan and
 // returns the average wall time, for instrumentation-overhead measurements;
 // no crash is required. Cancelling the context stops between rounds.
 func (s *Session) MeasureOverhead(ctx context.Context, plan *Plan, rounds int) (time.Duration, *RecordStats, error) {
-	return s.scenario(s.cfg.userBytes).MeasureOverheadContext(ctx, plan, rounds)
+	return core.MeasureOverhead(ctx, nil, s.prog, s.spec, s.cfg.userBytes, plan, rounds)
 }
 
 // Replay performs the developer-site half of the workflow: it reproduces the
@@ -540,14 +527,15 @@ func (s *Session) MeasureOverhead(ctx context.Context, plan *Plan, rounds int) (
 // by fingerprint, and a stamp matching no retained plan is refused with
 // the fingerprint in the error. This needs WithPlanStore.
 func (s *Session) Replay(ctx context.Context, rec *Recording) (*ReplayResult, error) {
-	rec, err := s.resolveRecording(rec)
+	rec, err := s.ResolveRecording(rec)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.validateRecording(rec); err != nil {
 		return nil, err
 	}
-	return s.scenario(nil).ReplayContext(ctx, rec, s.replayOptions()), nil
+	eng := replay.New(s.prog, s.spec, world.NewRegistry(s.spec), rec, s.replayOptions())
+	return eng.Reproduce(ctx), nil
 }
 
 // validateRecording checks a recording against the session's program
@@ -611,7 +599,7 @@ func (s *Session) Reproduce(ctx context.Context, user map[string][]byte) (*Repla
 // Verify checks that an input found by replay really activates the recorded
 // bug: it re-runs the program concretely and compares crash sites (§5.3).
 func (s *Session) Verify(inputBytes map[string][]byte, crash CrashInfo) bool {
-	return s.scenario(nil).VerifyInput(inputBytes, crash)
+	return core.Verify(nil, s.prog, s.spec, inputBytes, crash)
 }
 
 // String renders the session's configuration for logs.
