@@ -23,7 +23,7 @@ func uServerBalanceSession(t *testing.T, opts ...Option) *Session {
 		t.Fatal(err)
 	}
 	return SessionOf(s, append([]Option{
-		WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		WithAnalysisSpec(apps.UServerAnalysisSpec()),
 		WithDynamicBudget(3, 0),
 		WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		WithSyscallLog(),

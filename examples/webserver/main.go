@@ -33,7 +33,7 @@ func main() {
 
 	// Pre-deployment analysis, seeded by the developer test suite.
 	sess := pathlog.SessionOf(scn,
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		pathlog.WithAnalysisSpec(apps.UServerAnalysisSpec()),
 		pathlog.WithSyscallLog(),
 		pathlog.WithDynamicBudget(40, 0),
 		pathlog.WithStaticOptions(pathlog.StaticOptions{LibAsSymbolic: true}),

@@ -80,18 +80,25 @@ func UServerLoadScenario(nReqs int, req string) *Scenario {
 // DefaultHTTPRequest is the canonical request used by load workloads.
 const DefaultHTTPRequest = "GET /index.html HTTP/1.1\r\nHost: localhost\r\n\r\n"
 
-// UServerAnalysisScenario returns the pre-deployment exploration scenario:
+// UServerAnalysisSpec returns the pre-deployment exploration spec:
 // connection streams seeded with the developer test requests, so the first
 // concolic runs already walk the parser's happy paths (the paper's
-// test-suite-driven exploration).
-func UServerAnalysisScenario() *Scenario {
+// test-suite-driven exploration). Callers that need only the spec use this
+// rather than UServerAnalysisScenario, which also compiles the program.
+func UServerAnalysisSpec() *world.Spec {
 	spec, user := UServerScenarioSpec(AnalysisRequests, 72, false)
 	for i := range spec.Conns {
 		if b, ok := user[fmt.Sprintf("conn%d", i)]; ok {
 			spec.Conns[i].Stream.Seed = b
 		}
 	}
-	return &Scenario{Name: "userver-analysis", Prog: UServerProgram(), Spec: spec}
+	return spec
+}
+
+// UServerAnalysisScenario returns the pre-deployment exploration scenario:
+// the uServer program over UServerAnalysisSpec.
+func UServerAnalysisScenario() *Scenario {
+	return &Scenario{Name: "userver-analysis", Prog: UServerProgram(), Spec: UServerAnalysisSpec()}
 }
 
 // DiffExperimentScenario returns diff experiment exp (1-based, §5.4).
@@ -170,10 +177,11 @@ func ScenarioByName(name string) (*Scenario, error) {
 
 // AnalysisScenarioFor returns the pre-deployment analysis scenario matched
 // to a named scenario: uServer experiments share the test-suite-seeded
-// exploration; everything else explores its own neutral input space.
+// exploration of their own program; everything else explores its own
+// neutral input space.
 func AnalysisScenarioFor(name string, s *Scenario) *Scenario {
 	if strings.HasPrefix(name, "userver") {
-		return UServerAnalysisScenario()
+		return &Scenario{Name: "userver-analysis", Prog: s.Prog, Spec: UServerAnalysisSpec()}
 	}
 	return s
 }

@@ -36,7 +36,6 @@ type RecordStats struct {
 	SyslogBytes       int64
 	Flushes           int
 	Stdout            []byte
-	Syscalls          int64
 }
 
 // concreteKernel builds the record-mode kernel of one concrete run over the
@@ -106,7 +105,6 @@ func Record(ctx context.Context, eng vm.Factory, prog *lang.Program, spec *world
 		Steps:       res.Steps,
 		BranchExecs: res.BranchExecs,
 		Stdout:      res.Stdout,
-		Syscalls:    kern.NSyscalls,
 	}
 	if sysLog != nil {
 		stats.SyslogBytes = sysLog.SizeBytes()

@@ -121,7 +121,7 @@ func fleetCorpus(t *testing.T) (*corpus.Corpus, *apps.Scenario) {
 		t.Fatal(err)
 	}
 	sess := pathlog.SessionOf(s3,
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		pathlog.WithAnalysisSpec(apps.UServerAnalysisSpec()),
 		pathlog.WithDynamicBudget(6, 0),
 		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		pathlog.WithSyscallLog())
@@ -279,7 +279,7 @@ func balanceSession(t *testing.T, s3 *apps.Scenario) *pathlog.Session {
 	t.Helper()
 	return pathlog.SessionOf(s3,
 		pathlog.WithSyscallLog(),
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		pathlog.WithAnalysisSpec(apps.UServerAnalysisSpec()),
 		pathlog.WithDynamicBudget(6, 0),
 		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		pathlog.WithReplayBudget(replayBounds.MaxRuns, replayBounds.TimeBudget))

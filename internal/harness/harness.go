@@ -285,7 +285,7 @@ func (c Config) uServerAnalysis(runs int) *pathlog.Session {
 // syscall logging on; opts apply on top.
 func uServerSession(s *apps.Scenario, runs int, opts ...pathlog.Option) *pathlog.Session {
 	return pathlog.SessionOf(s, append([]pathlog.Option{
-		pathlog.WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		pathlog.WithAnalysisSpec(apps.UServerAnalysisSpec()),
 		pathlog.WithDynamicBudget(runs, 0),
 		pathlog.WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		pathlog.WithSyscallLog(),

@@ -160,7 +160,8 @@ type Kernel struct {
 	acceptSeq int
 	openSeq   int
 
-	// Counters for reports.
+	// NSyscalls counts the run's syscalls; the engine parity tests compare
+	// it across engines.
 	NSyscalls int64
 }
 

@@ -3,11 +3,9 @@ package replay
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"slices"
-	"sync"
 	"time"
 
+	"pathlog/internal/freelist"
 	"pathlog/internal/instrument"
 	"pathlog/internal/ir"
 	"pathlog/internal/lang"
@@ -422,22 +420,15 @@ type runScratch struct {
 	condsCap int // last run's path length, to size conds exactly
 }
 
-// scratchFree holds idle scratch between searches, at most GOMAXPROCS of
-// them, most recently returned last. Like the solver's free list, and unlike
-// a sync.Pool, it survives garbage collection: a developer site collects
-// between reports, and a pool would hand every other report fresh buffers.
-var scratchFree struct {
-	sync.Mutex
-	list []*runScratch
-}
+// scratchFree holds idle scratch between searches. Like the solver's free
+// list, and unlike a sync.Pool, it survives garbage collection: a developer
+// site collects between reports, and a pool would hand every other report
+// fresh buffers.
+var scratchFree freelist.List[*runScratch]
 
 // getScratch takes the most recently returned scratch, or a new one.
 func getScratch() *runScratch {
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	if n := len(scratchFree.list); n > 0 {
-		sc := scratchFree.list[n-1]
-		scratchFree.list = scratchFree.list[:n-1]
+	if sc, ok := scratchFree.Get(nil); ok {
 		return sc
 	}
 	return new(runScratch)
@@ -453,12 +444,7 @@ func putScratch(sc *runScratch) {
 	sc.charged = sc.charged[:0]
 	sc.sink = runSink{}
 	sc.condsCap = 0
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	if n := runtime.GOMAXPROCS(0); len(scratchFree.list) >= n {
-		scratchFree.list = slices.Delete(scratchFree.list, 0, len(scratchFree.list)-n+1)
-	}
-	scratchFree.list = append(scratchFree.list, sc)
+	scratchFree.Put(sc)
 }
 
 // counterBlock returns sc's counter block resized to n zeroed entries.
@@ -660,6 +646,7 @@ func (s *search) push(sink *runSink) {
 // deadline stops the search within one run (each run is bounded by the
 // VM's step limit).
 func (e *Engine) Reproduce(ctx context.Context) *Result {
+	growStack(0)
 	start := time.Now()
 	res := &Result{}
 	sc := getScratch()
@@ -750,6 +737,28 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 	sc.stack = s.stack
 	putScratch(sc)
 	return res
+}
+
+// stackReserve is the frame size of growStack. A garbage collection halves
+// a goroutine's stack when it used little of it, and the user-site runs
+// between two reports fit in the halved stack; a replay run's symbolic path
+// (host call, input byte, registry, allocation) does not, so without the
+// reserve the runtime regrows the stack deep inside the VM's dispatch loop
+// and copies a dozen large frames. On coreutils reports a 4 KiB frame
+// saved nothing, 6 to 12 KiB saved alike, and 16 KiB or more saved less;
+// 12 KiB is the largest of the tie, for call chains deeper than coreutils'
+// (see DESIGN.md, "Per-report fixed cost").
+const stackReserve = 12 << 10
+
+// growStack makes the runtime grow the stack by stackReserve while only
+// Reproduce's shallow frames are live, so the copy is cheap and the search's
+// runs do not grow it again. The index keeps the frame from being optimized
+// away.
+//
+//go:noinline
+func growStack(i uint) byte {
+	var pad [stackReserve]byte
+	return pad[i%stackReserve]
 }
 
 // materializeAll renders every declared input stream to concrete bytes.

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -58,47 +59,10 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 		// Options only bound effort; the caches do not depend on them.
 		s.opts = opts.withDefaults()
 		if seed%25 == 24 {
-			Put(s)
-			runtime.GC()
-			runtime.GC()
-			if got := Get(opts); got != s {
-				t.Fatalf("seed %d: Get after two collections returned another Solver", seed)
-			}
+			recycle(t, s, opts)
 			recycled++
 		}
-
-		before := s.Stats()
-		asn, ok := s.Solve(p)
-		after := s.Stats()
-		fresh := New(opts)
-		wantAsn, wantOK := fresh.Solve(p)
-		if got, want := outcome(before, after), outcome(Stats{}, fresh.Stats()); got != want || ok != wantOK {
-			t.Fatalf("seed %d (%d copies): reused solver answered %s, fresh %s", seed, copies, got, want)
-		}
-		delta := after
-		delta.Calls -= before.Calls
-		delta.Sat -= before.Sat
-		delta.Unsat -= before.Unsat
-		delta.GaveUp -= before.GaveUp
-		delta.Nodes -= before.Nodes
-		delta.Work -= before.Work
-		delta.Atoms -= before.Atoms
-		delta.Fallbacks -= before.Fallbacks
-		if delta != fresh.Stats() {
-			t.Fatalf("seed %d (%d copies): reused solver counted %+v, fresh %+v", seed, copies, delta, fresh.Stats())
-		}
-		if ok {
-			for id, v := range wantAsn {
-				if asn[id] != v {
-					t.Fatalf("seed %d: reused model %v, fresh model %v", seed, asn, wantAsn)
-				}
-			}
-			for _, c := range p.Constraints {
-				if !c.Holds(asn) {
-					t.Fatalf("seed %d: model %v violates %v", seed, asn, c)
-				}
-			}
-		}
+		matchFresh(t, s, p, opts, fmt.Sprintf("seed %d (%d copies)", seed, copies))
 		if n := len(s.norm); n != sizes[len(sizes)-1] {
 			sizes = append(sizes, n)
 		}
@@ -109,6 +73,88 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 	}
 	if recycled == 0 {
 		t.Error("the solver was never recycled")
+	}
+}
+
+// TestCappedSolverMatchesFresh starts from a Solver whose tables a large
+// problem grew to the cap, as a long search or the pre-deployment analysis
+// leaves a recycled Solver, and runs it through the corpus of
+// TestReusedSolverMatchesFresh, recycling it through Put, two collections
+// and Get before every tenth problem. Put clears only the slots the last
+// search wrote, so every recycle must leave both pointer-keyed levels
+// holding no expression, and every answer must match a fresh Solver's.
+func TestCappedSolverMatchesFresh(t *testing.T) {
+	s := New(Options{})
+	p, opts := copiesOf(39, 1024)
+	matchFresh(t, s, p, opts, "the growing problem")
+	if len(s.norm) != 1<<normTabBits || len(s.hashTab) != 1<<hashTabBits {
+		t.Fatalf("tables %d/%d, want the caps %d/%d", len(s.norm), len(s.hashTab), 1<<normTabBits, 1<<hashTabBits)
+	}
+	for seed := uint64(0); seed < 600; seed++ {
+		p, opts := genProblem(seed)
+		s.opts = opts.withDefaults()
+		if seed%10 == 0 {
+			recycle(t, s, opts)
+		}
+		matchFresh(t, s, p, opts, fmt.Sprintf("seed %d", seed))
+	}
+	Put(s)
+	if len(s.norm) != 1<<normTabBits {
+		t.Errorf("the corpus resized the capped tables to %d", len(s.norm))
+	}
+}
+
+// recycle puts s back on the free list, checks that no pointer-keyed cache
+// slot still holds an expression of the finished search, and takes s back
+// after two garbage collections.
+func recycle(t *testing.T, s *Solver, opts Options) {
+	t.Helper()
+	Put(s)
+	if !isZero(s.norm) || !isZero(s.hashTab) {
+		t.Fatal("Put left pointer-keyed cache entries behind")
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := Get(opts); got != s {
+		t.Fatal("Get after two collections returned another Solver")
+	}
+}
+
+// matchFresh solves p on s and on a fresh Solver: the answer, model and
+// counters must agree, and a model must satisfy every constraint.
+func matchFresh(t *testing.T, s *Solver, p Problem, opts Options, name string) {
+	t.Helper()
+	before := s.Stats()
+	asn, ok := s.Solve(p)
+	after := s.Stats()
+	fresh := New(opts)
+	wantAsn, wantOK := fresh.Solve(p)
+	if got, want := outcome(before, after), outcome(Stats{}, fresh.Stats()); got != want || ok != wantOK {
+		t.Fatalf("%s: reused solver answered %s, fresh %s", name, got, want)
+	}
+	delta := after
+	delta.Calls -= before.Calls
+	delta.Sat -= before.Sat
+	delta.Unsat -= before.Unsat
+	delta.GaveUp -= before.GaveUp
+	delta.Nodes -= before.Nodes
+	delta.Work -= before.Work
+	delta.Atoms -= before.Atoms
+	delta.Fallbacks -= before.Fallbacks
+	if delta != fresh.Stats() {
+		t.Fatalf("%s: reused solver counted %+v, fresh %+v", name, delta, fresh.Stats())
+	}
+	if ok {
+		for id, v := range wantAsn {
+			if asn[id] != v {
+				t.Fatalf("%s: reused model %v, fresh model %v", name, asn, wantAsn)
+			}
+		}
+		for _, c := range p.Constraints {
+			if !c.Holds(asn) {
+				t.Fatalf("%s: model %v violates %v", name, asn, c)
+			}
+		}
 	}
 }
 
@@ -125,17 +171,9 @@ func TestFreeListSurvivesGC(t *testing.T) {
 	s := Get(freeListOpts)
 	p, _ := genProblem(7)
 	s.Solve(p)
-	Put(s)
-	if !isZero(s.norm) || !isZero(s.hashTab) {
-		t.Error("Put left pointer-keyed cache entries behind")
-	}
+	recycle(t, s, freeListOpts)
 	if isZero(s.snorm) {
 		t.Error("Put dropped the structure-keyed cache level")
-	}
-	runtime.GC()
-	runtime.GC()
-	if got := Get(freeListOpts); got != s {
-		t.Fatal("Get after two collections did not return the Solver that was Put")
 	}
 	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("recycled Solver kept its counters: %+v", st)
@@ -170,11 +208,7 @@ func isZero[T comparable](tab []T) bool {
 	return true
 }
 
-func freeLen() int {
-	free.Lock()
-	defer free.Unlock()
-	return len(free.list)
-}
+func freeLen() int { return free.Len() }
 
 // TestTablesStartSmall pins the sizing rule: a fresh Solver's tables are
 // minimum-size, a call grows them to slotsPerConstraint slots per

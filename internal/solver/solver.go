@@ -42,11 +42,10 @@ import (
 	"cmp"
 	"fmt"
 	"reflect"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
+	"pathlog/internal/freelist"
 	"pathlog/internal/sym"
 )
 
@@ -151,6 +150,11 @@ type Solver struct {
 	// Index shifts: 64 minus log2 of each table's length.
 	normShift, snormShift, hashShift uint
 
+	// normDirty and hashDirty list the norm and hashTab slots written since
+	// the tables were last clean, so Put clears what the search wrote
+	// instead of the whole tables.
+	normDirty, hashDirty []int32
+
 	// Slab storage for normal forms. The replay search normalizes one fresh
 	// expression per executed symbolic branch (each run rebuilds its path
 	// condition), so entries and their vars slices are bump-allocated in
@@ -192,6 +196,7 @@ func (s *Solver) sizeTables(bits int) {
 	s.norm = make([]normSlot, 1<<nb)
 	s.snorm = make([]normSlot, 1<<sb)
 	s.hashTab = make([]hashSlot, 1<<hb)
+	s.normDirty, s.hashDirty = s.normDirty[:0], s.hashDirty[:0]
 	s.normShift, s.snormShift, s.hashShift = uint(64-nb), uint(64-sb), uint(64-hb)
 }
 
@@ -207,17 +212,12 @@ func (s *Solver) fit(n int) {
 	}
 }
 
-// free holds idle Solvers between searches, at most GOMAXPROCS of them
-// (one per search that can run at once). Unlike a sync.Pool, which empties
-// across two garbage collections, the list survives collection, so a search
-// nearly always starts from a warm Solver with right-sized tables instead
-// of allocating and zeroing new ones. Of the cache levels only the
-// structure-keyed one carries over: normal forms depend only on expression
-// structure, so the next search's rebuilt expressions can hit it.
-var free struct {
-	sync.Mutex
-	list []*Solver // most recently returned last
-}
+// free holds idle Solvers between searches, so a search nearly always
+// starts from a warm Solver with right-sized tables instead of allocating
+// and zeroing new ones. Of the cache levels only the structure-keyed one
+// carries over: normal forms depend only on expression structure, so the
+// next search's rebuilt expressions can hit it.
+var free freelist.List[*Solver]
 
 // Get returns a Solver for the given options, taking the most recently
 // returned idle one whose options match (after default resolution).
@@ -225,33 +225,29 @@ var free struct {
 // carries over by design.
 func Get(opts Options) *Solver {
 	opts = opts.withDefaults()
-	free.Lock()
-	for i := len(free.list) - 1; i >= 0; i-- {
-		if s := free.list[i]; s.opts == opts {
-			free.list = slices.Delete(free.list, i, i+1)
-			free.Unlock()
-			s.ResetStats()
-			return s
-		}
+	if s, ok := free.Get(func(s *Solver) bool { return s.opts == opts }); ok {
+		s.ResetStats()
+		return s
 	}
-	free.Unlock()
 	return New(opts)
 }
 
 // Put returns a Solver to the free list. The caller must not use it
-// afterwards. Put clears the pointer-keyed levels (the first normalization
-// level and the hash memo): no later search can hit them, since every
-// search builds its expressions afresh, and they would only keep this
-// search's garbage reachable. A full list drops its oldest Solver.
+// afterwards. Put clears the slots the search wrote in the pointer-keyed
+// levels (the first normalization level and the hash memo): no later
+// search can hit them, since every search builds its expressions afresh,
+// and they would only keep this search's garbage reachable. Clearing only
+// the written slots keeps a two-run search from paying for tables an
+// earlier, larger problem grew. A full list drops its oldest Solver.
 func Put(s *Solver) {
-	clear(s.norm)
-	clear(s.hashTab)
-	free.Lock()
-	defer free.Unlock()
-	if n := runtime.GOMAXPROCS(0); len(free.list) >= n {
-		free.list = slices.Delete(free.list, 0, len(free.list)-n+1)
+	for _, i := range s.normDirty {
+		s.norm[i] = normSlot{}
 	}
-	free.list = append(free.list, s)
+	for _, i := range s.hashDirty {
+		s.hashTab[i] = hashSlot{}
+	}
+	s.normDirty, s.hashDirty = s.normDirty[:0], s.hashDirty[:0]
+	free.Put(s)
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -493,6 +489,9 @@ func (s *Solver) normalized(c sym.Constraint) *normEntry {
 	if slot.e == c.E && slot.truth == c.Truth {
 		return slot.ne
 	}
+	if slot.e == nil {
+		s.normDirty = append(s.normDirty, int32(idx))
+	}
 	sidx := (s.structHash(c.E) >> s.snormShift) &^ 1
 	if c.Truth {
 		sidx |= 1
@@ -533,8 +532,7 @@ func (s *Solver) structHash(e sym.Expr) uint64 {
 	case *sym.Input:
 		return hashInput(x.ID)
 	case *sym.Un:
-		p := uint64(reflect.ValueOf(e).Pointer()) * fibMix
-		hs := &s.hashTab[p>>s.hashShift]
+		hs := s.memoSlot(e)
 		if hs.e == e {
 			return hs.h
 		}
@@ -542,8 +540,7 @@ func (s *Solver) structHash(e sym.Expr) uint64 {
 		hs.e, hs.h = e, h
 		return h
 	case *sym.Bin:
-		p := uint64(reflect.ValueOf(e).Pointer()) * fibMix
-		hs := &s.hashTab[p>>s.hashShift]
+		hs := s.memoSlot(e)
 		if hs.e == e {
 			return hs.h
 		}
@@ -552,6 +549,17 @@ func (s *Solver) structHash(e sym.Expr) uint64 {
 		return h
 	}
 	return fibMix
+}
+
+// memoSlot returns the memo slot of node e, listing it in hashDirty when it
+// is still empty: the caller fills a slot that misses.
+func (s *Solver) memoSlot(e sym.Expr) *hashSlot {
+	i := uint64(reflect.ValueOf(e).Pointer()) * fibMix >> s.hashShift
+	hs := &s.hashTab[i]
+	if hs.e == nil {
+		s.hashDirty = append(s.hashDirty, int32(i))
+	}
+	return hs
 }
 
 // The structural hash's node mixers, shared with the unifier's

@@ -1,13 +1,14 @@
 package vm
 
-import "sync"
+import "pathlog/internal/freelist"
 
-// ObjectArena bump-allocates run-lifetime Objects from pooled slabs. The
+// ObjectArena bump-allocates run-lifetime Objects from recycled slabs. The
 // replay search executes the program hundreds of times per reproduction, and
 // every run allocates the full set of globals, frames and local arrays; with
 // the general-purpose heap that allocation (and the garbage-collection work
 // it induces) dominates the run cost. An arena amortizes it: slabs are
-// reused across runs via a pool, so a steady-state run allocates nothing.
+// reused across runs via a free list, so a steady-state run allocates
+// nothing, also on the first run after a garbage collection.
 //
 // Arena objects are semantically identical to NewObject ones — zeroed cells
 // and a unique, allocation-ordered ID (pointer comparisons across distinct
@@ -29,14 +30,20 @@ const (
 	arenaObjSlab  = 512   // Objects per header slab
 )
 
-var arenaPool = sync.Pool{New: func() any { return new(ObjectArena) }}
+// idleArenas holds released arenas, one per run that can execute at once.
+var idleArenas freelist.List[*ObjectArena]
 
-// GetArena returns a pooled arena whose storage is zeroed.
-func GetArena() *ObjectArena { return arenaPool.Get().(*ObjectArena) }
+// GetArena returns an idle arena, or a new one; its storage is zeroed.
+func GetArena() *ObjectArena {
+	if a, ok := idleArenas.Get(nil); ok {
+		return a
+	}
+	return new(ObjectArena)
+}
 
 // Release zeroes the arena's used storage (dropping every Name, Cells and
-// Sym reference it pinned) and returns it to the pool. No Object allocated
-// from the arena may be used after Release.
+// Sym reference it pinned) and returns it to the free list. No Object
+// allocated from the arena may be used after Release.
 func (a *ObjectArena) Release() {
 	for i := 0; i <= a.ci && i < len(a.cellSlabs); i++ {
 		clear(a.cellSlabs[i][:a.cellUsed[i]])
@@ -50,7 +57,7 @@ func (a *ObjectArena) Release() {
 		clear(a.objSlabs[i][:used])
 	}
 	a.ci, a.cn, a.oi, a.on = 0, 0, 0, 0
-	arenaPool.Put(a)
+	idleArenas.Put(a)
 }
 
 // NewObject allocates a zeroed n-cell object with run lifetime.
@@ -72,12 +79,12 @@ func (a *ObjectArena) NewObject(name string, n int64) *Object {
 // Scratch carves a zeroed value buffer of capacity n and zero length for
 // run-local scratch (the bytecode VM's operand stack); like any arena
 // storage it is reclaimed on Release. Appending past n migrates to the heap,
-// which is correct and merely loses the pooling for that one run.
+// which is correct and merely loses the recycling for that one run.
 func (a *ObjectArena) Scratch(n int) []Value { return a.cells(n)[:0] }
 
 // cells carves a zeroed value slice off the slab sequence. Requests larger
 // than the standard slab get a dedicated one, so arbitrarily big arrays
-// still pool.
+// still recycle.
 func (a *ObjectArena) cells(n int) []Value {
 	for {
 		if a.ci == len(a.cellSlabs) {
@@ -96,7 +103,7 @@ func (a *ObjectArena) cells(n int) []Value {
 			}
 			return out
 		}
-		// Slabs are pooled in whatever sizes earlier runs needed; skip any
+		// Slabs are recycled in whatever sizes earlier runs needed; skip any
 		// too full (or too small) for this request.
 		a.ci++
 		a.cn = 0

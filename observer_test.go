@@ -27,7 +27,7 @@ func TestAutoBalanceObserver(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tracer := obs.NewTracer(&traceBuf, "test")
 	sess := SessionOf(s,
-		WithAnalysisSpec(apps.UServerAnalysisScenario().Spec),
+		WithAnalysisSpec(apps.UServerAnalysisSpec()),
 		WithDynamicBudget(3, 0),
 		WithStaticOptions(static.Options{LibAsSymbolic: true}),
 		WithSyscallLog(),
