@@ -302,12 +302,17 @@ func benchPlan(b testing.TB, prog *Program, m instrument.Method, in instrument.I
 
 // --- record -----------------------------------------------------------------
 
-// BenchmarkRecord measures one user-site run, uninstrumented and under the
-// dynamic+static plan with the syscall log on, for a coreutil (paste), a
-// uServer request (exp4) and diff (exp1): the record side of the balance.
-// The instrumented run's extra time and allocations over the none run are
-// what instrumentation costs a user, so the gate compares both.
-func BenchmarkRecord(b *testing.B) {
+// recordScenario is one user-site workload of the record benchmarks, with
+// the analyses its plans come from.
+type recordScenario struct {
+	name string
+	s    *Scenario
+	in   instrument.Inputs
+}
+
+// recordScenarios are the record benchmarks' workloads: a coreutil
+// (paste), a uServer request (exp4) and diff (exp1).
+func recordScenarios(b *testing.B) []recordScenario {
 	paste, err := apps.CoreutilScenario("paste", 12)
 	if err != nil {
 		b.Fatal(err)
@@ -320,21 +325,69 @@ func BenchmarkRecord(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sc := range []struct {
-		name string
-		s    *Scenario
-		in   instrument.Inputs
-	}{
+	return []recordScenario{
 		{"paste", paste, analysesFor(b, paste, 300, false)},
 		{"userver-exp4", userver, analysesFor(b, apps.UServerAnalysisScenario(), 60, true)},
 		{"diff-exp1", diff, analysesFor(b, diff, 40, false)},
-	} {
+	}
+}
+
+// BenchmarkRecord measures one user-site run, uninstrumented and under the
+// dynamic+static plan with the syscall log on, for each record scenario:
+// the record side of the balance. The instrumented run's extra time and
+// allocations over the none run are what instrumentation costs a user, so
+// the gate compares both.
+func BenchmarkRecord(b *testing.B) {
+	for _, sc := range recordScenarios(b) {
 		for _, m := range []instrument.Method{instrument.MethodNone, instrument.MethodDynamicStatic} {
 			b.Run(sc.name+"/"+m.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				benchRecord(b, sc.s, benchPlan(b, sc.s.Prog, m, sc.in, true))
 			})
 		}
+	}
+}
+
+// BenchmarkRecordPaired runs each record scenario's none and
+// dynamic+static user-site runs alternately in one loop (one op is one
+// pair) and reports the instrumented over the uninstrumented time
+// (overhead-x) and the instrumented run's extra time per logged bit
+// (ns/logged-bit). Both runs of a pair see the same host speed, so the
+// ratio does not drift with the host the way ns/op does; the gate compares
+// overhead-x.
+func BenchmarkRecordPaired(b *testing.B) {
+	for _, sc := range recordScenarios(b) {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			ctx := context.Background()
+			sess := SessionOf(sc.s)
+			plans := [2]*instrument.Plan{
+				benchPlan(b, sc.s.Prog, instrument.MethodNone, sc.in, true),
+				benchPlan(b, sc.s.Prog, instrument.MethodDynamicStatic, sc.in, true),
+			}
+			var ns [2]time.Duration
+			var bits int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The first run of a pair alternates, so that neither
+				// plan always runs on the other's warm caches.
+				for j := range 2 {
+					k := (i + j) % 2
+					start := time.Now()
+					_, stats, err := sess.RecordWith(ctx, plans[k], nil)
+					ns[k] += time.Since(start)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if k == 1 {
+						bits = stats.TraceBits
+					}
+				}
+			}
+			b.ReportMetric(float64(ns[1])/float64(ns[0]), "overhead-x")
+			b.ReportMetric(float64(ns[1]-ns[0])/float64(b.N)/float64(bits), "ns/logged-bit")
+			b.ReportMetric(float64(bits), "bits/run")
+		})
 	}
 }
 

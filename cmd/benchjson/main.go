@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -214,8 +215,8 @@ func compare(doc *Doc, path string, metrics []string, maxRegress float64) error 
 				status = "REGRESSION"
 				regressed = append(regressed, metric)
 			}
-			fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %.0f -> %.0f (%+.1f%%) %s\n",
-				fresh.Name, metric, was, now, pct, status)
+			fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %s -> %s (%+.1f%%) %s\n",
+				fresh.Name, metric, num(was), num(now), pct, status)
 		}
 	}
 	if len(missing) > 0 {
@@ -230,6 +231,16 @@ func compare(doc *Doc, path string, metrics []string, maxRegress float64) error 
 			len(regressed), strings.Join(regressed, ","), maxRegress, path)
 	}
 	return nil
+}
+
+// num formats a metric value for the gate's report: whole and large
+// values as integers, small fractional ones (ratios such as overhead-x) to
+// four significant digits.
+func num(v float64) string {
+	if v == math.Trunc(v) || math.Abs(v) >= 1000 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
 }
 
 // baseName strips the -GOMAXPROCS suffix go test appends to a benchmark

@@ -20,6 +20,7 @@ import (
 	"pathlog/internal/lang"
 	"pathlog/internal/oskernel"
 	"pathlog/internal/replay"
+	"pathlog/internal/trace"
 	"pathlog/internal/vm"
 	"pathlog/internal/world"
 )
@@ -67,8 +68,9 @@ func engineOr(eng vm.Factory) vm.Factory {
 
 // Record executes the user-site run of prog under plan, on the spec seeded
 // with the user's bytes, and assembles the bug report. The run is fully
-// concrete — no symbolic machinery is attached, so measured overhead is
-// exactly the branch logger plus syscall-result logging. A nil engine runs
+// concrete — no symbolic machinery and no branch sink are attached, so
+// measured overhead is exactly the engine's inline branch logger
+// (vm.Logger) plus syscall-result logging. A nil engine runs
 // the bytecode VM. The context gates only the start of the run: a
 // user-site run is one bounded concrete execution, so once started it
 // completes. A run that does not crash, or an uninstrumented one, yields
@@ -86,15 +88,13 @@ func Record(ctx context.Context, eng vm.Factory, prog *lang.Program, spec *world
 		return nil, nil, err
 	}
 
-	var sink vm.BranchSink
-	var logger *instrument.Logger
+	var log vm.Logger
 	if plan.Instruments() {
-		logger = instrument.NewLogger(plan)
-		sink = logger
+		log = vm.Logger{Table: plan.Table(), Trace: trace.NewWriter()}
 	}
 
 	start := time.Now()
-	res, err := engineOr(eng)(prog, vm.Options{Kernel: kern, Sink: sink}).Run()
+	res, err := engineOr(eng)(prog, vm.Options{Kernel: kern, Log: log}).Run()
 	wall := time.Since(start)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: user run failed: %w", err)
@@ -109,14 +109,15 @@ func Record(ctx context.Context, eng vm.Factory, prog *lang.Program, spec *world
 	if sysLog != nil {
 		stats.SyslogBytes = sysLog.SizeBytes()
 	}
-	if logger == nil {
+	if log.Trace == nil {
 		return nil, stats, nil
 	}
-	tr := logger.Finish()
-	stats.InstrumentedExecs = logger.InstrumentedExecs
+	tr := log.Trace.Finish()
+	// Every instrumented execution logs exactly one bit.
+	stats.InstrumentedExecs = tr.Len()
 	stats.TraceBits = tr.Len()
 	stats.TraceBytes = tr.SizeBytes()
-	stats.Flushes = logger.Flushes()
+	stats.Flushes = log.Trace.Flushes()
 	if !res.Crashed {
 		return nil, stats, nil
 	}

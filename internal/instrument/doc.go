@@ -26,7 +26,8 @@
 // content identity (program hash + branch set + syscall flag) that records
 // and recordings are stamped with. A plan is not modified after its first
 // use: it compiles once into its fingerprint and the dense branch table
-// (Table) the Logger and the replay engine test per branch execution.
+// (Table) the engines' user-site logger (vm.Logger) and the replay engine
+// test per branch execution.
 // Save and LoadPlan round-trip the full envelope through JSON, verifying
 // the fingerprint on load; lineage
 // (Plan.Generation, Plan.Parent) travels with the envelope so refinement

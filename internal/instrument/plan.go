@@ -8,8 +8,6 @@ import (
 	"pathlog/internal/concolic"
 	"pathlog/internal/lang"
 	"pathlog/internal/static"
-	"pathlog/internal/trace"
-	"pathlog/internal/vm"
 )
 
 // Method selects an instrumentation strategy.
@@ -62,8 +60,8 @@ func ParseMethod(s string) (Method, error) {
 //
 // A Plan is not modified after its first use. Its constructor (and the
 // strategy, refinement or decoder that called it) sets every field, then
-// hands the plan out; from the first Fingerprint, Table, Instruments or
-// NewLogger call on, the plan is compiled once into what its instrumented
+// hands the plan out; from the first Fingerprint, Table or Instruments
+// call on, the plan is compiled once into what its instrumented
 // build needs — the fingerprint and a dense branch table — and every
 // later call reads that compiled form, so a later edit to Instrumented,
 // LogSyscalls or ProgHash would not be seen (Strategy, Cost and lineage
@@ -134,8 +132,9 @@ func (p *Plan) computeTable() []bool {
 
 // Table returns the instrumented set as a dense table indexed by BranchID,
 // sized to the largest instrumented ID plus one: branch id is logged iff
-// id < len(tab) && tab[id]. It is the form the per-branch-execution sinks
-// (Logger, the replay engine) test, in place of a map lookup. The table is
+// id < len(tab) && tab[id]. It is the form tested on every branch
+// execution — by the engines' user-site logger (vm.Logger) and the replay
+// engine's sink — in place of a map lookup. The table is
 // built once per plan and shared; callers must not modify it.
 func (p *Plan) Table() []bool { return p.compile().table }
 
@@ -186,32 +185,3 @@ type Inputs struct {
 	Dynamic *concolic.Report
 	Static  *static.Report
 }
-
-// Logger is the vm.BranchSink an instrumented build runs with at the user
-// site: one bit per executed instrumented branch through the 4KB buffer.
-type Logger struct {
-	tab []bool // the plan's Table
-	w   *trace.Writer
-	// InstrumentedExecs counts executions of instrumented branches.
-	InstrumentedExecs int64
-}
-
-// NewLogger returns a logger for the given plan.
-func NewLogger(plan *Plan) *Logger {
-	return &Logger{tab: plan.Table(), w: trace.NewWriter()}
-}
-
-// OnBranch implements vm.BranchSink.
-func (l *Logger) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) error {
-	if id := site.ID; int(id) < len(l.tab) && l.tab[id] {
-		l.InstrumentedExecs++
-		l.w.Append(taken)
-	}
-	return nil
-}
-
-// Finish returns the completed branch trace.
-func (l *Logger) Finish() *trace.Trace { return l.w.Finish() }
-
-// Flushes reports buffer flushes so far.
-func (l *Logger) Flushes() int { return l.w.Flushes() }

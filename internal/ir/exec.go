@@ -359,8 +359,12 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 
 		case RShortCircuit:
 			l := m.fetch(in.AM, in.A, regs, frame)
-			lTrue, err := m.branch(in.Site, l, l.Truthy())
-			if err != nil {
+			lTrue := l.Truthy()
+			m.branchExecs++
+			var err error
+			if m.opts.Sink == nil {
+				m.opts.Log.Branch(in.Site.ID, lTrue)
+			} else if lTrue, err = m.observe(in.Site, l, lTrue); err != nil {
 				return err
 			}
 			if in.Kind == lang.ANDAND {
@@ -375,8 +379,12 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 
 		case RBranch:
 			cond := m.fetch(in.AM, in.A, regs, frame)
-			taken, err := m.branch(in.Site, cond, cond.Truthy())
-			if err != nil {
+			taken := cond.Truthy()
+			m.branchExecs++
+			var err error
+			if m.opts.Sink == nil {
+				m.opts.Log.Branch(in.Site.ID, taken)
+			} else if taken, err = m.observe(in.Site, cond, taken); err != nil {
 				return err
 			}
 			if taken {
@@ -390,8 +398,11 @@ func (m *machine) exec(code []RInstr, frame *vm.Object, nregs int) error {
 			if err != nil {
 				return err
 			}
-			taken, err := m.branch(in.Site, cond, cond.Truthy())
-			if err != nil {
+			taken := cond.Truthy()
+			m.branchExecs++
+			if m.opts.Sink == nil {
+				m.opts.Log.Branch(in.Site.ID, taken)
+			} else if taken, err = m.observe(in.Site, cond, taken); err != nil {
 				return err
 			}
 			if taken {
@@ -485,13 +496,11 @@ func incValue(old vm.Value, delta int64) vm.Value {
 	return vm.SymValue(old.I+delta, se)
 }
 
-// branch reports one branch execution to the sink and returns the
-// direction to take, as VM.branch does.
-func (m *machine) branch(site *lang.BranchSite, cond vm.Value, taken bool) (bool, error) {
-	m.branchExecs++
-	if m.opts.Sink == nil {
-		return taken, nil
-	}
+// observe reports one branch execution to the sink and returns the
+// direction to take, as VM.branch does. A run without a sink never calls
+// it: its branch step logs the bit inline (vm.Logger.Branch), so a branch
+// the plan leaves out costs one table test.
+func (m *machine) observe(site *lang.BranchSite, cond vm.Value, taken bool) (bool, error) {
 	if err := m.opts.Sink.OnBranch(site, cond, taken); err != nil {
 		if err == vm.ErrFollowLog {
 			return !taken, nil

@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"pathlog/internal/ir"
 	"pathlog/internal/lang"
 	"pathlog/internal/oskernel"
+	"pathlog/internal/trace"
 	"pathlog/internal/vm"
 )
 
@@ -330,8 +332,9 @@ const fuzzBudget = 4000
 
 // checkSeedParity generates the program for seed and asserts engine parity at
 // the full budget and at a pseudo-random cut point inside the run, which
-// lands budget trips in the middle of fused charge batches.
-func checkSeedParity(t *testing.T, seed uint64) {
+// lands budget trips in the middle of fused charge batches. It returns what
+// the user-site logger logged over both runs.
+func checkSeedParity(t *testing.T, seed uint64) logCover {
 	t.Helper()
 	src := generate(seed)
 	u, err := lang.ParseUnit("fuzz.mc", lang.RegionApp, src)
@@ -343,20 +346,25 @@ func checkSeedParity(t *testing.T, seed uint64) {
 		t.Fatalf("seed %d: link: %v\n%s", seed, err, src)
 	}
 	cfg := oskernel.Config{}
-	fullSteps := fuzzParity(t, seed, src, prog, cfg, fuzzBudget)
+	fullSteps, cover := fuzzParity(t, seed, src, prog, cfg, fuzzBudget)
 	if fullSteps > 1 {
 		cut := 1 + int64(seed%uint64(fullSteps))
-		fuzzParity(t, seed, src, prog, cfg, cut)
+		_, c := fuzzParity(t, seed, src, prog, cfg, cut)
+		cover.bits += c.bits
+		cover.flushes += c.flushes
 	}
+	return cover
 }
 
 // fuzzParity runs prog under both engines at the given budget and requires
-// identical results, branch traces and syscall counts; it returns the step
-// count for cut-point derivation.
-func fuzzParity(t *testing.T, seed uint64, src string, prog *lang.Program, cfg oskernel.Config, budget int64) int64 {
+// identical results, branch traces and syscall counts, then checks the
+// user-site logger under the same budget (checkLogParity). It returns the
+// step count for cut-point derivation and what the logger logged.
+func fuzzParity(t *testing.T, seed uint64, src string, prog *lang.Program, cfg oskernel.Config, budget int64) (int64, logCover) {
 	t.Helper()
-	tRes, tErr, tTrace, tSys := runEngine(t, vm.TreeFactory, prog, cfg, budget)
-	bRes, bErr, bTrace, bSys := runEngine(t, ir.Engine, prog, cfg, budget)
+	tSink, bSink := &traceSink{}, &traceSink{}
+	tRes, tErr, tSys := runEngineWith(vm.TreeFactory, prog, cfg, budget, tSink)
+	bRes, bErr, bSys := runEngineWith(ir.Engine, prog, cfg, budget, bSink)
 	if (tErr == nil) != (bErr == nil) {
 		t.Fatalf("seed %d budget %d: error parity: tree=%v bytecode=%v\n%s", seed, budget, tErr, bErr, src)
 	}
@@ -364,18 +372,85 @@ func fuzzParity(t *testing.T, seed uint64, src string, prog *lang.Program, cfg o
 		if tErr.Error() != bErr.Error() {
 			t.Fatalf("seed %d budget %d: error text: tree=%v bytecode=%v\n%s", seed, budget, tErr, bErr, src)
 		}
-		return 0
+		return 0, checkLogParity(t, seed, src, prog, cfg, budget, tRes, tErr, tSink.dirs)
 	}
 	if !reflect.DeepEqual(tRes, bRes) {
 		t.Fatalf("seed %d budget %d: result parity:\ntree:     %+v\nbytecode: %+v\n%s", seed, budget, tRes, bRes, src)
 	}
-	if !reflect.DeepEqual(tTrace, bTrace) {
-		t.Fatalf("seed %d budget %d: trace parity (%d vs %d events)\n%s", seed, budget, len(tTrace), len(bTrace), src)
+	if !reflect.DeepEqual(tSink.events, bSink.events) {
+		t.Fatalf("seed %d budget %d: trace parity (%d vs %d events)\n%s", seed, budget, len(tSink.events), len(bSink.events), src)
 	}
 	if tSys != bSys {
 		t.Fatalf("seed %d budget %d: syscall count parity: tree=%d bytecode=%d\n%s", seed, budget, tSys, bSys, src)
 	}
-	return tRes.Steps
+	return tRes.Steps, checkLogParity(t, seed, src, prog, cfg, budget, tRes, tErr, tSink.dirs)
+}
+
+// logCover is what the user-site logger logged in checked runs.
+type logCover struct {
+	bits    int64
+	flushes int
+}
+
+// logTable draws the seed's branch table for the user-site logger: each
+// site of prog is instrumented with even odds, and the table's length is
+// drawn too, so it may stop short of the last site or run past it.
+func logTable(seed uint64, prog *lang.Program) []bool {
+	r := &genRand{s: seed ^ 0x1095_7AB1E}
+	tab := make([]bool, r.n(len(prog.Branches)+2))
+	for i := range tab {
+		tab[i] = r.pct(50)
+	}
+	return tab
+}
+
+// oracleLog is the reference user-site logger, built from a sink's view
+// of the run: the run's branch events, filtered through tab and appended
+// to a writer of the given flush size. Both engines' inline logging must
+// reproduce it.
+func oracleLog(dirs []branchDir, tab []bool, size int) *trace.Writer {
+	w := trace.NewWriterSize(size)
+	for _, d := range dirs {
+		if int(d.id) < len(tab) && tab[d.id] {
+			w.Append(d.taken)
+		}
+	}
+	return w
+}
+
+// checkLogParity runs prog with no sink under the seed's branch table and
+// a small flush buffer (so that runs flush) on both engines. The logger
+// must not change the run (its result and error are those of the sink run
+// that produced dirs), and both engines must log the oracle's trace: the
+// same bits, bit count, flushes and instrumented-execution count.
+func checkLogParity(t *testing.T, seed uint64, src string, prog *lang.Program, cfg oskernel.Config, budget int64, want vm.Result, wantErr error, dirs []branchDir) logCover {
+	t.Helper()
+	tab := logTable(seed, prog)
+	size := 1 + int(seed%4)
+	ref := oracleLog(dirs, tab, size)
+	refFlushes, refBits := ref.Flushes(), ref.Bits()
+	refTrace := ref.Finish()
+	for _, eng := range []struct {
+		name string
+		f    vm.Factory
+	}{{"tree", vm.TreeFactory}, {"bytecode", ir.Engine}} {
+		w := trace.NewWriterSize(size)
+		log := vm.Logger{Table: tab, Trace: w}
+		res, err := eng.f(prog, vm.Options{Kernel: oskernel.New(cfg), Log: log, MaxSteps: budget}).Run()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(res, want) {
+			t.Fatalf("seed %d budget %d: %s logging run differs from the sink run:\nlogged: %+v %v\nsink:   %+v %v\n%s",
+				seed, budget, eng.name, res, err, want, wantErr, src)
+		}
+		if w.Bits() != refBits || w.Flushes() != refFlushes {
+			t.Fatalf("seed %d budget %d: %s logged %d instrumented executions in %d flushes, oracle %d in %d\n%s",
+				seed, budget, eng.name, w.Bits(), w.Flushes(), refBits, refFlushes, src)
+		}
+		if got := w.Finish(); got.Len() != refTrace.Len() || !bytes.Equal(got.Bytes(), refTrace.Bytes()) {
+			t.Fatalf("seed %d budget %d: %s trace %v (% x), oracle %v (% x)\n%s",
+				seed, budget, eng.name, got, got.Bytes(), refTrace, refTrace.Bytes(), src)
+		}
+	}
+	return logCover{refBits, refFlushes}
 }
 
 // followSink steers a run the way a replay that follows the log does: it
@@ -459,9 +534,18 @@ func FuzzEngineParity(f *testing.F) {
 // the same 256 seeds every run, so a parity regression in generated-program
 // territory fails the ordinary test suite without a fuzzing engine.
 func TestGenParityFixedSeeds(t *testing.T) {
+	var bits int64
+	var flushes int
 	for seed := uint64(0); seed < 256; seed++ {
-		checkSeedParity(t, seed)
+		c := checkSeedParity(t, seed)
+		bits += c.bits
+		flushes += c.flushes
 	}
+	// The logger arm must log and flush, not pass vacuously.
+	if bits == 0 || flushes == 0 {
+		t.Fatalf("fixed seeds logged %d bits in %d flushes; want both nonzero", bits, flushes)
+	}
+	t.Logf("user-site logger: %d bits, %d flushes", bits, flushes)
 }
 
 // TestFollowLogParityFixedSeeds is the deterministic slice of the fuzz

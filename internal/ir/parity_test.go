@@ -32,10 +32,19 @@ func parse(t *testing.T, src string) *lang.Program {
 // traceSink records every branch event.
 type traceSink struct {
 	events []string
+	// dirs holds the same events as (site, direction) pairs, the input of
+	// the user-site logger's oracle (oracleLog).
+	dirs []branchDir
+}
+
+type branchDir struct {
+	id    lang.BranchID
+	taken bool
 }
 
 func (s *traceSink) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) error {
 	s.events = append(s.events, fmt.Sprintf("b%d:%v:%d:%v", site.ID, taken, cond.I, cond.Sym))
+	s.dirs = append(s.dirs, branchDir{site.ID, taken})
 	return nil
 }
 

@@ -38,17 +38,15 @@ func compile(t *testing.T, src string) *lang.Program {
 	return p
 }
 
-// record runs the program on userArgs under the plan and captures the log.
+// record runs the program on userArgs under the plan and captures the log
+// the way a user-site run does: the engine's logger, no branch sink.
 func record(t *testing.T, prog *lang.Program, spec *world.Spec, plan *instrument.Plan, userArgs map[string][]byte) *Recording {
 	t.Helper()
-	userSpec := *spec
-	userSpec.Args = append([]world.Stream(nil), spec.Args...)
-	for i := range userSpec.Args {
-		if b, ok := userArgs[userSpec.Args[i].Name]; ok {
-			userSpec.Args[i].Seed = b
-		}
+	userSpec, err := spec.UserSpec(userArgs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := world.NewWorld(&userSpec, world.NewRegistry(&userSpec), nil)
+	w := world.NewWorld(userSpec, world.NewRegistry(userSpec), nil)
 	w.Symbolic = false
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord
@@ -59,15 +57,15 @@ func record(t *testing.T, prog *lang.Program, spec *world.Spec, plan *instrument
 		cfg.LogSyscalls = true
 	}
 	kern := oskernel.New(cfg)
-	logger := instrument.NewLogger(plan)
-	res, err := vm.New(prog, vm.Options{Kernel: kern, Sink: logger}).Run()
+	log := vm.Logger{Table: plan.Table(), Trace: trace.NewWriter()}
+	res, err := vm.New(prog, vm.Options{Kernel: kern, Log: log}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Crashed {
 		t.Fatal("fixture run did not crash")
 	}
-	return &Recording{Plan: plan, Trace: logger.Finish(), SysLog: sysLog, Crash: res.Crash}
+	return &Recording{Plan: plan, Trace: log.Trace.Finish(), SysLog: sysLog, Crash: res.Crash}
 }
 
 const twoByteGuard = `

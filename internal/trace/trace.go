@@ -82,8 +82,8 @@ func (t *Trace) CompressionRatio() float64 {
 // instrumentation overhead measurements are measurements of exactly this
 // code path.
 //
-// The buffer is allocated on demand: it starts empty and doubles as bits
-// arrive, up to the flush size, so a run that logs 21 bits allocates a few
+// The buffer grows on demand: it starts at 8 bytes and doubles as bits
+// arrive, up to the flush size, so a run that logs 21 bits allocates 8
 // bytes rather than 4KB. Growth never moves a flush point: the buffer
 // flushes when it holds exactly the flush size in bits, as a buffer
 // allocated whole would.
@@ -108,37 +108,35 @@ func NewWriterSize(bufBytes int) *Writer {
 	if bufBytes < 1 {
 		bufBytes = 1
 	}
-	return &Writer{size: bufBytes}
+	return &Writer{buf: make([]byte, min(minGrow, bufBytes)), size: bufBytes}
 }
 
-// Append records one branch direction.
+// Append records one branch direction. Its common path sets a bit and
+// advances the cursor; the rare full buffer is spill's work, kept out of
+// line so that the common path stays a few instructions.
 func (w *Writer) Append(taken bool) {
-	i := w.bitPos >> 3
-	if i == len(w.buf) {
-		w.grow()
-	}
 	if taken {
-		w.buf[i] |= 1 << uint(w.bitPos&7)
+		w.buf[w.bitPos>>3] |= 1 << (w.bitPos & 7)
 	}
 	w.bitPos++
-	if w.bitPos == w.size*8 {
-		w.flush()
+	if w.bitPos == len(w.buf)*8 {
+		w.spill()
 	}
 }
 
-// grow doubles the buffer, up to the flush size.
-func (w *Writer) grow() {
-	n := min(max(2*len(w.buf), minGrow), w.size)
-	buf := make([]byte, n)
-	copy(buf, w.buf)
-	w.buf = buf
-}
-
-func (w *Writer) flush() {
+// spill empties a full buffer: below the flush size it doubles the buffer,
+// at the flush size it flushes it.
+//
+//go:noinline
+func (w *Writer) spill() {
+	if len(w.buf) < w.size {
+		buf := make([]byte, min(2*len(w.buf), w.size))
+		copy(buf, w.buf)
+		w.buf = buf
+		return
+	}
 	w.flushed = append(w.flushed, w.buf...)
-	for i := range w.buf {
-		w.buf[i] = 0
-	}
+	clear(w.buf)
 	w.bitPos = 0
 	w.flushes++
 }
@@ -151,14 +149,17 @@ func (w *Writer) Bits() int64 {
 // Flushes returns how many full-buffer flushes have happened.
 func (w *Writer) Flushes() int { return w.flushes }
 
-// Finish flushes the partial buffer and returns the completed trace.
+// Finish flushes the partial buffer and returns the completed trace. The
+// trace takes the writer's storage over instead of copying it (a run that
+// never flushed hands over its buffer as is), so nothing may be appended
+// after Finish.
 func (w *Writer) Finish() *Trace {
-	n := w.Bits()
 	partial := (w.bitPos + 7) / 8
-	bits := make([]byte, 0, len(w.flushed)+partial)
-	bits = append(bits, w.flushed...)
-	bits = append(bits, w.buf[:partial]...)
-	return &Trace{bits: bits, n: n}
+	bits := w.buf[:partial:partial]
+	if len(w.flushed) > 0 {
+		bits = append(w.flushed, bits...)
+	}
+	return &Trace{bits: bits, n: w.Bits()}
 }
 
 // Reader walks a trace bit by bit; the replay engine resets it per run.

@@ -7,12 +7,14 @@ import (
 	"pathlog/internal/lang"
 	"pathlog/internal/oskernel"
 	"pathlog/internal/sym"
+	"pathlog/internal/trace"
 )
 
-// BranchSink observes every executed branch. Implementations include the
-// branch logger (instrumented builds), the concolic labeler and the replay
-// engine. A nil return continues in the direction the condition evaluated
-// to (taken). ErrFollowLog continues in the other direction instead;
+// BranchSink observes every executed branch with its condition value, for
+// the runs that reason about the path: the concolic labeler and the replay
+// engine. An instrumented user-site run attaches no sink; its bits come
+// from the engine's Logger. A nil return continues in the direction the
+// condition evaluated to (taken). ErrFollowLog continues in the other direction instead;
 // ErrAbortRun stops the execution with Aborted status; any other error
 // stops it with a VM error.
 type BranchSink interface {
@@ -87,12 +89,35 @@ type Result struct {
 	Stdout         []byte
 }
 
+// Logger is the user-site branch logger an instrumented build runs with:
+// one bit per execution of a branch the plan instruments, appended to a
+// trace writer. The engines run it inline in their branch step, so a
+// branch the plan leaves out costs one table test and nothing else. The
+// zero Logger logs nothing.
+type Logger struct {
+	// Table is the plan's dense branch table (instrument.Plan.Table):
+	// branch id is logged iff id < len(Table) && Table[id].
+	Table []bool
+	// Trace receives the bits; it must be non-nil when Table is not empty.
+	Trace *trace.Writer
+}
+
+// Branch logs one execution of branch id that went the taken direction.
+func (l *Logger) Branch(id lang.BranchID, taken bool) {
+	if int(id) < len(l.Table) && l.Table[id] {
+		l.Trace.Append(taken)
+	}
+}
+
 // Options configure one VM instance.
 type Options struct {
 	// Kernel supplies syscalls. Required.
 	Kernel *oskernel.Kernel
 	// Sink observes branches; may be nil.
 	Sink BranchSink
+	// Log logs the instrumented branches of a run that has no Sink; a run
+	// with a Sink ignores it.
+	Log Logger
 	// World marks input symbolic; may be nil for concrete runs.
 	World World
 	// MaxSteps bounds execution; 0 means DefaultMaxSteps.
@@ -380,12 +405,13 @@ func (m *VM) execStmt(frame *Object, s lang.Stmt) (ret Value, ctl control, err e
 	return Value{}, ctlNone, fmt.Errorf("vm: unknown statement %T", s)
 }
 
-// branch reports one branch execution to the sink and returns the
-// direction to take: taken, or its opposite when the sink answers
-// ErrFollowLog.
+// branch reports one branch execution to the sink, or with no sink to the
+// logger, and returns the direction to take: taken, or its opposite when
+// the sink answers ErrFollowLog.
 func (m *VM) branch(site *lang.BranchSite, cond Value, taken bool) (bool, error) {
 	m.branchExecs++
 	if m.opts.Sink == nil {
+		m.opts.Log.Branch(site.ID, taken)
 		return taken, nil
 	}
 	if err := m.opts.Sink.OnBranch(site, cond, taken); err != nil {

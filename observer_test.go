@@ -86,3 +86,61 @@ func TestAutoBalanceObserver(t *testing.T) {
 		t.Errorf("trace has %d balance.generation spans, want %d", genSpans, gens)
 	}
 }
+
+// TestRecordObserver pins the record path's observability: with an
+// observer, every RecordWith lands the bits its run logged in the
+// pathlog_record_logged_bits histogram and its buffer flushes in the
+// pathlog_record_flushes_total counter, and the registry's exposition
+// lints as Prometheus text.
+func TestRecordObserver(t *testing.T) {
+	// The loop branch runs 40001 times, more bits than one 4KB buffer holds.
+	prog, err := Compile(Unit{Name: "loop.mc", Source: `
+int main() {
+	int i;
+	int s = 0;
+	for (i = 0; i < 40000; i++) {
+		s = s + i;
+	}
+	return 0;
+}
+`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &Plan{Instrumented: map[BranchID]bool{}}
+	for _, b := range prog.Branches {
+		plan.Instrumented[b.ID] = true
+	}
+	reg := obs.NewRegistry()
+	sess := NewSession(prog, &Spec{}, WithObserver(&Observer{Reg: reg}))
+	var bits, flushes int64
+	for range 2 {
+		_, stats, err := sess.RecordWith(context.Background(), plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits += stats.TraceBits
+		flushes += int64(stats.Flushes)
+	}
+	if flushes == 0 {
+		t.Fatalf("runs logging %d bits flushed no buffer", bits)
+	}
+
+	var text bytes.Buffer
+	if err := obs.WritePrometheus(&text, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParsePrometheus(&text)
+	if err != nil {
+		t.Fatalf("exposition does not lint: %v", err)
+	}
+	h := fams["pathlog_record_logged_bits"]
+	if h.Type != "histogram" || h.Samples["pathlog_record_logged_bits_count"] != 2 ||
+		h.Samples["pathlog_record_logged_bits_sum"] != float64(bits) {
+		t.Errorf("pathlog_record_logged_bits = %+v, want 2 runs summing to %d bits", h, bits)
+	}
+	c := fams["pathlog_record_flushes_total"]
+	if c.Type != "counter" || c.Samples["pathlog_record_flushes_total"] != float64(flushes) {
+		t.Errorf("pathlog_record_flushes_total = %+v, want %d", c, flushes)
+	}
+}

@@ -124,8 +124,9 @@ func clampDurNonNegative(d time.Duration) time.Duration {
 type Observer = obs.Observer
 
 // WithObserver attaches an observability substrate to the session. The
-// replay engine's per-run distributions (runs, solver calls, logged bits)
-// and the balance loop's phase timings land in the observer's registry,
+// user-site run's logged bits and buffer flushes (RecordWith), the replay
+// engine's per-run distributions (runs, solver calls, logged bits) and the
+// balance loop's phase timings land in the observer's registry,
 // and every balance generation runs under a span recorded by the
 // observer's tracer — propagated across the fleet's HTTP hops, so one
 // session's trace links to the daemons that served it. Either half of the
@@ -195,7 +196,22 @@ type Session struct {
 	storeOnce sync.Once
 	st        *store.Store
 	stErr     error
+
+	// recordObs holds the user-site run's instruments in the observer's
+	// registry; nil without one, so an unobserved session pays nothing.
+	recordObs *recordMetrics
 }
+
+// recordMetrics are the instruments RecordWith feeds: the bits each
+// user-site run logged and the flush-buffer writes they took.
+type recordMetrics struct {
+	loggedBits *obs.Histogram
+	flushes    *obs.Counter
+}
+
+// recordBitsBuckets matches the replay engine's logged-bits layout: 0, then
+// powers of two to 32768.
+var recordBitsBuckets = append([]float64{0}, obs.ExpBuckets(1, 2, 16)...)
 
 // planKey caches plans by strategy identity; strategy names are required
 // to uniquely describe the decision (combinators compose names).
@@ -211,7 +227,7 @@ func NewSession(prog *Program, spec *Spec, opts ...Option) *Session {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Session{
+	s := &Session{
 		prog:       prog,
 		spec:       spec,
 		cfg:        cfg,
@@ -221,6 +237,13 @@ func NewSession(prog *Program, spec *Spec, opts ...Option) *Session {
 		latestPlan: make(map[string]*Plan),
 		latestFP:   make(map[string]string),
 	}
+	if reg := cfg.obs.Registry(); reg != nil {
+		s.recordObs = &recordMetrics{
+			loggedBits: reg.Histogram("pathlog_record_logged_bits", recordBitsBuckets),
+			flushes:    reg.Counter("pathlog_record_flushes_total"),
+		}
+	}
+	return s
 }
 
 // SessionOf wraps an existing Scenario: its name, program, spec and user
@@ -493,7 +516,9 @@ func (s *Session) Record(ctx context.Context, user map[string][]byte) (*Recordin
 // instrumentation methods over one session. With a plan store configured,
 // the deployed plan is retained in the store before the run — deployment
 // is exactly the moment the developer site must be able to resolve the
-// plan later, whatever the recording envelope carries.
+// plan later, whatever the recording envelope carries. With WithObserver,
+// each run's logged bits land in the pathlog_record_logged_bits histogram
+// and its buffer flushes in pathlog_record_flushes_total.
 func (s *Session) RecordWith(ctx context.Context, plan *Plan, user map[string][]byte) (*Recording, *RecordStats, error) {
 	if user == nil {
 		user = s.cfg.userBytes
@@ -501,7 +526,12 @@ func (s *Session) RecordWith(ctx context.Context, plan *Plan, user map[string][]
 	if err := s.persistPlan(plan); err != nil {
 		return nil, nil, fmt.Errorf("pathlog: retain deployed plan: %w", err)
 	}
-	return core.Record(ctx, nil, s.prog, s.spec, user, plan)
+	rec, stats, err := core.Record(ctx, nil, s.prog, s.spec, user, plan)
+	if s.recordObs != nil && err == nil {
+		s.recordObs.loggedBits.Observe(float64(stats.TraceBits))
+		s.recordObs.flushes.Add(int64(stats.Flushes))
+	}
+	return rec, stats, err
 }
 
 // MeasureOverhead runs the user-site workload repeatedly under a plan and
