@@ -7,7 +7,8 @@ import (
 	"pathlog/internal/sym"
 )
 
-// uniTabBits sizes the unifier's per-call hash memo.
+// uniTabBits sizes the unifier's per-call hash memo when it is first
+// allocated; a call that fills half of it doubles it.
 const uniTabBits = 10
 
 // unifier is the equality-unification proof step. The atoms x - y == 0
@@ -34,8 +35,12 @@ type unifier struct {
 
 	// memo caches renaming-aware hashes per expression node for one call
 	// (classes change between calls); a slot is live only when its epoch
-	// matches the call's.
+	// matches the call's. It is open-addressed, so every node hashed in
+	// the call stays in it and the work charged is a function of the
+	// problem alone, not of where its nodes happen to lie in memory.
 	memo  []uniSlot
+	shift uint // 64 - log2(len(memo))
+	used  int  // live slots this call
 	epoch uint32
 }
 
@@ -137,9 +142,9 @@ func (u *unifier) rep(id int) int {
 // beginCall resets the work count and invalidates the memo of the previous
 // call, allocating the memo on the first call that needs it.
 func (u *unifier) beginCall() {
-	u.work = 0
+	u.work, u.used = 0, 0
 	if u.memo == nil {
-		u.memo = make([]uniSlot, 1<<uniTabBits)
+		u.memo, u.shift = make([]uniSlot, 1<<uniTabBits), 64-uniTabBits
 	}
 	u.epoch++
 	if u.epoch == 0 {
@@ -158,8 +163,7 @@ func (u *unifier) hash(e sym.Expr) uint64 {
 	case *sym.Input:
 		return hashInput(u.rep(x.ID))
 	}
-	slot := &u.memo[(uint64(reflect.ValueOf(e).Pointer())*fibMix)>>(64-uniTabBits)]
-	if slot.e == e && slot.epoch == u.epoch {
+	if slot := u.lookup(e); slot.epoch == u.epoch {
 		return slot.h
 	}
 	u.work++
@@ -172,8 +176,38 @@ func (u *unifier) hash(e sym.Expr) uint64 {
 	default:
 		h = fibMix
 	}
+	if 2*(u.used+1) > len(u.memo) {
+		u.grow()
+	}
+	slot := u.lookup(e)
 	slot.e, slot.epoch, slot.h = e, u.epoch, h
+	u.used++
 	return h
+}
+
+// lookup returns the memo slot of interior node e: the live slot holding
+// it, or the free slot its probe sequence reaches first.
+func (u *unifier) lookup(e sym.Expr) *uniSlot {
+	mask := len(u.memo) - 1
+	i := int((uint64(reflect.ValueOf(e).Pointer()) * fibMix) >> u.shift)
+	for {
+		slot := &u.memo[i]
+		if slot.epoch != u.epoch || slot.e == e {
+			return slot
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// grow doubles the memo, moving this call's live slots into it.
+func (u *unifier) grow() {
+	old := u.memo
+	u.memo, u.shift = make([]uniSlot, 2*len(old)), u.shift-1
+	for _, s := range old {
+		if s.epoch == u.epoch {
+			*u.lookup(s.e) = s
+		}
+	}
 }
 
 // equal is structEq modulo the unification: inputs match when their classes

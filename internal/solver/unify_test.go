@@ -168,3 +168,28 @@ func TestUnifyCollisionIsNoProof(t *testing.T) {
 		t.Fatal("the forged collision did not take effect")
 	}
 }
+
+// TestUnifyWorkIsAFunctionOfTheProblem proves diff's give-up problem with
+// memos of 2, 1024 and 65536 slots: the work charged must not depend on
+// how the memo's slots fall, so it is the same for all three.
+func TestUnifyWorkIsAFunctionOfTheProblem(t *testing.T) {
+	p := diffGiveUp()
+	var works []int64
+	for _, bits := range []uint{1, uniTabBits, 16} {
+		s := New(Options{})
+		nes := make([]*normEntry, len(p.Constraints))
+		for i, c := range p.Constraints {
+			nes[i] = s.normalized(c)
+		}
+		u := &s.uni
+		u.memo, u.shift = make([]uniSlot, 1<<bits), 64-bits
+		work, proved := u.provesUnsat(p.Constraints, nes)
+		if !proved {
+			t.Fatalf("%d-slot memo: no proof", 1<<bits)
+		}
+		works = append(works, work)
+	}
+	if works[0] != works[1] || works[1] != works[2] {
+		t.Fatalf("work by memo size 2/1024/65536: %v", works)
+	}
+}
