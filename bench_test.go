@@ -227,11 +227,16 @@ func BenchmarkTable6(b *testing.B) {
 // --- analysis costs (the pre-deployment phase itself) --------------------------
 
 // BenchmarkDynamicAnalysis measures the concolic exploration cost per run
-// budget — the coverage knob's price — on the uServer analysis and on diff
-// exp1 at the end-to-end benchmark's 40-run budget. BENCH_analysis.json
+// budget — the coverage knob's price — on the uServer analysis, on diff
+// exp1 at the end-to-end benchmark's 40-run budget and on paste at its
+// coreutils budget of 300 runs (8769 solver calls). BENCH_analysis.json
 // gates its time and allocations.
 func BenchmarkDynamicAnalysis(b *testing.B) {
 	diff, err := apps.DiffExperimentScenario(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paste, err := apps.CoreutilScenario("paste", 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,6 +248,7 @@ func BenchmarkDynamicAnalysis(b *testing.B) {
 		{"userver", apps.UServerAnalysisScenario(), 5},
 		{"userver", apps.UServerAnalysisScenario(), 20},
 		{"diff-exp1", diff, 40},
+		{"paste", paste, 300},
 	} {
 		b.Run(fmt.Sprintf("%s-%druns", c.name, c.runs), func(b *testing.B) {
 			b.ReportAllocs()

@@ -7,7 +7,11 @@
 // run executes the whole program with concrete inputs while collecting the
 // path condition (one constraint per symbolic branch execution); after a run,
 // constraints are negated one by one to produce child inputs (generational
-// search), which are queued for later runs. Labels obey §2.1 exactly: a
+// search), which are queued for later runs. Runs execute one at a time on
+// the calling goroutine; each run's child solves go to a pool of
+// GOMAXPROCS worker goroutines and overlap the runs that follow it, and
+// their results join the queue in run and child order, so the exploration
+// is the same at every GOMAXPROCS. Labels obey §2.1 exactly: a
 // branch first executed with a symbolic condition is symbolic forever; a
 // branch first executed with a concrete condition is concrete until some
 // later execution observes a symbolic condition, which relabels it symbolic.
@@ -15,8 +19,11 @@ package concolic
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pathlog/internal/ir"
@@ -49,7 +56,9 @@ func (l Label) String() string {
 type Options struct {
 	// MaxRuns bounds the number of concolic runs; 0 means DefaultMaxRuns.
 	MaxRuns int
-	// TimeBudget bounds wall-clock exploration time; 0 means no limit.
+	// TimeBudget bounds wall-clock exploration time; 0 means no limit. No
+	// run starts after the deadline, but the child solves of runs already
+	// made finish after it.
 	TimeBudget time.Duration
 	// Engine builds the execution machine for each run; nil uses the
 	// bytecode VM (ir.Engine), as every layer does.
@@ -62,10 +71,15 @@ const DefaultMaxRuns = 400
 // Exploration caps. maxQueue bounds the pending-input queue.
 // maxChildrenPerRun bounds how many negated constraints of one run are
 // turned into child inputs: deep paths (diff's LCS loops) would otherwise
-// spawn thousands of solver calls per run.
+// spawn thousands of solver calls per run. maxPathConds caps one run's
+// path condition, so enormous runs do not stall child generation.
+// maxInFlight bounds how many runs' children may be unmerged at once: a
+// run whose turn comes with that many outstanding waits for the oldest.
 const (
 	maxQueue          = 4096
 	maxChildrenPerRun = 48
+	maxPathConds      = 4096
+	maxInFlight       = 4
 )
 
 // Report is the outcome of one exploration.
@@ -109,27 +123,28 @@ func (r *Report) CountLabel(l Label) int {
 }
 
 // Explorer drives concolic exploration of one program over one input spec.
+//
+// Runs stay serial because the registry numbers a variable at its first
+// touch: running two inputs at once would number their variables in
+// whatever order the runs touched them, and every constraint, slice and
+// child input would follow that order.
 type Explorer struct {
 	prog *lang.Program
 	spec *world.Spec
 	reg  *world.Registry
-	slv  *solver.Solver
 	opts Options
 
 	report Report
+	tr     tracer
 	queue  []sym.MapAssignment
-	seen   map[string]bool    // dedup of queued assignments
-	varBuf []int              // scratch for per-child constraint variable IDs
-	domBuf []solver.VarDomain // scratch for their domains
+	seen   map[string]bool // dedup of queued assignments
+	stats  solver.Stats    // of the child solves the exploration made
 
-	// Per-run slicing scratch (sliceRelevant): the variable IDs of path
-	// constraint j are condVars[condEnd[j]:condEnd[j+1]], and mark[id] ==
-	// epoch marks variable id relevant to the slice being built.
-	condVars []int
-	condEnd  []int
-	mark     []uint32
-	epoch    uint32
-	sliced   []sym.Constraint
+	// The pipeline, touched by the calling goroutine only: pending lists
+	// the jobs sent to the workers and not merged yet, oldest first; free
+	// holds merged jobs for reuse.
+	pending []*job
+	free    []*job
 }
 
 // New creates an explorer. The registry may be shared with a later replay
@@ -145,7 +160,6 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, opts Options
 		prog: prog,
 		spec: spec,
 		reg:  reg,
-		slv:  solver.New(solver.Options{}),
 		opts: opts,
 		seen: make(map[string]bool),
 	}
@@ -158,24 +172,24 @@ type pathCond struct {
 }
 
 // tracer is the branch sink used during exploration runs: it labels branch
-// locations and collects the path condition.
+// locations, counts their executions into slices indexed by branch ID
+// (folded into the Report's maps once, when the exploration ends) and
+// collects the path condition.
 type tracer struct {
-	ex    *Explorer
-	conds []pathCond
-	// maxConds caps the path condition length so enormous runs (the diff
-	// LCS loops) do not stall child generation.
-	maxConds int
+	labels   []Label
+	execs    []int64
+	symExecs []int64
+	conds    []pathCond
 }
 
 // OnBranch implements vm.BranchSink.
 func (t *tracer) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) error {
-	t.ex.report.BranchExecs++
-	t.ex.report.ExecCount[site.ID]++
+	id := site.ID
+	t.execs[id]++
 	if cond.IsSymbolic() {
-		t.ex.report.SymbolicExecs++
-		t.ex.report.SymExecCount[site.ID]++
-		t.ex.report.Labels[site.ID] = Symbolic // symbolic is sticky
-		if len(t.conds) < t.maxConds {
+		t.symExecs[id]++
+		t.labels[id] = Symbolic // symbolic is sticky
+		if len(t.conds) < maxPathConds {
 			t.conds = append(t.conds, pathCond{
 				site: site,
 				c:    sym.Constraint{E: cond.Sym, Truth: taken},
@@ -183,25 +197,49 @@ func (t *tracer) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) erro
 		}
 		return nil
 	}
-	if t.ex.report.Labels[site.ID] == Unvisited {
-		t.ex.report.Labels[site.ID] = Concrete
+	if t.labels[id] == Unvisited {
+		t.labels[id] = Concrete
 	}
 	return nil
+}
+
+// job is the child generation of one run: the run's input and path
+// condition, the constraint variables slicing reads, and one result per
+// negation point. The calling goroutine fills everything but kids before
+// sending the job's tasks; each worker writes the kids of its tasks.
+type job struct {
+	parent sym.MapAssignment
+	conds  []pathCond
+	vars   pathVars
+	stride int          // negation point of kid i: i*stride
+	kids   []child      // one per negation point
+	run    int          // Report.Runs when the job's run ended
+	left   atomic.Int32 // kids not solved yet
+	solved bool         // every kid is in (the calling goroutine's view)
+}
+
+// child is the outcome of one negation.
+type child struct {
+	asn   sym.MapAssignment // parent overlaid with the solution; nil if none
+	key   string            // assignmentKey(asn)
+	stats solver.Stats      // what the solve added to the solver counters
+}
+
+// task is one negation for a worker: kid i of job j.
+type task struct {
+	j *job
+	i int
 }
 
 // Explore runs the analysis until its budget is exhausted, the context is
 // cancelled, or its deadline passes, and returns the labeling report. The
 // context subsumes the TimeBudget option: whichever bound fires first stops
-// exploration after the current run.
+// exploration before the next run; the child solves already under way
+// finish, and no goroutine Explore started outlives it.
 func (e *Explorer) Explore(ctx context.Context) *Report {
-	e.report = Report{
-		Labels:       make(map[lang.BranchID]Label, len(e.prog.Branches)),
-		ExecCount:    make(map[lang.BranchID]int64),
-		SymExecCount: make(map[lang.BranchID]int64),
-	}
-	for _, b := range e.prog.Branches {
-		e.report.Labels[b.ID] = Unvisited
-	}
+	nb := len(e.prog.Branches)
+	e.report = Report{}
+	e.tr = tracer{labels: make([]Label, nb), execs: make([]int64, nb), symExecs: make([]int64, nb)}
 
 	start := time.Now()
 	if e.opts.TimeBudget > 0 {
@@ -210,37 +248,91 @@ func (e *Explorer) Explore(ctx context.Context) *Report {
 		defer cancel()
 	}
 
+	// The channels have room for every task and job the pipeline can hold,
+	// so neither side ever blocks on a send.
+	tasks := make(chan task, maxInFlight*maxChildrenPerRun)
+	done := make(chan *job, maxInFlight)
+	var workers sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			e.work(tasks, done)
+		}()
+	}
+	defer func() {
+		// Also on a panicking run: the workers finish the tasks sent and
+		// exit.
+		close(tasks)
+		workers.Wait()
+		e.pending, e.free = nil, nil
+	}()
+
 	e.queue = []sym.MapAssignment{{}} // initial run: all-seed input
-	for len(e.queue) > 0 && e.report.Runs < e.opts.MaxRuns {
-		if ctx.Err() != nil {
-			break
+	for e.report.Runs < e.opts.MaxRuns && ctx.Err() == nil {
+		e.collect(done, false)
+		if len(e.queue) == 0 || len(e.pending) == maxInFlight {
+			// The next run is a child of a pending job, or the pipeline is
+			// full: merge the oldest job first.
+			if len(e.pending) == 0 {
+				break
+			}
+			e.collect(done, true)
+			continue
 		}
 		asn := e.queue[0]
 		e.queue = e.queue[1:]
-		conds := e.runOnce(asn)
+		j := e.runOnce(asn)
 		if e.report.Runs >= e.opts.MaxRuns {
-			break // the budget is spent; child generation would be wasted
+			e.free = append(e.free, j) // the budget is spent; children would be wasted
+			break
 		}
-		e.generateChildren(asn, conds)
+		e.submit(j, tasks)
+	}
+	for len(e.pending) > 0 {
+		e.collect(done, true)
 	}
 
 	e.report.Elapsed = time.Since(start)
-	e.report.SolverStats = e.slv.Stats()
+	e.report.SolverStats = e.stats
+	e.foldCounts()
 	return &e.report
 }
 
-// runOnce executes the program with one concrete assignment and returns the
-// collected path condition.
-func (e *Explorer) runOnce(asn sym.MapAssignment) []pathCond {
+// foldCounts moves the tracer's per-branch counts into the report: every
+// branch gets a label, branches executed at least once an execution count.
+func (e *Explorer) foldCounts() {
+	r, t := &e.report, &e.tr
+	r.Labels = make(map[lang.BranchID]Label, len(t.labels))
+	r.ExecCount = make(map[lang.BranchID]int64)
+	r.SymExecCount = make(map[lang.BranchID]int64)
+	for i, l := range t.labels {
+		id := lang.BranchID(i)
+		r.Labels[id] = l
+		if n := t.execs[i]; n > 0 {
+			r.ExecCount[id] = n
+			r.BranchExecs += n
+		}
+		if n := t.symExecs[i]; n > 0 {
+			r.SymExecCount[id] = n
+			r.SymbolicExecs += n
+		}
+	}
+}
+
+// runOnce executes the program with one concrete assignment and returns a
+// job holding the input and the collected path condition.
+func (e *Explorer) runOnce(asn sym.MapAssignment) *job {
 	e.report.Runs++
+	j := e.newJob()
+	e.tr.conds = j.conds[:0]
 	w := world.NewWorld(e.spec, e.reg, asn)
 	cfg := w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord
 	kern := oskernel.New(cfg)
-	tr := &tracer{ex: e, maxConds: 4096}
 	machine := e.opts.Engine(e.prog, vm.Options{
 		Kernel: kern,
-		Sink:   tr,
+		Sink:   &e.tr,
 		World:  w,
 	})
 	// Crashes and budget blowups during analysis are expected: exploration
@@ -250,100 +342,202 @@ func (e *Explorer) runOnce(asn sym.MapAssignment) []pathCond {
 		// analyzed program. Surface it loudly.
 		panic(err)
 	}
-	return tr.conds
+	j.parent, j.conds, j.run = asn, e.tr.conds, e.report.Runs
+	e.tr.conds = nil
+	return j
 }
 
-// generateChildren negates path constraints (generational search) and
-// queues solved inputs for later runs. Two standard concolic optimizations
-// keep this tractable on deep paths:
+// newJob returns a merged job for reuse, or a new one.
+func (e *Explorer) newJob() *job {
+	if n := len(e.free); n > 0 {
+		j := e.free[n-1]
+		e.free = e.free[:n-1]
+		return j
+	}
+	return new(job)
+}
+
+// submit hands a run's negations to the workers (generational search). Two
+// standard concolic optimizations keep this tractable on deep paths:
 //
 //   - the number of children per run is capped, with negation sites spread
 //     evenly over the path so deep branches still get explored;
 //   - unrelated constraint elimination: each child problem contains only the
 //     prefix constraints transitively sharing variables with the negated
-//     one, found in one backward pass over variable IDs collected once per
-//     run (sliceRelevant). Dropping independent constraints cannot make the
-//     negation unsolvable; the child input may diverge earlier on the path,
-//     which exploration tolerates (it is not replay).
-func (e *Explorer) generateChildren(parent sym.MapAssignment, conds []pathCond) {
-	n := len(conds)
-	if n == 0 {
+//     one (slicer.slice).
+//
+// A run with no symbolic branch has no children, and neither has one that
+// ends with the queue full: the queue merge would see can only be fuller.
+func (e *Explorer) submit(j *job, tasks chan<- task) {
+	n := len(j.conds)
+	if n == 0 || len(e.queue) >= maxQueue {
+		e.free = append(e.free, j)
 		return
 	}
-	e.collectVars(conds)
-	stride := 1
-	if n > maxChildrenPerRun {
-		stride = n / maxChildrenPerRun
-	}
-	for i := 0; i < n; i += stride {
-		if len(e.queue) >= maxQueue {
-			return
-		}
-		sliced := e.sliceRelevant(conds, i)
-		vars := sym.ConstraintVarIDs(sliced, e.varBuf)
-		e.varBuf = vars
-		e.domBuf = e.reg.Domains(vars, e.domBuf)
-		problem := solver.Problem{
-			Constraints: sliced,
-			Domains:     e.domBuf,
-			Seed:        parent,
-		}
-		child, ok := e.slv.Solve(problem)
-		if !ok {
-			continue
-		}
-		merged := parent.Overlay(child)
-		key := assignmentKey(merged)
-		if e.seen[key] {
-			continue
-		}
-		e.seen[key] = true
-		e.queue = append(e.queue, merged)
+	j.vars.collect(j.conds)
+	j.stride = max(1, n/maxChildrenPerRun)
+	k := (n + j.stride - 1) / j.stride
+	j.kids = slices.Grow(j.kids[:0], k)[:k]
+	j.left.Store(int32(k))
+	j.solved = false
+	e.pending = append(e.pending, j)
+	for i := range k {
+		tasks <- task{j, i}
 	}
 }
 
-// collectVars lists the variable IDs of each path constraint in condVars
-// and condEnd, and grows the mark table to cover every ID.
-func (e *Explorer) collectVars(conds []pathCond) {
-	e.condVars, e.condEnd = e.condVars[:0], append(e.condEnd[:0], 0)
+// collect marks the jobs the workers have finished as solved, waiting for
+// the oldest pending one when wait is set, and merges every solved job at
+// the head of pending.
+func (e *Explorer) collect(done <-chan *job, wait bool) {
+	for wait && !e.pending[0].solved {
+		(<-done).solved = true
+	}
+drain:
+	for {
+		select {
+		case j := <-done:
+			j.solved = true
+		default:
+			break drain
+		}
+	}
+	for len(e.pending) > 0 && e.pending[0].solved {
+		j := e.pending[0]
+		e.pending = append(e.pending[:0], e.pending[1:]...)
+		e.merge(j)
+		e.free = append(e.free, j)
+	}
+}
+
+// merge queues job j's children in negation order, as the sequential loop
+// would have made them. Its queue cap counts the runs started since j's
+// run as still queued, since without the pipeline they would have been;
+// the children from the cap on are dropped, their solves uncounted.
+func (e *Explorer) merge(j *job) {
+	started := e.report.Runs - j.run
+	for i := range j.kids {
+		c := &j.kids[i]
+		if len(e.queue)+started >= maxQueue {
+			break
+		}
+		e.stats.Add(c.stats)
+		if c.asn == nil || e.seen[c.key] {
+			continue
+		}
+		e.seen[c.key] = true
+		e.queue = append(e.queue, c.asn)
+	}
+	clear(j.kids) // drop the assignments; the queue holds the ones kept
+	j.parent = nil
+}
+
+// worker is one solving goroutine's state: its own solver and scratch. The
+// solver comes from the shared free list warm, as a replay search's does,
+// and goes back to it when the exploration ends.
+type worker struct {
+	slv    *solver.Solver
+	sl     slicer
+	varBuf []int
+	domBuf []solver.VarDomain
+}
+
+// work solves tasks until the channel closes, sending each job whose last
+// kid it solved to done.
+func (e *Explorer) work(tasks <-chan task, done chan<- *job) {
+	w := worker{slv: solver.Get(solver.Options{})}
+	defer solver.Put(w.slv)
+	for t := range tasks {
+		j := t.j
+		j.kids[t.i] = w.solve(e.reg, j, t.i*j.stride)
+		if j.left.Add(-1) == 0 {
+			done <- j
+		}
+	}
+}
+
+// solve negates constraint at of j's path condition and solves its slice.
+// Dropping the constraints unrelated to the negation cannot make it
+// unsolvable; the child input may diverge earlier on the path, which
+// exploration tolerates (it is not replay).
+func (w *worker) solve(reg *world.Registry, j *job, at int) child {
+	sliced := w.sl.slice(j.conds, &j.vars, at)
+	w.varBuf = sym.ConstraintVarIDs(sliced, w.varBuf)
+	w.domBuf = reg.Domains(w.varBuf, w.domBuf)
+	w.slv.ResetStats()
+	asn, ok := w.slv.Solve(solver.Problem{
+		Constraints: sliced,
+		Domains:     w.domBuf,
+		Seed:        j.parent,
+	})
+	c := child{stats: w.slv.Stats()}
+	if ok {
+		c.asn = j.parent.Overlay(asn)
+		c.key = assignmentKey(c.asn)
+	}
+	return c
+}
+
+// pathVars lists the variable IDs of each constraint of one path
+// condition, collected once per run: those of constraint j are
+// ids[end[j]:end[j+1]].
+type pathVars struct {
+	ids, end []int
+	maxID    int
+}
+
+// collect lists the variable IDs of conds.
+func (pv *pathVars) collect(conds []pathCond) {
+	pv.ids, pv.end = pv.ids[:0], append(pv.end[:0], 0)
 	for _, pc := range conds {
-		e.condVars = sym.AppendVarIDs(pc.c.E, e.condVars)
-		e.condEnd = append(e.condEnd, len(e.condVars))
+		pv.ids = sym.AppendVarIDs(pc.c.E, pv.ids)
+		pv.end = append(pv.end, len(pv.ids))
 	}
-	if len(e.condVars) > 0 {
-		if need := slices.Max(e.condVars) + 1; need > len(e.mark) {
-			e.mark = append(e.mark, make([]uint32, need-len(e.mark))...)
-		}
+	pv.maxID = -1
+	if len(pv.ids) > 0 {
+		pv.maxID = slices.Max(pv.ids)
 	}
 }
 
-// sliceRelevant returns constraint i negated, preceded in prefix order by
+// slicer is the slicing scratch of one worker: mark[id] == epoch marks
+// variable id relevant to the slice being built (registry IDs are dense),
+// so a new slice bumps the epoch instead of clearing the table.
+type slicer struct {
+	mark   []uint32
+	epoch  uint32
+	sliced []sym.Constraint
+}
+
+// slice returns constraint i of conds negated, preceded in prefix order by
 // the prefix constraints sharing a variable with it or with a constraint
-// kept after them (one backward pass from i-1 to 0). The slice is scratch,
-// valid until the next call.
-func (e *Explorer) sliceRelevant(conds []pathCond, i int) []sym.Constraint {
-	e.epoch++
-	if e.epoch == 0 { // wrapped: stale marks could alias the new epoch
-		clear(e.mark)
-		e.epoch = 1
+// kept after them (one backward pass from i-1 to 0). pv holds the
+// variables of conds. The slice is scratch, valid until the next call.
+func (s *slicer) slice(conds []pathCond, pv *pathVars, i int) []sym.Constraint {
+	if need := pv.maxID + 1; need > len(s.mark) {
+		s.mark = append(s.mark, make([]uint32, need-len(s.mark))...)
 	}
-	for _, v := range e.condVars[e.condEnd[i]:e.condEnd[i+1]] {
-		e.mark[v] = e.epoch
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale marks could alias the new epoch
+		clear(s.mark)
+		s.epoch = 1
 	}
-	e.sliced = e.sliced[:0]
+	for _, v := range pv.ids[pv.end[i]:pv.end[i+1]] {
+		s.mark[v] = s.epoch
+	}
+	s.sliced = s.sliced[:0]
 	for j := i - 1; j >= 0; j-- {
-		vars := e.condVars[e.condEnd[j]:e.condEnd[j+1]]
-		if !slices.ContainsFunc(vars, func(v int) bool { return e.mark[v] == e.epoch }) {
+		vars := pv.ids[pv.end[j]:pv.end[j+1]]
+		if !slices.ContainsFunc(vars, func(v int) bool { return s.mark[v] == s.epoch }) {
 			continue
 		}
-		e.sliced = append(e.sliced, conds[j].c)
+		s.sliced = append(s.sliced, conds[j].c)
 		for _, v := range vars {
-			e.mark[v] = e.epoch
+			s.mark[v] = s.epoch
 		}
 	}
-	slices.Reverse(e.sliced)
-	e.sliced = append(e.sliced, conds[i].c.Negated())
-	return e.sliced
+	slices.Reverse(s.sliced)
+	s.sliced = append(s.sliced, conds[i].c.Negated())
+	return s.sliced
 }
 
 // assignmentKey renders a canonical dedup key.

@@ -307,12 +307,13 @@ func refSliceRelevant(prefix []pathCond, negated sym.Constraint) []sym.Constrain
 	return append(out, negated)
 }
 
-// checkSlices slices conds at each point in at with e's scratch and
+// checkSlices slices conds at each point in at with s's scratch and
 // compares every slice with refSliceRelevant.
-func (e *Explorer) checkSlices(conds []pathCond, at []int) error {
-	e.collectVars(conds)
+func (s *slicer) checkSlices(conds []pathCond, at []int) error {
+	var pv pathVars
+	pv.collect(conds)
 	for _, i := range at {
-		got := e.sliceRelevant(conds, i)
+		got := s.slice(conds, &pv, i)
 		want := refSliceRelevant(conds[:i], conds[i].c.Negated())
 		if !slices.Equal(got, want) {
 			return fmt.Errorf("slice at %d of %d: got %d constraints %v, want %d %v",
@@ -322,9 +323,9 @@ func (e *Explorer) checkSlices(conds []pathCond, at []int) error {
 	return nil
 }
 
-// negationPoints returns the indices generateChildren negates on a path of
-// n constraints.
-func (e *Explorer) negationPoints(n int) []int {
+// negationPoints returns the indices an exploration negates on a path of n
+// constraints.
+func negationPoints(n int) []int {
 	stride := max(1, n/maxChildrenPerRun)
 	var at []int
 	for i := 0; i < n; i += stride {
@@ -377,8 +378,7 @@ func TestSliceRelevantMatchesReference(t *testing.T) {
 			for k := 0; k < 8; k++ {
 				at = append(at, r.Intn(n))
 			}
-			ex := &Explorer{}
-			if err := ex.checkSlices(conds, at); err != nil {
+			if err := new(slicer).checkSlices(conds, at); err != nil {
 				t.Fatalf("%s, %d constraints: %v", tc.name, n, err)
 			}
 		}
@@ -386,7 +386,7 @@ func TestSliceRelevantMatchesReference(t *testing.T) {
 }
 
 // TestSliceRelevantScratchIsPerRun slices a long run and then a shorter one
-// on one Explorer, and holds the second run's slices to a fresh Explorer's:
+// on one slicer, and holds the second run's slices to a fresh slicer's:
 // nothing of the first run's per-run lists or marks may leak into them,
 // including across a wrap of the mark epoch.
 func TestSliceRelevantScratchIsPerRun(t *testing.T) {
@@ -400,17 +400,17 @@ func TestSliceRelevantScratchIsPerRun(t *testing.T) {
 		shortAt = append(shortAt, r.Intn(len(short)))
 	}
 
-	reused := &Explorer{}
+	reused := &slicer{}
 	if err := reused.checkSlices(long, []int{4096, 2048, 1}); err != nil {
 		t.Fatal(err)
 	}
 	reused.epoch = math.MaxUint32 - 3 // the short run's slices wrap it
-	fresh := &Explorer{}
-	fresh.collectVars(short)
-	reused.collectVars(short)
+	fresh := &slicer{}
+	var pv pathVars
+	pv.collect(short)
 	for _, i := range shortAt {
-		want := slices.Clone(fresh.sliceRelevant(short, i))
-		if got := reused.sliceRelevant(short, i); !slices.Equal(got, want) {
+		want := slices.Clone(fresh.slice(short, &pv, i))
+		if got := reused.slice(short, &pv, i); !slices.Equal(got, want) {
 			t.Fatalf("slice at %d after a long run: got %v, want %v", i, got, want)
 		}
 	}
