@@ -221,7 +221,7 @@ type job struct {
 // child is the outcome of one negation.
 type child struct {
 	asn   sym.MapAssignment // parent overlaid with the solution; nil if none
-	key   string            // assignmentKey(asn)
+	key   string            // the dedup key of asn
 	stats solver.Stats      // what the solve added to the solver counters
 }
 
@@ -433,20 +433,23 @@ func (e *Explorer) merge(j *job) {
 }
 
 // worker is one solving goroutine's state: its own solver and scratch. The
-// solver comes from the shared free list warm, as a replay search's does,
-// and goes back to it when the exploration ends.
+// solver is new, not from the free list replay searches share: the
+// analysis grows its tables to thousands of slots, and a two-run
+// reproduction that inherited them ran about 2% slower (perfbench
+// coreutils reproduce_vs_run).
 type worker struct {
 	slv    *solver.Solver
 	sl     slicer
 	varBuf []int
 	domBuf []solver.VarDomain
+	ids    []int  // key scratch
+	keyBuf []byte // key scratch
 }
 
 // work solves tasks until the channel closes, sending each job whose last
 // kid it solved to done.
 func (e *Explorer) work(tasks <-chan task, done chan<- *job) {
-	w := worker{slv: solver.Get(solver.Options{})}
-	defer solver.Put(w.slv)
+	w := worker{slv: solver.New(solver.Options{})}
 	for t := range tasks {
 		j := t.j
 		j.kids[t.i] = w.solve(e.reg, j, t.i*j.stride)
@@ -473,7 +476,7 @@ func (w *worker) solve(reg *world.Registry, j *job, at int) child {
 	c := child{stats: w.slv.Stats()}
 	if ok {
 		c.asn = j.parent.Overlay(asn)
-		c.key = assignmentKey(c.asn)
+		c.key = w.key(c.asn)
 	}
 	return c
 }
@@ -540,20 +543,22 @@ func (s *slicer) slice(conds []pathCond, pv *pathVars, i int) []sym.Constraint {
 	return s.sliced
 }
 
-// assignmentKey renders a canonical dedup key.
-func assignmentKey(asn sym.MapAssignment) string {
-	// Assignments are small (tens of bytes); a sorted textual key is fine.
-	ids := make([]int, 0, len(asn))
+// key renders asn's canonical dedup key: its variable IDs in order, each
+// with its value. Only the string is allocated; the ID list and the byte
+// buffer are the worker's scratch.
+func (w *worker) key(asn sym.MapAssignment) string {
+	w.ids = w.ids[:0]
 	for id := range asn {
-		ids = append(ids, id)
+		w.ids = append(w.ids, id)
 	}
-	slices.Sort(ids)
-	buf := make([]byte, 0, len(ids)*6)
-	for _, id := range ids {
+	slices.Sort(w.ids)
+	buf := w.keyBuf[:0]
+	for _, id := range w.ids {
 		buf = strconv.AppendInt(buf, int64(id), 10)
 		buf = append(buf, '=')
 		buf = strconv.AppendInt(buf, asn[id], 10)
 		buf = append(buf, ';')
 	}
+	w.keyBuf = buf
 	return string(buf)
 }
