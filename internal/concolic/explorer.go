@@ -141,10 +141,13 @@ type Explorer struct {
 	stats  solver.Stats    // of the child solves the exploration made
 
 	// The pipeline, touched by the calling goroutine only: pending lists
-	// the jobs sent to the workers and not merged yet, oldest first; free
-	// holds merged jobs for reuse.
+	// the jobs submitted and not merged yet, oldest first, and kids counts
+	// their negations; free holds merged jobs for reuse; self solves the
+	// jobs the merge solves itself.
 	pending []*job
+	kids    int
 	free    []*job
+	self    *worker
 }
 
 // New creates an explorer. The registry may be shared with a later replay
@@ -206,16 +209,19 @@ func (t *tracer) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) erro
 // job is the child generation of one run: the run's input and path
 // condition, the constraint variables slicing reads, and one result per
 // negation point. The calling goroutine fills everything but kids before
-// sending the job's tasks; each worker writes the kids of its tasks.
+// sending the job's tasks; each worker writes the kids of its tasks. A
+// job whose negations the queue cap could cut is not sent: the merge
+// solves them itself (atMerge).
 type job struct {
-	parent sym.MapAssignment
-	conds  []pathCond
-	vars   pathVars
-	stride int          // negation point of kid i: i*stride
-	kids   []child      // one per negation point
-	run    int          // Report.Runs when the job's run ended
-	left   atomic.Int32 // kids not solved yet
-	solved bool         // every kid is in (the calling goroutine's view)
+	parent  sym.MapAssignment
+	conds   []pathCond
+	vars    pathVars
+	stride  int          // negation point of kid i: i*stride
+	kids    []child      // one per negation point
+	run     int          // Report.Runs when the job's run ended
+	left    atomic.Int32 // kids not solved yet
+	solved  bool         // every kid is in (the calling goroutine's view)
+	atMerge bool         // the merge solves the kids, in order
 }
 
 // child is the outcome of one negation.
@@ -265,7 +271,7 @@ func (e *Explorer) Explore(ctx context.Context) *Report {
 		// exit.
 		close(tasks)
 		workers.Wait()
-		e.pending, e.free = nil, nil
+		e.pending, e.kids, e.free, e.self = nil, 0, nil, nil
 	}()
 
 	e.queue = []sym.MapAssignment{{}} // initial run: all-seed input
@@ -366,21 +372,29 @@ func (e *Explorer) newJob() *job {
 //     prefix constraints transitively sharing variables with the negated
 //     one (slicer.slice).
 //
-// A run with no symbolic branch has no children, and neither has one that
-// ends with the queue full: the queue merge would see can only be fuller.
+// The queue the job's merge sees holds at most what it holds now plus a
+// child for every negation of the pending jobs. When that leaves room for
+// all k children, the queue cap cannot cut the job and the workers solve
+// it; otherwise the merge solves its negations in order, stopping at the
+// cap, so no solve is made that the cap would drop.
 func (e *Explorer) submit(j *job, tasks chan<- task) {
 	n := len(j.conds)
-	if n == 0 || len(e.queue) >= maxQueue {
-		e.free = append(e.free, j)
+	if n == 0 {
+		e.free = append(e.free, j) // no symbolic branch, no children
 		return
 	}
 	j.vars.collect(j.conds)
 	j.stride = max(1, n/maxChildrenPerRun)
 	k := (n + j.stride - 1) / j.stride
 	j.kids = slices.Grow(j.kids[:0], k)[:k]
-	j.left.Store(int32(k))
-	j.solved = false
+	j.atMerge = len(e.queue)+e.kids+k > maxQueue
+	j.solved = j.atMerge
 	e.pending = append(e.pending, j)
+	e.kids += k
+	if j.atMerge {
+		return
+	}
+	j.left.Store(int32(k))
 	for i := range k {
 		tasks <- task{j, i}
 	}
@@ -405,6 +419,7 @@ drain:
 	for len(e.pending) > 0 && e.pending[0].solved {
 		j := e.pending[0]
 		e.pending = append(e.pending[:0], e.pending[1:]...)
+		e.kids -= len(j.kids)
 		e.merge(j)
 		e.free = append(e.free, j)
 	}
@@ -412,14 +427,21 @@ drain:
 
 // merge queues job j's children in negation order, as the sequential loop
 // would have made them. Its queue cap counts the runs started since j's
-// run as still queued, since without the pipeline they would have been;
-// the children from the cap on are dropped, their solves uncounted.
+// run as still queued, since without the pipeline they would have been.
+// Only a job solved at the merge can meet the cap (see submit), and each of
+// its negations is solved only once the cap check before it has passed.
 func (e *Explorer) merge(j *job) {
 	started := e.report.Runs - j.run
 	for i := range j.kids {
-		c := &j.kids[i]
 		if len(e.queue)+started >= maxQueue {
 			break
+		}
+		c := &j.kids[i]
+		if j.atMerge {
+			if e.self == nil {
+				e.self = newWorker()
+			}
+			*c = e.self.solve(e.reg, j, i*j.stride)
 		}
 		e.stats.Add(c.stats)
 		if c.asn == nil || e.seen[c.key] {
@@ -446,10 +468,15 @@ type worker struct {
 	keyBuf []byte // key scratch
 }
 
+// newWorker returns a worker with a new solver.
+func newWorker() *worker {
+	return &worker{slv: solver.New(solver.Options{})}
+}
+
 // work solves tasks until the channel closes, sending each job whose last
 // kid it solved to done.
 func (e *Explorer) work(tasks <-chan task, done chan<- *job) {
-	w := worker{slv: solver.New(solver.Options{})}
+	w := newWorker()
 	for t := range tasks {
 		j := t.j
 		j.kids[t.i] = w.solve(e.reg, j, t.i*j.stride)
