@@ -9,9 +9,11 @@
 // and every reported metric keyed by unit.
 //
 // Repeated runs of the same benchmark (`go test -count N`) are collapsed to
-// the best run — the one with the lowest first -gate metric — because on a noisy
-// shared machine the minimum over repetitions estimates the true cost far
-// more stably than any single run. -min-runs makes the de-noising mandatory:
+// one entry holding, for each metric, its median across the repetitions:
+// on a noisy shared machine a central value estimates the cost more stably
+// than any single run, and each metric gets its own, so a ratio such as
+// overhead-x is not whatever the repetition with the lowest ns/op happened
+// to read. -min-runs makes the de-noising mandatory:
 // a benchmark that appears fewer times than required fails the conversion
 // loudly rather than producing a one-sample artifact that the regression
 // gate then trusts. -min-iterations likewise rejects runs whose b.N fell
@@ -42,6 +44,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -54,7 +57,7 @@ type Result struct {
 	// Iterations is b.N — how many times the body ran.
 	Iterations int64 `json:"iterations"`
 	// Runs is how many repetitions of this benchmark the input held; the
-	// entry keeps the best of them (lowest gate metric).
+	// entry holds the median of each metric (and of b.N) over them.
 	Runs int `json:"runs,omitempty"`
 	// Metrics maps each reported unit to its value ("ns/op",
 	// "replay-runs", "B/op", ...).
@@ -73,7 +76,7 @@ type Doc struct {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against")
-	gate := flag.String("gate", "ns/replay-run", "comma-separated metrics the -baseline gate compares; the first ranks repetitions")
+	gate := flag.String("gate", "ns/replay-run", "comma-separated metrics the -baseline gate compares")
 	maxRegress := flag.Float64("max-regress", 20, "max allowed regression of each -gate metric in percent")
 	minRuns := flag.Int("min-runs", 1, "required repetitions per benchmark (use with go test -count)")
 	minIters := flag.Int64("min-iterations", 1, "required b.N floor per benchmark run")
@@ -101,7 +104,7 @@ func main() {
 		fatal(fmt.Errorf("no benchmark lines found"))
 	}
 	metrics := strings.Split(*gate, ",")
-	if err := collapse(&doc, metrics[0], *minRuns, *minIters); err != nil {
+	if err := collapse(&doc, *minRuns, *minIters); err != nil {
 		fatal(err)
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -121,22 +124,15 @@ func main() {
 	}
 }
 
-// collapse de-noises repeated benchmark runs: entries with the same name are
-// reduced to the one with the lowest gate metric (falling back to ns/op when
-// the gate metric is absent), tagged with the repetition count. It errors if
-// any benchmark ran fewer than minRuns times or with fewer than minIters
-// iterations — silent under-measurement is exactly what the flags exist to
-// catch.
-func collapse(doc *Doc, gate string, minRuns int, minIters int64) error {
-	pick := func(r Result) (float64, bool) {
-		if v, ok := r.Metrics[gate]; ok {
-			return v, true
-		}
-		v, ok := r.Metrics["ns/op"]
-		return v, ok
-	}
+// collapse de-noises repeated benchmark runs: entries with the same name
+// become one, in first-appearance order, holding the median of each metric
+// over the repetitions that report it and the median b.N, tagged with the
+// repetition count. It errors if any benchmark ran fewer than minRuns times
+// or with fewer than minIters iterations — silent under-measurement is
+// exactly what the flags exist to catch.
+func collapse(doc *Doc, minRuns int, minIters int64) error {
 	byName := make(map[string]int)
-	var outList []Result
+	var reps [][]Result
 	for _, fresh := range doc.Benchmarks {
 		if fresh.Iterations < minIters {
 			return fmt.Errorf("%s ran %d iteration(s), need at least %d",
@@ -144,32 +140,46 @@ func collapse(doc *Doc, gate string, minRuns int, minIters int64) error {
 		}
 		i, seen := byName[fresh.Name]
 		if !seen {
-			fresh.Runs = 1
-			byName[fresh.Name] = len(outList)
-			outList = append(outList, fresh)
-			continue
+			i = len(reps)
+			byName[fresh.Name] = i
+			reps = append(reps, nil)
 		}
-		best := &outList[i]
-		best.Runs++
-		bv, bok := pick(*best)
-		fv, fok := pick(fresh)
-		if !bok || !fok {
-			return fmt.Errorf("%s: repeated runs but no %q or ns/op metric to rank them", fresh.Name, gate)
-		}
-		if fv < bv {
-			runs := best.Runs
-			*best = fresh
-			best.Runs = runs
-		}
+		reps[i] = append(reps[i], fresh)
 	}
-	for _, r := range outList {
-		if r.Runs < minRuns {
+	outList := make([]Result, 0, len(reps))
+	for _, rs := range reps {
+		if len(rs) < minRuns {
 			return fmt.Errorf("%s has %d run(s), need at least %d (go test -count)",
-				r.Name, r.Runs, minRuns)
+				rs[0].Name, len(rs), minRuns)
 		}
+		iters := make([]float64, len(rs))
+		byUnit := make(map[string][]float64)
+		for k, r := range rs {
+			iters[k] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				byUnit[unit] = append(byUnit[unit], v)
+			}
+		}
+		out := Result{Name: rs[0].Name, Iterations: int64(median(iters)), Runs: len(rs),
+			Metrics: make(map[string]float64, len(byUnit))}
+		for unit, vs := range byUnit {
+			out.Metrics[unit] = median(vs)
+		}
+		outList = append(outList, out)
 	}
 	doc.Benchmarks = outList
 	return nil
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when there are evenly many. It sorts vs.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // compare gates doc against the committed baseline document: every

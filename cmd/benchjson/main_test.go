@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,5 +135,36 @@ func TestBaseName(t *testing.T) {
 		if got := baseName(in); got != want {
 			t.Errorf("baseName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestCollapseMedian reduces three repetitions to the median of each
+// metric on its own: the ratio comes from a different repetition than the
+// time, and a metric one repetition lacks is the median of the others.
+func TestCollapseMedian(t *testing.T) {
+	doc := Doc{Benchmarks: []Result{
+		{Name: "BenchmarkRecordPaired/a", Iterations: 10, Metrics: map[string]float64{"ns/op": 300, "overhead-x": 0.99, "allocs/op": 84}},
+		bench("BenchmarkReplay", map[string]float64{"ns/op": 7}),
+		{Name: "BenchmarkRecordPaired/a", Iterations: 30, Metrics: map[string]float64{"ns/op": 100, "overhead-x": 1.03, "allocs/op": 84}},
+		{Name: "BenchmarkRecordPaired/a", Iterations: 20, Metrics: map[string]float64{"ns/op": 200, "overhead-x": 1.01}},
+		bench("BenchmarkReplay", map[string]float64{"ns/op": 5}),
+	}}
+	if err := collapse(&doc, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 2 || doc.Benchmarks[0].Name != "BenchmarkRecordPaired/a" {
+		t.Fatalf("collapsed to %+v", doc.Benchmarks)
+	}
+	paired, replay := doc.Benchmarks[0], doc.Benchmarks[1]
+	want := map[string]float64{"ns/op": 200, "overhead-x": 1.01, "allocs/op": 84}
+	if paired.Runs != 3 || paired.Iterations != 20 || !maps.Equal(paired.Metrics, want) {
+		t.Errorf("paired: %d runs, %d iterations, %v; want 3, 20, %v", paired.Runs, paired.Iterations, paired.Metrics, want)
+	}
+	if replay.Runs != 2 || replay.Metrics["ns/op"] != 6 {
+		t.Errorf("replay: %d runs, ns/op %v; want 2, 6 (the mean of the middle two)", replay.Runs, replay.Metrics["ns/op"])
+	}
+	if err := collapse(&Doc{Benchmarks: []Result{bench("BenchmarkReplay", nil)}}, 2, 1); err == nil ||
+		!strings.Contains(err.Error(), "has 1 run(s), need at least 2") {
+		t.Errorf("one repetition against -min-runs 2: %v", err)
 	}
 }

@@ -454,11 +454,11 @@ func (e *Explorer) merge(j *job) {
 	j.parent = nil
 }
 
-// worker is one solving goroutine's state: its own solver and scratch. The
-// solver is new, not from the free list replay searches share: the
-// analysis grows its tables to thousands of slots, and a two-run
-// reproduction that inherited them ran about 2% slower (perfbench
-// coreutils reproduce_vs_run).
+// worker is what one goroutine needs to solve negations: its own solver
+// and scratch. The solver is new, not from the free list replay searches
+// share: the analysis grows its tables to thousands of slots, and with
+// those tables handed on, perfbench's two-run coreutils reproductions read
+// about 2% slower (reproduce_vs_run).
 type worker struct {
 	slv    *solver.Solver
 	sl     slicer
