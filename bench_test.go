@@ -227,10 +227,11 @@ func BenchmarkTable6(b *testing.B) {
 // --- analysis costs (the pre-deployment phase itself) --------------------------
 
 // BenchmarkDynamicAnalysis measures the concolic exploration cost per run
-// budget — the coverage knob's price — on the uServer analysis, on diff
-// exp1 at the end-to-end benchmark's 40-run budget and on paste at its
-// coreutils budget of 300 runs (8769 solver calls). BENCH_analysis.json
-// gates its time and allocations.
+// budget — the coverage knob's price — on the uServer analysis (at 60
+// runs, the end-to-end benchmark's budget), on diff exp1 at the end-to-end
+// benchmark's 40-run budget and on paste at its coreutils budget of 300
+// runs (8769 solver calls). BENCH_analysis.json gates its time and
+// allocations at one and two CPUs (-cpu 1,2).
 func BenchmarkDynamicAnalysis(b *testing.B) {
 	diff, err := apps.DiffExperimentScenario(1)
 	if err != nil {
@@ -247,6 +248,7 @@ func BenchmarkDynamicAnalysis(b *testing.B) {
 	}{
 		{"userver", apps.UServerAnalysisScenario(), 5},
 		{"userver", apps.UServerAnalysisScenario(), 20},
+		{"userver", apps.UServerAnalysisScenario(), 60},
 		{"diff-exp1", diff, 40},
 		{"paste", paste, 300},
 	} {

@@ -185,8 +185,11 @@ func median(vs []float64) float64 {
 // compare gates doc against the committed baseline document: every
 // baseline benchmark must appear in the fresh run, and none may regress any
 // of the gate metrics by more than maxRegress percent. Lower is better for
-// every gated metric (times and run counts). Names match without the
-// -GOMAXPROCS suffix go test appends on multi-core hosts. A baseline
+// every gated metric (times and run counts). Names match exactly, else
+// without the -GOMAXPROCS suffix go test appends on multi-core hosts, when
+// that leaves one fresh benchmark: a run at -cpu 1,2 keeps its "X" and
+// "X-2" rows apart, and a run on a host with another CPU count still finds
+// its rows. A baseline
 // benchmark missing from the fresh run fails the gate, so renaming or
 // deleting a benchmark cannot silently drop it; a fresh benchmark the
 // baseline lacks, or a metric one side does not carry, is skipped — adding
@@ -201,13 +204,18 @@ func compare(doc *Doc, path string, metrics []string, maxRegress float64) error 
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
 	freshBy := make(map[string]Result, len(doc.Benchmarks))
+	byBase := make(map[string][]Result, len(doc.Benchmarks))
 	for _, r := range doc.Benchmarks {
-		freshBy[baseName(r.Name)] = r
+		freshBy[r.Name] = r
+		byBase[baseName(r.Name)] = append(byBase[baseName(r.Name)], r)
 	}
 	var missing, regressed []string
 	compared := 0
 	for _, b := range base.Benchmarks {
-		fresh, ok := freshBy[baseName(b.Name)]
+		fresh, ok := freshBy[b.Name]
+		if rs := byBase[baseName(b.Name)]; !ok && len(rs) == 1 {
+			fresh, ok = rs[0], true
+		}
 		if !ok {
 			missing = append(missing, b.Name)
 			continue

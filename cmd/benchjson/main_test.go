@@ -50,6 +50,20 @@ func TestCompare(t *testing.T) {
 			fresh: []Result{bench("BenchmarkReplay-4", map[string]float64{"ns/replay-run": 900})},
 		},
 		{
+			// -cpu 1,2 rows: each baseline row is held to its own CPU
+			// count, not to whichever row shares its base name.
+			name: "cpu list rows match by full name",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkDynamicAnalysis/a-5runs", map[string]float64{"ns/replay-run": 1000}),
+				bench("BenchmarkDynamicAnalysis/a-5runs-2", map[string]float64{"ns/replay-run": 600}),
+			}},
+			fresh: []Result{
+				bench("BenchmarkDynamicAnalysis/a-5runs", map[string]float64{"ns/replay-run": 1000}),
+				bench("BenchmarkDynamicAnalysis/a-5runs-2", map[string]float64{"ns/replay-run": 900}),
+			},
+			wantErr: "regressed ns/replay-run by more than 20%",
+		},
+		{
 			name:    "regression",
 			base:    base,
 			fresh:   []Result{bench("BenchmarkReplay", map[string]float64{"ns/replay-run": 1300})},

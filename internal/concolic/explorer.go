@@ -7,11 +7,13 @@
 // run executes the whole program with concrete inputs while collecting the
 // path condition (one constraint per symbolic branch execution); after a run,
 // constraints are negated one by one to produce child inputs (generational
-// search), which are queued for later runs. Runs execute one at a time on
-// the calling goroutine; each run's child solves go to a pool of
-// GOMAXPROCS worker goroutines and overlap the runs that follow it, and
-// their results join the queue in run and child order, so the exploration
-// is the same at every GOMAXPROCS. Labels obey §2.1 exactly: a
+// search), which are queued for later runs. Runs and child solves go to a
+// pool of GOMAXPROCS worker goroutines, runs first: the head of the queue
+// executes while earlier runs and their solves are under way. The calling
+// goroutine commits finished runs in run order, numbering each run's new
+// variables as it commits (world.World.Commit), and joins children to the
+// queue in run and child order, so the exploration is the same at every
+// GOMAXPROCS. Labels obey §2.1 exactly: a
 // branch first executed with a symbolic condition is symbolic forever; a
 // branch first executed with a concrete condition is concrete until some
 // later execution observes a symbolic condition, which relabels it symbolic.
@@ -73,8 +75,8 @@ const DefaultMaxRuns = 400
 // turned into child inputs: deep paths (diff's LCS loops) would otherwise
 // spawn thousands of solver calls per run. maxPathConds caps one run's
 // path condition, so enormous runs do not stall child generation.
-// maxInFlight bounds how many runs' children may be unmerged at once: a
-// run whose turn comes with that many outstanding waits for the oldest.
+// maxInFlight bounds how many runs may be handed out and not committed, and
+// how many runs' children may be unmerged when the next run is handed out.
 const (
 	maxQueue          = 4096
 	maxChildrenPerRun = 48
@@ -124,10 +126,9 @@ func (r *Report) CountLabel(l Label) int {
 
 // Explorer drives concolic exploration of one program over one input spec.
 //
-// Runs stay serial because the registry numbers a variable at its first
-// touch: running two inputs at once would number their variables in
-// whatever order the runs touched them, and every constraint, slice and
-// child input would follow that order.
+// Runs execute at once on the workers, yet their variables get the IDs a
+// one-at-a-time exploration gives them: a run's new variables are numbered
+// when it commits, and runs commit in run order (see world.Registry).
 type Explorer struct {
 	prog *lang.Program
 	spec *world.Spec
@@ -135,17 +136,23 @@ type Explorer struct {
 	opts Options
 
 	report Report
-	tr     tracer
+	counts tracer // the committed runs' counts
 	queue  []sym.MapAssignment
 	seen   map[string]bool // dedup of queued assignments
 	stats  solver.Stats    // of the child solves the exploration made
 
-	// The pipeline, touched by the calling goroutine only: pending lists
-	// the jobs submitted and not merged yet, oldest first, and kids counts
-	// their negations; free holds merged jobs for reuse; self solves the
-	// jobs the merge solves itself.
+	// The pipeline, touched by the calling goroutine only: started counts
+	// the runs handed out, running lists those not committed yet in run
+	// order, pending the jobs committed and not merged yet, oldest first,
+	// and kids counts their negations; dropped holds the runs a stop left
+	// uncommitted; free holds merged jobs for reuse; self solves the jobs
+	// the merge solves itself.
+	started int
+	longest struct{ conds, ids int } // the longest path's constraints and their variables
+	running []*job
 	pending []*job
 	kids    int
+	dropped []*job
 	free    []*job
 	self    *worker
 }
@@ -174,15 +181,21 @@ type pathCond struct {
 	c    sym.Constraint
 }
 
-// tracer is the branch sink used during exploration runs: it labels branch
+// tracer is the branch sink of one exploration run: it labels branch
 // locations, counts their executions into slices indexed by branch ID
-// (folded into the Report's maps once, when the exploration ends) and
-// collects the path condition.
+// (folded into the exploration's counts when the run commits, and into the
+// Report's maps once, when the exploration ends) and collects the path
+// condition.
 type tracer struct {
 	labels   []Label
 	execs    []int64
 	symExecs []int64
 	conds    []pathCond
+}
+
+// newTracer returns a tracer over nb branches.
+func newTracer(nb int) tracer {
+	return tracer{labels: make([]Label, nb), execs: make([]int64, nb), symExecs: make([]int64, nb)}
 }
 
 // OnBranch implements vm.BranchSink.
@@ -206,19 +219,41 @@ func (t *tracer) OnBranch(site *lang.BranchSite, cond vm.Value, taken bool) erro
 	return nil
 }
 
-// job is the child generation of one run: the run's input and path
+// fold adds run's counts to t's and zeroes run's. A label folds to the
+// greater of the two (unvisited < concrete < symbolic), which is the label
+// the runs give the branch in either order.
+func (t *tracer) fold(run *tracer) {
+	for i, n := range run.execs {
+		if n == 0 {
+			continue // never executed: unvisited, no symbolic executions
+		}
+		t.execs[i] += n
+		t.symExecs[i] += run.symExecs[i]
+		t.labels[i] = max(t.labels[i], run.labels[i])
+		run.execs[i], run.symExecs[i], run.labels[i] = 0, 0, Unvisited
+	}
+}
+
+// job is one run and the child generation it makes. A worker executes the
+// run over the job's world and tracer, recording in failed what a run
+// panics with and in skipped that the context was cancelled before it
+// could start. Once the run commits, the job holds its input and path
 // condition, the constraint variables slicing reads, and one result per
-// negation point. The calling goroutine fills everything but kids before
-// sending the job's tasks; each worker writes the kids of its tasks. A
-// job whose negations the queue cap could cut is not sent: the merge
-// solves them itself (atMerge).
+// negation point: the calling goroutine fills everything but kids before
+// sending the job's tasks; each worker writes the kids of its tasks. A job
+// whose negations the queue cap could cut is not sent: the merge solves
+// them itself (atMerge).
 type job struct {
 	parent  sym.MapAssignment
-	conds   []pathCond
+	w       *world.World
+	tr      tracer
+	failed  any
+	skipped bool
+	ran     bool // the run has ended (the calling goroutine's view)
 	vars    pathVars
 	stride  int          // negation point of kid i: i*stride
 	kids    []child      // one per negation point
-	run     int          // Report.Runs when the job's run ended
+	run     int          // the run's number, 1 for the first
 	left    atomic.Int32 // kids not solved yet
 	solved  bool         // every kid is in (the calling goroutine's view)
 	atMerge bool         // the merge solves the kids, in order
@@ -240,63 +275,80 @@ type task struct {
 // Explore runs the analysis until its budget is exhausted, the context is
 // cancelled, or its deadline passes, and returns the labeling report. The
 // context subsumes the TimeBudget option: whichever bound fires first stops
-// exploration before the next run; the child solves already under way
-// finish, and no goroutine Explore started outlives it.
+// exploration. No run starts once it has fired; the runs under way finish
+// and count, up to the first run in run order that it kept from starting,
+// the child solves under way finish, and no goroutine Explore started
+// outlives it. A VM-internal error in a run panics on the calling
+// goroutine when that run's turn to commit comes, once the workers have
+// stopped.
 func (e *Explorer) Explore(ctx context.Context) *Report {
-	nb := len(e.prog.Branches)
 	e.report = Report{}
-	e.tr = tracer{labels: make([]Label, nb), execs: make([]int64, nb), symExecs: make([]int64, nb)}
+	e.counts = newTracer(len(e.prog.Branches))
 
 	start := time.Now()
+	var cancel context.CancelFunc
 	if e.opts.TimeBudget > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, start.Add(e.opts.TimeBudget))
-		defer cancel()
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
 	}
+	defer cancel()
 
-	// The channels have room for every task and job the pipeline can hold,
-	// so neither side ever blocks on a send.
-	tasks := make(chan task, maxInFlight*maxChildrenPerRun)
-	done := make(chan *job, maxInFlight)
+	// The channels have room for every run and task the pipeline can hold,
+	// so no send ever blocks: at most maxInFlight runs are out, and fewer
+	// than 2*maxInFlight jobs pending (under maxInFlight when the last run
+	// was handed out, plus one per run out then).
+	runs := make(chan *job, maxInFlight)
+	ran := make(chan *job, maxInFlight)
+	tasks := make(chan task, 2*maxInFlight*maxChildrenPerRun)
+	done := make(chan *job, 2*maxInFlight)
 	var workers sync.WaitGroup
 	for range runtime.GOMAXPROCS(0) {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			e.work(tasks, done)
+			e.work(ctx, runs, tasks, ran, done)
 		}()
 	}
 	defer func() {
-		// Also on a panicking run: the workers finish the tasks sent and
-		// exit.
+		// Also on a panicking commit: the runs not started yet are
+		// skipped, the workers finish what they hold and exit, and the
+		// runs never committed give up their variables.
+		cancel()
+		close(runs)
 		close(tasks)
 		workers.Wait()
-		e.pending, e.kids, e.free, e.self = nil, 0, nil, nil
+		for _, j := range append(e.dropped, e.running...) {
+			if j.w != nil {
+				j.w.Discard()
+			}
+		}
+		e.running, e.pending, e.kids, e.dropped, e.free, e.self = nil, nil, 0, nil, nil, nil
 	}()
 
 	e.queue = []sym.MapAssignment{{}} // initial run: all-seed input
-	for e.report.Runs < e.opts.MaxRuns && ctx.Err() == nil {
-		e.collect(done, false)
-		if len(e.queue) == 0 || len(e.pending) == maxInFlight {
-			// The next run is a child of a pending job, or the pipeline is
-			// full: merge the oldest job first.
-			if len(e.pending) == 0 {
-				break
-			}
-			e.collect(done, true)
-			continue
+	e.started = 0
+	e.longest.conds, e.longest.ids = 0, 0
+	stopped := false
+	for {
+		stopped = e.commit(tasks) || stopped
+		e.collect()
+		// Hand out the head of the queue: exactly the runs the sequential
+		// loop would make next. When the queue is empty, the next run is a
+		// child of a run under way or of a pending job.
+		for !stopped && ctx.Err() == nil && len(e.queue) > 0 && e.started < e.opts.MaxRuns &&
+			len(e.running) < maxInFlight && len(e.pending) < maxInFlight {
+			e.dispatch(runs)
 		}
-		asn := e.queue[0]
-		e.queue = e.queue[1:]
-		j := e.runOnce(asn)
-		if e.report.Runs >= e.opts.MaxRuns {
-			e.free = append(e.free, j) // the budget is spent; children would be wasted
+		if len(e.running) == 0 && len(e.pending) == 0 {
 			break
 		}
-		e.submit(j, tasks)
-	}
-	for len(e.pending) > 0 {
-		e.collect(done, true)
+		select {
+		case j := <-ran:
+			j.ran = true
+		case j := <-done:
+			j.solved = true
+		}
 	}
 
 	e.report.Elapsed = time.Since(start)
@@ -305,10 +357,70 @@ func (e *Explorer) Explore(ctx context.Context) *Report {
 	return &e.report
 }
 
-// foldCounts moves the tracer's per-branch counts into the report: every
-// branch gets a label, branches executed at least once an execution count.
+// dispatch hands the head of the queue to the workers as the next run.
+func (e *Explorer) dispatch(runs chan<- *job) {
+	j := e.newJob()
+	j.parent = e.queue[0]
+	e.queue = e.queue[1:]
+	e.started++
+	j.run = e.started
+	j.tr.conds = j.tr.conds[:0]
+	j.failed, j.skipped, j.ran, j.solved, j.atMerge = nil, false, false, false, false
+	e.running = append(e.running, j)
+	runs <- j
+}
+
+// commit commits the ended runs at the head of running, in run order: it
+// numbers each run's new variables, folds its counts in and hands its
+// negations to the workers (submit). It reports whether the exploration
+// stopped: a run's turn came and the context had been cancelled before it
+// could start. Every run that started is committed in its turn, as the
+// sequential loop finished the run under way when the context fired.
+func (e *Explorer) commit(tasks chan<- task) (stopped bool) {
+	for len(e.running) > 0 && e.running[0].ran {
+		j := e.running[0]
+		if j.skipped {
+			e.drop()
+			return true
+		}
+		if j.failed != nil {
+			// A VM-internal error means a bug in this repository, not in
+			// the analyzed program. Surface it loudly; the deferred
+			// cleanup joins the workers first.
+			panic(j.failed)
+		}
+		e.running = append(e.running[:0], e.running[1:]...)
+		j.w.Commit()
+		e.report.Runs++
+		e.counts.fold(&j.tr)
+		if e.report.Runs >= e.opts.MaxRuns {
+			e.free = append(e.free, j) // the budget is spent; children would be wasted
+		} else {
+			e.submit(j, tasks)
+		}
+	}
+	return false
+}
+
+// drop leaves the runs still running uncommitted. Their inputs go back to
+// the head of the queue, where the sequential loop left them, for the
+// queue cap of the merges still to come.
+func (e *Explorer) drop() {
+	back := make([]sym.MapAssignment, 0, len(e.running)+len(e.queue))
+	for _, j := range e.running {
+		back = append(back, j.parent)
+	}
+	e.queue = append(back, e.queue...)
+	e.started -= len(e.running)
+	e.dropped = append(e.dropped, e.running...)
+	e.running = nil
+}
+
+// foldCounts moves the committed runs' per-branch counts into the report:
+// every branch gets a label, branches executed at least once an execution
+// count.
 func (e *Explorer) foldCounts() {
-	r, t := &e.report, &e.tr
+	r, t := &e.report, &e.counts
 	r.Labels = make(map[lang.BranchID]Label, len(t.labels))
 	r.ExecCount = make(map[lang.BranchID]int64)
 	r.SymExecCount = make(map[lang.BranchID]int64)
@@ -326,31 +438,37 @@ func (e *Explorer) foldCounts() {
 	}
 }
 
-// runOnce executes the program with one concrete assignment and returns a
-// job holding the input and the collected path condition.
-func (e *Explorer) runOnce(asn sym.MapAssignment) *job {
-	e.report.Runs++
-	j := e.newJob()
-	e.tr.conds = j.conds[:0]
-	w := world.NewWorld(e.spec, e.reg, asn)
-	cfg := w.KernelConfig()
+// execute runs job j's input on a worker, unless the context was cancelled
+// first. What the run panics with, and a VM-internal error, is kept in
+// j.failed for the run's commit to raise.
+func (e *Explorer) execute(ctx context.Context, j *job) {
+	if ctx.Err() != nil {
+		j.skipped = true
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			j.failed = p
+		}
+	}()
+	if j.w == nil {
+		j.w = world.NewWorld(e.spec, e.reg, j.parent)
+	} else {
+		j.w.Rebind(j.parent)
+	}
+	cfg := j.w.KernelConfig()
 	cfg.Mode = oskernel.ModeRecord
 	kern := oskernel.New(cfg)
 	machine := e.opts.Engine(e.prog, vm.Options{
 		Kernel: kern,
-		Sink:   &e.tr,
-		World:  w,
+		Sink:   &j.tr,
+		World:  j.w,
 	})
 	// Crashes and budget blowups during analysis are expected: exploration
 	// inputs routinely trip the planted bugs. Only real VM errors matter.
 	if _, err := machine.Run(); err != nil {
-		// A VM-internal error means a bug in this repository, not in the
-		// analyzed program. Surface it loudly.
-		panic(err)
+		j.failed = err
 	}
-	j.parent, j.conds, j.run = asn, e.tr.conds, e.report.Runs
-	e.tr.conds = nil
-	return j
 }
 
 // newJob returns a merged job for reuse, or a new one.
@@ -360,7 +478,12 @@ func (e *Explorer) newJob() *job {
 		e.free = e.free[:n-1]
 		return j
 	}
-	return new(job)
+	// Sized for the longest path so far: a new job's buffers would
+	// otherwise grow from nothing, once for every job the pipeline holds.
+	j := &job{tr: newTracer(len(e.prog.Branches))}
+	j.tr.conds = make([]pathCond, 0, e.longest.conds)
+	j.vars.ids = make([]int, 0, e.longest.ids)
+	return j
 }
 
 // submit hands a run's negations to the workers (generational search). Two
@@ -372,22 +495,25 @@ func (e *Explorer) newJob() *job {
 //     prefix constraints transitively sharing variables with the negated
 //     one (slicer.slice).
 //
-// The queue the job's merge sees holds at most what it holds now plus a
-// child for every negation of the pending jobs. When that leaves room for
-// all k children, the queue cap cannot cut the job and the workers solve
-// it; otherwise the merge solves its negations in order, stopping at the
-// cap, so no solve is made that the cap would drop.
+// The queue the job's merge sees, with the runs started since the job's
+// run counted in it, holds at most what it holds now plus a child for every
+// negation of the pending jobs. When that leaves room for all k children,
+// the queue cap cannot cut the job and the workers solve it; otherwise the
+// merge solves its negations in order, stopping at the cap, so no solve is
+// made that the cap would drop.
 func (e *Explorer) submit(j *job, tasks chan<- task) {
-	n := len(j.conds)
+	n := len(j.tr.conds)
 	if n == 0 {
 		e.free = append(e.free, j) // no symbolic branch, no children
 		return
 	}
-	j.vars.collect(j.conds)
+	j.vars.collect(j.tr.conds)
+	e.longest.conds = max(e.longest.conds, n)
+	e.longest.ids = max(e.longest.ids, len(j.vars.ids))
 	j.stride = max(1, n/maxChildrenPerRun)
 	k := (n + j.stride - 1) / j.stride
 	j.kids = slices.Grow(j.kids[:0], k)[:k]
-	j.atMerge = len(e.queue)+e.kids+k > maxQueue
+	j.atMerge = len(e.queue)+(e.started-j.run)+e.kids+k > maxQueue
 	j.solved = j.atMerge
 	e.pending = append(e.pending, j)
 	e.kids += k
@@ -400,22 +526,8 @@ func (e *Explorer) submit(j *job, tasks chan<- task) {
 	}
 }
 
-// collect marks the jobs the workers have finished as solved, waiting for
-// the oldest pending one when wait is set, and merges every solved job at
-// the head of pending.
-func (e *Explorer) collect(done <-chan *job, wait bool) {
-	for wait && !e.pending[0].solved {
-		(<-done).solved = true
-	}
-drain:
-	for {
-		select {
-		case j := <-done:
-			j.solved = true
-		default:
-			break drain
-		}
-	}
+// collect merges every solved job at the head of pending.
+func (e *Explorer) collect() {
 	for len(e.pending) > 0 && e.pending[0].solved {
 		j := e.pending[0]
 		e.pending = append(e.pending[:0], e.pending[1:]...)
@@ -431,7 +543,7 @@ drain:
 // Only a job solved at the merge can meet the cap (see submit), and each of
 // its negations is solved only once the cap check before it has passed.
 func (e *Explorer) merge(j *job) {
-	started := e.report.Runs - j.run
+	started := e.started - j.run
 	for i := range j.kids {
 		if len(e.queue)+started >= maxQueue {
 			break
@@ -473,16 +585,57 @@ func newWorker() *worker {
 	return &worker{slv: solver.New(solver.Options{})}
 }
 
-// work solves tasks until the channel closes, sending each job whose last
-// kid it solved to done.
-func (e *Explorer) work(tasks <-chan task, done chan<- *job) {
+// work executes runs and solves tasks until both channels close, taking a
+// run first whenever one is waiting: runs make the work. It sends each
+// ended run to ran, and each job whose last kid it solved to done.
+func (e *Explorer) work(ctx context.Context, runs <-chan *job, tasks <-chan task, ran, done chan<- *job) {
 	w := newWorker()
-	for t := range tasks {
-		j := t.j
-		j.kids[t.i] = w.solve(e.reg, j, t.i*j.stride)
-		if j.left.Add(-1) == 0 {
-			done <- j
+	for runs != nil || tasks != nil {
+		j, t, isRun, ok := receive(runs, tasks)
+		switch {
+		case isRun && !ok:
+			runs = nil
+		case isRun:
+			e.execute(ctx, j)
+			ran <- j
+			// Let the calling goroutine, which the send made runnable on
+			// this P, commit the run now: without the yield it waits until
+			// this worker blocks, and on an exploration bound by its solves
+			// no run is handed out meanwhile (mkdir at two CPUs ran 21%
+			// slower).
+			runtime.Gosched()
+		case !ok:
+			tasks = nil
+		default:
+			j := t.j
+			j.kids[t.i] = w.solve(e.reg, j, t.i*j.stride)
+			if j.left.Add(-1) == 0 {
+				done <- j
+				runtime.Gosched() // let the job merge now, as above
+			}
 		}
+	}
+}
+
+// receive takes a worker's next item: a waiting run, else a waiting task,
+// else whichever comes first. The two non-blocking tries are cheaper than
+// the select over both channels, and a busy worker seldom needs it.
+func receive(runs <-chan *job, tasks <-chan task) (j *job, t task, isRun, ok bool) {
+	select {
+	case j, ok = <-runs:
+		return j, t, true, ok
+	default:
+	}
+	select {
+	case t, ok = <-tasks:
+		return nil, t, false, ok
+	default:
+	}
+	select {
+	case j, ok = <-runs:
+		return j, t, true, ok
+	case t, ok = <-tasks:
+		return nil, t, false, ok
 	}
 }
 
@@ -491,7 +644,7 @@ func (e *Explorer) work(tasks <-chan task, done chan<- *job) {
 // unsolvable; the child input may diverge earlier on the path, which
 // exploration tolerates (it is not replay).
 func (w *worker) solve(reg *world.Registry, j *job, at int) child {
-	sliced := w.sl.slice(j.conds, &j.vars, at)
+	sliced := w.sl.slice(j.tr.conds, &j.vars, at)
 	w.varBuf = sym.ConstraintVarIDs(sliced, w.varBuf)
 	w.domBuf = reg.Domains(w.varBuf, w.domBuf)
 	w.slv.ResetStats()

@@ -27,15 +27,13 @@ func TestSliceRelevantOnRealPaths(t *testing.T) {
 		{"diff-exp1", diff, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checked := 0
-			engine := concolic.SliceCheckingEngine(ir.Engine, func(n int, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				checked += n
-			})
+			engine, check := concolic.SliceCheckingEngine(ir.Engine)
 			opts := concolic.Options{MaxRuns: tc.runs, Engine: engine}
 			rep := concolic.New(tc.s.Prog, tc.s.Spec, world.NewRegistry(tc.s.Spec), opts).Explore(context.Background())
+			checked, err := check()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if rep.Runs != tc.runs || checked == 0 {
 				t.Fatalf("%d runs, %d slices compared", rep.Runs, checked)
 			}

@@ -686,6 +686,7 @@ func (e *Engine) Reproduce(ctx context.Context) *Result {
 		res.Runs++
 		wld.Rebind(asn)
 		sink, vmRes := e.runOnce(wld, sc)
+		wld.Commit() // number the run's new variables before any solve reads them
 		reproduced := s.account(origin, sink, vmRes)
 		if e.runNS != nil {
 			e.runNS.Observe(float64(time.Since(runStart).Nanoseconds()))

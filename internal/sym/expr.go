@@ -191,6 +191,10 @@ func ByteInput(id int, stream string, off, lo, hi int64) Input {
 	return Input{ID: id, Name: stream, Lo: lo, Hi: hi, off: off, isByte: true}
 }
 
+// ByteOffset returns the offset of a byte variable (ByteInput) in its
+// stream, Name, and false for any other variable.
+func (in *Input) ByteOffset() (int64, bool) { return in.off, in.isByte }
+
 // Eval implements Expr.
 func (in *Input) Eval(asn Assignment) int64 {
 	if asn == nil {

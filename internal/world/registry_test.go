@@ -290,3 +290,201 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// runTouch is one coordinate a run touches in TestRegistryCommitOrder, with
+// the domain it asks for: a byte of a stream, or (stream == "") a syscall
+// result.
+type runTouch struct {
+	stream string
+	off    int64
+	kind   string
+	seq    int
+	lo, hi int64
+}
+
+// key is the touch's coordinate in the reference model.
+func (c runTouch) key() string {
+	if c.stream == "" {
+		return fmt.Sprintf("sys:%s:%d", c.kind, c.seq)
+	}
+	return fmt.Sprintf("%s:%d", c.stream, c.off)
+}
+
+// touch makes the touch in run w.
+func (c runTouch) touch(w *World) *sym.Input {
+	if c.stream == "" {
+		return w.Reg.syscallVar(w, c.kind, c.seq, c.lo, c.hi)
+	}
+	return w.Reg.byteVar(w, c.stream, c.off, c.lo, c.hi)
+}
+
+// TestRegistryCommitOrder holds commit-time numbering to the numbering at
+// first touch it replaced. In each round, goroutines each execute one run
+// over one registry at once, touching random coordinates (inside the
+// laid-out block, at the argv terminator, past the block, in streams the
+// spec does not declare, and syscall results) with random domains, and
+// materializing streams between touches. The runs commit in a fixed order,
+// each as soon as it has ended and the run before it has committed; some
+// are discarded instead. A run touches the second half of its coordinates
+// only once the run before it has committed, so commits land between a
+// run's touches. The reference numbers the committed runs' touches at
+// first touch, one run after another in that order. Every variable must
+// end with the reference's ID, domain and name, a run must see one
+// variable per coordinate, an unnumbered variable must never show in
+// materialized bytes, and Get, Len and Domains must agree with the
+// reference after every round.
+func TestRegistryCommitOrder(t *testing.T) {
+	sp := spec()
+	streams := []struct {
+		name string
+		len  int
+	}{
+		{"arg0", sp.Args[0].Len},
+		{"file:f.txt", sp.Files[0].Stream.Len},
+		{"conn0", sp.Conns[0].Stream.Len},
+		{"file:undeclared", 4},
+	}
+	randomRun := func(r *rand.Rand) []runTouch {
+		run := make([]runTouch, 2+r.Intn(40))
+		for i := range run {
+			c := runTouch{lo: r.Int63n(300) - 20, hi: r.Int63n(300) - 20}
+			if r.Intn(4) == 0 {
+				c.kind = []string{"read", "select:0:cand"}[r.Intn(2)]
+				c.seq = r.Intn(4)
+			} else {
+				st := streams[r.Intn(len(streams))]
+				c.stream, c.off = st.name, int64(r.Intn(st.len+1))
+				if r.Intn(5) == 0 {
+					c.off = int64(st.len + r.Intn(10))
+				}
+			}
+			run[i] = c
+		}
+		// Touch a few coordinates of the first half again in the second.
+		for k := r.Intn(4); k > 0; k-- {
+			run = append(run, run[r.Intn(len(run)/2)])
+		}
+		return run
+	}
+
+	const workers = 4
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		reg := NewRegistry(sp)
+		if seed%5 == 0 {
+			reg = NewRegistry(nil) // nothing laid out: every table grows
+		}
+		model := &refRegistry{byKey: make(map[string]*sym.Input)}
+		var all []*sym.Input // every committed run's variables
+		var allKeys []string
+		for round := 0; round < 4; round++ {
+			runs := make([][]runTouch, workers)
+			discard := make([]bool, workers)
+			for g := range runs {
+				runs[g] = randomRun(r)
+				discard[g] = r.Intn(5) == 0
+			}
+			got := make([][]*sym.Input, workers)
+			errs := make([]string, workers)
+			// committed[g] closes once run g has committed or been
+			// discarded.
+			committed := make([]chan struct{}, workers)
+			for g := range committed {
+				committed[g] = make(chan struct{})
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					defer close(committed[g])
+					w := NewWorld(sp, reg, nil)
+					seen := map[string]*sym.Input{}
+					for i, c := range runs[g] {
+						if i == len(runs[g])/2 && g > 0 {
+							<-committed[g-1]
+						}
+						v := c.touch(w)
+						if prev, ok := seen[c.key()]; ok && prev != v && errs[g] == "" {
+							errs[g] = fmt.Sprintf("round %d run %d: %s touched twice gave two variables", round, g, c.key())
+						}
+						seen[c.key()] = v
+						got[g] = append(got[g], v)
+						if i%5 == 0 {
+							// Only numbered variables can be bound: bind
+							// every numbered ID to 'z' and check that nothing
+							// else reads as 'z'.
+							asn := sym.MapAssignment{}
+							for id := 0; id < reg.Len(); id++ {
+								asn[id] = 'z'
+							}
+							sp.eachStream(func(st Stream) {
+								out := make([]byte, st.Len)
+								reg.materialize(st, asn, out)
+								for off, b := range out {
+									if _, ok := reg.LookupByte(st.Name, int64(off)); !ok && b == 'z' && errs[g] == "" {
+										errs[g] = fmt.Sprintf("round %d run %d: unnumbered %s:%d materialized as bound", round, g, st.Name, off)
+									}
+								}
+							})
+						}
+					}
+					if g > 0 {
+						<-committed[g-1]
+					}
+					if discard[g] {
+						w.Discard()
+					} else {
+						w.Commit()
+					}
+				}(g)
+			}
+			wg.Wait()
+			for _, e := range errs {
+				if e != "" {
+					t.Fatalf("seed %d: %s", seed, e)
+				}
+			}
+			for g := range runs {
+				if discard[g] {
+					for i, v := range got[g] {
+						if _, ok := model.byKey[runs[g][i].key()]; !ok && v.ID >= 0 {
+							t.Fatalf("seed %d round %d: discarded run %d's new %s has ID %d", seed, round, g, runs[g][i].key(), v.ID)
+						}
+					}
+					continue
+				}
+				for i, c := range runs[g] {
+					model.get(c.key(), c.lo, c.hi)
+					all = append(all, got[g][i])
+					allKeys = append(allKeys, c.key())
+				}
+			}
+
+			for i, v := range all {
+				want := model.byKey[allKeys[i]]
+				if v.ID != want.ID || v.Lo != want.Lo || v.Hi != want.Hi || v.String() != want.String() {
+					t.Fatalf("seed %d round %d: %s is %s id=%d [%d,%d], reference %s id=%d [%d,%d]",
+						seed, round, allKeys[i], v, v.ID, v.Lo, v.Hi, want, want.ID, want.Lo, want.Hi)
+				}
+				if g := reg.Get(v.ID); g == nil || g.ID != v.ID || g.Lo != v.Lo || g.Hi != v.Hi || g.String() != v.String() {
+					t.Fatalf("seed %d round %d: Get(%d) is %v, not %s", seed, round, v.ID, g, v)
+				}
+			}
+			if reg.Len() != len(model.vars) {
+				t.Fatalf("seed %d round %d: Len %d, reference %d", seed, round, reg.Len(), len(model.vars))
+			}
+			var ids []int
+			var wantDoms []solver.VarDomain
+			for id, v := range model.vars {
+				if r.Intn(2) == 0 {
+					ids = append(ids, id)
+					wantDoms = append(wantDoms, solver.VarDomain{ID: id, Lo: v.Lo, Hi: v.Hi})
+				}
+			}
+			if d := reg.Domains(ids, nil); !slices.Equal(d, wantDoms) {
+				t.Fatalf("seed %d round %d: Domains %v, reference %v", seed, round, d, wantDoms)
+			}
+		}
+	}
+}

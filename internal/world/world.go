@@ -135,10 +135,24 @@ func (sp *Spec) UserSpec(user map[string][]byte) (*Spec, error) {
 }
 
 // Registry assigns stable symbolic input variables. It persists across the
-// runs of one analysis or replay session; IDs are allocated on first use of
-// a coordinate and never change afterwards, so constraints produced by
-// different runs agree on variable identity. A Registry is safe for
-// concurrent use.
+// runs of one analysis or replay session; a variable's ID never changes
+// once given, so constraints produced by different runs agree on variable
+// identity. A Registry is safe for concurrent use.
+//
+// IDs are given when a run commits. A run executes over a World, which
+// hands it one variable per coordinate it touches: the numbered one, if a
+// commit made it, else an unnumbered variable of the run's own, which the
+// world records in touch order. World.Commit numbers the run's unnumbered
+// variables in that order and fixes their domains, skipping each
+// coordinate that a commit before it numbered (the run's variable takes
+// that ID and domain). Runs that commit in run order therefore get the IDs
+// and domains of a registry that numbers each variable at its first touch,
+// run after run: the numbering is the same whether the runs executed one
+// at a time or at once. That holds because a run never reads the ID of a
+// variable its input does not bind, and an input binds only numbered
+// variables, so a run executes the same whether or not its variables are
+// numbered yet. ByteVar, BoundedByteVar and SyscallVar touch a coordinate
+// outside any run: a new variable is numbered at once.
 //
 // A reproduction starts from a fresh registry and its first run marks every
 // input byte it reads, so byte variables are laid out up front: on the first
@@ -150,14 +164,33 @@ func (sp *Spec) UserSpec(user map[string][]byte) (*Spec, error) {
 type Registry struct {
 	mu     sync.Mutex
 	spec   *Spec
-	inputs []*sym.Input
+	inputs []*sym.Input // the numbered variables, by ID
 	// byKey holds the syscall variables, by their sys:kind:seq key.
-	byKey map[string]*sym.Input
+	byKey map[string]*slot
 	// byStream indexes byte variables by (stream, offset).
-	byStream map[string][]*sym.Input
+	byStream map[string][]slot
 	laidOut  bool
 	// slab backs the byte variables; its capacity is the laid-out block's.
 	slab []sym.Input
+	// runs counts the runs that have made an unnumbered variable: those of
+	// run n carry ID -n until it commits.
+	runs int
+}
+
+// slot holds the variables of one coordinate: the numbered one, and the
+// unnumbered one of the run that first touched the coordinate while it
+// had none, until that run commits or is discarded. Another run that
+// touches the coordinate meanwhile keeps its own variable aside
+// (World.extra).
+type slot struct {
+	in, prov *sym.Input
+}
+
+// coord names a coordinate in World.extra: a byte (stream, off), or a
+// syscall variable (its key, -1).
+type coord struct {
+	name string
+	off  int64
 }
 
 // NewRegistry returns an empty registry over spec's input space. A nil spec
@@ -165,8 +198,8 @@ type Registry struct {
 func NewRegistry(spec *Spec) *Registry {
 	return &Registry{
 		spec:     spec,
-		byKey:    make(map[string]*sym.Input),
-		byStream: make(map[string][]*sym.Input),
+		byKey:    make(map[string]*slot),
+		byStream: make(map[string][]slot),
 	}
 }
 
@@ -176,21 +209,28 @@ func (r *Registry) ByteVar(stream string, off int64) *sym.Input {
 }
 
 // BoundedByteVar returns the input variable for byte (stream, off) with a
-// custom domain; the domain is fixed on first use.
+// custom domain; the domain is fixed when the variable is numbered.
 func (r *Registry) BoundedByteVar(stream string, off, lo, hi int64) *sym.Input {
+	return r.byteVar(nil, stream, off, lo, hi)
+}
+
+// byteVar returns the variable run w sees for byte (stream, off), making
+// one if it sees none; a nil w is no run.
+func (r *Registry) byteVar(w *World, stream string, off, lo, hi int64) *sym.Input {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.laidOut {
 		r.layOut()
 	}
 	tbl := r.byStream[stream]
-	if off >= 0 && off < int64(len(tbl)) {
-		if in := tbl[off]; in != nil {
-			return in
-		}
-	} else {
-		tbl = append(tbl, make([]*sym.Input, off+1-int64(len(tbl)))...)
+	if off < 0 || off >= int64(len(tbl)) {
+		tbl = append(tbl, make([]slot, off+1-int64(len(tbl)))...)
 		r.byStream[stream] = tbl
+	}
+	s := &tbl[off]
+	c := coord{stream, off}
+	if in := r.visible(w, s, c); in != nil {
+		return in
 	}
 	var in *sym.Input
 	if n := len(r.slab); n < cap(r.slab) {
@@ -199,9 +239,8 @@ func (r *Registry) BoundedByteVar(stream string, off, lo, hi int64) *sym.Input {
 	} else {
 		in = new(sym.Input)
 	}
-	*in = sym.ByteInput(len(r.inputs), stream, off, lo, hi)
-	r.inputs = append(r.inputs, in)
-	tbl[off] = in
+	*in = sym.ByteInput(0, stream, off, lo, hi)
+	r.add(w, s, c, in)
 	return in
 }
 
@@ -212,9 +251,8 @@ func (r *Registry) layOut() {
 	if r.spec == nil {
 		return
 	}
-	total := 0
-	r.spec.eachStream(func(st Stream) { total += st.Len + 1 })
-	block := make([]*sym.Input, total)
+	total := r.spec.slots()
+	block := make([]slot, total)
 	r.spec.eachStream(func(st Stream) {
 		if _, dup := r.byStream[st.Name]; !dup {
 			n := st.Len + 1
@@ -226,28 +264,145 @@ func (r *Registry) layOut() {
 	r.inputs = append(make([]*sym.Input, 0, len(r.inputs)+total), r.inputs...)
 }
 
+// slots returns the number of table slots the spec's streams lay out.
+func (sp *Spec) slots() int {
+	total := 0
+	sp.eachStream(func(st Stream) { total += st.Len + 1 })
+	return total
+}
+
 // SyscallVar returns the input variable modeling a nondeterministic syscall
 // result, e.g. ("read", 3) for the count of the fourth read. The domain is
-// fixed on first use.
+// fixed when the variable is numbered.
 func (r *Registry) SyscallVar(kind string, seq int, lo, hi int64) *sym.Input {
+	return r.syscallVar(nil, kind, seq, lo, hi)
+}
+
+// syscallVar returns the variable run w sees for a syscall result, making
+// one if it sees none; a nil w is no run.
+func (r *Registry) syscallVar(w *World, kind string, seq int, lo, hi int64) *sym.Input {
 	key := "sys:" + kind + ":" + strconv.Itoa(seq)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.byKey[key]; ok {
+	s := r.byKey[key]
+	if s == nil {
+		s = new(slot)
+		r.byKey[key] = s
+	}
+	c := coord{key, -1}
+	if in := r.visible(w, s, c); in != nil {
 		return in
 	}
-	in := sym.NewInput(len(r.inputs), key, lo, hi)
-	r.byKey[key] = in
-	r.inputs = append(r.inputs, in)
+	in := sym.NewInput(0, key, lo, hi)
+	r.add(w, s, c, in)
 	return in
 }
 
-// LookupByte returns the variable of byte (stream, off), if registered.
+// visible returns the variable run w sees at slot s, coordinate c: its own
+// unnumbered one, else the numbered one, else nil. A nil w sees the
+// numbered one. Called with r.mu held.
+func (r *Registry) visible(w *World, s *slot, c coord) *sym.Input {
+	if w != nil && w.token != 0 {
+		if s.prov != nil && s.prov.ID == -w.token {
+			return s.prov
+		}
+		if in := w.extra[c]; in != nil {
+			return in
+		}
+	}
+	return s.in
+}
+
+// add gives slot s, coordinate c, the new variable in: numbered at once
+// outside a run (nil w), else recorded as one of run w's first touches.
+// Called with r.mu held.
+func (r *Registry) add(w *World, s *slot, c coord, in *sym.Input) {
+	if w == nil {
+		r.number(s, in)
+		return
+	}
+	if w.token == 0 {
+		r.runs++
+		w.token = r.runs
+		if w.touched == nil && r.spec != nil {
+			w.touched = make([]*sym.Input, 0, r.spec.slots())
+		}
+	}
+	in.ID = -w.token
+	if s.prov == nil {
+		s.prov = in
+	} else {
+		if w.extra == nil {
+			w.extra = make(map[coord]*sym.Input)
+		}
+		w.extra[c] = in
+	}
+	w.touched = append(w.touched, in)
+}
+
+// number gives in the next ID and makes it slot s's numbered variable.
+// Called with r.mu held.
+func (r *Registry) number(s *slot, in *sym.Input) {
+	in.ID = len(r.inputs)
+	r.inputs = append(r.inputs, in)
+	s.in = in
+}
+
+// commit numbers run w's first touches in touch order; a coordinate a
+// commit before this one numbered gives the run's variable its ID and
+// domain instead.
+func (r *Registry) commit(w *World) {
+	r.mu.Lock()
+	r.release(w, func(s *slot, in *sym.Input) {
+		if s.in == nil {
+			r.number(s, in)
+		} else {
+			in.ID, in.Lo, in.Hi = s.in.ID, s.in.Lo, s.in.Hi
+		}
+	})
+	r.mu.Unlock()
+}
+
+// discard drops run w's first touches unnumbered.
+func (r *Registry) discard(w *World) {
+	r.mu.Lock()
+	r.release(w, func(*slot, *sym.Input) {})
+	r.mu.Unlock()
+}
+
+// release calls fn on each of run w's first touches and its slot, in touch
+// order, after taking the variable out of the slot's unnumbered place.
+// Called with r.mu held.
+func (r *Registry) release(w *World, fn func(*slot, *sym.Input)) {
+	var (
+		stream string
+		tbl    []slot
+	)
+	for _, in := range w.touched {
+		var s *slot
+		if off, ok := in.ByteOffset(); ok {
+			// Runs touch bytes stream by stream: look the table up once
+			// per stretch.
+			if tbl == nil || in.Name != stream {
+				stream, tbl = in.Name, r.byStream[in.Name]
+			}
+			s = &tbl[off]
+		} else {
+			s = r.byKey[in.Name]
+		}
+		if s.prov == in {
+			s.prov = nil
+		}
+		fn(s, in)
+	}
+}
+
+// LookupByte returns the numbered variable of byte (stream, off), if any.
 func (r *Registry) LookupByte(stream string, off int64) (*sym.Input, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if tbl := r.byStream[stream]; off >= 0 && off < int64(len(tbl)) {
-		if in := tbl[off]; in != nil {
+		if in := tbl[off].in; in != nil {
 			return in, true
 		}
 	}
@@ -256,7 +411,7 @@ func (r *Registry) LookupByte(stream string, off int64) (*sym.Input, bool) {
 
 // materialize writes every byte of stream s under asn into out, holding
 // the lock once for the whole stream: a bound variable's value, else the
-// seed byte, else NUL.
+// seed byte, else NUL. Only numbered variables can be bound.
 func (r *Registry) materialize(s Stream, asn sym.MapAssignment, out []byte) {
 	r.mu.Lock()
 	tbl := r.byStream[s.Name]
@@ -265,8 +420,8 @@ func (r *Registry) materialize(s Stream, asn sym.MapAssignment, out []byte) {
 		if i < len(s.Seed) {
 			b = s.Seed[i]
 		}
-		if i < len(tbl) && tbl[i] != nil {
-			if v, bound := asn[tbl[i].ID]; bound {
+		if i < len(tbl) && tbl[i].in != nil {
+			if v, bound := asn[tbl[i].in.ID]; bound {
 				b = byte(v)
 			}
 		}
@@ -275,13 +430,23 @@ func (r *Registry) materialize(s Stream, asn sym.MapAssignment, out []byte) {
 	r.mu.Unlock()
 }
 
-// Lookup returns the syscall variable registered under a sys:kind:seq key,
-// if any.
+// Lookup returns the numbered syscall variable registered under a
+// sys:kind:seq key, if any.
 func (r *Registry) Lookup(key string) (*sym.Input, bool) {
+	return r.lookup(nil, key)
+}
+
+// lookup returns the syscall variable run w sees under a sys:kind:seq key,
+// if any; a nil w is no run.
+func (r *Registry) lookup(w *World, key string) (*sym.Input, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	in, ok := r.byKey[key]
-	return in, ok
+	s := r.byKey[key]
+	if s == nil {
+		return nil, false
+	}
+	in := r.visible(w, s, coord{key, -1})
+	return in, in != nil
 }
 
 // Get returns the variable with the given ID.
@@ -294,7 +459,7 @@ func (r *Registry) Get(id int) *sym.Input {
 	return r.inputs[id]
 }
 
-// Len returns the number of registered variables.
+// Len returns the number of numbered variables.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -341,6 +506,14 @@ type World struct {
 	// selectTable holds derived count expressions (sums of readiness bits)
 	// for modeled select() calls, keyed by select sequence number.
 	selectTable *selectCountTable
+
+	// The run's first touches, numbered when it commits (see Registry):
+	// token is the run's number among the registry's runs (0 until it makes
+	// a variable), touched its unnumbered variables in touch order, and
+	// extra those another run's unnumbered variable kept from their slots.
+	token   int
+	touched []*sym.Input
+	extra   map[coord]*sym.Input
 }
 
 // NewWorld creates a world over spec with the given assignment; a nil
@@ -356,20 +529,49 @@ func NewWorld(spec *Spec, reg *Registry, asn sym.MapAssignment) *World {
 // Rebind readies the world for another run under asn: the assignment
 // changes, what the last run materialized and modeled is forgotten, and the
 // buffers stay. The bytes the last run materialized are overwritten, so a
-// caller rebinds only once nothing of that run still reads them.
+// caller rebinds only once nothing of that run still reads them. A last
+// run that did not commit is discarded.
 func (w *World) Rebind(asn sym.MapAssignment) {
 	if asn == nil {
 		asn = sym.MapAssignment{}
 	}
+	w.Discard()
 	w.Asn = asn
 	clear(w.seedCache)
 	w.block = w.block[:0]
 	w.selectTable = nil
 }
 
+// Commit numbers the variables the world's run was first to touch, in
+// the order it touched them (see Registry). Call it once the run has ended;
+// across the runs of one registry, call it in run order. The world is then
+// ready to be rebound.
+func (w *World) Commit() {
+	if len(w.touched) > 0 {
+		w.Reg.commit(w)
+	}
+	w.forget()
+}
+
+// Discard drops the variables the world's run was first to touch,
+// unnumbered: the run is treated as never made.
+func (w *World) Discard() {
+	if len(w.touched) > 0 {
+		w.Reg.discard(w)
+	}
+	w.forget()
+}
+
+// forget clears the run's first touches, keeping the log's buffer.
+func (w *World) forget() {
+	w.token = 0
+	w.touched = w.touched[:0]
+	clear(w.extra)
+}
+
 // byteValue computes the concrete value of one stream byte under the current
-// assignment: the assignment's value when the variable exists and is bound,
-// else the seed byte, else NUL.
+// assignment: the assignment's value when the variable is numbered and
+// bound, else the seed byte, else NUL.
 func (w *World) byteValue(s Stream, off int64) byte {
 	if in, ok := w.Reg.LookupByte(s.Name, off); ok {
 		if v, bound := w.Asn[in.ID]; bound {
@@ -473,9 +675,9 @@ func (w *World) MarkByte(stream string, off int64) sym.Expr {
 		return nil
 	}
 	if off >= int64(st.Len) {
-		return w.Reg.BoundedByteVar(stream, off, 0, 0)
+		return w.Reg.byteVar(w, stream, off, 0, 0)
 	}
-	return w.Reg.ByteVar(stream, off)
+	return w.Reg.byteVar(w, stream, off, 0, 255)
 }
 
 func (w *World) streamDeclared(stream string) (Stream, bool) {
@@ -520,7 +722,7 @@ func (w *World) SyscallExpr(kind string, seq int) sym.Expr {
 	}
 	switch kind {
 	case "read":
-		in, ok := w.Reg.Lookup("sys:read:" + strconv.Itoa(seq))
+		in, ok := w.Reg.lookup(w, "sys:read:"+strconv.Itoa(seq))
 		if !ok {
 			// The kernel consults the model before the VM asks for the
 			// expression, so a miss means the call had no modeled result.
@@ -538,9 +740,10 @@ func (w *World) SyscallExpr(kind string, seq int) sym.Expr {
 
 // ReadCount implements oskernel.ResultModel. The modeled count is an input
 // variable with domain [-1, max] seeded at max (the paper's read() model:
-// "initially returns the amount of input requested").
+// "initially returns the amount of input requested"). An unnumbered
+// variable is unbound, as a new one was when it was numbered at once.
 func (w *World) ReadCount(stream string, seq int, max int64) int64 {
-	in := w.Reg.SyscallVar("read", seq, -1, max)
+	in := w.Reg.syscallVar(w, "read", seq, -1, max)
 	if v, ok := w.Asn[in.ID]; ok {
 		if v > max {
 			return max
@@ -562,7 +765,7 @@ func (w *World) SelectReady(seq int, candidates []int) []int {
 	var ready []int
 	var countExpr sym.Expr = sym.Zero
 	for j, fd := range candidates {
-		bit := w.Reg.SyscallVar("select:"+strconv.Itoa(seq)+":cand", j, 0, 1)
+		bit := w.Reg.syscallVar(w, "select:"+strconv.Itoa(seq)+":cand", j, 0, 1)
 		countExpr = sym.Add(countExpr, bit)
 		v, bound := w.Asn[bit.ID]
 		if !bound {

@@ -144,6 +144,10 @@ func TestReadCountModel(t *testing.T) {
 	if got := w.ReadCount("conn0", 0, 5); got != 5 {
 		t.Fatalf("seed count: %d", got)
 	}
+	if _, ok := reg.Lookup("sys:read:0"); ok {
+		t.Fatal("read var numbered before its run committed")
+	}
+	w.Commit()
 	v, ok := reg.Lookup("sys:read:0")
 	if !ok {
 		t.Fatal("read var not registered")
@@ -189,6 +193,7 @@ func TestSelectReadyModel(t *testing.T) {
 		_ = got
 	}
 	// Turning one bit off drops the fd.
+	w.Commit()
 	bit, ok := reg.Lookup("sys:select:0:cand:1")
 	if !ok {
 		t.Fatal("bit var missing")
