@@ -617,18 +617,12 @@ func (e *Explorer) work(ctx context.Context, runs <-chan *job, tasks <-chan task
 	}
 }
 
-// receive takes a worker's next item: a waiting run, else a waiting task,
-// else whichever comes first. The two non-blocking tries are cheaper than
-// the select over both channels, and a busy worker seldom needs it.
+// receive takes a worker's next item: a waiting run, else whichever of a
+// run and a task comes first.
 func receive(runs <-chan *job, tasks <-chan task) (j *job, t task, isRun, ok bool) {
 	select {
 	case j, ok = <-runs:
 		return j, t, true, ok
-	default:
-	}
-	select {
-	case t, ok = <-tasks:
-		return nil, t, false, ok
 	default:
 	}
 	select {

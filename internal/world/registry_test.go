@@ -28,63 +28,115 @@ func (m *refRegistry) get(key string, lo, hi int64) *sym.Input {
 	return v
 }
 
-// TestRegistryMatchesReference runs random interleavings of ByteVar,
-// BoundedByteVar and SyscallVar against the map model. The coordinates cover
-// every laid-out slot of the declared streams, the argv terminator offset
-// Len, offsets past the laid-out block and streams the spec does not
-// declare. Each variable must get the model's ID, domain and name, and the
-// registry must agree with the model on Get, Len, Domains, the rendering
-// of an expression over the variables, and the bytes a symbolic and a
-// concrete world materialize.
-func TestRegistryMatchesReference(t *testing.T) {
+// wideSpec is spec() with two more streams, which a registry over spec()
+// does not lay out: its tables for them grow on demand.
+func wideSpec() *Spec {
 	sp := spec()
-	streams := []struct {
-		name string
-		len  int
-	}{
-		{"arg0", sp.Args[0].Len},
-		{"file:f.txt", sp.Files[0].Stream.Len},
-		{"conn0", sp.Conns[0].Stream.Len},
-		{"file:undeclared", 4},
-		{"conn9", 0},
+	sp.Files = append(sp.Files, FileSpec("undeclared", "", 4))
+	sp.Conns = append(sp.Conns, ConnSpec(9, "", 0, 0))
+	return sp
+}
+
+// runTouch is one coordinate a run touches, with the domain it asks for: a
+// byte of a stream, or (stream == "") a syscall result.
+type runTouch struct {
+	stream string
+	off    int64
+	kind   string
+	seq    int
+	lo, hi int64
+}
+
+// key is the touch's coordinate in the reference model.
+func (c runTouch) key() string {
+	if c.stream == "" {
+		return fmt.Sprintf("sys:%s:%d", c.kind, c.seq)
 	}
+	return fmt.Sprintf("%s:%d", c.stream, c.off)
+}
+
+// touch makes the touch in run w, whose spec declares the stream.
+func (c runTouch) touch(w *World) *sym.Input {
+	if c.stream == "" {
+		return w.syscallVar(c.kind, c.seq, c.lo, c.hi)
+	}
+	_, i := w.declared(c.stream)
+	return w.byteVar(i, c.stream, c.off, c.lo, c.hi)
+}
+
+// randomTouch draws a coordinate of wideSpec with a random domain: a byte
+// mostly inside its stream's laid-out slots, often at the argv terminator
+// offset Len, sometimes past the slots, in a stream spec() declares or one
+// only wideSpec declares; or a syscall result.
+func randomTouch(r *rand.Rand) runTouch {
+	c := runTouch{lo: r.Int63n(300) - 20, hi: r.Int63n(300) - 20}
+	if r.Intn(4) == 0 {
+		c.kind = []string{"read", "select:0:cand", "select:1:cand"}[r.Intn(3)]
+		c.seq = r.Intn(4)
+		return c
+	}
+	var streams []Stream
+	wideSpec().eachStream(func(st Stream) { streams = append(streams, st) })
+	st := streams[r.Intn(len(streams))]
+	c.stream, c.off = st.Name, int64(r.Intn(st.Len+1))
+	if r.Intn(5) == 0 {
+		c.off = int64(st.Len + r.Intn(12))
+	}
+	return c
+}
+
+// newRegistry returns a registry over spec(), or on every fifth seed one
+// over no spec, which lays nothing out: every table grows.
+func newRegistry(seed int64) *Registry {
+	if seed%5 == 0 {
+		return NewRegistry(nil)
+	}
+	return NewRegistry(spec())
+}
+
+// TestRegistryMatchesReference runs runs one after another over one world,
+// each touching random coordinates with random domains, against the map
+// model, which numbers each committed run's touches at first touch. Each
+// variable must get the model's ID, domain and name once its run commits;
+// a discarded run's new variables stay unnumbered; and the registry must
+// agree with the model on Get, Len, Domains, the rendering of an expression
+// over the variables, and the bytes a symbolic and a concrete world
+// materialize.
+func TestRegistryMatchesReference(t *testing.T) {
+	sp := wideSpec()
 	for seed := int64(1); seed <= 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		reg := NewRegistry(sp)
-		if seed%10 == 0 {
-			reg = NewRegistry(nil) // nothing laid out: every table grows
-		}
+		reg := newRegistry(seed)
 		model := &refRegistry{byKey: make(map[string]*sym.Input)}
+		w := NewWorld(sp, reg, nil)
 		var got []*sym.Input
-		for op := 0; op < 1+r.Intn(120); op++ {
-			lo, hi := r.Int63n(300)-20, r.Int63n(300)-20
-			var in, want *sym.Input
-			switch r.Intn(5) {
-			case 0, 1, 2:
-				st := streams[r.Intn(len(streams))]
-				// Mostly inside the block, often the terminator, sometimes
-				// past the block.
-				off := int64(r.Intn(st.len + 1))
-				if r.Intn(4) == 0 {
-					off = int64(st.len + r.Intn(12))
-				}
-				key := fmt.Sprintf("%s:%d", st.name, off)
-				if r.Intn(2) == 0 {
-					in, want = reg.ByteVar(st.name, off), model.get(key, 0, 255)
-				} else {
-					in, want = reg.BoundedByteVar(st.name, off, lo, hi), model.get(key, lo, hi)
-				}
-			default:
-				kind := []string{"read", "select:0:cand", "select:1:cand"}[r.Intn(3)]
-				seq := r.Intn(4)
-				key := fmt.Sprintf("sys:%s:%d", kind, seq)
-				in, want = reg.SyscallVar(kind, seq, lo, hi), model.get(key, lo, hi)
+		for run := 0; run < 1+r.Intn(6); run++ {
+			w.Rebind(nil)
+			var touches []runTouch
+			var vars []*sym.Input
+			for op := 0; op < r.Intn(40); op++ {
+				c := randomTouch(r)
+				touches = append(touches, c)
+				vars = append(vars, c.touch(w))
 			}
-			if in.ID != want.ID || in.Lo != want.Lo || in.Hi != want.Hi || in.String() != want.String() {
-				t.Fatalf("seed %d op %d: registry gave %s id=%d [%d,%d], model %s id=%d [%d,%d]",
-					seed, op, in, in.ID, in.Lo, in.Hi, want, want.ID, want.Lo, want.Hi)
+			if r.Intn(5) == 0 {
+				w.Discard()
+				for i, c := range touches {
+					if _, ok := model.byKey[c.key()]; !ok && vars[i].ID != -1 {
+						t.Fatalf("seed %d run %d: discarded %s has ID %d", seed, run, c.key(), vars[i].ID)
+					}
+				}
+				continue
 			}
-			got = append(got, in)
+			w.Commit()
+			for i, c := range touches {
+				in, want := vars[i], model.get(c.key(), c.lo, c.hi)
+				if in.ID != want.ID || in.Lo != want.Lo || in.Hi != want.Hi || in.String() != want.String() {
+					t.Fatalf("seed %d run %d: registry gave %s id=%d [%d,%d], model %s id=%d [%d,%d]",
+						seed, run, in, in.ID, in.Lo, in.Hi, want, want.ID, want.Lo, want.Hi)
+				}
+			}
+			got = append(got, vars...)
 		}
 
 		if reg.Len() != len(model.vars) {
@@ -92,7 +144,7 @@ func TestRegistryMatchesReference(t *testing.T) {
 		}
 		for _, in := range got {
 			if reg.Get(in.ID) != in {
-				t.Fatalf("seed %d: Get(%d) is not the variable first returned", seed, in.ID)
+				t.Fatalf("seed %d: Get(%d) is not the variable the runs saw", seed, in.ID)
 			}
 		}
 		var ids []int
@@ -115,7 +167,6 @@ func TestRegistryMatchesReference(t *testing.T) {
 
 		// A symbolic world, rebound run after run, must materialize what a
 		// fresh concrete world reads byte by byte.
-		symbolic := NewWorld(sp, reg, nil)
 		for run := 0; run < 3; run++ {
 			asn := sym.MapAssignment{}
 			for _, in := range got {
@@ -123,11 +174,11 @@ func TestRegistryMatchesReference(t *testing.T) {
 					asn[in.ID] = r.Int63n(256)
 				}
 			}
-			symbolic.Rebind(asn)
+			w.Rebind(asn)
 			concrete := NewWorld(sp, reg, asn)
 			concrete.Symbolic = false
 			sp.eachStream(func(st Stream) {
-				if a, b := symbolic.MaterializeStream(st), concrete.MaterializeStream(st); string(a) != string(b) {
+				if a, b := w.MaterializeStream(st), concrete.MaterializeStream(st); string(a) != string(b) {
 					t.Fatalf("seed %d run %d: %s materializes %q symbolically, %q byte by byte",
 						seed, run, st.Name, a, b)
 				}
@@ -162,58 +213,76 @@ func exprOver(vars []*sym.Input) sym.Expr {
 	return e
 }
 
-// regCoord is one variable coordinate of TestRegistryConcurrentUse: a byte
-// of a stream, or (stream == "") a syscall result.
-type regCoord struct {
-	stream string
-	off    int64
-	kind   string
-	seq    int
-}
-
-// get registers the coordinate's variable. Each coordinate has one domain,
-// whichever goroutine reaches it first: even offsets take the byte default,
-// odd ones and syscall results a domain of their own.
-func (c regCoord) get(reg *Registry) *sym.Input {
-	switch {
-	case c.stream == "":
-		return reg.SyscallVar(c.kind, c.seq, int64(c.seq), 10+int64(c.seq))
-	case c.off%2 == 0:
-		return reg.ByteVar(c.stream, c.off)
-	default:
-		return reg.BoundedByteVar(c.stream, c.off, c.off%5, 200+c.off)
+// checkMaterialized materializes every stream of sp under an assignment
+// binding each ID numbered so far to a byte of its own, and reports the
+// first byte that does not read as its bound value (a numbered variable
+// of that snapshot) or else its seed.
+func checkMaterialized(sp *Spec, reg *Registry) string {
+	n := reg.Len()
+	asn := sym.MapAssignment{}
+	for id := 0; id < n; id++ {
+		asn[id] = int64('a' + id%26)
 	}
+	w := NewWorld(sp, reg, asn)
+	var err string
+	sp.eachStream(func(st Stream) {
+		out := w.MaterializeStream(st)
+		for off, b := range out {
+			// IDs never change and later commits take IDs >= n, so a byte
+			// numbered now reads as bound exactly when its ID is below n.
+			want := byte(0)
+			if off < len(st.Seed) {
+				want = st.Seed[off]
+			}
+			if in, ok := reg.lookupByte(st.Name, int64(off)); ok && in.ID < n {
+				want = byte(asn[in.ID])
+			}
+			if b != want && err == "" {
+				err = fmt.Sprintf("%s byte %d materialized %q, want %q", st.Name, off, b, want)
+			}
+		}
+	})
+	return err
 }
 
 // TestRegistryConcurrentUse holds a Registry to its "safe for concurrent
-// use" claim: goroutines interleave byte variables (inside the laid-out
-// block, past it, and in an undeclared stream), syscall variables and
-// symbolic materialization on one registry. Every coordinate must get one
-// variable, IDs must be dense over 0..n-1, and each variable's domain must
-// be the one a serial registry gives it.
+// use" claim: runs on several goroutines touch every coordinate (inside the
+// laid-out block, past it, in streams the registry's spec does not declare,
+// and syscall results) in orders of their own, materialize streams between
+// touches and commit as each ends, so commits land between other runs'
+// touches and race each other. Every coordinate must end with one ID
+// shared by every run, IDs must be dense over 0..n-1, and each variable's
+// domain must be the one a serial registry gives it.
 func TestRegistryConcurrentUse(t *testing.T) {
-	sp := spec()
-	var coords []regCoord
+	sp := wideSpec()
+	var coords []runTouch
 	sp.eachStream(func(st Stream) {
 		for off := 0; off <= st.Len+2; off++ {
-			coords = append(coords, regCoord{stream: st.Name, off: int64(off)})
+			// Even offsets take the byte default, odd ones a domain of
+			// their own: each coordinate has one domain, whichever run
+			// numbers it.
+			c := runTouch{stream: st.Name, off: int64(off), hi: 255}
+			if off%2 == 1 {
+				c.lo, c.hi = int64(off%5), int64(200+off)
+			}
+			coords = append(coords, c)
 		}
 	})
-	for off := int64(0); off < 5; off++ {
-		coords = append(coords, regCoord{stream: "file:undeclared", off: off})
-	}
 	for seq := 0; seq < 4; seq++ {
-		coords = append(coords, regCoord{kind: "read", seq: seq}, regCoord{kind: "select:0:cand", seq: seq})
+		for _, kind := range []string{"read", "select:0:cand"} {
+			coords = append(coords, runTouch{kind: kind, seq: seq, lo: int64(seq), hi: int64(10 + seq)})
+		}
 	}
 
-	serial := NewRegistry(sp)
+	serial := NewWorld(sp, NewRegistry(spec()), nil)
 	want := make([]*sym.Input, len(coords))
 	for i, c := range coords {
-		want[i] = c.get(serial)
+		want[i] = c.touch(serial)
 	}
+	serial.Commit()
 
 	const workers = 4
-	reg := NewRegistry(sp)
+	reg := NewRegistry(spec())
 	got := make([][]*sym.Input, workers)
 	errs := make([]string, workers)
 	var wg sync.WaitGroup
@@ -225,36 +294,14 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			vars := make([]*sym.Input, len(coords))
 			w := NewWorld(sp, reg, nil)
 			for n, i := range r.Perm(len(coords)) {
-				vars[i] = coords[i].get(reg)
-				if n%7 != 0 {
-					continue
-				}
-				// Materialize every stream under an assignment of the
-				// variables this goroutine holds: each held byte shows its
-				// bound value, every other byte its seed.
-				asn := sym.MapAssignment{}
-				bound := map[string]byte{}
-				for j, v := range vars {
-					if v != nil && coords[j].stream != "" {
-						b := byte('a' + (j+g)%26)
-						asn[v.ID] = int64(b)
-						bound[fmt.Sprintf("%s:%d", coords[j].stream, coords[j].off)] = b
+				vars[i] = coords[i].touch(w)
+				if n%7 == 0 && errs[g] == "" {
+					if e := checkMaterialized(sp, reg); e != "" {
+						errs[g] = fmt.Sprintf("goroutine %d: %s", g, e)
 					}
 				}
-				w.Rebind(asn)
-				sp.eachStream(func(st Stream) {
-					out := w.MaterializeStream(st)
-					for off := range out {
-						b, ok := bound[fmt.Sprintf("%s:%d", st.Name, off)]
-						if !ok && off < len(st.Seed) {
-							b = st.Seed[off]
-						}
-						if out[off] != b && errs[g] == "" {
-							errs[g] = fmt.Sprintf("goroutine %d: %s byte %d materialized %q, want %q", g, st.Name, off, out[off], b)
-						}
-					}
-				})
 			}
+			w.Commit()
 			got[g] = vars
 		}(g)
 	}
@@ -272,93 +319,47 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	for i, c := range coords {
 		v := got[0][i]
 		for g := 1; g < workers; g++ {
-			if got[g][i] != v {
-				t.Fatalf("%+v: goroutines 0 and %d got different variables (%s id=%d, %s id=%d)",
-					c, g, v, v.ID, got[g][i], got[g][i].ID)
+			if u := got[g][i]; u.ID != v.ID || u.Lo != v.Lo || u.Hi != v.Hi {
+				t.Fatalf("%s: goroutines 0 and %d got different variables (%s id=%d, %s id=%d)",
+					c.key(), g, v, v.ID, u, u.ID)
 			}
 		}
 		if v.ID < 0 || v.ID >= len(coords) || seen[v.ID] {
-			t.Fatalf("%+v: ID %d is out of 0..%d or taken twice", c, v.ID, len(coords)-1)
+			t.Fatalf("%s: ID %d is out of 0..%d or taken twice", c.key(), v.ID, len(coords)-1)
 		}
 		seen[v.ID] = true
-		if reg.Get(v.ID) != v {
-			t.Fatalf("%+v: Get(%d) is another variable", c, v.ID)
+		if n := reg.Get(v.ID); n.String() != v.String() || n.Lo != v.Lo || n.Hi != v.Hi {
+			t.Fatalf("%s: Get(%d) is %s", c.key(), v.ID, n)
 		}
 		if v.String() != want[i].String() || v.Lo != want[i].Lo || v.Hi != want[i].Hi {
-			t.Fatalf("%+v: got %s [%d,%d], serial registry %s [%d,%d]",
-				c, v, v.Lo, v.Hi, want[i], want[i].Lo, want[i].Hi)
+			t.Fatalf("%s: got %s [%d,%d], serial registry %s [%d,%d]",
+				c.key(), v, v.Lo, v.Hi, want[i], want[i].Lo, want[i].Hi)
 		}
 	}
-}
-
-// runTouch is one coordinate a run touches in TestRegistryCommitOrder, with
-// the domain it asks for: a byte of a stream, or (stream == "") a syscall
-// result.
-type runTouch struct {
-	stream string
-	off    int64
-	kind   string
-	seq    int
-	lo, hi int64
-}
-
-// key is the touch's coordinate in the reference model.
-func (c runTouch) key() string {
-	if c.stream == "" {
-		return fmt.Sprintf("sys:%s:%d", c.kind, c.seq)
+	if e := checkMaterialized(sp, reg); e != "" {
+		t.Fatal(e)
 	}
-	return fmt.Sprintf("%s:%d", c.stream, c.off)
-}
-
-// touch makes the touch in run w.
-func (c runTouch) touch(w *World) *sym.Input {
-	if c.stream == "" {
-		return w.Reg.syscallVar(w, c.kind, c.seq, c.lo, c.hi)
-	}
-	return w.Reg.byteVar(w, c.stream, c.off, c.lo, c.hi)
 }
 
 // TestRegistryCommitOrder holds commit-time numbering to the numbering at
 // first touch it replaced. In each round, goroutines each execute one run
-// over one registry at once, touching random coordinates (inside the
-// laid-out block, at the argv terminator, past the block, in streams the
-// spec does not declare, and syscall results) with random domains, and
-// materializing streams between touches. The runs commit in a fixed order,
-// each as soon as it has ended and the run before it has committed; some
-// are discarded instead. A run touches the second half of its coordinates
-// only once the run before it has committed, so commits land between a
-// run's touches. The reference numbers the committed runs' touches at
-// first touch, one run after another in that order. Every variable must
-// end with the reference's ID, domain and name, a run must see one
-// variable per coordinate, an unnumbered variable must never show in
-// materialized bytes, and Get, Len and Domains must agree with the
-// reference after every round.
+// over one registry at once, touching random coordinates with random
+// domains (randomTouch) and materializing streams between touches. The runs
+// commit in a fixed order, each as soon as it has ended and the run before
+// it has committed; some are discarded instead. A run touches the second
+// half of its coordinates only once the run before it has committed, so
+// commits land between a run's touches. The reference numbers the
+// committed runs' touches at first touch, one run after another in that
+// order. Every variable must end with the reference's ID, domain and name,
+// a run must see one variable per coordinate, an unnumbered variable must
+// never show in materialized bytes, and Get, Len and Domains must agree
+// with the reference after every round.
 func TestRegistryCommitOrder(t *testing.T) {
-	sp := spec()
-	streams := []struct {
-		name string
-		len  int
-	}{
-		{"arg0", sp.Args[0].Len},
-		{"file:f.txt", sp.Files[0].Stream.Len},
-		{"conn0", sp.Conns[0].Stream.Len},
-		{"file:undeclared", 4},
-	}
+	sp := wideSpec()
 	randomRun := func(r *rand.Rand) []runTouch {
 		run := make([]runTouch, 2+r.Intn(40))
 		for i := range run {
-			c := runTouch{lo: r.Int63n(300) - 20, hi: r.Int63n(300) - 20}
-			if r.Intn(4) == 0 {
-				c.kind = []string{"read", "select:0:cand"}[r.Intn(2)]
-				c.seq = r.Intn(4)
-			} else {
-				st := streams[r.Intn(len(streams))]
-				c.stream, c.off = st.name, int64(r.Intn(st.len+1))
-				if r.Intn(5) == 0 {
-					c.off = int64(st.len + r.Intn(10))
-				}
-			}
-			run[i] = c
+			run[i] = randomTouch(r)
 		}
 		// Touch a few coordinates of the first half again in the second.
 		for k := r.Intn(4); k > 0; k-- {
@@ -370,10 +371,7 @@ func TestRegistryCommitOrder(t *testing.T) {
 	const workers = 4
 	for seed := int64(1); seed <= 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		reg := NewRegistry(sp)
-		if seed%5 == 0 {
-			reg = NewRegistry(nil) // nothing laid out: every table grows
-		}
+		reg := newRegistry(seed)
 		model := &refRegistry{byKey: make(map[string]*sym.Input)}
 		var all []*sym.Input // every committed run's variables
 		var allKeys []string
@@ -410,23 +408,10 @@ func TestRegistryCommitOrder(t *testing.T) {
 						}
 						seen[c.key()] = v
 						got[g] = append(got[g], v)
-						if i%5 == 0 {
-							// Only numbered variables can be bound: bind
-							// every numbered ID to 'z' and check that nothing
-							// else reads as 'z'.
-							asn := sym.MapAssignment{}
-							for id := 0; id < reg.Len(); id++ {
-								asn[id] = 'z'
+						if i%5 == 0 && errs[g] == "" {
+							if e := checkMaterialized(sp, reg); e != "" {
+								errs[g] = fmt.Sprintf("round %d run %d: %s", round, g, e)
 							}
-							sp.eachStream(func(st Stream) {
-								out := make([]byte, st.Len)
-								reg.materialize(st, asn, out)
-								for off, b := range out {
-									if _, ok := reg.LookupByte(st.Name, int64(off)); !ok && b == 'z' && errs[g] == "" {
-										errs[g] = fmt.Sprintf("round %d run %d: unnumbered %s:%d materialized as bound", round, g, st.Name, off)
-									}
-								}
-							})
 						}
 					}
 					if g > 0 {
@@ -448,7 +433,7 @@ func TestRegistryCommitOrder(t *testing.T) {
 			for g := range runs {
 				if discard[g] {
 					for i, v := range got[g] {
-						if _, ok := model.byKey[runs[g][i].key()]; !ok && v.ID >= 0 {
+						if _, ok := model.byKey[runs[g][i].key()]; !ok && v.ID != -1 {
 							t.Fatalf("seed %d round %d: discarded run %d's new %s has ID %d", seed, round, g, runs[g][i].key(), v.ID)
 						}
 					}

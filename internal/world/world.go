@@ -140,19 +140,19 @@ func (sp *Spec) UserSpec(user map[string][]byte) (*Spec, error) {
 // identity. A Registry is safe for concurrent use.
 //
 // IDs are given when a run commits. A run executes over a World, which
-// hands it one variable per coordinate it touches: the numbered one, if a
-// commit made it, else an unnumbered variable of the run's own, which the
-// world records in touch order. World.Commit numbers the run's unnumbered
-// variables in that order and fixes their domains, skipping each
-// coordinate that a commit before it numbered (the run's variable takes
-// that ID and domain). Runs that commit in run order therefore get the IDs
-// and domains of a registry that numbers each variable at its first touch,
-// run after run: the numbering is the same whether the runs executed one
-// at a time or at once. That holds because a run never reads the ID of a
-// variable its input does not bind, and an input binds only numbered
-// variables, so a run executes the same whether or not its variables are
-// numbered yet. ByteVar, BoundedByteVar and SyscallVar touch a coordinate
-// outside any run: a new variable is numbered at once.
+// hands it one variable per coordinate it touches: its own, if it made one
+// there, else the numbered one, if a commit made it, else a new unnumbered
+// variable (ID -1), which the world keeps as its own and records in touch
+// order. World.Commit numbers the run's own variables in that order and
+// fixes their domains, skipping each coordinate that a commit before it
+// numbered (the run's variable takes that ID and domain). Runs that commit
+// in run order therefore get the IDs and domains of a registry that numbers
+// each variable at its first touch, run after run: the numbering is the
+// same whether the runs executed one at a time or at once. That holds
+// because a run never reads the ID of a variable its input does not bind,
+// and an input binds only numbered variables, so a run executes the same
+// whether or not its variables are numbered yet. The registry holds
+// numbered variables only.
 //
 // A reproduction starts from a fresh registry and its first run marks every
 // input byte it reads, so byte variables are laid out up front: on the first
@@ -166,31 +166,12 @@ type Registry struct {
 	spec   *Spec
 	inputs []*sym.Input // the numbered variables, by ID
 	// byKey holds the syscall variables, by their sys:kind:seq key.
-	byKey map[string]*slot
+	byKey map[string]*sym.Input
 	// byStream indexes byte variables by (stream, offset).
-	byStream map[string][]slot
+	byStream map[string][]*sym.Input
 	laidOut  bool
 	// slab backs the byte variables; its capacity is the laid-out block's.
 	slab []sym.Input
-	// runs counts the runs that have made an unnumbered variable: those of
-	// run n carry ID -n until it commits.
-	runs int
-}
-
-// slot holds the variables of one coordinate: the numbered one, and the
-// unnumbered one of the run that first touched the coordinate while it
-// had none, until that run commits or is discarded. Another run that
-// touches the coordinate meanwhile keeps its own variable aside
-// (World.extra).
-type slot struct {
-	in, prov *sym.Input
-}
-
-// coord names a coordinate in World.extra: a byte (stream, off), or a
-// syscall variable (its key, -1).
-type coord struct {
-	name string
-	off  int64
 }
 
 // NewRegistry returns an empty registry over spec's input space. A nil spec
@@ -198,50 +179,35 @@ type coord struct {
 func NewRegistry(spec *Spec) *Registry {
 	return &Registry{
 		spec:     spec,
-		byKey:    make(map[string]*slot),
-		byStream: make(map[string][]slot),
+		byKey:    make(map[string]*sym.Input),
+		byStream: make(map[string][]*sym.Input),
 	}
 }
 
-// ByteVar returns the input variable for byte (stream, off).
-func (r *Registry) ByteVar(stream string, off int64) *sym.Input {
-	return r.BoundedByteVar(stream, off, 0, 255)
-}
-
-// BoundedByteVar returns the input variable for byte (stream, off) with a
-// custom domain; the domain is fixed when the variable is numbered.
-func (r *Registry) BoundedByteVar(stream string, off, lo, hi int64) *sym.Input {
-	return r.byteVar(nil, stream, off, lo, hi)
-}
-
-// byteVar returns the variable run w sees for byte (stream, off), making
-// one if it sees none; a nil w is no run.
-func (r *Registry) byteVar(w *World, stream string, off, lo, hi int64) *sym.Input {
+// byteVar returns the numbered variable of byte (stream, off), or else a
+// new unnumbered one with domain [lo, hi] and numbered false.
+func (r *Registry) byteVar(stream string, off, lo, hi int64) (in *sym.Input, numbered bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.laidOut {
 		r.layOut()
 	}
 	tbl := r.byStream[stream]
-	if off < 0 || off >= int64(len(tbl)) {
-		tbl = append(tbl, make([]slot, off+1-int64(len(tbl)))...)
+	if off >= int64(len(tbl)) {
+		tbl = append(tbl, make([]*sym.Input, off+1-int64(len(tbl)))...)
 		r.byStream[stream] = tbl
 	}
-	s := &tbl[off]
-	c := coord{stream, off}
-	if in := r.visible(w, s, c); in != nil {
-		return in
+	if in := tbl[off]; in != nil {
+		return in, true
 	}
-	var in *sym.Input
 	if n := len(r.slab); n < cap(r.slab) {
 		r.slab = r.slab[:n+1]
 		in = &r.slab[n]
 	} else {
 		in = new(sym.Input)
 	}
-	*in = sym.ByteInput(0, stream, off, lo, hi)
-	r.add(w, s, c, in)
-	return in
+	*in = sym.ByteInput(-1, stream, off, lo, hi)
+	return in, false
 }
 
 // layOut gives every declared stream its Len+1 table slots in one block
@@ -252,7 +218,7 @@ func (r *Registry) layOut() {
 		return
 	}
 	total := r.spec.slots()
-	block := make([]slot, total)
+	block := make([]*sym.Input, total)
 	r.spec.eachStream(func(st Stream) {
 		if _, dup := r.byStream[st.Name]; !dup {
 			n := st.Len + 1
@@ -271,138 +237,58 @@ func (sp *Spec) slots() int {
 	return total
 }
 
-// SyscallVar returns the input variable modeling a nondeterministic syscall
-// result, e.g. ("read", 3) for the count of the fourth read. The domain is
-// fixed when the variable is numbered.
-func (r *Registry) SyscallVar(kind string, seq int, lo, hi int64) *sym.Input {
-	return r.syscallVar(nil, kind, seq, lo, hi)
+// syscallVar returns the numbered variable under a sys:kind:seq key, or
+// else a new unnumbered one with domain [lo, hi] and numbered false.
+func (r *Registry) syscallVar(key string, lo, hi int64) (in *sym.Input, numbered bool) {
+	if in, ok := r.lookup(key); ok {
+		return in, true
+	}
+	return sym.NewInput(-1, key, lo, hi), false
 }
 
-// syscallVar returns the variable run w sees for a syscall result, making
-// one if it sees none; a nil w is no run.
-func (r *Registry) syscallVar(w *World, kind string, seq int, lo, hi int64) *sym.Input {
-	key := "sys:" + kind + ":" + strconv.Itoa(seq)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.byKey[key]
-	if s == nil {
-		s = new(slot)
-		r.byKey[key] = s
-	}
-	c := coord{key, -1}
-	if in := r.visible(w, s, c); in != nil {
-		return in
-	}
-	in := sym.NewInput(0, key, lo, hi)
-	r.add(w, s, c, in)
-	return in
-}
-
-// visible returns the variable run w sees at slot s, coordinate c: its own
-// unnumbered one, else the numbered one, else nil. A nil w sees the
-// numbered one. Called with r.mu held.
-func (r *Registry) visible(w *World, s *slot, c coord) *sym.Input {
-	if w != nil && w.token != 0 {
-		if s.prov != nil && s.prov.ID == -w.token {
-			return s.prov
-		}
-		if in := w.extra[c]; in != nil {
-			return in
-		}
-	}
-	return s.in
-}
-
-// add gives slot s, coordinate c, the new variable in: numbered at once
-// outside a run (nil w), else recorded as one of run w's first touches.
-// Called with r.mu held.
-func (r *Registry) add(w *World, s *slot, c coord, in *sym.Input) {
-	if w == nil {
-		r.number(s, in)
-		return
-	}
-	if w.token == 0 {
-		r.runs++
-		w.token = r.runs
-		if w.touched == nil && r.spec != nil {
-			w.touched = make([]*sym.Input, 0, r.spec.slots())
-		}
-	}
-	in.ID = -w.token
-	if s.prov == nil {
-		s.prov = in
-	} else {
-		if w.extra == nil {
-			w.extra = make(map[coord]*sym.Input)
-		}
-		w.extra[c] = in
-	}
-	w.touched = append(w.touched, in)
-}
-
-// number gives in the next ID and makes it slot s's numbered variable.
-// Called with r.mu held.
-func (r *Registry) number(s *slot, in *sym.Input) {
-	in.ID = len(r.inputs)
-	r.inputs = append(r.inputs, in)
-	s.in = in
-}
-
-// commit numbers run w's first touches in touch order; a coordinate a
+// commit numbers run w's own variables in touch order; a coordinate a
 // commit before this one numbered gives the run's variable its ID and
 // domain instead.
 func (r *Registry) commit(w *World) {
 	r.mu.Lock()
-	r.release(w, func(s *slot, in *sym.Input) {
-		if s.in == nil {
-			r.number(s, in)
-		} else {
-			in.ID, in.Lo, in.Hi = s.in.ID, s.in.Lo, s.in.Hi
-		}
-	})
-	r.mu.Unlock()
-}
-
-// discard drops run w's first touches unnumbered.
-func (r *Registry) discard(w *World) {
-	r.mu.Lock()
-	r.release(w, func(*slot, *sym.Input) {})
-	r.mu.Unlock()
-}
-
-// release calls fn on each of run w's first touches and its slot, in touch
-// order, after taking the variable out of the slot's unnumbered place.
-// Called with r.mu held.
-func (r *Registry) release(w *World, fn func(*slot, *sym.Input)) {
+	defer r.mu.Unlock()
 	var (
 		stream string
-		tbl    []slot
+		tbl    []*sym.Input
 	)
 	for _, in := range w.touched {
-		var s *slot
-		if off, ok := in.ByteOffset(); ok {
+		var num *sym.Input
+		off, isByte := in.ByteOffset()
+		if isByte {
 			// Runs touch bytes stream by stream: look the table up once
-			// per stretch.
+			// per stretch. byteVar made the slot when it made in.
 			if tbl == nil || in.Name != stream {
 				stream, tbl = in.Name, r.byStream[in.Name]
 			}
-			s = &tbl[off]
+			num = tbl[off]
 		} else {
-			s = r.byKey[in.Name]
+			num = r.byKey[in.Name]
 		}
-		if s.prov == in {
-			s.prov = nil
+		if num != nil {
+			in.ID, in.Lo, in.Hi = num.ID, num.Lo, num.Hi
+			continue
 		}
-		fn(s, in)
+		in.ID = len(r.inputs)
+		r.inputs = append(r.inputs, in)
+		if isByte {
+			tbl[off] = in
+		} else {
+			r.byKey[in.Name] = in
+		}
 	}
 }
 
-// LookupByte returns the numbered variable of byte (stream, off), if any.
-func (r *Registry) LookupByte(stream string, off int64) (*sym.Input, bool) {
+// lookupByte returns the numbered variable of byte (stream, off), if any.
+func (r *Registry) lookupByte(stream string, off int64) (*sym.Input, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if tbl := r.byStream[stream]; off >= 0 && off < int64(len(tbl)) {
-		if in := tbl[off].in; in != nil {
+		if in := tbl[off]; in != nil {
 			return in, true
 		}
 	}
@@ -420,8 +306,8 @@ func (r *Registry) materialize(s Stream, asn sym.MapAssignment, out []byte) {
 		if i < len(s.Seed) {
 			b = s.Seed[i]
 		}
-		if i < len(tbl) && tbl[i].in != nil {
-			if v, bound := asn[tbl[i].in.ID]; bound {
+		if i < len(tbl) && tbl[i] != nil {
+			if v, bound := asn[tbl[i].ID]; bound {
 				b = byte(v)
 			}
 		}
@@ -430,23 +316,13 @@ func (r *Registry) materialize(s Stream, asn sym.MapAssignment, out []byte) {
 	r.mu.Unlock()
 }
 
-// Lookup returns the numbered syscall variable registered under a
-// sys:kind:seq key, if any.
-func (r *Registry) Lookup(key string) (*sym.Input, bool) {
-	return r.lookup(nil, key)
-}
-
-// lookup returns the syscall variable run w sees under a sys:kind:seq key,
-// if any; a nil w is no run.
-func (r *Registry) lookup(w *World, key string) (*sym.Input, bool) {
+// lookup returns the numbered syscall variable under a sys:kind:seq key, if
+// any.
+func (r *Registry) lookup(key string) (*sym.Input, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.byKey[key]
-	if s == nil {
-		return nil, false
-	}
-	in := r.visible(w, s, coord{key, -1})
-	return in, in != nil
+	in, ok := r.byKey[key]
+	return in, ok
 }
 
 // Get returns the variable with the given ID.
@@ -507,13 +383,13 @@ type World struct {
 	// for modeled select() calls, keyed by select sequence number.
 	selectTable *selectCountTable
 
-	// The run's first touches, numbered when it commits (see Registry):
-	// token is the run's number among the registry's runs (0 until it makes
-	// a variable), touched its unnumbered variables in touch order, and
-	// extra those another run's unnumbered variable kept from their slots.
-	token   int
-	touched []*sym.Input
-	extra   map[coord]*sym.Input
+	// The run's own variables, numbered when it commits (see Registry):
+	// ownBytes by declared stream (arguments, files, then connections) and
+	// offset, ownSys by sys:kind:seq key, touched all of them in touch
+	// order.
+	ownBytes [][]*sym.Input
+	ownSys   map[string]*sym.Input
+	touched  []*sym.Input
 }
 
 // NewWorld creates a world over spec with the given assignment; a nil
@@ -542,38 +418,98 @@ func (w *World) Rebind(asn sym.MapAssignment) {
 	w.selectTable = nil
 }
 
-// Commit numbers the variables the world's run was first to touch, in
-// the order it touched them (see Registry). Call it once the run has ended;
-// across the runs of one registry, call it in run order. The world is then
-// ready to be rebound.
+// Commit numbers the world's run's own variables, in the order it touched
+// them (see Registry). Call it once the run has ended; across the runs of
+// one registry, call it in run order. The world is then ready to be
+// rebound.
 func (w *World) Commit() {
 	if len(w.touched) > 0 {
 		w.Reg.commit(w)
 	}
-	w.forget()
+	w.Discard()
 }
 
-// Discard drops the variables the world's run was first to touch,
-// unnumbered: the run is treated as never made.
+// Discard drops the world's run's own variables: what the run did not
+// commit stays unnumbered, as if the run was never made.
 func (w *World) Discard() {
-	if len(w.touched) > 0 {
-		w.Reg.discard(w)
+	if len(w.touched) == 0 {
+		return
 	}
-	w.forget()
+	for _, own := range w.ownBytes {
+		clear(own)
+	}
+	clear(w.ownSys)
+	w.touched = w.touched[:0]
 }
 
-// forget clears the run's first touches, keeping the log's buffer.
-func (w *World) forget() {
-	w.token = 0
-	w.touched = w.touched[:0]
-	clear(w.extra)
+// byteVar returns the variable the run sees for byte (stream, off), stream
+// being the i-th the spec declares: its own, else the numbered one, else a
+// new one of its own with domain [lo, hi].
+func (w *World) byteVar(i int, stream string, off, lo, hi int64) *sym.Input {
+	var own []*sym.Input
+	if w.ownBytes != nil {
+		own = w.ownBytes[i]
+	}
+	if off < int64(len(own)) && own[off] != nil {
+		return own[off]
+	}
+	in, numbered := w.Reg.byteVar(stream, off, lo, hi)
+	if numbered {
+		return in
+	}
+	if w.ownBytes == nil {
+		w.layOut()
+		own = w.ownBytes[i]
+	}
+	if off >= int64(len(own)) {
+		own = append(own, make([]*sym.Input, off+1-int64(len(own)))...)
+		w.ownBytes[i] = own
+	}
+	own[off] = in
+	w.touched = append(w.touched, in)
+	return in
+}
+
+// layOut gives every declared stream a table of Len+1 slots for the run's
+// own variables, in one block, and sizes the touch log to match.
+func (w *World) layOut() {
+	total := w.Spec.slots()
+	block := make([]*sym.Input, total)
+	w.ownBytes = make([][]*sym.Input, 0, len(w.Spec.Args)+len(w.Spec.Files)+len(w.Spec.Conns))
+	w.Spec.eachStream(func(st Stream) {
+		n := st.Len + 1
+		w.ownBytes = append(w.ownBytes, block[:n:n])
+		block = block[n:]
+	})
+	if w.touched == nil {
+		w.touched = make([]*sym.Input, 0, total)
+	}
+}
+
+// syscallVar returns the variable the run sees for the seq-th result of a
+// syscall kind: its own, else the numbered one, else a new one of its own
+// with domain [lo, hi].
+func (w *World) syscallVar(kind string, seq int, lo, hi int64) *sym.Input {
+	key := "sys:" + kind + ":" + strconv.Itoa(seq)
+	if in := w.ownSys[key]; in != nil {
+		return in
+	}
+	in, numbered := w.Reg.syscallVar(key, lo, hi)
+	if !numbered {
+		if w.ownSys == nil {
+			w.ownSys = make(map[string]*sym.Input)
+		}
+		w.ownSys[key] = in
+		w.touched = append(w.touched, in)
+	}
+	return in
 }
 
 // byteValue computes the concrete value of one stream byte under the current
 // assignment: the assignment's value when the variable is numbered and
 // bound, else the seed byte, else NUL.
 func (w *World) byteValue(s Stream, off int64) byte {
-	if in, ok := w.Reg.LookupByte(s.Name, off); ok {
+	if in, ok := w.Reg.lookupByte(s.Name, off); ok {
 		if v, bound := w.Asn[in.ID]; bound {
 			return byte(v)
 		}
@@ -670,33 +606,39 @@ func (w *World) MarkByte(stream string, off int64) sym.Expr {
 	if !w.Symbolic {
 		return nil
 	}
-	st, ok := w.streamDeclared(stream)
-	if !ok {
+	st, i := w.declared(stream)
+	if i < 0 {
 		return nil
 	}
 	if off >= int64(st.Len) {
-		return w.Reg.byteVar(w, stream, off, 0, 0)
+		return w.byteVar(i, stream, off, 0, 0)
 	}
-	return w.Reg.byteVar(w, stream, off, 0, 255)
+	return w.byteVar(i, stream, off, 0, 255)
 }
 
-func (w *World) streamDeclared(stream string) (Stream, bool) {
+// declared returns the declared stream of that name and its position among
+// the spec's streams (arguments, files, then connections), or -1.
+func (w *World) declared(stream string) (Stream, int) {
+	i := 0
 	for _, a := range w.Spec.Args {
 		if a.Name == stream {
-			return a, true
+			return a, i
 		}
+		i++
 	}
 	for _, f := range w.Spec.Files {
 		if f.Stream.Name == stream {
-			return f.Stream, true
+			return f.Stream, i
 		}
+		i++
 	}
 	for _, c := range w.Spec.Conns {
 		if c.Stream.Name == stream {
-			return c.Stream, true
+			return c.Stream, i
 		}
+		i++
 	}
-	return Stream{}, false
+	return Stream{}, -1
 }
 
 // eachStream calls fn for every declared stream: arguments, files, then
@@ -722,7 +664,11 @@ func (w *World) SyscallExpr(kind string, seq int) sym.Expr {
 	}
 	switch kind {
 	case "read":
-		in, ok := w.Reg.lookup(w, "sys:read:"+strconv.Itoa(seq))
+		key := "sys:read:" + strconv.Itoa(seq)
+		in, ok := w.ownSys[key]
+		if !ok {
+			in, ok = w.Reg.lookup(key)
+		}
 		if !ok {
 			// The kernel consults the model before the VM asks for the
 			// expression, so a miss means the call had no modeled result.
@@ -741,9 +687,9 @@ func (w *World) SyscallExpr(kind string, seq int) sym.Expr {
 // ReadCount implements oskernel.ResultModel. The modeled count is an input
 // variable with domain [-1, max] seeded at max (the paper's read() model:
 // "initially returns the amount of input requested"). An unnumbered
-// variable is unbound, as a new one was when it was numbered at once.
+// variable is unbound.
 func (w *World) ReadCount(stream string, seq int, max int64) int64 {
-	in := w.Reg.syscallVar(w, "read", seq, -1, max)
+	in := w.syscallVar("read", seq, -1, max)
 	if v, ok := w.Asn[in.ID]; ok {
 		if v > max {
 			return max
@@ -765,7 +711,7 @@ func (w *World) SelectReady(seq int, candidates []int) []int {
 	var ready []int
 	var countExpr sym.Expr = sym.Zero
 	for j, fd := range candidates {
-		bit := w.Reg.syscallVar(w, "select:"+strconv.Itoa(seq)+":cand", j, 0, 1)
+		bit := w.syscallVar("select:"+strconv.Itoa(seq)+":cand", j, 0, 1)
 		countExpr = sym.Add(countExpr, bit)
 		v, bound := w.Asn[bit.ID]
 		if !bound {

@@ -6,16 +6,33 @@ import (
 	"pathlog/internal/sym"
 )
 
+// mark touches byte (stream, off) in w's run.
+func mark(w *World, stream string, off int64) *sym.Input {
+	return w.MarkByte(stream, off).(*sym.Input)
+}
+
+// readVar touches the seq-th read count in w's run, which models read
+// results, and returns its variable.
+func readVar(w *World, seq int, max int64) *sym.Input {
+	w.ReadCount("conn0", seq, max)
+	return w.SyscallExpr("read", seq).(*sym.Input)
+}
+
 func TestRegistryStableIDs(t *testing.T) {
-	r := NewRegistry(nil)
-	a := r.ByteVar("arg0", 0)
-	b := r.ByteVar("arg0", 1)
-	c := r.ByteVar("conn0", 0)
-	if a.ID == b.ID || b.ID == c.ID {
-		t.Fatal("IDs must be distinct")
-	}
-	if got := r.ByteVar("arg0", 0); got != a {
+	w := newWorld(spec(), nil)
+	r := w.Reg
+	a := mark(w, "arg0", 0)
+	b := mark(w, "arg0", 1)
+	c := mark(w, "conn0", 0)
+	if got := mark(w, "arg0", 0); got != a {
 		t.Fatal("same coordinate must return the same variable")
+	}
+	if r.Len() != 0 || a.ID != -1 {
+		t.Fatalf("numbered before the run committed: len %d, id %d", r.Len(), a.ID)
+	}
+	w.Commit()
+	if a.ID != 0 || b.ID != 1 || c.ID != 2 {
+		t.Fatalf("IDs %d %d %d, want touch order 0 1 2", a.ID, b.ID, c.ID)
 	}
 	if r.Len() != 3 {
 		t.Fatalf("len: %d", r.Len())
@@ -26,29 +43,42 @@ func TestRegistryStableIDs(t *testing.T) {
 	if r.Get(-1) != nil || r.Get(99) != nil {
 		t.Fatal("out-of-range Get must return nil")
 	}
+	// The next run sees the numbered variable.
+	w.Rebind(nil)
+	if got := mark(w, "arg0", 0); got != a {
+		t.Fatal("a committed coordinate must return its numbered variable")
+	}
 }
 
 func TestRegistrySyscallVars(t *testing.T) {
-	r := NewRegistry(nil)
-	v := r.SyscallVar("read", 3, -1, 64)
+	w := newWorld(spec(), nil)
+	w.ModelSyscalls = true
+	v := readVar(w, 3, 64)
 	if v.Lo != -1 || v.Hi != 64 {
 		t.Fatalf("domain: [%d,%d]", v.Lo, v.Hi)
 	}
-	// Re-registration keeps the original domain.
-	v2 := r.SyscallVar("read", 3, 0, 8)
-	if v2 != v {
+	// Touching it again keeps the original domain.
+	if v2 := readVar(w, 3, 8); v2 != v {
 		t.Fatal("syscall var must be stable per (kind, seq)")
 	}
-	if _, ok := r.Lookup("sys:read:3"); !ok {
+	w.Commit()
+	if got, ok := w.Reg.lookup("sys:read:3"); !ok || got != v {
 		t.Fatal("lookup by key")
+	}
+	// A later run that asks for another domain gets the numbered one.
+	w.Rebind(nil)
+	if v2 := readVar(w, 3, 8); v2 != v || v2.Hi != 64 {
+		t.Fatalf("later run got %s [%d,%d]", v2, v2.Lo, v2.Hi)
 	}
 }
 
 func TestRegistryDomains(t *testing.T) {
-	r := NewRegistry(nil)
-	a := r.ByteVar("arg0", 0)
-	s := r.SyscallVar("read", 0, -1, 10)
-	d := r.Domains([]int{a.ID, s.ID}, nil)
+	w := newWorld(spec(), nil)
+	w.ModelSyscalls = true
+	a := mark(w, "arg0", 0)
+	s := readVar(w, 0, 10)
+	w.Commit()
+	d := w.Reg.Domains([]int{a.ID, s.ID}, nil)
 	if len(d) != 2 || d[0].ID != a.ID || d[0].Lo != 0 || d[0].Hi != 255 {
 		t.Fatalf("byte domain: %+v", d)
 	}
@@ -84,8 +114,10 @@ func TestMaterializeSeeds(t *testing.T) {
 
 func TestMaterializeWithAssignment(t *testing.T) {
 	reg := NewRegistry(spec())
-	v0 := reg.ByteVar("arg0", 0)
-	v3 := reg.ByteVar("arg0", 3) // beyond the seed
+	run := NewWorld(spec(), reg, nil)
+	v0 := mark(run, "arg0", 0)
+	v3 := mark(run, "arg0", 3) // beyond the seed
+	run.Commit()
 	asn := sym.MapAssignment{v0.ID: 'H', v3.ID: '!'}
 	w := NewWorld(spec(), reg, asn)
 	arg := w.MaterializeStream(w.Spec.Args[0])
@@ -144,11 +176,11 @@ func TestReadCountModel(t *testing.T) {
 	if got := w.ReadCount("conn0", 0, 5); got != 5 {
 		t.Fatalf("seed count: %d", got)
 	}
-	if _, ok := reg.Lookup("sys:read:0"); ok {
+	if _, ok := reg.lookup("sys:read:0"); ok {
 		t.Fatal("read var numbered before its run committed")
 	}
 	w.Commit()
-	v, ok := reg.Lookup("sys:read:0")
+	v, ok := reg.lookup("sys:read:0")
 	if !ok {
 		t.Fatal("read var not registered")
 	}
@@ -194,7 +226,7 @@ func TestSelectReadyModel(t *testing.T) {
 	}
 	// Turning one bit off drops the fd.
 	w.Commit()
-	bit, ok := reg.Lookup("sys:select:0:cand:1")
+	bit, ok := reg.lookup("sys:select:0:cand:1")
 	if !ok {
 		t.Fatal("bit var missing")
 	}
@@ -209,26 +241,32 @@ func TestSelectReadyModel(t *testing.T) {
 }
 
 // TestByteVarNames checks that variables print as their coordinates: a
-// byte variable as stream:off, whether laid out in the spec's block or
-// grown past it, and a syscall variable as its key.
+// byte variable as stream:off, whether laid out in the spec's block, grown
+// past it, or in a stream the registry's spec does not declare, and a
+// syscall variable as its key.
 func TestByteVarNames(t *testing.T) {
-	reg := NewRegistry(spec())
-	for _, c := range []struct {
+	sp := spec()
+	sp.Files = append(sp.Files, FileSpec("other", "", 4))
+	w := NewWorld(sp, NewRegistry(spec()), nil)
+	w.ModelSyscalls = true
+	cases := []struct {
 		in   *sym.Input
 		want string
 	}{
-		{reg.ByteVar("arg0", 0), "arg0:0"},
-		{reg.BoundedByteVar("arg0", 6, 0, 0), "arg0:6"},
-		{reg.ByteVar("conn0", 40), "conn0:40"},
-		{reg.ByteVar("file:other", 12), "file:other:12"},
-		{reg.SyscallVar("read", 3, -1, 8), "sys:read:3"},
-	} {
+		{mark(w, "arg0", 0), "arg0:0"},
+		{mark(w, "arg0", 6), "arg0:6"},
+		{mark(w, "conn0", 40), "conn0:40"},
+		{mark(w, "file:other", 12), "file:other:12"},
+		{readVar(w, 3, 8), "sys:read:3"},
+	}
+	w.Commit()
+	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("variable %d prints as %q, want %q", c.in.ID, got, c.want)
 		}
 	}
-	if _, ok := reg.Lookup("arg0:0"); ok {
-		t.Error("Lookup must hold only syscall keys")
+	if _, ok := w.Reg.lookup("arg0:0"); ok {
+		t.Error("lookup must hold only syscall keys")
 	}
 }
 
