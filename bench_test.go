@@ -19,6 +19,7 @@ import (
 	"pathlog/internal/concolic"
 	"pathlog/internal/instrument"
 	"pathlog/internal/obs"
+	"pathlog/internal/solver"
 	"pathlog/internal/static"
 	"pathlog/internal/world"
 )
@@ -231,7 +232,9 @@ func BenchmarkTable6(b *testing.B) {
 // runs, the end-to-end benchmark's budget), on diff exp1 at the end-to-end
 // benchmark's 40-run budget and on paste at its coreutils budget of 300
 // runs (8769 solver calls). BENCH_analysis.json gates its time and
-// allocations at one and two CPUs (-cpu 1,2).
+// allocations at one and two CPUs (-cpu 1,2), and exactly the solver
+// work and nodes the exploration's child solves charge per op: counts that
+// depend only on the code, where the times drift with the host.
 func BenchmarkDynamicAnalysis(b *testing.B) {
 	diff, err := apps.DiffExperimentScenario(1)
 	if err != nil {
@@ -254,13 +257,16 @@ func BenchmarkDynamicAnalysis(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s-%druns", c.name, c.runs), func(b *testing.B) {
 			b.ReportAllocs()
+			var stats solver.Stats
 			for i := 0; i < b.N; i++ {
 				ex := concolic.New(c.an.Prog, c.an.Spec, world.NewRegistry(c.an.Spec), concolic.Options{MaxRuns: c.runs})
 				rep := ex.Explore(context.Background())
 				if rep.Runs == 0 {
 					b.Fatal("no runs")
 				}
+				stats = rep.SolverStats
 			}
+			reportSolverStats(b, stats)
 		})
 	}
 }
@@ -465,6 +471,7 @@ func benchSessionReplay(b *testing.B, s *Scenario, plan *instrument.Plan, gc boo
 		b.Fatalf("record: %v", err)
 	}
 	var runs, totalRuns int
+	var stats solver.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if gc {
@@ -481,8 +488,10 @@ func benchSessionReplay(b *testing.B, s *Scenario, plan *instrument.Plan, gc boo
 		}
 		runs = res.Runs
 		totalRuns += res.Runs
+		stats = res.SolverStats
 	}
 	b.ReportMetric(float64(runs), "replay-runs")
+	reportSolverStats(b, stats)
 	// ns/replay-run is the per-run cost the engine work actually moves;
 	// ns/op is the time to reproduce, which also counts the fixed
 	// per-search setup and moves with how many runs the search needs. The
@@ -508,4 +517,13 @@ func benchSessionReplay(b *testing.B, s *Scenario, plan *instrument.Plan, gc boo
 			b.ReportMetric(h.Quantile(0.5), "p50-logged-bits")
 		}
 	}
+}
+
+// reportSolverStats reports the solver work and nodes of one op (one
+// exploration or one replay). A serial replay search and the exploration's
+// ordered merge make both exact functions of the code, so the ledgers gate
+// them with no allowance, beside times that drift with the host.
+func reportSolverStats(b *testing.B, st solver.Stats) {
+	b.ReportMetric(float64(st.Work), "solver-work/op")
+	b.ReportMetric(float64(st.Nodes), "solver-nodes/op")
 }

@@ -29,11 +29,16 @@
 // cost keeps a search that wastes runs from passing on a cheap per-run
 // figure, and a search that needs fewer, fuller runs from failing on one.
 //
+// A gate metric may carry its own bound as metric=percent. Counts that
+// depend only on the code (a search's runs, the solver work it charges)
+// are gated with =0: any increase fails, while times keep the -max-regress
+// allowance for a noisy host.
+//
 // Usage:
 //
 //	go test -bench '^BenchmarkReplay' -count 3 . | benchjson -min-runs 3 -o BENCH_replay.json
 //	benchjson bench.txt
-//	benchjson -baseline BENCH_replay.json -gate ns/op,replay-runs,ns/replay-run -max-regress 20 bench.txt
+//	benchjson -baseline BENCH_replay.json -gate ns/op,replay-runs=0,ns/replay-run -max-regress 20 bench.txt
 package main
 
 import (
@@ -76,8 +81,8 @@ type Doc struct {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against")
-	gate := flag.String("gate", "ns/replay-run", "comma-separated metrics the -baseline gate compares")
-	maxRegress := flag.Float64("max-regress", 20, "max allowed regression of each -gate metric in percent")
+	gate := flag.String("gate", "ns/replay-run", "comma-separated metrics the -baseline gate compares, each optionally metric=percent")
+	maxRegress := flag.Float64("max-regress", 20, "max allowed regression in percent of a -gate metric without its own bound")
 	minRuns := flag.Int("min-runs", 1, "required repetitions per benchmark (use with go test -count)")
 	minIters := flag.Int64("min-iterations", 1, "required b.N floor per benchmark run")
 	flag.Parse()
@@ -103,7 +108,10 @@ func main() {
 	if len(doc.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found"))
 	}
-	metrics := strings.Split(*gate, ",")
+	gates, err := parseGates(*gate, *maxRegress)
+	if err != nil {
+		fatal(err)
+	}
 	if err := collapse(&doc, *minRuns, *minIters); err != nil {
 		fatal(err)
 	}
@@ -118,7 +126,7 @@ func main() {
 		fatal(err)
 	}
 	if *baseline != "" {
-		if err := compare(&doc, *baseline, metrics, *maxRegress); err != nil {
+		if err := compare(&doc, *baseline, gates); err != nil {
 			fatal(err)
 		}
 	}
@@ -182,10 +190,39 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
+// gate is one metric the baseline gate compares and the regression it
+// allows, in percent.
+type gate struct {
+	metric     string
+	maxRegress float64
+}
+
+// parseGates reads a -gate list: comma-separated metrics, each either bare
+// (allowed def percent) or metric=percent.
+func parseGates(spec string, def float64) ([]gate, error) {
+	var gates []gate
+	for _, f := range strings.Split(spec, ",") {
+		g := gate{metric: f, maxRegress: def}
+		if m, pct, ok := strings.Cut(f, "="); ok {
+			v, err := strconv.ParseFloat(pct, 64)
+			if err != nil || !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("bad bound %q in -gate %q: want metric=percent", pct, spec)
+			}
+			g = gate{metric: m, maxRegress: v}
+		}
+		if g.metric == "" {
+			return nil, fmt.Errorf("empty metric in -gate %q", spec)
+		}
+		gates = append(gates, g)
+	}
+	return gates, nil
+}
+
 // compare gates doc against the committed baseline document: every
 // baseline benchmark must appear in the fresh run, and none may regress any
-// of the gate metrics by more than maxRegress percent. Lower is better for
-// every gated metric (times and run counts). Names match exactly, else
+// gate metric by more than its bound. Lower is better for every gated
+// metric (times and counts). A baseline value of zero is gated too: any
+// fresh value above it regresses. Names match exactly, else
 // without the -GOMAXPROCS suffix go test appends on multi-core hosts, when
 // that leaves one fresh benchmark: a run at -cpu 1,2 keeps its "X" and
 // "X-2" rows apart, and a run on a host with another CPU count still finds
@@ -194,7 +231,7 @@ func median(vs []float64) float64 {
 // deleting a benchmark cannot silently drop it; a fresh benchmark the
 // baseline lacks, or a metric one side does not carry, is skipped — adding
 // benchmarks never blocks.
-func compare(doc *Doc, path string, metrics []string, maxRegress float64) error {
+func compare(doc *Doc, path string, gates []gate) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -209,7 +246,11 @@ func compare(doc *Doc, path string, metrics []string, maxRegress float64) error 
 		freshBy[r.Name] = r
 		byBase[baseName(r.Name)] = append(byBase[baseName(r.Name)], r)
 	}
-	var missing, regressed []string
+	var missing, names []string
+	var regressed []gate
+	for _, g := range gates {
+		names = append(names, g.metric)
+	}
 	compared := 0
 	for _, b := range base.Benchmarks {
 		fresh, ok := freshBy[b.Name]
@@ -220,21 +261,20 @@ func compare(doc *Doc, path string, metrics []string, maxRegress float64) error 
 			missing = append(missing, b.Name)
 			continue
 		}
-		for _, metric := range metrics {
-			was, ok1 := b.Metrics[metric]
-			now, ok2 := fresh.Metrics[metric]
-			if !ok1 || !ok2 || was <= 0 {
+		for _, g := range gates {
+			was, ok1 := b.Metrics[g.metric]
+			now, ok2 := fresh.Metrics[g.metric]
+			if !ok1 || !ok2 || was < 0 {
 				continue
 			}
 			compared++
-			pct := (now - was) / was * 100
 			status := "ok"
-			if pct > maxRegress {
+			if (was == 0 && now > 0) || (was > 0 && (now-was)/was*100 > g.maxRegress) {
 				status = "REGRESSION"
-				regressed = append(regressed, metric)
+				regressed = append(regressed, g)
 			}
-			fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %s -> %s (%+.1f%%) %s\n",
-				fresh.Name, metric, num(was), num(now), pct, status)
+			fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %s -> %s (%s, bound %g%%) %s\n",
+				fresh.Name, g.metric, num(was), num(now), change(was, now), g.maxRegress, status)
 		}
 	}
 	if len(missing) > 0 {
@@ -242,13 +282,42 @@ func compare(doc *Doc, path string, metrics []string, maxRegress float64) error 
 			path, strings.Join(missing, ", "))
 	}
 	if compared == 0 {
-		return fmt.Errorf("baseline %s shares no %q metrics with the fresh run", path, strings.Join(metrics, ","))
+		return fmt.Errorf("baseline %s shares no %q metrics with the fresh run", path, strings.Join(names, ","))
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark metric(s) regressed %s by more than %.0f%% over %s",
-			len(regressed), strings.Join(regressed, ","), maxRegress, path)
+		return fmt.Errorf("%d benchmark metric(s) regressed %s over %s",
+			len(regressed), describe(regressed), path)
 	}
 	return nil
+}
+
+// describe lists regressed gates by bound, in order of first appearance:
+// "ns/op,replay-runs by more than 20%; work/call by more than 0%".
+func describe(gates []gate) string {
+	var bounds []float64
+	byBound := map[float64][]string{}
+	for _, g := range gates {
+		if _, ok := byBound[g.maxRegress]; !ok {
+			bounds = append(bounds, g.maxRegress)
+		}
+		byBound[g.maxRegress] = append(byBound[g.maxRegress], g.metric)
+	}
+	parts := make([]string, len(bounds))
+	for i, b := range bounds {
+		parts[i] = fmt.Sprintf("%s by more than %g%%", strings.Join(byBound[b], ","), b)
+	}
+	return strings.Join(parts, "; ")
+}
+
+// change formats the relative change from was to now.
+func change(was, now float64) string {
+	if was == 0 {
+		if now == 0 {
+			return "+0.0%"
+		}
+		return "from zero"
+	}
+	return fmt.Sprintf("%+.1f%%", (now-was)/was*100)
 }
 
 // num formats a metric value for the gate's report: whole and large

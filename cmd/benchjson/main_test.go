@@ -5,6 +5,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,13 +32,13 @@ func TestCompare(t *testing.T) {
 	base := Doc{Benchmarks: []Result{
 		bench("BenchmarkReplay", map[string]float64{"ns/replay-run": 1000, "ns/op": 5e6}),
 	}}
-	gateAll := []string{"ns/op", "replay-runs", "ns/replay-run"}
+	const gateAll = "ns/op,replay-runs,ns/replay-run"
 	for _, tc := range []struct {
 		name    string
 		base    Doc
 		fresh   []Result
-		gate    []string // nil: ns/replay-run alone
-		wantErr string   // empty: the gate passes
+		gate    string // empty: ns/replay-run alone
+		wantErr string // empty: the gate passes
 	}{
 		{
 			name:  "pass",
@@ -119,13 +120,56 @@ func TestCompare(t *testing.T) {
 			fresh: []Result{bench("BenchmarkReplay", map[string]float64{"ns/op": 90e6, "replay-runs": 500, "ns/replay-run": 1100})},
 			gate:  gateAll,
 		},
+		{
+			// Counts depend only on the code: one more unit of charged
+			// work fails an exact bound, though the time may drift.
+			name: "exact bound catches one more unit of work",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkSolve/searched-sat", map[string]float64{"ns/call": 20000, "work/call": 4354}),
+			}},
+			fresh:   []Result{bench("BenchmarkSolve/searched-sat", map[string]float64{"ns/call": 15000, "work/call": 4355})},
+			gate:    "ns/call,work/call=0",
+			wantErr: "1 benchmark metric(s) regressed work/call by more than 0%",
+		},
+		{
+			name: "exact bound passes an equal count beside a drifting time",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkSolve/searched-sat", map[string]float64{"ns/call": 20000, "work/call": 4354}),
+			}},
+			fresh: []Result{bench("BenchmarkSolve/searched-sat", map[string]float64{"ns/call": 23000, "work/call": 4354})},
+			gate:  "ns/call,work/call=0",
+		},
+		{
+			// A call the seed satisfies charges no work; any charge is a
+			// regression, though no percentage of zero measures it.
+			name: "exact bound gates a zero baseline",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkSolve/seed-sat", map[string]float64{"ns/call": 3000, "work/call": 0}),
+			}},
+			fresh:   []Result{bench("BenchmarkSolve/seed-sat", map[string]float64{"ns/call": 3000, "work/call": 12})},
+			gate:    "ns/call,work/call=0",
+			wantErr: "regressed work/call by more than 0%",
+		},
+		{
+			name: "mixed bounds name each",
+			base: Doc{Benchmarks: []Result{
+				bench("BenchmarkReplay", map[string]float64{"ns/op": 2e6, "replay-runs": 2, "ns/replay-run": 1e6}),
+			}},
+			fresh:   []Result{bench("BenchmarkReplay", map[string]float64{"ns/op": 3e6, "replay-runs": 3, "ns/replay-run": 1e6})},
+			gate:    "ns/op,replay-runs=0,ns/replay-run",
+			wantErr: "2 benchmark metric(s) regressed ns/op by more than 20%; replay-runs by more than 0%",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gate := tc.gate
-			if gate == nil {
-				gate = []string{"ns/replay-run"}
+			spec := tc.gate
+			if spec == "" {
+				spec = "ns/replay-run"
 			}
-			err := compare(&Doc{Benchmarks: tc.fresh}, writeBaseline(t, tc.base), gate, 20)
+			gates, err := parseGates(spec, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = compare(&Doc{Benchmarks: tc.fresh}, writeBaseline(t, tc.base), gates)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("gate failed: %v", err)
@@ -135,6 +179,24 @@ func TestCompare(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestParseGates reads bare metrics at the default bound and
+// metric=percent at its own, and refuses malformed bounds.
+func TestParseGates(t *testing.T) {
+	got, err := parseGates("ns/op,replay-runs=0,ns/replay-run=12.5", 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []gate{{"ns/op", 20}, {"replay-runs", 0}, {"ns/replay-run", 12.5}}
+	if !slices.Equal(got, want) {
+		t.Errorf("parseGates = %v, want %v", got, want)
+	}
+	for _, bad := range []string{"work/call=", "work/call=-1", "work/call=x", "=0", "ns/op,,work/call", "work/call=Inf", "work/call=NaN"} {
+		if _, err := parseGates(bad, 20); err == nil {
+			t.Errorf("parseGates(%q) accepted a malformed gate", bad)
+		}
 	}
 }
 

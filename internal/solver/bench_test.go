@@ -37,11 +37,59 @@ func coreutilsPath() Problem {
 	return p
 }
 
+// searchedGiveUp is the diff give-up with the byte equalities scaled by
+// two: equivalent on bytes, but not the x - y == 0 shape unification reads,
+// so search runs until the work budget is spent.
+func searchedGiveUp() Problem {
+	p := diffGiveUp()
+	for i, c := range p.Constraints {
+		if bin, ok := c.E.(*sym.Bin); ok && bin.Op == sym.OpNe && !c.Truth {
+			two := sym.NewConst(2)
+			p.Constraints[i] = sym.Constraint{E: sym.Eq(sym.Mul(bin.L, two), sym.Mul(bin.R, two)), Truth: true}
+		}
+	}
+	return p
+}
+
+// followedPath is the solve a replay makes when it follows a logged path:
+// a uServer request line of 72 bytes, each checked non-NUL, printable and
+// not a line end, the method and the path's first bytes matched against
+// constants, and neighbouring bytes compared as a tokenizer does (320
+// atoms). The seed holds the request of the previous run, which took the
+// other side of a late branch (byte 58, the space before "Agent", was an
+// 'x'), so propagation fixes that byte and the search descends once,
+// assigning each byte its seed value.
+func followedPath() Problem {
+	const n, late = 72, 58
+	req := "GET /index.html HTTP/1.0 Host: www.example.org Accept: */* Agent: pathlog/1.0"
+	p := Problem{Domains: byteDomains(n), Seed: sym.MapAssignment{}}
+	add := func(e sym.Expr, truth bool) {
+		p.Constraints = append(p.Constraints, sym.Constraint{E: e, Truth: truth})
+	}
+	for i := 0; i < n; i++ {
+		p.Seed[i] = int64(req[i])
+		add(sym.Eq(in(i), sym.Zero), false)
+		add(sym.Lt(in(i), sym.NewConst(32)), false)
+		add(sym.NewBin(sym.OpGt, in(i), sym.NewConst(126)), false)
+		add(sym.Eq(in(i), sym.NewConst('\n')), false)
+	}
+	for i, c := range []byte("GET /index") {
+		add(sym.Eq(in(i), sym.NewConst(int64(c))), true)
+	}
+	for i := 10; len(p.Constraints) < 319; i += 2 {
+		add(sym.Eq(sym.Sub(in(i), in(i+1)), sym.Zero), req[i] == req[i+1])
+	}
+	p.Seed[late] = 'x'
+	add(sym.Eq(in(late), sym.NewConst(int64(req[late]))), true)
+	return p
+}
+
 // BenchmarkSolve measures one Solve call per outcome of the solve pipeline,
 // on diff-shaped problems with warm normalization caches (the steady state of
 // a search), and a fresh Solver's first call on a coreutils-sized path
 // condition (cold, the fixed cost of a search that starts without a
-// recycled Solver). It reports ns/call and work/call, the evaluation effort
+// recycled Solver). followed-path is a replay's follow-the-log solve. It
+// reports ns/call and work/call, the evaluation effort
 // the call charged.
 func BenchmarkSolve(b *testing.B) {
 	type outcome int
@@ -60,16 +108,6 @@ func BenchmarkSolve(b *testing.B) {
 	propUnsat := benchLines("abcdefg", "abcdefh")
 	a0 := diffLine("a.txt", 23, 1)[0]
 	propUnsat.Constraints = append(propUnsat.Constraints, sym.Constraint{E: sym.Lt(a0, sym.NewConst(9)), Truth: true})
-	// gave-up: the diff give-up with the byte equalities scaled by two —
-	// equivalent on bytes, but not the x - y == 0 shape unification reads,
-	// so search runs until the work budget is spent.
-	gave := diffGiveUp()
-	for i, c := range gave.Constraints {
-		if bin, ok := c.E.(*sym.Bin); ok && bin.Op == sym.OpNe && !c.Truth {
-			two := sym.NewConst(2)
-			gave.Constraints[i] = sym.Constraint{E: sym.Eq(sym.Mul(bin.L, two), sym.Mul(bin.R, two)), Truth: true}
-		}
-	}
 
 	cases := []struct {
 		name  string
@@ -81,7 +119,8 @@ func BenchmarkSolve(b *testing.B) {
 		{"searched-sat", searchedSat, sat, true},
 		{"propagation-unsat", propUnsat, unsat, false},
 		{"unification-unsat", diffGiveUp(), unsat, false},
-		{"gave-up", gave, gaveUp, true},
+		{"gave-up", searchedGiveUp(), gaveUp, true},
+		{"followed-path", followedPath(), sat, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

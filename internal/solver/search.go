@@ -1,6 +1,10 @@
 package solver
 
-import "pathlog/internal/sym"
+import (
+	"math/bits"
+
+	"pathlog/internal/sym"
+)
 
 // interval is a mutable inclusive range used during propagation and search.
 type interval struct {
@@ -47,6 +51,13 @@ type atom struct {
 // their capacity and the per-call and per-node allocation count stays flat.
 // All variable-indexed state is dense: variable IDs are interned into slots
 // (slotOf/idOf) and every hot structure is a slice indexed by slot.
+//
+// The search is incremental: a node touches the atoms of the slot it
+// assigns, the atoms that propagation re-dirties and the domains it
+// narrows, never every atom or every domain. Work is nevertheless charged
+// as a search that rescans every atom and copies every domain at each node
+// would charge it, so budgets and Stats.Work are a function of the problem,
+// not of this bookkeeping.
 type searchState struct {
 	solver *Solver
 
@@ -58,24 +69,39 @@ type searchState struct {
 	seedHas   []bool     // whether the slot's variable appeared in p.Domains
 	asnVal    []int64    // search assignment per slot
 	asnHas    []bool     // whether the slot is currently assigned
-	varAtoms  [][]int32  // atom indices mentioning each slot
+	varAtoms  [][]int32  // atom indices mentioning each slot, ascending
 	termAtoms [][]int32  // atom indices with a propagation term on each slot
-	atomDirty []bool     // per-atom: some term domain changed since its last run
+	dirty     []uint64   // bitset over atoms: some term domain changed since its last run
 	decidedOK []bool     // per-atom: fully assigned and already verified true
 
 	atoms []atom
 
-	order     []int32    // searched slots, most-constrained first
-	snapStack []interval // LIFO domain snapshots, one doms-sized block per node
-	candBufs  [][]int64  // per-depth candidate buffers
+	// zeroVar lists the atoms that mention no variable, ascending: they are
+	// decided from the first node on.
+	zeroVar []int32
+	// varsBefore[i] is the summed len(vars) of atoms[:i], and sizeDecided
+	// the summed ne.size of the atoms whose variables are all assigned: the
+	// two sums a decided-atom check over every atom charges.
+	varsBefore  []int64
+	sizeDecided int64
+
+	order []int32      // searched slots, most-constrained first
+	trail []trailEntry // domains as they were before each narrowing, LIFO
+	gens  []candGen    // per-depth candidate generators
 
 	nodes int
 	work  int64
-	// truncated records that some candidate list left out values of its
-	// domain, so an exhausted search is no proof of unsat. Lists are clipped
-	// to MaxValuesPerVar, and the sweep around a seed that lies outside the
-	// (propagated) domain reaches only part of it.
+	// truncated records that some node ran out of candidates before it
+	// covered its domain, so an exhausted search is no proof of unsat.
+	// Candidates are clipped to MaxValuesPerVar, and the sweep around a seed
+	// that lies outside the (propagated) domain reaches only part of it.
 	truncated bool
+}
+
+// trailEntry is one undo record: the slot's domain before a narrowing.
+type trailEntry struct {
+	slot int32
+	old  interval
 }
 
 // reset prepares the state for a new Solve call, retaining slice capacity.
@@ -88,9 +114,12 @@ func (st *searchState) reset() {
 	st.asnVal = st.asnVal[:0]
 	st.asnHas = st.asnHas[:0]
 	st.atoms = st.atoms[:0]
-	st.atomDirty = st.atomDirty[:0]
+	st.dirty = st.dirty[:0]
 	st.decidedOK = st.decidedOK[:0]
-	st.snapStack = st.snapStack[:0]
+	st.zeroVar = st.zeroVar[:0]
+	st.varsBefore = append(st.varsBefore[:0], 0)
+	st.sizeDecided = 0
+	st.trail = st.trail[:0]
 	st.nodes = 0
 	st.work = 0
 	st.truncated = false
@@ -169,8 +198,18 @@ func (st *searchState) addAtom(c sym.Constraint, ne *normEntry) {
 		}
 	}
 	a.unassigned = int32(len(a.vars))
-	st.atomDirty = append(st.atomDirty, true) // the first sweep runs every atom
+	if n%64 == 0 {
+		st.dirty = append(st.dirty, 0)
+	}
+	if ne.linear {
+		st.dirty[n/64] |= 1 << (n % 64) // the first sweep runs every atom
+	}
 	st.decidedOK = append(st.decidedOK, false)
+	st.varsBefore = append(st.varsBefore, st.varsBefore[n]+int64(len(a.vars)))
+	if len(a.vars) == 0 {
+		st.zeroVar = append(st.zeroVar, int32(n))
+		st.sizeDecided += int64(ne.size)
+	}
 }
 
 // touch records a mutation of the slot's domain, re-dirtying every atom with
@@ -180,8 +219,45 @@ func (st *searchState) addAtom(c sym.Constraint, ne *normEntry) {
 // exactly.
 func (st *searchState) touch(s int32) {
 	for _, ai := range st.termAtoms[s] {
-		st.atomDirty[ai] = true
+		st.dirty[ai/64] |= 1 << (ai % 64)
 	}
+}
+
+// nextDirty returns the first dirty atom at or after i, or -1.
+func (st *searchState) nextDirty(i int) int {
+	w := i / 64
+	if w >= len(st.dirty) {
+		return -1
+	}
+	word := st.dirty[w] &^ (1<<(i%64) - 1)
+	for word == 0 {
+		if w++; w == len(st.dirty) {
+			return -1
+		}
+		word = st.dirty[w]
+	}
+	return w*64 + bits.TrailingZeros64(word)
+}
+
+// narrow sets a slot's domain, recording the old one on the trail and
+// re-dirtying the slot's atoms.
+func (st *searchState) narrow(s int32, lo, hi int64) {
+	st.trail = append(st.trail, trailEntry{slot: s, old: st.doms[s]})
+	st.doms[s] = interval{lo: lo, hi: hi}
+	st.touch(s)
+}
+
+// undo pops the trail back to mark, restoring each recorded domain and
+// re-dirtying its atoms. Within one search level every recorded narrowing
+// is strict (deeper levels undo their own), so the restored slots are
+// exactly those whose domain differs from the one at mark.
+func (st *searchState) undo(mark int) {
+	for i := len(st.trail) - 1; i >= mark; i-- {
+		e := st.trail[i]
+		st.doms[e.slot] = e.old
+		st.touch(e.slot)
+	}
+	st.trail = st.trail[:mark]
 }
 
 // overWork reports whether the per-call evaluation budget is spent.
@@ -257,21 +333,21 @@ func (st *searchState) Value(id int) int64 {
 	return st.value(s)
 }
 
-// propagateAll runs bounds propagation over all linear atoms to a fixed
-// point. It returns false when some domain becomes empty (unsat).
+// propagateAll runs bounds propagation over the dirty linear atoms to a
+// fixed point. Each sweep walks the dirty set in atom order from a cursor,
+// so an atom dirtied ahead of the cursor runs in the same sweep and one
+// behind it in the next, as in a sweep over every atom; a sweep is charged
+// len(atoms) either way. It returns false when some domain becomes empty
+// (unsat).
 func (st *searchState) propagateAll() bool {
 	for changed := true; changed; {
 		changed = false
 		st.work += int64(len(st.atoms))
-		for i := range st.atoms {
-			a := &st.atoms[i]
-			if !a.ne.linear || !st.atomDirty[i] {
-				continue
-			}
+		for i := st.nextDirty(0); i >= 0; i = st.nextDirty(i + 1) {
 			// Clear before running so the atom's own narrowing re-dirties it:
 			// bounds reasoning can tighten further on a repeat pass.
-			st.atomDirty[i] = false
-			ch, ok := st.propagateAtom(a)
+			st.dirty[i/64] &^= 1 << (i % 64)
+			ch, ok := st.propagateAtom(&st.atoms[i])
 			if !ok {
 				return false
 			}
@@ -323,35 +399,27 @@ func (st *searchState) propagateAtom(a *atom) (changed, ok bool) {
 			// value sits at an edge of x's domain.
 			if restLo == restHi && t.coeff != 0 {
 				if v, exact := divExact(-restLo, t.coeff); exact {
-					ch := false
-					if iv.lo == v {
-						iv.lo++
-						ch = true
+					nlo, nhi := iv.lo, iv.hi
+					if nlo == v {
+						nlo++
 					}
-					if iv.hi == v {
-						iv.hi--
-						ch = true
+					if nhi == v {
+						nhi--
 					}
-					if ch {
-						st.touch(t.slot)
+					if nlo != iv.lo || nhi != iv.hi {
+						st.narrow(t.slot, nlo, nhi)
+						changed = true
 					}
 					if iv.empty() {
 						return false, false
 					}
-					changed = changed || ch
 				}
 			}
 			continue
 		}
 		nlo, nhi := divRangeForVar(t.coeff, lo, hi, hasLo, hasHi, iv)
 		if nlo > iv.lo || nhi < iv.hi {
-			if nlo > iv.lo {
-				iv.lo = nlo
-			}
-			if nhi < iv.hi {
-				iv.hi = nhi
-			}
-			st.touch(t.slot)
+			st.narrow(t.slot, nlo, nhi) // divRangeForVar keeps it within iv
 			changed = true
 		}
 		if iv.empty() {
@@ -429,7 +497,10 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
-// search assigns vars[idx:] by depth-first backtracking.
+// search assigns vars[idx:] by depth-first backtracking. A node costs the
+// atoms of the slot it assigns and the propagation it causes; the work it
+// charges is what a node that rescans every atom and copies every domain
+// would charge (see checkDecided).
 func (st *searchState) search(vars []int32, idx int) bool {
 	st.nodes++
 	st.solver.stats.Nodes++
@@ -445,23 +516,30 @@ func (st *searchState) search(vars []int32, idx int) bool {
 
 	st.asnHas[s] = true
 	for _, ai := range st.varAtoms[s] {
-		st.atoms[ai].unassigned--
+		a := &st.atoms[ai]
+		if a.unassigned--; a.unassigned == 0 {
+			st.sizeDecided += int64(a.ne.size)
+		}
 	}
-	for _, cand := range st.candidates(idx, s, iv) {
+	g := &st.gens[idx]
+	g.start(saved, st.seedVal[s], st.seedHas[s], st.solver.opts.MaxValuesPerVar)
+	for cand, ok := g.next(); ok; cand, ok = g.next() {
 		st.asnVal[s] = cand
 		// The new value invalidates the decided-atom memo of every atom
 		// this slot participates in.
 		for _, ai := range st.varAtoms[s] {
 			st.decidedOK[ai] = false
 		}
-		// Narrow the domain to the candidate and propagate.
+		// Narrow the domain to the candidate and propagate. The charge is a
+		// copy of every domain now and its restore later.
 		iv.lo, iv.hi = cand, cand
 		st.touch(s)
-		base := st.snapshotDomains()
-		if st.propagateAll() && st.checkDecided() && st.search(vars, idx+1) {
+		mark := len(st.trail)
+		st.work += int64(len(st.doms)) * 2
+		if st.propagateAll() && st.checkDecided(s) && st.search(vars, idx+1) {
 			return true
 		}
-		st.restoreDomains(base)
+		st.undo(mark)
 		*iv = saved
 		st.touch(s)
 		if st.overBudget() {
@@ -470,113 +548,170 @@ func (st *searchState) search(vars []int32, idx int) bool {
 			return false
 		}
 	}
+	if g.clipped() {
+		st.truncated = true
+	}
 	st.asnHas[s] = false
 	for _, ai := range st.varAtoms[s] {
-		st.atoms[ai].unassigned++
+		a := &st.atoms[ai]
+		if a.unassigned == 0 {
+			st.sizeDecided -= int64(a.ne.size)
+		}
+		a.unassigned++
 	}
 	return false
 }
 
-// candidates enumerates values for the slot in deterministic order: the seed
-// value first, then the domain edges, then an outward sweep around the seed,
-// clipped to the domain and the per-variable budget. The buffer is reused
-// per search depth, so enumeration allocates nothing in steady state.
-func (st *searchState) candidates(depth int, s int32, iv *interval) []int64 {
-	budget := st.solver.opts.MaxValuesPerVar
-	for len(st.candBufs) <= depth {
-		st.candBufs = append(st.candBufs, nil)
-	}
-	out := st.candBufs[depth][:0]
-	defer func() { st.candBufs[depth] = out }()
-	if iv.empty() {
-		return out
-	}
-	seedV, hasSeed := st.seedVal[s], st.seedHas[s]
-	lo, hi := iv.lo, iv.hi
-	// The prefix values below are the only possible duplicates: sweep values
+// candGen enumerates one node's candidate values lazily, in deterministic
+// order: the seed value first, then the domain edges, then an outward sweep
+// around the seed (an ascending scan without one), clipped to the domain and
+// the per-variable budget. One generator per search depth is reused, so
+// enumeration allocates nothing in steady state and a node that succeeds
+// early never builds the rest of its list.
+type candGen struct {
+	iv        interval
+	seed      int64
+	hasSeed   bool
+	budget, n int   // values allowed and values emitted
+	phase     uint8 // next step, one of the gen* constants
+	d         int64 // sweep distance, or scan position without a seed
+	// The prefix values are the only possible duplicates: sweep values
 	// differ from the seed (distance >= 1) and from each other, so tracking
 	// which prefix values were emitted replaces a seen-set.
-	var seedAdded, loAdded, hiAdded bool
-	if hasSeed && len(out) < budget && iv.contains(seedV) {
-		out = append(out, seedV)
-		seedAdded = true
+	seedAdded, loAdded, hiAdded bool
+}
+
+const (
+	genSeed uint8 = iota
+	genLo
+	genHi
+	genUp   // seed + d
+	genDown // seed - d
+	genScan // lo..hi, without a seed
+	genDone
+)
+
+// start begins the enumeration of domain iv.
+func (g *candGen) start(iv interval, seed int64, hasSeed bool, budget int) {
+	*g = candGen{iv: iv, seed: seed, hasSeed: hasSeed, budget: budget}
+	if iv.empty() {
+		g.phase = genDone
 	}
-	// Domain edges early: equality against constants typically lands there
-	// after propagation.
-	if len(out) < budget && !(seedAdded && lo == seedV) {
-		out = append(out, lo)
-		loAdded = true
-	}
-	if len(out) < budget && !(seedAdded && hi == seedV) && !(loAdded && hi == lo) {
-		out = append(out, hi)
-		hiAdded = true
-	}
-	if hasSeed {
-		for d := int64(1); len(out) < budget && d <= hi-lo; d++ {
-			if x := seedV + d; x >= lo && x <= hi && !(loAdded && x == lo) && !(hiAdded && x == hi) {
-				out = append(out, x)
+}
+
+// next returns the next candidate, or false when the node has none left.
+func (g *candGen) next() (int64, bool) {
+	for g.n < g.budget {
+		switch g.phase {
+		case genSeed:
+			g.phase = genLo
+			if g.hasSeed && g.iv.contains(g.seed) {
+				g.seedAdded = true
+				return g.emit(g.seed)
 			}
-			if x := seedV - d; len(out) < budget && x >= lo && x <= hi && !(loAdded && x == lo) && !(hiAdded && x == hi) {
-				out = append(out, x)
+		case genLo:
+			// Domain edges early: equality against constants typically lands
+			// there after propagation.
+			g.phase = genHi
+			if !(g.seedAdded && g.iv.lo == g.seed) {
+				g.loAdded = true
+				return g.emit(g.iv.lo)
 			}
-		}
-	} else {
-		for x := lo; len(out) < budget && x <= hi; x++ {
-			if (loAdded && x == lo) || (hiAdded && x == hi) {
+		case genHi:
+			g.phase, g.d = genScan, g.iv.lo
+			if g.hasSeed {
+				g.phase, g.d = genUp, 1
+			}
+			if !(g.seedAdded && g.iv.hi == g.seed) && !(g.loAdded && g.iv.hi == g.iv.lo) {
+				g.hiAdded = true
+				return g.emit(g.iv.hi)
+			}
+		case genUp:
+			if g.d > g.iv.hi-g.iv.lo {
+				g.phase = genDone
 				continue
 			}
-			out = append(out, x)
+			g.phase = genDown
+			if x := g.seed + g.d; g.fresh(x) {
+				return g.emit(x)
+			}
+		case genDown:
+			x := g.seed - g.d
+			g.phase, g.d = genUp, g.d+1
+			if g.fresh(x) {
+				return g.emit(x)
+			}
+		case genScan:
+			if g.d > g.iv.hi {
+				g.phase = genDone
+				continue
+			}
+			x := g.d
+			g.d++
+			if !(g.loAdded && x == g.iv.lo) && !(g.hiAdded && x == g.iv.hi) {
+				return g.emit(x)
+			}
+		default:
+			return 0, false
 		}
 	}
-	if int64(len(out)) < iv.width() {
-		st.truncated = true
-	}
-	return out
+	return 0, false
 }
 
-// snapshotDomains pushes a copy of every domain onto the snapshot stack and
-// returns the restore point. Snapshots nest strictly LIFO with the search.
-func (st *searchState) snapshotDomains() int {
-	st.work += int64(len(st.doms)) * 2 // copy now, restore later
-	base := len(st.snapStack)
-	st.snapStack = append(st.snapStack, st.doms...)
-	return base
+func (g *candGen) emit(x int64) (int64, bool) {
+	g.n++
+	return x, true
 }
 
-func (st *searchState) restoreDomains(base int) {
-	snap := st.snapStack[base:]
-	for i := range st.doms {
-		if st.doms[i] != snap[i] {
-			st.doms[i] = snap[i]
-			st.touch(int32(i))
-		}
-	}
-	st.snapStack = st.snapStack[:base]
+// fresh reports whether sweep value x lies in the domain and is not an edge
+// already emitted.
+func (g *candGen) fresh(x int64) bool {
+	return g.iv.contains(x) && !(g.loAdded && x == g.iv.lo) && !(g.hiAdded && x == g.iv.hi)
 }
 
-// checkDecided evaluates every atom whose variables are all assigned;
-// returns false on any violation. An atom that already evaluated true keeps
-// holding as long as none of its variables is re-assigned (deeper search
-// nodes only assign other slots and evaluation reads assignments, not
-// domains), so its re-evaluation is skipped — while still charging the
-// work the evaluation would have cost, keeping the budget's observable
-// trajectory identical.
-func (st *searchState) checkDecided() bool {
-	for i := range st.atoms {
-		a := &st.atoms[i]
-		st.work += int64(len(a.vars))
-		if a.unassigned != 0 {
-			continue
+// clipped reports whether the enumeration, once exhausted, left out values
+// of its domain.
+func (g *candGen) clipped() bool {
+	return int64(g.n) < g.iv.width()
+}
+
+// checkDecided evaluates the atoms slot s just decided: those whose last
+// unassigned variable is s, plus the variable-free atoms not yet verified,
+// in atom order. It returns false on the first violation. Every other fully
+// assigned atom already evaluated true at the node that decided it and
+// keeps holding, since deeper nodes only assign other slots and evaluation
+// reads assignments, not domains.
+//
+// The charge is that of a check over every atom, which pays len(vars) per
+// atom and ne.size per fully assigned one: two running sums on success,
+// and the prefix up to the violated atom on a violation.
+func (st *searchState) checkDecided(s int32) bool {
+	va, zv := st.varAtoms[s], st.zeroVar
+	for len(va) > 0 || len(zv) > 0 {
+		var ai int32
+		if len(zv) == 0 || (len(va) > 0 && va[0] < zv[0]) {
+			ai, va = va[0], va[1:]
+			if st.atoms[ai].unassigned != 0 {
+				continue
+			}
+		} else {
+			ai, zv = zv[0], zv[1:]
+			if st.decidedOK[ai] {
+				continue
+			}
 		}
-		if st.decidedOK[i] {
-			st.work += int64(a.ne.size)
-			continue
-		}
-		if !st.evalAtom(a) {
+		if !st.holds(&st.atoms[ai]) {
+			st.work += st.varsBefore[ai+1]
+			for i := range ai + 1 {
+				if a := &st.atoms[i]; a.unassigned == 0 {
+					st.work += int64(a.ne.size)
+				}
+			}
 			return false
 		}
-		st.decidedOK[i] = true
+		st.decidedOK[ai] = true
 	}
+	st.work += st.varsBefore[len(st.atoms)] + st.sizeDecided
 	return true
 }
 
@@ -584,20 +719,21 @@ func (st *searchState) checkDecided() bool {
 // unassigned vars, which can only be vars outside all atoms).
 func (st *searchState) checkAll() bool {
 	for i := range st.atoms {
-		if !st.evalAtom(&st.atoms[i]) {
+		a := &st.atoms[i]
+		st.work += int64(a.ne.size)
+		if !st.holds(a) {
 			return false
 		}
 	}
 	return true
 }
 
-// evalAtom decides one atom under the current assignment. Linearized atoms
+// holds decides one atom under the current assignment. Linearized atoms
 // are evaluated directly from their side forms — exactly equivalent to
 // evaluating the original expression, since linearization preserves values
 // under two's-complement wraparound — and only true fallback atoms walk the
 // original expression tree.
-func (st *searchState) evalAtom(a *atom) bool {
-	st.work += int64(a.ne.size)
+func (st *searchState) holds(a *atom) bool {
 	if a.ne.hasEval {
 		l := a.ne.lc
 		for _, t := range a.lform {

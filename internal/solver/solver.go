@@ -35,7 +35,13 @@
 // Internally the search works on dense slot-indexed state (variable IDs are
 // mapped to slots once per Solve call) so the per-node hot paths — bounds
 // propagation, decided-atom checks and candidate enumeration — run on slices
-// with no map traffic and no per-node allocation.
+// with no map traffic and no per-node allocation. The search is
+// incremental: a node costs the atoms of the variable it assigns (the atoms
+// that variable decides, and the propagation its value causes), not the
+// whole path condition. Stats.Work is nevertheless charged as a node that
+// rescans every atom and copies every domain would charge it, so Work, and
+// the MaxWork budget that bounds it, are a function of the problem and not
+// of the implementation.
 package solver
 
 import (
@@ -363,6 +369,9 @@ func (s *Solver) Solve(p Problem) (asn sym.MapAssignment, ok bool) {
 		return cmp.Compare(st.idOf[a], st.idOf[b])
 	})
 
+	if len(st.gens) < len(vars) {
+		st.gens = make([]candGen, len(vars))
+	}
 	if !st.search(vars, 0) {
 		return s.fail(!st.overBudget() && !st.truncated && st.exact(p.Domains))
 	}

@@ -397,6 +397,26 @@ func TestPropagationPrunesBeforeSearch(t *testing.T) {
 	}
 }
 
+// TestSearchAllocatesNothingPerNode checks that a warm Solver's search
+// allocates nothing per node: a call that searches until its work budget
+// is spent (thousands of nodes, each with its trail entries and
+// candidate generator) allocates no more than one the seed satisfies over
+// the same variables, which builds only the call's assignment.
+func TestSearchAllocatesNothingPerNode(t *testing.T) {
+	s := New(Options{})
+	gave, seedSat := searchedGiveUp(), benchLines("abcdefg", "abcdefg")
+	s.Solve(gave)
+	s.Solve(seedSat)
+	if st := s.Stats(); st.GaveUp != 1 || st.Sat != 1 || st.Nodes < 5000 {
+		t.Fatalf("unexpected outcomes %+v", st)
+	}
+	searched := testing.AllocsPerRun(3, func() { s.Solve(gave) })
+	seedOnly := testing.AllocsPerRun(3, func() { s.Solve(seedSat) })
+	if searched > seedOnly {
+		t.Errorf("a searched call allocates %v objects, a seed-satisfied one %v: the search allocates", searched, seedOnly)
+	}
+}
+
 func TestRelString(t *testing.T) {
 	names := map[rel]string{relEQ: "==", relNE: "!=", relLT: "<", relLE: "<=", relGT: ">", relGE: ">="}
 	for r, want := range names {
