@@ -72,13 +72,14 @@ type searchState struct {
 	varAtoms  [][]int32  // atom indices mentioning each slot, ascending
 	termAtoms [][]int32  // atom indices with a propagation term on each slot
 	dirty     []uint64   // bitset over atoms: some term domain changed since its last run
-	decidedOK []bool     // per-atom: fully assigned and already verified true
 
 	atoms []atom
 
 	// zeroVar lists the atoms that mention no variable, ascending: they are
-	// decided from the first node on.
+	// decided from the first node on. The first zeroOK of them are verified
+	// true; checkDecided verifies them in order, so they form a prefix.
 	zeroVar []int32
+	zeroOK  int
 	// varsBefore[i] is the summed len(vars) of atoms[:i], and sizeDecided
 	// the summed ne.size of the atoms whose variables are all assigned: the
 	// two sums a decided-atom check over every atom charges.
@@ -115,8 +116,8 @@ func (st *searchState) reset() {
 	st.asnHas = st.asnHas[:0]
 	st.atoms = st.atoms[:0]
 	st.dirty = st.dirty[:0]
-	st.decidedOK = st.decidedOK[:0]
 	st.zeroVar = st.zeroVar[:0]
+	st.zeroOK = 0
 	st.varsBefore = append(st.varsBefore[:0], 0)
 	st.sizeDecided = 0
 	st.trail = st.trail[:0]
@@ -204,7 +205,6 @@ func (st *searchState) addAtom(c sym.Constraint, ne *normEntry) {
 	if ne.linear {
 		st.dirty[n/64] |= 1 << (n % 64) // the first sweep runs every atom
 	}
-	st.decidedOK = append(st.decidedOK, false)
 	st.varsBefore = append(st.varsBefore, st.varsBefore[n]+int64(len(a.vars)))
 	if len(a.vars) == 0 {
 		st.zeroVar = append(st.zeroVar, int32(n))
@@ -525,11 +525,6 @@ func (st *searchState) search(vars []int32, idx int) bool {
 	g.start(saved, st.seedVal[s], st.seedHas[s], st.solver.opts.MaxValuesPerVar)
 	for cand, ok := g.next(); ok; cand, ok = g.next() {
 		st.asnVal[s] = cand
-		// The new value invalidates the decided-atom memo of every atom
-		// this slot participates in.
-		for _, ai := range st.varAtoms[s] {
-			st.decidedOK[ai] = false
-		}
 		// Narrow the domain to the candidate and propagate. The charge is a
 		// copy of every domain now and its restore later.
 		iv.lo, iv.hi = cand, cand
@@ -686,7 +681,7 @@ func (g *candGen) clipped() bool {
 // atom and ne.size per fully assigned one: two running sums on success,
 // and the prefix up to the violated atom on a violation.
 func (st *searchState) checkDecided(s int32) bool {
-	va, zv := st.varAtoms[s], st.zeroVar
+	va, zv := st.varAtoms[s], st.zeroVar[st.zeroOK:]
 	for len(va) > 0 || len(zv) > 0 {
 		var ai int32
 		if len(zv) == 0 || (len(va) > 0 && va[0] < zv[0]) {
@@ -696,9 +691,6 @@ func (st *searchState) checkDecided(s int32) bool {
 			}
 		} else {
 			ai, zv = zv[0], zv[1:]
-			if st.decidedOK[ai] {
-				continue
-			}
 		}
 		if !st.holds(&st.atoms[ai]) {
 			st.work += st.varsBefore[ai+1]
@@ -709,7 +701,9 @@ func (st *searchState) checkDecided(s int32) bool {
 			}
 			return false
 		}
-		st.decidedOK[ai] = true
+		if len(st.atoms[ai].vars) == 0 {
+			st.zeroOK++
+		}
 	}
 	st.work += st.varsBefore[len(st.atoms)] + st.sizeDecided
 	return true
