@@ -9,15 +9,15 @@ import (
 	"pathlog/internal/sym"
 )
 
-// This file checks the solver's lifecycle against fresh solvers: cache tables
-// that grow mid-sequence, and recycling through the free list across
+// This file checks the solver's lifecycle against fresh solvers: a cache
+// table that grows mid-sequence, and recycling through the free list across
 // garbage collections, must never change an answer.
 
 // copiesOf conjoins n node-for-node rebuilds of seed's oracle problem:
 // pointer-distinct, structurally equal constraints over the same domains,
 // the shape of a replay search re-solving rebuilt path conditions. The
 // conjunction has the answers of one copy, and its length grows the
-// solver's cache tables.
+// solver's cache table.
 func copiesOf(seed uint64, n int) (Problem, Options) {
 	p, opts := genProblem(seed)
 	for i := 1; i < n; i++ {
@@ -41,7 +41,7 @@ func outcome(before, after Stats) string {
 }
 
 // TestReusedSolverMatchesFresh runs one Solver through a sequence of oracle
-// problems — some conjoined from many rebuilt copies, so its tables grow
+// problems — some conjoined from many rebuilt copies, so its table grows
 // mid-sequence up to the cap — and recycles it through Put, two garbage
 // collections and Get along the way. On every problem it must give the
 // answer, model and counters of a fresh Solver, and every model must
@@ -69,26 +69,25 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 	}
 	Put(s)
 	if len(sizes) < 3 || sizes[len(sizes)-1] != 1<<normTabBits {
-		t.Errorf("tables grew %v: want at least two grows, ending at the cap %d", sizes, 1<<normTabBits)
+		t.Errorf("the table grew %v: want at least two grows, ending at the cap %d", sizes, 1<<normTabBits)
 	}
 	if recycled == 0 {
 		t.Error("the solver was never recycled")
 	}
 }
 
-// TestCappedSolverMatchesFresh starts from a Solver whose tables a large
+// TestCappedSolverMatchesFresh starts from a Solver whose table a large
 // problem grew to the cap, as a long search or the pre-deployment analysis
 // leaves a recycled Solver, and runs it through the corpus of
 // TestReusedSolverMatchesFresh, recycling it through Put, two collections
-// and Get before every tenth problem. Put clears only the slots the last
-// search wrote, so every recycle must leave both pointer-keyed levels
-// holding no expression, and every answer must match a fresh Solver's.
+// and Get before every tenth problem. The table keeps the entries of every
+// earlier problem, so every answer must match a fresh Solver's.
 func TestCappedSolverMatchesFresh(t *testing.T) {
 	s := New(Options{})
 	p, opts := copiesOf(39, 1024)
 	matchFresh(t, s, p, opts, "the growing problem")
-	if len(s.norm) != 1<<normTabBits || len(s.hashTab) != 1<<hashTabBits {
-		t.Fatalf("tables %d/%d, want the caps %d/%d", len(s.norm), len(s.hashTab), 1<<normTabBits, 1<<hashTabBits)
+	if len(s.norm) != 1<<normTabBits {
+		t.Fatalf("table %d, want the cap %d", len(s.norm), 1<<normTabBits)
 	}
 	for seed := uint64(0); seed < 600; seed++ {
 		p, opts := genProblem(seed)
@@ -100,19 +99,15 @@ func TestCappedSolverMatchesFresh(t *testing.T) {
 	}
 	Put(s)
 	if len(s.norm) != 1<<normTabBits {
-		t.Errorf("the corpus resized the capped tables to %d", len(s.norm))
+		t.Errorf("the corpus resized the capped table to %d", len(s.norm))
 	}
 }
 
-// recycle puts s back on the free list, checks that no pointer-keyed cache
-// slot still holds an expression of the finished search, and takes s back
-// after two garbage collections.
+// recycle puts s back on the free list and takes it back after two garbage
+// collections.
 func recycle(t *testing.T, s *Solver, opts Options) {
 	t.Helper()
 	Put(s)
-	if !isZero(s.norm) || !isZero(s.hashTab) {
-		t.Fatal("Put left pointer-keyed cache entries behind")
-	}
 	runtime.GC()
 	runtime.GC()
 	if got := Get(opts); got != s {
@@ -164,16 +159,15 @@ var freeListOpts = Options{MaxNodes: 4321}
 
 // TestFreeListSurvivesGC checks that a Solver Put before two garbage
 // collections is the one Get returns after them (a sync.Pool would have
-// dropped it), that Put clears the pointer-keyed cache levels but keeps
-// the structure-keyed one, and that the free list never holds more than
-// GOMAXPROCS solvers, dropping the oldest first.
+// dropped it), that the recycled Solver keeps its cache, and that the free
+// list never holds more than GOMAXPROCS solvers, dropping the oldest first.
 func TestFreeListSurvivesGC(t *testing.T) {
 	s := Get(freeListOpts)
 	p, _ := genProblem(7)
 	s.Solve(p)
 	recycle(t, s, freeListOpts)
-	if isZero(s.snorm) {
-		t.Error("Put dropped the structure-keyed cache level")
+	if isZero(s.norm) {
+		t.Error("the recycled Solver lost its cache")
 	}
 	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("recycled Solver kept its counters: %+v", st)
@@ -210,24 +204,58 @@ func isZero[T comparable](tab []T) bool {
 
 func freeLen() int { return free.Len() }
 
-// TestTablesStartSmall pins the sizing rule: a fresh Solver's tables are
-// minimum-size, a call grows them to slotsPerConstraint slots per
-// constraint, and a smaller call never shrinks them.
+// TestTablesStartSmall pins the sizing rule: a fresh Solver's table is
+// minimum-size, a call grows it to slotsPerConstraint slots per
+// constraint, and a smaller call never shrinks it.
 func TestTablesStartSmall(t *testing.T) {
 	s := New(Options{})
-	if len(s.norm) != 1<<minTabBits || len(s.snorm) != 1<<minTabBits || len(s.hashTab) != 2<<minTabBits {
-		t.Fatalf("fresh tables %d/%d/%d", len(s.norm), len(s.snorm), len(s.hashTab))
+	if len(s.norm) != 1<<minTabBits {
+		t.Fatalf("fresh table %d, want %d", len(s.norm), 1<<minTabBits)
 	}
 	var cs []sym.Constraint
 	for i := 0; i < 100; i++ {
 		cs = append(cs, sym.Constraint{E: sym.Lt(in(i%4), sym.NewConst(int64(200+i))), Truth: true})
 	}
 	s.Solve(Problem{Constraints: cs, Domains: byteDomains(4), Seed: sym.MapAssignment{}})
-	if len(s.norm) != 1024 || len(s.snorm) != 1024 || len(s.hashTab) != 2048 {
-		t.Fatalf("100 constraints: tables %d/%d/%d, want 1024/1024/2048", len(s.norm), len(s.snorm), len(s.hashTab))
+	if len(s.norm) != 2048 {
+		t.Fatalf("100 constraints: table %d, want 2048", len(s.norm))
 	}
 	s.Solve(Problem{Constraints: cs[:3], Domains: byteDomains(4), Seed: sym.MapAssignment{}})
-	if len(s.norm) != 1024 {
-		t.Fatalf("a smaller call resized the tables to %d", len(s.norm))
+	if len(s.norm) != 2048 {
+		t.Fatalf("a smaller call resized the table to %d", len(s.norm))
 	}
+}
+
+// TestRebuiltProblemReusesNormalForms checks that a problem rebuilt node
+// for node, as each replay run rebuilds the last run's path condition, is
+// re-solved from the cache: once the cache is warm, solving the problem and
+// its rebuild in turn normalizes nothing, and allocates exactly as much as
+// solving one problem again. The problems are the oracle's, a diff child
+// problem of 64 constraints and a replay's follow-the-log solve of 320.
+func TestRebuiltProblemReusesNormalForms(t *testing.T) {
+	check := func(name string, p, q Problem, opts Options) {
+		s := New(opts)
+		same := testing.AllocsPerRun(20, func() { s.Solve(p) })
+		pair, turn := [2]Problem{p, q}, 0
+		rebuilt := testing.AllocsPerRun(20, func() {
+			s.Solve(pair[turn%2])
+			turn++
+		})
+		if rebuilt != same {
+			t.Errorf("%s: a rebuilt problem allocates %v per Solve, the same problem %v", name, rebuilt, same)
+		}
+		n := len(s.entrySlab)
+		s.Solve(q)
+		s.Solve(p)
+		if len(s.entrySlab) != n {
+			t.Errorf("%s: re-solving the warm problem and its rebuild normalized constraints again", name)
+		}
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		p, opts := genProblem(seed)
+		q, _ := genProblem(seed)
+		check(fmt.Sprintf("seed %d", seed), p, q, opts)
+	}
+	check("diff child", diffGiveUp(), diffGiveUp(), Options{})
+	check("followed path", followedPath(), followedPath(), Options{})
 }

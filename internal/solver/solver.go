@@ -9,8 +9,9 @@
 //
 // The solve pipeline is:
 //
-//  1. normalize every constraint into a linear atom when possible (normalized
-//     forms are cached per expression, since replay re-solves path prefixes);
+//  1. normalize every constraint into a linear atom when possible (normal
+//     forms are cached by expression structure, since replay re-solves path
+//     prefixes and every run rebuilds the last run's path condition);
 //  2. return the seed when it already satisfies every constraint;
 //  3. unify the input variables that linear atoms assert equal (x - y == 0)
 //     and prove the conjunction unsat when some atom asserts !=, < or >
@@ -47,7 +48,6 @@ package solver
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 	"sort"
 
@@ -77,37 +77,24 @@ const (
 	DefaultMaxWork         = 3_000_000
 )
 
-// normTabBits caps the per-Solver normalization cache: a direct-mapped
-// table of up to 2^normTabBits slots. Pending sets spawned by one replay run
-// share their prefix expressions, so consecutive Solve calls hit the same
-// slots; across runs expressions are rebuilt and the old entries simply get
-// evicted. A table of fixed slots keeps the cache allocation-free in steady
-// state (it grows only in size classes, see minTabBits) — a map here churns through fill-and-reset cycles that dominate the
-// solver's allocation profile.
-const normTabBits = 13
+// normTabBits caps the normalization cache: a table of up to
+// 2^normTabBits slots keyed by sym.Hash (see normalized). A table of fixed
+// slots keeps the cache allocation-free in steady state (it grows only in
+// size classes, see minTabBits) — a map here churns through fill-and-reset
+// cycles that dominate the solver's allocation profile.
+const normTabBits = 14
 
-// structTabBits caps the second-level, structurally-keyed normalization
-// cache, and hashTabBits the per-node hash memo that feeds it. Across runs of
-// one search every expression is rebuilt node-for-node, so the pointer-keyed
-// first level misses on all of them; the structural level recognizes the
-// rebuilt expressions and reuses their normal forms, which is what keeps
-// normalization (and its slab churn) a first-run-only cost.
+// The table is sized to the problem: a new Solver starts at 2^minTabBits
+// slots, and a Solve call bringing more than the table's share of
+// constraints grows it to the smallest power of two with
+// slotsPerConstraint slots per constraint, up to the cap above. Most
+// searches solve path conditions of a few dozen to a few hundred
+// constraints, so a full-size table (384 KB of pointer-holding slots)
+// would mostly be allocated and zeroed for nothing. A grow drops the cached
+// entries, as an eviction would.
 const (
-	structTabBits = 13
-	hashTabBits   = 14
-)
-
-// The cache tables are sized to the problem: a new Solver starts at
-// 2^minTabBits slots per level (the hash memo twice that), and a Solve call
-// bringing more than a table's share of constraints grows every level to the
-// smallest power of two with slotsPerConstraint slots per constraint, up to
-// the caps above. Most searches solve path conditions of a few dozen to a
-// few hundred constraints, so full-size tables (about 0.9 MB of
-// pointer-holding slots) would mostly be allocated and zeroed for nothing.
-// A grow drops the cached entries, as an eviction would.
-const (
-	minTabBits         = 8
-	slotsPerConstraint = 8
+	minTabBits         = 9
+	slotsPerConstraint = 16
 )
 
 // Stats accumulates counters across Solve calls; the experiment harness
@@ -144,22 +131,12 @@ func (s *Stats) Add(o Stats) {
 type Solver struct {
 	opts    Options
 	stats   Stats
-	norm    []normSlot   // direct-mapped normalization cache, pointer-keyed
-	snorm   []normSlot   // second level, structure-keyed
-	hashTab []hashSlot   // per-node structural-hash memo
-	tabBits int          // the tables' size class (see sizeTables)
+	norm    []normSlot   // normalization cache, keyed by sym.Hash
+	tabBits int          // log2 of len(norm) (see sizeTable)
 	varBuf  []int        // scratch for collecting variable IDs in normalize
 	neBuf   []*normEntry // scratch for the per-call normal forms
 	uni     unifier      // equality-unification proof step, reused per call
 	st      searchState  // reused across Solve calls to keep allocation flat
-
-	// Index shifts: 64 minus log2 of each table's length.
-	normShift, snormShift, hashShift uint
-
-	// normDirty and hashDirty list the norm and hashTab slots written since
-	// the tables were last clean, so Put clears what the search wrote
-	// instead of the whole tables.
-	normDirty, hashDirty []int32
 
 	// Slab storage for normal forms. The replay search normalizes one fresh
 	// expression per executed symbolic branch (each run rebuilds its path
@@ -184,29 +161,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// New returns a Solver with the given options and minimum-size cache
-// tables.
+// New returns a Solver with the given options and a minimum-size cache
+// table.
 func New(opts Options) *Solver {
 	s := &Solver{opts: opts.withDefaults()}
-	s.sizeTables(minTabBits)
+	s.sizeTable(minTabBits)
 	s.st.solver = s
 	s.st.slotOf = make(map[int]int32)
 	return s
 }
 
-// sizeTables (re)allocates the cache tables at 2^bits slots per level,
-// dropping their contents.
-func (s *Solver) sizeTables(bits int) {
-	nb, sb, hb := min(bits, normTabBits), min(bits, structTabBits), min(bits+1, hashTabBits)
+// sizeTable (re)allocates the cache table at 2^bits slots, dropping its
+// contents.
+func (s *Solver) sizeTable(bits int) {
 	s.tabBits = bits
-	s.norm = make([]normSlot, 1<<nb)
-	s.snorm = make([]normSlot, 1<<sb)
-	s.hashTab = make([]hashSlot, 1<<hb)
-	s.normDirty, s.hashDirty = s.normDirty[:0], s.hashDirty[:0]
-	s.normShift, s.snormShift, s.hashShift = uint(64-nb), uint(64-sb), uint(64-hb)
+	s.norm = make([]normSlot, 1<<bits)
 }
 
-// fit grows the cache tables before a call of n constraints (see
+// fit grows the cache table before a call of n constraints (see
 // minTabBits).
 func (s *Solver) fit(n int) {
 	bits := s.tabBits
@@ -214,21 +186,20 @@ func (s *Solver) fit(n int) {
 		bits++
 	}
 	if bits != s.tabBits {
-		s.sizeTables(bits)
+		s.sizeTable(bits)
 	}
 }
 
 // free holds idle Solvers between searches, so a search nearly always
-// starts from a warm Solver with right-sized tables instead of allocating
-// and zeroing new ones. Of the cache levels only the structure-keyed one
-// carries over: normal forms depend only on expression structure, so the
-// next search's rebuilt expressions can hit it.
+// starts from a warm Solver with a right-sized table instead of allocating
+// and zeroing a new one. The table carries over: normal forms depend only
+// on expression structure, so the next search's expressions can hit it.
 var free freelist.List[*Solver]
 
 // Get returns a Solver for the given options, taking the most recently
 // returned idle one whose options match (after default resolution).
-// Recycled Solvers have their stats cleared; the structure-keyed cache
-// carries over by design.
+// Recycled Solvers have their stats cleared; the cache carries over by
+// design.
 func Get(opts Options) *Solver {
 	opts = opts.withDefaults()
 	if s, ok := free.Get(func(s *Solver) bool { return s.opts == opts }); ok {
@@ -239,22 +210,10 @@ func Get(opts Options) *Solver {
 }
 
 // Put returns a Solver to the free list. The caller must not use it
-// afterwards. Put clears the slots the search wrote in the pointer-keyed
-// levels (the first normalization level and the hash memo): no later
-// search can hit them, since every search builds its expressions afresh,
-// and they would only keep this search's garbage reachable. Clearing only
-// the written slots keeps a two-run search from paying for tables an
-// earlier, larger problem grew. A full list drops its oldest Solver.
-func Put(s *Solver) {
-	for _, i := range s.normDirty {
-		s.norm[i] = normSlot{}
-	}
-	for _, i := range s.hashDirty {
-		s.hashTab[i] = hashSlot{}
-	}
-	s.normDirty, s.hashDirty = s.normDirty[:0], s.hashDirty[:0]
-	free.Put(s)
-}
+// afterwards. The cache keeps its entries, and with them the expressions
+// they were made for, until later entries evict them or the list drops the
+// Solver. A full list drops its oldest Solver.
+func Put(s *Solver) { free.Put(s) }
 
 // Stats returns a copy of the accumulated counters.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -449,13 +408,11 @@ type term struct {
 	coeff int64
 }
 
-// normSlot is one direct-mapped cache line: expression nodes are immutable
-// and shared, so node identity plus the asserted truth identifies a normal
-// form exactly.
+// normSlot is one cache line. The slot's index carries the asserted truth,
+// so an expression and its truth identify a normal form.
 type normSlot struct {
-	e     sym.Expr
-	truth bool
-	ne    *normEntry
+	e  sym.Expr
+	ne *normEntry
 }
 
 // normEntry is the variable-ID-indexed normal form of one constraint, cached
@@ -479,104 +436,39 @@ type normEntry struct {
 }
 
 // normalized returns the cached normal form of c, computing it on a miss.
-// The first level hashes the expression's node identity (Fibonacci mixing of
-// the pointer) — a hit is free and covers the re-solved path prefixes within
-// one run. The second level hashes the expression's structure, so the
-// node-for-node rebuilt expressions of later runs of the same search reuse
-// the first run's normal forms instead of re-linearizing (a normEntry is a
-// pure function of structure and truth, so sharing one across
-// pointer-distinct but structurally equal expressions is exact). In both
-// tables the truth folds into the low bit so the two polarities of one
-// expression coexist; a colliding entry is simply evicted.
+// The cache is keyed by the structural hash every node carries from
+// construction, so the expressions each replay run rebuilds node for node
+// reuse the first run's normal forms (a normEntry is a pure function of
+// structure and truth, so sharing one across structurally equal
+// expressions is exact); a hit is confirmed structurally. An expression
+// has two candidate slots, from the high and the low bits of its hash,
+// with the truth in the low bit so both polarities coexist. A miss fills a
+// free candidate, or else evicts the first: with one slot per expression,
+// a 64-constraint problem shares about four slots between two of its
+// constraints, and every re-solve normalizes those again.
 func (s *Solver) normalized(c sym.Constraint) *normEntry {
-	h := uint64(reflect.ValueOf(c.E).Pointer()) * fibMix
-	idx := (h >> s.normShift) &^ 1
+	h, t := sym.Hash(c.E), uint32(0)
 	if c.Truth {
-		idx |= 1
+		t = 1
 	}
-	slot := &s.norm[idx]
-	if slot.e == c.E && slot.truth == c.Truth {
-		return slot.ne
-	}
-	if slot.e == nil {
-		s.normDirty = append(s.normDirty, int32(idx))
-	}
-	sidx := (s.structHash(c.E) >> s.snormShift) &^ 1
-	if c.Truth {
-		sidx |= 1
-	}
-	sslot := &s.snorm[sidx]
-	if sslot.ne != nil && sslot.truth == c.Truth && structEq(sslot.e, c.E) {
-		// Re-key the slot to the newest expression: its subtrees are shared
-		// with the rest of this run's constraints, so later structEq walks
-		// can short-circuit on pointer equality.
-		sslot.e = c.E
-		slot.e, slot.truth, slot.ne = c.E, c.Truth, sslot.ne
-		return sslot.ne
+	a := &s.norm[h>>(32-s.tabBits)&^1|t]
+	b := &s.norm[h<<1&uint32(len(s.norm)-1)|t]
+	for _, slot := range [2]*normSlot{a, b} {
+		if structEq(slot.e, c.E) {
+			// Re-key the slot to the newest expression: its subtrees are
+			// shared with the rest of this run's constraints, so later
+			// structEq walks can short-circuit on pointer equality.
+			slot.e = c.E
+			return slot.ne
+		}
 	}
 	ne := s.normalize(c)
-	slot.e, slot.truth, slot.ne = c.E, c.Truth, ne
-	sslot.e, sslot.truth, sslot.ne = c.E, c.Truth, ne
+	if a.ne != nil && b.ne == nil {
+		a = b
+	}
+	a.e, a.ne = c.E, ne
 	return ne
 }
-
-const fibMix = 0x9E3779B97F4A7C15
-
-// hashSlot is one line of the structural-hash memo: expression nodes are
-// immutable, so a node's structural hash never changes once computed.
-type hashSlot struct {
-	e sym.Expr
-	h uint64
-}
-
-// structHash returns a hash of the expression's structure (operators, shape,
-// constants, input IDs) — equal for the node-for-node rebuilt expressions of
-// different runs. Interior nodes memoize through a pointer-keyed table:
-// constraints within one run share their subtrees, so each node is walked
-// once per run, not once per constraint mentioning it.
-func (s *Solver) structHash(e sym.Expr) uint64 {
-	switch x := e.(type) {
-	case *sym.Const:
-		return hashConst(x)
-	case *sym.Input:
-		return hashInput(x.ID)
-	case *sym.Un:
-		hs := s.memoSlot(e)
-		if hs.e == e {
-			return hs.h
-		}
-		h := hashUn(x.Op, s.structHash(x.X))
-		hs.e, hs.h = e, h
-		return h
-	case *sym.Bin:
-		hs := s.memoSlot(e)
-		if hs.e == e {
-			return hs.h
-		}
-		h := hashBin(x.Op, s.structHash(x.L), s.structHash(x.R))
-		hs.e, hs.h = e, h
-		return h
-	}
-	return fibMix
-}
-
-// memoSlot returns the memo slot of node e, listing it in hashDirty when it
-// is still empty: the caller fills a slot that misses.
-func (s *Solver) memoSlot(e sym.Expr) *hashSlot {
-	i := uint64(reflect.ValueOf(e).Pointer()) * fibMix >> s.hashShift
-	hs := &s.hashTab[i]
-	if hs.e == nil {
-		s.hashDirty = append(s.hashDirty, int32(i))
-	}
-	return hs
-}
-
-// The structural hash's node mixers, shared with the unifier's
-// renaming-aware variant.
-func hashConst(c *sym.Const) uint64         { return (uint64(c.V) ^ 0xC0) * fibMix }
-func hashInput(id int) uint64               { return (uint64(id) ^ 0x1A) * fibMix }
-func hashUn(op sym.Op, x uint64) uint64     { return (x + uint64(op) + 1) * fibMix }
-func hashBin(op sym.Op, l, r uint64) uint64 { return (l*3 + r + uint64(op)) * fibMix }
 
 // structEq reports whether two expressions are structurally identical.
 // Shared subtrees short-circuit on pointer equality.

@@ -154,8 +154,9 @@ func (u *unifier) beginCall() {
 	}
 }
 
-// hash is structHash with every input renamed to its class representative,
-// memoized per interior node for the current call.
+// hash is a structural hash (operators, shape, constants, input IDs) with
+// every input renamed to its class representative, memoized per interior
+// node for the current call.
 func (u *unifier) hash(e sym.Expr) uint64 {
 	switch x := e.(type) {
 	case *sym.Const:
@@ -209,6 +210,16 @@ func (u *unifier) grow() {
 		}
 	}
 }
+
+// The renaming-aware hash's node mixers. Work counts the nodes the
+// unifier hashes and compares, so a mixer with other collisions would move
+// it.
+const fibMix = 0x9E3779B97F4A7C15
+
+func hashConst(c *sym.Const) uint64         { return (uint64(c.V) ^ 0xC0) * fibMix }
+func hashInput(id int) uint64               { return (uint64(id) ^ 0x1A) * fibMix }
+func hashUn(op sym.Op, x uint64) uint64     { return (x + uint64(op) + 1) * fibMix }
+func hashBin(op sym.Op, l, r uint64) uint64 { return (l*3 + r + uint64(op)) * fibMix }
 
 // equal is structEq modulo the unification: inputs match when their classes
 // do. Subtrees with different hashes are unequal without a walk.

@@ -1,6 +1,9 @@
 package sym
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Constructors with eager constant folding and a small set of algebraic
 // peephole simplifications. The simplifications are deliberately conservative
@@ -45,7 +48,7 @@ func NewUn(op Op, x Expr) Expr {
 			return u.X
 		}
 	}
-	return &Un{Op: op, X: x, sz: x.size() + 1}
+	return &Un{Op: op, X: x, h: mix(uint64(op), uint64(x.hash())), sz: nodes(x.size() + 1)}
 }
 
 // NewBin builds a binary expression, folding constants.
@@ -122,9 +125,13 @@ func NewBin(op Op, l, r Expr) Expr {
 			return NewUn(OpBool, x)
 		}
 	}
-	sz := l.size() + r.size() + 1
-	return &Bin{Op: op, L: l, R: r, sz: sz}
+	h := mix(uint64(op), uint64(l.hash())<<32|uint64(r.hash()))
+	return &Bin{Op: op, L: l, R: r, h: h, sz: nodes(l.size() + r.size() + 1)}
 }
+
+// nodes stores a node count, saturating: only TooLarge compares sizes past
+// maxExprSize.
+func nodes(n int) int32 { return int32(min(n, math.MaxInt32)) }
 
 // TooLarge reports whether e exceeds the engine's expression-size cap.
 func TooLarge(e Expr) bool { return e.size() > maxExprSize }

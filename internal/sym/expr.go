@@ -92,6 +92,8 @@ type Expr interface {
 	write(sb *strings.Builder)
 	// size returns the number of nodes of the expression tree.
 	size() int
+	// hash returns the structural hash (see Hash).
+	hash() uint32
 }
 
 // Assignment maps symbolic input variable IDs to concrete values.
@@ -155,6 +157,8 @@ func (c *Const) write(sb *strings.Builder) { fmt.Fprintf(sb, "%d", c.V) }
 
 func (c *Const) size() int { return 1 }
 
+func (c *Const) hash() uint32 { return mix(hashConst, uint64(c.V)) }
+
 // String implements fmt.Stringer.
 func (c *Const) String() string { return fmt.Sprintf("%d", c.V) }
 
@@ -171,14 +175,22 @@ type Input struct {
 	// a run that marks thousands of input bytes formats none of them.
 	off    int64
 	isByte bool
+	// h hashes the variable's coordinate, fixed when it is made (see Hash).
+	h uint32
 }
 
 // NewInput returns a fresh input variable expression with the given domain.
+// A named variable hashes its name; an unnamed one, printed in<id>, the ID
+// it is made with.
 func NewInput(id int, name string, lo, hi int64) *Input {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return &Input{ID: id, Name: name, Lo: lo, Hi: hi}
+	h := mix(hashName, strHash(name))
+	if name == "" {
+		h = mix(hashUnnamed, uint64(id))
+	}
+	return &Input{ID: id, Name: name, Lo: lo, Hi: hi, h: h}
 }
 
 // ByteInput returns, by value, the input variable of byte off of a named
@@ -188,7 +200,8 @@ func ByteInput(id int, stream string, off, lo, hi int64) Input {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return Input{ID: id, Name: stream, Lo: lo, Hi: hi, off: off, isByte: true}
+	h := mix(hashByte, strHash(stream)^uint64(off))
+	return Input{ID: id, Name: stream, Lo: lo, Hi: hi, off: off, isByte: true, h: h}
 }
 
 // ByteOffset returns the offset of a byte variable (ByteInput) in its
@@ -220,6 +233,8 @@ func (in *Input) write(sb *strings.Builder) {
 
 func (in *Input) size() int { return 1 }
 
+func (in *Input) hash() uint32 { return in.h }
+
 // String implements fmt.Stringer.
 func (in *Input) String() string { return Format(in) }
 
@@ -227,7 +242,8 @@ func (in *Input) String() string { return Format(in) }
 type Un struct {
 	Op Op
 	X  Expr
-	sz int
+	h  uint32
+	sz int32
 }
 
 // Eval implements Expr.
@@ -242,7 +258,9 @@ func (u *Un) write(sb *strings.Builder) {
 	sb.WriteString(")")
 }
 
-func (u *Un) size() int { return u.sz }
+func (u *Un) size() int { return int(u.sz) }
+
+func (u *Un) hash() uint32 { return u.h }
 
 // String implements fmt.Stringer.
 func (u *Un) String() string { return Format(u) }
@@ -251,7 +269,8 @@ func (u *Un) String() string { return Format(u) }
 type Bin struct {
 	Op   Op
 	L, R Expr
-	sz   int
+	h    uint32
+	sz   int32
 }
 
 // Eval implements Expr.
@@ -273,7 +292,9 @@ func (b *Bin) write(sb *strings.Builder) {
 	sb.WriteString(")")
 }
 
-func (b *Bin) size() int { return b.sz }
+func (b *Bin) size() int { return int(b.sz) }
+
+func (b *Bin) hash() uint32 { return b.h }
 
 // String implements fmt.Stringer.
 func (b *Bin) String() string { return Format(b) }
@@ -359,6 +380,48 @@ func Format(e Expr) string {
 // Size returns the number of nodes in the expression tree. It is used to cap
 // constraint complexity and as a metric in experiment reports.
 func Size(e Expr) int { return e.size() }
+
+// Hash returns e's structural hash, fixed when e was built: a constant
+// hashes its value, an input its coordinate (stream and offset, or name),
+// and an operator node its operator and its operands' hashes. Expressions
+// built node for node alike from inputs of the same coordinates hash alike,
+// so a cache keyed by Hash recognizes a rebuilt expression. An input's ID
+// is not hashed: a variable made unnumbered and numbered later keeps its
+// hash, and so does every expression over it.
+func Hash(e Expr) uint32 { return e.hash() }
+
+// Hash salts: each kind of node, and each operator, mixes its own.
+const (
+	hashConst = 0x100 + iota
+	hashByte
+	hashName
+	hashUnnamed
+)
+
+// mix returns the hash of a node whose kind or operator is salt and whose
+// contents are x. It ends in splitmix64's finalizer, a bijection of 64 bits
+// in which every output bit depends on every input bit. A hash linear in
+// offsets, constants and operand hashes would not do: it maps whole
+// families of comparisons such as s:0 == 3 and s:1 == 0 alike (see
+// TestHashSeparatesComparisons).
+func mix(salt, x uint64) uint32 {
+	x += salt * 0x9E3779B97F4A7C15
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return uint32(x >> 32)
+}
+
+// strHash is 64-bit FNV-1a.
+func strHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
 
 // AppendVarIDs appends the ID of every input-variable occurrence in e to buf
 // and returns the extended slice. Duplicates are preserved; callers needing a
